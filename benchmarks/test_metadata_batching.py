@@ -6,22 +6,23 @@ pre-refactor reproduction instead descended the segment tree with one
 blocking round trip per node, so with any simulated metadata service
 latency the metadata layer (not the data layer) capped read
 throughput.  This bench gives every metadata bucket a per-request
-service latency and measures aggregate concurrent-read throughput
-through both pipelines.  Expectation: the batched descent (O(tree
-depth) round trips, level fan-out over the I/O engine, immutable node
-cache) beats the sequential per-node baseline by a wide margin.
+service latency, counts the round trips of that reference descent
+(kept in ``segment_tree.collect_blocks``) on a cache-less store, and
+measures aggregate concurrent-read throughput through the store's
+batched descent (O(tree depth) round trips, level fan-out over the I/O
+engine, immutable node cache).  Expectation: the batched pipeline beats
+the sequential readers' analytic ceiling — no read finishes before its
+``round trips × latency`` descent does — by a wide margin.
 
 The per-pipeline round-trip counts and the cache hit rate land in the
 benchmark JSON artifact via ``extra_info``, so CI records the batching
 win alongside the wall-clock numbers.
 """
 
-import threading
-import time
-
 from conftest import emit
 
-from repro.blob import LocalBlobStore, StoreConfig
+from repro.harness import render_report
+from repro.harness.demos import metadata_descent
 
 BLOCK = 4 * 1024
 BLOCKS = 48
@@ -33,82 +34,33 @@ ROUNDS = 3
 META_LATENCY = 0.0015
 
 
-def _measure(batched: bool) -> dict:
-    """Aggregate MB/s of CLIENTS threads reading the same BLOB, plus
-    the metadata round-trip count of one cold read."""
-    store = LocalBlobStore(config=StoreConfig(
-        data_providers=8,
-        metadata_providers=6,
-        block_size=BLOCK,
-        io_workers=8,
-        metadata_latency=META_LATENCY,
-        metadata_batching=batched,
-        metadata_cache_nodes=1024 if batched else 0,
-    ))
-    try:
-        blob = store.create()
-        data = b"m" * (BLOCKS * BLOCK)
-        store.append(blob, data)
-        stats = store.metadata.store.stats
-        stats.reset()
-        assert store.read(blob) == data  # the cold descent
-        cold_round_trips = stats.snapshot()["round_trips"]
-
-        errors = []
-
-        def reader():
-            try:
-                for _ in range(ROUNDS):
-                    assert len(store.read(blob)) == len(data)
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [threading.Thread(target=reader) for _ in range(CLIENTS)]
-        start = time.perf_counter()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        elapsed = time.perf_counter() - start
-        assert not errors, errors
-        cache = store.metadata.cache
-        return {
-            "mb_per_s": CLIENTS * ROUNDS * len(data) / elapsed / 2**20,
-            "cold_round_trips": cold_round_trips,
-            "cache_hit_rate": round(cache.hit_rate, 4) if cache else 0.0,
-        }
-    finally:
-        store.close()
-
-
 def test_meta_batching_read_throughput(benchmark):
-    def run():
-        return {
-            "sequential": _measure(batched=False),
-            "batched": _measure(batched=True),
-        }
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
-    seq, bat = out["sequential"], out["batched"]
-    benchmark.extra_info["sequential_cold_round_trips"] = seq["cold_round_trips"]
-    benchmark.extra_info["batched_cold_round_trips"] = bat["cold_round_trips"]
-    benchmark.extra_info["batched_cache_hit_rate"] = bat["cache_hit_rate"]
-    benchmark.extra_info["speedup"] = round(bat["mb_per_s"] / seq["mb_per_s"], 2)
-    emit(
-        "fig5-style concurrent reads vs metadata pipeline "
-        f"(clients={CLIENTS}, {BLOCKS} blocks, "
-        f"{META_LATENCY * 1e3:.1f}ms/metadata request):\n"
-        f"  sequential descent       {seq['mb_per_s']:8.2f} MB/s  "
-        f"({seq['cold_round_trips']} round trips/cold read)\n"
-        f"  batched descent + cache  {bat['mb_per_s']:8.2f} MB/s  "
-        f"({bat['cold_round_trips']} round trips/cold read, "
-        f"hit rate {bat['cache_hit_rate']:.0%})"
+    report = benchmark.pedantic(
+        metadata_descent,
+        kwargs=dict(
+            blocks=BLOCKS,
+            buckets=6,
+            latency=META_LATENCY,
+            io_workers=8,
+            reads=ROUNDS,
+            clients=CLIENTS,
+            block_size=BLOCK,
+        ),
+        rounds=1,
+        iterations=1,
     )
+    m = report.measurements
+    speedup = m["mb_per_s"] / m["reference_mb_per_s"]
+    benchmark.extra_info["sequential_cold_round_trips"] = m["reference_round_trips"]
+    benchmark.extra_info["batched_cold_round_trips"] = m["cold_round_trips"]
+    benchmark.extra_info["batched_cache_hit_rate"] = m["cache_hit_rate"]
+    benchmark.extra_info["speedup"] = round(speedup, 2)
+    emit("fig5-style concurrent reads vs metadata pipeline: " + render_report(report))
+    assert report.ok, report.failures
     # The acceptance bound: O(tree depth) vs O(nodes visited) ...
-    assert bat["cold_round_trips"] < seq["cold_round_trips"] / 4
-    assert seq["cold_round_trips"] >= 2 * BLOCKS - 1
+    assert m["cold_round_trips"] < m["reference_round_trips"] / 4
     # ... and the throughput win it buys under metadata latency.
-    assert bat["mb_per_s"] > 2 * seq["mb_per_s"], (
-        f"batched pipeline must clearly beat the sequential baseline: "
-        f"{bat['mb_per_s']:.2f} vs {seq['mb_per_s']:.2f} MB/s"
+    assert speedup > 2, (
+        f"batched pipeline must clearly beat the sequential ceiling: "
+        f"{m['mb_per_s']:.2f} vs {m['reference_mb_per_s']:.2f} MB/s"
     )

@@ -18,12 +18,10 @@ prove it never grew past a handful of OS threads — both numbers land
 in the benchmark JSON via ``extra_info``.
 """
 
-import threading
-import time
-
 from conftest import emit
 
 from repro.blob import LocalBlobStore, StoreConfig
+from repro.harness.demos import engine_fanout, run_clients
 
 BLOCK = 4 * 1024
 BLOCKS_PER_OP = 12
@@ -46,27 +44,6 @@ def _make_store(io_workers: int) -> LocalBlobStore:
     ))
 
 
-def _run_clients(worker_fn, n_clients: int) -> float:
-    """Run *worker_fn* on *n_clients* threads; return elapsed seconds."""
-    errors = []
-
-    def body(tid):
-        try:
-            worker_fn(tid)
-        except Exception as exc:  # pragma: no cover
-            errors.append(exc)
-
-    threads = [threading.Thread(target=body, args=(t,)) for t in range(n_clients)]
-    start = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    elapsed = time.perf_counter() - start
-    assert not errors, errors
-    return elapsed
-
-
 def _append_throughput(io_workers: int) -> float:
     """Aggregate MB/s of CLIENTS threads appending concurrently."""
     with _make_store(io_workers) as store:
@@ -77,7 +54,7 @@ def _append_throughput(io_workers: int) -> float:
             for _ in range(ROUNDS):
                 store.append(blob, payload)
 
-        elapsed = _run_clients(appender, CLIENTS)
+        elapsed = run_clients(appender, CLIENTS)
         total = CLIENTS * ROUNDS * len(payload)
         assert store.latest_version(blob) == CLIENTS * ROUNDS
     return total / elapsed / 2**20
@@ -95,7 +72,7 @@ def _read_throughput(io_workers: int) -> float:
             for _ in range(ROUNDS):
                 assert len(store.read(blob, version=version)) == len(data)
 
-        elapsed = _run_clients(reader, CLIENTS)
+        elapsed = run_clients(reader, CLIENTS)
         total = CLIENTS * ROUNDS * len(data)
     return total / elapsed / 2**20
 
@@ -155,46 +132,32 @@ FANOUT_PROVIDERS = 16
 FANOUT_LATENCY = 0.002
 
 
-def _fanout_read(**engine) -> tuple[float, dict]:
-    """One whole-file gather of FANOUT_BLOCKS blocks: (MB/s, stats)."""
-    with LocalBlobStore(config=StoreConfig(
-        data_providers=FANOUT_PROVIDERS,
-        metadata_providers=4,
-        block_size=FANOUT_BLOCK,
-        provider_latency=FANOUT_LATENCY,
-        **engine,
-    )) as store:
-        blob = store.create()
-        data = b"f" * (FANOUT_BLOCKS * FANOUT_BLOCK)
-        store.append(blob, data)
-        version = store.latest_version(blob)
-        store.io_engine.stats.reset()
-        start = time.perf_counter()
-        assert len(store.read(blob, version=version)) == len(data)
-        elapsed = time.perf_counter() - start
-        stats = store.io_engine.stats.snapshot()
-    return len(data) / elapsed / 2**20, stats
-
-
 def _measure_fanout() -> dict:
-    threads_rate, threads_stats = _fanout_read(io_workers=8)
-    coro = dict(io_scheduler="async", max_in_flight=2 * FANOUT_BLOCKS)
-    async_rate, async_stats = _fanout_read(**coro)
-    if async_rate < threads_rate:
+    def measure() -> dict:
+        report = engine_fanout(
+            blocks=FANOUT_BLOCKS,
+            block_size=FANOUT_BLOCK,
+            latency=FANOUT_LATENCY,
+            providers=FANOUT_PROVIDERS,
+            io_workers=8,
+            max_in_flight=2 * FANOUT_BLOCKS,
+        )
+        assert report.ok, report.failures
+        return report.measurements
+
+    out = measure()
+    if out["async"]["mb_per_s"] < out["threads"]["mb_per_s"]:
         # One re-measure: a scheduler hiccup on a loaded CI runner can
         # dent one run, but a genuine regression fails both attempts.
-        async_rate, async_stats = _fanout_read(**coro)
-    return {
-        "threads": {"rate": threads_rate, "stats": threads_stats},
-        "async": {"rate": async_rate, "stats": async_stats},
-    }
+        out = measure()
+    return out
 
 
 def test_fig4_async_high_fanout_gather(benchmark):
     out = benchmark.pedantic(_measure_fanout, rounds=1, iterations=1)
     pool, coro = out["threads"], out["async"]
-    benchmark.extra_info["threads_mb_per_s"] = round(pool["rate"], 2)
-    benchmark.extra_info["async_mb_per_s"] = round(coro["rate"], 2)
+    benchmark.extra_info["threads_mb_per_s"] = round(pool["mb_per_s"], 2)
+    benchmark.extra_info["async_mb_per_s"] = round(coro["mb_per_s"], 2)
     benchmark.extra_info["async_threads_started"] = coro["stats"]["threads_started"]
     benchmark.extra_info["async_in_flight_hwm"] = coro["stats"]["in_flight_hwm"]
     benchmark.extra_info["threads_in_flight_hwm"] = pool["stats"]["in_flight_hwm"]
@@ -206,7 +169,7 @@ def test_fig4_async_high_fanout_gather(benchmark):
     ]
     for label, side in (("threads io_workers=8", pool), ("async coroutines", coro)):
         lines.append(
-            f"  {label:<24}{side['rate']:>9.2f}"
+            f"  {label:<24}{side['mb_per_s']:>9.2f}"
             f"{side['stats']['threads_started']:>9}"
             f"{side['stats']['in_flight_hwm']:>15}"
         )
@@ -219,7 +182,7 @@ def test_fig4_async_high_fanout_gather(benchmark):
     assert coro["stats"]["in_flight_hwm"] > 8, (
         "async gather never went wider than a thread pool"
     )
-    assert coro["rate"] >= pool["rate"], (
-        f"coroutines {coro['rate']:.2f} MB/s under the 8-worker pool's "
-        f"{pool['rate']:.2f} MB/s"
+    assert coro["mb_per_s"] >= pool["mb_per_s"], (
+        f"coroutines {coro['mb_per_s']:.2f} MB/s under the 8-worker pool's "
+        f"{pool['mb_per_s']:.2f} MB/s"
     )

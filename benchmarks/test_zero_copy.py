@@ -13,12 +13,10 @@ counters prove it here, landing in the benchmark JSON artifact via
 numbers.
 """
 
-import threading
-import time
-
 from conftest import emit
 
-from repro.blob import LocalBlobStore, StoreConfig
+from repro.harness import render_report
+from repro.harness.demos import zero_copy_round_trip
 
 BLOCK = 64 * 1024
 BLOCKS = 48
@@ -26,54 +24,16 @@ CLIENTS = 4
 ROUNDS = 3
 
 
-def _measure() -> dict:
-    store = LocalBlobStore(config=StoreConfig(
-        data_providers=8,
-        metadata_providers=6,
-        block_size=BLOCK,
-        io_workers=8,
-    ))
-    try:
-        blob = store.create()
-        size = BLOCKS * BLOCK
-        data = bytes(bytearray(range(256))) * (size // 256)
-
-        store.copy_stats.reset()
-        store.append(blob, data)
-        write = store.copy_stats.snapshot()
-
-        store.copy_stats.reset()
-        errors = []
-
-        def reader():
-            try:
-                for _ in range(ROUNDS):
-                    assert len(store.read(blob)) == size
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [threading.Thread(target=reader) for _ in range(CLIENTS)]
-        start = time.perf_counter()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        elapsed = time.perf_counter() - start
-        assert not errors, errors
-        read = store.copy_stats.snapshot()
-        return {
-            "mb_per_s": CLIENTS * ROUNDS * size / elapsed / 2**20,
-            "size": size,
-            "reads": CLIENTS * ROUNDS,
-            "write": write,
-            "read": read,
-        }
-    finally:
-        store.close()
-
-
 def test_fig4_zero_copy_read_throughput(benchmark):
-    out = benchmark.pedantic(_measure, rounds=1, iterations=1)
+    report = benchmark.pedantic(
+        zero_copy_round_trip,
+        kwargs=dict(
+            blocks=BLOCKS, block_size=BLOCK, io_workers=8, clients=CLIENTS, rounds=ROUNDS
+        ),
+        rounds=1,
+        iterations=1,
+    )
+    out = report.measurements
     size, reads = out["size"], out["reads"]
     write, read = out["write"], out["read"]
     benchmark.extra_info["bytes_copied_per_read"] = read["bytes_copied"] // reads
@@ -82,24 +42,10 @@ def test_fig4_zero_copy_read_throughput(benchmark):
     )
     benchmark.extra_info["write_bytes_copied"] = write["bytes_copied"]
     benchmark.extra_info["copy_ratio"] = round(read["bytes_copied"] / (reads * size), 3)
-    emit(
-        "fig4-style zero-copy reads "
-        f"(clients={CLIENTS}, {BLOCKS} x {BLOCK // 1024}KB blocks):\n"
-        f"  aggregate throughput     {out['mb_per_s']:8.2f} MB/s\n"
-        f"  copied/read              {read['bytes_copied'] // reads:>10,} B "
-        f"(payload {size:,} B -> {read['bytes_copied'] / (reads * size):.2f}x)\n"
-        f"  transferred/read         {read['bytes_transferred'] // reads:>10,} B\n"
-        f"  append client copies     {write['bytes_copied']:>10,} B"
-    )
-    # The zero-copy budget (DESIGN.md §11): ONE gather per read, so an
-    # N-byte read materializes <= N bytes client-side (the pre-refactor
-    # path paid ~3-4x), and appending immutable bytes copies nothing.
-    assert read["bytes_copied"] <= reads * size, (
-        f"reads materialized {read['bytes_copied']:,}B for {reads} x {size:,}B, "
-        "over the 1x zero-copy budget"
-    )
-    assert read["bytes_result"] == reads * size
-    assert write["bytes_copied"] == 0, (
-        f"append of immutable bytes copied {write['bytes_copied']:,}B client-side"
-    )
-    assert write["bytes_transferred"] == size
+    emit(f"fig4-style zero-copy reads (clients={CLIENTS}): " + render_report(report))
+    # The zero-copy budget (DESIGN.md §11), checked by the scenario: ONE
+    # gather per read, so an N-byte read materializes <= N bytes
+    # client-side (the pre-refactor path paid ~3-4x), and appending
+    # immutable bytes copies nothing.
+    assert report.ok, report.failures
+    assert reads == CLIENTS * ROUNDS and size == BLOCKS * BLOCK

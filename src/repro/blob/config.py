@@ -1,17 +1,15 @@
 """StoreConfig: the validated construction surface of a blob store.
 
-``LocalBlobStore.__init__`` accreted sixteen loose keyword knobs over
-six PRs.  Most combinations are fine; a few are silently broken — an
-``overlap_publish`` store with no I/O engine never overlaps anything, a
-``publish_window`` without ``group_commit`` is dead weight, and a
-``replication`` level above the provider count constructs happily and
-then fails on the first write.  This module consolidates the knobs into
-one documented dataclass whose :meth:`~StoreConfig.validate` rejects
-the broken combinations up front with actionable messages.
+Most combinations of a store's knobs are fine; a few are silently
+broken — an ``overlap_publish`` store with no I/O engine never overlaps
+anything, and a ``replication`` level above the provider count
+constructs happily and then fails on the first write.  This module
+holds the knobs in one documented dataclass whose
+:meth:`~StoreConfig.validate` rejects the broken combinations up front
+with actionable messages.
 
-``LocalBlobStore(config=StoreConfig(...))`` is the canonical
-construction path; the legacy keywords still work through a
-deprecation shim that round-trips them into a ``StoreConfig``.
+``LocalBlobStore(config=StoreConfig(...))`` is the only construction
+path.
 """
 
 from __future__ import annotations
@@ -42,10 +40,6 @@ def _resolve_names(spec: Union[int, Sequence[str]], prefix: str) -> list[str]:
 class StoreConfig:
     """Everything a :class:`~repro.blob.store.LocalBlobStore` is built from.
 
-    One field per former constructor keyword, same names and defaults,
-    so migration is mechanical: ``LocalBlobStore(a=1, b=2)`` becomes
-    ``LocalBlobStore(config=StoreConfig(a=1, b=2))``.
-
     Args:
         data_providers: count, or explicit provider names.
         metadata_providers: count, or explicit names, of DHT buckets.
@@ -72,14 +66,8 @@ class StoreConfig:
             per round (DESIGN.md §9).
         metadata_cache_nodes: capacity of the immutable node cache
             (DESIGN.md §9); 0 disables it.
-        metadata_batching: route descents through the level-batched
-            metadata pipeline (O(tree-depth) round trips); ``False``
-            keeps the per-node descent, the ablation baseline.
         vman_latency: simulated service time per serialized
             version-manager *interaction* (DESIGN.md §10).
-        group_commit: batch concurrent writers' version assignments and
-            completion reports through the publish pipeline; ``False``
-            keeps per-writer interactions, the ablation baseline.
         publish_window: seconds the group-commit leader waits for more
             writers to join its batch (0 = opportunistic batching).
         overlap_publish: overlap the block scatter with metadata
@@ -99,9 +87,7 @@ class StoreConfig:
     provider_latency: float = 0.0
     metadata_latency: float = 0.0
     metadata_cache_nodes: int = 1024
-    metadata_batching: bool = True
     vman_latency: float = 0.0
-    group_commit: bool = True
     publish_window: float = 0.0
     overlap_publish: bool = False
 
@@ -129,8 +115,7 @@ class StoreConfig:
         """Raise ``ValueError`` on any invalid or silently-broken combo.
 
         Every rejection here names the offending fields and what to
-        change — these are exactly the configurations the sixteen loose
-        keywords used to accept and then misbehave under.
+        change.
         """
         providers = self.provider_names()
         buckets = self.metadata_bucket_names()
@@ -202,11 +187,5 @@ class StoreConfig:
                 "io_scheduler='async'): the overlap launches the block "
                 "scatter on the I/O engine, and with no engine it silently "
                 "degrades to the serial path"
-            )
-        if self.publish_window > 0 and not self.group_commit:
-            raise ValueError(
-                "publish_window > 0 is dead weight with group_commit=False: "
-                "the window is the group-commit leader's wait — enable "
-                "group_commit or drop the window"
             )
         return self

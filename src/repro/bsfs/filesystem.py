@@ -35,24 +35,30 @@ class BSFSWriteStream(WriteStream):
     def __init__(self, store: LocalBlobStore, blob_id: str, resume: bool):
         self._store = store
         self._blob_id = blob_id
-        committed = 0
+        info = store.snapshot(blob_id)
+        committed = align_down(info.size, info.block_size) if resume else 0
         tail = b""
-        if resume:
-            info = store.snapshot(blob_id)
-            committed = align_down(info.size, info.block_size)
-            if info.size != committed:
-                # Read-modify-write of the trailing partial block, done
-                # client-side; BlobSeer itself never mutates data.
-                tail = store.read(blob_id, offset=committed, size=info.size - committed)
+        if resume and info.size != committed:
+            # Read-modify-write of the trailing partial block, done
+            # client-side; BlobSeer itself never mutates data.
+            tail = store.read(blob_id, offset=committed, size=info.size - committed)
+        # Only that rewrite needs a position.  A stream that opens on a
+        # block boundary commits through ``store.append``: the version
+        # manager fixes each offset (§III-D), so concurrent appenders to
+        # one file interleave instead of overwriting each other.
+        self._positional = bool(tail)
         self._buffer = WriteBuffer(
             commit=self._commit,
-            block_size=store.snapshot(blob_id).block_size,
+            block_size=info.block_size,
             committed=committed,
             initial_tail=tail,
         )
 
     def _commit(self, offset: int, data: bytes) -> None:
-        self._store.write(self._blob_id, offset, data)
+        if self._positional:
+            self._store.write(self._blob_id, offset, data)
+        else:
+            self._store.append(self._blob_id, data)
 
     def write(self, data: bytes) -> None:
         """Buffer *data*; full blocks are committed as they fill."""
@@ -154,12 +160,11 @@ class BSFSFileSystem(FileSystem):
         store: Optional[LocalBlobStore] = None,
         readahead: int = 0,
         config: Optional[StoreConfig] = None,
-        **store_kwargs,
     ):
-        if store is not None and (config is not None or store_kwargs):
+        if store is not None and config is not None:
             raise TypeError("pass either an existing store or its configuration")
         if store is None:
-            store = LocalBlobStore(config=config, **store_kwargs)
+            store = LocalBlobStore(config=config)
         self.store = store
         self.namespace = NamespaceManager()
         self.block_size = self.store.block_size

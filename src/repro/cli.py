@@ -49,9 +49,161 @@ import time
 from typing import Optional, Sequence
 
 from repro.deploy.platform import DEFAULT_CALIBRATION
-from repro.harness import ALL_FIGURES, FULL, QUICK, render_figure
+from repro.harness import ALL_FIGURES, FULL, QUICK, demos, render_figure, render_report
+from repro.util.bytesize import parse_size
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "COMMANDS"]
+
+
+def _figures(which: str, full: bool, seed: int, no_chart: bool) -> None:
+    scale = FULL if full else QUICK
+    for figure_id in sorted(ALL_FIGURES) if which == "all" else [which]:
+        started = time.time()
+        result = ALL_FIGURES[figure_id](scale, seed=seed)
+        elapsed = time.time() - started
+        print(render_figure(result, chart=not no_chart))
+        print(f"[{scale.name} scale, computed in {elapsed:.1f}s wall time]\n")
+
+
+def _calibration() -> None:
+    for field in dataclasses.fields(DEFAULT_CALIBRATION):
+        print(f"{field.name} = {getattr(DEFAULT_CALIBRATION, field.name)!r}")
+
+
+def _kbps(text: str) -> float:
+    return float(text) * 1024
+
+
+def _arg(type_, default, help_, **extra) -> dict:
+    return dict(type=type_, default=default, help=help_, **extra)
+
+
+_IO_WORKERS = _arg(int, 8, "parallel I/O engine threads")
+
+#: ``{subcommand: (run, help, {flag: add_argument keywords})}`` — the one
+#: table behind both the parser and the dispatch.  Every parsed value is
+#: passed to ``run`` as the keyword named after its flag (or ``dest``);
+#: a returned :class:`~repro.harness.report.ScenarioReport` is rendered
+#: and decides the exit code.
+COMMANDS: dict = {
+    "figure": (
+        _figures,
+        "regenerate one figure (or 'all')",
+        {
+            "which": dict(
+                choices=sorted(ALL_FIGURES) + ["all"], help="figure id from the paper"
+            ),
+            "--full": dict(
+                action="store_true",
+                help="use the paper's full deployment sizes (slower)",
+            ),
+            "--seed": _arg(int, 0, "experiment seed"),
+            "--no-chart": dict(action="store_true", help="table only, no ASCII chart"),
+        },
+    ),
+    "calibration": (_calibration, "print the platform calibration constants", {}),
+    "scrub": (
+        demos.scrub_heal,
+        "anti-entropy demo: metadata outage + write abort, then one scrub pass heals it",
+        {
+            "--buckets": _arg(int, 12, "metadata buckets"),
+            "--providers": _arg(int, 6, "data providers"),
+            "--replication": _arg(int, 2, "data-block replica count"),
+            "--metadata-replication": _arg(
+                int, 2, "metadata replica count (>= 2 exercises replica reconciliation)"
+            ),
+            "--writes": _arg(int, 6, "healthy appends before the outage"),
+            "--seed": _arg(int, 0, "scenario seed"),
+            "--ops-per-sec": _arg(
+                float, None, "throttle the scrub pass (default: unpaced)"
+            ),
+        },
+    ),
+    "metadata": (
+        demos.metadata_descent,
+        "batched-metadata demo: one read workload through the reference "
+        "per-node descent and the batched pipeline, with round-trip counts "
+        "and cache hit rates",
+        {
+            "--blocks": _arg(int, 48, "blocks written before reading"),
+            "--buckets": _arg(int, 8, "metadata buckets"),
+            "--latency": _arg(
+                float, 2e-3, "simulated metadata service time per bucket request (s)"
+            ),
+            "--io-workers": _IO_WORKERS,
+            "--reads": _arg(int, 3, "whole-BLOB reads after the cold one"),
+        },
+    ),
+    "append": (
+        demos.publish_pipeline_appends,
+        "group-commit demo: one concurrent-append workload through the "
+        "batched publish pipeline vs the per-writer protocol's model, with "
+        "vman round-trip counts and batch sizes",
+        {
+            "--writers": _arg(int, 16, "concurrent appender threads"),
+            "--rounds": _arg(int, 2, "appends per writer"),
+            "--blocks": _arg(int, 4, "blocks per append"),
+            "--vman-latency": _arg(
+                float,
+                3e-3,
+                "simulated service time per serialized version-manager interaction (s)",
+            ),
+            "--window": _arg(
+                float, 2e-3, "group-commit window the batch leader waits out (s)"
+            ),
+            "--io-workers": _IO_WORKERS,
+        },
+    ),
+    "zerocopy": (
+        demos.zero_copy_round_trip,
+        "zero-copy data-plane demo: one large append and read with the "
+        "per-layer CopyStats byte accounting (bytes copied vs transferred)",
+        {
+            "--blocks": _arg(int, 64, "blocks appended then read back"),
+            "--block-size": _arg(parse_size, "64k", "block size (e.g. 64k, 1m)"),
+            "--io-workers": _IO_WORKERS,
+        },
+    ),
+    "gateway": (
+        demos.gateway_fairness,
+        "multi-tenant front-door demo: N tenants share one store, one turns "
+        "greedy under a bytes/s cap; prints the per-tenant fairness table "
+        "and fails if anyone was starved",
+        {
+            "--tenants": _arg(int, 6, "tenants sharing the store"),
+            "--clients": _arg(int, 32, "client sessions per tenant"),
+            "--ops": _arg(int, 2, "file writes per client session"),
+            "--payload": _arg(parse_size, "8k", "bytes per write (e.g. 8k)"),
+            "--greedy-kbps": _arg(
+                _kbps,
+                "256",
+                "the greedy tenant's bytes/s cap, in KB/s",
+                dest="greedy_bps",
+            ),
+            "--workers": _arg(int, 16, "OS threads multiplexing clients"),
+            "--seed": _arg(int, 0, "store RNG seed"),
+        },
+    ),
+    "asyncio": (
+        demos.engine_fanout,
+        "async-scheduler demo: one latency-bound gather of thousands of "
+        "blocks, thread pool vs coroutine engine; prints both backends' "
+        "throughput and EngineStats and fails if the coroutine run grew "
+        "more than a handful of OS threads",
+        {
+            "--blocks": _arg(int, 4096, "blocks in the gathered read"),
+            "--block-size": _arg(parse_size, "2k", "block size (e.g. 2k, 64k)"),
+            "--latency": _arg(
+                float, 0.002, "simulated provider service time per block op, seconds"
+            ),
+            "--providers": _arg(int, 16, "data providers striped over"),
+            "--io-workers": _arg(int, 8, "threads-backend pool size"),
+            "--max-in-flight": _arg(
+                int, 8192, "async backend's in-flight coroutine window"
+            ),
+        },
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,958 +216,21 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    figure = sub.add_parser("figure", help="regenerate one figure (or 'all')")
-    figure.add_argument(
-        "which",
-        choices=sorted(ALL_FIGURES) + ["all"],
-        help="figure id from the paper",
-    )
-    figure.add_argument(
-        "--full",
-        action="store_true",
-        help="use the paper's full deployment sizes (slower)",
-    )
-    figure.add_argument("--seed", type=int, default=0, help="experiment seed")
-    figure.add_argument(
-        "--no-chart", action="store_true", help="table only, no ASCII chart"
-    )
-
-    sub.add_parser("calibration", help="print the platform calibration constants")
-
-    scrub = sub.add_parser(
-        "scrub",
-        help="anti-entropy demo: metadata outage + write abort, then one scrub pass heals it",
-    )
-    scrub.add_argument("--buckets", type=int, default=12, help="metadata buckets")
-    scrub.add_argument("--providers", type=int, default=6, help="data providers")
-    scrub.add_argument(
-        "--replication", type=int, default=2, help="data-block replica count"
-    )
-    scrub.add_argument(
-        "--metadata-replication",
-        type=int,
-        default=2,
-        help="metadata replica count (>= 2 exercises replica reconciliation)",
-    )
-    scrub.add_argument(
-        "--writes", type=int, default=6, help="healthy appends before the outage"
-    )
-    scrub.add_argument("--seed", type=int, default=0, help="scenario seed")
-    scrub.add_argument(
-        "--ops-per-sec",
-        type=float,
-        default=None,
-        help="throttle the scrub pass (default: unpaced)",
-    )
-
-    metadata = sub.add_parser(
-        "metadata",
-        help=(
-            "batched-metadata demo: the same read workload through the "
-            "sequential per-node descent and the batched pipeline, with "
-            "round-trip counts and cache hit rates"
-        ),
-    )
-    metadata.add_argument(
-        "--blocks", type=int, default=48, help="blocks written before reading"
-    )
-    metadata.add_argument(
-        "--buckets", type=int, default=8, help="metadata buckets"
-    )
-    metadata.add_argument(
-        "--latency",
-        type=float,
-        default=2e-3,
-        help="simulated metadata service time per bucket request (s)",
-    )
-    metadata.add_argument(
-        "--io-workers", type=int, default=8, help="parallel I/O engine threads"
-    )
-    metadata.add_argument(
-        "--reads", type=int, default=3, help="whole-BLOB reads per configuration"
-    )
-
-    append = sub.add_parser(
-        "append",
-        help=(
-            "group-commit demo: the same concurrent-append workload through "
-            "per-writer version-manager interactions and the batched publish "
-            "pipeline, with vman round-trip counts and batch sizes"
-        ),
-    )
-    append.add_argument(
-        "--writers", type=int, default=16, help="concurrent appender threads"
-    )
-    append.add_argument(
-        "--rounds", type=int, default=2, help="appends per writer"
-    )
-    append.add_argument(
-        "--blocks", type=int, default=4, help="blocks per append"
-    )
-    append.add_argument(
-        "--vman-latency",
-        type=float,
-        default=3e-3,
-        help="simulated service time per serialized version-manager interaction (s)",
-    )
-    append.add_argument(
-        "--window",
-        type=float,
-        default=2e-3,
-        help="group-commit window the batch leader waits out (s)",
-    )
-    append.add_argument(
-        "--io-workers", type=int, default=8, help="parallel I/O engine threads"
-    )
-
-    zerocopy = sub.add_parser(
-        "zerocopy",
-        help=(
-            "zero-copy data-plane demo: one large append and read with the "
-            "per-layer CopyStats byte accounting (bytes copied vs transferred)"
-        ),
-    )
-    zerocopy.add_argument(
-        "--blocks", type=int, default=64, help="blocks appended then read back"
-    )
-    zerocopy.add_argument(
-        "--block-size", type=str, default="64k", help="block size (e.g. 64k, 1m)"
-    )
-    zerocopy.add_argument(
-        "--io-workers", type=int, default=8, help="parallel I/O engine threads"
-    )
-
-    gateway = sub.add_parser(
-        "gateway",
-        help=(
-            "multi-tenant front-door demo: N tenants share one store, one "
-            "turns greedy under a bytes/s cap; prints the per-tenant "
-            "fairness table and fails if anyone was starved"
-        ),
-    )
-    gateway.add_argument(
-        "--tenants", type=int, default=6, help="tenants sharing the store"
-    )
-    gateway.add_argument(
-        "--clients", type=int, default=32, help="client sessions per tenant"
-    )
-    gateway.add_argument(
-        "--ops", type=int, default=2, help="file writes per client session"
-    )
-    gateway.add_argument(
-        "--payload", type=str, default="8k", help="bytes per write (e.g. 8k)"
-    )
-    gateway.add_argument(
-        "--greedy-kbps",
-        type=float,
-        default=256.0,
-        help="the greedy tenant's bytes/s cap, in KB/s",
-    )
-    gateway.add_argument(
-        "--workers", type=int, default=16, help="OS threads multiplexing clients"
-    )
-    gateway.add_argument("--seed", type=int, default=0, help="store RNG seed")
-
-    aio = sub.add_parser(
-        "asyncio",
-        help=(
-            "async-scheduler demo: one latency-bound gather of thousands "
-            "of blocks, thread pool vs coroutine engine; prints both "
-            "backends' throughput and EngineStats and fails if the "
-            "coroutine run grew more than a handful of OS threads"
-        ),
-    )
-    aio.add_argument(
-        "--blocks", type=int, default=4096, help="blocks in the gathered read"
-    )
-    aio.add_argument(
-        "--block-size", type=str, default="2k", help="block size (e.g. 2k, 64k)"
-    )
-    aio.add_argument(
-        "--latency",
-        type=float,
-        default=0.002,
-        help="simulated provider service time per block op, seconds",
-    )
-    aio.add_argument(
-        "--providers", type=int, default=16, help="data providers striped over"
-    )
-    aio.add_argument(
-        "--io-workers", type=int, default=8, help="threads-backend pool size"
-    )
-    aio.add_argument(
-        "--max-in-flight",
-        type=int,
-        default=8192,
-        help="async backend's in-flight coroutine window",
-    )
+    for name, (_, help_, arguments) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_)
+        for flag, keywords in arguments.items():
+            command.add_argument(flag, **keywords)
     return parser
-
-
-def _next_append_keys(store, blob_id: str, nblocks: int):
-    """Canonical metadata keys the NEXT append of *nblocks* will publish.
-
-    Computable from version-manager state alone (the same property the
-    abort protocol relies on), which lets the demo deterministically
-    kill every replica of one key the doomed write needs.
-    """
-    from repro.blob.segment_tree import build_tombstone_patch
-
-    state = store.version_manager.blob(blob_id)
-    prior = state.records[-1].size_after
-    block_size = state.block_size
-    start = prior // block_size
-    patch = build_tombstone_patch(
-        blob_id=blob_id,
-        version=len(state.records),
-        write_start=start,
-        write_end=start + nblocks,
-        size_after=prior + nblocks * block_size,
-        prior_size=prior,
-        block_size=block_size,
-        history=tuple(r.history_record for r in state.records[1:] if r.length > 0),
-    )
-    return [node.key for node in patch]
-
-
-def _run_scrub_demo(args) -> int:
-    """Drive the acceptance scenario end to end and report it.
-
-    Two injuries, one cure: (1) a metadata bucket sleeps through some
-    writes and recovers lagging (with ``--metadata-replication >= 2``);
-    (2) every replica of one key dies mid-protocol, so a write aborts
-    into a tombstone whose filler cannot fully land until the buckets
-    recover.  One scrub pass must then restore full, digest-verified
-    replica convergence and make every version readable — with no
-    manual ``republish_tombstone``.
-    """
-    from repro.blob import LocalBlobStore, StoreConfig
-    from repro.errors import ProviderError, ReplicationError
-
-    bs = 1024
-    store = LocalBlobStore(config=StoreConfig(
-        data_providers=args.providers,
-        metadata_providers=args.buckets,
-        block_size=bs,
-        replication=args.replication,
-        metadata_replication=args.metadata_replication,
-        seed=args.seed,
-    ))
-    blob = store.create()
-    expected: dict[int, bytes] = {}
-    content = b""
-
-    def healthy_append(i: int, nblocks: int) -> None:
-        nonlocal content
-        data = bytes([65 + i % 26]) * (nblocks * bs)
-        version = store.append(blob, data)
-        content += data
-        expected[version] = content
-
-    for i in range(max(args.writes, 1)):
-        healthy_append(i, 1 + i % 3)
-
-    # Injury 1: a replica lags (only meaningful with replication >= 2 —
-    # at replication 1 the writes below would have no live copy to hit).
-    lag_victim = None
-    if args.metadata_replication >= 2:
-        lag_victim = sorted(store.metadata.store.buckets)[args.seed % args.buckets]
-        store.metadata.store.fail_bucket(lag_victim)
-        print(f"bucket {lag_victim} down; two appends succeed on its co-replicas")
-        healthy_append(97, 2)
-        healthy_append(98, 2)
-        store.metadata.store.recover_bucket(lag_victim)
-
-    # Injury 2: every replica of one key the next append must publish
-    # dies, so the write aborts into a tombstone mid-protocol.
-    doomed_key = _next_append_keys(store, blob, 2)[0]
-    outage = store.metadata.store.owners(doomed_key)
-    for name in outage:
-        store.metadata.store.fail_bucket(name)
-    print(f"buckets {outage} down (all replicas of {doomed_key}); appending ...")
-    try:
-        store.append(blob, b"x" * (2 * bs))
-    except (ProviderError, ReplicationError) as exc:
-        print(f"write aborted into a tombstone ({type(exc).__name__}), as designed")
-    else:
-        print("FAIL: the doomed append survived a total replica outage")
-        store.close()
-        return 1
-    aborted = store.latest_version(blob)
-    expected[aborted] = content + bytes(2 * bs)  # tombstone: zero-filled tail
-    for name in outage:
-        store.metadata.store.recover_bucket(name)
-
-    report = store.scrub(ops_per_sec=args.ops_per_sec)
-    print("\nscrub report after recovery:")
-    for name, value in sorted(dataclasses.asdict(report).items()):
-        print(f"  {name} = {value!r}")
-    print("metadata I/O stats (DESIGN.md §9 batched pipeline):")
-    for name, value in sorted(store.metadata.stats().items()):
-        print(f"  {name} = {value!r}")
-
-    failures = []
-    divergent = store.metadata.divergent_keys()
-    if divergent:
-        failures.append(f"{len(divergent)} divergent metadata keys remain")
-    if report.filler_republished == 0:
-        failures.append("expected the scrub to republish tombstone filler")
-    if lag_victim is not None and report.replicas_healed == 0:
-        failures.append("expected the scrub to re-feed the lagging replica")
-    for version, want in sorted(expected.items()):
-        if store.read(blob, version=version) != want:
-            failures.append(f"version {version} reads back wrong")
-    store.close()
-    if failures:
-        print("\nFAIL: " + "; ".join(failures))
-        return 1
-    print(
-        f"\nOK: {report.replicas_healed} lagging replicas re-fed, "
-        f"{report.filler_republished} filler nodes republished, all "
-        f"{len(expected)} versions read back byte-identical — no manual "
-        "republish_tombstone needed"
-    )
-    return 0
-
-
-def _run_metadata_demo(args) -> int:
-    """Drive one read workload through both descent pipelines.
-
-    Builds two otherwise-identical stores with simulated metadata
-    service latency — one descending the segment tree one blocking
-    ``get_node`` at a time (the pre-refactor behavior, kept as the
-    ablation baseline), one using the level-batched pipeline plus the
-    immutable node cache (DESIGN.md §9) — and reads the same BLOB back.
-    Reports wall time, metadata round trips, and cache hit rate, and
-    fails if batching does not deliver its O(tree depth) bound.
-    """
-    from repro.blob import LocalBlobStore, StoreConfig
-
-    bs = 1024
-    nblocks = max(args.blocks, 2)
-    depth = 1
-    while (1 << (depth - 1)) < nblocks:
-        depth += 1
-
-    def measure(label: str, **store_kwargs):
-        store = LocalBlobStore(config=StoreConfig(
-            data_providers=4,
-            metadata_providers=args.buckets,
-            block_size=bs,
-            io_workers=args.io_workers,
-            metadata_latency=args.latency,
-            **store_kwargs,
-        ))
-        blob = store.create()
-        store.append(blob, b"m" * (nblocks * bs))
-        stats = store.metadata.store.stats
-        stats.reset()
-        first_trips = None
-        started = time.time()
-        for i in range(max(args.reads, 1)):
-            before = stats.snapshot()["round_trips"]
-            data = store.read(blob)
-            if first_trips is None:
-                first_trips = stats.snapshot()["round_trips"] - before
-            assert data == b"m" * (nblocks * bs), "read corrupted"
-        elapsed = time.time() - started
-        out = dict(store.metadata.stats())
-        store.close()
-        print(
-            f"  {label:<28} {elapsed:7.3f}s wall   "
-            f"{first_trips:4d} round trips (cold read)   "
-            f"hit rate {out.get('cache_hit_rate', 0.0):.0%}"
-        )
-        return elapsed, first_trips
-
-    print(
-        f"reading {nblocks} blocks x{max(args.reads, 1)} over {args.buckets} "
-        f"buckets at {args.latency * 1e3:.1f}ms/request (tree depth {depth}):"
-    )
-    seq_time, seq_trips = measure(
-        "sequential descent", metadata_batching=False, metadata_cache_nodes=0
-    )
-    bat_time, bat_trips = measure("batched descent + cache")
-
-    failures = []
-    # The O(tree depth) bound, with slack for the root round and the
-    # version-manager-free levels a partial range may add.
-    if bat_trips > depth + 2:
-        failures.append(
-            f"batched cold read took {bat_trips} round trips, "
-            f"expected <= depth + 2 = {depth + 2}"
-        )
-    if seq_trips <= bat_trips:
-        failures.append(
-            f"sequential descent used {seq_trips} round trips, not more "
-            f"than the batched pipeline's {bat_trips}"
-        )
-    if bat_time >= seq_time:
-        failures.append(
-            f"batched pipeline not faster ({bat_time:.3f}s vs {seq_time:.3f}s)"
-        )
-    if failures:
-        print("\nFAIL: " + "; ".join(failures))
-        return 1
-    print(
-        f"\nOK: O(nodes)={seq_trips} -> O(depth)={bat_trips} metadata round "
-        f"trips per cold read, {seq_time / bat_time:.1f}x faster wall clock"
-    )
-    return 0
-
-
-def _run_append_demo(args) -> int:
-    """Drive one concurrent-append workload through both publish paths.
-
-    Builds two otherwise-identical stores with simulated version-manager
-    service latency — one paying a serialized vman interaction per
-    writer per phase (the pre-refactor behavior, kept as the ablation
-    baseline), one batching assignments and completion reports through
-    the group-commit :class:`~repro.blob.store.PublishPipeline` with
-    the scatter/weave overlap (DESIGN.md §10) — and appends the same
-    data from N concurrent writers.  Reports wall time, vman round
-    trips and batch sizes, and fails unless round trips scale with
-    batches (not writers) and the pipeline wins wall-clock.
-    """
-    import threading
-
-    from repro.blob import LocalBlobStore, StoreConfig
-
-    bs = 1024
-    writers = max(args.writers, 2)
-    rounds = max(args.rounds, 1)
-    payload_len = max(args.blocks, 1) * bs
-    total_ops = writers * rounds
-
-    def measure(label: str, group_commit: bool):
-        store = LocalBlobStore(config=StoreConfig(
-            data_providers=8,
-            metadata_providers=4,
-            block_size=bs,
-            io_workers=args.io_workers,
-            vman_latency=args.vman_latency,
-            group_commit=group_commit,
-            publish_window=args.window if group_commit else 0.0,
-            overlap_publish=group_commit,
-        ))
-        blob = store.create()
-        store.vman_stats.reset()
-        barrier = threading.Barrier(writers)
-        errors: list[Exception] = []
-
-        def appender(tid: int) -> None:
-            try:
-                barrier.wait()
-                for _ in range(rounds):
-                    store.append(blob, bytes([65 + tid % 26]) * payload_len)
-            except Exception as exc:  # pragma: no cover - surfaced below
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=appender, args=(t,)) for t in range(writers)
-        ]
-        started = time.time()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        elapsed = time.time() - started
-        stats = store.vman_stats.snapshot()
-        ok = not errors and store.latest_version(blob) == total_ops
-        size_ok = store.snapshot(blob).size == total_ops * payload_len
-        store.close()
-        if errors:
-            raise errors[0]
-        print(
-            f"  {label:<28} {elapsed:7.3f}s wall   "
-            f"{stats['vman_round_trips']:4d} vman round trips   "
-            f"max batch {max(stats['vman_max_assign_batch'], stats['vman_max_commit_batch']):3d}"
-        )
-        return elapsed, stats, ok and size_ok
-
-    print(
-        f"{writers} writers x{rounds} appends of {payload_len // bs} blocks at "
-        f"{args.vman_latency * 1e3:.1f}ms/vman interaction "
-        f"(window {args.window * 1e3:.1f}ms):"
-    )
-    per_time, per_stats, per_ok = measure("per-writer commits", group_commit=False)
-    grp_time, grp_stats, grp_ok = measure("group-commit pipeline", group_commit=True)
-
-    failures = []
-    if not per_ok or not grp_ok:
-        failures.append("a store finished with wrong version/size state")
-    # Per-writer: one assign + one commit interaction per append.
-    if per_stats["vman_round_trips"] < 2 * total_ops:
-        failures.append(
-            f"per-writer path took {per_stats['vman_round_trips']} round trips, "
-            f"expected >= {2 * total_ops}"
-        )
-    # Grouped: batches, not writers — demand at least a 2x reduction.
-    if grp_stats["vman_round_trips"] > total_ops:
-        failures.append(
-            f"group commit took {grp_stats['vman_round_trips']} round trips for "
-            f"{total_ops} appends; batching is not engaging"
-        )
-    if grp_stats["vman_max_commit_batch"] < 2:
-        failures.append("no commit batch ever coalesced two writers")
-    if grp_time >= per_time:
-        failures.append(
-            f"group commit not faster ({grp_time:.3f}s vs {per_time:.3f}s)"
-        )
-    if failures:
-        print("\nFAIL: " + "; ".join(failures))
-        return 1
-    print(
-        f"\nOK: O(writers)={per_stats['vman_round_trips']} -> "
-        f"O(batches)={grp_stats['vman_round_trips']} vman round trips "
-        f"(largest batch {grp_stats['vman_max_commit_batch']}), "
-        f"{per_time / grp_time:.1f}x faster wall clock"
-    )
-    return 0
-
-
-def _run_zerocopy_demo(args) -> int:
-    """One large append + read with per-layer byte accounting.
-
-    Exercises the zero-copy data plane end-to-end (DESIGN.md §11): the
-    append chunks the caller's buffer into ``memoryview`` windows (the
-    only copy is each provider's copy-on-publish freeze), the read
-    gathers every block into ONE preallocated buffer, and the shared
-    :class:`~repro.blob.block.CopyStats` counters prove it — the demo
-    fails if a read of N bytes materializes more than N bytes
-    client-side, or if the write path copies anything beyond the
-    provider freezes.
-    """
-    from repro.blob import LocalBlobStore, StoreConfig
-    from repro.util.bytesize import parse_size
-
-    bs = parse_size(args.block_size)
-    nblocks = max(args.blocks, 2)
-    size = nblocks * bs
-
-    def show(label: str, layers: dict) -> None:
-        print(f"  {label}:")
-        print(f"    {'layer':<18} {'copied':>12} {'transferred':>12} {'result':>12}")
-        for name, counts in layers.items():
-            print(
-                f"    {name:<18} {counts['copied']:>12,} "
-                f"{counts['transferred']:>12,} {counts['result']:>12,}"
-            )
-
-    store = LocalBlobStore(config=StoreConfig(
-        data_providers=8,
-        metadata_providers=4,
-        block_size=bs,
-        io_workers=args.io_workers,
-    ))
-    try:
-        blob = store.create()
-        data = bytes(bytearray(range(256))) * (size // 256) + b"x" * (size % 256)
-
-        store.copy_stats.reset()
-        store.append(blob, data)
-        write_layers = store.copy_stats.layers()
-        write_stats = store.copy_stats.snapshot()
-
-        store.copy_stats.reset()
-        result = store.read(blob)
-        read_layers = store.copy_stats.layers()
-        read_stats = store.copy_stats.snapshot()
-    finally:
-        store.close()
-
-    print(
-        f"append + read of {nblocks} x {bs:,}B blocks ({size:,}B) "
-        f"over 8 providers:"
-    )
-    show("append (copy-on-publish only)", write_layers)
-    show("read (one vectored gather)", read_layers)
-
-    failures = []
-    if result != data:
-        failures.append("read returned corrupted bytes")
-    # Writes: immutable ``bytes`` input means the provider freeze is
-    # a no-op — the scatter must move bytes without copying any.
-    if write_stats["bytes_copied"] != 0:
-        failures.append(
-            f"append of immutable bytes copied {write_stats['bytes_copied']:,}B "
-            "client-side, expected 0"
-        )
-    if write_stats["bytes_transferred"] != size:
-        failures.append(
-            f"append transferred {write_stats['bytes_transferred']:,}B, "
-            f"expected {size:,}"
-        )
-    # Reads: ONE gather into the preallocated result buffer — never
-    # more than N bytes materialized for an N-byte read (the
-    # pre-refactor path paid ~3-4x here).
-    if read_stats["bytes_copied"] > size:
-        failures.append(
-            f"read of {size:,}B materialized {read_stats['bytes_copied']:,}B "
-            "client-side, expected <= 1x"
-        )
-    if read_stats["bytes_result"] != size:
-        failures.append(
-            f"read result accounted {read_stats['bytes_result']:,}B, "
-            f"expected {size:,}"
-        )
-    if failures:
-        print("\nFAIL: " + "; ".join(failures))
-        return 1
-    print(
-        f"\nOK: append copied 0B client-side (freeze elided for immutable "
-        f"bytes), read materialized {read_stats['bytes_copied']:,}B "
-        f"<= 1x the {size:,}B payload"
-    )
-    return 0
-
-
-def _run_gateway_demo(args) -> int:
-    """Share one store between N tenants, let one turn greedy, and
-    prove the front door keeps everyone else whole (DESIGN.md §12).
-
-    Phase 1 runs one tenant alone for a latency reference.  Phase 2
-    runs all tenants at once — the last one greedy under a bytes/s
-    token bucket, hammering the store until the polite cohort drains.
-    Exits nonzero if the greedy tenant broke its cap or any polite
-    tenant was starved (pooled p99 beyond 3x the solo reference).
-    """
-    import math
-    import threading
-
-    from repro.blob import StoreConfig
-    from repro.gateway import Gateway, TenantPolicy
-    from repro.util.bytesize import parse_size
-
-    payload_size = parse_size(args.payload)
-    payload = b"g" * payload_size
-    cap_bps = args.greedy_kbps * 1024
-    burst_seconds = 0.25
-    config = StoreConfig(
-        data_providers=8,
-        metadata_providers=4,
-        block_size=max(1024, payload_size // 2),
-        io_workers=8,
-        seed=args.seed,
-    )
-
-    def p99(samples):
-        ordered = sorted(samples)
-        return ordered[max(0, math.ceil(0.99 * len(ordered)) - 1)]
-
-    def run_pool(jobs):
-        errors = []
-        cursor = iter(range(len(jobs)))
-        lock = threading.Lock()
-
-        def worker():
-            while True:
-                with lock:
-                    index = next(cursor, None)
-                if index is None:
-                    return
-                try:
-                    jobs[index]()
-                except Exception as exc:
-                    errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(args.workers)]
-        start = time.monotonic()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        return time.monotonic() - start, errors
-
-    def timed_write(client, path, latencies, lock):
-        def job():
-            start = time.monotonic()
-            client.write_file(path, payload)
-            sample = time.monotonic() - start
-            with lock:
-                latencies.append(sample)
-
-        return job
-
-    print(
-        f"multi-tenant gateway: {args.tenants} tenants x {args.clients} "
-        f"clients x {args.ops} writes of {payload_size:,}B, greedy tenant "
-        f"capped at {cap_bps / 1024:.0f} KB/s"
-    )
-
-    # -- phase 1: solo latency reference --------------------------------------
-    with Gateway(config=config) as gw:
-        token = gw.register_tenant("solo")
-        clients = [gw.connect("solo", token) for _ in range(args.clients)]
-        latencies: list[float] = []
-        lock = threading.Lock()
-        jobs = [
-            timed_write(client, f"/f{c}o{o}", latencies, lock)
-            for c, client in enumerate(clients)
-            for o in range(args.ops)
-        ]
-        _, errors = run_pool(jobs)
-        if errors:
-            print(f"FAIL: solo phase raised {errors[:3]}")
-            return 1
-        solo_p99 = p99(latencies)
-    print(f"phase 1  solo tenant reference p99 = {solo_p99 * 1e3:.2f} ms")
-
-    # -- phase 2: everyone at once, one tenant greedy -------------------------
-    with Gateway(config=config.replace(seed=args.seed + 1)) as gw:
-        polite_ids = [f"tenant-{i}" for i in range(args.tenants - 1)]
-        sessions = {}
-        for tid in polite_ids:
-            token = gw.register_tenant(tid)
-            sessions[tid] = [gw.connect(tid, token) for _ in range(args.clients)]
-        greedy_token = gw.register_tenant(
-            "greedy",
-            TenantPolicy(bytes_per_sec=cap_bps, burst_seconds=burst_seconds),
-        )
-        greedy_clients = [
-            gw.connect("greedy", greedy_token) for _ in range(args.clients)
-        ]
-
-        latencies_by: dict[str, list[float]] = {tid: [] for tid in polite_ids}
-        lock = threading.Lock()
-        stop = threading.Event()
-
-        def greedy_worker(shard: int):
-            mine = greedy_clients[shard::2] or greedy_clients
-            count = 0
-            while not stop.is_set():
-                client = mine[count % len(mine)]
-                client.write_file(f"/s{shard}n{count}", payload)
-                count += 1
-
-        greedy_threads = [
-            threading.Thread(target=greedy_worker, args=(k,)) for k in range(2)
-        ]
-        jobs = [
-            timed_write(client, f"/f{c}o{o}", latencies_by[tid], lock)
-            for tid in polite_ids
-            for c, client in enumerate(sessions[tid])
-            for o in range(args.ops)
-        ]
-        # The greedy tenant runs for at least 2s of wall clock even if
-        # the polite cohort drains faster — a shorter window would let
-        # the one-time burst allowance dominate the rate measurement.
-        window_start = time.monotonic()
-        for t in greedy_threads:
-            t.start()
-        elapsed, errors = run_pool(jobs)
-        hold = 2.0 - (time.monotonic() - window_start)
-        if hold > 0:
-            time.sleep(hold)
-        stop.set()
-        for t in greedy_threads:
-            t.join()
-        window = time.monotonic() - window_start
-        if errors:
-            print(f"FAIL: mixed phase raised {errors[:3]}")
-            return 1
-
-        stats = gw.tenant_stats()
-
-    print(
-        f"phase 2  mixed run drained in {elapsed:.2f}s; per-tenant fairness:"
-    )
-    header = (
-        f"  {'tenant':<12} {'appends':>8} {'MB':>8} {'KB/s':>9} "
-        f"{'p50 ms':>8} {'p99 ms':>8} {'wait s':>7} {'rej':>4}"
-    )
-    print(header)
-    pooled: list[float] = []
-    for tid in polite_ids + ["greedy"]:
-        s = stats[tid]
-        if tid == "greedy":
-            p50_ms = p99_ms = float("nan")
-        else:
-            samples = sorted(latencies_by[tid])
-            pooled += samples
-            p50_ms = samples[len(samples) // 2] * 1e3
-            p99_ms = p99(samples) * 1e3
-        rate_window = window if tid == "greedy" else elapsed
-        print(
-            f"  {tid:<12} {s['ops']['append']:>8} "
-            f"{s['bytes_in'] / 2**20:>8.2f} "
-            f"{s['bytes_in'] / rate_window / 1024:>9.1f} "
-            f"{p50_ms:>8.2f} {p99_ms:>8.2f} "
-            f"{s['throttle_wait_s']:>7.2f} {s['admission_rejections']:>4}"
-        )
-
-    failures = []
-    greedy_bps = stats["greedy"]["bytes_in"] / window
-    allowed = 1.25 * (cap_bps + cap_bps * burst_seconds / window)
-    if greedy_bps > allowed:
-        failures.append(
-            f"greedy tenant ran at {greedy_bps / 1024:.1f} KB/s, past its "
-            f"{cap_bps / 1024:.0f} KB/s cap"
-        )
-    if stats["greedy"]["throttle_wait_s"] <= 0:
-        failures.append("greedy tenant was never paced by its bucket")
-    expected_ops = args.clients * args.ops
-    for tid in polite_ids:
-        if len(latencies_by[tid]) != expected_ops:
-            failures.append(f"{tid} finished {len(latencies_by[tid])}/{expected_ops} ops")
-    mixed_p99 = p99(pooled)
-    if mixed_p99 > 3 * solo_p99:
-        failures.append(
-            f"polite cohort starved: pooled p99 {mixed_p99 * 1e3:.2f} ms "
-            f"is {mixed_p99 / solo_p99:.1f}x the solo reference"
-        )
-    if failures:
-        print("\nFAIL: " + "; ".join(failures))
-        return 1
-    print(
-        f"\nOK: greedy held to {greedy_bps / 1024:.1f} KB/s "
-        f"(cap {cap_bps / 1024:.0f} KB/s, waited "
-        f"{stats['greedy']['throttle_wait_s']:.2f}s), polite pooled p99 "
-        f"{mixed_p99 * 1e3:.2f} ms <= 3x solo {solo_p99 * 1e3:.2f} ms"
-    )
-    return 0
-
-
-#: The async backend's whole point: a handful of OS threads no matter
-#: how many transfers are in flight.  The demo fails past this.
-_ASYNC_THREAD_BUDGET = 8
-
-
-def _run_asyncio_demo(args) -> int:
-    """One latency-bound gather, thread pool vs coroutine scheduler.
-
-    Exercises the async I/O engine end-to-end (DESIGN.md §13): the same
-    whole-file read of thousands of simulated-latency block fetches runs
-    once on the ``io_workers`` thread pool and once on the coroutine
-    scheduler, and the :class:`~repro.blob.io_engine.EngineStats`
-    counters tell the story — the pool's concurrency IS its thread
-    count, while the event loop holds thousands of transfers in flight
-    on one thread.  The demo fails if the coroutine run grew more OS
-    threads than ``_ASYNC_THREAD_BUDGET``.
-    """
-    from repro.blob import LocalBlobStore, StoreConfig
-    from repro.util.bytesize import parse_size
-
-    bs = parse_size(args.block_size)
-    nblocks = max(args.blocks, 2)
-    size = nblocks * bs
-
-    def measure(label: str, **engine):
-        store = LocalBlobStore(config=StoreConfig(
-            data_providers=args.providers,
-            metadata_providers=4,
-            block_size=bs,
-            provider_latency=args.latency,
-            **engine,
-        ))
-        try:
-            blob = store.create()
-            data = b"s" * size
-            store.append(blob, data)
-            version = store.latest_version(blob)
-            store.io_engine.stats.reset()
-            start = time.perf_counter()
-            ok = store.read(blob, version=version) == data
-            elapsed = time.perf_counter() - start
-            stats = store.io_engine.stats.snapshot()
-        finally:
-            store.close()
-        return {
-            "label": label,
-            "ok": ok,
-            "wall_s": elapsed,
-            "mb_per_s": size / elapsed / 2**20,
-            "stats": stats,
-        }
-
-    print(
-        f"gather of {nblocks} x {bs:,}B blocks over {args.providers} "
-        f"providers at {args.latency * 1e3:.1f}ms/op:"
-    )
-    runs = [
-        measure(
-            f"threads (io_workers={args.io_workers})", io_workers=args.io_workers
-        ),
-        measure(
-            f"async (max_in_flight={args.max_in_flight})",
-            io_scheduler="async",
-            max_in_flight=args.max_in_flight,
-        ),
-    ]
-    header = (
-        f"  {'backend':<28} {'wall':>8} {'MB/s':>9} {'threads':>8} "
-        f"{'in-flight hwm':>14} {'queue wait':>11}"
-    )
-    print(header)
-    for run in runs:
-        stats = run["stats"]
-        print(
-            f"  {run['label']:<28} {run['wall_s']:>7.2f}s {run['mb_per_s']:>9.2f} "
-            f"{stats['threads_started']:>8} {stats['in_flight_hwm']:>14} "
-            f"{stats['queue_wait_total']:>10.3f}s"
-        )
-
-    threads_run, async_run = runs
-    failures = []
-    for run in runs:
-        if not run["ok"]:
-            failures.append(f"{run['label']} returned corrupted bytes")
-    async_threads = async_run["stats"]["threads_started"]
-    if async_threads > _ASYNC_THREAD_BUDGET:
-        failures.append(
-            f"async backend grew {async_threads} OS threads "
-            f"(budget {_ASYNC_THREAD_BUDGET}) — that is a thread pool "
-            "wearing a coroutine costume"
-        )
-    if failures:
-        print("\nFAIL: " + "; ".join(failures))
-        return 1
-    print(
-        f"\nOK: {async_run['stats']['in_flight_hwm']} transfers in flight "
-        f"on {async_threads} OS thread(s) "
-        f"({async_run['mb_per_s'] / threads_run['mb_per_s']:.1f}x the "
-        f"{args.io_workers}-worker pool's throughput)"
-    )
-    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
-
-    if args.command == "calibration":
-        for field in dataclasses.fields(DEFAULT_CALIBRATION):
-            print(f"{field.name} = {getattr(DEFAULT_CALIBRATION, field.name)!r}")
+    options = vars(build_parser().parse_args(argv))
+    report = COMMANDS[options.pop("command")][0](**options)
+    if report is None:
         return 0
-
-    if args.command == "scrub":
-        return _run_scrub_demo(args)
-
-    if args.command == "metadata":
-        return _run_metadata_demo(args)
-
-    if args.command == "append":
-        return _run_append_demo(args)
-
-    if args.command == "zerocopy":
-        return _run_zerocopy_demo(args)
-
-    if args.command == "gateway":
-        return _run_gateway_demo(args)
-
-    if args.command == "asyncio":
-        return _run_asyncio_demo(args)
-
-    scale = FULL if args.full else QUICK
-    which = sorted(ALL_FIGURES) if args.which == "all" else [args.which]
-    for figure_id in which:
-        started = time.time()
-        result = ALL_FIGURES[figure_id](scale, seed=args.seed)
-        elapsed = time.time() - started
-        print(render_figure(result, chart=not args.no_chart))
-        print(f"[{scale.name} scale, computed in {elapsed:.1f}s wall time]\n")
-    return 0
+    print(render_report(report))
+    return 0 if report.ok else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

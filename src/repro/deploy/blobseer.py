@@ -92,7 +92,7 @@ class SimBlobSeer:
             placement = config.placement
             seed = config.seed
             metadata_replication = config.metadata_replication
-            if config.group_commit and config.publish_window > 0:
+            if config.publish_window > 0:
                 commit_window = config.publish_window
         self.cluster = cluster
         self.cal = calibration

@@ -15,7 +15,13 @@ from repro.harness.experiments import (
     figure_6a,
     figure_6b,
 )
-from repro.harness.report import render_chart, render_figure, render_table
+from repro.harness.report import (
+    ScenarioReport,
+    render_chart,
+    render_figure,
+    render_report,
+    render_table,
+)
 from repro.harness.scenarios import (
     AppendResult,
     ReadResult,
@@ -42,6 +48,8 @@ __all__ = [
     "render_table",
     "render_chart",
     "render_figure",
+    "render_report",
+    "ScenarioReport",
     "single_writer",
     "concurrent_readers",
     "concurrent_appenders",

@@ -1,15 +1,83 @@
-"""Text rendering of regenerated figures.
+"""Text rendering of regenerated figures and scenario reports.
 
 The benchmark harness and the CLI print each figure as an aligned table
 (one row per x value, one column per series) plus a crude ASCII chart —
-enough to eyeball the shapes the paper plots.
+enough to eyeball the shapes the paper plots.  The self-checking
+scenarios of :mod:`repro.harness.demos` all return one
+:class:`ScenarioReport`, rendered by :func:`render_report`.
 """
 
 from __future__ import annotations
 
+import operator
+from dataclasses import dataclass
+from typing import Any, Mapping, Sequence
+
 from repro.harness.experiments import FigureResult
 
-__all__ = ["render_table", "render_chart", "render_figure"]
+__all__ = [
+    "ScenarioReport",
+    "check",
+    "render_table",
+    "render_chart",
+    "render_figure",
+    "render_report",
+]
+
+
+@dataclass(frozen=True)
+class ScenarioReport:
+    """What one self-checking scenario measured and concluded.
+
+    ``rows`` (under ``header``) is the table a human reads,
+    ``measurements`` the same facts as plain numbers for benchmarks to
+    record and assert on, ``checks`` pairs every condition the scenario
+    verified with the message reported when it does not hold, and
+    ``summary`` is the one-line verdict printed after ``OK:``.
+    """
+
+    title: str
+    header: tuple[str, ...]
+    rows: tuple[tuple, ...]
+    measurements: Mapping[str, Any]
+    checks: tuple[tuple[bool, str], ...]
+    summary: str
+
+    @property
+    def failures(self) -> tuple[str, ...]:
+        """Messages of the checks that did not hold (empty = passed)."""
+        return tuple(message for held, message in self.checks if not held)
+
+    @property
+    def ok(self) -> bool:
+        """True when every check held."""
+        return not self.failures
+
+
+_HOLDS = {
+    "==": operator.eq,
+    "<=": operator.le,
+    "<": operator.lt,
+    ">=": operator.ge,
+    ">": operator.gt,
+}
+
+
+def check(what: str, value: Any, op: str = "==", bound: Any = True) -> tuple[bool, str]:
+    """One entry of :attr:`ScenarioReport.checks`: whether ``value op
+    bound`` holds, and the message reported when it does not."""
+    return _HOLDS[op](value, bound), f"{what}: {value!r} is not {op} {bound!r}"
+
+
+def _aligned(header: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
+    """Right-aligned columns under a dashed header rule."""
+    widths = [
+        max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))
+    ]
+    return [
+        "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
+        for row in (header, ["-" * w for w in widths], *rows)
+    ]
 
 
 def render_table(result: FigureResult) -> str:
@@ -27,16 +95,7 @@ def render_table(result: FigureResult) -> str:
             y = by_series[name].get(x)
             row.append("-" if y is None else f"{y:.2f}")
         rows.append(row)
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))
-    ]
-    lines = [
-        "  ".join(h.rjust(w) for h, w in zip(header, widths)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
+    return "\n".join(_aligned(header, rows))
 
 
 def render_chart(result: FigureResult, width: int = 60, height: int = 12) -> str:
@@ -81,3 +140,11 @@ def render_figure(result: FigureResult, chart: bool = True) -> str:
     if result.notes:
         parts.append(f"paper: {result.notes}")
     return "\n\n".join(parts) + "\n"
+
+
+def render_report(report: ScenarioReport) -> str:
+    """Title, the aligned table, then the ``OK:``/``FAIL:`` verdict."""
+    rows = [[str(cell) for cell in row] for row in report.rows]
+    failed = "; ".join(report.failures)
+    verdict = f"FAIL: {failed}" if failed else f"OK: {report.summary}"
+    return "\n".join([report.title, *_aligned(report.header, rows), "", verdict])

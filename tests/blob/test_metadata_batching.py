@@ -13,8 +13,16 @@ import threading
 
 import pytest
 
-from repro.blob import LeafNode, LocalBlobStore, NodeKey, StoreConfig, collect_garbage
-from repro.errors import VersionNotFound
+from repro.blob import (
+    LeafNode,
+    LocalBlobStore,
+    NodeKey,
+    StoreConfig,
+    collect_blocks,
+    collect_blocks_batched,
+    collect_garbage,
+)
+from repro.errors import ProviderUnavailable, VersionNotFound
 
 BS = 16
 
@@ -50,14 +58,17 @@ class TestRoundTripBound:
         assert snap["keys_fetched"] == 2 * nblocks - 1
         store.close()
 
-    def test_sequential_baseline_pays_per_node(self):
+    def test_reference_descent_pays_per_node(self):
         nblocks = 32
-        store = make_store(metadata_batching=False, metadata_cache_nodes=0)
+        store = make_store(metadata_cache_nodes=0)
         blob = store.create()
         store.append(blob, b"d" * (nblocks * BS))
         stats = store.metadata.store.stats
         stats.reset()
-        assert store.read(blob) == b"d" * (nblocks * BS)
+        found = collect_blocks(
+            store.metadata.get_node, NodeKey(blob, 1, 0, nblocks), 0, nblocks
+        )
+        assert len(found) == nblocks
         assert stats.snapshot()["round_trips"] == 2 * nblocks - 1
         store.close()
 
@@ -73,28 +84,46 @@ class TestRoundTripBound:
         assert snap["keys_fetched"] == tree_depth(32)  # one root-to-leaf path
         store.close()
 
-    def test_batched_and_sequential_descents_agree(self):
-        """Same bytes through both pipelines, including multi-version
-        trees with shared subtrees and a tombstone's redirect chase."""
-        batched = make_store()
-        sequential = make_store(metadata_batching=False, metadata_cache_nodes=0)
-        for store in (batched, sequential):
-            blob = store.create("same")
-            store.append(blob, b"a" * (7 * BS))
-            store.write(blob, 2 * BS, b"b" * (2 * BS))
-            store.append(blob, b"c" * BS)
-        for version in (1, 2, 3):
-            assert batched.read("same", version=version) == sequential.read(
-                "same", version=version
-            )
-            for offset, size in ((3 * BS, 2 * BS), (6 * BS, BS)):
-                assert batched.read(
-                    "same", offset=offset, size=size, version=version
-                ) == sequential.read(
-                    "same", offset=offset, size=size, version=version
-                )
-        batched.close()
-        sequential.close()
+    def test_batched_and_reference_descents_agree(self):
+        """Identical descriptors from both drivers on one store: full
+        and partial ranges of multi-version trees with shared subtrees,
+        a branch (keys resolve to the ancestor) and a tombstone's
+        redirect chase."""
+        store = make_store()
+        blob = store.create("same")
+        store.append(blob, b"a" * (7 * BS))
+        store.write(blob, 2 * BS, b"b" * (2 * BS))
+        store.append(blob, b"c" * BS)
+        fork = store.branch(blob, version=2)
+        store.append(fork, b"f" * (3 * BS))
+        real_patch = store.metadata.put_patch
+        store.metadata.put_patch = lambda nodes: (_ for _ in ()).throw(
+            ProviderUnavailable("metadata outage")
+        )
+        with pytest.raises(ProviderUnavailable):
+            store.append(blob, b"x" * (2 * BS))  # v4 aborts into a tombstone
+        store.metadata.put_patch = real_patch
+        assert store.snapshot(blob, 4).tombstone
+        store.append(blob, b"d" * BS)  # v5 weaves over the tombstone
+
+        resolver = store.key_resolver()
+        compared = zero_blocks = 0
+        for blob_id, versions in ((blob, (1, 2, 3, 4, 5)), (fork, (3,))):
+            for version in versions:
+                info = store.snapshot(blob_id, version)
+                root = NodeKey(blob_id, version, 0, info.root_span)
+                nblocks = info.size // BS
+                for lo, hi in ((0, nblocks), (3, 5), (nblocks - 1, nblocks)):
+                    batched = collect_blocks_batched(
+                        store.metadata.get_nodes, root, lo, hi, key_resolver=resolver
+                    )
+                    assert batched == collect_blocks(
+                        store.metadata.get_node, root, lo, hi, key_resolver=resolver
+                    )
+                    compared += 1
+                    zero_blocks += sum(d.is_zero for d in batched)
+        assert compared == 18 and zero_blocks > 0
+        store.close()
 
     def test_batched_descent_fails_over_between_replicas(self):
         store = make_store(metadata_replication=2)

@@ -1,20 +1,19 @@
 """StoreConfig: the validated construction surface of LocalBlobStore.
 
-Covers the three contract points of the API redesign:
+Covers the three contract points of the construction surface:
 
-* ``LocalBlobStore(config=StoreConfig(...))`` is the canonical path;
-* every one of the sixteen legacy keywords round-trips through the
-  deprecation shim into the identical ``StoreConfig`` (with a
-  ``DeprecationWarning``);
+* ``LocalBlobStore(config=StoreConfig(...))`` is the only path — loose
+  keywords are a ``TypeError``;
+* the field set is exactly the sixteen documented knobs (the two
+  ablation toggles the store no longer forks on are rejected);
 * ``validate()`` rejects the documented silently-broken combinations
   with messages that name the offending fields.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.blob import LocalBlobStore, StoreConfig
+from repro.bsfs.filesystem import BSFSFileSystem
 from repro.blob.provider_manager import RandomPolicy
 
 #: One non-default value per field, exercising the whole surface.
@@ -32,17 +31,22 @@ NON_DEFAULTS = dict(
     provider_latency=0.001,
     metadata_latency=0.002,
     metadata_cache_nodes=64,
-    metadata_batching=False,
     vman_latency=0.003,
-    group_commit=False,
-    publish_window=0.0,
+    publish_window=0.001,
     overlap_publish=True,
 )
 
 
 class TestStoreConfig:
-    def test_field_set_matches_the_constructor_keywords(self):
+    def test_field_set_is_the_sixteen_documented_knobs(self):
         assert set(StoreConfig.__dataclass_fields__) == set(NON_DEFAULTS)
+        assert len(NON_DEFAULTS) == 16
+        assert StoreConfig(**NON_DEFAULTS).validate()
+
+    @pytest.mark.parametrize("removed", ["metadata_batching", "group_commit"])
+    def test_removed_ablation_toggles_are_rejected(self, removed):
+        with pytest.raises(TypeError, match=removed):
+            StoreConfig(**{removed: False})
 
     def test_defaults_validate(self):
         config = StoreConfig()
@@ -67,11 +71,10 @@ class TestStoreConfig:
 
 
 class TestCanonicalConstruction:
-    def test_config_object_is_canonical_and_warning_free(self, recwarn):
+    def test_config_object_is_canonical(self):
         store = LocalBlobStore(
             config=StoreConfig(data_providers=3, block_size="4KB", replication=2)
         )
-        assert [w for w in recwarn.list if w.category is DeprecationWarning] == []
         assert store.block_size == 4096
         assert store.replication == 2
         assert len(store.providers) == 3
@@ -92,34 +95,10 @@ class TestCanonicalConstruction:
             LocalBlobStore(config={"data_providers": 4})
 
 
-class TestLegacyShim:
-    def test_every_legacy_keyword_round_trips(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            store = LocalBlobStore(**NON_DEFAULTS)
-        expected = dataclasses.asdict(StoreConfig(**NON_DEFAULTS))
-        assert dataclasses.asdict(store.config) == expected
-        assert store.block_size == 32 * 1024
-        assert store.replication == 2
-        store.close()
-
-    def test_single_legacy_keyword_keeps_other_defaults(self):
-        with pytest.warns(DeprecationWarning):
-            store = LocalBlobStore(data_providers=2)
-        assert store.config == StoreConfig(data_providers=2)
-        store.close()
-
-    def test_unknown_keyword_is_a_type_error(self):
-        with pytest.raises(TypeError, match="num_providers"):
-            LocalBlobStore(num_providers=4)
-
-    def test_mixing_config_and_legacy_keywords_is_refused(self):
-        with pytest.raises(TypeError):
-            LocalBlobStore(config=StoreConfig(), data_providers=4)
-
-    def test_shim_still_validates(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="overlap_publish"):
-                LocalBlobStore(overlap_publish=True, io_workers=0)
+    @pytest.mark.parametrize("factory", [LocalBlobStore, BSFSFileSystem])
+    def test_loose_keywords_are_a_type_error(self, factory):
+        with pytest.raises(TypeError, match="io_workers"):
+            factory(io_workers=8)
 
 
 class TestValidation:
@@ -145,7 +124,6 @@ class TestValidation:
             (dict(metadata_cache_nodes=-1), "metadata_cache_nodes"),
             (dict(publish_window=-0.1), "publish_window"),
             (dict(overlap_publish=True, io_workers=0), "requires io_workers > 0"),
-            (dict(publish_window=0.01, group_commit=False), "dead weight"),
         ],
     )
     def test_rejects_invalid_combo(self, changes, match):

@@ -2,7 +2,25 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import COMMANDS, build_parser, main
+
+#: Every scenario subcommand at a size that runs in well under a second
+#: (the gateway one holds its greedy tenant for a fixed 2 s window).
+#: Latencies are set so each analytic floor sits >= 100 ms above the
+#: measured side: one scheduler stall must not flip a check.
+TINY = {
+    "scrub": ["--buckets", "6", "--providers", "3", "--writes", "2"],
+    "metadata": ["--blocks", "16", "--latency", "0.004", "--reads", "1"],
+    "append": [
+        "--writers", "8", "--rounds", "1", "--blocks", "1", "--vman-latency", "0.01",
+    ],
+    "zerocopy": ["--blocks", "4", "--block-size", "4k"],
+    "gateway": [
+        "--tenants", "3", "--clients", "8", "--ops", "1", "--payload", "2k",
+        "--greedy-kbps", "16", "--workers", "4",
+    ],
+    "asyncio": ["--blocks", "64", "--latency", "0.001", "--providers", "4"],
+}
 
 
 class TestParser:
@@ -41,3 +59,26 @@ class TestMain:
         assert main(["figure", "5"]) == 0
         out = capsys.readouterr().out
         assert "o=BSFS" in out
+
+
+class TestScenarioCommands:
+    def test_every_scenario_subcommand_has_a_tiny_run(self):
+        assert set(TINY) == set(COMMANDS) - {"figure", "calibration"}
+
+    @pytest.mark.parametrize("command", sorted(TINY))
+    def test_scenario_passes_at_tiny_size(self, command, capsys):
+        # Up to three attempts: the gateway scenario compares two measured
+        # p99s of a few dozen millisecond-scale ops, and on a shared box
+        # one stall in either phase moves that ratio past its 3x slack.
+        codes = []
+        while 0 not in codes and len(codes) < 3:
+            codes.append(main([command, *TINY[command]]))
+        assert codes[-1] == 0, capsys.readouterr().out
+        assert "\nOK: " in capsys.readouterr().out
+
+    def test_failed_check_is_reported_and_exits_nonzero(self, capsys):
+        # A 4 ns per-writer floor is one no real run can get under.
+        code = main(["append", "--writers", "2", "--rounds", "1",
+                     "--vman-latency", "1e-9", "--window", "0"])
+        assert code == 1
+        assert "\nFAIL: " in capsys.readouterr().out

@@ -1,6 +1,14 @@
-"""Tests for figure rendering."""
+"""Tests for figure and scenario-report rendering."""
 
-from repro.harness import FigureResult, render_chart, render_figure, render_table
+from repro.harness import (
+    FigureResult,
+    ScenarioReport,
+    render_chart,
+    render_figure,
+    render_report,
+    render_table,
+)
+from repro.harness.report import check
 
 
 def sample_result():
@@ -68,3 +76,34 @@ class TestFullFigure:
     def test_render_without_chart(self):
         text = render_figure(sample_result(), chart=False)
         assert "o=BSFS" not in text
+
+
+class TestScenarioReport:
+    def report(self, *checks):
+        return ScenarioReport(
+            title="two things:",
+            header=("thing", "value"),
+            rows=(("a", 1), ("longer", 22)),
+            measurements={"a": 1},
+            checks=checks,
+            summary="all good",
+        )
+
+    def test_check_pairs_a_condition_with_its_failure_message(self):
+        assert check("flag set", True) == (True, "flag set: True is not == True")
+        assert check("trips", 12, "<=", 9) == (False, "trips: 12 is not <= 9")
+        assert check("wall, s", 0.5, "<", 2.0)[0]
+
+    def test_passing_report_renders_ok_verdict(self):
+        report = self.report((True, "never shown"))
+        assert report.ok and report.failures == ()
+        lines = render_report(report).splitlines()
+        assert lines[0] == "two things:"
+        assert lines[1].split() == ["thing", "value"]
+        assert lines[-1] == "OK: all good"
+        assert len({len(line) for line in lines[1:5]}) == 1  # aligned columns
+
+    def test_failed_checks_replace_the_summary(self):
+        report = self.report((False, "x broke"), (True, "fine"), (False, "y broke"))
+        assert not report.ok and report.failures == ("x broke", "y broke")
+        assert render_report(report).splitlines()[-1] == "FAIL: x broke; y broke"
