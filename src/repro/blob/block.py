@@ -36,9 +36,10 @@ crossed a provider boundary) per layer, which is how the tests pin the
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Optional, Union
+
+from repro.obs import Counters
 
 __all__ = [
     "BytesPayload",
@@ -57,11 +58,11 @@ __all__ = [
 BytesLike = Union[bytes, bytearray, memoryview]
 
 
-class CopyStats:
-    """Byte-movement counters for the data plane (thread-safe).
+class CopyStats(Counters):
+    """Byte-movement counters for the data plane (a :class:`~repro.obs.Counters`).
 
     The data-plane sibling of :class:`~repro.dht.store.DhtStats` and
-    :class:`~repro.blob.store.VmanStats`: where those count round
+    :class:`~repro.blob.publish.VmanStats`: where those count round
     trips, this counts *bytes* — separating the bytes a protocol step
     legitimately moved from the bytes it needlessly re-materialized.
 
@@ -78,57 +79,24 @@ class CopyStats:
       value (the final ``bytes()`` a caller asked for; not a waste,
       tracked separately so ``bytes_copied`` measures pure overhead).
 
-    Every record names the layer it happened at (``"read.gather"``,
-    ``"provider.freeze"``, …); :meth:`layers` exposes the per-layer
-    breakdown the ``repro.cli zerocopy`` demo prints.
+    ``record(layer, copied=0, transferred=0, result=0)`` names the layer
+    it happened at (``"read.gather"``, ``"provider.freeze"``, …);
+    :meth:`layers` exposes the per-layer breakdown the ``repro.cli
+    zerocopy`` demo prints.
     """
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._layers: dict[str, dict[str, int]] = {}
-        self.bytes_copied = 0
-        self.bytes_transferred = 0
-        self.bytes_result = 0
+    SUMS = ("copied", "transferred", "result")
+    PREFIX = "bytes_"
+    LABELLED = True
 
-    def record(
-        self,
-        layer: str,
-        copied: int = 0,
-        transferred: int = 0,
-        result: int = 0,
-    ) -> None:
-        """Count *copied*/*transferred*/*result* bytes against *layer*."""
-        with self._lock:
-            self.bytes_copied += copied
-            self.bytes_transferred += transferred
-            self.bytes_result += result
-            per = self._layers.setdefault(
-                layer, {"copied": 0, "transferred": 0, "result": 0}
-            )
-            per["copied"] += copied
-            per["transferred"] += transferred
-            per["result"] += result
-
-    def snapshot(self) -> dict[str, int]:
-        """Point-in-time copy of the totals."""
-        with self._lock:
-            return {
-                "bytes_copied": self.bytes_copied,
-                "bytes_transferred": self.bytes_transferred,
-                "bytes_result": self.bytes_result,
-            }
+    # The totals also read as attributes under their snapshot keys.
+    bytes_copied = property(lambda self: self.copied)
+    bytes_transferred = property(lambda self: self.transferred)
+    bytes_result = property(lambda self: self.result)
 
     def layers(self) -> dict[str, dict[str, int]]:
         """Per-layer breakdown (layer name -> copied/transferred/result)."""
-        with self._lock:
-            return {name: dict(counts) for name, counts in sorted(self._layers.items())}
-
-    def reset(self) -> None:
-        with self._lock:
-            self._layers.clear()
-            self.bytes_copied = 0
-            self.bytes_transferred = 0
-            self.bytes_result = 0
+        return self.by_label()
 
 
 @dataclass(frozen=True)

@@ -50,13 +50,15 @@ import time
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
+from repro.obs import Counters, verb
+
 __all__ = ["EngineStats", "ParallelIOEngine"]
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
-class EngineStats:
+class EngineStats(Counters):
     """Scheduler-behavior counters shared by both engine backends.
 
     The observable difference between the ``threads`` and ``async``
@@ -72,65 +74,24 @@ class EngineStats:
     * ``queue_wait_total`` / ``queue_wait_max`` — seconds tasks spent
       waiting for a slot (pool queue or semaphore) before starting.
 
-    All methods are thread-safe; the async engine calls them from its
-    loop thread, the thread engine from every worker plus the caller.
+    A :class:`~repro.obs.Counters`, so every verb is thread-safe: the
+    async engine calls them from its loop thread, the thread engine
+    from every worker plus the caller.
     """
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.threads_started = 0
-        self._zero()
+    SUMS = ("threads_started", "tasks_started", "tasks_finished", "queue_wait_total")
+    MAXIMA = {"queue_wait_max": "queue_wait_total"}
+    GAUGE = "in_flight"
+    #: Threads are an engine-lifetime cost (the ISSUE-9 acceptance
+    #: criterion), not a per-phase one: a reset between a benchmark's
+    #: setup and its measured phase must not hide workers spawned
+    #: during setup.
+    KEEP = ("threads_started",)
 
-    def _zero(self) -> None:
-        self.tasks_started = 0
-        self.tasks_finished = 0
-        self.in_flight = 0
-        self.in_flight_hwm = 0
-        self.queue_wait_total = 0.0
-        self.queue_wait_max = 0.0
-
-    def reset(self) -> None:
-        """Zero the per-task counters.
-
-        ``threads_started`` is deliberately kept: threads are an
-        engine-lifetime cost (the ISSUE-9 acceptance criterion), not a
-        per-phase one, and a reset between a benchmark's setup and its
-        measured phase must not hide workers spawned during setup.
-        """
-        with self._lock:
-            self._zero()
-
-    def thread_started(self) -> None:
-        with self._lock:
-            self.threads_started += 1
-
-    def task_started(self, queue_wait: float = 0.0) -> None:
-        with self._lock:
-            self.tasks_started += 1
-            self.in_flight += 1
-            if self.in_flight > self.in_flight_hwm:
-                self.in_flight_hwm = self.in_flight
-            self.queue_wait_total += queue_wait
-            if queue_wait > self.queue_wait_max:
-                self.queue_wait_max = queue_wait
-
-    def task_finished(self) -> None:
-        with self._lock:
-            self.tasks_finished += 1
-            self.in_flight -= 1
-
-    def snapshot(self) -> dict[str, float]:
-        """Point-in-time copy of every counter."""
-        with self._lock:
-            return {
-                "threads_started": self.threads_started,
-                "tasks_started": self.tasks_started,
-                "tasks_finished": self.tasks_finished,
-                "in_flight": self.in_flight,
-                "in_flight_hwm": self.in_flight_hwm,
-                "queue_wait_total": self.queue_wait_total,
-                "queue_wait_max": self.queue_wait_max,
-            }
+    thread_started = verb(threads_started=1)
+    #: ``task_started(queue_wait=0.0)``: a task got its slot.
+    task_started = verb("queue_wait_total", tasks_started=1, in_flight=1)
+    task_finished = verb(tasks_finished=1, in_flight=-1)
 
 
 class ParallelIOEngine:

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.blob.version_manager import AssignRequest, WriteTicket
 from repro.errors import PublishHookError
+from repro.obs import Counters
 
 if TYPE_CHECKING:
     from repro.blob.store import LocalBlobStore
@@ -23,8 +24,8 @@ if TYPE_CHECKING:
 __all__ = ["PublishPipeline", "VmanStats"]
 
 
-class VmanStats:
-    """Version-manager interaction counters (thread-safe).
+class VmanStats(Counters):
+    """Version-manager interaction counters (a :class:`~repro.obs.Counters`).
 
     The write-path twin of :class:`~repro.dht.store.DhtStats`:
     ``round_trips`` counts *serialized* version-manager interactions —
@@ -36,57 +37,20 @@ class VmanStats:
     commit pays them per batch.
     """
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.reset()
-
-    def reset(self) -> None:
-        with self._lock:
-            self.round_trips = 0
-            self.assign_rounds = 0
-            self.commit_rounds = 0
-            self.info_rounds = 0
-            self.abort_rounds = 0
-            self.tickets_assigned = 0
-            self.commits_reported = 0
-            self.max_assign_batch = 0
-            self.max_commit_batch = 0
-
-    def record(
-        self,
-        round_trips: int = 0,
-        assign_rounds: int = 0,
-        commit_rounds: int = 0,
-        info_rounds: int = 0,
-        abort_rounds: int = 0,
-        tickets_assigned: int = 0,
-        commits_reported: int = 0,
-    ) -> None:
-        with self._lock:
-            self.round_trips += round_trips
-            self.assign_rounds += assign_rounds
-            self.commit_rounds += commit_rounds
-            self.info_rounds += info_rounds
-            self.abort_rounds += abort_rounds
-            self.tickets_assigned += tickets_assigned
-            self.commits_reported += commits_reported
-            self.max_assign_batch = max(self.max_assign_batch, tickets_assigned)
-            self.max_commit_batch = max(self.max_commit_batch, commits_reported)
-
-    def snapshot(self) -> dict[str, int]:
-        """Point-in-time copy of every counter."""
-        with self._lock:
-            return {
-                "vman_round_trips": self.round_trips,
-                "vman_assign_rounds": self.assign_rounds,
-                "vman_commit_rounds": self.commit_rounds,
-                "vman_info_rounds": self.info_rounds,
-                "vman_abort_rounds": self.abort_rounds,
-                "vman_tickets_assigned": self.tickets_assigned,
-                "vman_commits_reported": self.commits_reported,
-                "vman_max_assign_batch": self.max_assign_batch,
-                "vman_max_commit_batch": self.max_commit_batch,
-            }
+    SUMS = (
+        "round_trips",
+        "assign_rounds",
+        "commit_rounds",
+        "info_rounds",
+        "abort_rounds",
+        "tickets_assigned",
+        "commits_reported",
+    )
+    MAXIMA = {
+        "max_assign_batch": "tickets_assigned",
+        "max_commit_batch": "commits_reported",
+    }
+    PREFIX = "vman_"
 
 
 class _PendingOp:

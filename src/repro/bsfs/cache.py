@@ -25,8 +25,9 @@ from typing import Callable, Optional, Union
 
 from repro.blob.io_engine import ParallelIOEngine
 from repro.errors import InvalidRange
+from repro.fsapi import ReadStream
 
-__all__ = ["BlockReadCache", "WriteBuffer"]
+__all__ = ["BlockReadCache", "CachedReadStream", "WriteBuffer"]
 
 #: What a block fetch may return: ``bytes``, or a read-only view over
 #: the store's immutable payload (zero-copy; DESIGN.md §11).
@@ -191,6 +192,56 @@ class BlockReadCache:
             remaining -= take
         dest.release()
         return bytes(out)
+
+
+class CachedReadStream(ReadStream):
+    """The cursor of a reader over a :class:`BlockReadCache`.
+
+    BSFS and HDFS readers differ only in how they fetch a block; the
+    sequential/positional read logic over the cache lives here.  No
+    ``__slots__``: tracers wrap ``read``/``pread`` by instance
+    attribute.
+    """
+
+    def __init__(self, cache: BlockReadCache):
+        self._cache = cache
+        self._size = cache.file_size
+        self._pos = 0
+
+    @property
+    def size(self) -> int:
+        """File size (stable for the life of the stream)."""
+        return self._size
+
+    @property
+    def prefetches(self) -> int:
+        """Backend block fetches so far (cache-efficiency metric)."""
+        return self._cache.fetches
+
+    def read(self, size: int = -1) -> bytes:
+        """Sequential read from the cursor."""
+        if size < 0:
+            size = self._size - self._pos
+        size = min(size, self._size - self._pos)
+        data = self._cache.pread(self._pos, size)
+        self._pos += len(data)
+        return data
+
+    def pread(self, offset: int, size: int) -> bytes:
+        """Positional read (cursor unchanged)."""
+        size = max(0, min(size, self._size - offset))
+        return self._cache.pread(offset, size)
+
+    def seek(self, offset: int) -> None:
+        """Move the cursor (clamped to [0, size])."""
+        if offset < 0:
+            raise ValueError(f"seek to negative offset {offset}")
+        self._pos = min(offset, self._size)
+
+    @property
+    def tell(self) -> int:
+        """Current cursor position."""
+        return self._pos
 
 
 class WriteBuffer:

@@ -20,10 +20,10 @@ from typing import Optional
 
 from repro.blob.config import StoreConfig
 from repro.blob.store import LocalBlobStore
-from repro.bsfs.cache import BlockReadCache, WriteBuffer
+from repro.bsfs.cache import BlockReadCache, CachedReadStream, WriteBuffer
 from repro.bsfs.namespace import NamespaceManager
 from repro.errors import IsADirectory
-from repro.fsapi import FileStatus, FileSystem, RangeLocation, ReadStream, WriteStream
+from repro.fsapi import FileStatus, FileSystem, RangeLocation, WriteStream
 from repro.util.chunks import align_down
 
 __all__ = ["BSFSFileSystem", "BSFSWriteStream", "BSFSReadStream"]
@@ -74,7 +74,7 @@ class BSFSWriteStream(WriteStream):
         return self._buffer.size
 
 
-class BSFSReadStream(ReadStream):
+class BSFSReadStream(CachedReadStream):
     """Prefetching reader pinned to one published snapshot.
 
     Because a BlobSeer snapshot is immutable, a reader opened while
@@ -93,16 +93,16 @@ class BSFSReadStream(ReadStream):
         self._store = store
         self._blob_id = blob_id
         self.version = info.version
-        self._size = info.size
-        self._pos = 0
         engine = store.io_engine if readahead > 0 else None
-        self._cache = BlockReadCache(
-            fetch_block=self._fetch_block,
-            block_size=info.block_size,
-            file_size=info.size,
-            capacity=max(2, 1 + readahead) if engine is not None else 2,
-            engine=engine,
-            readahead=readahead if engine is not None else 0,
+        super().__init__(
+            BlockReadCache(
+                fetch_block=self._fetch_block,
+                block_size=info.block_size,
+                file_size=info.size,
+                capacity=max(2, 1 + readahead) if engine is not None else 2,
+                engine=engine,
+                readahead=readahead if engine is not None else 0,
+            )
         )
 
     def _fetch_block(self, index: int) -> memoryview:
@@ -115,41 +115,6 @@ class BSFSReadStream(ReadStream):
         return self._store.read_payload(
             self._blob_id, offset=offset, size=length, version=self.version
         ).view()
-
-    @property
-    def size(self) -> int:
-        """Snapshot size (stable for the life of the stream)."""
-        return self._size
-
-    @property
-    def prefetches(self) -> int:
-        """Backend block fetches so far (cache-efficiency metric)."""
-        return self._cache.fetches
-
-    def read(self, size: int = -1) -> bytes:
-        """Sequential read from the cursor."""
-        if size < 0:
-            size = self._size - self._pos
-        size = min(size, self._size - self._pos)
-        data = self._cache.pread(self._pos, size)
-        self._pos += len(data)
-        return data
-
-    def pread(self, offset: int, size: int) -> bytes:
-        """Positional read (cursor unchanged)."""
-        size = max(0, min(size, self._size - offset))
-        return self._cache.pread(offset, size)
-
-    def seek(self, offset: int) -> None:
-        """Move the cursor (clamped to [0, size])."""
-        if offset < 0:
-            raise ValueError(f"seek to negative offset {offset}")
-        self._pos = min(offset, self._size)
-
-    @property
-    def tell(self) -> int:
-        """Current cursor position."""
-        return self._pos
 
 
 class BSFSFileSystem(FileSystem):

@@ -34,6 +34,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from repro.dht.ring import HashRing
 from repro.errors import ProviderUnavailable, ReplicationError
+from repro.obs import Counters
 
 __all__ = ["Bucket", "DhtStore", "DhtStats", "MultiPutResult", "MISSING"]
 
@@ -52,8 +53,8 @@ MISSING = _Missing()
 _ABSENT = _Missing()
 
 
-class DhtStats:
-    """Wire-level counters (thread-safe).
+class DhtStats(Counters):
+    """Wire-level counters (a :class:`~repro.obs.Counters`).
 
     ``round_trips`` counts *wall-clock* waits on the DHT: every scalar
     bucket access is one, while one round of a batched operation — all
@@ -63,42 +64,7 @@ class DhtStats:
     the two is exactly what batching buys.
     """
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.round_trips = 0
-        self.bucket_ops = 0
-        self.keys_fetched = 0
-        self.keys_stored = 0
-
-    def record(
-        self,
-        round_trips: int = 0,
-        bucket_ops: int = 0,
-        keys_fetched: int = 0,
-        keys_stored: int = 0,
-    ) -> None:
-        with self._lock:
-            self.round_trips += round_trips
-            self.bucket_ops += bucket_ops
-            self.keys_fetched += keys_fetched
-            self.keys_stored += keys_stored
-
-    def snapshot(self) -> dict[str, int]:
-        """Point-in-time copy of every counter."""
-        with self._lock:
-            return {
-                "round_trips": self.round_trips,
-                "bucket_ops": self.bucket_ops,
-                "keys_fetched": self.keys_fetched,
-                "keys_stored": self.keys_stored,
-            }
-
-    def reset(self) -> None:
-        with self._lock:
-            self.round_trips = 0
-            self.bucket_ops = 0
-            self.keys_fetched = 0
-            self.keys_stored = 0
+    SUMS = ("round_trips", "bucket_ops", "keys_fetched", "keys_stored")
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ class GatewayWriteStream(WriteStream):
             manager.tenant_release(self._state.tenant_id, nbytes)
             raise
         manager.tenant_commit(self._state.tenant_id, nbytes)
-        self._state.count_bytes(written=nbytes)
+        self._state.counters.record(bytes_in=nbytes)
         self._written += nbytes
 
     def close(self) -> None:
@@ -85,7 +85,7 @@ class GatewayReadStream(ReadStream):
         want = remaining if size < 0 else max(0, min(size, remaining))
         self._gw.charge_bytes(self._state, "read", want)
         data = self._inner.read(size)
-        self._state.count_bytes(read=len(data))
+        self._state.counters.record(bytes_out=len(data))
         self._moved += len(data)
         return data
 
@@ -93,7 +93,7 @@ class GatewayReadStream(ReadStream):
         want = max(0, min(size, self._inner.size - offset))
         self._gw.charge_bytes(self._state, "read", want)
         data = self._inner.pread(offset, size)
-        self._state.count_bytes(read=len(data))
+        self._state.counters.record(bytes_out=len(data))
         self._moved += len(data)
         return data
 

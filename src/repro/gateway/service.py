@@ -110,10 +110,7 @@ class Gateway:
             if old is None:
                 raise UnknownTenant(tenant_id)
             fresh = TenantState(tenant_id, old.token, policy)
-            fresh.ops = old.ops
-            fresh.bytes_in = old.bytes_in
-            fresh.bytes_out = old.bytes_out
-            fresh.admission_rejections = old.admission_rejections
+            fresh.counters = old.counters
             self._tenants[tenant_id] = fresh
         self.store.provider_manager.register_tenant(
             tenant_id, quota_bytes=policy.quota_bytes
@@ -185,7 +182,7 @@ class Gateway:
         if policy.max_in_flight is not None:
             usage = self.store.provider_manager.tenant_usage(state.tenant_id)
             if usage["in_flight"] >= policy.max_in_flight:
-                state.count_rejection()
+                state.counters.record(admission_rejections=1)
                 raise AdmissionRejected(
                     state.tenant_id,
                     op,
@@ -195,14 +192,14 @@ class Gateway:
         if bucket is not None and not bucket.acquire(
             1.0, timeout=policy.queue_timeout
         ):
-            state.count_rejection()
+            state.counters.record(admission_rejections=1)
             raise AdmissionRejected(
                 state.tenant_id,
                 op,
                 f"{op}-rate backlog exceeds queue_timeout={policy.queue_timeout}s",
             )
         self.store.provider_manager.tenant_begin_op(state.tenant_id)
-        state.count_op(op)
+        state.counters.record(**{op: 1})
 
     def charge_bytes(self, state: TenantState, op: str, nbytes: int) -> None:
         """Charge *nbytes* against the tenant's data-plane bandwidth bucket."""
@@ -210,7 +207,7 @@ class Gateway:
         if bucket is None or nbytes <= 0:
             return
         if not bucket.acquire(float(nbytes), timeout=state.policy.queue_timeout):
-            state.count_rejection()
+            state.counters.record(admission_rejections=1)
             raise AdmissionRejected(
                 state.tenant_id,
                 op,

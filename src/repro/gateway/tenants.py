@@ -19,10 +19,10 @@ refuses over-quota writes before they consume placements.
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.obs import Counters
 from repro.util.throttle import TokenBucket
 
 __all__ = ["TenantPolicy", "TenantState", "OP_CLASSES"]
@@ -107,6 +107,12 @@ class TenantPolicy:
         return self
 
 
+class TenantCounters(Counters):
+    """Admitted ops per class, payload bytes, and refused admissions."""
+
+    SUMS = (*OP_CLASSES, "bytes_in", "bytes_out", "admission_rejections")
+
+
 class TenantState:
     """Runtime admission state the gateway keeps for one tenant."""
 
@@ -114,11 +120,7 @@ class TenantState:
         self.tenant_id = tenant_id
         self.token = token
         self.policy = policy
-        self._lock = threading.Lock()
-        self.ops = {op: 0 for op in OP_CLASSES}
-        self.bytes_in = 0
-        self.bytes_out = 0
-        self.admission_rejections = 0
+        self.counters = TenantCounters()
         self._op_buckets: dict[str, Optional[TokenBucket]] = {
             "append": self._bucket(policy.append_ops_per_sec),
             "read": self._bucket(policy.read_ops_per_sec),
@@ -135,19 +137,6 @@ class TenantState:
         """The tenant's bucket for *op* (``None`` = unrated)."""
         return self._op_buckets[op]
 
-    def count_op(self, op: str) -> None:
-        with self._lock:
-            self.ops[op] += 1
-
-    def count_bytes(self, written: int = 0, read: int = 0) -> None:
-        with self._lock:
-            self.bytes_in += written
-            self.bytes_out += read
-
-    def count_rejection(self) -> None:
-        with self._lock:
-            self.admission_rejections += 1
-
     def throttle_wait(self) -> float:
         """Total seconds this tenant's callers spent parked in buckets."""
         buckets = [b for b in self._op_buckets.values() if b is not None]
@@ -158,12 +147,9 @@ class TenantState:
     def stats(self) -> dict:
         """Gateway-side fairness counters (merged with the provider
         manager's quota accounting by ``Gateway.tenant_stats``)."""
-        with self._lock:
-            out = {
-                "ops": dict(self.ops),
-                "bytes_in": self.bytes_in,
-                "bytes_out": self.bytes_out,
-                "admission_rejections": self.admission_rejections,
-            }
-        out["throttle_wait_s"] = round(self.throttle_wait(), 6)
-        return out
+        counts = self.counters.snapshot()
+        return {
+            "ops": {op: counts.pop(op) for op in OP_CLASSES},
+            **counts,
+            "throttle_wait_s": round(self.throttle_wait(), 6),
+        }

@@ -14,13 +14,13 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.blob.block import BytesPayload, Payload
-from repro.bsfs.cache import BlockReadCache, WriteBuffer
+from repro.bsfs.cache import BlockReadCache, CachedReadStream, WriteBuffer
 from repro.errors import (
     AppendNotSupported,
     IsADirectory,
     ProviderUnavailable,
 )
-from repro.fsapi import FileStatus, FileSystem, RangeLocation, ReadStream, WriteStream
+from repro.fsapi import FileStatus, FileSystem, RangeLocation, WriteStream
 from repro.hdfs.datanode import DatanodeCore
 from repro.hdfs.namenode import NamenodeCore
 from repro.hdfs.placement import HdfsPlacementPolicy
@@ -76,19 +76,19 @@ class HDFSWriteStream(WriteStream):
         return self._buffer.size
 
 
-class HDFSReadStream(ReadStream):
+class HDFSReadStream(CachedReadStream):
     """Chunk-prefetching reader (client-side read-ahead, §II-B)."""
 
     def __init__(self, fs: "HDFSFileSystem", path: str):
         meta = fs.namenode.file_meta(path)
         self._fs = fs
         self._chunks = list(meta.chunks)
-        self._size = meta.size
-        self._pos = 0
-        self._cache = BlockReadCache(
-            fetch_block=self._fetch_chunk,
-            block_size=fs.block_size,
-            file_size=self._size,
+        super().__init__(
+            BlockReadCache(
+                fetch_block=self._fetch_chunk,
+                block_size=fs.block_size,
+                file_size=meta.size,
+            )
         )
 
     def _fetch_chunk(self, index: int) -> memoryview:
@@ -110,36 +110,6 @@ class HDFSReadStream(ReadStream):
         raise ProviderUnavailable(
             f"no live replica of chunk {chunk.chunk_id} ({chunk.datanodes})"
         ) from last_error
-
-    @property
-    def size(self) -> int:
-        """File size at open time."""
-        return self._size
-
-    @property
-    def prefetches(self) -> int:
-        """Datanode chunk fetches so far."""
-        return self._cache.fetches
-
-    def read(self, size: int = -1) -> bytes:
-        """Sequential read from the cursor."""
-        if size < 0:
-            size = self._size - self._pos
-        size = min(size, self._size - self._pos)
-        data = self._cache.pread(self._pos, size)
-        self._pos += len(data)
-        return data
-
-    def pread(self, offset: int, size: int) -> bytes:
-        """Positional read."""
-        size = max(0, min(size, self._size - offset))
-        return self._cache.pread(offset, size)
-
-    def seek(self, offset: int) -> None:
-        """Move the cursor."""
-        if offset < 0:
-            raise ValueError(f"seek to negative offset {offset}")
-        self._pos = min(offset, self._size)
 
 
 class HDFSFileSystem(FileSystem):

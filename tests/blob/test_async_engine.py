@@ -14,7 +14,7 @@ from concurrent.futures import CancelledError
 
 import pytest
 
-from repro.blob import AsyncIOEngine, LocalBlobStore, StoreConfig
+from repro.blob import AsyncIOEngine, LocalBlobStore, ParallelIOEngine, StoreConfig
 
 
 @pytest.fixture
@@ -232,6 +232,35 @@ class TestStats:
         snap = engine.stats.snapshot()
         assert snap["tasks_started"] == 0
         assert snap["threads_started"] >= 1
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: ParallelIOEngine(2), lambda: AsyncIOEngine(max_in_flight=4)],
+        ids=["threads", "async"],
+    )
+    def test_reset_under_a_running_task_keeps_the_gauge(self, make):
+        # A reset between a set-up and a measured phase can land while
+        # read-ahead tasks are live: zeroing the gauge sent it to -1 when
+        # they finished and hid them from the next high-water mark.
+        eng = make()
+        started, release = threading.Event(), threading.Event()
+
+        def park():
+            started.set()
+            assert release.wait(5)
+
+        try:
+            future = eng.submit(park)
+            assert started.wait(5)
+            eng.stats.reset()
+            release.set()
+            future.result(timeout=5)
+            snap = eng.stats.snapshot()
+            assert snap["in_flight"] == 0
+            assert snap["in_flight_hwm"] >= 1
+        finally:
+            release.set()
+            eng.shutdown()
 
     def test_queue_wait_is_recorded_when_the_window_is_full(self):
         eng = AsyncIOEngine(max_in_flight=1)

@@ -45,8 +45,11 @@ class TestBasicIO:
         fs.write_file("/f", data)
         with fs.open("/f") as stream:
             assert stream.pread(BS + 3, 7) == data[BS + 3 : BS + 10]
+            assert stream.tell == 0
             stream.seek(2 * BS)
+            assert stream.tell == 2 * BS
             assert stream.read() == data[2 * BS :]
+            assert stream.tell == stream.size == 3 * BS
 
     def test_reads_prefetch_whole_chunks(self, fs):
         fs.write_file("/f", bytes(2 * BS))
@@ -54,6 +57,7 @@ class TestBasicIO:
             for _ in range(BS // 4):
                 stream.read(4)
             assert stream.prefetches == 1
+            assert stream.tell == BS
 
 
 class TestHdfsSemantics:
