@@ -89,6 +89,7 @@ from repro.errors import (
     ProviderUnavailable,
     PublishHookError,
     ReplicationError,
+    VersionNotFound,
 )
 from repro.util.bytesize import parse_size
 from repro.util.chunks import dest_windows, split_range
@@ -116,6 +117,10 @@ _CANCELLED = (_FuturesCancelled, asyncio.CancelledError)
 #: window as a convoy while the rest of the cluster idles (DESIGN.md
 #: §13).
 _ASYNC_PER_DEST = 64
+
+#: How the read-side calls name a snapshot: a version number, ``None``
+#: for the latest published one, or the already-resolved info (a pin).
+Version = Union[int, SnapshotInfo, None]
 
 
 @dataclass(frozen=True)
@@ -765,7 +770,7 @@ class LocalBlobStore:
         blob_id: str,
         offset: int = 0,
         size: Optional[int] = None,
-        version: Optional[int] = None,
+        version: Version = None,
     ) -> bytes:
         """Read bytes from a snapshot (defaults: whole latest snapshot).
 
@@ -784,9 +789,12 @@ class LocalBlobStore:
         blob_id: str,
         offset: int = 0,
         size: Optional[int] = None,
-        version: Optional[int] = None,
+        version: Version = None,
     ) -> Payload:
         """Read as a payload (synthetic-safe variant of :meth:`read`).
+
+        Passing the :class:`SnapshotInfo` a reader already holds as
+        *version* makes this a pinned read: no vman round trip.
 
         Vectored gather (DESIGN.md §11): ONE ``bytearray`` is
         preallocated for the whole range and every touched block copies
@@ -797,82 +805,92 @@ class LocalBlobStore:
         block aliases the provider's immutable payload with no copy at
         all.
         """
-        info = self.snapshot(blob_id, version)
-        if size is None:
-            size = info.size - offset
-        if offset < 0 or size < 0 or offset + size > info.size:
-            raise InvalidRange(
-                f"read [{offset}, {offset + size}) outside snapshot of {info.size}B"
-            )
-        if size == 0:
-            return BytesPayload(b"")
-        descriptors = self._collect_descriptors(info, offset, size)
-
-        if len(descriptors) == 1 and not descriptors[0].is_zero:
-            payload = self._fetch_block(descriptors[0])
-            slice_ = next(iter(split_range(offset, size, info.block_size)))
-            want_end = slice_.start + slice_.length
-            if want_end > payload.size:
+        pinned = isinstance(version, SnapshotInfo)
+        info = version if pinned else self.snapshot(blob_id, version)
+        try:
+            if size is None:
+                size = info.size - offset
+            if offset < 0 or size < 0 or offset + size > info.size:
                 raise InvalidRange(
-                    f"block {descriptors[0].index} holds {payload.size}B, "
-                    f"needed [{slice_.start}, {want_end})"
+                    f"read [{offset}, {offset + size}) outside snapshot of {info.size}B"
                 )
-            if slice_.start == 0 and slice_.length == payload.size:
-                # Whole-block read: hand out the stored payload itself
-                # — published blocks are immutable, aliasing is free.
-                self.copy_stats.record("read.alias", transferred=size)
-                return payload
+            if size == 0:
+                return BytesPayload(b"")
+            descriptors = self._collect_descriptors(info, offset, size)
 
-        buffer = bytearray(size)
-        # Window the destination in the caller's thread; the per-block
-        # gathers then fill disjoint windows concurrently, and each
-        # block still fails over between replicas independently inside
-        # ``_fetch_block``.
-        windows = dest_windows(buffer, offset, size, info.block_size)
-        tasks = list(zip(windows, descriptors))
+            if len(descriptors) == 1 and not descriptors[0].is_zero:
+                payload = self._fetch_block(descriptors[0])
+                slice_ = next(iter(split_range(offset, size, info.block_size)))
+                want_end = slice_.start + slice_.length
+                if want_end > payload.size:
+                    raise InvalidRange(
+                        f"block {descriptors[0].index} holds {payload.size}B, "
+                        f"needed [{slice_.start}, {want_end})"
+                    )
+                if slice_.start == 0 and slice_.length == payload.size:
+                    # Whole-block read: hand out the stored payload itself
+                    # — published blocks are immutable, aliasing is free.
+                    self.copy_stats.record("read.alias", transferred=size)
+                    return payload
 
-        def finish(task: tuple, payload: Payload) -> Optional[Payload]:
-            (slice_, window), descriptor = task
-            want_end = slice_.start + slice_.length
-            if want_end > payload.size:
-                raise InvalidRange(
-                    f"block {descriptor.index} holds {payload.size}B, "
-                    f"needed [{slice_.start}, {want_end})"
-                )
-            if isinstance(payload, SyntheticPayload):
-                return payload.slice(slice_.start, slice_.length)
-            copied = payload.readinto(window, start=slice_.start, length=slice_.length)
-            self.copy_stats.record("read.gather", copied=copied, transferred=copied)
-            return None
+            buffer = bytearray(size)
+            # Window the destination in the caller's thread; the per-block
+            # gathers then fill disjoint windows concurrently, and each
+            # block still fails over between replicas independently inside
+            # ``_fetch_block``.
+            windows = dest_windows(buffer, offset, size, info.block_size)
+            tasks = list(zip(windows, descriptors))
 
-        def gather(task: tuple) -> Optional[Payload]:
-            _, descriptor = task
-            if descriptor.is_zero:
-                # Tombstone filler (DESIGN.md §7): the range reads as
-                # zeros, which the preallocated buffer already holds —
-                # no provider fetch, no copy.
+            def finish(task: tuple, payload: Payload) -> Optional[Payload]:
+                (slice_, window), descriptor = task
+                want_end = slice_.start + slice_.length
+                if want_end > payload.size:
+                    raise InvalidRange(
+                        f"block {descriptor.index} holds {payload.size}B, "
+                        f"needed [{slice_.start}, {want_end})"
+                    )
+                if isinstance(payload, SyntheticPayload):
+                    return payload.slice(slice_.start, slice_.length)
+                copied = payload.readinto(window, start=slice_.start, length=slice_.length)
+                self.copy_stats.record("read.gather", copied=copied, transferred=copied)
                 return None
-            return finish(task, self._fetch_block(descriptor))
 
-        async def agather(task: tuple) -> Optional[Payload]:
-            _, descriptor = task
-            if descriptor.is_zero:
-                return None
-            # Only the provider fetch awaits; the readinto fill into the
-            # task's disjoint window is sync and cheap, so even 10k of
-            # these interleave on the one loop without starving it.
-            return finish(task, await self._afetch_block(descriptor))
+            def gather(task: tuple) -> Optional[Payload]:
+                _, descriptor = task
+                if descriptor.is_zero:
+                    # Tombstone filler (DESIGN.md §7): the range reads as
+                    # zeros, which the preallocated buffer already holds —
+                    # no provider fetch, no copy.
+                    return None
+                return finish(task, self._fetch_block(descriptor))
 
-        # No dest= cap on the gather: failover makes the destination
-        # dynamic (the replica actually serving a block is decided
-        # inside the fetch, not by the task).
-        leftovers = self._map_io(gather, tasks, afn=agather)
-        if any(part is not None for part in leftovers):
-            # Some blocks were synthetic stand-ins carrying no bytes
-            # (benchmark writes): the assembled range is synthetic too,
-            # exactly as the old ``concat`` of mixed parts behaved.
-            return SyntheticPayload(size, tag="concat")
-        return BytesPayload(buffer)
+            async def agather(task: tuple) -> Optional[Payload]:
+                _, descriptor = task
+                if descriptor.is_zero:
+                    return None
+                # Only the provider fetch awaits; the readinto fill into the
+                # task's disjoint window is sync and cheap, so even 10k of
+                # these interleave on the one loop without starving it.
+                return finish(task, await self._afetch_block(descriptor))
+
+            # No dest= cap on the gather: failover makes the destination
+            # dynamic (the replica actually serving a block is decided
+            # inside the fetch, not by the task).
+            leftovers = self._map_io(gather, tasks, afn=agather)
+            if any(part is not None for part in leftovers):
+                # Some blocks were synthetic stand-ins carrying no bytes
+                # (benchmark writes): the assembled range is synthetic too,
+                # exactly as the old ``concat`` of mixed parts behaved.
+                return SyntheticPayload(size, tag="concat")
+            return BytesPayload(buffer)
+        except (VersionNotFound, ProviderUnavailable):
+            # A tree node or a block is gone.  Only now is the version
+            # manager asked about a pin again: if the GC swept it the
+            # reader gets the vman's own VersionNotFound, otherwise the
+            # failure stands (DESIGN.md §3).
+            if pinned:
+                self.snapshot(blob_id, version.version)
+            raise
 
     def key_resolver(self):
         """Map tree-node keys to their owning BLOB (branch lineage)."""
@@ -954,10 +972,10 @@ class LocalBlobStore:
         blob_id: str,
         offset: int,
         size: int,
-        version: Optional[int] = None,
+        version: Version = None,
     ) -> list[BlockLocation]:
         """Blocks making up a range, with the nodes that store them."""
-        info = self.snapshot(blob_id, version)
+        info = version if isinstance(version, SnapshotInfo) else self.snapshot(blob_id, version)
         if size == 0:
             return []
         if offset < 0 or size < 0 or offset + size > info.size:

@@ -7,8 +7,9 @@
 * writes are *delayed until a whole block has been filled*.
 
 These two mechanisms are implemented here generically over callback
-functions, so the BSFS client, the HDFS client and the simulated
-clients all share them.
+functions, so the BSFS client and the HDFS client share them (the
+simulated clients in ``repro.deploy`` model the same behaviour
+themselves).
 
 When the backing store has a :class:`~repro.blob.io_engine.\
 ParallelIOEngine`, :class:`BlockReadCache` can additionally *read
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from concurrent.futures import Future
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from repro.blob.io_engine import ParallelIOEngine
 from repro.errors import InvalidRange
@@ -38,12 +39,13 @@ class BlockReadCache:
     """Whole-block prefetching read cache (LRU).
 
     Args:
-        fetch_block: ``fetch_block(index) -> bytes | memoryview``
-            reading one whole block from the backend (trailing block
-            may be short).  Returning a read-only view keeps the cache
-            zero-copy: cached blocks alias the store's immutable
-            payloads and only :meth:`pread` results materialize
-            (DESIGN.md §11).
+        fetch_blocks: ``fetch_blocks(first, count) -> [bytes |
+            memoryview, ...]`` reading the *count* consecutive whole
+            blocks from index *first* in ONE backend call (the file's
+            trailing block may be short).  Returning read-only views
+            keeps the cache zero-copy: a block fetched alone is cached
+            as returned, aliasing the backend's immutable payload, and
+            only :meth:`pread` results materialize (DESIGN.md §11).
         block_size: striping unit.
         file_size: immutable size of the snapshot being read.
         capacity: number of blocks kept (Hadoop keeps ~1; a little more
@@ -55,7 +57,7 @@ class BlockReadCache:
 
     def __init__(
         self,
-        fetch_block: Callable[[int], "BlockData"],
+        fetch_blocks: Callable[[int, int], Sequence["BlockData"]],
         block_size: int,
         file_size: int,
         capacity: int = 2,
@@ -72,7 +74,7 @@ class BlockReadCache:
             raise ValueError("readahead must be >= 0")
         if readahead > 0 and engine is None:
             raise ValueError("readahead requires an I/O engine")
-        self._fetch = fetch_block
+        self._fetch = fetch_blocks
         self.block_size = block_size
         self.file_size = file_size
         self.capacity = capacity
@@ -87,27 +89,31 @@ class BlockReadCache:
         # access pattern stays sequential (Hadoop's pattern), so random
         # preads don't turn into a background-fetch amplifier.
         self._last_served: Optional[int] = None
-        #: Number of backend block fetches (cache-miss counter;
-        #: includes read-ahead fetches).
+        #: Number of *blocks* fetched from the backend, read-ahead
+        #: included (cache-miss counter; one call can fetch several).
         self.fetches = 0
 
     @property
     def _last_block(self) -> int:
         return max(0, (self.file_size - 1) // self.block_size)
 
-    def _admit(self, index: int, data: "BlockData") -> "BlockData":
+    def _checked(self, index: int, data: "BlockData") -> "BlockData":
         expected = min(self.block_size, self.file_size - index * self.block_size)
         if len(data) != expected:
             raise InvalidRange(
                 f"backend returned {len(data)}B for block {index}, expected {expected}B"
             )
+        return data
+
+    def _admit(self, index: int, data: "BlockData") -> "BlockData":
         self._blocks[index] = data
         if len(self._blocks) > self.capacity:
             self._blocks.popitem(last=False)
         return data
 
-    def _readahead(self, index: int) -> None:
-        """Schedule background fetches for the blocks after *index*.
+    def _readahead(self, first: int, last: int) -> None:
+        """Schedule background fetches for the blocks after *last*, the
+        end of the run just served from *first*.
 
         Only fires while access is sequential (first access, a repeat
         of the last block, or its successor); a seek elsewhere drops
@@ -115,11 +121,11 @@ class BlockReadCache:
         """
         if not self.readahead or self._engine is None:
             return
-        sequential = self._last_served is None or index in (
+        sequential = self._last_served is None or first in (
             self._last_served,
             self._last_served + 1,
         )
-        self._last_served = index
+        self._last_served = last
         if not sequential:
             # Abandon the now-useless prefetches: cancel the ones still
             # queued (sparing backend fetches and pool capacity); the
@@ -130,34 +136,64 @@ class BlockReadCache:
                     self.fetches -= 1
             self._pending.clear()
             return
-        for ahead in range(index + 1, min(index + self.readahead, self._last_block) + 1):
+        for ahead in range(last + 1, min(last + self.readahead, self._last_block) + 1):
             if ahead in self._blocks or ahead in self._pending:
                 continue
-            self._pending[ahead] = self._engine.submit(self._fetch, ahead)
+            self._pending[ahead] = self._engine.submit(self._fetch, ahead, 1)
             self.fetches += 1
 
     def _block(self, index: int) -> "BlockData":
         if index in self._blocks:
             self._blocks.move_to_end(index)
-            self._readahead(index)
             return self._blocks[index]
         future = self._pending.pop(index, None)
-        data: Optional[BlockData] = None
+        run: Optional[Sequence[BlockData]] = None
         if future is not None:
             try:
-                data = future.result()  # fetch already counted at submit
+                run = future.result()  # fetch already counted at submit
             except Exception:
                 # The prefetch hit a transient failure (e.g. a replica's
                 # provider flapping); the world may have healed since —
                 # retry inline rather than failing a read that would
                 # succeed without read-ahead.
-                data = None
-        if data is None:
-            data = self._fetch(index)
+                run = None
+        if run is None:
+            run = self._fetch(index, 1)
             self.fetches += 1
-        data = self._admit(index, data)
-        self._readahead(index)
-        return data
+        return self._admit(index, self._checked(index, run[0]))
+
+    def _run(self, first: int, last: int) -> list["BlockData"]:
+        """Blocks *first*..*last* of one multi-block read.
+
+        Cached and prefetched blocks are used as they are; the span of
+        *missing* ones is fetched in ONE backend call (on BlobSeer one
+        descent and one parallel gather, not one of each per block).
+        Only the trailing ``capacity`` blocks are admitted — the rest
+        would be evicted before this call returns — each as its own
+        buffer, so the cache never keeps a whole run's buffer alive.
+        """
+        wanted = range(first, last + 1)
+        for index in wanted:
+            if index in self._blocks:  # newest, so admissions evict others first
+                self._blocks.move_to_end(index)
+        missing = [i for i in wanted if i not in self._blocks and i not in self._pending]
+        fetched: dict[int, BlockData] = {}
+        if missing:
+            span = range(missing[0], missing[-1] + 1)
+            for index in span:
+                # A prefetch inside the span is fetched again with it.
+                future = self._pending.pop(index, None)
+                if future is not None and future.cancel():
+                    self.fetches -= 1
+            run = self._fetch(span.start, len(span))
+            self.fetches += len(span)
+            fetched = {i: self._checked(i, data) for i, data in zip(span, run)}
+        blocks = [fetched[i] if i in fetched else self._block(i) for i in wanted]
+        for index in wanted[-self.capacity :]:
+            if index in fetched:
+                data = fetched[index]
+                self._admit(index, bytes(data) if len(fetched) > 1 else data)
+        return blocks
 
     def pread(self, offset: int, size: int) -> bytes:
         """Read ``[offset, offset+size)``, prefetching whole blocks."""
@@ -175,23 +211,17 @@ class BlockReadCache:
             # through a view and materialize the result in ONE copy
             # (a whole bytes-backed block passes through with none).
             block = self._block(index)
+            self._readahead(index, index)
             if start == 0 and size == len(block) and type(block) is bytes:
                 return block
             return bytes(memoryview(block)[start : start + size])
-        out = bytearray(size)
-        dest = memoryview(out)
-        position = offset
-        remaining = size
-        while remaining > 0:
-            index = position // self.block_size
-            start = position - index * self.block_size
-            take = min(self.block_size - start, remaining)
-            at = position - offset
-            dest[at : at + take] = memoryview(self._block(index))[start : start + take]
-            position += take
-            remaining -= take
-        dest.release()
-        return bytes(out)
+        last = (offset + size - 1) // self.block_size
+        views = [memoryview(block) for block in self._run(index, last)]
+        self._readahead(index, last)
+        views[0] = views[0][start:]
+        views[-1] = views[-1][: offset + size - last * self.block_size]
+        # ONE copy: the blocks' covered windows become the result.
+        return b"".join(views)
 
 
 class CachedReadStream(ReadStream):
@@ -215,7 +245,8 @@ class CachedReadStream(ReadStream):
 
     @property
     def prefetches(self) -> int:
-        """Backend block fetches so far (cache-efficiency metric)."""
+        """Blocks fetched from the backend so far (cache-efficiency
+        metric; a run fetched in one backend call counts each block)."""
         return self._cache.fetches
 
     def read(self, size: int = -1) -> bytes:
@@ -231,6 +262,10 @@ class CachedReadStream(ReadStream):
         """Positional read (cursor unchanged)."""
         size = max(0, min(size, self._size - offset))
         return self._cache.pread(offset, size)
+
+    def close(self) -> None:
+        """Drop the cached blocks now, not at the next cyclic GC pass."""
+        self._cache._blocks.clear()
 
     def seek(self, offset: int) -> None:
         """Move the cursor (clamped to [0, size])."""

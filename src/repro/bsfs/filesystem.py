@@ -41,7 +41,9 @@ class BSFSWriteStream(WriteStream):
         if resume and info.size != committed:
             # Read-modify-write of the trailing partial block, done
             # client-side; BlobSeer itself never mutates data.
-            tail = store.read(blob_id, offset=committed, size=info.size - committed)
+            tail = store.read(
+                blob_id, offset=committed, size=info.size - committed, version=info
+            )
         # Only that rewrite needs a position.  A stream that opens on a
         # block boundary commits through ``store.append``: the version
         # manager fixes each offset (§III-D), so concurrent appenders to
@@ -92,11 +94,12 @@ class BSFSReadStream(CachedReadStream):
         info = store.snapshot(blob_id, version)
         self._store = store
         self._blob_id = blob_id
+        self._info = info  # the pin, handed to every store read
         self.version = info.version
         engine = store.io_engine if readahead > 0 else None
         super().__init__(
             BlockReadCache(
-                fetch_block=self._fetch_block,
+                fetch_blocks=self._fetch_blocks,
                 block_size=info.block_size,
                 file_size=info.size,
                 capacity=max(2, 1 + readahead) if engine is not None else 2,
@@ -105,16 +108,18 @@ class BSFSReadStream(CachedReadStream):
             )
         )
 
-    def _fetch_block(self, index: int) -> memoryview:
-        offset = index * self._cache.block_size
-        length = min(self._cache.block_size, self._size - offset)
-        # Whole-block fetch of an immutable snapshot: keep it as a
-        # zero-copy view — the store aliases the provider's stored
-        # payload for exactly this shape of read, so the cache holds
-        # views and only pread() results materialize (DESIGN.md §11).
-        return self._store.read_payload(
-            self._blob_id, offset=offset, size=length, version=self.version
+    def _fetch_blocks(self, first: int, count: int) -> list[memoryview]:
+        block_size = self._cache.block_size
+        offset = first * block_size
+        length = min(count * block_size, self._size - offset)
+        # ONE pinned BlobSeer READ for the whole run (DESIGN.md §3): no
+        # vman round trip, one descent, one parallel gather.  Kept as
+        # views — a one-block run aliases the provider's stored payload
+        # — so only pread() results materialize (DESIGN.md §11).
+        run = self._store.read_payload(
+            self._blob_id, offset=offset, size=length, version=self._info
         ).view()
+        return [run[at : at + block_size] for at in range(0, length, block_size)]
 
 
 class BSFSFileSystem(FileSystem):
@@ -215,7 +220,9 @@ class BSFSFileSystem(FileSystem):
         size = max(0, min(size, info.size - offset))
         return [
             RangeLocation(offset=loc.offset, length=loc.length, hosts=loc.providers)
-            for loc in self.store.block_locations(entry.blob_id, offset, size)
+            for loc in self.store.block_locations(
+                entry.blob_id, offset, size, version=info
+            )
         ]
 
     # -- BSFS extras --------------------------------------------------------------------

@@ -85,7 +85,9 @@ class HDFSReadStream(CachedReadStream):
         self._chunks = list(meta.chunks)
         super().__init__(
             BlockReadCache(
-                fetch_block=self._fetch_chunk,
+                fetch_blocks=lambda first, count: [
+                    self._fetch_chunk(index) for index in range(first, first + count)
+                ],
                 block_size=fs.block_size,
                 file_size=meta.size,
             )

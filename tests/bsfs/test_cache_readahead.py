@@ -27,12 +27,12 @@ def make(data, engine, readahead, capacity=4, delay=0.0):
     fetched = []
     lock = threading.Lock()
 
-    def fetch(index):
+    def fetch(first, count):
         if delay:
             time.sleep(delay)
         with lock:
-            fetched.append(index)
-        return data[index * BS : (index + 1) * BS]
+            fetched.extend(range(first, first + count))
+        return [data[i * BS : (i + 1) * BS] for i in range(first, first + count)]
 
     cache = BlockReadCache(
         fetch,
@@ -78,7 +78,7 @@ class TestReadAhead:
 
     def test_readahead_requires_engine(self):
         with pytest.raises(ValueError):
-            BlockReadCache(lambda i: b"", block_size=BS, file_size=0, readahead=1)
+            BlockReadCache(lambda i, n: [b""] * n, block_size=BS, file_size=0, readahead=1)
 
     def test_zero_readahead_with_engine_stays_synchronous(self, engine):
         data = bytes(3 * BS)
@@ -93,12 +93,12 @@ class TestReadAhead:
         failed_once = []
         lock = threading.Lock()
 
-        def flaky_fetch(index):
+        def flaky_fetch(first, count):
             with lock:
-                if index == 1 and not failed_once:
-                    failed_once.append(index)
+                if first == 1 and not failed_once:
+                    failed_once.append(first)
                     raise ConnectionError("replica's provider flapped")
-            return data[index * BS : (index + 1) * BS]
+            return [data[i * BS : (i + 1) * BS] for i in range(first, first + count)]
 
         cache = BlockReadCache(
             flaky_fetch,
@@ -108,6 +108,7 @@ class TestReadAhead:
             engine=engine,
             readahead=1,
         )
+        assert cache.pread(0, 1) == data[:1]  # schedules the prefetch of block 1
         assert cache.pread(0, len(data)) == data
         assert failed_once == [1]
 
@@ -130,4 +131,19 @@ class TestReadAhead:
         import time as _time
 
         _time.sleep(0.05)  # let any in-flight fetch land
+        assert cache.fetches == len(fetched)
+
+    def test_prefetch_inside_a_fetched_span_is_dropped(self, engine):
+        # The span of one multi-block fetch runs from the first to the
+        # last missing block; a prefetch pending in between is fetched
+        # again with it, so its future must not linger (nor be counted
+        # if it never ran).
+        data = bytes(i % 256 for i in range(4 * BS))
+        cache, fetched = make(data, engine, readahead=1, capacity=2)
+        assert cache.pread(BS, 1) == data[BS : BS + 1]  # block 2 is now pending
+        prefetch = cache._pending[2]
+        assert cache.pread(0, len(data)) == data  # 0 and 3 missing: span 0..3
+        assert not cache._pending
+        if not prefetch.cancelled():
+            prefetch.result()
         assert cache.fetches == len(fetched)
