@@ -19,11 +19,10 @@ from repro.blob.block import (
     concat,
     materialize,
 )
-from repro.blob.async_engine import AsyncIOEngine
+from repro.blob.async_engine import AsyncIOEngine, EngineStats
 from repro.blob.config import StoreConfig
 from repro.blob.data_provider import DataProviderCore
 from repro.blob.diff import BlockRange, changed_ranges, diff_snapshots
-from repro.blob.io_engine import EngineStats, ParallelIOEngine
 from repro.blob.gc import GcReport, collect_garbage
 from repro.blob.metadata import MetadataService, NodeCache
 from repro.blob.provider_manager import (
@@ -109,7 +108,6 @@ __all__ = [
     "LocalFirstPolicy",
     "make_policy",
     "DataProviderCore",
-    "ParallelIOEngine",
     "AsyncIOEngine",
     "EngineStats",
     "MetadataService",

@@ -1,33 +1,34 @@
-"""Async I/O engine: in-flight transfers on coroutines, not threads.
+"""The I/O engine: the blob layer's scatter-gather, on coroutines.
 
-:class:`~repro.blob.io_engine.ParallelIOEngine` pays one OS thread per
-in-flight transfer, so ``io_workers`` caps true concurrency long
-before the (simulated) hardware does.  The paper's headline result —
-sustained throughput under *heavy concurrency* (§V: hundreds of
-clients, many blocks in flight each) — wants the opposite scaling law:
-block I/O limited by link bandwidth and provider latency, never by
-client-side scheduling overhead (see also the versioning follow-up
-paper, arXiv 0905.1113).
+BlobSeer's throughput story (paper §III-D, §V) rests on the data plane
+being embarrassingly parallel: a write scatters its blocks over many
+data providers *simultaneously*, a read gathers them back the same way,
+and only the version manager serializes anything.  The paper's
+headline result — sustained throughput under *heavy concurrency*
+(hundreds of clients, many blocks in flight each) — wants block I/O
+limited by link bandwidth and provider latency, never by client-side
+scheduling (see also the versioning follow-up paper, arXiv 0905.1113).
 
-:class:`AsyncIOEngine` is the ``async`` scheduler backend (DESIGN.md
-§13): ONE event loop on ONE background thread runs every transfer — a
-provider's block vector, a bucket's key batch — as a coroutine.  The
-in-flight window is bounded by a semaphore (``max_in_flight``), a
-second per-destination semaphore family caps concurrency against any
-single provider or metadata bucket (``per_dest``), and the first error
-cancels every sibling coroutine at its next await point.  Thousands of
-in-flight transfers cost as many coroutine frames and a handful of
-threads.
+:class:`AsyncIOEngine` (DESIGN.md §13) runs every transfer — a
+provider's block vector, a bucket's key batch — as a coroutine on ONE
+event loop on ONE background thread.  The in-flight window is bounded
+by a semaphore (``max_in_flight``), a second per-destination semaphore
+family caps concurrency against any single provider or metadata bucket
+(``per_dest``), and the first error cancels every sibling coroutine at
+its next await point.  Thousands of in-flight transfers cost as many
+coroutine frames and a handful of threads.  One engine is shared per
+:class:`~repro.blob.store.LocalBlobStore`, so every layer above (BSFS
+streams, the MapReduce split planner) draws from the same loop and
+helper pool instead of spawning threads ad hoc.
 
-The engine exposes the same surface as ``ParallelIOEngine`` —
-``map`` / ``map_settle`` / ``submit_each`` / ``submit`` /
-``in_worker`` / ``shutdown`` — so the store's scatter, vectored
-gather, scrub sweep, and publish-pipeline overlap run on either
-backend unchanged.  Call sites that want true coroutine concurrency
-pass ``afn=`` (an async twin of the task callable, e.g. awaiting
-``DataProviderCore.aput_many`` instead of blocking in ``put_many``); a call site
-that passes only a sync ``fn`` still works, it just serializes on the
-loop thread whenever ``fn`` blocks.
+The surface is ``map`` / ``map_settle`` / ``submit_each`` / ``submit``
+/ ``in_worker`` / ``shutdown``.  Fan-out call sites pass ``afn=`` (an
+async twin of the task callable, e.g. awaiting
+``DataProviderCore.aput_many`` instead of blocking in ``put_many``); a
+sync ``fn`` alone runs on the loop thread and stalls every other
+transfer while it blocks, so ``tools/lint_async.py`` flags a fan-out
+without ``afn=``.  Blocking work that has no twin goes to
+:meth:`AsyncIOEngine.submit`, which runs it on a helper thread.
 
 Boundary rules (enforced by ``tools/lint_async.py``; DESIGN.md §13
 spells out the why):
@@ -53,12 +54,43 @@ import time
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
-from repro.blob.io_engine import EngineStats
+from repro.obs import Counters, verb
 
-__all__ = ["AsyncIOEngine"]
+__all__ = ["AsyncIOEngine", "EngineStats"]
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+
+class EngineStats(Counters):
+    """Scheduler-behavior counters of the I/O engine.
+
+    * ``threads_started`` — OS threads the engine ever spawned (the
+      event-loop thread and the helper threads).  Every task in flight
+      costs a coroutine; the thread count stays a handful.
+    * ``in_flight`` / ``in_flight_hwm`` — tasks currently executing
+      (holding an in-flight slot) and the high-water mark.  The store's
+      tasks are provider vectors, one per provider an op touches.
+    * ``queue_wait_total`` / ``queue_wait_max`` — seconds tasks spent
+      waiting for a slot (a semaphore or the helper queue) before
+      starting.
+
+    A :class:`~repro.obs.Counters`, so every verb is thread-safe: the
+    loop thread and the helper threads both call them.
+    """
+
+    SUMS = ("threads_started", "tasks_started", "tasks_finished", "queue_wait_total")
+    MAXIMA = {"queue_wait_max": "queue_wait_total"}
+    GAUGE = "in_flight"
+    #: Threads are an engine-lifetime cost, not a per-phase one: a
+    #: reset between a benchmark's setup and its measured phase must not
+    #: hide threads spawned during setup.
+    KEEP = ("threads_started",)
+
+    thread_started = verb(threads_started=1)
+    #: ``task_started(queue_wait=0.0)``: a task got its slot.
+    task_started = verb("queue_wait_total", tasks_started=1, in_flight=1)
+    task_finished = verb(tasks_finished=1, in_flight=-1)
 
 
 class _NullSlot:
@@ -79,9 +111,8 @@ class AsyncIOEngine:
 
     Args:
         max_in_flight: size of the global in-flight window — how many
-            transfer coroutines may hold a slot simultaneously.  This
-            is the async analogue of ``io_workers``, except a slot is
-            a semaphore token (~a coroutine frame), not an OS thread.
+            transfer coroutines may hold a slot simultaneously.  A slot
+            is a semaphore token (~a coroutine frame), not an OS thread.
         per_dest: cap on concurrent transfers against any single
             destination (provider / bucket), applied when the call
             site passes a ``dest`` key function.  ``0`` disables the
@@ -89,13 +120,11 @@ class AsyncIOEngine:
             number of streams well; aiming the whole window at one hot
             provider just builds a convoy there while the other
             destinations idle.
-        helpers: worker threads for :meth:`submit` — opportunistic
-            sync tasks (read-ahead) that must not block the loop.
+        helpers: worker threads for :meth:`submit` — blocking sync
+            tasks (read-ahead, split planning) that must not block the
+            loop.  The store sizes this with ``io_workers``.
         name: thread-name prefix (diagnostics).
     """
-
-    #: Class marker for the scheduler backend ("threads" vs "async").
-    scheduler = "async"
 
     def __init__(
         self,
@@ -158,10 +187,9 @@ class AsyncIOEngine:
     def in_worker(self) -> bool:
         """Whether the calling thread is the engine's event-loop thread.
 
-        Same contract as the thread backend's ``in_worker``: the
-        publish pipeline must not park an engine worker waiting on
-        work served by that same worker.  For this engine the "worker"
-        is the loop thread itself.
+        The publish pipeline must not park the loop thread waiting on
+        work that only the loop can complete, so a write issued from
+        an engine task falls back to the inline scatter.
         """
         return self._on_loop_thread()
 
@@ -224,7 +252,7 @@ class AsyncIOEngine:
         ``map_settle`` contract): every item runs to an outcome and the
         result is ``(value, error)`` pairs — except non-``Exception``
         escapes (``KeyboardInterrupt``), which cancel the rest and
-        propagate, matching the thread backend.
+        propagate.
         """
         pairs: "list[tuple[Optional[R], Optional[BaseException]]]"
         pairs = [(None, None)] * len(work)
@@ -274,7 +302,7 @@ class AsyncIOEngine:
         """Run *coro* on the loop from a foreign thread; block for it."""
         return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
 
-    # -- scatter-gather (ParallelIOEngine surface) --------------------------------
+    # -- scatter-gather -----------------------------------------------------------
 
     def map(
         self,
@@ -384,11 +412,11 @@ class AsyncIOEngine:
     def submit(self, fn: Callable[..., R], *args, **kwargs) -> "Future[R]":
         """Schedule one sync task on a small helper thread pool.
 
-        Read-ahead and background GC submit blocking functions; running
-        them on the loop would stall every transfer, so a couple of
-        helper threads absorb them.  A helper that issues a nested
+        Read-ahead and split planning submit blocking functions;
+        running them on the loop would stall every transfer, so the
+        ``helpers`` threads absorb them.  A helper that issues a nested
         :meth:`map` blocks on the loop — which keeps progressing, so
-        that is safe (unlike nested maps inside a bounded thread pool).
+        that is safe.
         """
         self._check_open()
         with self._helpers_lock:

@@ -48,18 +48,17 @@ class StoreConfig:
         metadata_replication: DHT replica count for tree nodes.
         placement: policy name or instance (default BlobSeer round-robin).
         seed: seed for any stochastic policy (random placement).
-        io_workers: scatter-gather pool threads (0 = inline I/O).
-            Under ``io_scheduler="async"`` this sizes the engine's
-            small helper pool instead (read-ahead submit work).
-        io_scheduler: data-plane scheduler backend — ``"threads"``
-            (the :class:`~repro.blob.io_engine.ParallelIOEngine`
-            pool; concurrency costs one OS thread per in-flight
-            transfer) or ``"async"`` (the single-event-loop
-            :class:`~repro.blob.async_engine.AsyncIOEngine`;
-            in-flight transfers are coroutines, DESIGN.md §13).
-        max_in_flight: in-flight transfer window of the async
-            scheduler (ignored under ``"threads"``, where
-            ``io_workers`` is the cap).
+        io_workers: 0 = inline I/O; any positive value gives the store
+            the single-event-loop
+            :class:`~repro.blob.async_engine.AsyncIOEngine` (in-flight
+            transfers are coroutines, DESIGN.md §13) and sizes its
+            helper pool for ``submit`` work (read-ahead, split
+            planning).
+        io_scheduler: vestigial; ``"async"`` is its only accepted
+            value.  It selects nothing — ``io_workers > 0`` selects the
+            engine — and goes once ``perf/workloads.py`` stops passing
+            it.
+        max_in_flight: the engine's in-flight transfer window.
         provider_latency: simulated service time per data-provider op.
         metadata_latency: simulated service time per metadata-bucket
             *request* — a batched multi-get/put pays it once per bucket
@@ -82,7 +81,7 @@ class StoreConfig:
     placement: Union[str, PlacementPolicy] = "round_robin"
     seed: int = 0
     io_workers: int = 0
-    io_scheduler: str = "threads"
+    io_scheduler: str = "async"
     max_in_flight: int = 1024
     provider_latency: float = 0.0
     metadata_latency: float = 0.0
@@ -155,10 +154,12 @@ class StoreConfig:
             )
         if self.io_workers < 0:
             raise ValueError(f"io_workers must be >= 0, got {self.io_workers}")
-        if self.io_scheduler not in ("threads", "async"):
+        if self.io_scheduler != "async":
             raise ValueError(
-                f"io_scheduler must be 'threads' or 'async', "
-                f"got {self.io_scheduler!r}"
+                f"io_scheduler={self.io_scheduler!r} is not available: the "
+                "thread-pool scheduler was removed, and io_workers > 0 "
+                "selects the one I/O engine (io_scheduler accepts only "
+                "'async')"
             )
         if self.max_in_flight < 1:
             raise ValueError(
@@ -177,15 +178,10 @@ class StoreConfig:
             raise ValueError(
                 f"publish_window must be >= 0, got {self.publish_window}"
             )
-        if (
-            self.overlap_publish
-            and self.io_workers == 0
-            and self.io_scheduler != "async"
-        ):
+        if self.overlap_publish and self.io_workers == 0:
             raise ValueError(
-                "overlap_publish=True requires io_workers > 0 (or "
-                "io_scheduler='async'): the overlap launches the block "
-                "scatter on the I/O engine, and with no engine it silently "
-                "degrades to the serial path"
+                "overlap_publish=True requires io_workers > 0: the overlap "
+                "launches the block scatter on the I/O engine, and with no "
+                "engine it silently degrades to the serial path"
             )
         return self

@@ -109,7 +109,7 @@ def repair_leaf(store: LocalBlobStore, node: LeafNode, target: int) -> int:
         )
     new_homes = candidates[:needed]
     # Scatter the copies through the store's I/O engine when it has one:
-    # maintenance traffic shares the same bounded pool as foreground I/O.
+    # maintenance traffic shares the same bounded window as foreground I/O.
     store._map_io(
         lambda name: store.providers[name].put(descriptor.block_id, payload),
         new_homes,

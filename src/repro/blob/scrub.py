@@ -33,7 +33,7 @@ skips versions that are in flight (their publish is racing, not
 broken), it skips keys below the GC floor (healing them could resurrect
 swept garbage; deleting them is GC's job — a below-floor node may still
 be shared with a descendant branch), and all heavy I/O runs through the
-store's bounded :class:`~repro.blob.io_engine.ParallelIOEngine` pool
+store's bounded :class:`~repro.blob.async_engine.AsyncIOEngine` window
 under an optional :class:`Throttle`, so scrubbing yields to client I/O
 instead of starving it.
 
@@ -402,7 +402,7 @@ def scrub_store(
     Safe to run concurrently with reads, writes and other scrub passes
     (healing is idempotent: it only ever writes values derivable from
     durable state).  With *throttle* set, the pass paces itself so
-    foreground I/O keeps priority on the shared engine pool.  A
+    foreground I/O keeps priority on the shared I/O engine.  A
     *should_stop* probe returning True makes the pass return early
     with whatever it healed so far (every heal is independently
     consistent, so a truncated pass is just a smaller pass).

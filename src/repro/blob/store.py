@@ -34,12 +34,12 @@ Locking is deliberately two-tier, mirroring the paper's architecture:
 Block transfers travel as per-provider vectors: a write's replicas are
 grouped by provider into one ``put_many`` per provider, a read's blocks
 into one ``get_many`` per provider (DESIGN.md §13).  With
-``io_workers > 0`` the data plane additionally runs *parallel*: a
-shared :class:`~repro.blob.io_engine.ParallelIOEngine` sends the
-vectors to their providers concurrently, so wall-clock throughput
-scales with the worker count whenever providers have real (or
-simulated) service latency.  ``io_workers=0`` (the default) sends them
-one after another on the calling thread.
+``io_workers > 0`` the data plane additionally runs *parallel*: the
+store's :class:`~repro.blob.async_engine.AsyncIOEngine` sends the
+vectors to their providers as concurrent coroutines, so an op waits
+about one provider latency however many providers it touches.
+``io_workers=0`` (the default) sends them one after another on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from repro.blob.block import (
 from repro.blob.async_engine import AsyncIOEngine
 from repro.blob.config import DEFAULT_BLOCK_SIZE, StoreConfig
 from repro.blob.data_provider import DataProviderCore
-from repro.blob.io_engine import ParallelIOEngine
 from repro.blob.metadata import MetadataService
 from repro.blob.provider_manager import ProviderManagerCore
 from repro.blob.publish import PublishPipeline, VmanStats
@@ -104,14 +103,14 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
 ]
 
-#: Both cancellation flavors a settled scatter future can raise: the
-#: thread backend's queued-task abandonment raises the
+#: Both cancellation flavors a settled scatter future can raise: a
+#: sibling abandoned after the first error raises the
 #: ``concurrent.futures`` class, a cancelled coroutine escaping via its
 #: concurrent future raises the ``asyncio`` one — distinct classes
 #: (the asyncio flavor is a BaseException), handled together.
 _CANCELLED = (_FuturesCancelled, asyncio.CancelledError)
 
-#: Per-destination concurrency cap handed to the async scheduler: at
+#: Per-destination concurrency cap handed to the I/O engine: at
 #: most this many in-flight vectors aimed at any single provider or
 #: metadata bucket.  A real provider serves a bounded number of streams
 #: well; without the cap a hot provider collects the whole in-flight
@@ -203,21 +202,17 @@ class LocalBlobStore:
             self.providers[name] = DataProviderCore(
                 name, latency=config.provider_latency, copy_stats=self.copy_stats
             )
-        #: Shared scatter-gather engine; ``None`` means inline (serial)
-        #: I/O.  Created before the metadata service so the DHT can fan
-        #: one batched round's per-bucket requests over the same engine.
-        #: ``io_scheduler="async"`` selects the single-event-loop
-        #: coroutine scheduler (DESIGN.md §13); ``"threads"`` keeps the
-        #: bounded pool, sized by ``io_workers``.
-        self.io_engine: Optional[Union[ParallelIOEngine, AsyncIOEngine]] = None
-        if config.io_scheduler == "async":
+        #: Shared scatter-gather engine (DESIGN.md §13); ``None`` means
+        #: inline (serial) I/O.  Created before the metadata service so
+        #: the DHT can fan one batched round's per-bucket requests over
+        #: the same engine.
+        self.io_engine: Optional[AsyncIOEngine] = None
+        if config.io_workers > 0:
             self.io_engine = AsyncIOEngine(
                 max_in_flight=config.max_in_flight,
                 per_dest=_ASYNC_PER_DEST,
-                helpers=config.io_workers or 2,
+                helpers=config.io_workers,
             )
-        elif config.io_workers > 0:
-            self.io_engine = ParallelIOEngine(config.io_workers)
         self.metadata = MetadataService(
             DhtStore(
                 config.metadata_bucket_names(),
@@ -297,10 +292,9 @@ class LocalBlobStore:
         """Run data-plane work via the engine, or inline when absent.
 
         ``afn``/``dest`` are the coroutine twin and per-item destination
-        key forwarded to the engine (the async scheduler awaits the twin
-        and caps per-destination concurrency; the thread pool ignores
-        both and runs the blocking *fn*).  A single item runs inline,
-        as a single-bucket DHT round does: there is nothing to overlap.
+        key forwarded to the engine, which awaits the twin and caps
+        per-destination concurrency.  A single item runs inline, as a
+        single-bucket DHT round does: there is nothing to overlap.
         """
         if self.io_engine is not None and len(items) > 1:
             return self.io_engine.map(fn, items, afn=afn, dest=dest)
@@ -389,8 +383,8 @@ class LocalBlobStore:
         # With ``overlap_publish`` the scatter is only *launched* here
         # and settled right before the commit, so the assignment and
         # the metadata weave/publish run while the blocks travel
-        # (DESIGN.md §10) — except from an engine worker thread, where
-        # parking on the pool's own futures could deadlock it.
+        # (DESIGN.md §10) — except from the engine's loop thread, where
+        # parking on futures only the loop can complete would deadlock.
         with self._lock:
             nonce = next(self._nonce)
             placements = self.provider_manager.allocate(
@@ -547,7 +541,7 @@ class LocalBlobStore:
 
         Never fails fast: ``stored`` is only complete — and therefore
         safe to roll back or publish — once every transfer has either
-        landed or died.  The engines cancel queued siblings once one
+        landed or died.  The engine cancels queued siblings once one
         transfer fails, so the *real* failure is preferred over the
         cancellations it caused — the caller's error reporting must
         name the dead provider, not the abandonment.

@@ -11,11 +11,12 @@ functions, so the BSFS client and the HDFS client share them (the
 simulated clients in ``repro.deploy`` model the same behaviour
 themselves).
 
-When the backing store has a :class:`~repro.blob.io_engine.\
-ParallelIOEngine`, :class:`BlockReadCache` can additionally *read
+When the backing store has an :class:`~repro.blob.async_engine.\
+AsyncIOEngine`, :class:`BlockReadCache` can additionally *read
 ahead*: while the client consumes block *i*, the next ``readahead``
-blocks are fetched on the engine in the background, hiding provider
-latency behind Hadoop's strictly sequential access pattern.
+blocks are fetched on the engine's helper threads in the background,
+hiding provider latency behind Hadoop's strictly sequential access
+pattern.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from collections import OrderedDict
 from concurrent.futures import Future
 from typing import Callable, Optional, Sequence, Union
 
-from repro.blob.io_engine import ParallelIOEngine
+from repro.blob.async_engine import AsyncIOEngine
 from repro.errors import InvalidRange
 from repro.fsapi import ReadStream
 
@@ -50,7 +51,7 @@ class BlockReadCache:
         file_size: immutable size of the snapshot being read.
         capacity: number of blocks kept (Hadoop keeps ~1; a little more
             helps the MapReduce record reader cross block boundaries).
-        engine: optional parallel I/O engine used for read-ahead.
+        engine: optional I/O engine whose ``submit`` runs read-ahead.
         readahead: blocks to prefetch in the background past the one
             being served (0 disables; requires *engine*).
     """
@@ -61,7 +62,7 @@ class BlockReadCache:
         block_size: int,
         file_size: int,
         capacity: int = 2,
-        engine: Optional[ParallelIOEngine] = None,
+        engine: Optional[AsyncIOEngine] = None,
         readahead: int = 0,
     ):
         if block_size < 1:

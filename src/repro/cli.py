@@ -32,9 +32,9 @@ Demonstrate the multi-tenant gateway (DESIGN.md §12)::
     repro gateway              # N tenants, one greedy; fairness table
     repro gateway --tenants 8 --clients 64 --greedy-kbps 128
 
-Demonstrate the async I/O scheduler (DESIGN.md §13)::
+Demonstrate the I/O engine (DESIGN.md §13)::
 
-    repro asyncio              # threads vs coroutines on one big gather
+    repro asyncio              # inline vs the coroutine engine on one big gather
     repro asyncio --blocks 8192 --latency 0.003
 
 ``python -m repro.cli ...`` works identically.
@@ -78,7 +78,7 @@ def _arg(type_, default, help_, **extra) -> dict:
     return dict(type=type_, default=default, help=help_, **extra)
 
 
-_IO_WORKERS = _arg(int, 8, "parallel I/O engine threads")
+_IO_WORKERS = _arg(int, 8, "I/O engine helper threads (0 = inline I/O, no engine)")
 
 #: ``{subcommand: (run, help, {flag: add_argument keywords})}`` — the one
 #: table behind both the parser and the dispatch.  Every parsed value is
@@ -186,11 +186,11 @@ COMMANDS: dict = {
     ),
     "asyncio": (
         demos.engine_fanout,
-        "async-scheduler demo: one latency-bound gather of thousands of "
-        "blocks, thread pool vs coroutine engine; prints both backends' "
-        "throughput and EngineStats and fails if the coroutine run grew "
-        "more than a handful of OS threads or ran other than one task per "
-        "provider vector",
+        "I/O-engine demo: one latency-bound gather of thousands of "
+        "blocks, inline vs the coroutine engine; prints both runs' "
+        "throughput and the engine's EngineStats and fails if the engine "
+        "grew more than a handful of OS threads or ran other than one task "
+        "per provider vector",
         {
             "--blocks": _arg(int, 4096, "blocks in the gathered read"),
             "--block-size": _arg(parse_size, "2k", "block size (e.g. 2k, 64k)"),
@@ -198,9 +198,8 @@ COMMANDS: dict = {
                 float, 0.002, "simulated provider service time per request, seconds"
             ),
             "--providers": _arg(int, 16, "data providers striped over"),
-            "--io-workers": _arg(int, 8, "threads-backend pool size"),
             "--max-in-flight": _arg(
-                int, 8192, "async backend's in-flight coroutine window"
+                int, 8192, "the engine's in-flight coroutine window"
             ),
         },
     ),

@@ -268,7 +268,6 @@ class DhtStore:
             (see :class:`Bucket`); makes batching observable in
             wall-clock benchmarks.
         engine: optional I/O engine (the store's
-            :class:`~repro.blob.io_engine.ParallelIOEngine` or
             :class:`~repro.blob.async_engine.AsyncIOEngine`) used to fan
             one batched round's per-bucket requests out in parallel.
             ``None`` runs them inline (still one *logical* round trip;
@@ -308,9 +307,8 @@ class DhtStore:
         an engine is attached, capturing per-bucket failures so one dead
         bucket can never abort the other buckets' work.  ``afn`` is the
         coroutine twin of *fn* and ``dest`` the per-group bucket key —
-        forwarded to the engine so the async scheduler can interleave
-        the bucket latencies and cap per-bucket concurrency; the thread
-        engine ignores both."""
+        forwarded to the engine so it can interleave the bucket
+        latencies and cap per-bucket concurrency."""
         if self.engine is not None and len(groups) > 1:
             return self.engine.map_settle(fn, groups, afn=afn, dest=dest)
         results = []
@@ -564,7 +562,8 @@ class DhtStore:
             return self.buckets[name].peek_many(bucket_keys)
 
         held: dict[str, dict[Hashable, object]] = {}
-        for (name, _), (found, error) in zip(groups, self._settle(peek, groups)):
+        settled = self._settle(peek, groups)  # asynclint: allow peek_many has no latency
+        for (name, _), (found, error) in zip(groups, settled):
             held[name] = {} if error is not None else found
         return {
             key: {

@@ -602,11 +602,11 @@ def gateway_fairness(
     )
 
 
-# -- §13 async I/O scheduler ---------------------------------------------------
+# -- §13 the I/O engine --------------------------------------------------------
 
-#: The async backend's whole point: a handful of OS threads no matter
-#: how many transfers are in flight.  The scenario fails past this.
-_ASYNC_THREAD_BUDGET = 8
+#: The engine's whole point: a handful of OS threads no matter how many
+#: transfers are in flight.  The scenario fails past this.
+_ENGINE_THREAD_BUDGET = 8
 
 
 def engine_fanout(
@@ -615,37 +615,38 @@ def engine_fanout(
     block_size: int,
     latency: float,
     providers: int,
-    io_workers: int,
     max_in_flight: int,
 ) -> ScenarioReport:
-    """One latency-bound gather, thread pool vs coroutine scheduler.
+    """One latency-bound gather, inline vs the coroutine engine.
 
     The same whole-file read of thousands of simulated-latency blocks
-    runs on the ``io_workers`` pool and on the coroutine engine
+    runs inline (the vectors one after another) and on the I/O engine
     (DESIGN.md §13).  Either way the blocks travel as one ``get_many``
     vector per provider, so the engine runs one task per provider
-    touched, not one per block, and the coroutine engine does it on a
-    handful of OS threads.  One metadata bucket keeps the tree descent
-    off the engine, so every task counted is a gather vector.
+    touched, not one per block, on a handful of OS threads.  One
+    metadata bucket keeps the tree descent off the engine, so every
+    task counted is a gather vector.
     """
     data = b"s" * (max(blocks, 2) * block_size)
 
-    def gather(**engine) -> dict:
+    def gather(**fields) -> dict:
         with _store(
             data_providers=providers,
             metadata_providers=1,
             block_size=block_size,
             provider_latency=latency,
-            **engine,
+            **fields,
         ) as store:
             blob = store.create()
             version = store.append(blob, data)
             touched = sum(1 for count in store.provider_block_counts().values() if count)
-            store.io_engine.stats.reset()
+            engine = store.io_engine
+            if engine is not None:
+                engine.stats.reset()
             start = time.perf_counter()
             intact = store.read(blob, version=version) == data
             elapsed = time.perf_counter() - start
-            stats = store.io_engine.stats.snapshot()
+            stats = engine.stats.snapshot() if engine is not None else None
         return {
             "intact": intact,
             "mb_per_s": len(data) / elapsed / MB,
@@ -653,47 +654,48 @@ def engine_fanout(
             "stats": stats,
         }
 
-    runs = {
-        f"threads (io_workers={io_workers})": gather(io_workers=io_workers),
-        f"async (max_in_flight={max_in_flight})": gather(
-            io_scheduler="async", max_in_flight=max_in_flight
-        ),
-    }
-    pool, coro = runs.values()
-    async_threads = coro["stats"]["threads_started"]
+    inline = gather(io_workers=0)
+    # A gather never submits, so one helper thread is plenty.
+    engine = gather(io_workers=1, max_in_flight=max_in_flight)
+    stats = engine["stats"]
     return ScenarioReport(
         title=(
             f"gather of {len(data) // block_size} x {block_size:,}B blocks over "
             f"{providers} providers at {latency * 1e3:.1f}ms/request:"
         ),
-        header=("backend", "MB/s", "threads", "tasks", "in-flight hwm", "queue wait"),
-        rows=tuple(
+        header=("run", "MB/s", "threads", "tasks", "in-flight hwm", "queue wait"),
+        rows=(
+            ("inline (io_workers=0)", f"{inline['mb_per_s']:.2f}", "-", "-", "-", "-"),
             (
-                label,
-                f"{run['mb_per_s']:.2f}",
-                run["stats"]["threads_started"],
-                run["stats"]["tasks_started"],
-                run["stats"]["in_flight_hwm"],
-                f"{run['stats']['queue_wait_total']:.3f}s",
-            )
-            for label, run in runs.items()
+                f"engine (max_in_flight={max_in_flight})",
+                f"{engine['mb_per_s']:.2f}",
+                stats["threads_started"],
+                stats["tasks_started"],
+                stats["in_flight_hwm"],
+                f"{stats['queue_wait_total']:.3f}s",
+            ),
         ),
-        measurements={"threads": pool, "async": coro},
+        measurements={"inline": inline, "engine": engine},
         checks=(
-            check("both gathers returned the stored bytes", pool["intact"] and coro["intact"]),
+            check("both gathers returned the stored bytes", inline["intact"] and engine["intact"]),
             check(
-                "async gather tasks vs providers touched (one vector each)",
-                coro["stats"]["tasks_started"],
+                "engine gather tasks vs providers touched (one vector each)",
+                stats["tasks_started"],
                 "==",
-                coro["providers_touched"],
+                engine["providers_touched"],
             ),
             # Past the budget it is a thread pool wearing a coroutine costume.
-            check("OS threads the async backend grew", async_threads, "<=", _ASYNC_THREAD_BUDGET),
+            check(
+                "OS threads the engine grew",
+                stats["threads_started"],
+                "<=",
+                _ENGINE_THREAD_BUDGET,
+            ),
         ),
         summary=(
-            f"{len(data) // block_size} blocks in {coro['stats']['tasks_started']} "
-            f"provider vectors on {async_threads} OS thread(s) "
-            f"({coro['mb_per_s'] / pool['mb_per_s']:.1f}x the {io_workers}-worker "
-            f"pool's throughput)"
+            f"{len(data) // block_size} blocks in {stats['tasks_started']} "
+            f"provider vectors on {stats['threads_started']} OS thread(s) "
+            f"({engine['mb_per_s'] / inline['mb_per_s']:.1f}x the inline "
+            f"gather's throughput)"
         ),
     )

@@ -70,11 +70,13 @@ def compute_file_splits(
     block" — with ``split_size == block_size`` each block is one split,
     located on the hosts storing that block.
 
-    *engine* (a :class:`~repro.blob.io_engine.ParallelIOEngine`, e.g.
+    *engine* (an :class:`~repro.blob.async_engine.AsyncIOEngine`, e.g.
     the file system's own ``io_engine``) resolves the per-file block
     locations concurrently — split planning over a many-file input is
     pure metadata fan-out, the kind of job-startup latency §IV-C's
-    layout primitive exists to keep cheap.
+    layout primitive exists to keep cheap.  Each file's descent blocks,
+    so it runs via ``engine.submit`` on a helper thread, never on the
+    engine's event loop, where it would stall every other transfer.
     """
     if split_size < 1:
         raise ValueError("split_size must be >= 1")
@@ -109,7 +111,8 @@ def compute_file_splits(
 
     ordered = sorted(files)
     if engine is not None and len(ordered) > 1:
-        per_file = engine.map(splits_of, ordered)
+        futures = [engine.submit(splits_of, f) for f in ordered]
+        per_file = [future.result() for future in futures]
     else:
         per_file = [splits_of(f) for f in ordered]
     return [split for file_splits in per_file for split in file_splits]

@@ -1,10 +1,11 @@
-"""AsyncIOEngine: the coroutine scheduler behind io_scheduler="async".
+"""AsyncIOEngine: the I/O engine behind every io_workers > 0 store.
 
-Pins the DESIGN.md §13 contract: same surface as ParallelIOEngine,
-but in-flight transfers are coroutines on ONE event loop — bounded by
-the in-flight window, capped per destination, cancelled together on
-the first error, and costing a handful of OS threads no matter how
-many transfers are in flight.
+Pins the DESIGN.md §13 contract: in-flight transfers are coroutines on
+ONE event loop — results in input order, bounded by the in-flight
+window, capped per destination, cancelled together on the first
+error, and costing a handful of OS threads no matter how many
+transfers are in flight; blocking ``submit`` work runs on helper
+threads.
 """
 
 import asyncio
@@ -14,7 +15,7 @@ from concurrent.futures import CancelledError
 
 import pytest
 
-from repro.blob import AsyncIOEngine, LocalBlobStore, ParallelIOEngine, StoreConfig
+from repro.blob import AsyncIOEngine, LocalBlobStore, StoreConfig
 
 
 @pytest.fixture
@@ -67,6 +68,21 @@ class TestMap:
         # drained: the call returns long before their 50 ms elapse.
         assert time.perf_counter() - start < 0.045
         assert finished == []
+
+    def test_sync_fn_error_stops_the_fanout(self, engine):
+        # Without afn= the sync fn runs on the loop, one task after the
+        # other: the first error cancels every task queued behind it.
+        ran = []
+
+        def job(i):
+            if i == 3:
+                raise ValueError("boom")
+            ran.append(i)
+            return i
+
+        with pytest.raises(ValueError, match="boom"):
+            engine.map(job, range(200))
+        assert ran == [0, 1, 2]
 
     def test_base_exception_escapes(self, engine):
         async def twin(x):
@@ -143,6 +159,28 @@ class TestMapSettle:
         assert isinstance(pairs[0][1], RuntimeError)
         assert sorted(finished) == list(range(1, 8))
 
+    def test_a_base_exception_still_escapes(self, engine):
+        # Only Exception settles; an interrupt cancels the rest and
+        # reaches the caller.
+        async def twin(x):
+            await asyncio.sleep(0)
+            if x == 0:
+                raise KeyboardInterrupt
+            await asyncio.sleep(0.05)
+            return x
+
+        with pytest.raises(KeyboardInterrupt):
+            engine.map_settle(lambda x: x, range(4), afn=twin)
+
+    def test_from_the_loop_thread_runs_inline_and_settles(self, engine):
+        def nested(_):
+            assert engine.in_worker
+            return engine.map_settle(lambda y: 1 // y, [1, 0])
+
+        [pairs] = engine.map(nested, [None])
+        assert pairs[0] == (1, None)
+        assert isinstance(pairs[1][1], ZeroDivisionError)
+
 
 class TestSubmitEach:
     def test_returns_settleable_futures(self, engine):
@@ -167,6 +205,36 @@ class TestSubmitEach:
             with pytest.raises((CancelledError, asyncio.CancelledError)):
                 future.result()
 
+    def test_a_full_window_is_cancelled_not_drained(self):
+        # One slot: the siblings queue behind the failing transfer.  A
+        # doomed scatter must not then pay for them one after another.
+        finished = []
+
+        async def twin(x):
+            await asyncio.sleep(0.05)
+            if x == 0:
+                raise RuntimeError("scatter target died")
+            finished.append(x)
+            return x
+
+        with AsyncIOEngine(max_in_flight=1) as eng:
+            futures = eng.submit_each(lambda x: x, range(8), afn=twin)
+            with pytest.raises(RuntimeError, match="scatter target died"):
+                futures[0].result()
+            for future in futures[1:]:
+                with pytest.raises((CancelledError, asyncio.CancelledError)):
+                    future.result()
+        assert finished == []
+
+    def test_stats_balance_without_a_helper_thread(self, engine):
+        for future in engine.submit_each(lambda i: i, range(6)):
+            future.result()
+        snap = engine.stats.snapshot()
+        assert snap["tasks_started"] == snap["tasks_finished"] == 6
+        assert snap["in_flight"] == 0
+        # Transfers run on the loop; only submit() starts helpers.
+        assert snap["threads_started"] == 1
+
     def test_rejected_from_the_loop_thread(self, engine):
         def nested(_):
             return engine.submit_each(lambda x: x, [1])
@@ -185,6 +253,24 @@ class TestSubmitAndNesting:
         ident = engine.submit(threading.get_ident).result()
         assert ident != loop_thread
         assert ident != threading.get_ident()
+
+    def test_submit_forwards_args_and_kwargs(self, engine):
+        assert engine.submit(sum, (1, 2, 3)).result() == 6
+        assert engine.submit(int, "ff", base=16).result() == 255
+
+    def test_map_not_stalled_by_busy_helpers(self):
+        # Read-ahead parked on every helper thread must not stall a
+        # scatter-gather: transfers run on the loop, not on the helpers.
+        release = threading.Event()
+        with AsyncIOEngine(max_in_flight=8, helpers=1) as eng:
+            blocker = eng.submit(release.wait, 10)
+            start = time.perf_counter()
+            result = eng.map(lambda x: x + 1, range(16))
+            elapsed = time.perf_counter() - start
+            release.set()
+            blocker.result(timeout=10)
+        assert result == list(range(1, 17))
+        assert elapsed < 5  # nowhere near the blocker's 10 s wait
 
     def test_nested_map_from_a_helper_blocks_on_the_loop(self, engine):
         async def twin(x):
@@ -233,24 +319,29 @@ class TestStats:
         assert snap["tasks_started"] == 0
         assert snap["threads_started"] >= 1
 
-    @pytest.mark.parametrize(
-        "make",
-        [lambda: ParallelIOEngine(2), lambda: AsyncIOEngine(max_in_flight=4)],
-        ids=["threads", "async"],
-    )
-    def test_reset_under_a_running_task_keeps_the_gauge(self, make):
+    @pytest.mark.parametrize("where", ["helper", "transfer"])
+    def test_reset_under_a_running_task_keeps_the_gauge(self, where):
         # A reset between a set-up and a measured phase can land while
-        # read-ahead tasks are live: zeroing the gauge sent it to -1 when
-        # they finished and hid them from the next high-water mark.
-        eng = make()
+        # read-ahead tasks or transfers are live: zeroing the gauge sent
+        # it to -1 when they finished and hid them from the next
+        # high-water mark.
+        eng = AsyncIOEngine(max_in_flight=4)
         started, release = threading.Event(), threading.Event()
 
         def park():
             started.set()
             assert release.wait(5)
 
+        async def apark(_):
+            started.set()
+            while not release.is_set():
+                await asyncio.sleep(0.001)
+
         try:
-            future = eng.submit(park)
+            if where == "helper":
+                future = eng.submit(park)
+            else:
+                [future] = eng.submit_each(lambda _: None, [None], afn=apark)
             assert started.wait(5)
             eng.stats.reset()
             release.set()
@@ -300,17 +391,17 @@ class TestLifecycle:
 
 class TestStoreIntegration:
     def test_async_store_gather_uses_few_threads(self):
-        # A many-block read on the async scheduler: one engine task per
-        # provider vector (not per block), their simulated latencies
-        # interleaved on the loop, and never a thread per task.  One
-        # metadata bucket keeps the descent off the engine, so every
-        # task counted is a gather vector.
+        # A many-block read on the engine: one engine task per provider
+        # vector (not per block), their simulated latencies interleaved
+        # on the loop, and never a thread per task.  One metadata bucket
+        # keeps the descent off the engine, so every task counted is a
+        # gather vector.
         config = StoreConfig(
             data_providers=8,
             metadata_providers=1,
             block_size=512,
             provider_latency=0.001,
-            io_scheduler="async",
+            io_workers=2,
             max_in_flight=4096,
         )
         with LocalBlobStore(config=config) as store:
@@ -333,7 +424,7 @@ class TestStoreIntegration:
             data_providers=4,
             block_size=1024,
             replication=2,
-            io_scheduler="async",
+            io_workers=2,
         )
         with LocalBlobStore(config=config) as store:
             blob = store.create(block_size=1024)

@@ -1,139 +1,28 @@
-"""The parallel I/O engine and its store integration.
+"""The store's parallel data plane, inline and on the I/O engine.
 
-Covers the :class:`~repro.blob.io_engine.ParallelIOEngine` contract
-(ordering, caller participation, fail-fast), the read-failover fix
-(``ProviderUnavailable`` mid-fetch falls through to the next replica),
-and a concurrent stress scenario: threads appending and reading while a
-provider fails and recovers under them.
+Covers the read-failover fix (``ProviderUnavailable`` mid-fetch falls
+through to the next replica) in every engine mode, and a concurrent stress
+scenario: threads appending and reading while a provider fails and
+recovers under them.  The engine's own contract is pinned in
+``test_async_engine.py``.
 """
 
 import threading
-import time
-from concurrent.futures import CancelledError
 
 import pytest
 
 from repro.blob import LocalBlobStore, StoreConfig
-from repro.blob.io_engine import ParallelIOEngine
 from repro.errors import ProviderUnavailable, ReplicationError
+from tests.blob.test_write_rollback import IO_MODES, engine_kwargs
 
 BS = 16
 
 
-class TestParallelIOEngine:
-    def test_map_preserves_input_order(self):
-        with ParallelIOEngine(4) as engine:
-            assert engine.map(lambda x: x * x, range(50)) == [x * x for x in range(50)]
-
-    def test_map_single_item_runs_inline(self):
-        with ParallelIOEngine(2) as engine:
-            thread_names = engine.map(lambda _: threading.current_thread().name, [0])
-        assert thread_names == [threading.current_thread().name]
-
-    def test_caller_participates_in_the_work(self):
-        # Even a 1-thread pool finishes a fan-out of many items because
-        # the calling thread drains the queue alongside the pool.
-        def slow_name(_):
-            time.sleep(0.005)
-            return threading.current_thread().name
-
-        with ParallelIOEngine(1) as engine:
-            workers = set(engine.map(slow_name, range(8)))
-        assert threading.current_thread().name in workers
-        assert len(workers) == 2  # caller + the one pool thread
-
-    def test_first_error_propagates_and_stops_the_fanout(self):
-        ran = []
-        lock = threading.Lock()
-
-        def job(i):
-            if i == 3:
-                raise ValueError("boom")
-            with lock:
-                ran.append(i)
-            return i
-
-        with ParallelIOEngine(2) as engine:
-            with pytest.raises(ValueError, match="boom"):
-                engine.map(job, range(200))
-        # Fail-fast: the overwhelming majority of the queue was skipped.
-        assert len(ran) < 200
-
-    def test_submit_returns_a_future(self):
-        with ParallelIOEngine(2) as engine:
-            assert engine.submit(sum, (1, 2, 3)).result() == 6
-
-    def test_map_not_stalled_by_unrelated_long_pool_task(self):
-        # A sleeping background task (read-ahead) occupying the whole
-        # pool must not stall a map() whose work the caller already
-        # finished: unstarted drain helpers get cancelled, not awaited.
-        release = threading.Event()
-        with ParallelIOEngine(1) as engine:
-            blocker = engine.submit(release.wait, 10)
-            start = time.perf_counter()
-            result = engine.map(lambda x: x + 1, range(16))
-            elapsed = time.perf_counter() - start
-            release.set()
-            blocker.result(timeout=10)
-        assert result == list(range(1, 17))
-        assert elapsed < 5  # nowhere near the blocker's 10 s wait
-
-    def test_nested_map_from_a_pool_thread_runs_inline(self):
-        # A submitted task fanning out again (read-ahead fetching a
-        # multi-block range) must not deadlock a saturated pool.
-        with ParallelIOEngine(1) as engine:
-
-            def task():
-                return engine.map(lambda x: x + 1, [1, 2, 3])
-
-            assert engine.submit(task).result(timeout=10) == [2, 3, 4]
-
-    def test_rejects_nonpositive_workers(self):
-        with pytest.raises(ValueError):
-            ParallelIOEngine(0)
-
-    def test_submit_each_cancels_unstarted_work_after_first_error(self):
-        # The publish-overlap primitive: once one transfer fails, the
-        # queued-but-unstarted siblings must be cancelled — "the whole
-        # write fails" means not paying for the rest of a doomed
-        # scatter.  With a 1-thread pool the tasks run strictly in
-        # order, so exactly the first (failing) task executes.
-        executed = []
-
-        def job(i):
-            executed.append(i)
-            time.sleep(0.01)  # let every sibling reach the queue
-            raise ProviderUnavailable("scatter target died")
-
-        with ParallelIOEngine(1) as engine:
-            futures = engine.submit_each(job, range(8))
-            with pytest.raises(ProviderUnavailable):
-                futures[0].result()
-            for future in futures[1:]:
-                with pytest.raises(CancelledError):
-                    future.result()
-        assert executed == [0]
-
-    def test_submit_each_runs_everything_on_success(self):
-        with ParallelIOEngine(2) as engine:
-            futures = engine.submit_each(lambda i: i * 2, range(8))
-            assert [f.result() for f in futures] == [i * 2 for i in range(8)]
-
-    def test_submit_each_stats_balance(self):
-        with ParallelIOEngine(2) as engine:
-            for future in engine.submit_each(lambda i: i, range(6)):
-                future.result()
-            snap = engine.stats.snapshot()
-        assert snap["tasks_started"] == snap["tasks_finished"] == 6
-        assert snap["in_flight"] == 0
-        assert snap["threads_started"] <= 2
-
-
-@pytest.mark.parametrize("io_workers", [0, 4])
+@pytest.mark.parametrize("io_workers", IO_MODES)
 class TestStoreParallelPaths:
     def test_read_write_roundtrip_matches_inline_semantics(self, io_workers):
         store = LocalBlobStore(config=StoreConfig(
-            data_providers=8, metadata_providers=3, block_size=BS, io_workers=io_workers
+            data_providers=8, metadata_providers=3, block_size=BS, **engine_kwargs(io_workers)
         ))
         blob = store.create()
         data = bytes(i % 251 for i in range(10 * BS + 7))
@@ -148,7 +37,7 @@ class TestStoreParallelPaths:
             metadata_providers=2,
             block_size=BS,
             replication=2,
-            io_workers=io_workers,
+            **engine_kwargs(io_workers),
         ))
         blob = store.create()
         store.append(blob, b"q" * (4 * BS))
@@ -171,7 +60,7 @@ class TestStoreParallelPaths:
             metadata_providers=2,
             block_size=BS,
             replication=2,
-            io_workers=io_workers,
+            **engine_kwargs(io_workers),
         ))
         blob = store.create()
         store.append(blob, b"z" * BS)

@@ -26,7 +26,7 @@ from repro.blob import (
 )
 from repro.dht.store import MISSING
 from repro.errors import ProviderUnavailable, ReplicationError, VersionNotFound
-from tests.blob.test_write_rollback import engine_kwargs, make_chaos_store
+from tests.blob.test_write_rollback import IO_MODES, engine_kwargs, make_chaos_store
 
 BS = 16
 
@@ -108,10 +108,10 @@ class TestMetadataReconciliation:
             assert buckets[victim].digest(shared) == buckets[other].digest(shared)
         store.close()
 
-    @pytest.mark.parametrize("io_mode", (0, 4, "async"))
-    def test_offline_bucket_is_skipped_not_an_error(self, io_mode):
+    @pytest.mark.parametrize("io_workers", IO_MODES)
+    def test_offline_bucket_is_skipped_not_an_error(self, io_workers):
         store = make_store(
-            metadata_providers=4, metadata_replication=2, **engine_kwargs(io_mode)
+            metadata_providers=4, metadata_replication=2, **engine_kwargs(io_workers)
         )
         blob = store.create()
         store.append(blob, b"a" * (2 * BS))
@@ -123,12 +123,12 @@ class TestMetadataReconciliation:
         assert report.errors == ()
         store.close()
 
-    @pytest.mark.parametrize("io_mode", (0, 4, "async"))
-    def test_bucket_dying_mid_pass_is_recorded_not_raised(self, io_mode):
+    @pytest.mark.parametrize("io_workers", IO_MODES)
+    def test_bucket_dying_mid_pass_is_recorded_not_raised(self, io_workers):
         """A bucket failing between the pass's enumeration and its heal
         write must not abort the sweep (the GC's mid-sweep rule)."""
         store = make_store(
-            metadata_providers=6, metadata_replication=2, **engine_kwargs(io_mode)
+            metadata_providers=6, metadata_replication=2, **engine_kwargs(io_workers)
         )
         blob = store.create()
         victim = sorted(store.metadata.store.buckets)[0]
@@ -383,12 +383,12 @@ class TestMaintenanceDaemon:
             time.sleep(0.01)
         return False
 
-    @pytest.mark.parametrize("io_mode", (0, 4, "async"))
-    def test_chaos_bucket_dies_mid_write_daemon_heals_after_recovery(self, io_mode):
+    @pytest.mark.parametrize("io_workers", IO_MODES)
+    def test_chaos_bucket_dies_mid_write_daemon_heals_after_recovery(self, io_workers):
         """The acceptance scenario, end to end, with a REAL bucket
         failure (no monkeypatching) and the background daemon doing the
         healing — no manual republish_tombstone anywhere."""
-        store, blob, victim = make_chaos_store(io_mode)
+        store, blob, victim = make_chaos_store(io_workers)
         store.append(blob, b"a" * (4 * BS))  # v1
         store.metadata.store.fail_bucket(victim)
         with pytest.raises((ReplicationError, ProviderUnavailable)):

@@ -26,7 +26,7 @@ NON_DEFAULTS = dict(
     placement="least_loaded",
     seed=7,
     io_workers=2,
-    io_scheduler="async",
+    io_scheduler="async",  # the default, and its only accepted value
     max_in_flight=256,
     provider_latency=0.001,
     metadata_latency=0.002,
@@ -124,6 +124,7 @@ class TestValidation:
             (dict(metadata_cache_nodes=-1), "metadata_cache_nodes"),
             (dict(publish_window=-0.1), "publish_window"),
             (dict(overlap_publish=True, io_workers=0), "requires io_workers > 0"),
+            (dict(io_scheduler="threads"), "thread-pool scheduler was removed, and io_workers"),
         ],
     )
     def test_rejects_invalid_combo(self, changes, match):
@@ -140,23 +141,21 @@ class TestValidation:
         store = LocalBlobStore(config=config)
         store.close()
 
-    def test_async_scheduler_satisfies_the_overlap_requirement(self):
-        # The overlap launches its scatter on the engine; the async
-        # scheduler IS an engine even with io_workers=0.
-        config = StoreConfig(
-            overlap_publish=True, io_workers=0, io_scheduler="async"
-        )
-        assert config.validate() is config
+    def test_overlap_needs_an_engine_whatever_io_scheduler_says(self):
+        # io_scheduler selects nothing: with io_workers=0 there is no
+        # engine for the overlapped scatter to run on.
+        with pytest.raises(ValueError, match="overlap_publish=True requires io_workers"):
+            StoreConfig(overlap_publish=True, io_workers=0, io_scheduler="async").validate()
 
-    def test_async_scheduler_selects_the_async_engine(self):
-        from repro.blob import AsyncIOEngine, ParallelIOEngine
+    def test_io_workers_selects_the_one_engine(self):
+        from repro.blob import AsyncIOEngine
 
         with LocalBlobStore(
-            config=StoreConfig(io_scheduler="async", max_in_flight=32)
+            config=StoreConfig(io_workers=2, max_in_flight=32)
         ) as store:
             assert isinstance(store.io_engine, AsyncIOEngine)
             assert store.io_engine.max_in_flight == 32
-        with LocalBlobStore(config=StoreConfig(io_workers=2)) as store:
-            assert isinstance(store.io_engine, ParallelIOEngine)
+        with LocalBlobStore(config=StoreConfig(io_scheduler="async")) as store:
+            assert store.io_engine is None
         with LocalBlobStore(config=StoreConfig()) as store:
             assert store.io_engine is None

@@ -20,10 +20,12 @@ from repro.blob import data_provider as data_provider_module
 from repro.errors import ProviderUnavailable
 
 BS = 8
+#: Inline I/O, the I/O engine, and the engine behind a one-slot
+#: in-flight window, where every vector queues behind the one in flight.
 MODES = {
     "inline": {},
-    "threads": {"io_workers": 8},
-    "async": {"io_scheduler": "async", "io_workers": 2},
+    "engine": {"io_workers": 2},
+    "window1": {"io_workers": 2, "max_in_flight": 1},
 }
 
 

@@ -30,21 +30,23 @@ from repro.errors import (
 
 BS = 16
 
-#: Engine modes every rollback/abort invariant must hold under:
-#: inline I/O, the thread pool, and the async coroutine scheduler
-#: (DESIGN.md §13 — the async backend inherits every §7 guarantee).
-IO_MODES = (0, 4, "async")
+#: Engine modes every rollback/abort invariant must hold under: inline
+#: I/O, the I/O engine, and the engine behind a one-slot in-flight
+#: window (DESIGN.md §13 — the engine inherits every §7 guarantee).
+IO_MODES = (0, 4, "window1")
 
 
 def engine_kwargs(io_mode):
     """StoreConfig kwargs for one engine mode.
 
-    Modes 0/4 are the historical ``io_workers`` values; ``"async"``
-    selects the coroutine scheduler (truthy, so tests that skip the
-    non-inline modes for deterministic interleaving skip it too).
+    Modes 0/4 are ``io_workers`` values.  ``"window1"`` is the engine
+    with ``max_in_flight=1``: every transfer queues behind the one in
+    flight, so a failure cancels siblings still waiting for their slot.
+    It is truthy, so tests that skip the engine modes for deterministic
+    interleaving skip it too.
     """
-    if io_mode == "async":
-        return {"io_scheduler": "async", "io_workers": 2, "max_in_flight": 64}
+    if io_mode == "window1":
+        return {"io_workers": 2, "max_in_flight": 1}
     return {"io_workers": io_mode}
 
 
@@ -588,7 +590,7 @@ def _patch_keys(blob, version, start, end, size_after, prior_size, history):
     return {node.key for node in nodes}
 
 
-def make_chaos_store(engine_mode=0):
+def make_chaos_store(io_workers=0):
     """A store plus a victim metadata bucket whose permanent death dooms
     exactly one in-flight write.
 
@@ -609,7 +611,7 @@ def make_chaos_store(engine_mode=0):
             data_providers=4,
             metadata_providers=n_buckets,
             block_size=BS,
-            **engine_kwargs(engine_mode),
+            **engine_kwargs(io_workers),
         ))
         blob = store.create("chaos")
         v1_keys = _patch_keys(blob, 1, 0, 4, 4 * BS, 0, ())

@@ -1,9 +1,9 @@
 """Read-ahead prefetching in the §IV-B block cache.
 
-With a parallel I/O engine attached, :class:`BlockReadCache` overlaps
-the fetch of the *next* blocks with the client consuming the current
-one — Hadoop's strictly sequential record readers turn that into a
-latency-hiding pipeline.
+With an I/O engine attached, :class:`BlockReadCache` overlaps the
+fetch of the *next* blocks (on the engine's helper threads) with the
+client consuming the current one — Hadoop's strictly sequential record
+readers turn that into a latency-hiding pipeline.
 """
 
 import threading
@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro.blob.io_engine import ParallelIOEngine
+from repro.blob import AsyncIOEngine
 from repro.bsfs import BlockReadCache
 
 BS = 64
@@ -19,7 +19,7 @@ BS = 64
 
 @pytest.fixture
 def engine():
-    with ParallelIOEngine(2) as eng:
+    with AsyncIOEngine(helpers=2) as eng:
         yield eng
 
 

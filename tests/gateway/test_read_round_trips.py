@@ -19,10 +19,12 @@ from repro.gateway import Gateway
 BS = 1024
 EXTENT = 4 * BS
 
+#: Inline I/O, the I/O engine, and the engine behind a one-slot
+#: in-flight window: round-trip counts must not depend on concurrency.
 ENGINES = {
     "inline": {},
-    "threads": {"io_workers": 8},
-    "async": {"io_scheduler": "async"},
+    "engine": {"io_workers": 2},
+    "window1": {"io_workers": 2, "max_in_flight": 1},
 }
 
 

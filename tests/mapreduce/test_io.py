@@ -1,5 +1,7 @@
 """Tests for splits, the line record reader, and text output."""
 
+import threading
+
 import pytest
 
 from repro.blob import LocalBlobStore, StoreConfig
@@ -50,6 +52,32 @@ class TestComputeSplits:
         fs.write_file("/f", bytes(BS))
         with pytest.raises(ValueError):
             compute_file_splits(fs, ["/f"], 0)
+
+    def test_engine_split_planning_never_blocks_the_event_loop(self):
+        # Each file's descent blocks; on the engine's loop thread it
+        # would stall every other client's transfers.
+        config = StoreConfig(
+            data_providers=6, metadata_providers=2, block_size=BS, io_workers=4
+        )
+        with LocalBlobStore(config=config) as store:
+            fs = BSFSFileSystem(store=store)
+            paths = [f"/in/part-{i}" for i in range(6)]
+            for path in paths:
+                fs.write_file(path, bytes(2 * BS))
+            threads = []
+            real = fs.block_locations
+
+            def recording(*args, **kwargs):
+                threads.append(threading.current_thread().name)
+                return real(*args, **kwargs)
+
+            fs.block_locations = recording
+            splits = compute_file_splits(fs, ["/in"], BS, engine=fs.io_engine)
+        assert [(s.path, s.offset) for s in splits] == [
+            (path, offset) for path in paths for offset in (0, BS)
+        ]
+        assert len(threads) == 2 * len(paths)
+        assert not [name for name in threads if name.endswith("-loop")]
 
 
 class TestLineReader:

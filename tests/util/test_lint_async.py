@@ -4,8 +4,9 @@ Pins the contract of the CI step guarding DESIGN.md §13: a blocking
 ``time.sleep``, sync DHT fan-out, ``_service_delay``, or ``.result()``
 inside an ``async def`` under ``src/repro/`` fails; the same call in a
 sync function, a nested sync ``def``, a comment, or a docstring does
-not; the ``# asynclint: allow`` escape hatch works; and the real tree
-is currently clean.
+not; an engine fan-out with no ``afn=`` fails anywhere; the
+``# asynclint: allow`` escape hatch works; and the real tree is
+currently clean.
 """
 
 import importlib.util
@@ -129,6 +130,39 @@ def test_provider_vector_twins(tmp_path):
     assert "data_provider.py:7" in violations[0]
     assert "scatter.py:2" in violations[1] and "aput_many" in violations[1]
     assert "scatter.py:3" in violations[2] and "aget_many" in violations[2]
+
+
+def test_engine_fanout_without_afn_is_caught_in_sync_code(tmp_path):
+    # Without the coroutine twin the engine runs the blocking fn on its
+    # loop thread, so the rule applies outside coroutines too.
+    write(
+        tmp_path,
+        "planner.py",
+        "def plan(self, store, engine, fn, items):\n"
+        "    engine.map(fn, items)\n"
+        "    self.io_engine.map_settle(fn, items, dest=None)\n"
+        "    store.io_engine.submit_each(fn, items, afn=None)\n"
+        "    store._map_io(fn, items)\n"
+        "    self._settle(fn, items)\n",
+    )
+    violations = lint_async.lint(tmp_path)
+    assert [v.split(":")[1] for v in violations] == ["2", "3", "4", "5", "6"]
+    assert all("without afn=" in v and "event loop" in v for v in violations)
+
+
+def test_engine_fanout_with_afn_or_marker_is_allowed(tmp_path):
+    write(
+        tmp_path,
+        "planner.py",
+        "def plan(self, store, engine, pool, fn, afn, items):\n"
+        "    engine.map(fn, items, afn=afn)\n"
+        "    store._map_io(fn, items, afn=afn, dest=lambda i: i)\n"
+        "    self._settle(fn, items)  # asynclint: allow fn never blocks\n"
+        "    pool.map(fn, items)\n"
+        "    self._settle()\n"
+        "    engine.submit(fn, items)\n",
+    )
+    assert lint_async.lint(tmp_path) == []
 
 
 def test_comments_and_docstrings_never_trip_the_ast_walk(tmp_path):

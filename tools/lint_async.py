@@ -1,11 +1,11 @@
-"""Async-path lint: forbid blocking calls inside coroutines.
+"""Async-path lint: forbid blocking calls on the event loop.
 
-The async I/O scheduler (DESIGN.md §13) runs every in-flight block
-transfer as a coroutine on ONE event loop, so a single blocking call
-inside an ``async def`` parks the whole store, not one transfer — and
-it does so silently: the tests still pass, only the in-flight window
-collapses to 1.  This lint walks every coroutine under ``src/repro/``
-with the ``ast`` module and fails on the calls that block the loop::
+The I/O engine (DESIGN.md §13) runs every in-flight block transfer as
+a coroutine on ONE event loop, so a single blocking call on the loop
+parks the whole store, not one transfer — and it does so silently: the
+tests still pass, only the in-flight window collapses to 1.  This lint
+walks every module under ``src/repro/`` with the ``ast`` module and
+fails on the calls that block the loop::
 
     python tools/lint_async.py
 
@@ -22,11 +22,19 @@ segment):
 * ``.result(...)`` — a blocking future wait deadlocks the loop that
   is supposed to complete it.
 
-The sanctioned exception is the delegation pattern itself (an async
-twin — a bucket's or a provider's — that has already awaited the
-latency and calls its own sync body under ``_defer_delay``): mark such
-a line ``# asynclint: allow`` with a reason.  Comment and docstring occurrences never trip the lint —
-this is an AST walk, not a grep.
+Forbidden anywhere: an engine fan-out with no ``afn=`` keyword —
+``*engine.map``, ``*engine.map_settle``, ``*engine.submit_each``,
+``_map_io`` or ``_settle`` called with a task callable and items.
+Without the coroutine twin the engine runs the blocking ``fn`` on the
+loop thread.  Blocking work with no twin goes to ``engine.submit``,
+which runs it on a helper thread.
+
+The sanctioned exceptions — the delegation pattern itself (an async
+twin, a bucket's or a provider's, that has already awaited the latency
+and calls its own sync body under ``_defer_delay``), or a fan-out whose
+``fn`` never blocks — are marked ``# asynclint: allow`` with a reason.
+Comment and docstring occurrences never trip the lint — this is an AST
+walk, not a grep.
 """
 
 from __future__ import annotations
@@ -50,9 +58,20 @@ BLOCKING_METHODS = {
     "result": "blocking future wait deadlocks the loop completing it",
 }
 
+#: Engine fan-out methods, checked when the receiver's name ends in
+#: ``engine`` (``self.io_engine.map``, ``engine.submit_each``).
+ENGINE_FANOUTS = {"map", "map_settle", "submit_each"}
+#: The store's and the DHT's wrappers around them.
+FANOUT_WRAPPERS = {"_map_io", "_settle"}
+FANOUT_LABEL = (
+    "without afn= — an engine fan-out runs its blocking fn on the event "
+    "loop (pass the coroutine twin, or engine.submit the work to a helper "
+    "thread)"
+)
+
 
 def _diagnose(node: ast.Call) -> str | None:
-    """The violation message for *node*, or None if it is clean."""
+    """The violation message for *node* inside a coroutine, or None."""
     func = node.func
     if not isinstance(func, ast.Attribute):
         return None
@@ -65,8 +84,29 @@ def _diagnose(node: ast.Call) -> str | None:
     return BLOCKING_METHODS.get(func.attr)
 
 
+def _fanout_diagnose(node: ast.Call) -> str | None:
+    """The violation message for an engine fan-out — a call handing a
+    task callable and items to the engine — with no coroutine twin."""
+    func = node.func
+    if not isinstance(func, ast.Attribute) or len(node.args) < 2:
+        return None  # a bare self._settle() is no fan-out
+    if func.attr in ENGINE_FANOUTS:
+        receiver = getattr(func.value, "attr", getattr(func.value, "id", ""))
+        if not receiver.endswith("engine"):
+            return None
+    elif func.attr not in FANOUT_WRAPPERS:
+        return None
+    for keyword in node.keywords:
+        if keyword.arg == "afn" and not (
+            isinstance(keyword.value, ast.Constant) and keyword.value.value is None
+        ):
+            return None
+    return FANOUT_LABEL
+
+
 class _CoroutineCalls(ast.NodeVisitor):
-    """Collects blocking calls whose nearest enclosing function is async."""
+    """Collects blocking calls whose nearest enclosing function is async,
+    and engine fan-outs with no coroutine twin wherever they are."""
 
     def __init__(self) -> None:
         self.stack: list[bool] = []  # True = async frame
@@ -87,10 +127,13 @@ class _CoroutineCalls(ast.NodeVisitor):
         self._visit_frame(node, is_async=False)
 
     def visit_Call(self, node: ast.Call) -> None:
-        if self.stack and self.stack[-1]:
-            label = _diagnose(node)
-            if label is not None:
-                self.hits.append((node.lineno, label, ast.unparse(node.func)))
+        label = _fanout_diagnose(node)
+        if label is None and self.stack and self.stack[-1]:
+            blocking = _diagnose(node)
+            if blocking is not None:
+                label = f"in a coroutine — {blocking}"
+        if label is not None:
+            self.hits.append((node.lineno, label, ast.unparse(node.func)))
         self.generic_visit(node)
 
 
@@ -105,9 +148,7 @@ def lint(root: Path = SCOPE) -> list[str]:
         for lineno, label, call in finder.hits:
             if ALLOW_MARKER in lines[lineno - 1]:
                 continue
-            violations.append(
-                f"{shown}:{lineno}: {call}() in a coroutine — {label}"
-            )
+            violations.append(f"{shown}:{lineno}: {call}() {label}")
     return violations
 
 
@@ -118,15 +159,15 @@ def main() -> int:
         for violation in violations:
             print(f"  {violation}", file=sys.stderr)
         print(
-            "\nAwait the async twin instead, or — for the sanctioned "
-            "sync delegation under _defer_delay — mark the line "
-            f"'{ALLOW_MARKER} <reason>'.",
+            "\nAwait (or pass afn=) the async twin instead, or — for the "
+            "sanctioned sync delegation under _defer_delay, or a fan-out "
+            f"that never blocks — mark the line '{ALLOW_MARKER} <reason>'.",
             file=sys.stderr,
         )
         return 1
     print(
-        f"async-path lint OK: no blocking calls in "
-        f"{SCOPE.relative_to(REPO)} coroutines"
+        f"async-path lint OK: no blocking calls on the event loop in "
+        f"{SCOPE.relative_to(REPO)}"
     )
     return 0
 
