@@ -9,7 +9,7 @@ and the root cause of its single-writer and concurrent-reader wins in
 
 The HDFS-style policies (``local-first`` writes, random remote
 placement) are implemented here too, both for the HDFS baseline and for
-the placement ablation benchmark.
+the placement ablation (``tests/deploy/test_ablations.py``).
 """
 
 from __future__ import annotations

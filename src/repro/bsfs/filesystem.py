@@ -35,15 +35,19 @@ class BSFSWriteStream(WriteStream):
     def __init__(self, store: LocalBlobStore, blob_id: str, resume: bool):
         self._store = store
         self._blob_id = blob_id
-        info = store.snapshot(blob_id)
-        committed = align_down(info.size, info.block_size) if resume else 0
-        tail = b""
-        if resume and info.size != committed:
-            # Read-modify-write of the trailing partial block, done
-            # client-side; BlobSeer itself never mutates data.
-            tail = store.read(
-                blob_id, offset=committed, size=info.size - committed, version=info
-            )
+        # A fresh BLOB from ``create`` is empty at the store's block size:
+        # only a resumed stream needs the version manager's snapshot.
+        block_size, committed, tail = store.block_size, 0, b""
+        if resume:
+            info = store.snapshot(blob_id)
+            block_size = info.block_size
+            committed = align_down(info.size, block_size)
+            if info.size != committed:
+                # Read-modify-write of the trailing partial block, done
+                # client-side; BlobSeer itself never mutates data.
+                tail = store.read(
+                    blob_id, offset=committed, size=info.size - committed, version=info
+                )
         # Only that rewrite needs a position.  A stream that opens on a
         # block boundary commits through ``store.append``: the version
         # manager fixes each offset (§III-D), so concurrent appenders to
@@ -51,7 +55,7 @@ class BSFSWriteStream(WriteStream):
         self._positional = bool(tail)
         self._buffer = WriteBuffer(
             commit=self._commit,
-            block_size=info.block_size,
+            block_size=block_size,
             committed=committed,
             initial_tail=tail,
         )

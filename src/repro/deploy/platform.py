@@ -108,5 +108,5 @@ class Calibration:
             raise ValueError("hdfs_target_reuse must be >= 1")
 
 
-#: The calibration used by every figure unless a bench overrides it.
+#: The calibration used by every figure unless an ablation overrides it.
 DEFAULT_CALIBRATION = Calibration()

@@ -1,9 +1,11 @@
 """Self-checking A/B scenarios over real stores (DESIGN.md §8–§13).
 
 Each scenario takes plain keyword sizes (``repro.cli`` holds the demo
-defaults, ``benchmarks/`` passes its own), drives the functional layer
-end to end and returns one :class:`~repro.harness.report.ScenarioReport`:
-the CLI renders it, the benchmarks record ``report.measurements``.
+defaults), drives the functional layer end to end and returns one
+:class:`~repro.harness.report.ScenarioReport`, which the CLI renders.
+Its checks are counts and invariants only; wall-clock figures (MB/s,
+seconds against an analytic floor, p99s) are reported, never checked —
+``perf/`` is where speed is compared.
 
 The two baselines are not forks of the store.  The metadata baseline is
 the reference one-node-per-round-trip descent
@@ -36,7 +38,6 @@ __all__ = [
     "metadata_descent",
     "publish_pipeline_appends",
     "zero_copy_round_trip",
-    "gateway_store_config",
     "gateway_fairness",
     "engine_fanout",
 ]
@@ -236,9 +237,9 @@ def metadata_descent(
     round trip per tree node (``2·blocks − 1``), so a read through it
     has the analytic floor ``round trips × latency``.  The store's
     descent (level batches + node cache, DESIGN.md §9) must stay within
-    O(tree depth) round trips on a cold read and beat that floor;
-    *clients* threads then re-read the BLOB *reads* times each for the
-    aggregate throughput and the cache hit rate.
+    O(tree depth) round trips on a cold read; its wall time is reported
+    against that floor.  *clients* threads then re-read the BLOB *reads*
+    times each for the aggregate throughput and the cache hit rate.
     """
     if latency <= 0:
         raise ValueError("latency must be > 0: it sets the reference floor")
@@ -300,11 +301,10 @@ def metadata_descent(
             # version-manager-free levels a partial range may add.
             check("batched cold-read round trips vs depth + 2", cold_trips, "<=", depth + 2),
             check("reference round trips vs one per node", ref_trips, ">=", 2 * nblocks - 1),
-            check("batched cold read vs the reference floor, s", cold_wall, "<", ref_floor),
         ),
         summary=(
             f"O(nodes)={ref_trips} -> O(depth)={cold_trips} metadata round trips "
-            f"per cold read, {ref_floor / cold_wall:.1f}x under the reference floor"
+            f"per cold read (reference floor / cold wall: {ref_floor / cold_wall:.1f}x)"
         ),
     )
 
@@ -328,7 +328,8 @@ def publish_pipeline_appends(
     commit interaction per append through the concurrency-1 version
     manager, so ``2·ops`` round trips and a ``2·ops·vman_latency`` wall
     floor.  The pipeline (DESIGN.md §10) must need at most half the
-    round trips, coalesce writers into batches and beat the floor.
+    round trips and coalesce writers into batches; its wall time is
+    reported against the floor.
     """
     if vman_latency <= 0:
         raise ValueError("vman_latency must be > 0: it sets the per-writer floor")
@@ -377,11 +378,10 @@ def publish_pipeline_appends(
             check("final (version, size)", final, "==", (ops, ops * payload_len)),
             check(f"vman round trips for {ops} appends", trips, "<=", ops),
             check("largest commit batch", max_batch, ">=", 2),
-            check("wall vs the per-writer floor, s", elapsed, "<", floor),
         ),
         summary=(
             f"O(writers)={2 * ops} -> O(batches)={trips} vman round trips (largest "
-            f"batch {max_batch}), {floor / elapsed:.1f}x under the per-writer floor"
+            f"batch {max_batch}; per-writer floor / wall: {floor / elapsed:.1f}x)"
         ),
     )
 
@@ -450,22 +450,6 @@ _GREEDY_BURST_S = 0.25
 _GREEDY_WINDOW_S = 2.0
 
 
-def gateway_store_config(
-    payload: int, vman_latency: float = 0.0, seed: int = 0
-) -> StoreConfig:
-    """The store behind the gateway scenarios: two blocks per *payload*
-    (every op exercises scatter + publish); with a version-manager
-    latency, the fig5 grouped recipe (window + overlapped publish)."""
-    return _config(
-        block_size=max(1024, payload // 2),
-        io_workers=8,
-        seed=seed,
-        vman_latency=vman_latency,
-        publish_window=vman_latency,
-        overlap_publish=vman_latency > 0,
-    )
-
-
 def gateway_fairness(
     *,
     tenants: int,
@@ -475,19 +459,18 @@ def gateway_fairness(
     greedy_bps: float,
     workers: int,
     seed: int,
-    vman_latency: float = 0.0,
-    p99_slack: float = 3.0,
 ) -> ScenarioReport:
     """N tenants share one store, one turns greedy (DESIGN.md §12).
 
     Phase 1 runs one tenant alone for a latency reference.  Phase 2
     runs ``tenants − 1`` polite tenants at once with a greedy one that
     hammers the store under a bytes/s token bucket until the polite
-    cohort drains.  Checks that the greedy tenant was held to its cap
-    and that no polite tenant starved (pooled p99 within *p99_slack* ×
-    the solo reference).
+    cohort drains.  Checks that the bucket held the greedy tenant to
+    its cap and that every polite tenant moved its full share; the
+    polite pooled p99 is reported next to the solo reference.
     """
-    config = gateway_store_config(payload, vman_latency, seed)
+    # Two blocks per payload: every op exercises scatter + publish.
+    config = _config(block_size=max(1024, payload // 2), io_workers=8, seed=seed)
     data = b"g" * payload
     lock = threading.Lock()
 
@@ -550,9 +533,12 @@ def gateway_fairness(
         stats = gw.tenant_stats()
 
     mixed_p99 = p99([s for samples in latencies.values() for s in samples])
-    greedy_rate = stats["greedy"]["bytes_in"] / window
+    greedy_bytes = stats["greedy"]["bytes_in"]
+    greedy_rate = greedy_bytes / window
     greedy_wait = stats["greedy"]["throttle_wait_s"]
-    allowed = 1.25 * (greedy_bps + greedy_bps * _GREEDY_BURST_S / window)
+    # The bucket's invariant: never more than its rate over the window
+    # plus the one-time burst it started with (25 % slack).
+    allowed = round(1.25 * greedy_bps * (window + _GREEDY_BURST_S))
     moved = {tid: (stats[tid]["ops"]["append"], stats[tid]["bytes_in"]) for tid in latencies}
     full_share = dict.fromkeys(latencies, (clients * ops, clients * ops * payload))
 
@@ -584,20 +570,15 @@ def gateway_fairness(
             "stats": stats,
         },
         checks=(
-            check("greedy tenant's rate vs cap + burst, B/s", greedy_rate, "<=", allowed),
-            check("seconds the greedy tenant waited in its bucket", greedy_wait, ">", 0),
+            check("greedy bytes admitted vs cap x window + burst", greedy_bytes, "<=", allowed),
+            check("greedy tenant was parked in its bucket", greedy_wait > 0),
             check("(appends, bytes) per polite tenant", moved, "==", full_share),
-            check(
-                f"polite pooled p99 vs {p99_slack:g}x solo (starvation), s",
-                mixed_p99,
-                "<=",
-                p99_slack * solo_p99,
-            ),
         ),
         summary=(
             f"greedy held to {greedy_rate / KB:.1f} KB/s (cap {greedy_bps / KB:.0f} "
-            f"KB/s, waited {greedy_wait:.2f}s), polite pooled p99 "
-            f"{mixed_p99 * 1e3:.2f} ms <= {p99_slack:g}x solo {solo_p99 * 1e3:.2f} ms"
+            f"KB/s, waited {greedy_wait:.2f}s), every polite tenant moved its full "
+            f"share; polite pooled p99 {mixed_p99 * 1e3:.2f} ms vs solo "
+            f"{solo_p99 * 1e3:.2f} ms"
         ),
     )
 

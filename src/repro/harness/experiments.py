@@ -3,8 +3,7 @@
 Each ``figure_*`` function returns a :class:`FigureResult` holding the
 same series the paper plots, at either ``quick`` scale (small cluster,
 few points — used by tests) or ``full`` scale (the paper's 270-node
-deployments and full sweeps — used by the benchmark harness and the
-CLI).
+deployments and full sweeps — ``repro figure --full``).
 
 Application-level calibration (see EXPERIMENTS.md for the discussion):
 
@@ -346,7 +345,7 @@ def figure_6b(
     return result
 
 
-#: Figure id → experiment function (used by the CLI and the benches).
+#: Figure id → experiment function (used by the CLI).
 ALL_FIGURES = {
     "3a": figure_3a,
     "3b": figure_3b,

@@ -1,10 +1,10 @@
 """Text rendering of regenerated figures and scenario reports.
 
-The benchmark harness and the CLI print each figure as an aligned table
-(one row per x value, one column per series) plus a crude ASCII chart —
-enough to eyeball the shapes the paper plots.  The self-checking
-scenarios of :mod:`repro.harness.demos` all return one
-:class:`ScenarioReport`, rendered by :func:`render_report`.
+The CLI prints each figure as an aligned table (one row per x value,
+one column per series) plus a crude ASCII chart — enough to eyeball
+the shapes the paper plots.  The self-checking scenarios of
+:mod:`repro.harness.demos` all return one :class:`ScenarioReport`,
+rendered by :func:`render_report`.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ class ScenarioReport:
     """What one self-checking scenario measured and concluded.
 
     ``rows`` (under ``header``) is the table a human reads,
-    ``measurements`` the same facts as plain numbers for benchmarks to
-    record and assert on, ``checks`` pairs every condition the scenario
-    verified with the message reported when it does not hold, and
-    ``summary`` is the one-line verdict printed after ``OK:``.
+    ``measurements`` the same facts as plain numbers for callers to
+    record, ``checks`` pairs every condition the scenario verified with
+    the message reported when it does not hold, and ``summary`` is the
+    one-line verdict printed after ``OK:``.
     """
 
     title: str

@@ -180,32 +180,86 @@ def _concurrent_appends(store, blob, writers, rounds, payload_of, extra=None):
     return versions
 
 
+#: Bound on every wait of the held-flush tests: a broken pipeline fails
+#: them instead of hanging the suite.
+WAIT_S = 10.0
+
+
+class _QueueWatch:
+    """Stands in for a group batcher's queue mutex: every release wakes
+    :meth:`wait_queued`, so a test can see writers join the queue."""
+
+    def __init__(self, batcher):
+        self._batcher = batcher
+        self._cond = threading.Condition()
+        batcher._mutex = self
+
+    def __enter__(self):
+        self._cond.acquire()
+
+    def __exit__(self, *exc):
+        self._cond.notify_all()
+        self._cond.release()
+
+    def wait_queued(self, count):
+        with self._cond:
+            queued = self._cond.wait_for(
+                lambda: len(self._batcher._queue) >= count, timeout=WAIT_S
+            )
+        assert queued, f"fewer than {count} writers queued within {WAIT_S}s"
+
+
+def _hold_first_flush(pipeline, phase, writers):
+    """Make one phase (``"assign"`` or ``"commit"``) exactly two flushes.
+
+    The first writer to reach the phase flushes alone; the others enter
+    only once that flush has begun, and the flush is held until all
+    ``writers - 1`` of them are queued behind it, so the next leader
+    drains them in one batch.  No window, no sleep.
+    """
+    batcher = getattr(pipeline, f"_{phase}s")
+    watch = _QueueWatch(batcher)
+    enter, flush = getattr(pipeline, phase), batcher._flush
+    first, flushing = threading.Lock(), threading.Event()
+
+    def gated(*args):
+        if not first.acquire(blocking=False):
+            assert flushing.wait(WAIT_S), f"the first {phase} flush never began"
+        return enter(*args)
+
+    def held(batch):
+        if not flushing.is_set():
+            flushing.set()
+            watch.wait_queued(writers - 1)
+        flush(batch)
+
+    setattr(pipeline, phase, gated)
+    batcher._flush = held
+
+
 class TestPublishPipeline:
     def test_round_trips_scale_with_batches_not_writers(self):
-        writers, rounds = 8, 2
+        writers = 8
         with LocalBlobStore(config=StoreConfig(
-            data_providers=4,
-            metadata_providers=2,
-            block_size=BS,
-            io_workers=4,
-            vman_latency=1e-3,
-            publish_window=5e-3,
-            overlap_publish=True,
+            data_providers=4, metadata_providers=2, block_size=BS, publish_window=0
         )) as store:
+            for phase in ("assign", "commit"):
+                _hold_first_flush(store.publish_pipeline, phase, writers)
             blob = store.create()
             store.vman_stats.reset()
-            _concurrent_appends(
-                store, blob, writers, rounds, lambda t, r: bytes([65 + t]) * BS
-            )
+            _concurrent_appends(store, blob, writers, 1, lambda t, r: bytes([65 + t]) * BS)
             stats = store.vman_stats.snapshot()
-            total_ops = writers * rounds
-            # Per-writer would be exactly 2 * total_ops serialized
-            # interactions; batching must at least halve that.
-            assert stats["vman_round_trips"] <= total_ops
-            assert stats["vman_max_commit_batch"] >= 2
-            assert stats["vman_tickets_assigned"] == total_ops
-            assert stats["vman_commits_reported"] == total_ops
-            assert store.latest_version(blob) == total_ops
+            # Per-writer would be 2 * writers serialized interactions;
+            # group commit pays one per batch: the first writer's, then
+            # everyone queued behind it.
+            assert stats["vman_assign_rounds"] == 2
+            assert stats["vman_commit_rounds"] == 2
+            assert stats["vman_round_trips"] == 4
+            assert stats["vman_max_assign_batch"] == writers - 1
+            assert stats["vman_max_commit_batch"] == writers - 1
+            assert stats["vman_tickets_assigned"] == writers
+            assert stats["vman_commits_reported"] == writers
+            assert store.latest_version(blob) == writers
 
     def test_every_version_reads_back_in_assignment_order(self):
         writers, rounds = 6, 3

@@ -68,6 +68,24 @@ class TestBasicIO:
                 stream.read(4)
             assert stream.prefetches == 1
 
+    def test_scan_fetches_once_per_block(self, fs):
+        """§IV-B: a scan in small touches costs one fetch per block."""
+        fs.write_file("/f", bytes(8 * BS))
+        with fs.open("/f") as stream:
+            while stream.read(4):
+                pass
+            assert stream.prefetches == 8
+
+    def test_one_vman_round_per_phase_for_a_new_file(self, fs):
+        """``create`` knows the fresh BLOB is empty: writing a one-block
+        file asks the version manager nothing but its assign and commit."""
+        fs.store.vman_stats.reset()
+        fs.write_file("/f", b"x" * BS)
+        stats = fs.store.vman_stats.snapshot()
+        assert stats["vman_info_rounds"] == 0
+        assert stats["vman_assign_rounds"] == stats["vman_commit_rounds"] == 1
+        assert stats["vman_round_trips"] == 2
+
 
 class TestAppend:
     def test_append_block_aligned(self, fs):

@@ -1,9 +1,13 @@
 """Shape tests for the regenerated figures (quick scale).
 
 These encode the pass criteria from DESIGN.md §4: who wins, whether
-curves are flat or degrade, how gaps trend.  The full-scale magnitudes
-are exercised by the benchmark harness.
+curves are flat or degrade, how gaps trend.  Every figure runs on the
+simulator's virtual clock, so the criteria are deterministic.  The one
+criterion that needs larger inputs than the quick sweep has (the
+Figure 6(b) gain) runs at the mid-size ``BENCH`` scale.
 """
+
+import dataclasses
 
 import pytest
 
@@ -15,6 +19,11 @@ from repro.harness import (
     figure_5,
     figure_6a,
     figure_6b,
+)
+
+#: Mid-size grep sweep: 75 workers, inputs to 6.4 GB, about a second.
+BENCH = dataclasses.replace(
+    QUICK, name="bench", fig6b_input_gb=(3.2, 4.8, 6.4), fig6b_workers=75
 )
 
 
@@ -61,6 +70,15 @@ class TestFigure3a:
         ys = fig3a.ys("BSFS")
         assert min(ys) > 0.9 * max(ys)
 
+    def test_hdfs_sustained(self, fig3a):
+        ys = fig3a.ys("HDFS")
+        assert min(ys) > 0.85 * max(ys)
+
+    def test_absolute_bands(self, fig3a):
+        # Calibrated: BSFS ~60-70 MB/s, HDFS ~40-47 MB/s.
+        assert 55 < fig3a.ys("BSFS")[-1] < 75
+        assert 35 < fig3a.ys("HDFS")[-1] < 50
+
 
 class TestFigure3b:
     def test_hdfs_unbalance_grows(self, fig3b):
@@ -70,6 +88,10 @@ class TestFigure3b:
     def test_bsfs_much_more_balanced_at_size(self, fig3b):
         assert fig3b.ys("BSFS")[-1] < 0.5 * fig3b.ys("HDFS")[-1]
 
+    def test_bsfs_unbalance_below_provider_count(self, fig3b):
+        # Round-robin keeps per-provider spread within one block.
+        assert all(b <= QUICK.total_nodes for b in fig3b.ys("BSFS"))
+
 
 class TestFigure4:
     def test_bsfs_flat(self, fig4):
@@ -78,10 +100,15 @@ class TestFigure4:
 
     def test_hdfs_degrades(self, fig4):
         ys = fig4.ys("HDFS")
-        assert ys[-1] < 0.85 * ys[0]
+        assert ys[-1] < 0.8 * ys[0]
 
     def test_bsfs_wins_under_concurrency(self, fig4):
-        assert fig4.ys("BSFS")[-1] > 1.3 * fig4.ys("HDFS")[-1]
+        assert fig4.ys("BSFS")[-1] > 1.4 * fig4.ys("HDFS")[-1]
+
+    def test_single_client_parity(self, fig4):
+        # The gap is a concurrency phenomenon, not a constant offset.
+        bsfs, hdfs = fig4.ys("BSFS")[0], fig4.ys("HDFS")[0]
+        assert abs(bsfs - hdfs) / bsfs < 0.15
 
 
 class TestFigure5:
@@ -114,6 +141,11 @@ class TestFigure6a:
         ]
         assert gains[-1] > gains[0]
 
+    def test_completion_grows_with_mapper_size(self, fig6a):
+        for name in ("BSFS", "HDFS"):
+            ys = fig6a.ys(name)
+            assert ys[-1] > ys[0]
+
 
 class TestFigure6b:
     def test_bsfs_never_meaningfully_slower(self, fig6b):
@@ -123,9 +155,16 @@ class TestFigure6b:
             assert b <= h * 1.01
 
     def test_bsfs_wins_at_largest_input(self, fig6b):
-        assert fig6b.ys("BSFS")[-1] < fig6b.ys("HDFS")[-1]
+        bsfs, hdfs = fig6b.ys("BSFS")[-1], fig6b.ys("HDFS")[-1]
+        assert (hdfs - bsfs) / hdfs > 0.02
 
     def test_completion_grows_with_input(self, fig6b):
         for name in ("BSFS", "HDFS"):
             ys = fig6b.ys(name)
             assert ys[-1] >= ys[0]
+
+    def test_solid_win_somewhere_at_bench_scale(self):
+        # The quick sweep's two inputs stop short of it (3.9 % at most).
+        result = figure_6b(BENCH)
+        gains = [(h - b) / h for b, h in zip(result.ys("BSFS"), result.ys("HDFS"))]
+        assert max(gains) > 0.04
