@@ -67,8 +67,6 @@ class StoreConfig:
             (DESIGN.md §9); 0 disables it.
         vman_latency: simulated service time per serialized
             version-manager *interaction* (DESIGN.md §10).
-        publish_window: seconds the group-commit leader waits for more
-            writers to join its batch (0 = opportunistic batching).
         overlap_publish: overlap the block scatter with metadata
             weaving/publication; requires ``io_workers > 0``.
     """
@@ -87,7 +85,6 @@ class StoreConfig:
     metadata_latency: float = 0.0
     metadata_cache_nodes: int = 1024
     vman_latency: float = 0.0
-    publish_window: float = 0.0
     overlap_publish: bool = False
 
     # -- derived views ---------------------------------------------------------
@@ -173,10 +170,6 @@ class StoreConfig:
         if self.metadata_cache_nodes < 0:
             raise ValueError(
                 f"metadata_cache_nodes must be >= 0, got {self.metadata_cache_nodes}"
-            )
-        if self.publish_window < 0:
-            raise ValueError(
-                f"publish_window must be >= 0, got {self.publish_window}"
             )
         if self.overlap_publish and self.io_workers == 0:
             raise ValueError(

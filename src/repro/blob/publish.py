@@ -11,7 +11,6 @@ not writers.
 from __future__ import annotations
 
 import threading
-import time
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.blob.version_manager import AssignRequest, WriteTicket
@@ -60,7 +59,8 @@ class _PendingOp:
 
     def __init__(self, request):
         self.request = request
-        self.done = threading.Event()
+        #: Its flush has finished; set under the batcher's condition.
+        self.done = False
         self.settled = False
         self.result = None
         self.error: Optional[BaseException] = None
@@ -76,67 +76,89 @@ class _PendingOp:
 
 
 class _GroupBatcher:
-    """Leader–follower window batcher (the group-commit mechanism).
+    """Flush-in-progress batcher (the group-commit mechanism).
 
-    Callers enqueue an entry, then contend on the leader lock.
-    Whoever holds it is the leader: it optionally sleeps the window
-    (letting more writers join), drains **everything** queued, and
-    serves the whole batch in one flush.  A follower waking with its
-    entry already served just returns; otherwise it becomes the next
-    leader.  Batching is therefore opportunistic even at ``window=0``:
-    while one flush holds the serialized version manager, every writer
-    arriving meanwhile queues up and the next flush takes them all —
-    round trips scale with batches, not writers.
+    One condition guards the queue and a ``flushing`` flag.  A writer
+    enqueues its entry; if no flush is running it takes **everything**
+    queued and serves the whole batch in one flush, run outside the
+    condition.  Otherwise it waits until its entry is served or the
+    flusher leaves: the flusher's ``notify_all`` lets the first unserved
+    waiter to retake the condition lead the next flush.  Batching needs
+    no clock: while one flush holds the serialized version manager,
+    every writer arriving meanwhile queues up and the next flush takes
+    them all — round trips scale with batches, not writers.
 
     The flush callback must settle each entry via ``resolve``/
     ``reject``; any exception escaping it is routed to the entries it
     left unsettled (never swallowed, never able to strand a waiter).
+
+    A waiter interrupted (say, by ``KeyboardInterrupt``) while its entry
+    is still queued withdraws it, so no flush serves a writer that is
+    gone.  One whose entry already rides a flush waits for that flush
+    to settle and hands a successful result to ``orphaned`` before
+    re-raising: nothing the flush did on its behalf is left ownerless.
     """
 
-    def __init__(self, flush: "Callable[[list[_PendingOp]], None]", window: float):
+    def __init__(
+        self,
+        flush: "Callable[[list[_PendingOp]], None]",
+        orphaned: Optional[Callable] = None,
+    ):
         self._flush = flush
-        self.window = window
-        self._mutex = threading.Lock()
+        self._orphaned = orphaned
+        self._cond = threading.Condition()
         self._queue: list[_PendingOp] = []
-        self._leader = threading.Lock()
-
-    #: How long a follower waits on the leader lock before re-checking
-    #: whether its entry was served: a writer whose batch already
-    #: flushed must not stay parked behind strangers' whole flush
-    #: cycles (threading.Lock is unfair), but an unserved writer must
-    #: keep contending — only leadership guarantees its entry drains.
-    _RECHECK = 0.001
+        self._flushing = False
 
     def submit(self, request):
         op = _PendingOp(request)
-        with self._mutex:
-            self._queue.append(op)
-        while not op.done.is_set():
-            if not self._leader.acquire(timeout=self._RECHECK):
-                continue
-            try:
-                if op.done.is_set():
-                    break
-                if self.window:
-                    time.sleep(self.window)
-                with self._mutex:
-                    batch, self._queue = self._queue, []
-                try:
-                    self._flush(batch)
-                except BaseException as exc:
-                    for entry in batch:
-                        if not entry.settled:
-                            entry.reject(exc)
-                finally:
-                    for entry in batch:
-                        entry.done.set()
-            finally:
-                self._leader.release()
+        try:
+            batch = self._join(op)
+        except BaseException:
+            if op.done and op.error is None and self._orphaned is not None:
+                self._orphaned(op.result)
+            raise
+        if batch:
+            self._run(batch)
         if op.error is not None:
             raise op.error
         if op.hook_error is not None:
             raise op.hook_error
         return op.result
+
+    def _join(self, op: _PendingOp) -> list[_PendingOp]:
+        """Queue *op*; the batch to flush if this writer leads, else ``[]``."""
+        with self._cond:
+            self._queue.append(op)
+            try:
+                while self._flushing and not op.done:
+                    self._cond.wait()
+            except BaseException:
+                if op in self._queue:
+                    self._queue.remove(op)
+                else:
+                    while not op.done:
+                        self._cond.wait()
+                raise
+            if op.done:
+                return []
+            batch, self._queue = self._queue, []
+            self._flushing = True
+            return batch
+
+    def _run(self, batch: list[_PendingOp]) -> None:
+        try:
+            self._flush(batch)
+        except BaseException as exc:
+            for entry in batch:
+                if not entry.settled:
+                    entry.reject(exc)
+        finally:
+            with self._cond:
+                self._flushing = False
+                for entry in batch:
+                    entry.done = True
+                self._cond.notify_all()
 
 
 class PublishPipeline:
@@ -146,9 +168,9 @@ class PublishPipeline:
     assignment and the completion report — across concurrent writers:
     each flush is ONE version-manager interaction
     (:meth:`~repro.blob.version_manager.VersionManagerCore.assign_batch`
-    / ``commit_batch``) that admits every writer queued within the
-    window.  Assignment and commit batch independently (an assign must
-    never queue behind a commit flush), per-blob assignment order is
+    / ``commit_batch``) that admits every writer queued behind the
+    previous one.  Assignment and commit batch independently (an assign
+    must never queue behind a commit flush), per-blob assignment order is
     queue arrival order, and per-item errors — including a publish
     hook's — come back to exactly the writer they belong to.  Aborts
     do NOT ride the pipeline: a crashing writer tombstones through the
@@ -156,13 +178,10 @@ class PublishPipeline:
     commit on.
     """
 
-    def __init__(self, store: "LocalBlobStore", window: float = 0.0):
-        if window < 0:
-            raise ValueError(f"publish window must be >= 0, got {window}")
+    def __init__(self, store: "LocalBlobStore"):
         self._store = store
-        self.window = window
-        self._assigns = _GroupBatcher(self._flush_assigns, window)
-        self._commits = _GroupBatcher(self._flush_commits, window)
+        self._assigns = _GroupBatcher(self._flush_assigns, orphaned=self._abort_orphan)
+        self._commits = _GroupBatcher(self._flush_commits)
 
     def assign(self, request: AssignRequest) -> WriteTicket:
         """Group-batched version assignment; raises the per-item error."""
@@ -176,6 +195,14 @@ class PublishPipeline:
         (report-only: the snapshot is published either way).
         """
         return self._commits.submit((blob_id, version))
+
+    def _abort_orphan(self, ticket: WriteTicket) -> None:
+        """Tombstone a version assigned to a writer interrupted mid-wait.
+
+        The writer's own rollback returns its blocks; the version must
+        not stay in flight or it wedges the watermark (DESIGN.md §7).
+        """
+        self._store._abort_ticket(ticket, [], [], [])
 
     def _flush_assigns(self, batch: list[_PendingOp]) -> None:
         requests = [entry.request for entry in batch]

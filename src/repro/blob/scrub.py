@@ -138,7 +138,7 @@ class _BlobPlan:
 
 def _snapshot_control_plane(store: "LocalBlobStore") -> list[_BlobPlan]:
     """One short critical section: everything the pass needs from the
-    version manager, so no scrub I/O ever holds the control lock."""
+    version manager, so no scrub I/O ever holds the version-manager lock."""
     vm = store.version_manager
     plans = []
     with store._lock:

@@ -24,9 +24,9 @@ This class is the reference implementation the property-based tests
 check against a model, and the engine the BSFS file system runs on.
 Locking is deliberately two-tier, mirroring the paper's architecture:
 
-* the **control plane** (version manager, placement allocator, nonce
-  counter) sits behind one small lock — the real deployment's single
-  serialization point;
+* the **control plane** — the version manager alone — sits behind one
+  small lock, the real deployment's single serialization point
+  (placement is serialized by the provider manager itself);
 * the **data plane** (block puts/gets against providers, metadata
   patch weaving) runs without any store-wide lock; each provider
   guards only its own block map.
@@ -192,7 +192,7 @@ class LocalBlobStore:
         self.copy_stats = CopyStats()
         self.overlap_publish = config.overlap_publish
         self.version_manager = VersionManagerCore()
-        self.publish_pipeline = PublishPipeline(self, window=config.publish_window)
+        self.publish_pipeline = PublishPipeline(self)
         self.provider_manager = ProviderManagerCore(
             policy=config.placement, rng=config.seed
         )
@@ -223,6 +223,7 @@ class LocalBlobStore:
             cache_nodes=config.metadata_cache_nodes,
         )
         self._nonce = itertools.count(1)
+        #: Guards the version manager and nothing else.
         self._lock = threading.Lock()
         self._blob_counter = itertools.count(1)
         self._maintenance = None
@@ -306,10 +307,10 @@ class LocalBlobStore:
         In the distributed deployment every one of these is an RPC to
         the concurrency-1 version-manager service — the protocol's only
         serialization point (§III-A.4) — so the in-process store models
-        it the same way: the control lock is held, the simulated
-        service latency is paid once *per interaction* no matter how
-        many batch members ride along, and exactly one round trip is
-        counted.  Every vman access on the client protocol paths
+        it the same way: the version-manager lock is held, the
+        simulated service latency is paid once *per interaction* no
+        matter how many batch members ride along, and exactly one round
+        trip is counted.  Every vman access on the client protocol paths
         (assign, commit, abort, snapshot info) routes through here.
         """
         with self._lock:
@@ -378,18 +379,19 @@ class LocalBlobStore:
 
         # Phase 1 — publish data blocks: scatter the (block, replica)
         # placements as one vector per provider, in parallel when the
-        # store has an I/O engine.  Allocation stays under the control
-        # lock (the provider manager is the placement serialization point).
+        # store has an I/O engine.  Neither the nonce (one atomic
+        # ``count`` draw under the GIL) nor the placement (the provider
+        # manager serializes it) takes the store lock, so a writer never
+        # waits out a version-manager flush to place its blocks.
         # With ``overlap_publish`` the scatter is only *launched* here
         # and settled right before the commit, so the assignment and
         # the metadata weave/publish run while the blocks travel
         # (DESIGN.md §10) — except from the engine's loop thread, where
         # parking on futures only the loop can complete would deadlock.
-        with self._lock:
-            nonce = next(self._nonce)
-            placements = self.provider_manager.allocate(
-                len(payloads), sizes, replication=state.replication
-            )
+        nonce = next(self._nonce)
+        placements = self.provider_manager.allocate(
+            len(payloads), sizes, replication=state.replication
+        )
         overlap = (
             self.overlap_publish
             and self.io_engine is not None
@@ -397,22 +399,24 @@ class LocalBlobStore:
         )
         stored: Landed = []
         scatter = None
-        if overlap:
-            scatter = self._begin_scatter(blob_id, nonce, payloads, placements, stored)
-        else:
-            stored.extend(
-                self._store_blocks(blob_id, nonce, payloads, placements, sizes)
-            )
-
-        # Phase 2 — version assignment (the serialization point, group-
-        # batched by the publish pipeline).  The version manager
-        # validates the range *before* recording anything, so a
-        # rejection here (misaligned offset, unaligned append, hole)
-        # leaves it untouched — but the data blocks are already out (or
-        # in flight, which must drain first: an unsettled transfer
-        # could still append to ``stored`` underneath the rollback),
-        # and must be rolled back like any failed write.
+        ticket: Optional[WriteTicket] = None
+        vectors, transfer, atransfer = self._scatter_tasks(
+            blob_id, nonce, payloads, placements, stored
+        )
         try:
+            if overlap:
+                scatter = self.io_engine.submit_each(
+                    transfer, vectors, afn=atransfer, dest=lambda vector: vector[0]
+                )
+            else:
+                self._map_io(
+                    transfer, vectors, afn=atransfer, dest=lambda vector: vector[0]
+                )
+            # Phase 2 — version assignment (the serialization point,
+            # group-batched by the publish pipeline).  The version
+            # manager validates the range *before* recording anything,
+            # so a rejection here (misaligned offset, unaligned append,
+            # hole) leaves it untouched.
             ticket = self.publish_pipeline.assign(
                 AssignRequest(
                     blob_id=blob_id,
@@ -420,20 +424,9 @@ class LocalBlobStore:
                     offset=None if append else offset,
                 )
             )
-        except BaseException:
-            if scatter is not None:
-                self._settle_scatter(scatter)
-            self._rollback_write(stored, placements, sizes)
-            raise
-
-        # Phase 3 — weave and publish metadata (concurrent by design),
-        # settle the overlapped scatter, then report completion (group-
-        # batched).  A failure here happens *after* the ticket was
-        # assigned, so a plain rollback is not enough: the version must
-        # be aborted too, or it stays in flight forever — wedging the
-        # watermark and blocking GC (the §VI-B weakness).  The abort
-        # converts it into a tombstone (see _abort_ticket).
-        try:
+            # Phase 3 — weave and publish metadata (concurrent by
+            # design), settle the overlapped scatter, then report
+            # completion (group-batched).
             self._publish_metadata(ticket, nonce, sizes, placements)
             if scatter is not None:
                 error = self._settle_scatter(scatter)
@@ -445,21 +438,30 @@ class LocalBlobStore:
             # publication hook is reported, never rolled back.
             raise
         except BaseException:
-            # Same guard for non-Exception escapes from the hooks
-            # (e.g. a KeyboardInterrupt): once the version is
-            # committed, its blocks belong to a published snapshot and
-            # must never be rolled back.  An overlapped scatter must
-            # drain first either way — aborting against a still-growing
-            # ``stored`` list would strand the late-landing replicas.
+            # Every failure — a KeyboardInterrupt too — first drains an
+            # overlapped scatter: an unsettled transfer could still
+            # append to ``stored`` underneath the cleanup and strand its
+            # replicas.  Before assignment the write is simply rolled
+            # back: "if, for some reason, writing of a block fails, then
+            # the whole write fails" (§III-D).  After it, the version
+            # must be aborted too, or it stays in flight forever —
+            # wedging the watermark and blocking GC (the §VI-B
+            # weakness); the abort makes it a tombstone (see
+            # _abort_ticket).  A version already committed (a hook's
+            # non-Exception escape) belongs to a published snapshot and
+            # is never touched.
             if scatter is not None:
                 self._settle_scatter(scatter)
-            with self._lock:
-                committed = (
-                    ticket.version
-                    in self.version_manager.blob(blob_id).committed
-                )
-            if not committed:
-                self._abort_ticket(ticket, stored, placements, sizes)
+            if ticket is None:
+                self._rollback_write(stored, placements, sizes)
+            else:
+                with self._lock:
+                    committed = (
+                        ticket.version
+                        in self.version_manager.blob(blob_id).committed
+                    )
+                if not committed:
+                    self._abort_ticket(ticket, stored, placements, sizes)
             raise
         return ticket.version
 
@@ -471,7 +473,7 @@ class LocalBlobStore:
         placements: list[tuple[str, ...]],
         stored: Landed,
     ):
-        """The per-provider transfer vectors shared by both scatters.
+        """The per-provider transfer vectors of one write's scatter.
 
         Every (block, replica) placement is grouped by provider into one
         ``(provider, [(block_id, payload), ...], landed)`` vector, sent
@@ -480,12 +482,11 @@ class LocalBlobStore:
         filled by ``put_many`` as blocks land — including the prefix of
         a vector that fails part-way — so the caller can roll back
         exactly what made it.  Returns the vectors and the sync/async
-        closure pair sending one.  One constructor for the inline and
-        the overlapped scatter: the paths can never disagree on
-        block-id layout or rollback bookkeeping.  The async twin awaits
-        the provider's coroutine entry point, so a cancellation (a
-        sibling vector failed first) lands at a latency await, between
-        ``put_many`` calls, never inside one.
+        closure pair sending one, for the inline and the overlapped
+        scatter alike.  The async twin awaits the provider's coroutine
+        entry point, so a cancellation (a sibling vector failed first)
+        lands at a latency await, between ``put_many`` calls, never
+        inside one.
         """
         by_provider: dict[str, list[tuple[BlockId, Payload]]] = {}
         for seq, (payload, replicas) in enumerate(zip(payloads, placements)):
@@ -512,29 +513,6 @@ class LocalBlobStore:
 
         return vectors, transfer, atransfer
 
-    def _begin_scatter(
-        self,
-        blob_id: str,
-        nonce: int,
-        payloads: list[Payload],
-        placements: list[tuple[str, ...]],
-        stored: Landed,
-    ):
-        """Launch the block scatter asynchronously (overlap mode).
-
-        Returns one future per provider vector; the caller MUST settle
-        them (via :meth:`_settle_scatter`) before rolling back,
-        aborting, or committing — ``stored`` keeps growing until every
-        future is done.
-        """
-        vectors, transfer, atransfer = self._scatter_tasks(
-            blob_id, nonce, payloads, placements, stored
-        )
-        assert self.io_engine is not None
-        return self.io_engine.submit_each(
-            transfer, vectors, afn=atransfer, dest=lambda vector: vector[0]
-        )
-
     @staticmethod
     def _settle_scatter(futures) -> Optional[BaseException]:
         """Await every scatter transfer; return the first failure.
@@ -558,39 +536,6 @@ class LocalBlobStore:
                 if error is None:
                     error = exc
         return error if error is not None else cancelled
-
-    def _store_blocks(
-        self,
-        blob_id: str,
-        nonce: int,
-        payloads: list[Payload],
-        placements: list[tuple[str, ...]],
-        sizes: list[int],
-    ) -> Landed:
-        """Scatter every block replica to its provider; all-or-nothing.
-
-        "If, for some reason, writing of a block fails, then the whole
-        write fails." (§III-D)  On failure every replica already stored
-        by this write is deleted from its (live) provider and the
-        placement allocation is returned, so a failed write leaves no
-        orphaned blocks and no phantom load-balancer charge.  Returns
-        what was stored on which provider, so the caller can roll back
-        if a *later* protocol step rejects the write.
-        """
-        stored: Landed = []
-        vectors, transfer, atransfer = self._scatter_tasks(
-            blob_id, nonce, payloads, placements, stored
-        )
-        try:
-            self._map_io(
-                transfer, vectors, afn=atransfer, dest=lambda vector: vector[0]
-            )
-        except BaseException:
-            # BaseException: a KeyboardInterrupt mid-scatter must also
-            # leave no orphaned replicas or phantom allocator charges.
-            self._rollback_write(stored, placements, sizes)
-            raise
-        return stored
 
     def _rollback_write(
         self,

@@ -148,9 +148,6 @@ COMMANDS: dict = {
                 3e-3,
                 "simulated service time per serialized version-manager interaction (s)",
             ),
-            "--window": _arg(
-                float, 2e-3, "group-commit window the batch leader waits out (s)"
-            ),
             "--io-workers": _IO_WORKERS,
         },
     ),

@@ -92,8 +92,6 @@ class SimBlobSeer:
             placement = config.placement
             seed = config.seed
             metadata_replication = config.metadata_replication
-            if config.publish_window > 0:
-                commit_window = config.publish_window
         self.cluster = cluster
         self.cal = calibration
         self.metadata_replication = metadata_replication

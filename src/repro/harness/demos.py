@@ -318,7 +318,6 @@ def publish_pipeline_appends(
     rounds: int,
     blocks: int,
     vman_latency: float,
-    window: float,
     io_workers: int,
     block_size: int = 1024,
 ) -> ScenarioReport:
@@ -340,7 +339,6 @@ def publish_pipeline_appends(
         block_size=block_size,
         io_workers=io_workers,
         vman_latency=vman_latency,
-        publish_window=window,
         overlap_publish=io_workers > 0,
     ) as store:
         blob = store.create()
@@ -359,8 +357,7 @@ def publish_pipeline_appends(
     return ScenarioReport(
         title=(
             f"{writers} writers x{rounds} appends of {payload_len // block_size} "
-            f"blocks at {vman_latency * 1e3:.1f}ms/vman interaction "
-            f"(window {window * 1e3:.1f}ms):"
+            f"blocks at {vman_latency * 1e3:.1f}ms/vman interaction:"
         ),
         header=("publish path", "wall", "vman round trips", "max batch", "MB/s"),
         rows=(

@@ -4,7 +4,7 @@ Covers the three contract points of the construction surface:
 
 * ``LocalBlobStore(config=StoreConfig(...))`` is the only path — loose
   keywords are a ``TypeError``;
-* the field set is exactly the sixteen documented knobs (the two
+* the field set is exactly the fifteen documented knobs (the two
   ablation toggles the store no longer forks on are rejected);
 * ``validate()`` rejects the documented silently-broken combinations
   with messages that name the offending fields.
@@ -32,15 +32,14 @@ NON_DEFAULTS = dict(
     metadata_latency=0.002,
     metadata_cache_nodes=64,
     vman_latency=0.003,
-    publish_window=0.001,
     overlap_publish=True,
 )
 
 
 class TestStoreConfig:
-    def test_field_set_is_the_sixteen_documented_knobs(self):
+    def test_field_set_is_the_fifteen_documented_knobs(self):
         assert set(StoreConfig.__dataclass_fields__) == set(NON_DEFAULTS)
-        assert len(NON_DEFAULTS) == 16
+        assert len(NON_DEFAULTS) == 15
         assert StoreConfig(**NON_DEFAULTS).validate()
 
     @pytest.mark.parametrize("removed", ["metadata_batching", "group_commit"])
@@ -122,7 +121,6 @@ class TestValidation:
             (dict(metadata_latency=-0.1), "metadata_latency"),
             (dict(vman_latency=-0.1), "vman_latency"),
             (dict(metadata_cache_nodes=-1), "metadata_cache_nodes"),
-            (dict(publish_window=-0.1), "publish_window"),
             (dict(overlap_publish=True, io_workers=0), "requires io_workers > 0"),
             (dict(io_scheduler="threads"), "thread-pool scheduler was removed, and io_workers"),
         ],

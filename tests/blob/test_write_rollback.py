@@ -448,10 +448,13 @@ class TestWriteAbortTombstone:
         # concurrent writer would: store blocks, publish, commit.
         from repro.blob.block import BytesPayload
 
-        with store._lock:
-            nonce = next(store._nonce)
-            placements = store.provider_manager.allocate(1, [BS], replication=1)
-        store._store_blocks(blob, nonce, [BytesPayload(b"z" * BS)], placements, [BS])
+        nonce = next(store._nonce)
+        placements = store.provider_manager.allocate(1, [BS], replication=1)
+        vectors, transfer, _ = store._scatter_tasks(
+            blob, nonce, [BytesPayload(b"z" * BS)], placements, []
+        )
+        for vector in vectors:
+            transfer(vector)
         store._publish_metadata(ticket, nonce, [BS], placements)
         with store._lock:
             store.version_manager.commit(blob, ticket.version)

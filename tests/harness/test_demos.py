@@ -142,7 +142,6 @@ def test_publish_pipeline_appends_batch(io_workers, rounds):
         rounds=rounds,
         blocks=1,
         vman_latency=0.01,
-        window=2e-3,
         io_workers=io_workers,
     )
     _passed(report)
@@ -155,7 +154,7 @@ def test_publish_pipeline_appends_batch(io_workers, rounds):
 def test_publish_pipeline_needs_a_vman_latency():
     with pytest.raises(ValueError, match="vman_latency must be > 0"):
         demos.publish_pipeline_appends(
-            writers=2, rounds=1, blocks=1, vman_latency=0, window=0, io_workers=0
+            writers=2, rounds=1, blocks=1, vman_latency=0, io_workers=0
         )
 
 
