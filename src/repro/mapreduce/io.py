@@ -8,9 +8,9 @@ The split and record-reading rules follow Hadoop's ``TextInputFormat``:
   reads past the split end to finish its last line, so every line of
   the file is processed exactly once across all splits.
 
-Reads go through the file system's positioned reads in small steps
-(Hadoop's few-KB accesses), which is exactly the access pattern the
-§IV-B client cache exists to absorb.
+The record reader buffers 64 KB per positioned read, as Hadoop's
+``LineReader`` does; the §IV-B client cache still absorbs the small
+calls other clients make on the HDFS/BSFS streams.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ __all__ = [
     "compute_file_splits",
     "iter_lines",
     "write_text_records",
-    "IO_CHUNK",
+    "READ_CHUNK",
 ]
 
-#: Granularity of record-reader reads: "small chunks of a few KB
-#: (usually, 4 KB) at a time" (paper §IV-B).
-IO_CHUNK = 4 * 1024
+#: Bytes per record-reader ``pread`` (and per output ``write``): the
+#: buffer of Hadoop's ``LineReader``.
+READ_CHUNK = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -118,18 +118,6 @@ def compute_file_splits(
     return [split for file_splits in per_file for split in file_splits]
 
 
-def _scan_to_newline(stream: ReadStream, position: int) -> int:
-    """First position after the next newline at/after *position*."""
-    size = stream.size
-    while position < size:
-        chunk = stream.pread(position, min(IO_CHUNK, size - position))
-        newline = chunk.find(b"\n")
-        if newline >= 0:
-            return position + newline + 1
-        position += len(chunk)
-    return size
-
-
 def iter_lines(stream: ReadStream, offset: int, length: int) -> Iterator[tuple[int, str]]:
     """Yield ``(byte_offset, line)`` records owned by the split.
 
@@ -137,42 +125,38 @@ def iter_lines(stream: ReadStream, offset: int, length: int) -> Iterator[tuple[i
     within ``[offset, offset+length)``, where a line "starts" right
     after the previous newline.  The reader skips a partial first line
     (when ``offset > 0``) and runs past the end to complete its last.
+    As Hadoop's ``LineReader``, it reads ``READ_CHUNK`` bytes at a time
+    (clipped at the split end) and cuts each chunk by one ``split``; a
+    chunk's partial last line carries into the next chunk.
     """
     size = stream.size
     end = min(offset + length, size)
-    position = offset
-    if offset > 0:
-        # A line starts at `offset` only if the previous byte is '\n';
-        # otherwise the line belongs to the previous split — skip it.
-        if stream.pread(offset - 1, 1) != b"\n":
-            position = _scan_to_newline(stream, offset)
-    while position < end:
-        line_start = position
-        first = stream.pread(position, min(IO_CHUNK, size - position))
-        newline = first.find(b"\n")
-        if newline >= 0:
-            # Fast path — the whole line sits in one chunk (almost
-            # always, at few-KB chunks): decode the slice directly,
-            # no accumulator.
-            position += newline + 1
-            yield (line_start, first[:newline].decode("utf-8", errors="replace"))
+    # A line starts at `offset` only if the previous byte is '\n';
+    # otherwise the line belongs to the previous split — skip it.
+    skip = offset > 0 and stream.pread(offset - 1, 1) != b"\n"
+    start = position = offset  # start: where the carried line begins
+    carry = bytearray()
+    while start < end and position < size:
+        limit = end if position < end else size
+        chunk = stream.pread(position, min(READ_CHUNK, limit - position))
+        position += len(chunk)
+        lines = chunk.split(b"\n")
+        tail = lines.pop()
+        if not lines:
+            carry += tail
             continue
-        # Long line spanning chunks: grow ONE bytearray in place and
-        # decode it directly — no pieces list, no ``b"".join`` copy.
-        pieces = bytearray(first)
-        position += len(first)
-        while True:
-            chunk = stream.pread(position, min(IO_CHUNK, size - position))
-            if not chunk:
-                break
-            newline = chunk.find(b"\n")
-            if newline >= 0:
-                pieces += memoryview(chunk)[:newline]
-                position += newline + 1
-                break
-            pieces += chunk
-            position += len(chunk)
-        yield (line_start, pieces.decode("utf-8", errors="replace"))
+        lines[0] = carry + lines[0]
+        if position > end:  # past the split, only the carried line is ours
+            del lines[1:]
+        if skip:
+            skip = False
+            start += len(lines.pop(0)) + 1
+        for line in lines:
+            yield (start, line.decode("utf-8", "replace"))
+            start += len(line) + 1
+        carry = bytearray(tail)
+    if start < end and not skip:  # an unterminated last line
+        yield (start, carry.decode("utf-8", "replace"))
 
 
 def write_text_records(
@@ -184,16 +168,18 @@ def write_text_records(
     """Write key/value pairs as text lines; returns bytes written.
 
     Hadoop's ``TextOutputFormat``: ``key \\t value``; a ``None`` key
-    writes the bare value (RandomTextWriter's output shape).
+    writes the bare value (RandomTextWriter's output shape).  Lines are
+    buffered and handed to the stream ``READ_CHUNK`` bytes or more at
+    a time.
     """
     written = 0
+    buffer = bytearray()
     with fs.create(path, client=client) as out:
         for key, value in pairs:
-            if key is None:
-                line = f"{value}\n"
-            else:
-                line = f"{key}\t{value}\n"
-            encoded = line.encode("utf-8")
-            out.write(encoded)
-            written += len(encoded)
-    return written
+            buffer += (f"{value}\n" if key is None else f"{key}\t{value}\n").encode("utf-8")
+            if len(buffer) >= READ_CHUNK:
+                out.write(bytes(buffer))
+                written += len(buffer)
+                buffer.clear()
+        out.write(bytes(buffer))
+    return written + len(buffer)

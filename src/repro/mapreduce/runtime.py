@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 from repro.errors import JobFailed, TaskFailed
@@ -75,13 +76,19 @@ class LocalJobRunner:
         self.max_attempts = max_attempts
 
     def _attempt(self, fn, what: str, counters: Counter):
+        """Run ``fn(attempt_counters)`` until it succeeds; as in Hadoop,
+        a failed attempt's counters are discarded."""
         last: Optional[Exception] = None
-        for attempt in range(1, self.max_attempts + 1):
+        for _ in range(self.max_attempts):
+            attempt_counters: Counter = Counter()
             try:
-                return fn()
+                result = fn(attempt_counters)
             except TaskFailed as exc:
                 last = exc
                 counters["task_retries"] += 1
+            else:
+                counters.update(attempt_counters)
+                return result
         raise JobFailed(f"{what} failed after {self.max_attempts} attempts") from last
 
     def run(self, job: JobConf) -> JobResult:
@@ -116,9 +123,7 @@ class LocalJobRunner:
         output_paths: list[str] = []
         for assignment in assignments:
             output = self._attempt(
-                lambda a=assignment: run_map_task(
-                    self.fs, job, a.task_index, a.split, counters
-                ),
+                partial(run_map_task, self.fs, job, assignment.task_index, assignment.split),
                 what=f"map task {assignment.task_index}",
                 counters=counters,
             )
@@ -140,7 +145,7 @@ class LocalJobRunner:
         if not job.is_map_only:
             for partition in range(job.num_reducers):
                 pairs = self._attempt(
-                    lambda p=partition: run_reduce_task(job, p, map_outputs, counters),
+                    partial(run_reduce_task, job, partition, map_outputs),
                     what=f"reduce task {partition}",
                     counters=counters,
                 )

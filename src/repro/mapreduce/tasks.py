@@ -38,7 +38,7 @@ class MapOutput:
     def add(self, key: object, value: object, num_reducers: int, partitioner=None) -> None:
         """Route one pair to its reducer partition."""
         if partitioner is None:
-            partition = partition_for(key, num_reducers)
+            partition = 0 if num_reducers == 1 else partition_for(key, num_reducers)
         else:
             partition = partitioner(key, num_reducers)
             if not 0 <= partition < num_reducers:
@@ -94,11 +94,13 @@ def run_map_task(
             counters["map_records_read"] += 1
         else:
             assert isinstance(split, FileSplit)
+            mapper, records = job.mapper, 0
             with fs.open(split.path) as stream:
                 for offset, line in iter_lines(stream, split.offset, split.length):
-                    job.mapper(offset, line, emitter)
-                    counters["map_records_read"] += 1
-                counters["map_bytes_read"] += split.length
+                    mapper(offset, line, emitter)
+                    records += 1
+            counters["map_records_read"] += records
+            counters["map_bytes_read"] += split.length
     except Exception as exc:
         raise TaskFailed(f"map task {task_index} failed: {exc!r}") from exc
     output = MapOutput(task_index, job.num_reducers)

@@ -1,5 +1,7 @@
 """Tests for the paper's applications (RandomTextWriter, grep)."""
 
+import hashlib
+
 import pytest
 
 from repro.blob import LocalBlobStore, StoreConfig
@@ -64,6 +66,18 @@ class TestRandomTextWriter:
         job2 = random_text_job("/b", num_mappers=1, bytes_per_mapper=400, seed=9)
         LocalJobRunner(fs).run(job2)
         assert fs.read_file("/a/part-m-00000") == fs.read_file("/b/part-m-00000")
+
+    def test_output_bytes_pinned(self, fs):
+        # More than one 64 KB output write per file: batching the
+        # writes and skipping the one-reducer hash change no byte.
+        job = random_text_job("/rtw", num_mappers=2, bytes_per_mapper=70_000, seed=7)
+        result = LocalJobRunner(fs).run(job)
+        digests = [hashlib.sha256(fs.read_file(p)).hexdigest() for p in result.output_paths]
+        assert digests == [
+            "fd528053d62175d4d95d7e8e1e320169bc2d5863f7c6f99b696d6e7b0b229d44",
+            "9ca73d0d4e808cabad9f5940c2d50b15652252a50196afa6e9ca45d76ac7483d",
+        ]
+        assert result.counters["output_bytes"] == 70_102 + 70_060
 
     def test_validation(self):
         with pytest.raises(ValueError):

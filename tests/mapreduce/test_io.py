@@ -1,12 +1,17 @@
 """Tests for splits, the line record reader, and text output."""
 
 import threading
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.blob import LocalBlobStore, StoreConfig
 from repro.bsfs import BSFSFileSystem
+from repro.hdfs import HDFSFileSystem
 from repro.mapreduce import compute_file_splits, iter_lines, write_text_records
+from repro.mapreduce import io as record_io
 
 BS = 64
 
@@ -129,10 +134,79 @@ class TestLineReader:
             records = list(iter_lines(stream, 0, stream.size))
         assert records == [(0, "ab"), (3, "cdef")]
 
+    def test_reads_whole_chunks_clipped_at_split_end(self, fs):
+        self.write_lines(fs, [f"line-{i:04d}" for i in range(100)])
+        reads = []
+        with fs.open("/text") as stream, mock.patch.object(record_io, "READ_CHUNK", 48):
+            pread = stream.pread
+
+            def recording_pread(offset, size):
+                reads.append((offset, size))
+                return pread(offset, size)
+
+            stream.pread = recording_pread
+            records = list(iter_lines(stream, BS, BS))
+        assert [offset for offset, _ in records] == list(range(70, 2 * BS, 10))
+        # The byte before the split, one 48-byte chunk, the 16 bytes
+        # left to the split end (clipped: no read spans two blocks),
+        # then one chunk past the end to finish the last line.
+        assert reads == [(BS - 1, 1), (BS, 48), (BS + 48, 16), (2 * BS, 48)]
+
     def test_empty_lines_preserved(self, fs):
         fs.write_file("/text", b"a\n\nb\n")
         with fs.open("/text") as stream:
             assert [l for _, l in iter_lines(stream, 0, stream.size)] == ["a", "", "b"]
+
+
+def _oracle(data: bytes) -> list[tuple[int, str]]:
+    """Every line of *data* with its byte offset, once."""
+    records, offset = [], 0
+    for piece in data.split(b"\n"):
+        if offset < len(data):  # a trailing newline ends, not starts, a line
+            records.append((offset, piece.decode("utf-8", errors="replace")))
+        offset += len(piece) + 1
+    return records
+
+
+_LINE = st.one_of(
+    # Short lines: empty ones and multi-byte UTF-8 included.
+    st.text(
+        st.characters(blacklist_characters="\n", blacklist_categories=("Cs",)),
+        max_size=12,
+    ),
+    # Lines longer than two 64-byte chunks.
+    st.builds(
+        lambda char, n: char * n,
+        st.sampled_from(["x", "\u00e9", "\u20ac"]),
+        st.integers(130, 200),
+    ),
+)
+
+
+class TestLineReaderProperty:
+    @pytest.mark.parametrize("backend", ["bsfs", "hdfs"])
+    @given(
+        lines=st.lists(_LINE, max_size=20),
+        trailing_newline=st.booleans(),
+        chunk=st.sampled_from([1, 7, 64, record_io.READ_CHUNK]),
+        data=st.data(),
+    )
+    def test_every_line_exactly_once(self, backend, lines, trailing_newline, chunk, data):
+        text = "\n".join(lines) + ("\n" if trailing_newline and lines else "")
+        body = text.encode("utf-8")
+        if backend == "bsfs":
+            config = StoreConfig(data_providers=3, metadata_providers=1, block_size=32)
+            fs = BSFSFileSystem(store=LocalBlobStore(config=config))
+        else:
+            fs = HDFSFileSystem(datanodes=3, block_size=32, seed=1)
+        fs.write_file("/text", body)
+        cuts = data.draw(st.sets(st.integers(1, max(1, len(body) - 1)), max_size=8))
+        bounds = [0, *sorted(c for c in cuts if c < len(body)), len(body)]
+        records = []
+        with mock.patch.object(record_io, "READ_CHUNK", chunk), fs.open("/text") as stream:
+            for start, stop in zip(bounds, bounds[1:]):
+                records.extend(iter_lines(stream, start, stop - start))
+        assert records == _oracle(body)
 
 
 class TestTextOutput:
@@ -151,3 +225,26 @@ class TestTextOutput:
     def test_empty(self, fs):
         write_text_records(fs, "/out", [])
         assert fs.read_file("/out") == b""
+
+    def test_hands_the_stream_whole_chunks(self, fs):
+        writes = []
+        create = fs.create
+
+        def counting_create(path, client=None):
+            out = create(path, client=client)
+            write = out.write
+
+            def counting_write(data):
+                writes.append(len(data))
+                write(data)
+
+            out.write = counting_write
+            return out
+
+        fs.create = counting_create
+        pairs = [(i, "v" * (i % 50)) for i in range(5000)]
+        written = write_text_records(fs, "/out", pairs)
+        expected = "".join(f"{k}\t{v}\n" for k, v in pairs).encode()
+        assert written == sum(writes) == len(expected)
+        assert fs.read_file("/out") == expected
+        assert len(writes) <= -(-written // record_io.READ_CHUNK) + 1

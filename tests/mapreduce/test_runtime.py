@@ -6,7 +6,7 @@ from repro.blob import LocalBlobStore, StoreConfig
 from repro.bsfs import BSFSFileSystem
 from repro.errors import JobFailed
 from repro.hdfs import HDFSFileSystem
-from repro.mapreduce import Emitter, JobConf, LocalJobRunner
+from repro.mapreduce import Emitter, JobConf, LocalJobRunner, MapOutput, tasks
 from repro.mapreduce.apps import grep_job, wordcount_job
 
 BS = 256
@@ -154,6 +154,76 @@ class TestEngineMechanics:
         assert result.counters["task_retries"] == 1
         (path,) = result.output_paths
         assert fs.read_file(path) == b"ok\t1\n"
+
+    def _counting_job(self, mapper=None, reducer=None):
+        def count_mapper(_k, _v, emit):
+            emit("k", 1)
+
+        def sum_reducer(k, values, emit):
+            emit(k, sum(values))
+
+        return JobConf(
+            name="count",
+            output_dir="/out",
+            mapper=mapper or count_mapper,
+            reducer=reducer or sum_reducer,
+            input_paths=("/in/x",),
+        )
+
+    def test_failed_map_attempt_counters_discarded(self):
+        fs = make_bsfs()
+        fs.write_file("/in/x", "".join(f"{i}\n" for i in range(100)).encode())
+        failures = []
+
+        def mapper(_k, v, emit):
+            if v == "49" and not failures:
+                failures.append(1)
+                raise RuntimeError("dies on line 50")
+            emit("k", 1)
+
+        job = self._counting_job(mapper=mapper)
+        job.split_size = 10_000  # one map task over all 100 lines
+        result = LocalJobRunner(fs).run(job)
+        assert fs.read_file(result.output_paths[0]) == b"k\t100\n"
+        assert result.counters["task_retries"] == 1
+        assert result.counters["map_records_read"] == 100
+        assert result.counters["map_records_emitted"] == 100
+        assert result.counters["reduce_records_in"] == 100
+
+    def test_failed_reduce_attempt_counters_discarded(self):
+        fs = make_bsfs()
+        fs.write_file("/in/x", "".join(f"{i}\n" for i in range(100)).encode())
+        failures = []
+
+        def reducer(k, values, emit):
+            if not failures:
+                failures.append(1)
+                raise RuntimeError("first reduce attempt dies")
+            emit(k, sum(values))
+
+        result = LocalJobRunner(fs).run(self._counting_job(reducer=reducer))
+        assert fs.read_file(result.output_paths[0]) == b"k\t100\n"
+        assert result.counters["task_retries"] == 1
+        assert result.counters["reduce_records_in"] == 100
+        assert result.counters["reduce_records_out"] == 1
+
+    def test_single_reducer_skips_the_hash_not_the_partitioner(self, monkeypatch):
+        def no_hash(key, num_reducers):
+            raise AssertionError("hashed a key for one reducer")
+
+        monkeypatch.setattr(tasks, "partition_for", no_hash)
+        output = MapOutput(task_index=0, num_reducers=1)
+        output.add(None, "text", 1)
+        assert output.partitions == {0: [(None, "text")]}
+        seen = []
+
+        def partitioner(key, num_reducers):
+            seen.append(key)
+            return 1
+
+        with pytest.raises(ValueError, match="returned 1 for 1 reducers"):
+            output.add("k", "v", 1, partitioner=partitioner)
+        assert seen == ["k"]
 
     def test_empty_input_rejected(self):
         fs = make_bsfs()
