@@ -35,13 +35,6 @@ from repro.blob.provider_manager import (
     TenantAccount,
     make_policy,
 )
-from repro.blob.replication import (
-    RepairReport,
-    find_under_replicated,
-    live_replicas,
-    repair_blob,
-    repair_leaf,
-)
 from repro.blob.scrub import MaintenanceDaemon, ScrubReport, Throttle, scrub_store
 from repro.blob.segment_tree import (
     DescentPlan,
@@ -54,7 +47,6 @@ from repro.blob.segment_tree import (
     build_tombstone_patch,
     collect_blocks,
     collect_blocks_batched,
-    iter_reachable,
     iter_reachable_batched,
     latest_intersecting,
     root_span,
@@ -92,7 +84,6 @@ __all__ = [
     "DescentPlan",
     "collect_blocks",
     "collect_blocks_batched",
-    "iter_reachable",
     "iter_reachable_batched",
     "VersionManagerCore",
     "WriteRecord",
@@ -122,11 +113,6 @@ __all__ = [
     "BlockRange",
     "changed_ranges",
     "diff_snapshots",
-    "RepairReport",
-    "find_under_replicated",
-    "live_replicas",
-    "repair_blob",
-    "repair_leaf",
     "MaintenanceDaemon",
     "ScrubReport",
     "Throttle",

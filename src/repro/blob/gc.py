@@ -25,8 +25,7 @@ must read every retained snapshot's tree, and deliberately fails
 (rather than under-marks, which would delete live nodes) when one is
 unreachable — including a tombstone whose filler could not be fully
 published during the outage.  Either retain from a version past the
-unreadable one, or heal the buckets and run
-``LocalBlobStore.republish_tombstone`` first.
+unreadable one, or heal the buckets and run ``store.scrub()`` first.
 """
 
 from __future__ import annotations
@@ -112,26 +111,31 @@ def collect_garbage(store: LocalBlobStore, blob_id: str, retain_from: int) -> Gc
             mark(other_id, max(other.gc_floor, 1))
 
     # Sweep metadata buckets (every replica holds full keys; sweep
-    # each).  Offline buckets are skipped via the shared
-    # ``online_buckets`` skip-list — the same rule the scrub pass uses —
-    # exactly like the data-provider sweep below: their garbage keeps
-    # until the first pass after recovery, and a bucket dying mid-sweep
-    # must not abort the pass after a partial deletion.
-    nodes_deleted = 0
+    # each), one ``delete_many`` request per bucket.  Offline buckets
+    # are skipped via the shared ``online_buckets`` skip-list — the same
+    # rule the scrub pass uses — exactly like the data-provider sweep
+    # below: their garbage keeps until the first pass after recovery,
+    # and a bucket dying before its request leaves it whole for the
+    # next pass.
     swept_keys: set[NodeKey] = set()
     for bucket in store.metadata.store.online_buckets():
-        for key in bucket.keys():
-            if isinstance(key, NodeKey) and key.blob_id == blob_id and key not in marked_nodes:
-                try:
-                    bucket.delete(key)
-                except ProviderUnavailable:
-                    break  # went down mid-sweep; next pass finishes it
-                # Cache-invalidation path #2 (DESIGN.md §9): a cached
-                # descent must never resurrect a swept node.
-                store.metadata.invalidate_cached(key)
-                if key not in swept_keys:
-                    swept_keys.add(key)
-                    nodes_deleted += 1
+        doomed = [
+            key
+            for key in bucket.keys()
+            if isinstance(key, NodeKey) and key.blob_id == blob_id and key not in marked_nodes
+        ]
+        if not doomed:
+            continue
+        try:
+            bucket.delete_many(doomed)
+        except ProviderUnavailable:
+            continue  # went down since the enumeration; next pass finishes it
+        # Cache-invalidation path #2 (DESIGN.md §9): a cached descent
+        # must never resurrect a swept node.
+        for key in doomed:
+            store.metadata.invalidate_cached(key)
+        swept_keys.update(doomed)
+    nodes_deleted = len(swept_keys)
 
     # Sweep data providers.  Offline providers are skipped, not an
     # error — including ones that go down *during* the sweep: their

@@ -7,16 +7,17 @@ the tree-node typing and the immutability discipline: a node key is
 written at most once (writing the *identical* node twice is tolerated,
 so retries are idempotent).
 
-The facade is **batch-first** (DESIGN.md §9): ``get_nodes`` resolves a
+The facade is **batch-only** (DESIGN.md §9): ``get_nodes`` resolves a
 whole descent frontier in one DHT pass, ``put_patch`` publishes a
 write's entire patch through one conditional multi-put (the bucket
 enforces write-once-or-identical in that same hop — no get-then-put
 double round trip), and ``put_fillers`` force-publishes a tombstone's
-filler the same way.  Because nodes are immutable, the service also
-keeps a **versioned node cache**: an entry can only go stale through
-the three sanctioned mutation paths — force-put (tombstone filler
-superseding a dead write's nodes), GC deletion, and scrub healing —
-each of which invalidates the key.
+filler the same way (``get_node`` is a batch of one).  Because nodes
+are immutable, the service also keeps a **versioned node cache**: an
+entry can only go stale through the three sanctioned mutation paths —
+force-put (tombstone filler superseding a dead write's nodes, or a
+repaired leaf), GC deletion, and scrub healing — each of which
+invalidates the key.
 """
 
 from __future__ import annotations
@@ -173,22 +174,6 @@ class MetadataService:
 
     # -- publish paths -----------------------------------------------------------
 
-    def put_node(self, node: TreeNode, force: bool = False) -> None:
-        """Publish one tree node (immutable; identical re-put allowed).
-
-        ``force=True`` overwrites whatever is stored under the key: the
-        one sanctioned exception to immutability, used by the
-        write-abort protocol to supersede the partially-published
-        nodes of a dead write with the tombstone's filler nodes (the
-        two patches occupy exactly the same canonical key set).  A
-        force-put is one of the three cache-invalidation paths.
-        """
-        if force:
-            self.store.put(node.key, node)
-            self.invalidate_cached(node.key)
-            return
-        self.put_patch([node])
-
     def put_patch(self, nodes: Sequence[TreeNode]) -> None:
         """Publish a whole write's patch in one conditional multi-put.
 
@@ -198,8 +183,7 @@ class MetadataService:
         re-feeds any replica the first attempt missed) is silent, a
         different stored value raises :class:`WriteConflict`, and a
         node no live replica could take raises
-        :class:`ReplicationError` — the same contract the scalar
-        get-then-put loop enforced in 2x the round trips.
+        :class:`ReplicationError`.
         """
         error = self.put_patches([nodes])[0]
         if error is not None:
@@ -218,8 +202,7 @@ class MetadataService:
         batch-mates.  Returns a list aligned with *patches*: ``None``
         for a fully stored patch, else the :class:`WriteConflict` /
         :class:`ReplicationError` that patch alone should raise
-        (conflict wins when a patch suffers both, matching the scalar
-        path's precedence).  Distinct writers' patches never share a
+        (conflict wins when a patch suffers both).  Distinct writers' patches never share a
         key — every node key embeds its writer's version.
         """
         owner_patch: dict[NodeKey, int] = {}
@@ -251,6 +234,8 @@ class MetadataService:
         that reached no live replica — the abort/scrub caller records
         them rather than failing, because the filler is usually being
         published *during* the outage that doomed the original write.
+        The scrub's block repair republishes a rewritten leaf the same
+        way.
         """
         result = self.store.multi_put(
             [(node.key, node) for node in nodes], conditional=False
@@ -262,20 +247,8 @@ class MetadataService:
     # -- read paths --------------------------------------------------------------
 
     def get_node(self, key: NodeKey) -> TreeNode:
-        """Fetch one tree node; VersionNotFound if it does not exist."""
-        token = None
-        if self.cache is not None:
-            cached = self.cache.get(key)
-            if cached is not None:
-                return cached
-            token = self.cache.begin()
-        try:
-            node = self.store.get(key)
-        except KeyError:
-            raise VersionNotFound(f"metadata node {key} not found") from None
-        if self.cache is not None:
-            self.cache.put_if_fresh(key, node, token)
-        return node
+        """Fetch one tree node (a batch of one :meth:`get_nodes`)."""
+        return self.get_nodes([key])[key]
 
     def get_nodes(self, keys: Sequence[NodeKey]) -> dict[NodeKey, TreeNode]:
         """Fetch a whole frontier of nodes in one batched DHT pass.
@@ -284,7 +257,7 @@ class MetadataService:
         by owner bucket (one request per bucket, requests in parallel)
         — a descent costs O(tree depth) round trips instead of O(nodes
         visited).  Raises :class:`VersionNotFound` if any key does not
-        exist, matching :meth:`get_node`.
+        exist.
         """
         found: dict[NodeKey, TreeNode] = {}
         misses: list[NodeKey] = []
@@ -307,18 +280,6 @@ class MetadataService:
                     self.cache.put_if_fresh(key, node, token)
                 found[key] = node
         return found
-
-    def has_node(self, key: NodeKey) -> bool:
-        """Existence check: cache first, then a cheap membership probe
-        (no value transfer, no failover fetch-and-discard)."""
-        if self.cache is not None and self.cache.get(key) is not None:
-            return True
-        return self.store.contains(key)
-
-    def delete_node(self, key: NodeKey) -> None:
-        """GC removal (idempotent; cache-invalidation path #2)."""
-        self.store.delete(key)
-        self.invalidate_cached(key)
 
     # -- cache control -----------------------------------------------------------
 
@@ -349,21 +310,19 @@ class MetadataService:
         """Every tree-node key held by any *online* bucket."""
         return {k for k in self.store.all_keys() if isinstance(k, NodeKey)}
 
-    def replica_nodes(self, key: NodeKey) -> dict[str, object]:
-        """Per-online-replica view of one key (value or ``MISSING``)."""
-        return self.store.replica_values(key)
-
     def replica_nodes_many(
         self, keys: Sequence[NodeKey]
     ) -> dict[NodeKey, dict[str, object]]:
-        """Batched :meth:`replica_nodes`: one DHT pass answers a whole
-        chunk of the scrub's reconciliation sweep."""
+        """Per-online-replica view (value or ``MISSING``) of every key,
+        in one DHT pass: a whole chunk of the scrub's reconciliation
+        sweep, or a whole tombstone patch."""
         return self.store.multi_replica_values(keys)
 
     def heal_replica(self, bucket_name: str, node: TreeNode) -> None:
         """Overwrite one replica's copy with the authoritative node
-        (cache-invalidation path #3)."""
-        self.store.put_replica(bucket_name, node.key, node)
+        (cache-invalidation path #3): a one-pair ``put_many`` aimed at
+        that bucket alone."""
+        self.store.buckets[bucket_name].put_many([(node.key, node)])
         self.invalidate_cached(node.key)
 
     def divergent_keys(

@@ -315,8 +315,17 @@ class ProviderManagerCore:
         info.blocks = max(0, info.blocks - 1)
         info.bytes = max(0, info.bytes - nbytes)
 
+    def charge(self, provider: str, nbytes: int) -> None:
+        """Charge one block of *nbytes* placed outside :meth:`allocate`
+        (a scrub repair's copy); :meth:`release` returns it."""
+        with self._lock:
+            info = self._provider(provider)
+            info.blocks += 1
+            info.bytes += nbytes
+
     def release(self, provider: str, nbytes: int) -> None:
-        """Return capacity after a GC deletion (one block of *nbytes*)."""
+        """Return one block's charge of *nbytes* (a GC deletion, or a
+        repair copy removed again)."""
         with self._lock:
             self._release_one(provider, nbytes)
 

@@ -1,31 +1,30 @@
-"""Anti-entropy scrub: the background maintenance pass (DESIGN.md §8).
+"""Anti-entropy scrub: the store's one repair pass (DESIGN.md §8).
 
-The failure story so far healed itself *except* for one manual step: a
-metadata replica that was down while a write aborted serves stale
-real-patch nodes after it recovers, until someone remembers to call
-``LocalBlobStore.republish_tombstone``.  The versioning paper's model
-(Nicolae et al.) assumes metadata replicas converge on their own; this
-module makes them.
-
-One incremental pass (:func:`scrub_store`) unifies every repair the
-codebase previously scattered across manual entry points:
+Every repair runs here; there is no per-blob or per-version entry
+point beside it.  The versioning paper's model (Nicolae et al.) assumes
+replicas converge from durable state alone, and one incremental pass
+(:func:`scrub_store`) makes them:
 
 1. **tombstone reconciliation** — for every tombstoned version, the
    filler patch is re-derived from the version manager's durable spec
    and force-healed onto every online replica that is missing it *or
    holds a stale real-patch node of the dead write* (the recovered-
-   bucket case).  This absorbs ``republish_tombstone`` entirely.
+   bucket case).
 2. **metadata replica reconciliation** — every tree-node key held by
    any online bucket is compared across its online owner replicas;
    lagging replicas (down during the original publish) are re-fed from
    any healthy copy, and divergent *leaf* replicas (a repair rewrote
    the replica set while one bucket was down) are reconciled in favour
    of the copy with the most live block replicas.
-3. **block re-replication** — the data-path repair
-   (:func:`repro.blob.replication.repair_leaf`) folded into the same
-   sweep: every retained snapshot's under-replicated blocks are copied
-   back up to target, best effort (a block with no surviving replica is
-   reported, not raised, so one lost block cannot stop the pass).
+3. **block re-replication** (paper §VI-B) — every retained snapshot's
+   under-replicated blocks are copied back up to target by
+   :func:`repair_leaf`, best effort (a block with no surviving replica
+   is reported, not raised, so one lost block cannot stop the pass).
+
+Replica-set location is the one piece of metadata treated as mutable:
+a block repair rewrites its leaf with the updated provider tuple.  The
+block's *identity and contents* stay immutable, so snapshot semantics
+are unaffected.
 
 The pass never blocks the foreground read/write path: it takes the
 store's control-plane lock only to snapshot version-manager state, it
@@ -45,12 +44,11 @@ instead of starving it.
 from __future__ import annotations
 
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, TYPE_CHECKING
 
+from repro.blob.block import BlockDescriptor, BlockId
 from repro.blob.metadata import agreed_value
-from repro.blob.replication import live_replicas, repair_leaf
 from repro.blob.segment_tree import (
     LeafNode,
     NodeKey,
@@ -63,6 +61,7 @@ from repro.dht.store import MISSING
 from repro.errors import (
     BlobError,
     ProviderError,
+    ProviderUnavailable,
     ReplicationError,
 )
 from repro.util.throttle import Throttle
@@ -70,7 +69,14 @@ from repro.util.throttle import Throttle
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store imports us not)
     from repro.blob.store import LocalBlobStore
 
-__all__ = ["MaintenanceDaemon", "ScrubReport", "Throttle", "scrub_store"]
+__all__ = [
+    "MaintenanceDaemon",
+    "ScrubReport",
+    "Throttle",
+    "live_replicas",
+    "repair_leaf",
+    "scrub_store",
+]
 
 
 @dataclass(frozen=True)
@@ -96,9 +102,10 @@ class ScrubReport:
     conflicts_resolved: int = 0
     #: Non-zero leaves whose block replication level was verified.
     blocks_checked: int = 0
-    #: Blocks found under target and copied back up.
+    #: Blocks found under target and brought back up.
     blocks_repaired: int = 0
-    #: Individual block copies created while repairing.
+    #: Replicas added while repairing: fresh copies, plus copies a
+    #: provider already held that the leaf now names.
     copies_created: int = 0
     #: Keys skipped because their version sits below the blob's GC floor.
     skipped_gc_floor: int = 0
@@ -186,10 +193,8 @@ def _scrub_tombstones(
     """Phase 1: heal every tombstone's filler patch in place.
 
     Force-overwrites any online replica that is missing a filler node
-    or still holds a stale real-patch node of the dead write — exactly
-    what the manual ``republish_tombstone`` did, plus the per-replica
-    stale-node case it could not see.  Returns the filler key set so
-    the reconciliation phase skips them.
+    or still holds a stale real-patch node of the dead write.  Returns
+    the filler key set so the reconciliation phase skips them.
     """
     filler_keys: set[NodeKey] = set()
     for spec in plan.tombstone_specs:
@@ -204,8 +209,7 @@ def _scrub_tombstones(
             block_size=spec.block_size,
             history=spec.history,
         )
-        # One batched DHT pass answers the whole patch's replica state
-        # (previously one enumeration round trip per filler node).
+        # One batched DHT pass answers the whole patch's replica state.
         replica_maps = store.metadata.replica_nodes_many(
             [node.key for node in patch]
         )
@@ -220,6 +224,104 @@ def _scrub_tombstones(
                     if _heal(store, bucket_name, node, errors):
                         counters["filler_republished"] += 1
     return filler_keys
+
+
+def live_replicas(store: "LocalBlobStore", descriptor: BlockDescriptor) -> list[str]:
+    """Replica providers that are online *and* still hold the block."""
+    return [
+        name
+        for name in descriptor.providers
+        if name in store.providers and store.providers[name].has(descriptor.block_id)
+    ]
+
+
+def repair_leaf(store: "LocalBlobStore", node: LeafNode, target: int) -> int:
+    """Restore one leaf's block to *target* live replicas.
+
+    New homes are live providers not already serving it.  One that
+    already holds the block — a copy an earlier repair could not
+    record, or the loser of a leaf divergence — is adopted as it is;
+    the others receive a copy from a surviving replica, each charged to
+    the provider manager like a placement.  The leaf is then
+    republished with the new replica set through the same force
+    multi-put as tombstone filler, which also invalidates the node
+    cache (a cached pre-repair leaf would keep naming the dead set).
+
+    All or nothing: if a copy fails, or no metadata replica takes the
+    leaf, the copies this call made are removed and their charges
+    returned before the error propagates.  Returns the number of
+    replicas added, adopted ones included (0 when the block is already
+    at target).  Raises :class:`ReplicationError` if the block has
+    **no** live replica (data loss: only a re-write can recover it),
+    too few live providers exist to reach *target*, or the leaf could
+    not be republished.
+    """
+    descriptor = node.block
+    block_id = descriptor.block_id
+    live = live_replicas(store, descriptor)
+    if len(live) >= target:
+        return 0
+    if not live:
+        raise ReplicationError(
+            f"block {block_id} of blob {descriptor.blob_id!r} has no live replica"
+        )
+    needed = target - len(live)
+    candidates = [
+        p.name for p in store.provider_manager.live_providers() if p.name not in live
+    ]
+    adopted = [name for name in candidates if store.providers[name].has(block_id)][:needed]
+    fresh = [name for name in candidates if name not in adopted][: needed - len(adopted)]
+    if len(adopted) + len(fresh) < needed:
+        raise ReplicationError(
+            f"not enough live providers to restore replication {target} "
+            f"for block {block_id}"
+        )
+    landed: list[str] = []
+
+    def copy(name: str) -> None:
+        store.providers[name].put(block_id, payload)
+        store.provider_manager.charge(name, descriptor.size)
+        landed.append(name)
+
+    async def acopy(name: str) -> None:
+        await store.providers[name].aput(block_id, payload)
+        store.provider_manager.charge(name, descriptor.size)
+        landed.append(name)
+
+    try:
+        if fresh:
+            payload = store.providers[live[0]].get(block_id)
+            # Maintenance traffic shares the I/O engine's bounded window
+            # with foreground I/O.
+            store._map_io(copy, fresh, afn=acopy, dest=lambda name: name)
+        leaf = LeafNode(
+            key=node.key,
+            block=replace(descriptor, providers=tuple(live + adopted + fresh)),
+        )
+        if store.metadata.put_fillers([leaf]):
+            raise ReplicationError(
+                f"no live metadata replica took the repaired leaf {node.key}"
+            )
+    except BaseException:
+        _remove_copies(store, block_id, landed, descriptor.size)
+        raise
+    return needed
+
+
+def _remove_copies(
+    store: "LocalBlobStore", block_id: BlockId, homes: list[str], nbytes: int
+) -> None:
+    """Undo a failed repair's copies and their charges.  A copy whose
+    provider went down keeps its charge, like a rolled-back write's
+    stranded replica: the next repair adopts it, or the GC sweep that
+    collects the block deletes it and returns the charge."""
+    for name in homes:
+        try:
+            freed = store.providers[name].delete(block_id)
+        except ProviderUnavailable:
+            continue
+        if freed:
+            store.provider_manager.release(name, nbytes)
 
 
 def _heal(
@@ -261,7 +363,7 @@ def _reconcile_leaf_divergence(
     return max(leaves, key=lambda leaf: len(live_replicas(store, leaf.block)))
 
 
-def _scrub_metadata_replicas(
+def _reconcile_replicas(
     store: "LocalBlobStore",
     plans: dict[str, _BlobPlan],
     skip_keys: set[NodeKey],
@@ -274,8 +376,8 @@ def _scrub_metadata_replicas(
 
     Keys that survive the cheap skip filters are examined in batches:
     one :meth:`~repro.blob.metadata.MetadataService.replica_nodes_many`
-    pass answers a whole chunk (previously one replica enumeration per
-    key), while healing stays per-replica and best-effort.
+    pass answers a whole chunk, while healing stays per-replica and
+    best-effort.
     """
     eligible: list[NodeKey] = []
     for key in sorted(store.metadata.all_node_keys(), key=repr):
@@ -430,7 +532,7 @@ def scrub_store(
             store, plan, throttle, counters, errors, should_stop
         )
 
-    _scrub_metadata_replicas(
+    _reconcile_replicas(
         store,
         {p.blob_id: p for p in plans},
         filler_keys,

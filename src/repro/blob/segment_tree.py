@@ -49,7 +49,6 @@ __all__ = [
     "DescentPlan",
     "collect_blocks",
     "collect_blocks_batched",
-    "iter_reachable",
     "iter_reachable_batched",
 ]
 
@@ -509,30 +508,14 @@ def collect_blocks_batched(
     return plan.blocks()
 
 
-def iter_reachable(
-    fetch: Callable[[NodeKey], TreeNode],
-    root_key: NodeKey,
-    key_resolver: Optional[Callable[[NodeKey], NodeKey]] = None,
-) -> Iterable[TreeNode]:
-    """Every node reachable from *root_key* (GC marking traversal)."""
-    resolve = key_resolver if key_resolver is not None else (lambda k: k)
-    stack = [resolve(root_key)]
-    while stack:
-        node = fetch(stack.pop())
-        yield node
-        if isinstance(node, InnerNode):
-            stack.extend(resolve(child) for child in node.children())
-        elif isinstance(node, RedirectLeaf):
-            stack.append(resolve(node.target_key))
-
-
 def iter_reachable_batched(
     fetch_many: Callable[[list[NodeKey]], dict[NodeKey, TreeNode]],
     root_key: NodeKey,
     key_resolver: Optional[Callable[[NodeKey], NodeKey]] = None,
     skip: Optional[set[NodeKey]] = None,
 ) -> Iterable[TreeNode]:
-    """:func:`iter_reachable`, one batched fetch per tree level.
+    """Every node reachable from *root_key*, one batched fetch per
+    tree level.
 
     *skip* keys are neither fetched nor descended into: traversals that
     dedupe shared subtrees (GC marking, the scrub's block sweep) pass

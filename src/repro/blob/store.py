@@ -69,7 +69,6 @@ from repro.blob.metadata import MetadataService
 from repro.blob.provider_manager import ProviderManagerCore
 from repro.blob.publish import PublishPipeline, VmanStats
 from repro.blob.segment_tree import (
-    DescentPlan,
     NodeKey,
     build_patch,
     build_tombstone_patch,
@@ -592,7 +591,7 @@ class LocalBlobStore:
         one outcome this protocol exists to prevent.  Whatever the
         rollback or filler publish did not finish is recoverable later:
         orphaned blocks fall to the next GC sweep, missing filler nodes
-        to the anti-entropy scrub (or :meth:`republish_tombstone`).
+        to the anti-entropy scrub.
         """
         try:
             self._rollback_write(stored, placements, sizes)
@@ -628,8 +627,7 @@ class LocalBlobStore:
         providers are failing, so insisting on full publication would
         re-wedge the very protocol this exists to unwedge.  Skipped
         nodes leave their key range unreadable (exactly as the outage
-        already made it) until the scrub pass — or a manual
-        :meth:`republish_tombstone` — runs after recovery.
+        already made it) until the scrub pass runs after recovery.
         """
         patch = build_tombstone_patch(
             blob_id=spec.blob_id,
@@ -649,28 +647,6 @@ class LocalBlobStore:
             # failure surfaced by a single-node patch) means nothing
             # landed.
             return [node.key for node in patch]
-
-    def republish_tombstone(self, blob_id: str, version: int) -> list[NodeKey]:
-        """Re-publish a tombstone's filler metadata (idempotent).
-
-        The manual escape hatch the anti-entropy scrub (DESIGN.md §8)
-        automates — kept for targeted, single-version recovery.
-        Run after a metadata-provider outage heals: filler nodes the
-        abort could not place (and stale partial nodes of the dead
-        write stranded on buckets that were down during the abort) are
-        force-overwritten from the version manager's durable spec.
-        Returns the keys that still could not be published.
-
-        Branch-aware: a tombstone inherited across a branch point is
-        owned by the ancestor BLOB — readers resolve its keys there —
-        so the filler is (re)published under the owner's id.
-        """
-        def fetch_spec() -> TombstoneSpec:
-            owner = self.version_manager.owner_of(blob_id, version)
-            return self.version_manager.tombstone_spec(owner, version)
-
-        spec = self._vman_call(fetch_spec, abort_rounds=1)
-        return self._publish_tombstone(spec)
 
     def _publish_metadata(
         self,
@@ -942,9 +918,3 @@ class LocalBlobStore:
         """Bring a failed data provider back (content intact)."""
         self.providers[name].recover()
         self.provider_manager.recover(name)
-
-    def descend_plan(self, blob_id: str, version: int, lo: int, hi: int) -> DescentPlan:
-        """Expose a raw descent plan (used by tests and the GC)."""
-        info = self.snapshot(blob_id, version)
-        root = NodeKey(info.blob_id, info.version, 0, info.root_span)
-        return DescentPlan(root, lo, hi)

@@ -568,14 +568,13 @@ class VersionManagerCore:
 
         Serves an already-tombstoned version so the filler can be
         re-published idempotently after the metadata-provider outage
-        that caused the abort heals (see
-        ``LocalBlobStore.republish_tombstone``).  ``pending=True``
-        additionally serves a version still in flight — strictly for
-        the aborting writer itself, which must publish the filler
-        *before* finalising the abort; anyone else holding a pending
-        spec could force-overwrite a healthy writer's metadata.  This
-        is the single constructor of the spec: publish and republish
-        derive the identical patch.
+        that caused the abort heals (the scrub's tombstone phase,
+        DESIGN.md §8).  ``pending=True`` additionally serves a version
+        still in flight — strictly for the aborting writer itself,
+        which must publish the filler *before* finalising the abort;
+        anyone else holding a pending spec could force-overwrite a
+        healthy writer's metadata.  This is the single constructor of
+        the spec: the abort and the scrub derive the identical patch.
         """
         state = self.blob(blob_id)
         # Same gate as snapshot_info/history_upto: republishing a

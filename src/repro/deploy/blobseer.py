@@ -75,7 +75,6 @@ class SimBlobSeer:
         placement: str = "round_robin",
         seed: int = 0,
         metadata_replication: int = 1,
-        commit_window: Optional[float] = None,
         config: Optional[StoreConfig] = None,
     ):
         if not provider_nodes:
@@ -168,18 +167,9 @@ class SimBlobSeer:
         #: count the batching refactor optimizes; diagnostics surface).
         self.meta_rpcs = 0
         #: Version-manager RPCs issued by client protocols — the
-        #: write-path twin of ``meta_rpcs`` (DESIGN.md §10): with a
-        #: ``commit_window`` every completion report coalesced into one
-        #: ``commit_batch`` request counts once, so under concurrent
-        #: appends this grows with batches, not writers.
+        #: write-path twin of ``meta_rpcs``: one per create, one assign
+        #: and one commit per write, one info per read.
         self.vman_rpcs = 0
-        #: Group-commit window in simulated seconds (``None`` = the
-        #: historical one-commit-RPC-per-writer behavior).  Commits
-        #: arriving within one window ride a single ``commit_batch``
-        #: RPC carried by the window's first writer.
-        self.commit_window = commit_window
-        self._commit_pending: list[tuple] = []
-        self._commit_flusher_live = False
 
     @property
     def engine(self) -> Engine:
@@ -216,12 +206,6 @@ class SimBlobSeer:
         if op == "commit":
             _, blob_id, version = message
             return Reply(self.vm_core.commit(blob_id, version))
-        if op == "commit_batch":
-            # Group commit (DESIGN.md §10): one serialized step admits
-            # a whole window's completion reports; the watermark
-            # advances (and the publication gates open) once per batch.
-            outcomes = self.vm_core.commit_batch(list(message[1]))
-            return Reply(tuple(outcomes), size=16.0 * len(outcomes))
         if op == "info":
             _, blob_id, version = message
             if version is None:
@@ -252,13 +236,6 @@ class SimBlobSeer:
 
         def handler(message: tuple):
             op = message[0]
-            if op == "put":
-                node = message[1]
-                bucket[node.key] = node
-                return Reply(None)
-            if op == "get":
-                key = message[1]
-                return Reply(bucket[key], size=_NODE_BYTES)
             if op == "multi_put":
                 # Batched publish: a writer's whole share of a patch
                 # for this provider lands in one request (DESIGN.md §9).
@@ -429,76 +406,15 @@ class SimBlobSeer:
             )
         yield self.engine.all_of(meta_puts)
 
-        # 5. report success; the watermark advances in version order —
-        # through the group-commit window when one is configured.
-        yield from self._commit_version(client, blob_id, ticket.version)
+        # 5. report success; the watermark advances in version order.
+        self.vman_rpcs += 1
+        yield from call(client, self.vm_server, ("commit", blob_id, ticket.version))
         return ticket.version
 
     def append(self, client: SimNode, blob_id: str, data, **kwargs) -> Generator:
         """Append = write with the offset fixed by the version manager."""
         version = yield from self.write(client, blob_id, data, offset=None, **kwargs)
         return version
-
-    def _commit_version(self, client: SimNode, blob_id: str, version: int) -> Generator:
-        """Report one write's completion; returns the new watermark.
-
-        Without a ``commit_window`` this is the historical per-writer
-        ``commit`` RPC.  With one, the report joins the current window:
-        the window's first writer spawns the flusher, which waits out
-        the window and ships **one** ``commit_batch`` RPC for every
-        report that accumulated — O(batches), not O(writers), vman
-        round trips under fig5-style append concurrency.  Per-item
-        outcomes come back to their own writers (a batch-mate's invalid
-        commit fails that writer alone).
-        """
-        if self.commit_window is None:
-            self.vman_rpcs += 1
-            watermark = yield from call(
-                client, self.vm_server, ("commit", blob_id, version)
-            )
-            return watermark
-        done = self.engine.event()
-        self._commit_pending.append((blob_id, version, done))
-        if not self._commit_flusher_live:
-            self._commit_flusher_live = True
-            self.engine.process(
-                self._flush_commit_window(client), name="vman-commit-flush"
-            )
-        watermark = yield done
-        return watermark
-
-    def _flush_commit_window(self, client: SimNode) -> Generator:
-        """Ship one ``commit_batch`` RPC for the window's reports.
-
-        A failing RPC (version-manager node down, handler error) is
-        delivered to **every** writer parked on the window — the
-        per-writer path would have handed each of them the same
-        failure, and a dead flusher must never strand its batch (the
-        sim twin of ``_GroupBatcher``'s route-to-unsettled guard).
-        """
-        yield self.engine.timeout(self.commit_window)
-        batch, self._commit_pending = self._commit_pending, []
-        # Reports arriving during the RPC below open a fresh window.
-        self._commit_flusher_live = False
-        self.vman_rpcs += 1
-        try:
-            outcomes = yield from call(
-                client,
-                self.vm_server,
-                ("commit_batch", tuple((b, v) for b, v, _ in batch)),
-                request_size=24.0 * len(batch),
-            )
-        except Exception as exc:
-            for _, _, done in batch:
-                done.fail(exc)
-            return
-        for (_, _, done), outcome in zip(batch, outcomes):
-            if outcome.error is not None:
-                done.fail(outcome.error)
-            elif outcome.hook_error is not None:
-                done.fail(outcome.hook_error)
-            else:
-                done.succeed(outcome.watermark)
 
     def read(
         self,
@@ -625,37 +541,6 @@ class SimBlobSeer:
         """Resolve a path to its BLOB id (the open-time interaction)."""
         blob_id = yield from call(client, self.ns_server, ("lookup", path))
         return blob_id
-
-    # -- maintenance (anti-entropy, DESIGN.md §8) ---------------------------------
-
-    def scrub_metadata(self) -> dict[str, int]:
-        """One anti-entropy pass over the simulated metadata buckets.
-
-        Reconciles each tree-node key against its ring-assigned replica
-        set: a bucket that missed puts (down, or added after the write)
-        is re-fed from any healthy holder, and replicas disagreeing on
-        a leaf are converged on the copy its owners share (first owner
-        in ring order wins — in the simulation nodes are immutable, so
-        disagreement only arises from injected damage).  Mirrors the
-        functional layer's :func:`repro.blob.scrub.scrub_store`
-        metadata phase; returns ``{"keys_checked", "replicas_healed"}``.
-        """
-        all_keys: set[NodeKey] = set()
-        for bucket in self.md_buckets.values():
-            all_keys.update(bucket.keys())
-        checked = healed = 0
-        for key in all_keys:
-            owners = self.ring.replicas(key, self.metadata_replication)
-            holders = [name for name in owners if key in self.md_buckets[name]]
-            if not holders:
-                continue  # only non-owner debris holds it; nothing authoritative
-            checked += 1
-            authority = self.md_buckets[holders[0]][key]
-            for name in owners:
-                if self.md_buckets[name].get(key) != authority:
-                    self.md_buckets[name][key] = authority
-                    healed += 1
-        return {"keys_checked": checked, "replicas_healed": healed}
 
     # -- diagnostics -------------------------------------------------------------
 

@@ -6,17 +6,13 @@ key placement, and write/read paths that tolerate bucket failures up to
 the replication level.  The simulated deployment re-uses the same ring
 logic but puts each bucket behind an RPC server.
 
-Two access granularities exist side by side:
-
-* **scalar** ``put``/``get``/``delete`` — one key, one round trip per
-  replica contacted;
-* **batched** ``multi_get``/``multi_put``/``multi_replica_values`` —
-  many keys resolved against their owner buckets in one pass: keys are
-  grouped by bucket, each bucket is asked once per round, and the
-  per-bucket requests of a round run in parallel when an engine is
-  attached, so the whole round costs one wall-clock round trip.
-  Failover semantics match the scalar ops key for key (paper §III-A.3:
-  metadata must never serialize readers on a hop).
+Every access is batched (``multi_get``/``multi_put``/
+``multi_replica_values``): many keys are resolved against their owner
+buckets in one pass — keys are grouped by bucket, each bucket is asked
+once per round, and the per-bucket requests of a round run in parallel
+when an engine is attached, so the whole round costs one wall-clock
+round trip (paper §III-A.3: metadata must never serialize readers on a
+hop).  ``get``/``put`` are batches of one.
 
 ``stats`` counts wall-clock round trips (a batched round of parallel
 bucket requests counts once) so callers can verify the O(tree-depth)
@@ -56,10 +52,9 @@ _ABSENT = _Missing()
 class DhtStats(Counters):
     """Wire-level counters (a :class:`~repro.obs.Counters`).
 
-    ``round_trips`` counts *wall-clock* waits on the DHT: every scalar
-    bucket access is one, while one round of a batched operation — all
-    its per-bucket requests run in parallel — also counts one, no
-    matter how many keys or buckets it touched.  ``bucket_ops`` counts
+    ``round_trips`` counts *wall-clock* waits on the DHT: one round of
+    a batched operation — all its per-bucket requests run in parallel —
+    counts one, no matter how many keys or buckets it touched.  ``bucket_ops`` counts
     the individual bucket requests behind those waits.  The gap between
     the two is exactly what batching buys.
     """
@@ -93,9 +88,8 @@ class Bucket:
     Args:
         name: bucket identity.
         latency: simulated seconds of service time charged once per
-            request — scalar ops pay it per key, the ``*_many`` ops pay
-            it once per batch, which is precisely the round-trip saving
-            the batched pipeline exists to exploit.
+            request: every ``*_many`` op pays it once per batch,
+            however many keys the batch carries.
     """
 
     def __init__(self, name: str, latency: float = 0.0):
@@ -117,25 +111,6 @@ class Bucket:
     def _check_online(self) -> None:
         if not self.online:
             raise ProviderUnavailable(f"bucket {self.name} is down")
-
-    def put(self, key: Hashable, value: object) -> None:
-        """Store *value* (immutable overwrite-forbidden discipline is the
-        caller's concern; the bucket itself is a plain map)."""
-        self._check_online()
-        self._service_delay()
-        self._items[key] = value
-
-    def get(self, key: Hashable) -> object:
-        """Fetch the value for *key*; KeyError if absent."""
-        self._check_online()
-        self._service_delay()
-        return self._items[key]
-
-    def delete(self, key: Hashable) -> None:
-        """Remove *key* if present (idempotent)."""
-        self._check_online()
-        self._service_delay()
-        self._items.pop(key, None)
 
     # -- batched surface ----------------------------------------------------------
 
@@ -217,8 +192,18 @@ class Bucket:
         finally:
             self._defer_delay.active = False
 
+    def delete_many(self, keys: Sequence[Hashable]) -> None:
+        """Remove every present key in one request (one service delay;
+        absent keys are ignored, so a retried sweep is idempotent)."""
+        self._check_online()
+        self._service_delay()
+        for key in keys:
+            self._items.pop(key, None)
+
     def peek_many(self, keys: Sequence[Hashable]) -> dict[Hashable, object]:
-        """Batched :meth:`peek`: present keys only, no online gate."""
+        """Present keys only, with no online gate and no delay: the
+        anti-entropy pass reads a bucket's durable content even around
+        failure injection, as a recovered node would scan its disk."""
         items = self._items
         return {key: items[key] for key in keys if key in items}
 
@@ -231,12 +216,6 @@ class Bucket:
     def keys(self) -> Iterator[Hashable]:
         """Iterate stored keys (GC sweeps use this)."""
         return iter(list(self._items.keys()))
-
-    def peek(self, key: Hashable) -> object:
-        """Fetch without the online gate (anti-entropy reads a bucket's
-        durable content even around failure injection; a real recovered
-        node would scan its local disk the same way)."""
-        return self._items[key]
 
     def digest(self, keys: Optional[Iterable[Hashable]] = None) -> str:
         """Stable content digest over *keys* (default: every stored key).
@@ -319,61 +298,17 @@ class DhtStore:
                 results.append((None, exc))
         return results
 
-    # -- scalar ops ---------------------------------------------------------------
-
-    def put(self, key: Hashable, value: object) -> None:
-        """Write to every live replica; fails if none is reachable."""
-        wrote = 0
-        for name in self.owners(key):
-            bucket = self.buckets[name]
-            if bucket.online:
-                bucket.put(key, value)
-                wrote += 1
-        self.stats.record(round_trips=max(wrote, 1), bucket_ops=wrote, keys_stored=1)
-        if wrote == 0:
-            raise ReplicationError(f"no live replica for key {key!r}")
+    # -- batches of one -------------------------------------------------------
 
     def get(self, key: Hashable) -> object:
-        """Read from the first live replica holding the key."""
-        missing = False
-        tried = 0
-        try:
-            for name in self.owners(key):
-                bucket = self.buckets[name]
-                if not bucket.online:
-                    continue
-                tried += 1
-                try:
-                    return bucket.get(key)
-                except KeyError:
-                    missing = True
-        finally:
-            self.stats.record(
-                round_trips=max(tried, 1), bucket_ops=tried, keys_fetched=1
-            )
-        if missing:
-            raise KeyError(key)
-        raise ProviderUnavailable(f"all replicas for {key!r} are down")
+        """One key through :meth:`multi_get` (same failover, same errors)."""
+        return self.multi_get([key])[key]
 
-    def delete(self, key: Hashable) -> None:
-        """Delete from all live replicas (used by the GC sweep)."""
-        touched = 0
-        for name in self.owners(key):
-            bucket = self.buckets[name]
-            if bucket.online:
-                bucket.delete(key)
-                touched += 1
-        self.stats.record(round_trips=max(touched, 1), bucket_ops=touched)
-
-    def contains(self, key: Hashable) -> bool:
-        """Cheap existence probe: membership checks against the owner
-        replicas, no value transfer and no failover ``get`` (the scalar
-        read path fetches and discards a whole node to answer this)."""
-        self.stats.record(round_trips=1, bucket_ops=1)
-        return any(key in self.buckets[name] for name in self.owners(key))
-
-    def __contains__(self, key: Hashable) -> bool:
-        return self.contains(key)
+    def put(self, key: Hashable, value: object) -> None:
+        """One unconditional pair through :meth:`multi_put`; raises
+        :class:`ReplicationError` if no live replica took it."""
+        if self.multi_put([(key, value)]).unstored:
+            raise ReplicationError(f"no live replica for key {key!r}")
 
     # -- batched ops --------------------------------------------------------------
 
@@ -385,11 +320,11 @@ class DhtStore:
         round (requests of a round run in parallel — one wall-clock
         round trip).  Keys served by their first replica finish in
         round 0; only stragglers (offline or lagging replicas) pay
-        failover rounds, exactly mirroring the scalar ``get`` chain.
+        failover rounds.
 
         Raises ``KeyError`` for a key some online replica was asked
         about but none holds, ``ProviderUnavailable`` for a key whose
-        every replica is down — the scalar semantics, key for key.
+        every replica is down.
         """
         ordered = list(dict.fromkeys(keys))
         if not ordered:
@@ -398,8 +333,7 @@ class DhtStore:
         seen_missing: set[Hashable] = set()
         remaining = ordered
         # The ring hands out at most one replica per distinct bucket, so
-        # every key's owner chain is exactly this long (the scalar path
-        # iterates the chain directly and needs no such cap).
+        # every key's owner chain is exactly this long.
         rounds = min(self.replication, len(self.buckets))
         for attempt in range(rounds):
             if not remaining:
@@ -527,9 +461,7 @@ class DhtStore:
                 continue
             withdrew += 1
             try:
-                bucket = self.buckets[name]
-                for key in doomed:
-                    bucket.delete(key)
+                self.buckets[name].delete_many(doomed)
             except ProviderUnavailable:
                 continue
         if withdrew:
@@ -538,9 +470,14 @@ class DhtStore:
     def multi_replica_values(
         self, keys: Iterable[Hashable]
     ) -> dict[Hashable, dict[str, object]]:
-        """Batched :meth:`replica_values`: one pass over the owner
-        buckets answers every key (the scrub's reconciliation phases
-        previously paid one enumeration per key)."""
+        """What each *online* owner replica holds for every key, in one
+        pass over the owner buckets.
+
+        Maps key to ``{bucket name: stored value}``, with :data:`MISSING`
+        where the replica is online but lacks the key.  Offline owners
+        are omitted: their content cannot be compared until they
+        recover.
+        """
         ordered = list(dict.fromkeys(keys))
         if not ordered:
             return {}
@@ -590,28 +527,6 @@ class DhtStore:
         for bucket in self.online_buckets():
             keys.update(bucket.keys())
         return keys
-
-    def replica_values(self, key: Hashable) -> dict[str, object]:
-        """What each *online* owner replica holds for *key*.
-
-        Maps bucket name to the stored value, or :data:`MISSING` when
-        the replica is online but lacks the key.  Offline owners are
-        omitted: their content cannot be compared until they recover.
-        """
-        values: dict[str, object] = {}
-        for name in self.owners(key):
-            bucket = self.buckets[name]
-            if not bucket.online:
-                continue
-            try:
-                values[name] = bucket.peek(key)
-            except KeyError:
-                values[name] = MISSING
-        return values
-
-    def put_replica(self, name: str, key: Hashable, value: object) -> None:
-        """Targeted write to one replica (scrub healing a lagging copy)."""
-        self.buckets[name].put(key, value)
 
     def fail_bucket(self, name: str) -> None:
         """Failure injection: mark one bucket offline."""

@@ -140,7 +140,7 @@ def scrub_heal(
     one key dies mid-protocol, so a write aborts into a tombstone whose
     filler cannot fully land until the buckets recover.  One scrub pass
     must then restore digest-verified replica convergence and make
-    every version readable — with no manual ``republish_tombstone``.
+    every version readable, with no other repair step.
     """
     bs = 1024
     expected: dict[int, bytes] = {}
@@ -212,8 +212,7 @@ def scrub_heal(
         summary=(
             f"{scrub.replicas_healed} lagging replicas re-fed, "
             f"{scrub.filler_republished} filler nodes republished, all "
-            f"{len(expected)} versions read back byte-identical — no manual "
-            "republish_tombstone needed"
+            f"{len(expected)} versions read back byte-identical from one pass"
         ),
     )
 

@@ -179,6 +179,40 @@ class TestOfflineMetadataBuckets:
         ]
         assert store.read(blob, version=2) == b"b" * (4 * BS)
 
+    def test_sweep_is_one_delete_many_per_online_bucket(self):
+        """The metadata sweep deletes a bucket's whole share of the
+        garbage in one request (one service delay), and never asks an
+        offline bucket."""
+        store = LocalBlobStore(config=StoreConfig(
+            data_providers=4,
+            metadata_providers=4,
+            block_size=BS,
+            metadata_replication=2,
+        ))
+        blob = store.create()
+        store.write(blob, 0, b"a" * (8 * BS))
+        store.write(blob, 0, b"b" * (8 * BS))  # v1 becomes garbage
+        store.metadata.store.fail_bucket("mdp-001")
+        buckets = store.metadata.store.buckets
+        holders = {
+            name
+            for name, bucket in buckets.items()
+            if bucket.online and any(key.version == 1 for key in bucket.keys())
+        }
+        assert len(holders) == 3  # every online bucket holds garbage
+        calls = {name: 0 for name in buckets}
+        for name, bucket in buckets.items():
+
+            def counted(keys, name=name, real=bucket.delete_many):
+                calls[name] += 1
+                return real(keys)
+
+            bucket.delete_many = counted
+        report = collect_garbage(store, blob, retain_from=2)
+        assert calls == {name: int(name in holders) for name in buckets}
+        assert report.nodes_deleted > 0
+        assert store.read(blob, version=2) == b"b" * (8 * BS)
+
     def test_gc_survives_metadata_bucket_dying_mid_sweep(self):
         store = LocalBlobStore(config=StoreConfig(
             data_providers=4,
@@ -191,15 +225,15 @@ class TestOfflineMetadataBuckets:
         store.write(blob, 0, b"b" * (4 * BS))
 
         victim = store.metadata.store.buckets["mdp-000"]
-        original_delete = victim.delete
+        original_delete_many = victim.delete_many
 
-        def die_on_delete(key):
+        def die_on_delete(keys):
             victim.online = False  # goes down just as the sweep reaches it
-            return original_delete(key)
+            return original_delete_many(keys)
 
-        victim.delete = die_on_delete
+        victim.delete_many = die_on_delete
         report = collect_garbage(store, blob, retain_from=2)  # completes
-        victim.delete = original_delete
+        victim.delete_many = original_delete_many
         victim.online = True
         assert report.nodes_deleted > 0
         assert store.read(blob, version=2) == b"b" * (4 * BS)

@@ -27,45 +27,54 @@ def service():
     return MetadataService(DhtStore([f"mdp-{i}" for i in range(4)], replication=2))
 
 
+def sweep(service, key):
+    """Delete *key* the way the GC sweep does: one ``delete_many`` per
+    owner bucket, then the cache invalidation."""
+    for name in service.store.owners(key):
+        service.store.buckets[name].delete_many([key])
+    service.invalidate_cached(key)
+
+
 class TestNodeStorage:
     def test_roundtrip(self, service):
         node = leaf()
-        service.put_node(node)
+        service.put_patch([node])
         assert service.get_node(node.key) == node
-        assert service.has_node(node.key)
+        assert service.get_nodes([node.key]) == {node.key: node}
 
     def test_missing_node(self, service):
         with pytest.raises(VersionNotFound):
             service.get_node(NodeKey("b", 5, 0, 1))
-        assert not service.has_node(NodeKey("b", 5, 0, 1))
 
     def test_idempotent_identical_reput(self, service):
         node = leaf()
-        service.put_node(node)
-        service.put_node(node)  # retry of the same write is fine
+        service.put_patch([node])
+        service.put_patch([node])  # retry of the same write is fine
         assert service.get_node(node.key) == node
 
     def test_conflicting_reput_rejected(self, service):
-        service.put_node(leaf(provider="p1"))
+        service.put_patch([leaf(provider="p1")])
         with pytest.raises(WriteConflict, match="immutable"):
-            service.put_node(leaf(provider="p2"))
+            service.put_patch([leaf(provider="p2")])
 
     def test_put_patch_order(self, service):
         nodes = [leaf(index=i) for i in range(4)]
         service.put_patch(nodes)
-        for node in nodes:
-            assert service.has_node(node.key)
+        assert service.get_nodes([node.key for node in nodes]) == {
+            node.key: node for node in nodes
+        }
 
-    def test_delete_idempotent(self, service):
+    def test_sweep_idempotent(self, service):
         node = leaf()
-        service.put_node(node)
-        service.delete_node(node.key)
-        service.delete_node(node.key)
-        assert not service.has_node(node.key)
+        service.put_patch([node])
+        sweep(service, node.key)
+        sweep(service, node.key)
+        with pytest.raises(VersionNotFound):
+            service.get_node(node.key)
 
     def test_load_by_provider_counts_replicas(self, service):
         for i in range(10):
-            service.put_node(leaf(index=i))
+            service.put_patch([leaf(index=i)])
         load = service.load_by_provider()
         assert sum(load.values()) == 20  # replication 2
         assert set(load) == {f"mdp-{i}" for i in range(4)}
@@ -86,7 +95,7 @@ class TestBatchFacade:
         assert got == {node.key: node for node in nodes}
 
     def test_get_nodes_missing_key_raises_version_not_found(self, service):
-        service.put_node(leaf(index=0))
+        service.put_patch([leaf(index=0)])
         with pytest.raises(VersionNotFound):
             service.get_nodes([leaf(index=0).key, NodeKey("b", 9, 0, 1)])
 
@@ -127,7 +136,7 @@ class TestBatchFacade:
 class TestNodeCache:
     def test_read_through_and_hit_counters(self, cached_service):
         node = leaf()
-        cached_service.put_node(node)
+        cached_service.put_patch([node])
         before = cached_service.store.stats.snapshot()["round_trips"]
         assert cached_service.get_node(node.key) == node  # miss -> DHT
         assert cached_service.get_node(node.key) == node  # hit -> local
@@ -139,26 +148,25 @@ class TestNodeCache:
         """Write-through caching would let a client 'read' metadata the
         DHT never served it — failure injection must stay observable."""
         node = leaf()
-        cached_service.put_node(node)
+        cached_service.put_patch([node])
         assert len(cached_service.cache) == 0
 
     def test_force_put_invalidates(self, cached_service):
-        cached_service.put_node(leaf(provider="p1"))
+        cached_service.put_patch([leaf(provider="p1")])
         cached_service.get_node(leaf().key)  # cached
-        cached_service.put_node(leaf(provider="p2"), force=True)
+        assert cached_service.put_fillers([leaf(provider="p2")]) == []
         assert cached_service.get_node(leaf().key) == leaf(provider="p2")
 
-    def test_delete_invalidates(self, cached_service):
+    def test_sweep_invalidates(self, cached_service):
         node = leaf()
-        cached_service.put_node(node)
+        cached_service.put_patch([node])
         cached_service.get_node(node.key)  # cached
-        cached_service.delete_node(node.key)
+        sweep(cached_service, node.key)
         with pytest.raises(VersionNotFound):
             cached_service.get_node(node.key)
-        assert not cached_service.has_node(node.key)
 
     def test_heal_replica_invalidates(self, cached_service):
-        cached_service.put_node(leaf(provider="p1"))
+        cached_service.put_patch([leaf(provider="p1")])
         cached_service.get_node(leaf().key)  # cached
         healed = leaf(provider="p2")
         for name in cached_service.store.owners(healed.key):
@@ -184,44 +192,30 @@ class TestNodeCache:
         # Only the cold half travelled.
         assert cached_service.store.stats.snapshot()["keys_fetched"] - before == 3
 
-    def test_fetch_racing_an_invalidation_is_not_cached(self, cached_service):
+    @pytest.mark.parametrize("fetch", ["get_node", "get_nodes"])
+    def test_fetch_racing_an_invalidation_is_not_cached(self, cached_service, fetch):
         """A DHT fetch that overlaps a sanctioned mutation must not
         install the superseded node after the mutation's invalidation
         already ran — otherwise one unlucky read pins the stale value
         forever (no further invalidation is coming)."""
         stale, healed = leaf(provider="p1"), leaf(provider="p2")
-        cached_service.put_node(stale)
-        real_get = cached_service.store.get
-
-        def get_then_heal(key):
-            node = real_get(key)  # the fetch observes the pre-heal value
-            for name in cached_service.store.owners(key):
-                cached_service.heal_replica(name, healed)  # heal + invalidate
-            return node
-
-        cached_service.store.get = get_then_heal
-        assert cached_service.get_node(stale.key) == stale  # raced read
-        cached_service.store.get = real_get
-        # The raced fetch must NOT have been cached: the next lookup
-        # refetches and sees the healed node.
-        assert cached_service.get_node(stale.key) == healed
-
-    def test_batched_fetch_racing_an_invalidation_is_not_cached(
-        self, cached_service
-    ):
-        stale, healed = leaf(provider="p1"), leaf(provider="p2")
-        cached_service.put_node(stale)
+        cached_service.put_patch([stale])
         real_multi_get = cached_service.store.multi_get
 
         def multi_get_then_heal(keys):
-            nodes = real_multi_get(keys)
+            nodes = real_multi_get(keys)  # the fetch observes the pre-heal value
             for name in cached_service.store.owners(stale.key):
-                cached_service.heal_replica(name, healed)
+                cached_service.heal_replica(name, healed)  # heal + invalidate
             return nodes
 
         cached_service.store.multi_get = multi_get_then_heal
-        assert cached_service.get_nodes([stale.key]) == {stale.key: stale}
+        if fetch == "get_node":
+            assert cached_service.get_node(stale.key) == stale  # raced read
+        else:
+            assert cached_service.get_nodes([stale.key]) == {stale.key: stale}
         cached_service.store.multi_get = real_multi_get
+        # The raced fetch must NOT have been cached: the next lookup
+        # refetches and sees the healed node.
         assert cached_service.get_node(stale.key) == healed
 
     def test_unrelated_invalidation_does_not_reject_insert(self):
@@ -244,7 +238,7 @@ class TestNodeCache:
         assert cache.get(node.key) is None
 
     def test_stats_surface(self, cached_service):
-        cached_service.put_node(leaf())
+        cached_service.put_patch([leaf()])
         cached_service.get_node(leaf().key)
         stats = cached_service.stats()
         assert stats["round_trips"] > 0

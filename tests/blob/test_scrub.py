@@ -1,13 +1,13 @@
 """Anti-entropy scrub (DESIGN.md §8): replicas converge on their own.
 
-PR 2 left one manual step in the failure story: after a metadata
-bucket outage spanning a write abort, a recovered replica serves stale
-real-patch nodes of the dead write until ``republish_tombstone`` runs
-by hand.  The scrub subsystem removes it — these tests drive the whole
-acceptance scenario (bucket dies mid-write, abort, recovery, one scrub
-pass restores digest-verified convergence), the fold-in of block
-re-replication, the GC-floor and in-flight guards, the rate limiter,
-and the background daemon.
+The scrub is the store's only repair.  After a metadata bucket outage
+spanning a write abort, a recovered replica serves stale real-patch
+nodes of the dead write until a pass heals them.  These tests drive
+the whole acceptance scenario (bucket dies mid-write, abort, recovery,
+one scrub pass restores digest-verified convergence), block
+re-replication (paper §VI-B) and its allocator accounting, the
+GC-floor and in-flight guards, the rate limiter, and the background
+daemon.
 """
 
 import time
@@ -25,7 +25,12 @@ from repro.blob import (
     collect_garbage,
 )
 from repro.dht.store import MISSING
-from repro.errors import ProviderUnavailable, ReplicationError, VersionNotFound
+from repro.errors import (
+    BlobError,
+    ProviderUnavailable,
+    ReplicationError,
+    VersionNotFound,
+)
 from tests.blob.test_write_rollback import IO_MODES, engine_kwargs, make_chaos_store
 
 BS = 16
@@ -37,6 +42,15 @@ def make_store(**kwargs):
     )
     defaults.update(kwargs)
     return LocalBlobStore(config=StoreConfig(**defaults))
+
+
+def wait_for(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.01)
+    return False
 
 
 def co_owned_keys(store, bucket_a, bucket_b):
@@ -93,8 +107,10 @@ class TestMetadataReconciliation:
 
         missing_before = [
             key
-            for key in store.metadata.all_node_keys()
-            if store.metadata.replica_nodes(key).get(victim) is MISSING
+            for key, values in store.metadata.replica_nodes_many(
+                list(store.metadata.all_node_keys())
+            ).items()
+            if values.get(victim) is MISSING
         ]
         report = store.scrub()
         assert report.replicas_healed == len(missing_before)
@@ -137,15 +153,15 @@ class TestMetadataReconciliation:
         store.metadata.store.recover_bucket(victim)
 
         bucket = store.metadata.store.buckets[victim]
-        real_put = bucket.put
+        real_put_many = bucket.put_many
 
-        def die_on_first_heal(key, value):
+        def die_on_first_heal(items, conditional=False):
             bucket.online = False  # fails between enumeration and heal
-            return real_put(key, value)
+            return real_put_many(items, conditional=conditional)
 
-        bucket.put = die_on_first_heal
+        bucket.put_many = die_on_first_heal
         report = store.scrub()
-        bucket.put = real_put
+        bucket.put_many = real_put_many
         assert report.errors  # the lost heals are recorded ...
         assert all("heal of" in err for err in report.errors)
         # ... and the pass after recovery finishes the job.
@@ -225,13 +241,13 @@ class TestTombstoneHealing:
         # still holds the dead write's real leaf — whose block was
         # rolled back.  Stale-node reads are now possible.
         store.metadata.store.recover_bucket(victim)
-        assert store.metadata.replica_nodes(key)[victim] != store.metadata.get_node(key) or (
+        assert store.metadata.replica_nodes_many([key])[key][victim] != store.metadata.get_node(key) or (
             store.metadata.divergent_keys() != []
         )
         with pytest.raises(ProviderUnavailable):
             store.read(blob, version=2)
 
-        # One scrub pass — no republish_tombstone — and the store
+        # One scrub pass and the store
         # converges: digests equal on every co-owned key set, reads
         # can never hit the stale node again.
         report = store.scrub()
@@ -295,6 +311,9 @@ class TestTombstoneHealing:
 
 
 class TestBlockRepairFoldIn:
+    """Block re-replication (paper §VI-B) through the scrub, the only
+    repair entry point."""
+
     def test_under_replicated_blocks_healed_in_same_pass(self):
         store = make_store(data_providers=5, replication=2, metadata_replication=2)
         blob = store.create()
@@ -323,7 +342,7 @@ class TestBlockRepairFoldIn:
         )
         store.fail_provider(victim)
         report = store.scrub()
-        assert report.errors  # recorded ...
+        assert any("no live replica" in err for err in report.errors)  # recorded ...
         assert report.blocks_repaired == 0  # ... but the pass completed
         store.close()
 
@@ -336,6 +355,166 @@ class TestBlockRepairFoldIn:
         report = store.scrub()
         # 8 distinct blocks + 4 rewrites — not 5 versions x 8 leaves.
         assert report.blocks_checked == 12
+        store.close()
+
+    def test_empty_blob_checks_nothing(self):
+        store = make_store(data_providers=6, replication=2)
+        store.create()
+        report = store.scrub()
+        assert report.blocks_checked == 0
+        assert report.clean
+        store.close()
+
+    def test_failed_provider_blocks_are_repaired(self):
+        store = make_store(data_providers=6, replication=2)
+        blob = store.create()
+        store.write(blob, 0, b"a" * (4 * BS))
+        locations = store.block_locations(blob, 0, 4 * BS)
+        victim = locations[0].providers[0]
+        homed = sum(victim in loc.providers for loc in locations)
+        store.fail_provider(victim)
+        report = store.scrub()
+        assert report.blocks_checked == 4
+        assert report.blocks_repaired == homed
+        assert report.copies_created == homed
+        assert store.scrub().blocks_repaired == 0  # idempotent
+        assert store.read(blob) == b"a" * (4 * BS)
+        store.close()
+
+    def test_repaired_leaf_has_new_replica_set(self):
+        store = make_store(data_providers=6, replication=2)
+        blob = store.create()
+        store.write(blob, 0, b"a" * BS)
+        victim = store.block_locations(blob, 0, BS)[0].providers[0]
+        store.fail_provider(victim)
+        store.scrub()
+        providers = store.block_locations(blob, 0, BS)[0].providers
+        assert victim not in providers
+        assert len(providers) == 2
+        store.close()
+
+    def test_too_few_providers_is_recorded(self):
+        store = make_store(data_providers=2, replication=2)
+        blob = store.create()
+        store.write(blob, 0, b"a" * BS)
+        store.fail_provider(store.block_locations(blob, 0, BS)[0].providers[0])
+        report = store.scrub()
+        assert any("not enough live providers" in err for err in report.errors)
+        assert store.provider_manager.block_counts() == store.provider_block_counts()
+        store.close()
+
+    def test_old_versions_repaired_too(self):
+        store = make_store(data_providers=6, replication=2)
+        blob = store.create()
+        store.write(blob, 0, b"a" * BS)  # v1
+        store.write(blob, 0, b"b" * BS)  # v2
+        victim = store.block_locations(blob, 0, BS, version=1)[0].providers[0]
+        store.fail_provider(victim)
+        report = store.scrub()
+        assert report.blocks_repaired >= 1
+        assert store.read(blob, version=1) == b"a" * BS
+        assert store.read(blob, version=2) == b"b" * BS
+        store.close()
+
+
+def one_block_store(io_workers):
+    """4 providers, 2 buckets, data replication 2, metadata replication
+    1, one appended block whose leaf a read has cached.  Returns the
+    store, the blob, the block's first provider and the leaf's bucket."""
+    store = make_store(
+        data_providers=4,
+        metadata_providers=2,
+        replication=2,
+        metadata_replication=1,
+        **engine_kwargs(io_workers),
+    )
+    blob = store.create()
+    store.append(blob, b"a" * BS)
+    assert store.read(blob) == b"a" * BS  # caches the leaf
+    (key,) = store.metadata.all_node_keys()
+    (bucket,) = store.metadata.store.owners(key)
+    first = store.block_locations(blob, 0, BS)[0].providers[0]
+    return store, blob, first, bucket
+
+
+def assert_charges_match(store):
+    assert store.provider_manager.block_counts() == store.provider_block_counts()
+
+
+@pytest.mark.parametrize("io_workers", IO_MODES)
+class TestRepairAccounting:
+    """A repair is all or nothing, and every copy it leaves is charged
+    to the allocator exactly once (no orphan blocks or charges)."""
+
+    def test_copy_is_charged(self, io_workers):
+        store, blob, first, _ = one_block_store(io_workers)
+        store.fail_provider(first)
+        report = store.scrub()
+        assert report.copies_created == 1
+        assert store.provider_block_counts()["provider-002"] == 1
+        assert_charges_match(store)
+        # GC of the block releases every copy's charge, the repair's too.
+        store.write(blob, 0, b"b" * BS)
+        gc = collect_garbage(store, blob, retain_from=2)
+        assert gc.blocks_deleted == 2  # provider-001's and the copy
+        assert_charges_match(store)
+        store.close()
+
+    def test_failed_leaf_republish_removes_its_copy(self, io_workers):
+        store, blob, first, bucket = one_block_store(io_workers)
+        store.fail_provider(first)
+        store.metadata.store.fail_bucket(bucket)
+        report = store.scrub()
+        assert report.errors  # the leaf could not be republished
+        assert report.copies_created == 0
+        assert store.provider_block_counts()["provider-002"] == 0  # copy removed
+        assert_charges_match(store)
+
+        # The next pass after recovery heals instead of raising
+        # WriteConflict on the copy the failed pass made.
+        store.metadata.store.recover_bucket(bucket)
+        report = store.scrub()
+        assert report.copies_created == 1
+        assert report.errors == ()
+        assert_charges_match(store)
+        assert store.read(blob) == b"a" * BS
+        daemon = store.start_maintenance(interval=0.01)
+        assert wait_for(lambda: daemon.passes >= 2)
+        assert daemon.last_error is None
+        assert daemon.last_report.clean
+        store.close()
+
+    def test_stranded_copy_is_adopted_not_copied_again(self, io_workers):
+        """A failed repair whose copy cannot be removed (its provider
+        died first) leaves the copy charged; the next repair adopts it."""
+        store, blob, first, bucket = one_block_store(io_workers)
+        store.fail_provider(first)
+        store.metadata.store.fail_bucket(bucket)
+        target = store.providers["provider-002"]
+        real_delete = target.delete
+
+        def die_then_delete(block_id):
+            store.fail_provider(target.name)
+            return real_delete(block_id)
+
+        target.delete = die_then_delete
+        assert store.scrub().errors
+        target.delete = real_delete
+        assert store.provider_block_counts()["provider-002"] == 1  # stranded
+        assert_charges_match(store)
+
+        store.recover_provider(target.name)
+        store.metadata.store.recover_bucket(bucket)
+        report = store.scrub()
+        assert report.errors == ()
+        assert report.copies_created == 1
+        assert store.block_locations(blob, 0, BS)[0].providers == (
+            "provider-001",
+            "provider-002",
+        )
+        assert store.provider_block_counts()["provider-002"] == 1  # not re-copied
+        assert_charges_match(store)
+        assert store.scrub().clean
         store.close()
 
 
@@ -375,19 +554,11 @@ class TestThrottle:
 
 
 class TestMaintenanceDaemon:
-    def wait_for(self, predicate, timeout=5.0):
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if predicate():
-                return True
-            time.sleep(0.01)
-        return False
-
     @pytest.mark.parametrize("io_workers", IO_MODES)
     def test_chaos_bucket_dies_mid_write_daemon_heals_after_recovery(self, io_workers):
         """The acceptance scenario, end to end, with a REAL bucket
         failure (no monkeypatching) and the background daemon doing the
-        healing — no manual republish_tombstone anywhere."""
+        healing — no other repair step anywhere."""
         store, blob, victim = make_chaos_store(io_workers)
         store.append(blob, b"a" * (4 * BS))  # v1
         store.metadata.store.fail_bucket(victim)
@@ -399,7 +570,7 @@ class TestMaintenanceDaemon:
         assert daemon.running
         # While the bucket is down the tombstone stays partially
         # unreadable — the daemon must keep cycling, not crash.
-        assert self.wait_for(lambda: daemon.passes >= 2)
+        assert wait_for(lambda: daemon.passes >= 2)
         with pytest.raises((VersionNotFound, ProviderUnavailable)):
             store.read(blob, version=2)
 
@@ -412,12 +583,12 @@ class TestMaintenanceDaemon:
             except (VersionNotFound, ProviderUnavailable):
                 return False  # daemon has not completed a pass yet
 
-        assert self.wait_for(healed)
+        assert wait_for(healed)
         assert store.metadata.divergent_keys() == []
         assert store.read(blob, version=2) == expected
         # A later write keeps working and the next pass stays clean.
         assert store.append(blob, b"y" * (2 * BS)) == 3
-        assert self.wait_for(
+        assert wait_for(
             lambda: daemon.last_report is not None and daemon.last_report.clean
         )
         store.stop_maintenance()
@@ -456,7 +627,7 @@ class TestMaintenanceDaemon:
         for i in range(6):
             store.append(blob, bytes([65 + i]) * (2 * BS))
         daemon = store.start_maintenance(interval=0.01, ops_per_sec=20)
-        assert self.wait_for(lambda: daemon.running)
+        assert wait_for(lambda: daemon.running)
         time.sleep(0.1)  # let the pass get into its throttled loops
         start = time.monotonic()
         daemon.stop()
@@ -537,3 +708,80 @@ class TestPropertyScrubbedStoreReadsBack:
         for version, want in expected.items():
             assert store.read(blob, version=version) == want
         store.close()
+
+
+#: One chaos step: an append of 1–3 blocks, a read, a provider or
+#: bucket failure or recovery, or a scrub pass.
+CHAOS_OPS = st.one_of(
+    st.tuples(st.just("append"), st.integers(1, 3)),
+    st.tuples(st.sampled_from(("read", "scrub")), st.just(0)),
+    st.tuples(st.sampled_from(("fail_provider", "recover_provider")), st.integers(0, 3)),
+    st.tuples(st.sampled_from(("fail_bucket", "recover_bucket")), st.integers(0, 2)),
+)
+
+
+class TestPropertyScrubConverges:
+    # Example count comes from the hypothesis profile, like the class
+    # above.
+    @given(
+        io_mode=st.sampled_from((0, 2)),
+        metadata_replication=st.sampled_from((1, 2)),
+        ops=st.lists(CHAOS_OPS, min_size=1, max_size=14),
+    )
+    def test_two_passes_after_recovery_converge(
+        self, io_mode, metadata_replication, ops
+    ):
+        """Random appends, reads, provider and bucket failures and
+        recoveries, and scrub passes (none may raise).  Once everything
+        is back, two passes later the store is converged: the second
+        pass heals nothing and records no error, every copy is charged
+        to the allocator exactly once, and every published version
+        reads back its bytes."""
+        store = make_store(
+            data_providers=4,
+            metadata_providers=3,
+            replication=2,
+            metadata_replication=metadata_replication,
+            **engine_kwargs(io_mode),
+        )
+        try:
+            blob = store.create()
+            buckets = sorted(store.metadata.store.buckets)
+            content = b""
+            expected = {}
+            for seq, (op, arg) in enumerate(ops):
+                if op == "append":
+                    data = bytes([65 + seq % 26]) * (arg * BS)
+                    try:
+                        expected[store.append(blob, data)] = content = content + data
+                    except BlobError:
+                        info = store.snapshot(blob)
+                        if info.version not in expected and info.version > 0:
+                            assert info.tombstone  # aborted after assignment
+                            content += bytes(info.size - len(content))
+                            expected[info.version] = content
+                elif op == "read":
+                    try:
+                        store.read(blob)  # warms the node cache
+                    except BlobError:
+                        pass  # an outage owns part of the tree
+                elif op == "scrub":
+                    store.scrub()
+                elif op.endswith("provider"):
+                    getattr(store, op)(f"provider-{arg:03d}")
+                else:
+                    getattr(store.metadata.store, op)(buckets[arg])
+
+            for name in store.providers:
+                store.recover_provider(name)
+            for name in buckets:
+                store.metadata.store.recover_bucket(name)
+            store.scrub()
+            second = store.scrub()
+            assert second.healed_total == 0
+            assert second.errors == ()
+            assert store.provider_manager.block_counts() == store.provider_block_counts()
+            for version, want in expected.items():
+                assert store.read(blob, version=version) == want
+        finally:
+            store.close()

@@ -18,7 +18,6 @@ from repro.blob import (
     StoreConfig,
     build_tombstone_patch,
     collect_garbage,
-    find_under_replicated,
 )
 from repro.errors import (
     InvalidRange,
@@ -505,24 +504,31 @@ class TestWriteAbortTombstone:
         assert store.read(blob) == b"a" * (2 * BS)  # blocks intact
         store.close()
 
-    def test_republish_refuses_in_flight_versions(self, io_workers):
-        """republish_tombstone against a healthy in-flight write must
-        not force-overwrite its metadata with filler."""
+    def test_scrub_leaves_in_flight_versions_alone(self, io_workers):
+        """The scrub must not force-overwrite a healthy in-flight
+        write's metadata with tombstone filler."""
         store = LocalBlobStore(config=StoreConfig(
             data_providers=4, metadata_providers=2, block_size=BS, **engine_kwargs(io_workers)
         ))
         blob = store.create()
         store.append(blob, b"a" * BS)
-        store.version_manager.assign_append(blob, BS)  # v2 in flight
-        with pytest.raises(VersionNotFound):
-            store.republish_tombstone(blob, 2)
+        ticket = store.version_manager.assign_append(blob, BS)  # v2 in flight
+        store._publish_metadata(
+            ticket, nonce=999, sizes=[BS], placements=[("provider-000",)]
+        )
+        keys = [k for k in store.metadata.all_node_keys() if k.version == 2]
+        published = store.metadata.get_nodes(keys)
+        report = store.scrub()
+        assert report.tombstones_checked == 0
+        assert report.filler_republished == 0
+        assert store.metadata.get_nodes(keys) == published
         store.close()
 
-    def test_republish_through_branch_heals_ancestor_keys(self, io_workers):
+    def test_scrub_through_branch_heals_ancestor_keys(self, io_workers):
         """A tombstone inherited across a branch point is owned by the
-        ancestor: republishing via the branch must heal the ancestor's
-        keys (which is where readers resolve), not mint unreachable
-        nodes under the branch's id."""
+        ancestor: the scrub must heal the ancestor's keys (which is
+        where readers resolve), not mint unreachable nodes under the
+        branch's id."""
         store = LocalBlobStore(config=StoreConfig(
             data_providers=4, metadata_providers=2, block_size=BS, **engine_kwargs(io_workers)
         ))
@@ -551,15 +557,18 @@ class TestWriteAbortTombstone:
         branch = store.branch(blob, version=2)  # branch at the tombstone
         with pytest.raises(VersionNotFound):
             store.read(branch, version=2)
-        assert store.republish_tombstone(branch, 2) == []
+        report = store.scrub()
+        assert report.tombstones_checked == 1  # the ancestor's, once
+        assert report.filler_republished > 0
+        assert not any(k.blob_id == branch for k in store.metadata.all_node_keys())
         expected = b"a" * (2 * BS) + bytes(2 * BS)
         assert store.read(branch, version=2) == expected
         assert store.read(blob, version=2) == expected
         store.close()
 
     def test_tombstone_needs_no_replication_repair(self, io_workers):
-        """Zero leaves store nothing: the repair scan must not flag
-        (or crash on) them."""
+        """Zero leaves store nothing: the scrub's block sweep must not
+        flag (or crash on) them."""
         store = LocalBlobStore(config=StoreConfig(
             data_providers=4,
             metadata_providers=2,
@@ -573,7 +582,10 @@ class TestWriteAbortTombstone:
         with pytest.raises(ProviderUnavailable):
             store.append(blob, b"x" * (2 * BS))
         undo()
-        assert find_under_replicated(store, blob, version=2) == []
+        report = store.scrub()
+        assert report.blocks_checked == 2  # v1's blocks; v2 is all zero leaves
+        assert report.copies_created == 0
+        assert report.errors == ()
         store.close()
 
 
@@ -680,7 +692,7 @@ class TestChaosMetadataBucketDown:
         assert store.read(blob) == b"a" * (4 * BS) + bytes(2 * BS) + b"y" * (2 * BS)
         store.close()
 
-    def test_republish_tombstone_after_bucket_recovery(self, io_workers):
+    def test_scrub_heals_tombstone_after_bucket_recovery(self, io_workers):
         store, blob, victim = make_chaos_store(io_workers)
         store.append(blob, b"a" * (4 * BS))
         store.metadata.store.fail_bucket(victim)
@@ -692,10 +704,12 @@ class TestChaosMetadataBucketDown:
         # the outage owns, and the leftovers are reported.
         with pytest.raises((VersionNotFound, ProviderUnavailable)):
             store.read(blob, version=2)
-        assert store.republish_tombstone(blob, 2)  # still down: leftovers
+        assert store.scrub().errors  # still down: v2's tree stays unreadable
 
         store.metadata.store.recover_bucket(victim)
-        assert store.republish_tombstone(blob, 2) == []
+        report = store.scrub()
+        assert report.filler_republished > 0
+        assert report.errors == ()
         assert store.read(blob, version=2) == b"a" * (4 * BS) + bytes(2 * BS)
         # With the filler complete, GC can retain the tombstone too.
         collect_garbage(store, blob, retain_from=2)

@@ -251,57 +251,11 @@ class TestFailureInjection:
         assert cluster.engine.run(cluster.engine.process(scenario()))
 
 
-class TestSimAntiEntropy:
-    def test_scrub_metadata_refeeds_lagging_replica(self):
-        cluster, blobseer, client = make_deployment(n_mdp=4, metadata_replication=2)
-        data = bytes(i % 256 for i in range(4 * BS))
+class TestVmanRpcs:
+    """``vman_rpcs`` counts the version-manager RPCs client protocols
+    issue — the write-path twin of ``meta_rpcs``."""
 
-        def scenario():
-            yield from blobseer.create(client, "b")
-            yield from blobseer.write(client, "b", BytesPayload(data), offset=0)
-            return True
-
-        assert cluster.engine.run(cluster.engine.process(scenario()))
-
-        # Simulate a bucket that lost a put (down during the write):
-        # drop one replica of every key it co-owns.
-        dropped = 0
-        for name, bucket in blobseer.md_buckets.items():
-            for key in list(bucket):
-                if blobseer.ring.replicas(key, 2)[1] == name:
-                    del bucket[key]
-                    dropped += 1
-            break
-        report = blobseer.scrub_metadata()
-        assert report["replicas_healed"] == dropped
-        assert blobseer.scrub_metadata()["replicas_healed"] == 0  # converged
-
-        # Every owner now holds every key it is responsible for.
-        for name, bucket in blobseer.md_buckets.items():
-            for key in bucket:
-                for owner in blobseer.ring.replicas(key, 2):
-                    assert key in blobseer.md_buckets[owner]
-
-    def test_scrub_metadata_noop_on_healthy_deployment(self):
-        cluster, blobseer, client = make_deployment(n_mdp=3, metadata_replication=2)
-
-        def scenario():
-            yield from blobseer.create(client, "b")
-            yield from blobseer.write(client, "b", BytesPayload(b"x" * BS), offset=0)
-            return True
-
-        assert cluster.engine.run(cluster.engine.process(scenario()))
-        report = blobseer.scrub_metadata()
-        assert report["keys_checked"] > 0
-        assert report["replicas_healed"] == 0
-
-
-class TestGroupCommitWindow:
-    """The deploy-layer group commit (DESIGN.md §10): completion
-    reports arriving within one window ride a single commit_batch RPC,
-    counted by ``vman_rpcs`` — the write-path twin of ``meta_rpcs``."""
-
-    def _deployment(self, commit_window):
+    def _deployment(self):
         cal = Calibration(block_size=BS)
         cluster = SimCluster(latency=cal.latency)
         spec = NodeSpec(nic_rate=cal.nic_rate, disk=cal.disk)
@@ -319,12 +273,11 @@ class TestGroupCommitWindow:
             provider_manager_node=pm,
             namespace_node=ns,
             calibration=cal,
-            commit_window=commit_window,
         )
         return cluster, blobseer, clients
 
-    def _run_appends(self, commit_window, n_clients=8):
-        cluster, blobseer, clients = self._deployment(commit_window)
+    def test_per_writer_commits_cost_one_rpc_each(self):
+        cluster, blobseer, clients = self._deployment()
 
         def scenario():
             yield from blobseer.create(clients[0], "b")
@@ -333,67 +286,11 @@ class TestGroupCommitWindow:
                 blobseer.engine.process(
                     blobseer.append(c, "b", BytesPayload(bytes([65 + i]) * BS))
                 )
-                for i, c in enumerate(clients[:n_clients])
+                for i, c in enumerate(clients)
             ]
             yield blobseer.engine.all_of(procs)
             return blobseer.vman_rpcs - before
 
         rpcs = cluster.engine.run(cluster.engine.process(scenario()))
-        assert blobseer.vm_core.published_version("b") == n_clients
-        return rpcs, blobseer, clients, cluster
-
-    def test_per_writer_commits_cost_one_rpc_each(self):
-        rpcs, *_ = self._run_appends(commit_window=None)
+        assert blobseer.vm_core.published_version("b") == 8
         assert rpcs == 2 * 8  # one assign + one commit RPC per writer
-
-    def test_window_coalesces_commits_into_batched_rpcs(self):
-        rpcs, blobseer, clients, cluster = self._run_appends(commit_window=1e-3)
-        # 8 assigns (still the serialization point) + O(batches)
-        # commit_batch RPCs — strictly fewer than one per writer.
-        assert 8 < rpcs < 2 * 8
-        # The batched publication is correct: every version readable,
-        # bytes identical to the per-writer protocol's result.
-        def read_scenario():
-            payload = yield from blobseer.read(clients[0], "b")
-            return payload.size
-        size = cluster.engine.run(cluster.engine.process(read_scenario()))
-        assert size == 8 * BS
-
-    def test_window_preserves_publication_order(self):
-        _, blobseer, clients, cluster = self._run_appends(commit_window=2e-3)
-        # Watermark advanced over a contiguous prefix: every version
-        # 1..8 is published and readable at its own snapshot size.
-        for version in range(1, 9):
-            info = blobseer.vm_core.snapshot_info("b", version)
-            assert info.size == version * BS
-
-    def test_failed_batch_rpc_reaches_every_parked_writer(self):
-        """A dying commit_batch RPC must fail each windowed writer —
-        never strand the batch (the per-writer path would have handed
-        each of them the same failure)."""
-        cluster, blobseer, clients = self._deployment(commit_window=1e-3)
-
-        def boom(items):
-            raise RuntimeError("injected: version manager crashed")
-
-        def guarded(c):
-            # Each writer must OBSERVE the failure itself: a stranded
-            # append would leave its process pending forever.
-            try:
-                yield from blobseer.append(c, "b", BytesPayload(b"x" * BS))
-                return None
-            except RuntimeError as exc:
-                return exc
-
-        def scenario():
-            yield from blobseer.create(clients[0], "b")
-            blobseer.vm_core.commit_batch = boom
-            procs = [
-                blobseer.engine.process(guarded(c)) for c in clients[:4]
-            ]
-            results = yield blobseer.engine.all_of(procs)
-            return [results[p] for p in procs]
-
-        outcomes = cluster.engine.run(cluster.engine.process(scenario()))
-        assert len(outcomes) == 4
-        assert all("injected" in str(exc) for exc in outcomes)

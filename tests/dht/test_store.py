@@ -1,8 +1,10 @@
-"""Tests for the replicated DHT store (scalar and batched surfaces)."""
+"""Tests for the replicated DHT store (the batched surface and its
+batches of one)."""
 
 import pytest
 
 from repro.dht import DhtStore
+from repro.dht.store import MISSING
 from repro.errors import ProviderUnavailable, ReplicationError
 
 
@@ -29,18 +31,28 @@ class TestBasicOps:
     def test_put_get_roundtrip(self, store):
         store.put(("k", 1), "value")
         assert store.get(("k", 1)) == "value"
-        assert ("k", 1) in store
+        assert all(("k", 1) in store.buckets[n] for n in store.owners(("k", 1)))
 
     def test_missing_key(self, store):
         with pytest.raises(KeyError):
             store.get("ghost")
-        assert "ghost" not in store
 
-    def test_delete_idempotent(self, store):
+    def test_bucket_delete_many_idempotent(self, store):
         store.put("k", 1)
-        store.delete("k")
-        store.delete("k")
-        assert "k" not in store
+        for _ in range(2):
+            for name in store.owners("k"):
+                store.buckets[name].delete_many(["k", "ghost"])
+        with pytest.raises(KeyError):
+            store.get("k")
+
+    def test_bucket_delete_many_refused_offline(self, store):
+        store.put("k", 1)
+        primary = store.owners("k")[0]
+        store.fail_bucket(primary)
+        with pytest.raises(ProviderUnavailable):
+            store.buckets[primary].delete_many(["k"])
+        store.recover_bucket(primary)
+        assert "k" in store.buckets[primary]
 
     def test_replication_places_n_copies(self, store):
         for i in range(200):
@@ -89,7 +101,7 @@ class TestFailureTolerance:
         primary = store.owners("k")[0]
         store.fail_bucket(primary)
         store.recover_bucket(primary)
-        assert store.buckets[primary].get("k") == "v"
+        assert store.buckets[primary].get_many(["k"]) == {"k": "v"}
 
     def test_replication_one_has_no_failover(self):
         store = DhtStore(["a", "b", "c"], replication=1)
@@ -196,10 +208,10 @@ class TestBatchedOps:
         result = store.multi_put([("k", "v2")], conditional=True)
         assert result.conflicts == {"k": "v1"}
         assert "k" not in store.buckets[secondary]  # v2 withdrawn
-        assert store.replica_values("k")[primary] == "v1"
+        assert store.multi_replica_values(["k"])["k"][primary] == "v1"
         # The established value can still re-feed the straggler.
         store.multi_put([("k", "v1")], conditional=True)
-        assert store.buckets[secondary].get("k") == "v1"
+        assert store.buckets[secondary].get_many(["k"]) == {"k": "v1"}
 
     def test_conditional_retry_refeeds_lagging_replica(self, store):
         """The single-hop conditional put beats the old get-then-put in
@@ -211,32 +223,52 @@ class TestBatchedOps:
         store.recover_bucket(secondary)
         assert "k" not in store.buckets[secondary]
         store.multi_put([("k", "v")], conditional=True)  # idempotent retry
-        assert store.buckets[secondary].get("k") == "v"
+        assert store.buckets[secondary].get_many(["k"]) == {"k": "v"}
 
-    def test_multi_replica_values_matches_scalar(self, store):
+    def test_multi_replica_values_maps_online_owners(self, store):
         keys = keys_with_distinct_primaries(store, 6)
         store.multi_put([(key, "v") for key in keys])
-        store.buckets[store.owners(keys[0])[1]].delete(keys[0])  # one lag
-        store.fail_bucket(store.owners(keys[1])[0])  # one offline owner
-        batched = store.multi_replica_values(keys)
-        assert batched == {key: store.replica_values(key) for key in keys}
+        lagging = store.owners(keys[0])[1]
+        store.buckets[lagging].delete_many([keys[0]])  # one lag
+        offline = store.owners(keys[1])[0]
+        store.fail_bucket(offline)  # one offline owner
+        expected = {
+            key: {
+                name: MISSING if (key, name) == (keys[0], lagging) else "v"
+                for name in store.owners(key)
+                if name != offline
+            }
+            for key in keys
+        }
+        assert store.multi_replica_values(keys) == expected
 
-    def test_contains_is_one_probe_not_a_failover_get(self, store):
+
+class TestBatchOfOne:
+    """``get``/``put`` are one-key batches: on a healthy store they cost
+    what a scalar op did — one round trip, one request per replica."""
+
+    def test_get_costs_one_round_trip_and_one_bucket_op(self, store):
         store.put("k", "v")
         before = store.stats.snapshot()
-        assert "k" in store
-        assert "ghost" not in store
+        assert store.get("k") == "v"
         after = store.stats.snapshot()
-        assert after["round_trips"] - before["round_trips"] == 2
-        assert after["keys_fetched"] == before["keys_fetched"]  # no value moved
+        assert after["round_trips"] - before["round_trips"] == 1
+        assert after["bucket_ops"] - before["bucket_ops"] == 1
 
-    def test_contains_sees_any_online_holder(self, store):
+    def test_put_costs_one_round_trip_one_op_per_replica(self, store):
+        before = store.stats.snapshot()
+        store.put("k", "v")
+        after = store.stats.snapshot()
+        assert after["round_trips"] - before["round_trips"] == 1
+        assert after["bucket_ops"] - before["bucket_ops"] == store.replication
+
+    def test_get_counts_the_round_spent_on_an_offline_owner(self, store):
         store.put("k", "v")
         store.fail_bucket(store.owners("k")[0])
-        assert "k" in store
-        for owner in store.owners("k"):
-            store.fail_bucket(owner)
-        assert "k" not in store  # all holders down: same as scalar path
+        before = store.stats.snapshot()
+        assert store.get("k") == "v"
+        after = store.stats.snapshot()
+        assert after["round_trips"] - before["round_trips"] == 2
 
 
 class TestBucketLatency:

@@ -61,6 +61,21 @@ def test_sync_dht_fanout_and_result_are_caught(tmp_path):
     assert "aget_many" in violations[1]
 
 
+def test_bucket_delete_many_in_a_coroutine_is_caught(tmp_path):
+    # A GC-style sweep request has no async twin: from a coroutine it
+    # parks the loop for the bucket's service delay.
+    write(
+        tmp_path,
+        "gc.py",
+        "async def sweep(bucket, doomed):\n"
+        "    bucket.delete_many(doomed)\n",
+    )
+    violations = lint_async.lint(tmp_path)
+    assert len(violations) == 1
+    assert "gc.py:2" in violations[0]
+    assert "delete_many" in violations[0]
+
+
 def test_sync_functions_are_not_linted(tmp_path):
     write(
         tmp_path,

@@ -16,7 +16,8 @@ segment):
 * ``time.sleep(...)`` — latency must be ``await asyncio.sleep``;
 * the sync vector ops ``get_many``/``put_many`` (a DHT bucket's
   fan-out or a data provider's transfer vector) and ``peek_many`` —
-  coroutines await the ``a``-prefixed twins;
+  coroutines await the ``a``-prefixed twins — and a bucket's
+  ``delete_many``, which has no twin and runs off the loop;
 * ``_service_delay(...)`` — the async twins defer the simulated
   latency, they never sleep it synchronously;
 * ``.result(...)`` — a blocking future wait deadlocks the loop that
@@ -53,6 +54,8 @@ BLOCKING_METHODS = {
     "get_many": "sync DHT fan-out or provider vector blocks the loop (await aget_many)",
     "put_many": "sync DHT fan-out or provider vector blocks the loop (await aput_many)",
     "peek_many": "sync DHT fan-out blocks the loop (await the async twin)",
+    "delete_many": "sync DHT bucket request blocks the loop (it has no "
+    "async twin: run it off the loop)",
     "_service_delay": "sync latency sleep blocks the loop (the async "
     "twin awaits asyncio.sleep and defers the sync one)",
     "result": "blocking future wait deadlocks the loop completing it",
