@@ -14,7 +14,6 @@ import threading
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.blob.version_manager import AssignRequest, WriteTicket
-from repro.errors import PublishHookError
 from repro.obs import Counters
 
 if TYPE_CHECKING:
@@ -55,7 +54,7 @@ class VmanStats(Counters):
 class _PendingOp:
     """One writer's slot in a :class:`_GroupBatcher` batch."""
 
-    __slots__ = ("request", "done", "settled", "result", "error", "hook_error")
+    __slots__ = ("request", "done", "settled", "result", "error")
 
     def __init__(self, request):
         self.request = request
@@ -64,7 +63,6 @@ class _PendingOp:
         self.settled = False
         self.result = None
         self.error: Optional[BaseException] = None
-        self.hook_error: Optional[PublishHookError] = None
 
     def resolve(self, result) -> None:
         self.settled = True
@@ -122,8 +120,6 @@ class _GroupBatcher:
             self._run(batch)
         if op.error is not None:
             raise op.error
-        if op.hook_error is not None:
-            raise op.hook_error
         return op.result
 
     def _join(self, op: _PendingOp) -> list[_PendingOp]:
@@ -171,8 +167,8 @@ class PublishPipeline:
     / ``commit_batch``) that admits every writer queued behind the
     previous one.  Assignment and commit batch independently (an assign
     must never queue behind a commit flush), per-blob assignment order is
-    queue arrival order, and per-item errors — including a publish
-    hook's — come back to exactly the writer they belong to.  Aborts
+    queue arrival order, and per-item errors come back to exactly the
+    writer they belong to.  Aborts
     do NOT ride the pipeline: a crashing writer tombstones through the
     direct path (`LocalBlobStore._abort_ticket`) while its batch-mates
     commit on.
@@ -190,9 +186,7 @@ class PublishPipeline:
     def commit(self, blob_id: str, version: int) -> int:
         """Group-batched completion report; returns the watermark.
 
-        Raises the member's own validation error, or — after a
-        successful commit — the batch's :class:`PublishHookError`
-        (report-only: the snapshot is published either way).
+        Raises the member's own validation error.
         """
         return self._commits.submit((blob_id, version))
 
@@ -229,4 +223,3 @@ class PublishPipeline:
                 entry.reject(outcome.error)
             else:
                 entry.resolve(outcome.watermark)
-                entry.hook_error = outcome.hook_error

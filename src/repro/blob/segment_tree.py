@@ -82,10 +82,6 @@ class NodeKey:
         """One past the last covered block."""
         return self.offset + self.span
 
-    def covers(self, block_index: int) -> bool:
-        """Whether this node's range contains *block_index*."""
-        return self.offset <= block_index < self.end
-
 
 @dataclass(frozen=True)
 class LeafNode:

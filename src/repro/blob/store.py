@@ -18,7 +18,9 @@ assignment rolls the stored blocks back, and a failure *after* it
 additionally aborts the assigned version — converting it into a
 tombstone whose filler metadata keeps concurrent writers' woven
 references resolvable (DESIGN.md §7), so a dead writer can never wedge
-the publication watermark or block garbage collection.
+the publication watermark or block garbage collection.  A committed
+version is never aborted: an interrupt that reaches the writer after its
+commit flush leaves the published snapshot intact.
 
 This class is the reference implementation the property-based tests
 check against a model, and the engine the BSFS file system runs on.
@@ -86,7 +88,6 @@ from repro.errors import (
     InvalidRange,
     ProviderError,
     ProviderUnavailable,
-    PublishHookError,
     ReplicationError,
     VersionNotFound,
 )
@@ -432,10 +433,6 @@ class LocalBlobStore:
                 if error is not None:
                     raise error
             self.publish_pipeline.commit(ticket.blob_id, ticket.version)
-        except PublishHookError:
-            # The snapshot IS committed and published; a raising
-            # publication hook is reported, never rolled back.
-            raise
         except BaseException:
             # Every failure — a KeyboardInterrupt too — first drains an
             # overlapped scatter: an unsettled transfer could still
@@ -446,9 +443,9 @@ class LocalBlobStore:
             # must be aborted too, or it stays in flight forever —
             # wedging the watermark and blocking GC (the §VI-B
             # weakness); the abort makes it a tombstone (see
-            # _abort_ticket).  A version already committed (a hook's
-            # non-Exception escape) belongs to a published snapshot and
-            # is never touched.
+            # _abort_ticket).  A version already committed (an interrupt
+            # arriving after the commit flush) belongs to a published
+            # snapshot and is never touched.
             if scatter is not None:
                 self._settle_scatter(scatter)
             if ticket is None:
@@ -605,15 +602,9 @@ class LocalBlobStore:
         finally:
 
             def finalize() -> None:
-                try:
-                    self.version_manager.abort(
-                        ticket.blob_id, ticket.version, force_tombstone=True
-                    )
-                except PublishHookError:
-                    # The tombstone is fully recorded; a raising
-                    # publication hook must not mask the write's own
-                    # failure (which the caller is about to re-raise).
-                    pass
+                self.version_manager.abort(
+                    ticket.blob_id, ticket.version, force_tombstone=True
+                )
 
             # Its own counted interaction: the abort is a second vman
             # trip after the spec fetch, separated by the filler I/O.

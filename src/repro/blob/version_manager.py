@@ -13,15 +13,17 @@ guaranteed" (paper §III-B).  Its state machine is deliberately tiny:
   stored; the publication watermark then advances to the highest
   version ``v`` such that every version ``<= v`` is committed, giving
   linearizability: readers only ever see complete snapshot prefixes
-  (§III-A.5's two conditions).
+  (§III-A.5's two conditions).  Nothing is pushed on publication: a
+  reader learns of a new snapshot by asking for the latest published
+  version (:meth:`latest`, §III-C).
 * :meth:`assign_batch` / :meth:`commit_batch` — the group-commit
   surface (DESIGN.md §10): many concurrent writers' assignments or
   completion reports are admitted in **one** serialized step, so under
   heavy append concurrency the version manager costs O(batches) round
   trips instead of O(writers).  Per-item validation errors are
   isolated (one writer's bad request never poisons its batch-mates)
-  and the watermark advances — publish hooks firing — once per batch
-  per BLOB, with the full committed range.
+  and the watermark advances once per batch per BLOB, over the full
+  committed range.
 * :meth:`abort` — a failed writer abandons its assigned version.  The
   highest assigned version is simply retracted (its number is reused);
   an *interior* version — one a later writer may already have woven
@@ -41,14 +43,13 @@ in the protocol is designed to run concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.blob.segment_tree import HistoryRecord, root_span
 from repro.errors import (
     BlobError,
     BlobNotFound,
     InvalidRange,
-    PublishHookError,
     VersionNotFound,
     VersionNotReady,
     WriteConflict,
@@ -171,16 +172,11 @@ class AssignRequest:
 class CommitOutcome:
     """Per-item result of one :meth:`VersionManagerCore.commit_batch`.
 
-    Exactly one of ``watermark``/``error`` is set.  ``hook_error``
-    accompanies a *successful* commit whose batch's watermark advance
-    tripped a publish hook — the snapshot IS published; the error is
-    report-only, mirroring the scalar :meth:`~VersionManagerCore.commit`
-    contract.
+    Exactly one of ``watermark``/``error`` is set.
     """
 
     watermark: Optional[int] = None
     error: Optional[BlobError] = None
-    hook_error: Optional[PublishHookError] = None
 
 
 @dataclass
@@ -221,13 +217,6 @@ class VersionManagerCore:
 
     def __init__(self) -> None:
         self._blobs: dict[str, BlobState] = {}
-        self._publish_hooks: list[Callable[[str, int], None]] = []
-
-    # -- hooks ----------------------------------------------------------------
-
-    def on_publish(self, hook: Callable[[str, int], None]) -> None:
-        """Register ``hook(blob_id, new_watermark)`` called on publication."""
-        self._publish_hooks.append(hook)
 
     # -- blob lifecycle ---------------------------------------------------------
 
@@ -270,6 +259,7 @@ class VersionManagerCore:
             committed=set(range(base + 1)),
             tombstoned={v for v in src.tombstoned if v <= base},
             published=base,
+            gc_floor=src.gc_floor,
             parent=(src_id, base),
         )
         self._blobs[new_id] = state
@@ -302,10 +292,6 @@ class VersionManagerCore:
             return self._blobs[blob_id]
         except KeyError:
             raise BlobNotFound(blob_id) from None
-
-    def has_blob(self, blob_id: str) -> bool:
-        """Existence check."""
-        return blob_id in self._blobs
 
     def blob_ids(self) -> list[str]:
         """All registered BLOB ids."""
@@ -442,8 +428,6 @@ class VersionManagerCore:
         outcome = self.commit_batch([(blob_id, version)])[0]
         if outcome.error is not None:
             raise outcome.error
-        if outcome.hook_error is not None:
-            raise outcome.hook_error
         assert outcome.watermark is not None
         return outcome.watermark
 
@@ -453,17 +437,12 @@ class VersionManagerCore:
         """Record many completion reports in one serialized step.
 
         Every valid item is marked committed first; then each touched
-        BLOB's watermark advances **once**, so the publish hooks fire
-        once per batch per BLOB with the final watermark (the full
-        committed range), not once per member.  Per-item isolation: an
-        invalid item (unassigned version, double commit — including a
-        duplicate *within* the batch) gets its error in its
-        :class:`CommitOutcome` without disturbing batch-mates.  A
-        raising publish hook is attached as ``hook_error`` to every
-        successfully committed member of that BLOB in this batch: they
-        are collectively the advancing commit, and the snapshots ARE
-        published (same report-only contract as the scalar path).
-        The returned list is aligned with *items*.
+        BLOB's watermark advances **once**, to the final watermark (the
+        full committed range), not once per member.  Per-item
+        isolation: an invalid item (unassigned version, double commit —
+        including a duplicate *within* the batch) gets its error in its
+        :class:`CommitOutcome` without disturbing batch-mates.  The
+        returned list is aligned with *items*.
         """
         outcomes = [CommitOutcome() for _ in items]
         touched: dict[str, list[int]] = {}
@@ -485,39 +464,16 @@ class VersionManagerCore:
             touched.setdefault(blob_id, []).append(i)
         for blob_id, members in touched.items():
             state = self._blobs[blob_id]
-            hook_error: Optional[PublishHookError] = None
-            try:
-                self._advance_watermark(state)
-            except PublishHookError as exc:
-                hook_error = exc
+            self._advance_watermark(state)
             for i in members:
                 outcomes[i].watermark = state.published
-                outcomes[i].hook_error = hook_error
         return outcomes
 
-    def _advance_watermark(self, state: BlobState) -> None:
-        """Advance the watermark; run every publish hook, then report.
-
-        Hooks observe publication consistently: the watermark moves
-        first, and a raising hook never prevents the remaining hooks
-        from running (e.g. one stale cache must not stop the BSFS
-        invalidation of another).  Hook failures are aggregated into a
-        single :class:`PublishHookError` raised after the loop — state
-        is already fully updated when it surfaces.
-        """
-        old = state.published
+    @staticmethod
+    def _advance_watermark(state: BlobState) -> None:
+        """Advance the watermark over every contiguously committed version."""
         while state.published + 1 in state.committed:
             state.published += 1
-        if state.published == old:
-            return
-        errors: list[BaseException] = []
-        for hook in self._publish_hooks:
-            try:
-                hook(state.blob_id, state.published)
-            except Exception as exc:
-                errors.append(exc)
-        if errors:
-            raise PublishHookError(state.blob_id, state.published, errors)
 
     def abort(
         self, blob_id: str, version: int, force_tombstone: bool = False
@@ -542,10 +498,6 @@ class VersionManagerCore:
         dead write may already have reached the DHT, because retracting
         would let the next writer reuse the version number and collide
         with those immutable nodes.
-
-        Hook failures from the watermark advance surface as
-        :class:`PublishHookError` *after* the tombstone is fully
-        recorded (same contract as :meth:`commit`).
         """
         state = self.blob(blob_id)
         if version < 1 or version > state.last_assigned:

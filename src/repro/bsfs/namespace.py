@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.fsapi import DirectoryTree, FileStatus, normalize_path
+from repro.fsapi import DirectoryTree
 
 __all__ = ["FileEntry", "NamespaceManager"]
 
@@ -94,9 +94,3 @@ class NamespaceManager:
         """Move a file or subtree; BLOB bindings travel with the paths."""
         self.requests += 1
         self._tree.rename(src, dst)
-
-    def status_of(self, path: str, size: int) -> FileStatus:
-        """Build a :class:`FileStatus` (size supplied by the caller,
-        because sizes live in BlobSeer, not in the namespace)."""
-        path = normalize_path(path)
-        return FileStatus(path=path, is_dir=self._tree.is_dir(path), size=size)

@@ -48,7 +48,6 @@ from repro.dht.ring import HashRing
 from repro.errors import ProviderUnavailable
 from repro.simulation.cluster import SimCluster, SimNode
 from repro.simulation.engine import Engine
-from repro.simulation.resources import Gate
 from repro.simulation.rpc import Reply, RpcServer, call
 from repro.util.chunks import split_range
 
@@ -115,10 +114,6 @@ class SimBlobSeer:
         }
         self.namespace = NamespaceManager()
 
-        # --- publication gates (linearizability, §III-A.5) ---
-        self._gates: dict[str, Gate] = {}
-        self.vm_core.on_publish(self._on_publish)
-
         # --- services ---
         self.vm_server = RpcServer(
             version_manager_node,
@@ -180,20 +175,11 @@ class SimBlobSeer:
     # service handlers (run on the service's node)
     # ------------------------------------------------------------------
 
-    def _on_publish(self, blob_id: str, watermark: int) -> None:
-        self._gate(blob_id).advance(watermark)
-
-    def _gate(self, blob_id: str) -> Gate:
-        if blob_id not in self._gates:
-            self._gates[blob_id] = Gate(self.engine)
-        return self._gates[blob_id]
-
     def _vm_handler(self, message: tuple):
         op = message[0]
         if op == "create":
             _, blob_id, block_size, replication = message
             self.vm_core.create_blob(blob_id, block_size, replication)
-            self._gate(blob_id)
             return Reply(blob_id)
         if op == "assign_write":
             _, blob_id, offset, length = message
@@ -227,8 +213,6 @@ class SimBlobSeer:
             _, path, blob_id = message
             self.namespace.register_file(path, blob_id)
             return Reply(None)
-        if op == "lookup":
-            return Reply(self.namespace.lookup(message[1]).blob_id)
         raise ValueError(f"unknown namespace op {op!r}")
 
     def _make_mdp_handler(self, bucket_name: str):
@@ -527,20 +511,11 @@ class SimBlobSeer:
             f"no live replica of block {descriptor.block_id}"
         ) from last_error
 
-    def wait_published(self, blob_id: str, version: int):
-        """Event firing once snapshot *version* is revealed to readers."""
-        return self._gate(blob_id).wait_for(version)
-
     # -- BSFS facade bits ------------------------------------------------------
 
     def register_file(self, client: SimNode, path: str, blob_id: str) -> Generator:
         """Bind a path to a BLOB at the namespace manager."""
         yield from call(client, self.ns_server, ("register", path, blob_id))
-
-    def lookup_file(self, client: SimNode, path: str) -> Generator:
-        """Resolve a path to its BLOB id (the open-time interaction)."""
-        blob_id = yield from call(client, self.ns_server, ("lookup", path))
-        return blob_id
 
     # -- diagnostics -------------------------------------------------------------
 

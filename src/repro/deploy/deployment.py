@@ -53,10 +53,6 @@ class MicrobenchDeployment:
     dedicated_client: SimNode
     calibration: Calibration = field(default_factory=Calibration)
 
-    def storage_node_names(self) -> list[str]:
-        """Names of the datanode/provider machines."""
-        return [n.name for n in self.storage_nodes]
-
 
 def _node_spec(cal: Calibration) -> NodeSpec:
     return NodeSpec(nic_rate=cal.nic_rate, disk=cal.disk)

@@ -112,10 +112,3 @@ class HashRing:
                 if len(chosen) == n:
                     break
         return chosen
-
-    def key_distribution(self, keys: Iterable[Hashable]) -> dict[str, int]:
-        """Count how many of *keys* land on each member (diagnostics)."""
-        counts = {member: 0 for member in self._members}
-        for key in keys:
-            counts[self.lookup(key)] += 1
-        return counts

@@ -16,7 +16,6 @@ __all__ = [
     "VersionNotReady",
     "InvalidRange",
     "WriteConflict",
-    "PublishHookError",
     "ProviderError",
     "ProviderUnavailable",
     "ReplicationError",
@@ -83,26 +82,6 @@ class WriteConflict(BlobError):
     only surfaces when invariants are violated, e.g. a test harness
     injects a duplicate version number.
     """
-
-
-class PublishHookError(BlobError):
-    """One or more publication hooks raised after a watermark advance.
-
-    The snapshot *is* published — the watermark moved before any hook
-    ran, and every registered hook was invoked regardless of earlier
-    hook failures, so all observers saw the same event.  The individual
-    exceptions are collected in :attr:`errors`.
-    """
-
-    def __init__(self, blob_id: str, watermark: int, errors: list[BaseException]):
-        super().__init__(
-            f"{len(errors)} publish hook(s) failed for blob {blob_id!r} "
-            f"at watermark {watermark}: {[repr(e) for e in errors]}"
-        )
-        self.blob_id = blob_id
-        self.watermark = watermark
-        #: The exceptions raised by the individual hooks, in hook order.
-        self.errors = errors
 
 
 class ProviderError(BlobError):

@@ -184,13 +184,6 @@ class DirectoryTree:
         self.make_dirs(parent_path(path))
         self._files[path] = handle
 
-    def set_handle(self, path: str, handle: object) -> None:
-        """Replace an existing file's handle."""
-        path = normalize_path(path)
-        if path not in self._files:
-            raise FileNotFound(path)
-        self._files[path] = handle
-
     def remove(self, path: str, recursive: bool = False) -> list[object]:
         """Delete a file or directory; returns the removed file handles.
 

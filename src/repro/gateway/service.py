@@ -102,30 +102,12 @@ class Gateway:
         self.fs.make_dirs(self.root_of(tenant_id))
         return token
 
-    def set_policy(self, tenant_id: str, policy: TenantPolicy) -> None:
-        """Replace a tenant's policy (buckets restart full; counters kept)."""
-        policy.validate()
-        with self._lock:
-            old = self._tenants.get(tenant_id)
-            if old is None:
-                raise UnknownTenant(tenant_id)
-            fresh = TenantState(tenant_id, old.token, policy)
-            fresh.counters = old.counters
-            self._tenants[tenant_id] = fresh
-        self.store.provider_manager.register_tenant(
-            tenant_id, quota_bytes=policy.quota_bytes
-        )
-
     def connect(self, tenant_id: str, token: str) -> GatewayClient:
         """Authenticate and open a tenant session."""
         state = self._state(tenant_id)
         if not hmac.compare_digest(state.token, str(token)):
             raise TenantAuthError(f"bad token for tenant {tenant_id!r}")
         return GatewayClient(self, state)
-
-    def policy_of(self, tenant_id: str) -> TenantPolicy:
-        """The policy currently governing *tenant_id*."""
-        return self._state(tenant_id).policy
 
     def tenants(self) -> list[str]:
         """Registered tenant ids, sorted."""

@@ -7,8 +7,6 @@ HDFS, chunks are written once and never modified.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.blob.block import Payload
 from repro.errors import ProviderUnavailable, WriteConflict
 
@@ -47,10 +45,6 @@ class DatanodeCore:
         self._check_online()
         return self._chunks[chunk_id]
 
-    def has_chunk(self, chunk_id: int) -> bool:
-        """Existence check (False when offline)."""
-        return self.online and chunk_id in self._chunks
-
     def delete_chunk(self, chunk_id: int) -> int:
         """Remove a chunk; returns bytes freed."""
         self._check_online()
@@ -59,10 +53,6 @@ class DatanodeCore:
             return 0
         self.stored_bytes -= payload.size
         return payload.size
-
-    def chunk_ids(self) -> Iterator[int]:
-        """Snapshot iterator over stored chunk ids."""
-        return iter(list(self._chunks.keys()))
 
     @property
     def chunk_count(self) -> int:

@@ -205,8 +205,3 @@ class HDFSFileSystem(FileSystem):
         """Take a datanode offline."""
         self.datanodes[name].fail()
         self.namenode.mark_datanode(name, online=False)
-
-    def recover_datanode(self, name: str) -> None:
-        """Bring a datanode back."""
-        self.datanodes[name].recover()
-        self.namenode.mark_datanode(name, online=True)

@@ -52,15 +52,6 @@ class MapOutput:
         """Total pairs across partitions."""
         return sum(len(p) for p in self.partitions.values())
 
-    @property
-    def byte_size(self) -> int:
-        """Approximate serialized size (shuffle-volume accounting)."""
-        return sum(
-            len(str(k)) + len(str(v)) + 2
-            for pairs in self.partitions.values()
-            for k, v in pairs
-        )
-
 
 def _apply_combiner(job: JobConf, output: MapOutput) -> None:
     """Run the combiner on each partition in place (mini-reduce)."""

@@ -3,12 +3,11 @@
 Public surface:
 
 * :class:`Engine`, :class:`Event`, :class:`Process` — the event kernel.
-* :class:`Resource`, :class:`Store`, :class:`Gate` — synchronization.
+* :class:`Resource`, :class:`Store` — synchronization.
 * :class:`FlowNetwork` — max-min fair fluid network.
 * :class:`Disk` — FIFO storage device.
 * :class:`SimCluster`, :class:`SimNode` — machines wired to a network.
 * :class:`RpcServer`, :func:`call` — service messaging.
-* :class:`Recorder` — passive measurement.
 """
 
 from repro.simulation.cluster import (
@@ -19,11 +18,10 @@ from repro.simulation.cluster import (
     SimNode,
 )
 from repro.simulation.disk import Disk, DiskSpec
-from repro.simulation.engine import AllOf, AnyOf, Engine, Event, Process, Timeout
+from repro.simulation.engine import AllOf, Engine, Event, Process, Timeout
 from repro.simulation.network import Flow, FlowNetwork, NodePort, TransferStats
-from repro.simulation.resources import Gate, Request, Resource, Store
+from repro.simulation.resources import Request, Resource, Store
 from repro.simulation.rpc import DEFAULT_RPC_BYTES, Reply, RpcServer, call
-from repro.simulation.trace import IntervalThroughput, Recorder, Span
 
 __all__ = [
     "Engine",
@@ -31,11 +29,9 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
     "Resource",
     "Request",
     "Store",
-    "Gate",
     "FlowNetwork",
     "Flow",
     "NodePort",
@@ -51,7 +47,4 @@ __all__ = [
     "Reply",
     "call",
     "DEFAULT_RPC_BYTES",
-    "Recorder",
-    "Span",
-    "IntervalThroughput",
 ]

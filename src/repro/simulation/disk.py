@@ -86,8 +86,3 @@ class Disk:
 
         self._channels.request().add_callback(_granted)
         return done
-
-    @property
-    def queue_depth(self) -> int:
-        """Requests waiting behind the active ones."""
-        return self._channels.queued

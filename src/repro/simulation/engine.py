@@ -25,7 +25,7 @@ from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import Interrupt, SimulationError
 
-__all__ = ["Engine", "Event", "Timeout", "Process", "AllOf", "AnyOf"]
+__all__ = ["Engine", "Event", "Timeout", "Process", "AllOf"]
 
 #: Sentinel distinguishing "not yet triggered" from a ``None`` value.
 _PENDING = object()
@@ -218,8 +218,8 @@ class Process(Event):
         next_target.add_callback(self._resume)
 
 
-class _Condition(Event):
-    """Base for AllOf/AnyOf composite events."""
+class AllOf(Event):
+    """Fires when every child event has fired; fails fast on first failure."""
 
     __slots__ = ("events", "_remaining")
 
@@ -242,15 +242,6 @@ class _Condition(Event):
         # yet until the engine reaches it on the calendar.
         return {ev: ev._value for ev in self.events if ev.processed and ev._ok}
 
-    def _on_child(self, event: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Fires when every child event has fired; fails fast on first failure."""
-
-    __slots__ = ()
-
     def _on_child(self, event: Event) -> None:
         if self.triggered:
             return
@@ -260,20 +251,6 @@ class AllOf(_Condition):
         self._remaining -= 1
         if self._remaining == 0:
             self.succeed(self._collect())
-
-
-class AnyOf(_Condition):
-    """Fires when the first child fires (success or failure propagates)."""
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event._ok:
-            self.succeed(self._collect())
-        else:
-            self.fail(event._value)
 
 
 class Engine:
@@ -312,10 +289,6 @@ class Engine:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Composite event: every child fired."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Composite event: first child fired."""
-        return AnyOf(self, events)
 
     # -- scheduling -----------------------------------------------------------
 

@@ -175,10 +175,6 @@ class FlowNetwork:
         self._nodes[name] = port
         return port
 
-    def has_node(self, name: str) -> bool:
-        """True if *name* was registered."""
-        return name in self._nodes
-
     def set_node_rates(
         self,
         name: str,
@@ -202,11 +198,6 @@ class FlowNetwork:
             port.ingress = float(ingress)
         self._settle()
         self._recompute()
-
-    @property
-    def active_flows(self) -> int:
-        """Number of flows currently draining."""
-        return len(self._flows)
 
     # -- transfers ----------------------------------------------------------
 

@@ -3,8 +3,6 @@
 * :class:`Resource` — counted resource with FIFO queueing (disk arms,
   server worker threads, task slots).
 * :class:`Store` — unbounded-or-bounded FIFO of items (message queues).
-* :class:`Gate` — broadcast condition: processes wait until opened
-  (used for "snapshot v is now readable" notifications).
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from typing import Any, Deque
 from repro.errors import SimulationError
 from repro.simulation.engine import Engine, Event
 
-__all__ = ["Resource", "Request", "Store", "Gate"]
+__all__ = ["Resource", "Request", "Store"]
 
 
 class Request(Event):
@@ -55,16 +53,6 @@ class Resource:
         self.capacity = capacity
         self._in_use = 0
         self._waiting: Deque[Request] = deque()
-
-    @property
-    def in_use(self) -> int:
-        """Number of currently granted slots."""
-        return self._in_use
-
-    @property
-    def queued(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._waiting)
 
     def request(self) -> Request:
         """Ask for a slot; the returned event fires when granted."""
@@ -148,49 +136,3 @@ class Store:
         else:
             self._getters.append(got)
         return got
-
-
-class Gate:
-    """Broadcast condition variable keyed by a monotone watermark.
-
-    Processes wait for ``level >= threshold``; :meth:`advance` raises the
-    level and releases every satisfied waiter.  This models the version
-    manager's "snapshot revealed" watermark: readers of version *v* block
-    until the published level reaches *v*.
-    """
-
-    def __init__(self, engine: Engine, level: int = 0):
-        self.engine = engine
-        self._level = level
-        self._waiters: list[tuple[int, Event]] = []
-
-    @property
-    def level(self) -> int:
-        """Current watermark."""
-        return self._level
-
-    def wait_for(self, threshold: int) -> Event:
-        """Event firing as soon as the watermark reaches *threshold*."""
-        ev = Event(self.engine)
-        if self._level >= threshold:
-            ev.succeed(self._level)
-        else:
-            self._waiters.append((threshold, ev))
-        return ev
-
-    def advance(self, level: int) -> None:
-        """Raise the watermark (monotonically) and release waiters."""
-        if level < self._level:
-            raise SimulationError(
-                f"gate watermark must be monotone: {level} < {self._level}"
-            )
-        self._level = level
-        if not self._waiters:
-            return
-        still_waiting: list[tuple[int, Event]] = []
-        for threshold, ev in self._waiters:
-            if threshold <= level:
-                ev.succeed(level)
-            else:
-                still_waiting.append((threshold, ev))
-        self._waiters = still_waiting

@@ -7,7 +7,6 @@ from repro.util.chunks import (
     align_up,
     block_count,
     block_span,
-    iter_blocks,
     split_range,
 )
 from repro.util.throttle import Throttle, TokenBucket
@@ -39,7 +38,6 @@ __all__ = [
     "format_size",
     "BlockSlice",
     "split_range",
-    "iter_blocks",
     "block_count",
     "block_span",
     "align_down",

@@ -10,7 +10,6 @@ one tested place.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 __all__ = [
     "BlockSlice",
@@ -98,22 +97,6 @@ def dest_windows(
         (s, view[s.offset - offset : s.end - offset])
         for s in slices
     ]
-
-
-def iter_blocks(offset: int, size: int, block_size: int) -> Iterator[BlockSlice]:
-    """Lazy variant of :func:`split_range` for very long ranges."""
-    if block_size <= 0:
-        raise ValueError(f"block_size must be positive, got {block_size}")
-    if offset < 0 or size < 0:
-        raise ValueError(f"negative range: offset={offset} size={size}")
-    position = offset
-    end = offset + size
-    while position < end:
-        index = position // block_size
-        start = position - index * block_size
-        length = min(block_size - start, end - position)
-        yield BlockSlice(index=index, start=start, length=length, offset=position)
-        position += length
 
 
 def block_count(size: int, block_size: int) -> int:

@@ -9,9 +9,9 @@ Two shapes of token bucket live here:
   order and a burst spreads out instead of stampeding.
 * :class:`TokenBucket` — the *admission* bucket the gateway uses
   (DESIGN.md §12): a classic capacity-bounded bucket refilled at
-  ``rate`` tokens/second.  Callers may wait for tokens
-  (:meth:`acquire`, FIFO in lock order, with an optional deadline) or
-  probe without waiting (:meth:`try_acquire`).  Unlike :class:`Throttle`
+  ``rate`` tokens/second.  Callers wait for tokens (:meth:`acquire`,
+  FIFO in lock order, with an optional deadline; a zero deadline never
+  waits).  Unlike :class:`Throttle`
   it allows bounded bursts (``burst``) and can *refuse*, which is what
   admission control needs: a tenant over its rate is delayed or
   rejected, never silently serialized behind the whole cluster.
@@ -115,15 +115,6 @@ class TokenBucket:
         with self._lock:
             self._refill(self._clock())
             return self._tokens
-
-    def try_acquire(self, n: float = 1.0) -> bool:
-        """Take *n* tokens if the balance covers them; never waits."""
-        with self._lock:
-            self._refill(self._clock())
-            if self._tokens >= n:
-                self._tokens -= n
-                return True
-            return False
 
     def acquire(
         self,

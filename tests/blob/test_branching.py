@@ -130,6 +130,29 @@ class TestBranchGcInterplay:
         assert store.read(src) == b"b" * BS + b"a" * (3 * BS)
         assert store.read(src, version=1) == b"a" * (4 * BS)
 
+    def test_branch_after_gc_inherits_the_gc_floor(self):
+        """A branch taken after GC must not expose the swept versions:
+        reads of them are refused up front, and every scrub pass stays
+        clean instead of reporting their trees unreadable."""
+        store = LocalBlobStore(config=StoreConfig(
+            data_providers=4, metadata_providers=2, block_size=4096
+        ))
+        src = store.create()
+        store.append(src, b"A")
+        store.write(src, 0, b"B")
+        store.write(src, 0, b"C")  # v3
+        collect_garbage(store, src, 3)
+        fork = store.branch(src, version=3)
+        for version in (1, 2):
+            with pytest.raises(VersionNotFound, match="garbage-collected"):
+                store.version_manager.snapshot_info(fork, version)
+            with pytest.raises(VersionNotFound, match="garbage-collected"):
+                store.read(fork, version=version)
+        assert store.read(fork) == b"C"
+        for _ in range(2):
+            assert store.scrub().errors == ()
+        store.close()
+
     def test_parent_gc_with_inflight_branch_write_refused(self, store):
         src = setup_source(store)
         fork = store.branch(src, "fork")

@@ -3,7 +3,7 @@
 Four layers of coverage:
 
 * the version manager's batch surface itself — per-item error
-  isolation, watermark-once-per-batch, hooks firing once with the full
+  isolation, the watermark advancing once per batch over the full
   committed range;
 * the store's :class:`~repro.blob.store.PublishPipeline` under real
   concurrent appenders — round trips scale with batches (not writers),
@@ -32,7 +32,6 @@ from repro.errors import (
     InvalidRange,
     ProviderError,
     ProviderUnavailable,
-    PublishHookError,
     VersionNotFound,
     WriteConflict,
 )
@@ -93,12 +92,10 @@ class TestCommitBatch:
 
     def test_watermark_advances_once_per_batch(self):
         vm = self._two_assigned()
-        published = []
-        vm.on_publish(lambda blob_id, watermark: published.append(watermark))
         outcomes = vm.commit_batch([("b", 1), ("b", 2)])
+        # Every member sees the batch's final watermark, not its own.
         assert [o.watermark for o in outcomes] == [2, 2]
-        # ONE hook firing with the final watermark — not one per member.
-        assert published == [2]
+        assert vm.published_version("b") == 2
 
     def test_per_item_errors_do_not_poison_batch_mates(self):
         vm = self._two_assigned()
@@ -115,31 +112,15 @@ class TestCommitBatch:
         assert outcomes[4].watermark == 2
         assert vm.published_version("b") == 2
 
-    def test_hook_error_reaches_every_committed_member(self):
-        vm = self._two_assigned()
-
-        def bad_hook(blob_id, watermark):
-            raise RuntimeError("stale cache")
-
-        vm.on_publish(bad_hook)
-        outcomes = vm.commit_batch([("b", 1), ("b", 2), ("b", 9)])
-        assert isinstance(outcomes[0].hook_error, PublishHookError)
-        assert outcomes[0].hook_error is outcomes[1].hook_error
-        assert outcomes[2].hook_error is None  # never committed
-        # The snapshots ARE published despite the raising hook.
-        assert vm.published_version("b") == 2
-
     def test_multi_blob_batch_advances_each_blob_once(self):
         vm = VersionManagerCore()
-        fired = []
-        vm.on_publish(lambda blob_id, watermark: fired.append((blob_id, watermark)))
         for blob_id in ("x", "y"):
             vm.create_blob(blob_id, block_size=BS)
             vm.assign_append(blob_id, BS)
             vm.assign_append(blob_id, BS)
         outcomes = vm.commit_batch([("x", 1), ("y", 1), ("x", 2), ("y", 2)])
         assert [o.watermark for o in outcomes] == [2, 2, 2, 2]
-        assert sorted(fired) == [("x", 2), ("y", 2)]
+        assert vm.published_version("x") == vm.published_version("y") == 2
 
     def test_gap_in_batch_holds_the_watermark(self):
         vm = VersionManagerCore()

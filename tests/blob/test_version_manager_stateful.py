@@ -33,8 +33,7 @@ class VersionManagerMachine(RuleBasedStateMachine):
         self.vm.create_blob("b", block_size=BS)
         self.model_records = {0: (0, 0, 0)}  # version -> (offset, length, size_after)
         self.model_committed = {0}
-        self.published_events = []
-        self.vm.on_publish(lambda blob, v: self.published_events.append(v))
+        self.last_published = 0
 
     # -- helpers ------------------------------------------------------------
 
@@ -160,8 +159,13 @@ class VersionManagerMachine(RuleBasedStateMachine):
         assert list(hints) == expected
 
     @invariant()
-    def publish_events_monotone(self):
-        assert self.published_events == sorted(set(self.published_events))
+    def published_version_monotone(self):
+        """The watermark never decreases and never passes an
+        uncommitted version."""
+        published = self.vm.published_version("b")
+        assert published >= self.last_published
+        assert all(v in self.model_committed for v in range(published + 1))
+        self.last_published = published
 
 
 TestVersionManagerStateful = VersionManagerMachine.TestCase

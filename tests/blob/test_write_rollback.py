@@ -22,7 +22,6 @@ from repro.blob import (
 from repro.errors import (
     InvalidRange,
     ProviderUnavailable,
-    PublishHookError,
     ReplicationError,
     VersionNotFound,
 )
@@ -462,45 +461,29 @@ class TestWriteAbortTombstone:
         assert store.read(blob) == b"a" * (2 * BS) + bytes(2 * BS) + b"z" * BS
         store.close()
 
-    def test_publish_hook_error_does_not_roll_back(self, io_workers):
-        """A raising publication hook is a reporting problem, not a
-        write failure: the snapshot committed and must stand."""
-        store = LocalBlobStore(config=StoreConfig(
-            data_providers=4, metadata_providers=2, block_size=BS, **engine_kwargs(io_workers)
-        ))
-        blob = store.create()
-
-        def bad_hook(blob_id, watermark):
-            raise RuntimeError("stale cache")
-
-        store.version_manager.on_publish(bad_hook)
-        with pytest.raises(PublishHookError):
-            store.append(blob, b"a" * BS)
-        assert store.latest_version(blob) == 1
-        assert not store.snapshot(blob, 1).tombstone
-        assert store.read(blob) == b"a" * BS
-        assert store.version_manager.in_flight(blob) == []
-        store.close()
-
-    def test_interrupt_in_publish_hook_never_rolls_back_committed_write(
+    def test_interrupt_after_commit_never_rolls_back_committed_write(
         self, io_workers
     ):
-        """A BaseException escaping the hooks after commit (hooks only
-        shield Exception) must not route the published snapshot into
-        the abort path — its blocks belong to readers now."""
+        """An interrupt reaching the writer after its commit flush must
+        not route the published snapshot into the abort path — its
+        blocks belong to readers now."""
         store = LocalBlobStore(config=StoreConfig(
             data_providers=4, metadata_providers=2, block_size=BS, **engine_kwargs(io_workers)
         ))
         blob = store.create()
+        real_commit = store.publish_pipeline.commit
 
-        def interrupting_hook(blob_id, watermark):
+        def commit_then_interrupt(blob_id, version):
+            real_commit(blob_id, version)
             raise KeyboardInterrupt
 
-        store.version_manager.on_publish(interrupting_hook)
+        store.publish_pipeline.commit = commit_then_interrupt
         with pytest.raises(KeyboardInterrupt):
             store.append(blob, b"a" * (2 * BS))
+        store.publish_pipeline.commit = real_commit
         assert store.latest_version(blob) == 1
         assert not store.snapshot(blob, 1).tombstone
+        assert store.version_manager.in_flight(blob) == []
         assert store.read(blob) == b"a" * (2 * BS)  # blocks intact
         store.close()
 

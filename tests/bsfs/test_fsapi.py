@@ -113,13 +113,6 @@ class TestDirectoryTree:
         assert list(tree.iter_files("/a")) == ["/a/1", "/a/b/2"]
         assert list(tree.iter_files()) == ["/a/1", "/a/b/2", "/c/3"]
 
-    def test_set_handle(self, tree):
-        tree.add_file("/f", 1)
-        tree.set_handle("/f", 2)
-        assert tree.handle("/f") == 2
-        with pytest.raises(FileNotFound):
-            tree.set_handle("/ghost", 1)
-
 
 class TestRemove:
     def test_remove_file_returns_handle(self, tree):

@@ -59,9 +59,3 @@ class TestRequestAccounting:
         ns.list_dir("/")
         assert ns.requests == before + 5
 
-    def test_status_of_builds_without_counting(self, ns):
-        ns.register_file("/f", "b")
-        before = ns.requests
-        status = ns.status_of("/f", size=123)
-        assert status.size == 123 and status.is_file
-        assert ns.requests == before

@@ -64,9 +64,11 @@ class TestDiskService:
         with pytest.raises(ValueError):
             disk.read(-1)
 
-    def test_queue_depth(self, engine):
+    def test_queued_reads_start_after_the_active_one(self, engine):
         disk = Disk(engine, DiskSpec(read_rate=1.0, write_rate=1.0, seek_time=0.0))
-        disk.read(100.0)
-        disk.read(100.0)
-        disk.read(100.0)
-        assert disk.queue_depth == 2
+        reads = [disk.read(100.0) for _ in range(3)]
+        engine.run(reads[0])
+        assert engine.now == pytest.approx(100.0)
+        assert not reads[1].processed
+        engine.run(reads[2])
+        assert engine.now == pytest.approx(300.0)

@@ -209,14 +209,6 @@ class TestEvents:
 
         assert engine.run(engine.process(proc())) == (5.0, ["a", "b"])
 
-    def test_any_of_returns_first(self, engine):
-        def proc():
-            t1, t2 = engine.timeout(1, "fast"), engine.timeout(5, "slow")
-            results = yield engine.any_of([t1, t2])
-            return (engine.now, list(results.values()))
-
-        assert engine.run(engine.process(proc())) == (1.0, ["fast"])
-
     def test_all_of_empty_fires_immediately(self, engine):
         def proc():
             yield engine.all_of([])

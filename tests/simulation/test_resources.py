@@ -1,10 +1,10 @@
-"""Unit tests for Resource / Store / Gate synchronization primitives."""
+"""Unit tests for Resource / Store synchronization primitives."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.simulation import Engine
-from repro.simulation.resources import Gate, Resource, Store
+from repro.simulation.resources import Resource, Store
 
 
 @pytest.fixture
@@ -24,12 +24,13 @@ class TestResource:
             r1 = yield from res.acquire()
             r2 = yield from res.acquire()
             assert engine.now == 0.0
-            assert res.in_use == 2
+            # Both slots are held: a third request waits.
+            assert not res.request().triggered
             res.release(r1)
             res.release(r2)
-            return res.in_use
+            return engine.now
 
-        assert engine.run(engine.process(proc())) == 0
+        assert engine.run(engine.process(proc())) == 0.0
 
     def test_fifo_queueing_serializes(self, engine):
         res = Resource(engine, capacity=1)
@@ -74,12 +75,17 @@ class TestResource:
         def impatient():
             yield engine.timeout(1)
             req = res.request()  # queued behind holder
-            assert res.queued == 1
+            assert not req.triggered
             res.release(req)  # give up before grant
-            assert res.queued == 0
+
+        def latecomer():
+            yield engine.timeout(2)
+            yield res.request()
+            return engine.now
 
         engine.process(impatient())
-        engine.run()
+        # The holder's slot passes to the latecomer, not the cancelled request.
+        assert engine.run(engine.process(latecomer())) == 10.0
 
     def test_release_foreign_request_rejected(self, engine):
         res1, res2 = Resource(engine), Resource(engine)
@@ -153,58 +159,3 @@ class TestStore:
 
         engine.run(engine.process(proc()))
 
-
-class TestGate:
-    def test_waiters_release_in_threshold_order(self, engine):
-        gate = Gate(engine)
-        log = []
-
-        def waiter(threshold):
-            yield gate.wait_for(threshold)
-            log.append((threshold, engine.now))
-
-        for t in (3, 1, 2):
-            engine.process(waiter(t))
-
-        def advancer():
-            for level in (1, 2, 3):
-                yield engine.timeout(1)
-                gate.advance(level)
-
-        engine.process(advancer())
-        engine.run()
-        assert log == [(1, 1.0), (2, 2.0), (3, 3.0)]
-
-    def test_past_threshold_immediate(self, engine):
-        gate = Gate(engine, level=5)
-
-        def proc():
-            yield gate.wait_for(3)
-            return engine.now
-
-        assert engine.run(engine.process(proc())) == 0.0
-
-    def test_monotonicity_enforced(self, engine):
-        gate = Gate(engine, level=2)
-        with pytest.raises(SimulationError):
-            gate.advance(1)
-
-    def test_batch_release(self, engine):
-        gate = Gate(engine)
-        released = []
-
-        def waiter(i):
-            yield gate.wait_for(i)
-            released.append(i)
-
-        for i in (1, 2, 3, 4):
-            engine.process(waiter(i))
-
-        def advancer():
-            yield engine.timeout(1)
-            gate.advance(3)  # releases 1, 2, 3 at once
-
-        engine.process(advancer())
-        engine.run(until=2)
-        assert sorted(released) == [1, 2, 3]
-        assert gate.level == 3

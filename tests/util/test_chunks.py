@@ -9,7 +9,6 @@ from repro.util import (
     align_up,
     block_count,
     block_span,
-    iter_blocks,
     split_range,
 )
 
@@ -49,9 +48,6 @@ class TestSplitRange:
             split_range(-1, 10, 64)
         with pytest.raises(ValueError):
             split_range(0, -10, 64)
-
-    def test_iter_blocks_matches_split(self):
-        assert list(iter_blocks(7, 1000, 64)) == split_range(7, 1000, 64)
 
     @given(
         offset=st.integers(min_value=0, max_value=10**7),

@@ -64,17 +64,17 @@ class TestTokenBucket:
         with pytest.raises(ValueError):
             TokenBucket(5, burst=0)
 
-    def test_try_acquire_spends_without_waiting(self):
+    def test_zero_timeout_spends_without_waiting(self):
         ft = FakeTime()
         bucket = ft.bucket(rate=10, burst=3)
-        assert bucket.try_acquire(3)
-        assert not bucket.try_acquire(1)
+        assert bucket.acquire(3, timeout=0)
+        assert not bucket.acquire(1, timeout=0)
         assert ft.slept == []
 
     def test_refill_is_capped_at_burst(self):
         ft = FakeTime()
         bucket = ft.bucket(rate=10, burst=3)
-        assert bucket.try_acquire(3)
+        assert bucket.acquire(3)
         ft.now += 100.0
         assert bucket.available == 3
 
