@@ -153,6 +153,45 @@ class TestBranchGcInterplay:
             assert store.scrub().errors == ()
         store.close()
 
+    def test_branch_of_a_branch_after_gc_inherits_the_floor_too(self, store):
+        src = setup_source(store)
+        store.write(src, 0, b"c" * BS)  # v3
+        collect_garbage(store, src, retain_from=3)
+        fork = store.branch(src, "fork", version=3)
+        grandchild = store.branch(fork, "grandchild")
+        for version in (1, 2):
+            with pytest.raises(VersionNotFound, match="garbage-collected"):
+                store.read(grandchild, version=version)
+        assert store.read(grandchild) == b"c" * BS + b"a" * (3 * BS)
+        assert store.scrub().errors == ()
+
+    def test_branch_after_gc_keeps_evolving(self, store):
+        """Writes and a GC of their own on a branch taken after the
+        source's GC leave every scrub pass clean."""
+        src = setup_source(store)
+        store.write(src, 0, b"c" * BS)  # v3
+        collect_garbage(store, src, retain_from=3)
+        fork = store.branch(src, "fork")
+        assert store.append(fork, b"F" * BS) == 4
+        assert store.read(fork) == b"c" * BS + b"a" * (3 * BS) + b"F" * BS
+        collect_garbage(store, fork, retain_from=4)
+        with pytest.raises(VersionNotFound):
+            store.read(fork, version=3)
+        assert store.read(src) == b"c" * BS + b"a" * (3 * BS)
+        for _ in range(2):
+            assert store.scrub().errors == ()
+
+    def test_branch_taken_before_gc_keeps_its_history(self, store):
+        """Only a branch taken *after* GC inherits the floor: one taken
+        before keeps every version it was forked with."""
+        src = setup_source(store)
+        fork = store.branch(src, "fork")
+        store.write(src, 0, b"c" * BS)  # v3
+        collect_garbage(store, src, retain_from=3)
+        assert store.read(fork, version=1) == b"a" * (4 * BS)
+        assert store.read(fork) == b"b" * BS + b"a" * (3 * BS)
+        assert store.scrub().errors == ()
+
     def test_parent_gc_with_inflight_branch_write_refused(self, store):
         src = setup_source(store)
         fork = store.branch(src, "fork")

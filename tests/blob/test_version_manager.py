@@ -365,3 +365,28 @@ class TestQueries:
             vm.set_gc_floor("b", 1)  # not monotone
         with pytest.raises(BlobError):
             vm.set_gc_floor("b", 3)  # beyond watermark
+
+    def test_branch_inherits_gc_floor(self, vm):
+        for _ in range(3):
+            vm.commit("b", vm.assign_append("b", BS).version)
+        vm.set_gc_floor("b", 3)
+        vm.branch_blob("b", "c")
+        for version in (1, 2):
+            with pytest.raises(VersionNotFound, match="garbage-collected"):
+                vm.snapshot_info("c", version)
+            with pytest.raises(VersionNotFound):
+                vm.history_upto("c", version)
+        assert vm.snapshot_info("c", 3).size == 3 * BS
+        with pytest.raises(BlobError):
+            vm.set_gc_floor("c", 2)  # the branch's floor is already 3
+
+    def test_published_version_never_decreases(self, vm):
+        """Out-of-order commits and aborts only ever move the watermark
+        forward, releasing every version below it at once."""
+        for _ in range(4):
+            vm.assign_append("b", BS)
+        seen = [vm.published_version("b")]
+        for step in (("commit", 3), ("commit", 2), ("abort", 1), ("commit", 4)):
+            getattr(vm, step[0])("b", step[1])
+            seen.append(vm.published_version("b"))
+        assert seen == [0, 0, 0, 3, 4]

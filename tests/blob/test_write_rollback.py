@@ -487,6 +487,33 @@ class TestWriteAbortTombstone:
         assert store.read(blob) == b"a" * (2 * BS)  # blocks intact
         store.close()
 
+    def test_error_after_commit_never_rolls_back_committed_write(self, io_workers):
+        """An ordinary error surfacing after the commit flush is the
+        writer's to report, not a write failure: the snapshot committed,
+        its blocks keep their charges, and the next write builds on it."""
+        store = LocalBlobStore(config=StoreConfig(
+            data_providers=4, metadata_providers=2, block_size=BS, **engine_kwargs(io_workers)
+        ))
+        blob = store.create()
+        real_commit = store.publish_pipeline.commit
+
+        def commit_then_fail(blob_id, version):
+            real_commit(blob_id, version)
+            raise RuntimeError("lost the reply")
+
+        store.publish_pipeline.commit = commit_then_fail
+        with pytest.raises(RuntimeError, match="lost the reply"):
+            store.append(blob, b"a" * BS)
+        store.publish_pipeline.commit = real_commit
+        assert store.latest_version(blob) == 1
+        assert not store.snapshot(blob, 1).tombstone
+        assert store.version_manager.in_flight(blob) == []
+        assert store.provider_manager.block_counts() == store.provider_block_counts()
+        assert sum(store.provider_block_counts().values()) == 1
+        assert store.append(blob, b"b" * BS) == 2
+        assert store.read(blob) == b"a" * BS + b"b" * BS
+        store.close()
+
     def test_scrub_leaves_in_flight_versions_alone(self, io_workers):
         """The scrub must not force-overwrite a healthy in-flight
         write's metadata with tombstone filler."""

@@ -1,7 +1,7 @@
 """Tests for the simulated BlobSeer deployment.
 
 These run the real distributed protocol (RPCs, parallel block flows,
-version assignment, metadata weaving, publication gates) inside the
+version assignment, metadata weaving, publication order) inside the
 DES — with real byte payloads where content is checked.
 """
 
@@ -217,6 +217,42 @@ class TestConcurrencySemantics:
         engine.run(engine.process(slow_then_fast()))
         # Version 2 committed first and stayed unpublished behind 1.
         assert log == [(2, False, 0), 2]
+
+    def test_create_publishes_version_zero(self):
+        cluster, blobseer, client = make_deployment()
+
+        def scenario():
+            yield from blobseer.create(client, "b")
+            return blobseer.vm_core.published_version("b")
+
+        assert cluster.engine.run(cluster.engine.process(scenario())) == 0
+
+    def test_straggler_releases_every_later_version_at_once(self):
+        """Versions 2-4 commit while version 1 straggles: none of them is
+        published until version 1 commits, then all four are at once."""
+        cluster, blobseer, client = make_deployment(n_providers=8)
+        engine = cluster.engine
+        finished = []
+
+        def fast(node):
+            version = yield from blobseer.append(node, "b", BS)
+            finished.append((version, blobseer.vm_core.published_version("b")))
+
+        def scenario():
+            yield from blobseer.create(client, "b")
+            straggler = engine.process(blobseer.append(client, "b", 8 * BS))
+            while blobseer.vm_core.blob("b").last_assigned < 1:
+                yield engine.timeout(1e-5)
+            cluster.network.set_node_rates(client.name, egress=1e3)
+            yield engine.all_of(
+                [engine.process(fast(cluster.node(f"dp-00{i}"))) for i in range(3)]
+            )
+            before = blobseer.vm_core.published_version("b")
+            yield straggler
+            return before, blobseer.vm_core.published_version("b")
+
+        assert engine.run(engine.process(scenario())) == (0, 4)
+        assert sorted(finished) == [(2, 0), (3, 0), (4, 0)]
 
 
 class TestFailureInjection:

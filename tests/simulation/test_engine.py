@@ -229,6 +229,45 @@ class TestEvents:
         # Fails fast at t=1, well before the 10s timeout.
         assert engine.run(engine.process(proc())) == 1.0
 
+    def test_all_of_maps_each_child_to_its_value(self, engine):
+        def proc():
+            t1, t2 = engine.timeout(2, "late"), engine.timeout(1, "early")
+            results = yield engine.all_of([t1, t2])
+            return results == {t1: "late", t2: "early"}
+
+        assert engine.run(engine.process(proc())) is True
+
+    def test_all_of_over_already_processed_events(self, engine):
+        done = [engine.timeout(1, "a"), engine.timeout(2, "b")]
+        engine.run()
+
+        def proc():
+            results = yield engine.all_of(done)
+            return (engine.now, [results[ev] for ev in done])
+
+        assert engine.run(engine.process(proc())) == (2.0, ["a", "b"])
+
+    def test_all_of_ignores_failures_after_the_first(self, engine):
+        def bad(delay, message):
+            yield engine.timeout(delay)
+            raise ValueError(message)
+
+        def proc():
+            with pytest.raises(ValueError, match="first"):
+                yield engine.all_of(
+                    [engine.process(bad(1, "first")), engine.process(bad(2, "second"))]
+                )
+            yield engine.timeout(5)
+            return engine.now
+
+        # The second child's failure neither re-triggers the composite
+        # nor escapes the run: the composite already failed.
+        assert engine.run(engine.process(proc())) == 6.0
+
+    def test_all_of_rejects_events_of_another_engine(self, engine):
+        with pytest.raises(SimulationError):
+            engine.all_of([engine.timeout(1), Engine().timeout(1)])
+
     def test_deadlock_detection(self, engine):
         ev = engine.event()
 

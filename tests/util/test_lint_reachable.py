@@ -11,6 +11,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[2] / "tools" / "lint_reachable.py"
 spec = importlib.util.spec_from_file_location("lint_reachable", TOOL)
 lint_reachable = importlib.util.module_from_spec(spec)
@@ -100,3 +102,66 @@ def test_stale_allowlist_entries_are_caught(tmp_path):
     assert len(violations) == 2
     assert "entry is allowlisted but the program reaches it" in violations[0]
     assert "allowlist entry gone names no definition" in violations[1]
+
+
+def test_docstring_mention_is_not_a_use(tmp_path):
+    example = (
+        '"""Call only_tests() and Service.probe by hand."""\n'
+        "from repro.mod import entry\nentry()\n"
+    )
+    violations = lint_reachable.lint(make_tree(tmp_path, example=example), allowlist={})
+    assert len(violations) == 2
+
+
+def test_getattr_by_name_counts_as_a_use(tmp_path):
+    example = (
+        "from repro.mod import Service, entry, only_tests\n"
+        "entry()\ngetattr(Service(), 'probe')()\nonly_tests()\n"
+    )
+    assert lint_reachable.lint(make_tree(tmp_path, example=example), allowlist={}) == []
+
+
+def test_dunder_methods_are_always_reached(tmp_path):
+    # ``Service.__init__`` is never called by name anywhere.
+    violations = lint_reachable.lint(make_tree(tmp_path), allowlist={})
+    assert not any("__init__" in v for v in violations)
+
+
+@pytest.mark.parametrize("caller", ["perf", "tools", "src/repro"])
+def test_every_program_directory_is_a_caller(tmp_path, caller):
+    tree = make_tree(tmp_path)
+    runner = tmp_path / caller / "runner.py"
+    runner.parent.mkdir(parents=True, exist_ok=True)
+    runner.write_text(
+        "from repro.mod import Service, only_tests\n"
+        "only_tests()\nService().probe()\n"
+    )
+    assert lint_reachable.lint(tree, allowlist={}) == []
+
+
+def test_module_body_of_src_is_a_root(tmp_path):
+    module = MODULE + "\n_DEFAULT = only_tests()\n"
+    violations = lint_reachable.lint(make_tree(tmp_path, module=module), allowlist={})
+    assert [v for v in violations if "only_tests" in v] == []
+
+
+def test_allowlisted_definition_reaches_what_it_uses(tmp_path):
+    # ``helper`` is called only by ``only_tests``; allowlisting the
+    # caller keeps the callee too, even with nothing calling ``entry``.
+    module = MODULE.replace("return 2", "return helper() + 1")
+    tree = make_tree(tmp_path, module=module, example="x = 1\n")
+    violations = lint_reachable.lint(
+        tree, allowlist={"only_tests": "probe", "Service.probe": "probe"}
+    )
+    assert len(violations) == 1 and ": entry " in violations[0]
+
+
+def test_every_list_entry_gives_a_reason():
+    for entries in (lint_reachable.ALLOWLIST, lint_reachable.PENDING):
+        assert all(isinstance(r, str) and r.strip() for r in entries.values())
+    assert not set(lint_reachable.ALLOWLIST) & set(lint_reachable.PENDING)
+
+
+def test_main_exits_zero_on_the_real_tree(capsys):
+    assert lint_reachable.main() == 0
+    assert "reachability lint OK" in capsys.readouterr().out
