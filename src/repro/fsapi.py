@@ -26,7 +26,6 @@ from repro.errors import (
 __all__ = [
     "normalize_path",
     "parent_path",
-    "base_name",
     "FileStatus",
     "RangeLocation",
     "DirectoryTree",
@@ -62,12 +61,6 @@ def parent_path(path: str) -> str:
     if path == "/":
         return "/"
     return path.rsplit("/", 1)[0] or "/"
-
-
-def base_name(path: str) -> str:
-    """Final component of a normalized path ('' for the root)."""
-    path = normalize_path(path)
-    return "" if path == "/" else path.rsplit("/", 1)[1]
 
 
 # --------------------------------------------------------------------------

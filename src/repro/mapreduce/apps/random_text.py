@@ -7,9 +7,23 @@ of each of the mappers is stored as a separate file."
 
 The access pattern is what matters: concurrent, massively parallel
 writes, each mapper to its own file.
+
+The stream contract: a mapper's text is :func:`random_sentence` on
+``derive_rng(seed, mapper)`` until the byte target, and the mapper
+makes that text in bulk.  For a span below 2**32,
+``Generator.integers`` maps one ``next_uint32`` word ``x`` to
+``low + (x * span >> 32)`` and draws again only when
+``(x * span) mod 2**32 < 2**32 mod span`` (Lemire's rule), so the
+mapper draws raw words in chunks and decodes every sentence length and
+word index at once.  A chunk holding a word either span would reject
+(about one in 10**8) sends the whole mapper back to the plain
+:func:`random_sentence` loop.  ``setup.py`` leaves numpy unpinned, so
+``tests/mapreduce/test_apps.py`` checks the bulk text against the loop.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.mapreduce.job import Emitter, JobConf
 from repro.util.bytesize import parse_size
@@ -39,6 +53,42 @@ def random_sentence(rng, min_words: int = 10, max_words: int = 20) -> str:
     return " ".join(WORDS[i] for i in picks)
 
 
+_WORD_ARRAY = np.array(WORDS, dtype=object)
+
+
+def _lemire(raw: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's bounded draw over raw words: the values, the rejections."""
+    product = raw * np.uint64(span)
+    return product >> np.uint64(32), product.astype(np.uint32) < (1 << 32) % span
+
+
+def _bulk_sentences(rng, target: int) -> list[str] | None:
+    """``random_sentence(rng)`` until *target* bytes, decoded from chunked
+    raw draws; None if numpy would have rejected a drawn word."""
+    sentences, produced = [], 0
+    raw = np.empty(0, dtype=np.uint64)  # drawn, not yet cut into sentences
+    while produced < target:
+        # About 10 bytes of text a raw word; 21 words end one sentence.
+        size = (target - produced) // 10 + 21
+        fresh = rng.integers(0, 1 << 32, size=size, dtype=np.uint32)
+        raw = np.concatenate((raw, fresh.astype(np.uint64)))
+        lengths, short = _lemire(raw, 11)  # random_sentence's 10..20 words
+        picks, rejected = _lemire(raw, len(WORDS))
+        if short.any() or rejected.any():
+            return None
+        lengths, words = (lengths + 10).tolist(), _WORD_ARRAY[picks].tolist()
+        position = 0
+        while produced < target and position < len(words):
+            stop = position + 1 + lengths[position]
+            if stop > len(words):
+                break
+            sentences.append(" ".join(words[position + 1 : stop]))
+            produced += len(sentences[-1]) + 1  # newline
+            position = stop
+        raw = raw[position:]
+    return sentences
+
+
 def random_text_job(
     output_dir: str,
     num_mappers: int,
@@ -57,12 +107,14 @@ def random_text_job(
         raise ValueError("bytes_per_mapper must be >= 1")
 
     def mapper(key, _value: str, emit: Emitter) -> None:
-        rng = derive_rng(seed, int(key))
-        produced = 0
-        while produced < target:
-            sentence = random_sentence(rng)
+        sentences = _bulk_sentences(derive_rng(seed, int(key)), target)
+        if sentences is None:  # numpy would redraw a word: take the plain path
+            rng, sentences, produced = derive_rng(seed, int(key)), [], 0
+            while produced < target:
+                sentences.append(random_sentence(rng))
+                produced += len(sentences[-1]) + 1  # newline
+        for sentence in sentences:
             emit(None, sentence)
-            produced += len(sentence) + 1  # newline
 
     return JobConf(
         name="random-text-writer",

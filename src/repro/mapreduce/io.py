@@ -169,17 +169,18 @@ def write_text_records(
 
     Hadoop's ``TextOutputFormat``: ``key \\t value``; a ``None`` key
     writes the bare value (RandomTextWriter's output shape).  Lines are
-    buffered and handed to the stream ``READ_CHUNK`` bytes or more at
-    a time.
+    gathered until they hold ``READ_CHUNK`` characters or more, then
+    joined, encoded and handed to the stream in one piece.
     """
-    written = 0
-    buffer = bytearray()
+    written, lines, chars = 0, [], 0
     with fs.create(path, client=client) as out:
         for key, value in pairs:
-            buffer += (f"{value}\n" if key is None else f"{key}\t{value}\n").encode("utf-8")
-            if len(buffer) >= READ_CHUNK:
-                out.write(bytes(buffer))
-                written += len(buffer)
-                buffer.clear()
-        out.write(bytes(buffer))
-    return written + len(buffer)
+            lines.append(f"{value}\n" if key is None else f"{key}\t{value}\n")
+            chars += len(lines[-1])
+            if chars >= READ_CHUNK:
+                data = "".join(lines).encode("utf-8")
+                out.write(data)
+                written, lines, chars = written + len(data), [], 0
+        data = "".join(lines).encode("utf-8")
+        out.write(data)
+    return written + len(data)

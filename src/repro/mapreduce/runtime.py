@@ -131,11 +131,8 @@ class LocalJobRunner:
                 # RandomTextWriter shape: "the output of each of the
                 # mappers is stored as a separate file" (§V-G).
                 path = f"{job.output_dir}/part-m-{assignment.task_index:05d}"
-                pairs = [
-                    pair for r in sorted(output.partitions) for pair in output.partitions[r]
-                ]
                 counters["output_bytes"] += write_text_records(
-                    self.fs, path, pairs, client=assignment.tracker
+                    self.fs, path, output.partitions[0], client=assignment.tracker
                 )
                 output_paths.append(path)
             else:

@@ -2,9 +2,10 @@
 
 Functional (real-bytes) task bodies: a map task reads its split's
 records through the file system, runs the user mapper, partitions its
-output by key hash; a reduce task merges its partition from all maps,
-groups by key, runs the reducer.  Failures raise
-:class:`~repro.errors.TaskFailed` so the runner can retry.
+output by key hash (a map-only task keeps emit order); a reduce task
+merges its partition from all maps, groups by key, runs the reducer.
+Failures raise :class:`~repro.errors.TaskFailed` so the runner can
+retry.
 """
 
 from __future__ import annotations
@@ -95,8 +96,13 @@ def run_map_task(
     except Exception as exc:
         raise TaskFailed(f"map task {task_index} failed: {exc!r}") from exc
     output = MapOutput(task_index, job.num_reducers)
-    for key, value in emitter.pairs:
-        output.add(key, value, job.num_reducers, partitioner=job.partitioner)
+    if job.is_map_only:
+        # Hadoop's zero-reducer job: the part file is the mapper's pairs
+        # in emit order, never partitioned.
+        output.partitions = {0: emitter.pairs}
+    else:
+        for key, value in emitter.pairs:
+            output.add(key, value, job.num_reducers, partitioner=job.partitioner)
     counters["map_records_emitted"] += output.record_count
     if job.combiner is not None:
         _apply_combiner(job, output)

@@ -4,15 +4,12 @@ from repro.util.bytesize import GB, KB, MB, TB, format_size, parse_size
 from repro.util.chunks import (
     BlockSlice,
     align_down,
-    align_up,
     block_count,
-    block_span,
     split_range,
 )
 from repro.util.throttle import Throttle, TokenBucket
 from repro.util.stats import (
     Summary,
-    harmonic_mean,
     layout_vector,
     manhattan_unbalance,
     summarize,
@@ -39,16 +36,13 @@ __all__ = [
     "BlockSlice",
     "split_range",
     "block_count",
-    "block_span",
     "align_down",
-    "align_up",
     "SeedFactory",
     "derive_rng",
     "Throttle",
     "TokenBucket",
     "Summary",
     "summarize",
-    "harmonic_mean",
     "layout_vector",
     "manhattan_unbalance",
 ]

@@ -16,9 +16,7 @@ __all__ = [
     "split_range",
     "dest_windows",
     "block_count",
-    "block_span",
     "align_down",
-    "align_up",
 ]
 
 
@@ -108,31 +106,8 @@ def block_count(size: int, block_size: int) -> int:
     return -(-size // block_size)
 
 
-def block_span(offset: int, size: int, block_size: int) -> tuple[int, int]:
-    """Return ``(first_block, last_block_exclusive)`` touched by the range.
-
-    For an empty range the span is empty: ``(b, b)``.
-    """
-    if block_size <= 0:
-        raise ValueError(f"block_size must be positive, got {block_size}")
-    if offset < 0 or size < 0:
-        raise ValueError(f"negative range: offset={offset} size={size}")
-    first = offset // block_size
-    if size == 0:
-        return (first, first)
-    last = (offset + size - 1) // block_size
-    return (first, last + 1)
-
-
 def align_down(value: int, granularity: int) -> int:
     """Largest multiple of *granularity* that is <= *value*."""
     if granularity <= 0:
         raise ValueError(f"granularity must be positive, got {granularity}")
     return (value // granularity) * granularity
-
-
-def align_up(value: int, granularity: int) -> int:
-    """Smallest multiple of *granularity* that is >= *value*."""
-    if granularity <= 0:
-        raise ValueError(f"granularity must be positive, got {granularity}")
-    return -(-value // granularity) * granularity

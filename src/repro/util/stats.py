@@ -17,7 +17,6 @@ __all__ = [
     "layout_vector",
     "Summary",
     "summarize",
-    "harmonic_mean",
 ]
 
 
@@ -59,15 +58,6 @@ def manhattan_unbalance(vector: Sequence[float]) -> float:
     total = float(sum(vector))
     ideal = total / len(vector)
     return float(sum(abs(v - ideal) for v in vector))
-
-
-def harmonic_mean(values: Sequence[float]) -> float:
-    """Harmonic mean; natural average for rates (MB/s per client)."""
-    if not values:
-        raise ValueError("harmonic_mean of empty sequence")
-    if any(v <= 0 for v in values):
-        raise ValueError("harmonic_mean requires positive values")
-    return len(values) / sum(1.0 / v for v in values)
 
 
 @dataclass(frozen=True)

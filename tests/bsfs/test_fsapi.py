@@ -11,7 +11,6 @@ from repro.errors import (
 )
 from repro.fsapi import (
     DirectoryTree,
-    base_name,
     normalize_path,
     parent_path,
 )
@@ -43,10 +42,6 @@ class TestPaths:
         assert parent_path("/a/b/c") == "/a/b"
         assert parent_path("/a") == "/"
         assert parent_path("/") == "/"
-
-    def test_base_name(self):
-        assert base_name("/a/b/c") == "c"
-        assert base_name("/") == ""
 
 
 @pytest.fixture

@@ -2,7 +2,10 @@
 
 import hashlib
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.blob import LocalBlobStore, StoreConfig
 from repro.bsfs import BSFSFileSystem
@@ -14,16 +17,55 @@ from repro.mapreduce.apps import (
     random_text_job,
     wordcount_job,
 )
+from repro.mapreduce.apps import random_text
 from repro.util.rng import derive_rng
 
 BS = 512
 
 
-@pytest.fixture
-def fs():
+def make_fs():
     return BSFSFileSystem(
         store=LocalBlobStore(config=StoreConfig(data_providers=6, metadata_providers=2, block_size=BS))
     )
+
+
+@pytest.fixture
+def fs():
+    return make_fs()
+
+
+def plain_text(seed: int, mapper: int, target: int) -> bytes:
+    """The specification: ``random_sentence`` until *target* bytes."""
+    rng, lines, produced = derive_rng(seed, mapper), [], 0
+    while produced < target:
+        lines.append(random_sentence(rng))
+        produced += len(lines[-1]) + 1
+    return "".join(f"{line}\n" for line in lines).encode()
+
+
+def unchecked_decode(raw: np.ndarray, target: int) -> tuple[bytes, int]:
+    """Lemire's rule over *raw* with every rejection ignored: the text
+    and the number of raw words it used."""
+    lengths = (raw * np.uint64(11) >> np.uint64(32)) + 10
+    picks = raw * np.uint64(len(WORDS)) >> np.uint64(32)
+    lines, position, produced = [], 0, 0
+    while produced < target:
+        stop = position + 1 + int(lengths[position])
+        lines.append(" ".join(WORDS[i] for i in picks[position + 1 : stop]))
+        produced += len(lines[-1]) + 1
+        position = stop
+    return "".join(f"{line}\n" for line in lines).encode(), position
+
+
+class _SpyRng:
+    """A generator that records the size of every draw."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def integers(self, *args, size=None, **kwargs):
+        self.sizes.append(size)
+        return self.rng.integers(*args, size=size, **kwargs)
 
 
 class TestRandomSentence:
@@ -78,12 +120,61 @@ class TestRandomTextWriter:
             "9ca73d0d4e808cabad9f5940c2d50b15652252a50196afa6e9ca45d76ac7483d",
         ]
         assert result.counters["output_bytes"] == 70_102 + 70_060
+        assert result.counters["map_records_emitted"] == 931  # one per sentence
 
     def test_validation(self):
         with pytest.raises(ValueError):
             random_text_job("/o", num_mappers=0, bytes_per_mapper=10)
         with pytest.raises(ValueError):
             random_text_job("/o", num_mappers=1, bytes_per_mapper=0)
+
+
+class TestBulkGenerator:
+    """The mapper decodes its text in bulk; ``random_sentence`` is the oracle."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        mappers=st.integers(min_value=1, max_value=3),
+        target=st.one_of(st.just(1), st.integers(min_value=1, max_value=20_000)),
+    )
+    @example(seed=0, mappers=1, target=1)
+    @example(seed=7, mappers=2, target=70_000)
+    def test_part_files_equal_the_plain_loop(self, seed, mappers, target):
+        fs = make_fs()
+        job = random_text_job("/rtw", num_mappers=mappers, bytes_per_mapper=target, seed=seed)
+        result = LocalJobRunner(fs).run(job)
+        for mapper, path in enumerate(result.output_paths):
+            assert fs.read_file(path) == plain_text(seed, mapper, target)
+
+    @pytest.mark.parametrize("target", [4_000, 20_000, 70_000, 262_144])
+    def test_targets_straddle_chunk_refills(self, fs, monkeypatch, target):
+        spies = []
+
+        def spying_rng(*key):
+            spies.append(_SpyRng(derive_rng(*key)))
+            return spies[-1]
+
+        monkeypatch.setattr(random_text, "derive_rng", spying_rng)
+        job = random_text_job("/rtw", num_mappers=1, bytes_per_mapper=target, seed=11)
+        (path,) = LocalJobRunner(fs).run(job).output_paths
+        (spy,) = spies  # no fallback to the plain loop
+        assert len(spy.sizes) >= 2  # the text continues across a refill
+        assert fs.read_file(path) == plain_text(11, 0, target)
+
+    def test_rejected_draw_takes_the_plain_path(self, fs):
+        seed, target, span = 39075, 8192, len(WORDS)
+        raw = derive_rng(seed, 0).integers(0, 1 << 32, size=2000, dtype=np.uint32)
+        raw = raw.astype(np.uint64)
+        leftover = raw * np.uint64(span) & np.uint64(0xFFFFFFFF)
+        assert np.flatnonzero(leftover < (1 << 32) % span).tolist() == [443]
+        # Word 443 lies inside the text, so ignoring the rejection
+        # would write different text.
+        unchecked, used = unchecked_decode(raw, target)
+        assert used > 443
+        assert unchecked != plain_text(seed, 0, target)
+        job = random_text_job("/rtw", num_mappers=1, bytes_per_mapper=target, seed=seed)
+        (path,) = LocalJobRunner(fs).run(job).output_paths
+        assert fs.read_file(path) == plain_text(seed, 0, target)
 
 
 class TestPipelines:

@@ -209,7 +209,55 @@ class TestLineReaderProperty:
         assert records == _oracle(body)
 
 
+def _per_pair(pairs) -> bytes:
+    """The reference encoder: one line, one encode per pair."""
+    return b"".join(
+        (f"{v}\n" if k is None else f"{k}\t{v}\n").encode("utf-8") for k, v in pairs
+    )
+
+
+_TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=40)
+
+
 class TestTextOutput:
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(None, "a"), (None, "b c"), (None, "")],
+            [("k", 1), (2, "v"), ("x", None), (3.5, ("t", 1))],
+            [(None, "héllo wörld ✓"), ("ключ", "значение"), (None, "日本語")],
+            # Lines crossing the 64 KB chunk: a long one, then one that
+            # starts just below the boundary.
+            [(None, "x" * 70_000), (None, "y" * 10), ("k", "z" * (64 * 1024 - 3))],
+        ],
+        ids=["none-keys", "keyed", "non-ascii", "crosses-64k"],
+    )
+    def test_bytes_equal_per_pair_encoder(self, fs, pairs):
+        written = write_text_records(fs, "/out", pairs)
+        expected = _per_pair(pairs)
+        assert fs.read_file("/out") == expected
+        assert written == len(expected)
+
+    def test_returns_bytes_not_characters(self, fs):
+        pairs = [(None, "é" * 40_000)] * 3  # two bytes a character, across chunks
+        written = write_text_records(fs, "/out", pairs)
+        assert written == 3 * 80_001 == fs.status("/out").size
+
+    @given(
+        pairs=st.lists(st.tuples(st.one_of(st.none(), _TEXT), _TEXT), max_size=30),
+        chunk=st.integers(min_value=1, max_value=64),
+    )
+    def test_property_equals_per_pair_encoder(self, pairs, chunk):
+        fs = BSFSFileSystem(
+            store=LocalBlobStore(
+                config=StoreConfig(data_providers=3, metadata_providers=1, block_size=BS)
+            )
+        )
+        with mock.patch.object(record_io, "READ_CHUNK", chunk):
+            written = write_text_records(fs, "/out", pairs)
+        assert fs.read_file("/out") == _per_pair(pairs)
+        assert written == len(_per_pair(pairs))
+
     def test_key_value_lines(self, fs):
         write_text_records(fs, "/out", [("k1", 1), ("k2", "two")])
         assert fs.read_file("/out") == b"k1\t1\nk2\ttwo\n"

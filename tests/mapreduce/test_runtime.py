@@ -112,6 +112,31 @@ class TestEngineMechanics:
         assert len(result.output_paths) == 3
         assert fs.read_file("/gen/part-m-00001") == b"output-of-1\n"
 
+    @pytest.mark.parametrize(
+        "partitioner", [None, lambda key, n: int(key[1:]) % n], ids=["hash", "custom"]
+    )
+    def test_map_only_output_keeps_emit_order(self, partitioner):
+        """Hadoop's zero-reducer output is the mapper's emit order; the
+        reducer count and partitioner play no part."""
+        fs = make_bsfs()
+
+        def mapper(_key, _value, emit: Emitter):
+            for i in range(8):
+                emit(f"k{i}", i)
+
+        job = JobConf(
+            name="m",
+            output_dir="/o",
+            mapper=mapper,
+            synthetic_maps=1,
+            num_reducers=2,
+            partitioner=partitioner,
+        )
+        result = LocalJobRunner(fs).run(job)
+        (path,) = result.output_paths
+        assert fs.read_file(path) == b"".join(f"k{i}\t{i}\n".encode() for i in range(8))
+        assert result.counters["map_records_emitted"] == 8
+
     def test_failing_task_retried_then_job_fails(self):
         fs = make_bsfs()
         fs.write_file("/in/x", b"data\n")

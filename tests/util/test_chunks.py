@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 
 from repro.util import (
     align_down,
-    align_up,
     block_count,
-    block_span,
     split_range,
 )
 
@@ -76,34 +74,26 @@ class TestBlockMath:
         assert block_count(64, 64) == 1
         assert block_count(65, 64) == 2
 
-    def test_block_span(self):
-        assert block_span(0, 128, 64) == (0, 2)
-        assert block_span(63, 2, 64) == (0, 2)
-        assert block_span(64, 0, 64) == (1, 1)
-
     def test_span_matches_split(self):
-        first, last = block_span(100, 999, 64)
         slices = split_range(100, 999, 64)
-        assert slices[0].index == first
-        assert slices[-1].index == last - 1
+        assert slices[0].index == 100 // 64
+        assert slices[-1].index == (100 + 999 - 1) // 64
 
     def test_align(self):
         assert align_down(130, 64) == 128
-        assert align_up(130, 64) == 192
-        assert align_up(128, 64) == 128
+        assert align_down(128, 64) == 128
 
     def test_align_bad_granularity(self):
         with pytest.raises(ValueError):
             align_down(1, 0)
         with pytest.raises(ValueError):
-            align_up(1, -3)
+            align_down(1, -3)
 
     @given(
         value=st.integers(min_value=0, max_value=10**9),
         granularity=st.integers(min_value=1, max_value=10**6),
     )
     def test_property_align_bracket(self, value, granularity):
-        low, high = align_down(value, granularity), align_up(value, granularity)
-        assert low <= value <= high
-        assert low % granularity == 0 and high % granularity == 0
-        assert high - low in (0, granularity)
+        low = align_down(value, granularity)
+        assert low <= value < low + granularity
+        assert low % granularity == 0

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util import harmonic_mean, layout_vector, manhattan_unbalance, summarize
+from repro.util import layout_vector, manhattan_unbalance, summarize
 
 
 class TestManhattanUnbalance:
@@ -78,13 +78,3 @@ class TestSummaries:
     def test_summarize_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
-
-    def test_harmonic_mean(self):
-        assert harmonic_mean([2.0, 2.0]) == pytest.approx(2.0)
-        assert harmonic_mean([1.0, 3.0]) == pytest.approx(1.5)
-
-    def test_harmonic_mean_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            harmonic_mean([1.0, 0.0])
-        with pytest.raises(ValueError):
-            harmonic_mean([])

@@ -83,11 +83,7 @@ PENDING = {
     "scrub CLI and every demo run store.scrub() directly",
     "sort_job": "MapReduce sort application (not one of the paper's); no "
     "example, demo or workload runs it",
-    "base_name": "path helper only tests call",
-    "block_span": "range helper only tests call",
-    "align_up": "range helper only tests call",
     "layout_vector": "layout helper only tests call",
-    "harmonic_mean": "statistics helper only tests call",
 }
 
 
