@@ -15,6 +15,7 @@ the system needs:
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 from typing import Hashable, Iterable
 
@@ -29,6 +30,17 @@ def stable_hash(key: Hashable, salt: bytes = b"") -> int:
     """
     digest = hashlib.blake2b(repr(key).encode("utf-8") + salt, digest_size=8)
     return int.from_bytes(digest.digest(), "big")
+
+
+@functools.lru_cache(maxsize=1024)
+def _vnode_points(member: str, vnodes: int) -> tuple[tuple[int, str], ...]:
+    """The sorted ring points of *member*.
+
+    A pure function of ``(member, vnodes)``, so every ring in the process
+    shares one immutable copy instead of hashing the member again.
+    """
+    points = ((stable_hash((member, i), salt=b"ring"), member) for i in range(vnodes))
+    return tuple(sorted(points))
 
 
 class HashRing:
@@ -55,9 +67,8 @@ class HashRing:
         if member in self._members:
             raise ValueError(f"member {member!r} already on the ring")
         self._members.add(member)
-        for i in range(self.vnodes):
-            point = (stable_hash((member, i), salt=b"ring"), member)
-            bisect.insort(self._points, point)
+        self._points.extend(_vnode_points(member, self.vnodes))
+        self._points.sort()
 
     def remove(self, member: str) -> None:
         """Leave the ring (keys move to successors)."""

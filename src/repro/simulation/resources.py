@@ -110,6 +110,11 @@ class Store:
     def __len__(self) -> int:
         return len(self._items)
 
+    @property
+    def getters(self) -> int:
+        """Consumers blocked in :meth:`get`; :meth:`put` hands to the oldest."""
+        return len(self._getters)
+
     def put(self, item: Any) -> Event:
         """Deposit *item*; returned event fires when the item is accepted."""
         done = Event(self.engine)

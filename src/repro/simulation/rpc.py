@@ -1,11 +1,13 @@
 """Request/response messaging between simulated services.
 
 A :class:`RpcServer` lives on a :class:`~repro.simulation.cluster.SimNode`
-and serves requests from a FIFO inbox with a configurable number of
-worker processes.  ``concurrency=1`` turns a server into a serialization
-point — exactly how the paper's *version manager* is modelled, since
-version-number assignment is "the only step in the writing process where
-concurrent requests are serialized" (§III-A.4).
+and serves requests from a FIFO inbox with up to ``concurrency`` worker
+processes.  Workers start on demand: a request that finds no idle worker
+starts one while fewer than ``concurrency`` exist, so an idle server
+costs the engine no events.  ``concurrency=1`` turns a server into a
+serialization point — exactly how the paper's *version manager* is
+modelled, since version-number assignment is "the only step in the
+writing process where concurrent requests are serialized" (§III-A.4).
 
 Handlers are plain functions or generator functions; generator handlers
 may yield further simulation events (disk I/O, nested RPCs), composing
@@ -48,7 +50,9 @@ class RpcServer:
             a generator yielding simulation events before returning one.
         service_time: fixed CPU cost charged per request before the
             handler runs (models request parsing/bookkeeping).
-        concurrency: number of worker processes draining the inbox.
+        concurrency: upper bound on the worker processes draining the
+            inbox.  Workers start on demand, one per request that finds
+            none idle, so an idle server schedules no events.
     """
 
     def __init__(
@@ -71,10 +75,7 @@ class RpcServer:
         self.inbox = Store(node.engine)
         self.requests_served = 0
         self.busy_time = 0.0
-        self._workers = [
-            node.engine.process(self._worker(), name=f"{name}-worker-{i}")
-            for i in range(concurrency)
-        ]
+        self._started = 0
 
     @property
     def engine(self) -> Engine:
@@ -85,6 +86,18 @@ class RpcServer:
     def online(self) -> bool:
         """Service is reachable iff its node is online."""
         return self.node.online
+
+    def _submit(self, request: tuple[Any, Event]) -> Event:
+        """Queue *request*, first starting a worker if none waits for it.
+
+        Counting started workers, never idle ones, keeps two requests of
+        one instant from sharing a worker that has not yet reached
+        :meth:`Store.get`.
+        """
+        if not self.inbox.getters and self._started < self.concurrency:
+            self.engine.process(self._worker(), name=f"{self.name}-worker-{self._started}")
+            self._started += 1
+        return self.inbox.put(request)
 
     def _worker(self) -> Generator:
         while True:
@@ -139,7 +152,7 @@ def call(
         raise ProviderUnavailable(f"{server.name} on {server.node.name} is down")
     yield network.transfer(client.name, server.node.name, request_size, rate_cap=rate_cap)
     reply_event = Event(client.engine)
-    yield server.inbox.put((payload, reply_event))
+    yield server._submit((payload, reply_event))
     result = yield reply_event
     if isinstance(result, Reply):
         size = result.size

@@ -1,11 +1,14 @@
 """Tests for the consistent-hash ring."""
 
+import bisect
+import hashlib
 from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.blob.segment_tree import NodeKey
 from repro.dht import HashRing, stable_hash
 
 
@@ -97,3 +100,63 @@ class TestReplicas:
     def test_n_validation(self):
         with pytest.raises(ValueError):
             HashRing(["a"]).replicas("k", 0)
+
+
+class _InsortRing(HashRing):
+    """Reference ring: hashes every vnode on each ``add`` and inserts it
+    with one ``insort``, as the ring did before points were cached."""
+
+    def add(self, member: str) -> None:
+        if member in self._members:
+            raise ValueError(f"member {member!r} already on the ring")
+        self._members.add(member)
+        for i in range(self.vnodes):
+            bisect.insort(self._points, (stable_hash((member, i), salt=b"ring"), member))
+
+
+_names = st.text(alphabet="abcdefgh-0123", min_size=1, max_size=6)
+
+
+class TestCachedPoints:
+    @given(
+        st.integers(min_value=1, max_value=128),
+        st.lists(st.tuples(st.booleans(), _names), min_size=1, max_size=24),
+    )
+    def test_matches_insort_construction(self, vnodes, ops):
+        """Any add/remove sequence leaves the cached ring equal to the oracle."""
+        ring, oracle = HashRing(vnodes=vnodes), _InsortRing(vnodes=vnodes)
+        for is_add, member in ops:
+            if is_add and member not in ring:
+                ring.add(member)
+                oracle.add(member)
+            elif not is_add and member in ring:
+                ring.remove(member)
+                oracle.remove(member)
+            assert ring._points == oracle._points
+        if ring.members:
+            for key in range(50):
+                for n in (1, 2, 3):
+                    assert ring.replicas(key, n) == oracle.replicas(key, n)
+
+    def test_node_key_replicas_pinned(self):
+        """The metadata placement of 10^4 tree nodes on 20 providers."""
+        ring = HashRing([f"mdp-{i}" for i in range(20)])
+        keys = [
+            NodeKey(f"blob-{b}", v, o * s, s)
+            for b in range(5) for v in range(1, 21) for s in (1, 4, 16, 64) for o in range(25)
+        ]
+        assert len(keys) == 10_000
+        text = "\n".join(",".join(ring.replicas(k, 3)) for k in keys)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "d7fe059d7fce23067b743acdaea75b4057485ccb34e0f02189b360e14fb35d56"
+        )
+
+    def test_remove_leaves_other_rings_alone(self):
+        members = [f"m{i}" for i in range(6)]
+        ring, twin = HashRing(members), HashRing(members)
+        points = list(twin._points)
+        ring.remove("m2")
+        ring.add("m2")
+        ring.remove("m4")
+        assert twin._points == points
+        assert len(twin._points) == 6 * twin.vnodes

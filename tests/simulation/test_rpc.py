@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.deploy.deployment import deploy_microbench
 from repro.errors import ProviderUnavailable
 from repro.simulation import Engine, NodeSpec, Reply, RpcServer, SimCluster, call
 
@@ -144,3 +145,44 @@ class TestSerializationPoint:
 
         engine.run(engine.process(client()))
         assert server.busy_time == pytest.approx(0.2, rel=1e-6)
+
+
+class TestOnDemandWorkers:
+    def test_idle_server_schedules_nothing(self, setup):
+        engine, _, server_node, _ = setup
+        RpcServer(server_node, "data", handler=lambda x: x, concurrency=32)
+        assert engine.peek() == float("inf")
+
+    @pytest.mark.parametrize("backend", ["bsfs", "hdfs"])
+    def test_idle_deployment_schedules_nothing(self, backend):
+        deployment = deploy_microbench(backend, total_nodes=270)
+        assert deployment.cluster.engine.peek() == float("inf")
+
+    def test_burst_beyond_concurrency_queues_in_arrival_order(self, setup):
+        """40 requests of one instant on 32 workers: 32 finish at s, 8 at 2s."""
+        engine, _, server_node, client_node = setup
+        s = 0.1
+        served = []
+
+        def handler(i):
+            served.append((i, engine.now))
+            return i
+
+        server = RpcServer(server_node, "data", handler=handler, service_time=s, concurrency=32)
+        arrivals = []
+        put = server.inbox.put
+
+        def recording_put(item):
+            arrivals.append((item[0], engine.now))
+            return put(item)
+
+        server.inbox.put = recording_put
+        for i in range(40):
+            engine.process(call(client_node, server, i))
+        engine.run()
+        order = [i for i, _ in arrivals]
+        (arrival,) = {t for _, t in arrivals}
+        assert served == [(i, pytest.approx(arrival + s)) for i in order[:32]] + [
+            (i, pytest.approx(arrival + 2 * s)) for i in order[32:]
+        ]
+        assert server.busy_time == pytest.approx(40 * s)
