@@ -35,7 +35,7 @@ from repro.blob.provider_manager import (
     TenantAccount,
     make_policy,
 )
-from repro.blob.scrub import MaintenanceDaemon, ScrubReport, Throttle, scrub_store
+from repro.blob.scrub import ScrubReport, scrub_store
 from repro.blob.segment_tree import (
     DescentPlan,
     InnerNode,
@@ -113,8 +113,6 @@ __all__ = [
     "BlockRange",
     "changed_ranges",
     "diff_snapshots",
-    "MaintenanceDaemon",
     "ScrubReport",
-    "Throttle",
     "scrub_store",
 ]

@@ -32,20 +32,19 @@ skips versions that are in flight (their publish is racing, not
 broken), it skips keys below the GC floor (healing them could resurrect
 swept garbage; deleting them is GC's job — a below-floor node may still
 be shared with a descendant branch), and all heavy I/O runs through the
-store's bounded :class:`~repro.blob.async_engine.AsyncIOEngine` window
-under an optional :class:`Throttle`, so scrubbing yields to client I/O
-instead of starving it.
+store's bounded :class:`~repro.blob.async_engine.AsyncIOEngine` window,
+optionally paced by a :class:`~repro.util.throttle.TokenBucket`, so
+scrubbing yields to client I/O instead of starving it.
 
-:class:`MaintenanceDaemon` runs the pass on a period;
-``LocalBlobStore.start_maintenance()`` owns one per store and
-``repro.cli scrub`` drives a self-contained chaos demonstration.
+The pass runs only when asked: ``store.scrub()``,
+``GatewayClient.scrub`` and ``repro.cli scrub`` (a self-contained chaos
+demonstration) all call :func:`scrub_store` directly.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.blob.block import BlockDescriptor, BlockId
 from repro.blob.metadata import agreed_value
@@ -64,15 +63,13 @@ from repro.errors import (
     ProviderUnavailable,
     ReplicationError,
 )
-from repro.util.throttle import Throttle
+from repro.util.throttle import TokenBucket
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store imports us not)
     from repro.blob.store import LocalBlobStore
 
 __all__ = [
-    "MaintenanceDaemon",
     "ScrubReport",
-    "Throttle",
     "live_replicas",
     "repair_leaf",
     "scrub_store",
@@ -170,25 +167,16 @@ def _snapshot_control_plane(store: "LocalBlobStore") -> list[_BlobPlan]:
 
 #: Keys per batched replica-enumeration pass in the reconciliation
 #: phase: large enough to amortize the round trip, small enough that a
-#: stop probe or throttle tick is never more than a chunk away.
+#: paced pass heals from replica answers that are still fresh.
 _RECONCILE_CHUNK = 64
-
-#: "Keep going?" probe threaded through every scrub loop; the daemon
-#: wires it to its stop event so shutdown never waits out a full pass.
-StopProbe = Callable[[], bool]
-
-
-def _never_stop() -> bool:
-    return False
 
 
 def _scrub_tombstones(
     store: "LocalBlobStore",
     plan: _BlobPlan,
-    throttle: Optional[Throttle],
+    throttle: Optional[TokenBucket],
     counters: dict,
     errors: list[str],
-    should_stop: StopProbe,
 ) -> set[NodeKey]:
     """Phase 1: heal every tombstone's filler patch in place.
 
@@ -214,11 +202,9 @@ def _scrub_tombstones(
             [node.key for node in patch]
         )
         for node in patch:
-            if should_stop():
-                return filler_keys
             filler_keys.add(node.key)
             if throttle is not None:
-                throttle.tick()
+                throttle.acquire()
             for bucket_name, value in replica_maps[node.key].items():
                 if value is MISSING or value != node:
                     if _heal(store, bucket_name, node, errors):
@@ -367,10 +353,9 @@ def _reconcile_replicas(
     store: "LocalBlobStore",
     plans: dict[str, _BlobPlan],
     skip_keys: set[NodeKey],
-    throttle: Optional[Throttle],
+    throttle: Optional[TokenBucket],
     counters: dict,
     errors: list[str],
-    should_stop: StopProbe,
 ) -> None:
     """Phase 2: converge every remaining key's online replica set.
 
@@ -395,19 +380,15 @@ def _reconcile_replicas(
         eligible.append(key)
 
     for start in range(0, len(eligible), _RECONCILE_CHUNK):
-        if should_stop():
-            return
         chunk = eligible[start : start + _RECONCILE_CHUNK]
         replica_maps = store.metadata.replica_nodes_many(chunk)
         for key in chunk:
-            if should_stop():
-                return
             values = replica_maps[key]
             if not values:
                 continue  # every owner offline; nothing to compare
             counters["nodes_checked"] += 1
             if throttle is not None:
-                throttle.tick()
+                throttle.acquire()
             if all(v is MISSING for v in values.values()):
                 # The only holder went offline since enumeration: not a
                 # conflict, just nothing to heal from until it recovers.
@@ -436,10 +417,9 @@ def _scrub_blocks(
     store: "LocalBlobStore",
     plan: _BlobPlan,
     seen: set[NodeKey],
-    throttle: Optional[Throttle],
+    throttle: Optional[TokenBucket],
     counters: dict,
     errors: list[str],
-    should_stop: StopProbe,
 ) -> None:
     """Phase 3: restore block replication over every retained snapshot.
 
@@ -476,14 +456,12 @@ def _scrub_blocks(
             errors.append(f"{plan.blob_id} v{version}: tree unreadable: {exc}")
             continue
         for node in nodes:
-            if should_stop():
-                return
             seen.add(node.key)
             if not isinstance(node, LeafNode) or node.block.is_zero:
                 continue
             counters["blocks_checked"] += 1
             if throttle is not None:
-                throttle.tick()
+                throttle.acquire()
             try:
                 copies = repair_leaf(store, node, plan.replication)
             except (ReplicationError, ProviderError) as exc:
@@ -496,21 +474,16 @@ def _scrub_blocks(
 
 def scrub_store(
     store: "LocalBlobStore",
-    throttle: Optional[Throttle] = None,
-    should_stop: Optional[StopProbe] = None,
+    throttle: Optional[TokenBucket] = None,
 ) -> ScrubReport:
     """Run one full anti-entropy pass over every BLOB of *store*.
 
     Safe to run concurrently with reads, writes and other scrub passes
     (healing is idempotent: it only ever writes values derivable from
     durable state).  With *throttle* set, the pass paces itself so
-    foreground I/O keeps priority on the shared I/O engine.  A
-    *should_stop* probe returning True makes the pass return early
-    with whatever it healed so far (every heal is independently
-    consistent, so a truncated pass is just a smaller pass).
+    foreground I/O keeps priority on the shared I/O engine: every
+    checked item acquires one token.
     """
-    if should_stop is None:
-        should_stop = _never_stop
     plans = _snapshot_control_plane(store)
     counters = {
         "tombstones_checked": 0,
@@ -528,9 +501,7 @@ def scrub_store(
 
     filler_keys: set[NodeKey] = set()
     for plan in plans:
-        filler_keys |= _scrub_tombstones(
-            store, plan, throttle, counters, errors, should_stop
-        )
+        filler_keys |= _scrub_tombstones(store, plan, throttle, counters, errors)
 
     _reconcile_replicas(
         store,
@@ -539,14 +510,11 @@ def scrub_store(
         throttle,
         counters,
         errors,
-        should_stop,
     )
 
     seen: set[NodeKey] = set()
     for plan in plans:
-        if should_stop():
-            break
-        _scrub_blocks(store, plan, seen, throttle, counters, errors, should_stop)
+        _scrub_blocks(store, plan, seen, throttle, counters, errors)
 
     dht = store.metadata.store
     online = sum(1 for _ in dht.online_buckets())
@@ -556,98 +524,3 @@ def scrub_store(
         errors=tuple(errors),
         **counters,
     )
-
-
-class MaintenanceDaemon:
-    """Background thread running :func:`scrub_store` on a period.
-
-    The daemon is deliberately boring: one pass per ``interval``
-    seconds, each pass throttled to ``ops_per_sec`` (None = unpaced),
-    failures recorded on :attr:`last_error` without killing the loop.
-    ``LocalBlobStore.start_maintenance()`` creates, starts and owns
-    one; ``store.close()`` stops it.
-    """
-
-    def __init__(
-        self,
-        store: "LocalBlobStore",
-        interval: float = 1.0,
-        ops_per_sec: Optional[float] = None,
-    ):
-        if interval <= 0:
-            raise ValueError(f"interval must be > 0, got {interval}")
-        self._store = store
-        self.interval = interval
-        self.ops_per_sec = ops_per_sec
-        self._stop = threading.Event()
-        # The stop event interrupts throttle sleeps and truncates the
-        # in-flight pass, so stop()/close() return promptly instead of
-        # waiting out a long throttled sweep.
-        self.throttle = (
-            Throttle(ops_per_sec, interrupt=self._stop)
-            if ops_per_sec is not None
-            else None
-        )
-        self._thread: Optional[threading.Thread] = None
-        self._state_lock = threading.Lock()
-        self.passes = 0
-        self.last_report: Optional[ScrubReport] = None
-        self.last_error: Optional[BaseException] = None
-
-    # -- lifecycle ----------------------------------------------------------------
-
-    def start(self) -> "MaintenanceDaemon":
-        """Start the background loop (idempotent)."""
-        if self._thread is None or not self._thread.is_alive():
-            self._stop.clear()
-            self._thread = threading.Thread(
-                target=self._run, name="blob-scrub", daemon=True
-            )
-            self._thread.start()
-        return self
-
-    def stop(self, wait: bool = True) -> None:
-        """Stop the loop; with *wait*, join the thread (idempotent)."""
-        self._stop.set()
-        if wait and self._thread is not None and self._thread.is_alive():
-            self._thread.join()
-
-    @property
-    def running(self) -> bool:
-        """Whether the background thread is alive."""
-        return self._thread is not None and self._thread.is_alive()
-
-    def __enter__(self) -> "MaintenanceDaemon":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    # -- the loop -----------------------------------------------------------------
-
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            self.run_once()
-            self._stop.wait(self.interval)
-
-    def run_once(self) -> Optional[ScrubReport]:
-        """One synchronous pass (also the unit the loop runs).
-
-        Returns the report, or ``None`` if the pass itself raised — the
-        exception lands on :attr:`last_error` instead of propagating,
-        because a maintenance loop that dies on the first transient
-        fault protects nothing.
-        """
-        try:
-            report = scrub_store(
-                self._store, throttle=self.throttle, should_stop=self._stop.is_set
-            )
-        except Exception as exc:
-            with self._state_lock:
-                self.last_error = exc
-            return None
-        with self._state_lock:
-            self.passes += 1
-            self.last_report = report
-            self.last_error = None
-        return report

@@ -93,6 +93,7 @@ from repro.errors import (
 )
 from repro.util.bytesize import parse_size
 from repro.util.chunks import dest_windows, split_range
+from repro.util.throttle import TokenBucket
 
 __all__ = [
     "LocalBlobStore",
@@ -226,62 +227,29 @@ class LocalBlobStore:
         #: Guards the version manager and nothing else.
         self._lock = threading.Lock()
         self._blob_counter = itertools.count(1)
-        self._maintenance = None
 
     # -- lifecycle of the store itself ---------------------------------------------
 
     def close(self) -> None:
-        """Stop maintenance and release the I/O engine's threads (idempotent)."""
-        self.stop_maintenance()
+        """Release the I/O engine's threads (idempotent)."""
         if self.io_engine is not None:
             self.io_engine.shutdown()
 
     # -- maintenance (anti-entropy scrub, DESIGN.md §8) -----------------------------
 
-    def start_maintenance(
-        self, interval: float = 1.0, ops_per_sec: Optional[float] = None
-    ):
-        """Start (or return) this store's background scrub daemon.
-
-        The daemon runs one anti-entropy pass per *interval* seconds —
-        reconciling metadata replicas, re-publishing tombstone filler,
-        restoring block replication — throttled to *ops_per_sec* so it
-        never starves foreground I/O (``None`` = unpaced).  Owned by
-        the store: ``close()`` stops it.  Calling again with different
-        settings restarts the daemon with the new ones.  Returns the
-        :class:`~repro.blob.scrub.MaintenanceDaemon`.
-        """
-        from repro.blob.scrub import MaintenanceDaemon
-
-        running = self._maintenance is not None and self._maintenance.running
-        if running and (
-            self._maintenance.interval != interval
-            or self._maintenance.ops_per_sec != ops_per_sec
-        ):
-            self._maintenance.stop()
-            running = False
-        if not running:
-            self._maintenance = MaintenanceDaemon(
-                self, interval=interval, ops_per_sec=ops_per_sec
-            ).start()
-        return self._maintenance
-
-    def stop_maintenance(self) -> None:
-        """Stop the scrub daemon if one is running (idempotent)."""
-        if self._maintenance is not None:
-            self._maintenance.stop()
-            self._maintenance = None
-
     def scrub(self, ops_per_sec: Optional[float] = None):
         """Run one synchronous anti-entropy pass; returns the ScrubReport.
 
         ``ops_per_sec=None`` runs unpaced; any other value must be > 0
-        (``Throttle`` rejects 0 rather than silently disabling pacing).
+        (``TokenBucket`` rejects 0 rather than silently disabling
+        pacing).  A burst of one token spaces checked items exactly
+        ``1 / ops_per_sec`` apart.
         """
-        from repro.blob.scrub import Throttle, scrub_store
+        from repro.blob.scrub import scrub_store
 
-        throttle = Throttle(ops_per_sec) if ops_per_sec is not None else None
-        return scrub_store(self, throttle=throttle)
+        if ops_per_sec is None:
+            return scrub_store(self)
+        return scrub_store(self, throttle=TokenBucket(ops_per_sec, burst=1))
 
     def __enter__(self) -> "LocalBlobStore":
         return self

@@ -260,19 +260,19 @@ class CachedReadStream(ReadStream):
         return data
 
     def pread(self, offset: int, size: int) -> bytes:
-        """Positional read (cursor unchanged)."""
-        size = max(0, min(size, self._size - offset))
-        return self._cache.pread(offset, size)
+        """Positional read (cursor unchanged).
+
+        Short at the end of the file and ``b""`` at or past it, as
+        :meth:`read` is at EOF; a negative offset or size is an error.
+        """
+        if offset < 0 or size < 0:
+            raise InvalidRange(f"pread({offset}, {size}): negative offset or size")
+        size = min(size, self._size - offset)
+        return self._cache.pread(offset, size) if size > 0 else b""
 
     def close(self) -> None:
         """Drop the cached blocks now, not at the next cyclic GC pass."""
         self._cache._blocks.clear()
-
-    def seek(self, offset: int) -> None:
-        """Move the cursor (clamped to [0, size])."""
-        if offset < 0:
-            raise ValueError(f"seek to negative offset {offset}")
-        self._pos = min(offset, self._size)
 
     @property
     def tell(self) -> int:

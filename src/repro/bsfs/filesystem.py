@@ -205,10 +205,6 @@ class BSFSFileSystem(FileSystem):
         """
         self.namespace.delete(path, recursive=recursive)
 
-    def rename(self, src: str, dst: str) -> None:
-        """Move a file or subtree (pure namespace operation)."""
-        self.namespace.rename(src, dst)
-
     def exists(self, path: str) -> bool:
         """Existence check."""
         return self.namespace.exists(path)

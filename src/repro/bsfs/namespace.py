@@ -7,7 +7,7 @@ manager, which is responsible for maintaining a file system namespace,
 and for mapping files to BLOBs."
 
 It is deliberately centralized (as in the paper), and deliberately
-*minimal*: clients only talk to it for open/create/delete/rename-style
+*minimal*: clients only talk to it for open/create/list/delete-style
 operations; all data and data-layout traffic goes straight to BlobSeer,
 preserving the decentralized metadata benefits.
 """
@@ -79,18 +79,8 @@ class NamespaceManager:
         self.requests += 1
         return self._tree.list_dir(path)
 
-    def iter_files(self, path: str = "/") -> list[str]:
-        """All files under *path*."""
-        self.requests += 1
-        return list(self._tree.iter_files(path))
-
     def delete(self, path: str, recursive: bool = False) -> list[str]:
         """Remove a file/directory; returns the BLOB ids to dispose of."""
         self.requests += 1
         removed = self._tree.remove(path, recursive=recursive)
         return [entry.blob_id for entry in removed]  # type: ignore[union-attr]
-
-    def rename(self, src: str, dst: str) -> None:
-        """Move a file or subtree; BLOB bindings travel with the paths."""
-        self.requests += 1
-        self._tree.rename(src, dst)

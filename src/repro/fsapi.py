@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.errors import (
     DirectoryNotEmpty,
@@ -148,14 +148,6 @@ class DirectoryTree:
                 children.add(prefix + rest.split("/", 1)[0])
         return sorted(children)
 
-    def iter_files(self, path: str = "/") -> Iterator[str]:
-        """All file paths under a directory (recursive, sorted)."""
-        path = normalize_path(path)
-        prefix = path if path.endswith("/") else path + "/"
-        for file_path in sorted(self._files):
-            if file_path == path or file_path.startswith(prefix):
-                yield file_path
-
     # -- mutations -----------------------------------------------------------
 
     def make_dirs(self, path: str) -> None:
@@ -201,29 +193,6 @@ class DirectoryTree:
             self._dirs.discard(dir_path)
         return removed
 
-    def rename(self, src: str, dst: str) -> None:
-        """Move a file or directory subtree; *dst* must not exist."""
-        src, dst = normalize_path(src), normalize_path(dst)
-        if src == "/":
-            raise ValueError("cannot rename the root directory")
-        if self.exists(dst):
-            raise FileAlreadyExists(dst)
-        if dst.startswith(src + "/"):
-            raise ValueError(f"cannot rename {src!r} into itself")
-        if src in self._files:
-            self.make_dirs(parent_path(dst))
-            self._files[dst] = self._files.pop(src)
-            return
-        if src not in self._dirs:
-            raise FileNotFound(src)
-        self.make_dirs(parent_path(dst))
-        prefix = src + "/"
-        for file_path in [f for f in self._files if f.startswith(prefix)]:
-            self._files[dst + file_path[len(src):]] = self._files.pop(file_path)
-        for dir_path in [d for d in self._dirs if d == src or d.startswith(prefix)]:
-            self._dirs.discard(dir_path)
-            self._dirs.add(dst + dir_path[len(src):])
-
 
 # --------------------------------------------------------------------------
 # Streams and the FileSystem contract
@@ -258,10 +227,6 @@ class ReadStream(abc.ABC):
     @abc.abstractmethod
     def pread(self, offset: int, size: int) -> bytes:
         """Positional read without moving the stream cursor."""
-
-    @abc.abstractmethod
-    def seek(self, offset: int) -> None:
-        """Move the stream cursor."""
 
     @property
     @abc.abstractmethod
@@ -311,10 +276,6 @@ class FileSystem(abc.ABC):
     @abc.abstractmethod
     def delete(self, path: str, recursive: bool = False) -> None:
         """Remove a file or directory."""
-
-    @abc.abstractmethod
-    def rename(self, src: str, dst: str) -> None:
-        """Move a file or directory."""
 
     @abc.abstractmethod
     def exists(self, path: str) -> bool:

@@ -90,15 +90,14 @@ class GatewayReadStream(ReadStream):
         return data
 
     def pread(self, offset: int, size: int) -> bytes:
-        want = max(0, min(size, self._inner.size - offset))
+        # Charge what the read can return: nothing at or past EOF, and
+        # nothing for a negative offset the inner stream rejects.
+        want = max(0, min(size, self._inner.size - offset)) if offset >= 0 else 0
         self._gw.charge_bytes(self._state, "read", want)
         data = self._inner.pread(offset, size)
         self._state.counters.record(bytes_out=len(data))
         self._moved += len(data)
         return data
-
-    def seek(self, offset: int) -> None:
-        self._inner.seek(offset)
 
     @property
     def tell(self) -> int:

@@ -181,10 +181,6 @@ class HDFSFileSystem(FileSystem):
                     if datanode.online:
                         datanode.delete_chunk(chunk.chunk_id)
 
-    def rename(self, src: str, dst: str) -> None:
-        """Move a file or subtree."""
-        self.namenode.rename(src, dst)
-
     def exists(self, path: str) -> bool:
         """Existence check."""
         return self.namenode.exists(path)

@@ -203,15 +203,3 @@ class NamenodeCore:
             raise LeaseConflict(f"{path} is open for writing")
         removed = self._tree.remove(path, recursive=recursive)
         return [m for m in removed if isinstance(m, HdfsFileMeta)]
-
-    def rename(self, src: str, dst: str) -> None:
-        """Move a file or subtree."""
-        self.requests += 1
-        if normalize_path(src) in self._leases:
-            raise LeaseConflict(f"{src} is open for writing")
-        self._tree.rename(src, dst)
-
-    def iter_files(self, path: str = "/") -> list[str]:
-        """All files under *path*."""
-        self.requests += 1
-        return list(self._tree.iter_files(path))

@@ -2,7 +2,6 @@
 
 from repro.mapreduce.apps.grep import MATCH_KEY, grep_job
 from repro.mapreduce.apps.random_text import WORDS, random_sentence, random_text_job
-from repro.mapreduce.apps.sort import range_partitioner, sample_cut_points, sort_job
 from repro.mapreduce.apps.wordcount import wordcount_job
 
 __all__ = [
@@ -12,7 +11,4 @@ __all__ = [
     "random_sentence",
     "WORDS",
     "wordcount_job",
-    "sort_job",
-    "sample_cut_points",
-    "range_partitioner",
 ]

@@ -7,10 +7,9 @@ from repro.util.chunks import (
     block_count,
     split_range,
 )
-from repro.util.throttle import Throttle, TokenBucket
+from repro.util.throttle import TokenBucket
 from repro.util.stats import (
     Summary,
-    layout_vector,
     manhattan_unbalance,
     summarize,
 )
@@ -39,10 +38,8 @@ __all__ = [
     "align_down",
     "SeedFactory",
     "derive_rng",
-    "Throttle",
     "TokenBucket",
     "Summary",
     "summarize",
-    "layout_vector",
     "manhattan_unbalance",
 ]

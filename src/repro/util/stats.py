@@ -10,40 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 __all__ = [
     "manhattan_unbalance",
-    "layout_vector",
     "Summary",
     "summarize",
 ]
-
-
-def layout_vector(
-    assignment: Mapping[object, int] | Iterable[object], nodes: Sequence[object]
-) -> list[int]:
-    """Blocks-per-node vector over *nodes*.
-
-    *assignment* is either a mapping ``node -> block count`` or an
-    iterable of node ids (one entry per stored block).  Nodes that store
-    nothing still appear (with 0) — the paper explicitly observed HDFS
-    datanodes holding no block at all.
-    """
-    counts: dict[object, int] = {node: 0 for node in nodes}
-    if isinstance(assignment, Mapping):
-        for node, count in assignment.items():
-            if node not in counts:
-                raise KeyError(f"assignment mentions unknown node {node!r}")
-            if count < 0:
-                raise ValueError(f"negative block count for {node!r}: {count}")
-            counts[node] = count
-    else:
-        for node in assignment:
-            if node not in counts:
-                raise KeyError(f"assignment mentions unknown node {node!r}")
-            counts[node] += 1
-    return [counts[node] for node in nodes]
 
 
 def manhattan_unbalance(vector: Sequence[float]) -> float:

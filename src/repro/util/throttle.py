@@ -1,23 +1,11 @@
-"""Rate limiting shared by maintenance and the multi-tenant gateway.
+"""Rate limiting: one capacity-bounded token bucket, :class:`TokenBucket`.
 
-Two shapes of token bucket live here:
-
-* :class:`Throttle` — the *pacing* bucket the anti-entropy scrub has
-  always used (DESIGN.md §8): every caller eventually proceeds, but the
-  aggregate rate converges to ``ops_per_sec``.  It reserves a time slot
-  per tick, so concurrent callers are serialized fairly in arrival
-  order and a burst spreads out instead of stampeding.
-* :class:`TokenBucket` — the *admission* bucket the gateway uses
-  (DESIGN.md §12): a classic capacity-bounded bucket refilled at
-  ``rate`` tokens/second.  Callers wait for tokens (:meth:`acquire`,
-  FIFO in lock order, with an optional deadline; a zero deadline never
-  waits).  Unlike :class:`Throttle`
-  it allows bounded bursts (``burst``) and can *refuse*, which is what
-  admission control needs: a tenant over its rate is delayed or
-  rejected, never silently serialized behind the whole cluster.
-
-Historically ``Throttle`` lived in ``repro.blob.scrub``; it is
-re-exported there so existing imports keep working.
+The multi-tenant gateway admits with it (DESIGN.md §12): one bucket per
+tenant per op class delays or refuses a tenant over its rate.  The
+anti-entropy scrub paces with it (DESIGN.md §8): ``store.scrub(
+ops_per_sec)`` builds ``TokenBucket(ops_per_sec, burst=1)`` and acquires
+one token per checked item, so back-to-back items are spaced exactly
+``1 / ops_per_sec`` apart, in arrival order.
 """
 
 from __future__ import annotations
@@ -26,41 +14,7 @@ import threading
 import time
 from typing import Optional
 
-__all__ = ["Throttle", "TokenBucket"]
-
-
-class Throttle:
-    """Paces work to *ops_per_sec* operations per second.
-
-    A tiny token bucket shared by every scrub phase: each healed or
-    checked item costs one :meth:`tick`.  Thread-safe, so a daemon pass
-    and an operator-invoked pass share one budget.  An optional
-    *interrupt* event cuts a sleep short — the daemon passes its stop
-    event so shutdown never waits out a throttle delay.
-    """
-
-    def __init__(
-        self, ops_per_sec: float, interrupt: Optional[threading.Event] = None
-    ):
-        if ops_per_sec <= 0:
-            raise ValueError(f"ops_per_sec must be > 0, got {ops_per_sec}")
-        self.ops_per_sec = float(ops_per_sec)
-        self.interrupt = interrupt
-        self._lock = threading.Lock()
-        self._next_slot = 0.0
-
-    def tick(self, n: int = 1) -> None:
-        """Charge *n* operations, sleeping if the budget is exhausted."""
-        cost = n / self.ops_per_sec
-        now = time.monotonic()
-        with self._lock:
-            start = max(self._next_slot, now)
-            self._next_slot = start + cost
-        if start > now:
-            if self.interrupt is not None:
-                self.interrupt.wait(start - now)
-            else:
-                time.sleep(start - now)
+__all__ = ["TokenBucket"]
 
 
 class TokenBucket:
@@ -116,19 +70,12 @@ class TokenBucket:
             self._refill(self._clock())
             return self._tokens
 
-    def acquire(
-        self,
-        n: float = 1.0,
-        timeout: Optional[float] = None,
-        interrupt: Optional[threading.Event] = None,
-    ) -> bool:
+    def acquire(self, n: float = 1.0, timeout: Optional[float] = None) -> bool:
         """Take *n* tokens, waiting for the refill if necessary.
 
         Returns ``False`` — without consuming anything — when the wait
         would exceed *timeout*; the caller turns that into a typed
-        admission rejection.  An *interrupt* event set mid-sleep ends
-        the wait early with the tokens already charged (the shutdown
-        path: the work is abandoned, not retried).
+        admission rejection.
         """
         if n <= 0:
             return True
@@ -144,8 +91,5 @@ class TokenBucket:
             if wait > 0:
                 self.waited += wait
         if wait > 0:
-            if interrupt is not None:
-                interrupt.wait(wait)
-            else:
-                self._sleep(wait)
+            self._sleep(wait)
         return True

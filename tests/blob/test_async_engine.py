@@ -384,6 +384,14 @@ class TestLifecycle:
         with pytest.raises(ValueError, match="per_dest"):
             AsyncIOEngine(per_dest=-1)
 
+    def test_store_close_shuts_its_engine_down_once(self):
+        store = LocalBlobStore(config=StoreConfig(data_providers=2, io_workers=2))
+        engine = store.io_engine
+        store.close()
+        store.close()
+        with pytest.raises(RuntimeError, match="shut down"):
+            engine.submit(lambda: None)
+
     def test_context_manager(self):
         with AsyncIOEngine(max_in_flight=8) as eng:
             assert eng.map(lambda x: x, [1, 2]) == [1, 2]

@@ -6,11 +6,8 @@ nodes of the dead write until a pass heals them.  These tests drive
 the whole acceptance scenario (bucket dies mid-write, abort, recovery,
 one scrub pass restores digest-verified convergence), block
 re-replication (paper §VI-B) and its allocator accounting, the
-GC-floor and in-flight guards, the rate limiter, and the background
-daemon.
+GC-floor and in-flight guards, and the paced pass.
 """
-
-import time
 
 import pytest
 from hypothesis import given
@@ -18,12 +15,11 @@ from hypothesis import strategies as st
 
 from repro.blob import (
     LocalBlobStore,
-    MaintenanceDaemon,
     ScrubReport,
     StoreConfig,
-    Throttle,
     collect_garbage,
 )
+from repro.blob import store as store_module
 from repro.dht.store import MISSING
 from repro.errors import (
     BlobError,
@@ -42,15 +38,6 @@ def make_store(**kwargs):
     )
     defaults.update(kwargs)
     return LocalBlobStore(config=StoreConfig(**defaults))
-
-
-def wait_for(predicate, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.01)
-    return False
 
 
 def co_owned_keys(store, bucket_a, bucket_b):
@@ -478,10 +465,7 @@ class TestRepairAccounting:
         assert report.errors == ()
         assert_charges_match(store)
         assert store.read(blob) == b"a" * BS
-        daemon = store.start_maintenance(interval=0.01)
-        assert wait_for(lambda: daemon.passes >= 2)
-        assert daemon.last_error is None
-        assert daemon.last_report.clean
+        assert store.scrub().clean
         store.close()
 
     def test_stranded_copy_is_adopted_not_copied_again(self, io_workers):
@@ -518,27 +502,35 @@ class TestRepairAccounting:
         store.close()
 
 
-class TestThrottle:
-    def test_throttle_paces_ticks(self):
-        throttle = Throttle(ops_per_sec=200)
-        start = time.monotonic()
-        for _ in range(21):
-            throttle.tick()
-        elapsed = time.monotonic() - start
-        assert elapsed >= 0.1  # 21 ticks at 200/s spans >= 100 ms
-
-    def test_throttle_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            Throttle(0)
-
+class TestPacedScrub:
     def test_zero_rate_is_rejected_not_silently_unpaced(self):
-        # A falsy-but-present rate must hit Throttle's validation, not
-        # accidentally run the pass at full speed.
+        # A falsy-but-present rate must hit the token bucket's
+        # validation, not accidentally run the pass at full speed.
         store = make_store()
         with pytest.raises(ValueError):
             store.scrub(ops_per_sec=0)
         with pytest.raises(ValueError):
-            store.start_maintenance(ops_per_sec=0)
+            store.scrub(ops_per_sec=-5)
+        store.close()
+
+    def test_paced_pass_takes_one_token_per_checked_item(self, monkeypatch):
+        # A frozen clock: the k-th checked item waits (k-1)/r, so a
+        # pass over n items is paced across exactly (n-1)/r seconds.
+        slept = []
+        real_bucket = store_module.TokenBucket
+
+        def frozen_bucket(rate, burst):
+            return real_bucket(rate, burst, clock=lambda: 0.0, sleep=slept.append)
+
+        monkeypatch.setattr(store_module, "TokenBucket", frozen_bucket)
+        store = make_store(metadata_replication=2)
+        blob = store.create()
+        for i in range(3):
+            store.append(blob, bytes([65 + i]) * (2 * BS))
+        report = store.scrub(ops_per_sec=50)
+        items = report.nodes_checked + report.blocks_checked
+        assert report.clean and items > 10
+        assert slept == [pytest.approx(k / 50) for k in range(1, items)]
         store.close()
 
     def test_throttled_scrub_still_heals(self):
@@ -553,11 +545,11 @@ class TestThrottle:
         store.close()
 
 
-class TestMaintenanceDaemon:
+class TestChaosAcceptance:
     @pytest.mark.parametrize("io_workers", IO_MODES)
-    def test_chaos_bucket_dies_mid_write_daemon_heals_after_recovery(self, io_workers):
+    def test_chaos_bucket_dies_mid_write_scrub_heals_after_recovery(self, io_workers):
         """The acceptance scenario, end to end, with a REAL bucket
-        failure (no monkeypatching) and the background daemon doing the
+        failure (no monkeypatching) and store.scrub() doing the
         healing — no other repair step anywhere."""
         store, blob, victim = make_chaos_store(io_workers)
         store.append(blob, b"a" * (4 * BS))  # v1
@@ -566,89 +558,23 @@ class TestMaintenanceDaemon:
             store.append(blob, b"x" * (2 * BS))  # v2 aborts mid-publish
         assert store.snapshot(blob, 2).tombstone
 
-        daemon = store.start_maintenance(interval=0.02)
-        assert daemon.running
         # While the bucket is down the tombstone stays partially
-        # unreadable — the daemon must keep cycling, not crash.
-        assert wait_for(lambda: daemon.passes >= 2)
+        # unreadable; passes report the outage instead of raising.
+        for _ in range(2):
+            assert store.scrub().offline_buckets == 1
         with pytest.raises((VersionNotFound, ProviderUnavailable)):
             store.read(blob, version=2)
 
         store.metadata.store.recover_bucket(victim)
+        report = store.scrub()
+        assert report.offline_buckets == 0
+        assert report.healed_total > 0
         expected = b"a" * (4 * BS) + bytes(2 * BS)
-
-        def healed():
-            try:
-                return store.read(blob, version=2) == expected
-            except (VersionNotFound, ProviderUnavailable):
-                return False  # daemon has not completed a pass yet
-
-        assert wait_for(healed)
         assert store.metadata.divergent_keys() == []
         assert store.read(blob, version=2) == expected
         # A later write keeps working and the next pass stays clean.
         assert store.append(blob, b"y" * (2 * BS)) == 3
-        assert wait_for(
-            lambda: daemon.last_report is not None and daemon.last_report.clean
-        )
-        store.stop_maintenance()
-        assert not daemon.running
-        store.close()
-
-    def test_close_stops_daemon(self):
-        store = make_store()
-        daemon = store.start_maintenance(interval=0.01)
-        assert daemon.running
-        store.close()
-        assert not daemon.running
-
-    def test_start_maintenance_is_idempotent(self):
-        store = make_store()
-        daemon = store.start_maintenance(interval=0.01)
-        assert store.start_maintenance(interval=0.01) is daemon
-        store.close()
-
-    def test_start_maintenance_restarts_on_changed_settings(self):
-        store = make_store()
-        first = store.start_maintenance(interval=60.0)
-        second = store.start_maintenance(interval=0.01, ops_per_sec=10_000)
-        assert second is not first
-        assert not first.running
-        assert second.running
-        assert second.interval == 0.01
-        store.close()
-
-    def test_stop_interrupts_throttled_pass_promptly(self):
-        # At 20 ops/s a store with dozens of nodes would take seconds
-        # per pass; stop() must cut through the throttle sleeps instead
-        # of waiting the pass out.
-        store = make_store(metadata_replication=2)
-        blob = store.create()
-        for i in range(6):
-            store.append(blob, bytes([65 + i]) * (2 * BS))
-        daemon = store.start_maintenance(interval=0.01, ops_per_sec=20)
-        assert wait_for(lambda: daemon.running)
-        time.sleep(0.1)  # let the pass get into its throttled loops
-        start = time.monotonic()
-        daemon.stop()
-        assert time.monotonic() - start < 2.0
-        assert not daemon.running
-        store.close()
-
-    def test_daemon_records_pass_failures_and_keeps_running(self):
-        store = make_store()
-        daemon = MaintenanceDaemon(store, interval=0.01)
-        original = store.version_manager.blob_ids
-
-        def exploding_blob_ids():
-            raise RuntimeError("boom")
-
-        store.version_manager.blob_ids = exploding_blob_ids
-        assert daemon.run_once() is None
-        assert isinstance(daemon.last_error, RuntimeError)
-        store.version_manager.blob_ids = original
-        assert daemon.run_once() is not None
-        assert daemon.last_error is None
+        assert store.scrub().clean
         store.close()
 
 

@@ -138,7 +138,7 @@ class TestBlockReadCache:
         capacity=st.integers(1, 4),
         ops=st.lists(
             st.tuples(
-                st.sampled_from(["pread", "read", "seek"]),
+                st.sampled_from(["pread", "read"]),
                 st.integers(0, 5 * BS),
                 st.integers(0, 4 * BS),
             ),
@@ -146,7 +146,7 @@ class TestBlockReadCache:
         ),
     )
     def test_random_access_matches_bytes_model(self, tail, capacity, ops):
-        """pread/read/seek in any order equal slicing the file's bytes,
+        """pread/read in any order equal slicing the file's bytes,
         whatever is cached, with a trailing short block."""
         data = bytes(i % 251 for i in range(4 * BS + tail))
         calls = []
@@ -155,14 +155,10 @@ class TestBlockReadCache:
         pos = 0
         for kind, offset, size in ops:
             if kind == "pread":
-                offset = min(offset, len(data))  # past EOF raises InvalidRange
                 assert stream.pread(offset, size) == data[offset : offset + size]
-            elif kind == "read":
+            else:
                 assert stream.read(size) == data[pos : pos + size]
                 pos = min(pos + size, len(data))
-            else:
-                stream.seek(offset)
-                pos = min(offset, len(data))
             assert stream.tell == pos
             assert len(cache._blocks) <= capacity
         assert stream.prefetches == len(fetched) == sum(n for _, n in calls)

@@ -101,14 +101,6 @@ class TestDirectoryTree:
         with pytest.raises(FileNotFound):
             tree.list_dir("/nope")
 
-    def test_iter_files_recursive(self, tree):
-        tree.add_file("/a/1", 1)
-        tree.add_file("/a/b/2", 2)
-        tree.add_file("/c/3", 3)
-        assert list(tree.iter_files("/a")) == ["/a/1", "/a/b/2"]
-        assert list(tree.iter_files()) == ["/a/1", "/a/b/2", "/c/3"]
-
-
 class TestRemove:
     def test_remove_file_returns_handle(self, tree):
         tree.add_file("/f", "h")
@@ -134,34 +126,3 @@ class TestRemove:
     def test_remove_missing(self, tree):
         with pytest.raises(FileNotFound):
             tree.remove("/ghost")
-
-
-class TestRename:
-    def test_rename_file(self, tree):
-        tree.add_file("/a/f", "h")
-        tree.rename("/a/f", "/b/g")
-        assert tree.handle("/b/g") == "h"
-        assert not tree.exists("/a/f")
-
-    def test_rename_subtree(self, tree):
-        tree.add_file("/src/x/1", 1)
-        tree.add_file("/src/2", 2)
-        tree.rename("/src", "/dst")
-        assert tree.handle("/dst/x/1") == 1
-        assert tree.handle("/dst/2") == 2
-        assert not tree.exists("/src")
-
-    def test_rename_onto_existing_rejected(self, tree):
-        tree.add_file("/a", 1)
-        tree.add_file("/b", 2)
-        with pytest.raises(FileAlreadyExists):
-            tree.rename("/a", "/b")
-
-    def test_rename_into_self_rejected(self, tree):
-        tree.make_dirs("/a")
-        with pytest.raises(ValueError):
-            tree.rename("/a", "/a/b")
-
-    def test_rename_missing_rejected(self, tree):
-        with pytest.raises(FileNotFound):
-            tree.rename("/ghost", "/x")

@@ -35,17 +35,6 @@ class TestFileMapping:
         assert sorted(ns.delete("/d", recursive=True)) == ["b1", "b2"]
         assert not ns.exists("/d")
 
-    def test_rename_preserves_binding(self, ns):
-        ns.register_file("/old", "b")
-        ns.rename("/old", "/new")
-        assert ns.lookup("/new").blob_id == "b"
-
-    def test_iter_files(self, ns):
-        ns.register_file("/x/1", "a")
-        ns.register_file("/x/y/2", "b")
-        ns.register_file("/z", "c")
-        assert ns.iter_files("/x") == ["/x/1", "/x/y/2"]
-
 
 class TestRequestAccounting:
     def test_every_operation_counted(self, ns):

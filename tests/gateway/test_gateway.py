@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro.blob import StoreConfig
+from repro.blob import store as store_module
 from repro.errors import (
     AdmissionRejected,
     FileNotFound,
@@ -225,6 +226,27 @@ class TestAdmissionControl:
         assert elapsed >= 0.05  # (8 - 4) KB deficit at 64 KB/s
         assert alice.stats()["throttle_wait_s"] > 0
 
+    def test_sequential_reads_charge_what_they_return(self, gateway):
+        # The stream's cursor bounds each charge: a short read at the
+        # end is charged its bytes, a read at EOF nothing.
+        alice = connect(gateway, "alice")
+        alice.write_file("/f", b"x" * 20)
+        charges = []
+        real_charge = gateway.charge_bytes
+
+        def charge(state, op, nbytes):
+            if op == "read":
+                charges.append(nbytes)
+            real_charge(state, op, nbytes)
+
+        gateway.charge_bytes = charge
+        with alice.open("/f") as stream:
+            assert stream.read(7) == b"x" * 7
+            assert stream.read(100) == b"x" * 13
+            assert stream.read(5) == b""
+            assert stream.tell == 20
+        assert charges == [7, 13, 0]
+
     def test_read_ops_are_a_separate_bucket_from_appends(self, gateway):
         policy = TenantPolicy(
             append_ops_per_sec=1, burst_seconds=1, queue_timeout=0.0
@@ -261,6 +283,23 @@ class TestAdmissionControl:
             assert not done.is_set()  # slowpoke is still paying its backlog
         finally:
             worker.join()
+
+    def test_scrub_pass_is_paced_at_the_tenant_scrub_rate(self, gateway, monkeypatch):
+        # A frozen clock: the k-th item the tenant's pass checks waits
+        # (k-1)/r at the policy's rate r.
+        slept = []
+        real_bucket = store_module.TokenBucket
+
+        def frozen_bucket(rate, burst):
+            return real_bucket(rate, burst, clock=lambda: 0.0, sleep=slept.append)
+
+        monkeypatch.setattr(store_module, "TokenBucket", frozen_bucket)
+        alice = connect(gateway, "alice", TenantPolicy(scrub_ops_per_sec=40))
+        alice.write_file("/f", b"x" * (3 * BS))
+        report = alice.scrub()
+        items = report.nodes_checked + report.blocks_checked
+        assert report.clean and items > 3
+        assert slept == [pytest.approx(k / 40) for k in range(1, items)]
 
     def test_scrub_rides_its_own_op_class(self, gateway):
         alice = connect(

@@ -71,6 +71,13 @@ class TestScenarioCommands:
         assert code == 0, out
         assert "\nOK: " in out
 
+    def test_paced_scrub_prints_the_unpaced_report(self, capsys):
+        # Pacing spreads the pass out in time; it heals the same things.
+        assert main(["scrub", *TINY["scrub"]]) == 0
+        unpaced = capsys.readouterr().out
+        assert main(["scrub", *TINY["scrub"], "--ops-per-sec", "5000"]) == 0
+        assert capsys.readouterr().out == unpaced
+
     def test_failed_check_is_reported_and_exits_nonzero(self, monkeypatch, capsys):
         def miscounted(**_):
             return ScenarioReport(

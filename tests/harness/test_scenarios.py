@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.deploy import deploy_microbench
 from repro.errors import AppendNotSupported
 from repro.harness import concurrent_appenders, concurrent_readers, single_writer
 from repro.util.bytesize import MB
@@ -25,6 +26,16 @@ class TestSingleWriter:
     def test_bsfs_layout_balanced(self):
         result = single_writer("bsfs", n_blocks=16, total_nodes=NODES)
         assert max(result.layout) - min(result.layout) <= 1
+
+    @pytest.mark.parametrize("backend", ["bsfs", "hdfs"])
+    def test_layout_lists_every_storage_node(self, backend):
+        """Nodes that store nothing still appear, with 0: the paper saw
+        HDFS datanodes holding no block at all (§V-D)."""
+        result = single_writer(backend, n_blocks=4, total_nodes=NODES)
+        deployment = deploy_microbench(backend, total_nodes=NODES)
+        assert len(result.layout) == len(deployment.storage_nodes)
+        assert sum(result.layout) == 4
+        assert 0 in result.layout
 
     def test_hdfs_layout_more_skewed(self):
         bsfs = single_writer("bsfs", n_blocks=16, total_nodes=NODES)

@@ -8,9 +8,13 @@ extras (append, versioning) through the same job pipeline.
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.blob import LocalBlobStore, StoreConfig, collect_garbage
 from repro.bsfs import BSFSFileSystem
+from repro.errors import InvalidRange
+from repro.gateway import Gateway
 from repro.hdfs import HDFSFileSystem
 from repro.mapreduce import LocalJobRunner
 from repro.mapreduce.apps import grep_job, random_text_job, wordcount_job
@@ -119,3 +123,76 @@ class TestBsfsExtrasThroughJobs:
         result = LocalJobRunner(fs).run(grep_job(["/in/x"], "/out", "data"))
         with pytest.raises(AppendNotSupported):
             fs.append(result.output_paths[0])
+
+
+def open_reader(backend, data):
+    """A reader over *data* (8-byte blocks) on *backend*, plus the byte
+    counts the gateway charges for reads (always empty off the gateway)
+    and the teardown to call after closing the stream."""
+    charges = []
+    if backend == "gateway":
+        gateway = Gateway(config=StoreConfig(data_providers=4, block_size=8))
+        real_charge = gateway.charge_bytes
+
+        def charge(state, op, nbytes):
+            if op == "read":
+                charges.append(nbytes)
+            real_charge(state, op, nbytes)
+
+        gateway.charge_bytes = charge
+        client = gateway.connect("t", gateway.register_tenant("t"))
+        client.write_file("/f", data)
+        return client.open("/f"), charges, gateway.close
+    fs = (
+        BSFSFileSystem(config=StoreConfig(data_providers=4, block_size=8))
+        if backend == "bsfs"
+        else HDFSFileSystem(datanodes=4, block_size=8, seed=3)
+    )
+    fs.write_file("/f", data)
+    return fs.open("/f"), charges, lambda: None
+
+
+READERS = ["bsfs", "hdfs", "gateway"]
+
+
+class TestPreadContract:
+    """One positional-read rule on every reader: short at the end of
+    the file, ``b""`` at or past it (as ``read`` is at EOF), and an
+    error for a negative offset or size."""
+
+    @pytest.mark.parametrize("backend", READERS)
+    def test_pread_edges_agree(self, backend):
+        data = bytes(range(20))
+        stream, charges, teardown = open_reader(backend, data)
+        with stream:
+            assert stream.pread(20, 2) == b""
+            assert stream.pread(18, 5) == data[18:]
+            assert stream.pread(25, 2) == b""
+            for offset, size in ((0, -1), (-1, 2)):
+                with pytest.raises(InvalidRange):
+                    stream.pread(offset, size)
+            assert stream.tell == 0
+            assert stream.read() == data
+            assert stream.read(4) == b""
+        teardown()
+        if backend == "gateway":
+            # Reads at or past EOF, and rejected ones, are charged nothing.
+            assert charges == [0, 2, 0, 0, 0, 20, 0]
+
+    @pytest.mark.parametrize("backend", READERS)
+    @given(
+        ops=st.lists(
+            st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=12
+        )
+    )
+    def test_pread_matches_slicing(self, backend, ops):
+        """Any in-range or past-EOF pread equals slicing the bytes, and
+        the gateway charges exactly the bytes each one returns."""
+        data = bytes(range(20))
+        stream, charges, teardown = open_reader(backend, data)
+        with stream:
+            got = [stream.pread(offset, size) for offset, size in ops]
+        teardown()
+        assert got == [data[offset : offset + size] for offset, size in ops]
+        if backend == "gateway":
+            assert charges == [len(chunk) for chunk in got]

@@ -1,6 +1,10 @@
 """End-to-end MapReduce jobs on BSFS and HDFS."""
 
+import bisect
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.blob import LocalBlobStore, StoreConfig
 from repro.bsfs import BSFSFileSystem
@@ -25,6 +29,63 @@ def make_hdfs():
 @pytest.fixture(params=["bsfs", "hdfs"])
 def fs(request):
     return make_bsfs() if request.param == "bsfs" else make_hdfs()
+
+
+def run_total_order(fs, lines, num_reducers):
+    """Hadoop's total-order recipe through ``JobConf`` alone: an
+    identity map, a range partitioner over quantile cut points of the
+    keys, and a reducer that re-emits every value.  Returns each
+    reducer's output lines, in partition order."""
+    keys = sorted(lines)
+    cuts = [keys[i * len(keys) // num_reducers] for i in range(1, num_reducers)]
+
+    def mapper(_offset, line, emit: Emitter):
+        emit(line, "")
+
+    def reducer(key, values, emit: Emitter):
+        for _ in values:
+            emit(None, key)
+
+    fs.write_file("/in/data", "".join(line + "\n" for line in lines).encode())
+    job = JobConf(
+        name="total-order",
+        output_dir="/sorted",
+        mapper=mapper,
+        reducer=reducer,
+        input_paths=("/in/data",),
+        num_reducers=num_reducers,
+        partitioner=lambda key, _n: bisect.bisect_right(cuts, key),
+    )
+    result = LocalJobRunner(fs).run(job)
+    return [fs.read_file(p).decode().splitlines() for p in sorted(result.output_paths)]
+
+
+class TestRangePartitioner:
+    """A range partitioner makes the concatenated reducer outputs
+    globally sorted: each reducer gets exactly its key range, in key
+    order, with every duplicate."""
+
+    def test_partitions_are_sorted_key_ranges(self, fs):
+        lines = [f"key-{(i * 7919) % 500:04d}" for i in range(500)]
+        parts = run_total_order(fs, lines, num_reducers=4)
+        assert all(part == sorted(part) for part in parts)
+        assert all(left[-1] <= right[0] for left, right in zip(parts, parts[1:]))
+        assert [line for part in parts for line in part] == sorted(lines)
+
+    def test_duplicate_keys_keep_every_value(self, fs):
+        lines = ["b", "a", "b", "a", "c", "b"]
+        parts = run_total_order(fs, lines, num_reducers=2)
+        assert [line for part in parts for line in part] == sorted(lines)
+
+    @given(
+        st.lists(
+            st.text(alphabet="abcdef", min_size=1, max_size=6), min_size=1, max_size=60
+        )
+    )
+    @settings(max_examples=25)
+    def test_property_any_input_sorts(self, lines):
+        parts = run_total_order(make_bsfs(), lines, num_reducers=3)
+        assert [line for part in parts for line in part] == sorted(lines)
 
 
 class TestWordCount:

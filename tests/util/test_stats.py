@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util import layout_vector, manhattan_unbalance, summarize
+from repro.util import manhattan_unbalance, summarize
 
 
 class TestManhattanUnbalance:
@@ -41,26 +41,6 @@ class TestManhattanUnbalance:
         for i in range(total % n):
             balanced[i] += 1
         assert manhattan_unbalance(balanced) <= manhattan_unbalance(vec) + 1e-9
-
-
-class TestLayoutVector:
-    def test_from_mapping(self):
-        vec = layout_vector({"a": 2, "b": 0}, nodes=["a", "b", "c"])
-        assert vec == [2, 0, 0]
-
-    def test_from_iterable(self):
-        vec = layout_vector(["a", "a", "c"], nodes=["a", "b", "c"])
-        assert vec == [2, 0, 1]
-
-    def test_unknown_node_rejected(self):
-        with pytest.raises(KeyError):
-            layout_vector(["zz"], nodes=["a"])
-        with pytest.raises(KeyError):
-            layout_vector({"zz": 1}, nodes=["a"])
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            layout_vector({"a": -1}, nodes=["a"])
 
 
 class TestSummaries:

@@ -1,11 +1,12 @@
-"""Rate limiting: the pacing Throttle and the admission TokenBucket."""
+"""Rate limiting: the TokenBucket the gateway admits with and the scrub
+paces with."""
 
 import threading
 import time
 
 import pytest
 
-from repro.util.throttle import Throttle, TokenBucket
+from repro.util.throttle import TokenBucket
 
 
 class FakeTime:
@@ -26,26 +27,27 @@ class FakeTime:
         return TokenBucket(rate, burst, clock=self.clock, sleep=self.sleep)
 
 
-class TestThrottleHome:
-    def test_importable_from_util_and_scrub(self):
-        from repro.blob.scrub import Throttle as scrub_throttle
-        from repro.util import Throttle as util_throttle
+class TestScrubPacing:
+    """``store.scrub(ops_per_sec=r)`` paces with ``TokenBucket(r, burst=1)``."""
 
-        assert scrub_throttle is Throttle
-        assert util_throttle is Throttle
+    def test_kth_back_to_back_acquire_sleeps_k_minus_one_slots(self):
+        # A frozen clock: every acquire arrives at the same instant, so
+        # each reserves the next 1/r slot behind the ones before it.
+        slept = []
+        bucket = TokenBucket(200, burst=1, clock=lambda: 0.0, sleep=slept.append)
+        for _ in range(5):
+            assert bucket.acquire()
+        # The first takes the one-token burst and does not sleep.
+        assert slept == [pytest.approx(k / 200) for k in range(1, 5)]
 
-    def test_paces_aggregate_rate(self):
-        throttle = Throttle(ops_per_sec=1000)
-        start = time.monotonic()
-        for _ in range(50):
-            throttle.tick()
-        elapsed = time.monotonic() - start
-        # 50 ops at 1000/s need at least ~49ms of pacing.
-        assert elapsed >= 0.04
-
-    def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            Throttle(ops_per_sec=0)
+    def test_sequential_caller_spans_one_slot_per_extra_op(self):
+        ft = FakeTime()
+        bucket = ft.bucket(rate=200, burst=1)
+        for _ in range(21):
+            assert bucket.acquire()
+        # 21 ops at 200/s span exactly 100 ms.
+        assert ft.now == pytest.approx(0.1)
+        assert ft.slept == [pytest.approx(1 / 200)] * 20
 
 
 class TestTokenBucket:
@@ -117,15 +119,6 @@ class TestTokenBucket:
         bucket = ft.bucket(rate=1, burst=1)
         assert bucket.acquire(0)
         assert bucket.available == 1
-
-    def test_interrupt_cuts_the_sleep_short(self):
-        bucket = TokenBucket(rate=2, burst=1)
-        assert bucket.acquire(1)
-        stop = threading.Event()
-        stop.set()
-        start = time.monotonic()
-        assert bucket.acquire(1, interrupt=stop)  # 0.5s wait skipped
-        assert time.monotonic() - start < 0.25
 
     def test_concurrent_acquires_converge_to_rate(self):
         bucket = TokenBucket(rate=200, burst=1)

@@ -24,12 +24,10 @@ language allows without type inference:
 
 :data:`ALLOWLIST` names the definitions tests legitimately need — the
 fault-injection hooks the chaos suites drive and the invariant probes
-they read — one reason per entry.  :data:`PENDING` names the test-only
-definitions that predate this lint and are still to be deleted; it only
-shrinks.  An entry's name counts as reached, and so does everything
-its definitions use.  An entry of either list that no longer names a
-definition, or names one the program reaches anyway, is itself a
-violation, so neither list can go stale.
+they read — one reason per entry.  An entry's name counts as reached,
+and so does everything its definitions use.  An entry that no longer
+names a definition, or names one the program reaches anyway, is itself
+a violation, so the list cannot go stale.
 """
 
 from __future__ import annotations
@@ -61,29 +59,10 @@ ALLOWLIST = {
     "recorded no error (the convergence property)",
     "MultiPutResult.clean": "invariant probe: a multi-put met no conflict "
     "and stored every key",
-    "MaintenanceDaemon.running": "invariant probe: the scrub daemon's "
-    "thread is alive",
     "CachedReadStream.prefetches": "invariant probe: backend block fetches "
     "behind a BSFS read stream (read-ahead and cache tests)",
     "TokenBucket.available": "invariant probe: the token balance the "
     "pacing tests assert on",
-}
-
-#: Test-only definitions that predate this lint and are not yet deleted.
-#: Each must be deleted (with its tests) or gain a caller in the
-#: program; entries are only ever removed, never added.
-PENDING = {
-    "FileSystem.rename": "Hadoop FileSystem API; every backend implements "
-    "it, nothing in the program renames",
-    "ReadStream.seek": "Hadoop input-stream API; every stream implements "
-    "it, nothing in the program seeks",
-    "NamespaceManager.iter_files": "namespace walk only tests call",
-    "NamenodeCore.iter_files": "namespace walk only tests call",
-    "LocalBlobStore.start_maintenance": "background scrub daemon; the "
-    "scrub CLI and every demo run store.scrub() directly",
-    "sort_job": "MapReduce sort application (not one of the paper's); no "
-    "example, demo or workload runs it",
-    "layout_vector": "layout helper only tests call",
 }
 
 
@@ -170,9 +149,9 @@ def _reach(seeds: set[str], by_name: dict[str, list[Definition]]) -> set[str]:
 
 
 def lint(root: Path = REPO, allowlist: dict[str, str] | None = None) -> list[str]:
-    """Violations under *root* (default allowlist: ALLOWLIST + PENDING)."""
+    """Violations under *root* (default allowlist: ALLOWLIST)."""
     if allowlist is None:
-        allowlist = {**ALLOWLIST, **PENDING}
+        allowlist = ALLOWLIST
     definitions: list[Definition] = []
     roots: set[str] = set()
     for subdir in CALLERS:
