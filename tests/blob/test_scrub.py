@@ -513,9 +513,11 @@ class TestPacedScrub:
             store.scrub(ops_per_sec=-5)
         store.close()
 
-    def test_paced_pass_takes_one_token_per_checked_item(self, monkeypatch):
+    @pytest.mark.parametrize("io_workers", IO_MODES)
+    def test_paced_pass_takes_one_token_per_checked_item(self, monkeypatch, io_workers):
         # A frozen clock: the k-th checked item waits (k-1)/r, so a
-        # pass over n items is paced across exactly (n-1)/r seconds.
+        # pass over n items is paced across exactly (n-1)/r seconds,
+        # whether the pass's I/O runs inline or on the engine.
         slept = []
         real_bucket = store_module.TokenBucket
 
@@ -523,7 +525,7 @@ class TestPacedScrub:
             return real_bucket(rate, burst, clock=lambda: 0.0, sleep=slept.append)
 
         monkeypatch.setattr(store_module, "TokenBucket", frozen_bucket)
-        store = make_store(metadata_replication=2)
+        store = make_store(metadata_replication=2, **engine_kwargs(io_workers))
         blob = store.create()
         for i in range(3):
             store.append(blob, bytes([65 + i]) * (2 * BS))
@@ -533,8 +535,9 @@ class TestPacedScrub:
         assert slept == [pytest.approx(k / 50) for k in range(1, items)]
         store.close()
 
-    def test_throttled_scrub_still_heals(self):
-        store = make_store(metadata_replication=2)
+    @pytest.mark.parametrize("io_workers", IO_MODES)
+    def test_throttled_scrub_still_heals(self, io_workers):
+        store = make_store(metadata_replication=2, **engine_kwargs(io_workers))
         blob = store.create()
         store.append(blob, b"a" * (2 * BS))
         victim = next(iter(store.metadata.store.buckets))
@@ -542,6 +545,47 @@ class TestPacedScrub:
         report = store.scrub(ops_per_sec=10_000)
         assert report.replicas_healed > 0
         assert store.metadata.divergent_keys() == []
+        store.close()
+
+    @pytest.mark.parametrize("io_workers", IO_MODES)
+    def test_paced_pass_heals_what_the_unpaced_pass_heals(self, io_workers):
+        """Pacing only spaces the pass out: on twin stores left in the
+        same damaged state, the paced and unpaced passes report the
+        same work and leave the same readable bytes."""
+        reports, contents = [], []
+        for ops_per_sec in (None, 20_000):
+            store, blob, victim = make_chaos_store(io_workers)
+            store.append(blob, b"a" * (4 * BS))
+            store.metadata.store.fail_bucket(victim)
+            with pytest.raises((ReplicationError, ProviderUnavailable)):
+                store.append(blob, b"x" * (2 * BS))
+            store.metadata.store.recover_bucket(victim)
+            reports.append(store.scrub(ops_per_sec=ops_per_sec))
+            contents.append(store.read(blob, version=2))
+            assert store.metadata.divergent_keys() == []
+            store.close()
+        assert reports[0].healed_total > 0
+        assert reports[1] == reports[0]
+        assert contents[1] == contents[0] == b"a" * (4 * BS) + bytes(2 * BS)
+
+    def test_failed_pass_raises_and_the_next_pass_runs(self):
+        # With no daemon to swallow it, a pass that fails part-way
+        # raises to its caller; the store is left usable and the next
+        # pass runs normally.
+        store = make_store(metadata_replication=2)
+        blob = store.create()
+        store.append(blob, b"a" * (2 * BS))
+        original = store.version_manager.blob_ids
+
+        def exploding_blob_ids():
+            raise RuntimeError("boom")
+
+        store.version_manager.blob_ids = exploding_blob_ids
+        with pytest.raises(RuntimeError, match="boom"):
+            store.scrub(ops_per_sec=10_000)
+        store.version_manager.blob_ids = original
+        assert store.scrub().clean
+        assert store.read(blob) == b"a" * (2 * BS)
         store.close()
 
 

@@ -163,6 +163,25 @@ class TestBlockReadCache:
             assert len(cache._blocks) <= capacity
         assert stream.prefetches == len(fetched) == sum(n for _, n in calls)
 
+    def test_stream_pread_at_or_past_eof_is_empty_and_fetches_nothing(self):
+        data = bytes(i % 251 for i in range(2 * BS + 5))
+        cache, fetched = self.make(data)
+        stream = CachedReadStream(cache)
+        for offset in (len(data), len(data) + 1, 10 * BS):
+            assert stream.pread(offset, 3) == b""
+        assert stream.pread(len(data) - 2, BS) == data[-2:]
+        assert fetched == [2]
+        assert stream.tell == 0
+
+    def test_stream_negative_pread_raises_and_fetches_nothing(self):
+        cache, fetched = self.make(bytes(2 * BS))
+        stream = CachedReadStream(cache)
+        for offset, size in ((-1, 1), (0, -1), (-BS, -1)):
+            with pytest.raises(InvalidRange, match="negative"):
+                stream.pread(offset, size)
+        assert fetched == []
+        assert stream.read() == bytes(2 * BS)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             BlockReadCache(lambda i, n: [b""] * n, block_size=0, file_size=0)

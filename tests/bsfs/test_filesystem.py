@@ -161,6 +161,12 @@ class TestNamespace:
         fs.delete("/a", recursive=True)
         assert not fs.exists("/a")
 
+    def test_write_creates_missing_parents(self, fs):
+        fs.write_file("/new/place/f", b"content")
+        assert fs.list_dir("/new") == ["/new/place"]
+        assert fs.status("/new/place").is_dir
+        assert fs.read_file("/new/place/f") == b"content"
+
     def test_status_dir(self, fs):
         fs.make_dirs("/d")
         status = fs.status("/d")

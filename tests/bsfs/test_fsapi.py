@@ -119,6 +119,15 @@ class TestRemove:
         assert sorted(tree.remove("/d", recursive=True)) == ["h"]
         assert not tree.exists("/d") and not tree.exists("/d/f")
 
+    def test_recursive_remove_returns_every_nested_handle(self, tree):
+        tree.add_file("/a/1", 1)
+        tree.add_file("/a/b/2", 2)
+        tree.add_file("/a/b/c/3", 3)
+        tree.add_file("/z/4", 4)
+        assert sorted(tree.remove("/a", recursive=True)) == [1, 2, 3]
+        assert not tree.exists("/a/b/c/3")
+        assert tree.handle("/z/4") == 4
+
     def test_remove_root_refused(self, tree):
         with pytest.raises(ValueError):
             tree.remove("/")

@@ -110,6 +110,12 @@ class TestNamespace:
         fs.delete("/a", recursive=True)
         assert not fs.exists("/a")
 
+    def test_write_creates_missing_parents(self, fs):
+        fs.write_file("/new/place/f", b"content")
+        assert fs.list_dir("/new") == ["/new/place"]
+        assert fs.status("/new/place").is_dir
+        assert fs.read_file("/new/place/f") == b"content"
+
     def test_delete_frees_datanode_chunks(self, fs):
         fs.write_file("/f", bytes(4 * BS))
         assert sum(fs.datanode_chunk_counts().values()) == 4

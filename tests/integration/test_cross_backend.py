@@ -180,6 +180,22 @@ class TestPreadContract:
             assert charges == [0, 2, 0, 0, 0, 20, 0]
 
     @pytest.mark.parametrize("backend", READERS)
+    def test_pread_on_an_empty_file(self, backend):
+        # No block exists at all: every read is at EOF.
+        stream, charges, teardown = open_reader(backend, b"")
+        with stream:
+            assert stream.size == 0
+            assert stream.pread(0, 0) == b""
+            assert stream.pread(0, 5) == b""
+            assert stream.pread(3, 1) == b""
+            with pytest.raises(InvalidRange):
+                stream.pread(0, -1)
+            assert stream.read() == b""
+            assert stream.tell == 0
+        teardown()
+        assert charges == ([0, 0, 0, 0, 0] if backend == "gateway" else [])
+
+    @pytest.mark.parametrize("backend", READERS)
     @given(
         ops=st.lists(
             st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=12

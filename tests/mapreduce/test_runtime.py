@@ -77,6 +77,20 @@ class TestRangePartitioner:
         parts = run_total_order(fs, lines, num_reducers=2)
         assert [line for part in parts for line in part] == sorted(lines)
 
+    def test_single_reducer_gets_every_key_in_order(self, fs):
+        lines = [f"{i:03d}" for i in range(50, 0, -1)]
+        parts = run_total_order(fs, lines, num_reducers=1)
+        assert parts == [sorted(lines)]
+
+    def test_more_reducers_than_keys_leave_empty_partitions(self, fs):
+        # Repeated cut points give empty key ranges: those reducers
+        # still write an (empty) output file, and the rest stay sorted.
+        lines = ["b", "a", "b", "a"]
+        parts = run_total_order(fs, lines, num_reducers=4)
+        assert len(parts) == 4
+        assert [] in parts
+        assert [line for part in parts for line in part] == sorted(lines)
+
     @given(
         st.lists(
             st.text(alphabet="abcdef", min_size=1, max_size=6), min_size=1, max_size=60

@@ -120,6 +120,38 @@ class TestProcesses:
         with pytest.raises(TypeError, match="generator"):
             engine.process(lambda: None)
 
+    def test_failed_event_is_raised_in_its_waiter_at_fail_time(self, engine):
+        ev = engine.event()
+
+        def waiter():
+            try:
+                yield ev
+            except RuntimeError as exc:
+                return ("failed", str(exc), engine.now)
+
+        p = engine.process(waiter())
+
+        def failer():
+            yield engine.timeout(3)
+            ev.fail(RuntimeError("wake-up"))
+
+        engine.process(failer())
+        assert engine.run(p) == ("failed", "wake-up", 3.0)
+
+    def test_process_that_caught_a_failure_can_wait_again(self, engine):
+        ev = engine.event()
+
+        def waiter():
+            try:
+                yield ev
+            except RuntimeError:
+                yield engine.timeout(5)
+            return engine.now
+
+        p = engine.process(waiter())
+        ev.fail(RuntimeError("gone"), delay=2)
+        assert engine.run(p) == 7.0
+
 class TestEvents:
     def test_manual_event(self, engine):
         ev = engine.event()

@@ -49,6 +49,36 @@ class TestScrubPacing:
         assert ft.now == pytest.approx(0.1)
         assert ft.slept == [pytest.approx(1 / 200)] * 20
 
+    def test_an_idle_pause_banks_one_token_only(self):
+        # However long the pass idles (a slow DHT round), a burst of 1
+        # lets one item through at once; the next is a full slot later.
+        ft = FakeTime()
+        bucket = ft.bucket(rate=100, burst=1)
+        assert bucket.acquire()
+        ft.now += 5.0
+        assert bucket.available == pytest.approx(1)
+        assert bucket.acquire() and bucket.acquire()
+        assert ft.slept == [pytest.approx(1 / 100)]
+
+    def test_threads_sharing_the_bucket_take_distinct_slots(self):
+        # A frozen clock: concurrent callers each reserve their own
+        # slot, so n of them sleep 0, 1/r, ..., (n-1)/r between them.
+        slept = []
+        lock = threading.Lock()
+
+        def sleep(seconds):
+            with lock:
+                slept.append(seconds)
+
+        bucket = TokenBucket(50, burst=1, clock=lambda: 0.0, sleep=sleep)
+        threads = [threading.Thread(target=bucket.acquire) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert sorted(slept) == [pytest.approx(k / 50) for k in range(1, 8)]
+        assert bucket.waited == pytest.approx(sum(k / 50 for k in range(1, 8)))
+
 
 class TestTokenBucket:
     def test_starts_full_at_burst(self):
