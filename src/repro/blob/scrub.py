@@ -36,9 +36,11 @@ store's bounded :class:`~repro.blob.async_engine.AsyncIOEngine` window,
 optionally paced by a :class:`~repro.util.throttle.TokenBucket`, so
 scrubbing yields to client I/O instead of starving it.
 
-The pass runs only when asked: ``store.scrub()``,
-``GatewayClient.scrub`` and ``repro.cli scrub`` (a self-contained chaos
-demonstration) all call :func:`scrub_store` directly.
+The pass runs only when asked.  Every caller — ``GatewayClient.scrub``,
+``repro.cli scrub`` (a self-contained chaos demonstration) and direct
+library use — goes through ``LocalBlobStore.scrub``, which calls
+:func:`scrub_store` with ``TokenBucket(ops_per_sec, burst=1)`` when a
+rate is given and unpaced otherwise.
 """
 
 from __future__ import annotations

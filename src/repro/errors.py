@@ -37,6 +37,7 @@ __all__ = [
     "JobFailed",
     "TaskFailed",
     "SimulationError",
+    "Interrupt",
 ]
 
 
@@ -212,3 +213,12 @@ class TaskFailed(MapReduceError):
 
 class SimulationError(ReproError):
     """Base class for errors in the discrete-event engine."""
+
+
+class Interrupt(SimulationError):
+    """Thrown into a simulated process that another process interrupted."""
+
+    def __init__(self, cause: object = None):
+        super().__init__(cause)
+        #: Arbitrary value passed by the interrupting process.
+        self.cause = cause

@@ -14,6 +14,8 @@ Design notes
 * A :class:`Process` is itself an :class:`Event` that fires when the
   generator returns — ``yield some_process`` waits for completion and
   receives its return value.
+* :meth:`Process.interrupt` mirrors SimPy: an :class:`~repro.errors.Interrupt`
+  is thrown into the generator at the current simulated time.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from repro.errors import SimulationError
+from repro.errors import Interrupt, SimulationError
 
 __all__ = ["Engine", "Event", "Timeout", "Process", "AllOf"]
 
@@ -132,7 +134,7 @@ class Process(Event):
     :meth:`Engine.run` if nobody waits — errors never pass silently).
     """
 
-    __slots__ = ("generator", "_target", "name")
+    __slots__ = ("generator", "_target", "name", "_interrupting")
 
     def __init__(self, engine: "Engine", generator: Generator, name: str = ""):
         super().__init__(engine)
@@ -141,6 +143,8 @@ class Process(Event):
         self._target: Optional[Event] = None
         #: Optional label for tracing/debugging.
         self.name = name or getattr(generator, "__name__", "process")
+        #: An interrupt is scheduled but not yet delivered.
+        self._interrupting = False
         # Bootstrap: resume once at the current time.
         bootstrap = Event(engine)
         bootstrap._ok = True
@@ -154,12 +158,40 @@ class Process(Event):
         """True while the generator has not finished."""
         return self._value is _PENDING
 
+    def interrupt(self, cause: Any = None) -> None:
+        """Throw :class:`Interrupt` into the process at the current time.
+
+        Interrupting a finished process is an error.  A second interrupt
+        issued before the first is delivered coalesces into it (exactly
+        one :class:`Interrupt` reaches the generator).
+        """
+        if not self.alive:
+            raise SimulationError(f"cannot interrupt finished process {self.name!r}")
+        if self._interrupting:
+            return  # coalesce: one undelivered interrupt is already queued
+        self._interrupting = True
+        interrupt_event = Event(self.engine)
+        interrupt_event._ok = False
+        interrupt_event._value = Interrupt(cause)
+        self.engine._schedule(interrupt_event, 0.0)
+        # Detach from the current target so the original event no longer
+        # resumes us (it may still fire for other waiters).
+        target = self._target
+        if target is not None and target.callbacks is not None:
+            try:
+                target.callbacks.remove(self._resume)
+            except ValueError:
+                pass
+        interrupt_event.add_callback(self._resume)
+        self._target = interrupt_event
+
     # -- internal ---------------------------------------------------------
 
     def _resume(self, event: Event) -> None:
         if not self.alive:  # pragma: no cover - stale wake-up guard
             return
         self._target = None
+        self._interrupting = False
         try:
             if event._ok:
                 next_target = self.generator.send(event._value)

@@ -2,13 +2,117 @@
 
 import pytest
 
+from repro.errors import Interrupt
 from repro.simulation import Engine
-from repro.simulation.resources import Resource
+from repro.simulation.resources import Resource, Store
 
 
 @pytest.fixture
 def engine():
     return Engine()
+
+
+class TestInterruptInteractions:
+    def test_interrupt_while_queued_on_resource(self, engine):
+        """A process interrupted while waiting for a resource cancels
+        its request and never holds a slot."""
+        res = Resource(engine, capacity=1)
+
+        def holder():
+            req = yield from res.acquire()
+            yield engine.timeout(10)
+            res.release(req)
+
+        engine.process(holder())
+
+        def waiter():
+            req = res.request()
+            try:
+                yield req
+            except Interrupt:
+                res.release(req)  # cancel the pending request
+                return "gave up"
+
+        p = engine.process(waiter())
+
+        def interrupter():
+            yield engine.timeout(1)
+            p.interrupt()
+
+        engine.process(interrupter())
+        assert engine.run(p) == "gave up"
+        engine.run()
+
+        def latecomer():
+            yield res.request()
+            return engine.now
+
+        # The holder's release at t=10 freed the only slot: the
+        # cancelled request never took it.
+        assert engine.run(engine.process(latecomer())) == 10.0
+
+    def test_interrupt_while_waiting_on_store(self, engine):
+        store = Store(engine)
+
+        def consumer():
+            try:
+                yield store.get()
+            except Interrupt:
+                return "interrupted"
+
+        p = engine.process(consumer())
+
+        def interrupter():
+            yield engine.timeout(2)
+            p.interrupt()
+
+        engine.process(interrupter())
+        assert engine.run(p) == "interrupted"
+
+    def test_back_to_back_interrupts_coalesce(self, engine):
+        """A second interrupt before the first is delivered coalesces:
+        the generator sees exactly one Interrupt."""
+        hits = []
+
+        def sleeper():
+            try:
+                yield engine.timeout(100)
+            except Interrupt as intr:
+                hits.append(intr.cause)
+            yield engine.timeout(5)  # interruptible again afterwards
+            return (hits, engine.now)
+
+        p = engine.process(sleeper())
+
+        def interrupter():
+            yield engine.timeout(1)
+            p.interrupt("first")
+            p.interrupt("second")  # coalesced away
+
+        engine.process(interrupter())
+        assert engine.run(p) == (["first"], 6.0)
+
+    def test_reinterrupt_after_delivery_works(self, engine):
+        hits = []
+
+        def sleeper():
+            for _ in range(2):
+                try:
+                    yield engine.timeout(100)
+                except Interrupt as intr:
+                    hits.append(intr.cause)
+            return hits
+
+        p = engine.process(sleeper())
+
+        def interrupter():
+            yield engine.timeout(1)
+            p.interrupt("first")
+            yield engine.timeout(1)  # first has been delivered by now
+            p.interrupt("second")
+
+        engine.process(interrupter())
+        assert engine.run(p) == ["first", "second"]
 
 
 class TestResourceCancel:
