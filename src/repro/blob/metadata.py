@@ -101,25 +101,30 @@ class NodeCache:
         with self._lock:
             return self._epoch
 
-    def put_if_fresh(self, key: NodeKey, node: TreeNode, token: int) -> bool:
-        """Insert *node* unless *key* was invalidated since *token*.
+    def put_if_fresh(self, nodes: dict[NodeKey, TreeNode], token: int) -> int:
+        """Insert every node whose key was not invalidated since *token*,
+        under one lock acquisition; returns how many went in.
 
         Per-key precision: invalidations of other keys do not reject
-        the insert.  A token so old that the key's record could already
-        have been evicted from the bounded invalidation log is rejected
-        conservatively (the next lookup just refetches).
+        an insert.  A token so old that a key's record could already
+        have been evicted from the bounded invalidation log rejects the
+        whole batch conservatively (the next lookup just refetches).
         """
         with self._lock:
             if token < self._floor:
-                return False
-            invalidated_at = self._invalidated.get(key)
-            if invalidated_at is not None and invalidated_at > token:
-                return False
-            self._nodes[key] = node
-            self._nodes.move_to_end(key)
-            while len(self._nodes) > self.capacity:
-                self._nodes.popitem(last=False)
-            return True
+                return 0
+            cached, invalidated = self._nodes, self._invalidated
+            inserted = 0
+            for key, node in nodes.items():
+                invalidated_at = invalidated.get(key)
+                if invalidated_at is not None and invalidated_at > token:
+                    continue
+                cached[key] = node
+                cached.move_to_end(key)
+                inserted += 1
+            while len(cached) > self.capacity:
+                cached.popitem(last=False)
+            return inserted
 
     def invalidate(self, key: NodeKey) -> None:
         with self._lock:
@@ -275,10 +280,9 @@ class MetadataService:
                 raise VersionNotFound(
                     f"metadata node {exc.args[0]} not found"
                 ) from None
-            for key, node in fetched.items():
-                if self.cache is not None:
-                    self.cache.put_if_fresh(key, node, token)
-                found[key] = node
+            if self.cache is not None:
+                self.cache.put_if_fresh(fetched, token)
+            found.update(fetched)
         return found
 
     # -- cache control -----------------------------------------------------------

@@ -30,7 +30,7 @@ fetches per tree level).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from repro.blob.block import AnyBlockDescriptor, BlockDescriptor, ZeroBlockDescriptor
 from repro.errors import BlobError, InvalidRange
@@ -53,29 +53,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NodeKey:
-    """DHT identity of a tree node: version + covered block range.
-
-    ``offset`` is a multiple of ``span``; ``span`` is a power of two
-    (canonical segment-tree decomposition, version-independent).
-    """
-
+class _NodeKeyFields(NamedTuple):
     blob_id: str
     version: int
     offset: int
     span: int
 
-    def __post_init__(self) -> None:
-        if self.version < 1:
-            raise ValueError(f"tree nodes exist for versions >= 1, got {self.version}")
-        if self.span < 1 or (self.span & (self.span - 1)) != 0:
-            raise ValueError(f"span must be a positive power of two, got {self.span}")
-        if self.offset < 0 or self.offset % self.span != 0:
+
+class NodeKey(_NodeKeyFields):
+    """DHT identity of a tree node: version + covered block range.
+
+    ``offset`` is a multiple of ``span``; ``span`` is a power of two
+    (canonical segment-tree decomposition, version-independent).
+    Tuple-backed so hashing and equality run in C: a key is hashed many
+    times per descent (cache, batch dedup, bucket dicts).  Its ``repr``
+    is the ring's hash input, so it must stay
+    ``NodeKey(blob_id=..., version=..., offset=..., span=...)``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, blob_id: str, version: int, offset: int, span: int) -> "NodeKey":
+        if version < 1:
+            raise ValueError(f"tree nodes exist for versions >= 1, got {version}")
+        if span < 1 or (span & (span - 1)) != 0:
+            raise ValueError(f"span must be a positive power of two, got {span}")
+        if offset < 0 or offset % span != 0:
             raise ValueError(
                 f"offset must be a non-negative multiple of span, got "
-                f"offset={self.offset} span={self.span}"
+                f"offset={offset} span={span}"
             )
+        return super().__new__(cls, blob_id, version, offset, span)
 
     @property
     def end(self) -> int:

@@ -10,6 +10,10 @@ the system needs:
   BLAKE2b, never Python's randomized ``hash``);
 * **smoothness** — adding/removing a provider only moves O(1/n) of the
   keyspace (virtual nodes smooth the distribution).
+
+Every metadata access routes one key per tree node, so routing is one
+step: hash the key, bisect a flat list of point hashes, and read the
+replica set from a successor memo filled on first use (DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -46,6 +50,13 @@ def _vnode_points(member: str, vnodes: int) -> tuple[tuple[int, str], ...]:
 class HashRing:
     """Consistent hashing with virtual nodes.
 
+    A lookup is one bisect over the sorted point hashes; the distinct
+    successors of a point are walked once per ``(n, point)`` and then
+    served from a memo that membership changes reset.  The memo fills
+    on demand because every simulated deployment builds a fresh ring
+    and routes only a few keys on it: a full successor table would cost
+    more than the routing it saves.
+
     Args:
         members: initial member identifiers (e.g. provider names).
         vnodes: virtual nodes per member; more gives a smoother split.
@@ -58,17 +69,15 @@ class HashRing:
         self._points: list[tuple[int, str]] = []
         self._members: set[str] = set()
         for member in members:
-            self.add(member)
+            self._join(member)
+        self._reindex()
 
     # -- membership ---------------------------------------------------------
 
     def add(self, member: str) -> None:
         """Join *member*; idempotent additions are rejected loudly."""
-        if member in self._members:
-            raise ValueError(f"member {member!r} already on the ring")
-        self._members.add(member)
-        self._points.extend(_vnode_points(member, self.vnodes))
-        self._points.sort()
+        self._join(member)
+        self._reindex()
 
     def remove(self, member: str) -> None:
         """Leave the ring (keys move to successors)."""
@@ -76,6 +85,19 @@ class HashRing:
             raise KeyError(f"member {member!r} not on the ring")
         self._members.discard(member)
         self._points = [(h, m) for (h, m) in self._points if m != member]
+        self._reindex()
+
+    def _join(self, member: str) -> None:
+        if member in self._members:
+            raise ValueError(f"member {member!r} already on the ring")
+        self._members.add(member)
+        self._points.extend(_vnode_points(member, self.vnodes))
+
+    def _reindex(self) -> None:
+        """Sort the points and drop every memoised successor tuple."""
+        self._points.sort()
+        self._hashes = [h for h, _ in self._points]
+        self._successors: dict[tuple[int, int], tuple[str, ...]] = {}
 
     @property
     def members(self) -> frozenset[str]:
@@ -92,34 +114,30 @@ class HashRing:
 
     def lookup(self, key: Hashable) -> str:
         """The member owning *key*."""
-        if not self._members:
-            raise LookupError("lookup on an empty ring")
-        h = stable_hash(key)
-        idx = bisect.bisect_right(self._points, (h, "￿"))
-        if idx == len(self._points):
-            idx = 0
-        return self._points[idx][1]
+        return self.replicas(key, 1)[0]
 
-    def replicas(self, key: Hashable, n: int) -> list[str]:
+    def replicas(self, key: Hashable, n: int) -> tuple[str, ...]:
         """The *n* distinct members responsible for *key*, primary first.
 
-        Walks the ring clockwise from the key's point, skipping duplicate
+        The clockwise walk from the key's point, skipping duplicate
         members.  ``n`` larger than the membership returns all members.
         """
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         if not self._members:
-            raise LookupError("replicas on an empty ring")
-        n = min(n, len(self._members))
-        h = stable_hash(key)
-        idx = bisect.bisect_right(self._points, (h, "￿"))
-        chosen: list[str] = []
-        seen: set[str] = set()
-        for step in range(len(self._points)):
-            member = self._points[(idx + step) % len(self._points)][1]
-            if member not in seen:
-                seen.add(member)
-                chosen.append(member)
-                if len(chosen) == n:
-                    break
+            raise LookupError("the ring has no members")
+        idx = bisect.bisect_right(self._hashes, stable_hash(key)) % len(self._points)
+        chosen = self._successors.get((n, idx))
+        if chosen is None:
+            chosen = self._successors[(n, idx)] = self._walk(idx, n)
         return chosen
+
+    def _walk(self, idx: int, n: int) -> tuple[str, ...]:
+        n = min(n, len(self._members))
+        points = self._points
+        chosen: dict[str, None] = {}
+        for step in range(len(points)):
+            chosen[points[(idx + step) % len(points)][1]] = None
+            if len(chosen) == n:
+                break
+        return tuple(chosen)

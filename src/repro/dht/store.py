@@ -271,7 +271,7 @@ class DhtStore:
         self.engine = engine
         self.stats = DhtStats()
 
-    def owners(self, key: Hashable) -> list[str]:
+    def owners(self, key: Hashable) -> tuple[str, ...]:
         """Replica set (bucket names) responsible for *key*."""
         return self.ring.replicas(key, self.replication)
 
@@ -329,6 +329,7 @@ class DhtStore:
         ordered = list(dict.fromkeys(keys))
         if not ordered:
             return {}
+        owners = {key: self.owners(key) for key in ordered}
         results: dict[Hashable, object] = {}
         seen_missing: set[Hashable] = set()
         remaining = ordered
@@ -340,7 +341,7 @@ class DhtStore:
                 break
             by_bucket: dict[str, list[Hashable]] = {}
             for key in remaining:
-                by_bucket.setdefault(self.owners(key)[attempt], []).append(key)
+                by_bucket.setdefault(owners[key][attempt], []).append(key)
             groups = list(by_bucket.items())
             self.stats.record(
                 round_trips=1, bucket_ops=len(groups), keys_fetched=len(remaining)

@@ -229,12 +229,12 @@ class TestNodeCache:
         node, other = leaf(index=0), leaf(index=1)
         token = cache.begin()
         cache.invalidate(other.key)  # unrelated key
-        assert cache.put_if_fresh(node.key, node, token)
+        assert cache.put_if_fresh({node.key: node}, token) == 1
         assert cache.get(node.key) == node
         # ... while the raced key itself is still rejected.
         token = cache.begin()
         cache.invalidate(node.key)
-        assert not cache.put_if_fresh(node.key, node, token)
+        assert cache.put_if_fresh({node.key: node}, token) == 0
         assert cache.get(node.key) is None
 
     def test_stats_surface(self, cached_service):

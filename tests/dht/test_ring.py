@@ -2,6 +2,8 @@
 
 import bisect
 import hashlib
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -102,16 +104,43 @@ class TestReplicas:
             HashRing(["a"]).replicas("k", 0)
 
 
-class _InsortRing(HashRing):
-    """Reference ring: hashes every vnode on each ``add`` and inserts it
-    with one ``insort``, as the ring did before points were cached."""
+class _InsortRing:
+    """Standalone reference ring: hashes every vnode on each ``add`` and
+    inserts it with one ``insort``, and answers ``replicas`` with a
+    linear clockwise walk and a ``seen`` set, as the ring did before it
+    cached points and memoised successors."""
+
+    def __init__(self, vnodes: int):
+        self.vnodes = vnodes
+        self._points: list[tuple[int, str]] = []
+        self._members: set[str] = set()
 
     def add(self, member: str) -> None:
-        if member in self._members:
-            raise ValueError(f"member {member!r} already on the ring")
         self._members.add(member)
         for i in range(self.vnodes):
             bisect.insort(self._points, (stable_hash((member, i), salt=b"ring"), member))
+
+    def remove(self, member: str) -> None:
+        self._members.discard(member)
+        self._points = [(h, m) for (h, m) in self._points if m != member]
+
+    def lookup(self, key) -> str:
+        idx = bisect.bisect_right(self._points, (stable_hash(key), "\uffff"))
+        return self._points[idx % len(self._points)][1]
+
+    def replicas(self, key, n: int) -> tuple[str, ...]:
+        n = min(n, len(self._members))
+        idx = bisect.bisect_right(self._points, (stable_hash(key), "\uffff"))
+        chosen: list[str] = []
+        seen: set[str] = set()
+        for step in range(len(self._points)):
+            member = self._points[(idx + step) % len(self._points)][1]
+            if member not in seen:
+                seen.add(member)
+                chosen.append(member)
+                if len(chosen) == n:
+                    break
+        return tuple(chosen)
 
 
 _names = st.text(alphabet="abcdefgh-0123", min_size=1, max_size=6)
@@ -137,6 +166,60 @@ class TestCachedPoints:
             for key in range(50):
                 for n in (1, 2, 3):
                     assert ring.replicas(key, n) == oracle.replicas(key, n)
+
+    @given(
+        st.integers(min_value=1, max_value=16),
+        st.lists(st.tuples(st.booleans(), _names), min_size=1, max_size=24),
+    )
+    def test_memoised_lookup_matches_linear_walk(self, vnodes, ops):
+        """Routing after every membership change (so a stale memo would
+        show) equals the reference walk, for n in 1..4 and both key
+        kinds the store routes."""
+        ring, oracle = HashRing(vnodes=vnodes), _InsortRing(vnodes)
+        keys = [*range(20), *(NodeKey("b", v, 0, 1) for v in range(1, 21))]
+        for is_add, member in ops:
+            if is_add and member not in ring:
+                ring.add(member)
+                oracle.add(member)
+            elif not is_add and member in ring:
+                ring.remove(member)
+                oracle.remove(member)
+            if not ring.members:
+                continue
+            for key in keys:
+                assert ring.lookup(key) == oracle.lookup(key)
+                for n in (1, 2, 3, 4):
+                    assert ring.replicas(key, n) == oracle.replicas(key, n)
+
+    def test_concurrent_lookups_fill_one_memo(self):
+        """Threads filling the shared memo at once (more threads than
+        cores, frequent switches) all get the reference answer."""
+        members = [f"mdp-{i}" for i in range(20)]
+        ring, oracle = HashRing(members), _InsortRing(64)
+        for member in members:
+            oracle.add(member)
+        keys = [NodeKey("b", v, o, 1) for v in range(1, 11) for o in range(100)]
+        expected = {(key, n): oracle.replicas(key, n) for key in keys for n in (1, 3)}
+        wrong: list[tuple] = []
+
+        def route(shift: int) -> None:
+            for key in keys[shift:] + keys[:shift]:
+                for n in (1, 3):
+                    if ring.replicas(key, n) != expected[(key, n)]:
+                        wrong.append((key, n))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=route, args=(i * 97,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
     def test_node_key_replicas_pinned(self):
         """The metadata placement of 10^4 tree nodes on 20 providers."""

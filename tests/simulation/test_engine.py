@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import Interrupt, SimulationError
+from repro.errors import SimulationError
 from repro.simulation import Engine
 
 
@@ -119,48 +119,6 @@ class TestProcesses:
     def test_process_requires_generator(self, engine):
         with pytest.raises(TypeError, match="generator"):
             engine.process(lambda: None)
-
-    def test_interrupt_delivers_cause(self, engine):
-        def sleeper():
-            try:
-                yield engine.timeout(100)
-            except Interrupt as intr:
-                return ("interrupted", intr.cause, engine.now)
-
-        p = engine.process(sleeper())
-
-        def interrupter():
-            yield engine.timeout(3)
-            p.interrupt(cause="wake-up")
-
-        engine.process(interrupter())
-        assert engine.run(p) == ("interrupted", "wake-up", 3.0)
-
-    def test_interrupt_finished_process_rejected(self, engine):
-        def quick():
-            yield engine.timeout(1)
-
-        p = engine.process(quick())
-        engine.run(p)
-        with pytest.raises(SimulationError):
-            p.interrupt()
-
-    def test_interrupted_process_can_rewait(self, engine):
-        def sleeper():
-            try:
-                yield engine.timeout(100)
-            except Interrupt:
-                yield engine.timeout(5)
-            return engine.now
-
-        p = engine.process(sleeper())
-
-        def interrupter():
-            yield engine.timeout(2)
-            p.interrupt()
-
-        engine.process(interrupter())
-        assert engine.run(p) == 7.0
 
     def test_failed_event_is_raised_in_its_waiter_at_fail_time(self, engine):
         ev = engine.event()

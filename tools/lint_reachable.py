@@ -43,8 +43,7 @@ CALLERS = ("src", "perf", "examples", "tools")
 
 #: Definitions kept although only tests call them, keyed by qualified
 #: name (``Class.method`` or ``function``): the fault-injection hooks
-#: the chaos suites drive and the invariant probes the tests read.  An
-#: entry marked "temporary" is awaiting its own deletion.
+#: the chaos suites drive and the invariant probes the tests read.
 ALLOWLIST = {
     "HDFSFileSystem.fail_datanode": "fault injection: an HDFS datanode dies",
     "FlowNetwork.set_node_rates": "fault injection: a straggler's NIC is "
@@ -64,9 +63,6 @@ ALLOWLIST = {
     "behind a BSFS read stream (read-ahead and cache tests)",
     "TokenBucket.available": "invariant probe: the token balance the "
     "pacing tests assert on",
-    "Process.interrupt": "temporary: SimPy-style interrupt nothing in the "
-    "program issues; kept with its engine tests until a follow-up deletes "
-    "it (ROADMAP item 11)",
 }
 
 
