@@ -9,7 +9,7 @@ with older versions (the essence of cheap versioning).
 Run:  python examples/metadata_tree.py
 """
 
-from repro.blob import InnerNode, LocalBlobStore, NodeKey, StoreConfig
+from repro.blob import InnerNode, LocalBlobStore, NodeKey, RunLeaf, StoreConfig
 from repro.blob.segment_tree import LeafNode
 
 BS = 64
@@ -17,12 +17,15 @@ BS = 64
 
 def render_tree(store, blob, version) -> list[str]:
     """ASCII rendering of one snapshot's tree; '*' marks nodes created
-    by this very version, everything else is shared with the past."""
+    by this very version, everything else is shared with the past.  A
+    write's whole range inside one canonical subtree is one run node; a
+    later version reaches into an old run only for the blocks of the
+    position that references it."""
     info = store.snapshot(blob, version)
     resolve = store.key_resolver()
     lines = []
 
-    def visit(key: NodeKey, depth: int) -> None:
+    def visit(key: NodeKey, depth: int, lo: int, hi: int) -> None:
         node = store.metadata.get_node(resolve(key))
         marker = "*" if key.version == version else " "
         indent = "    " * depth
@@ -32,21 +35,28 @@ def render_tree(store, blob, version) -> list[str]:
                 f" -> {node.block.providers[0]}"
             )
             return
+        if isinstance(node, RunLeaf):
+            reached = "" if (lo, hi) == (key.offset, key.end) else f", blocks [{lo}, {hi})"
+            lines.append(f"{indent}{marker} run[{key.offset}, {key.end}) v{key.version}{reached}")
+            return
         assert isinstance(node, InnerNode)
         lines.append(
             f"{indent}{marker} node[{key.offset}, {key.end}) v{key.version}"
         )
-        for child in node.children():
-            visit(child, depth + 1)
+        half = node.half
+        for child, offset in ((node.left_key, key.offset), (node.right_key, key.offset + half)):
+            if child is not None:
+                visit(child, depth + 1, offset, offset + half)
 
-    visit(NodeKey(blob, version, 0, info.root_span), 0)
+    root = NodeKey(blob, version, 0, info.root_span)
+    visit(root, 0, 0, root.end)
     return lines
 
 
 def show(store, blob, version, title) -> None:
     print(f"--- {title} (version {version}) ---")
     lines = render_tree(store, blob, version)
-    fresh = sum(1 for l in lines if "*" in l.split("node")[0].split("leaf")[0])
+    fresh = sum(1 for line in lines if line.lstrip().startswith("*"))
     for line in lines:
         print(line)
     print(f"    ({fresh} new nodes this version, {len(lines) - fresh} shared)\n")

@@ -42,10 +42,10 @@ from repro.blob.segment_tree import (
     LeafNode,
     NodeKey,
     RedirectLeaf,
+    RunLeaf,
     TreeNode,
     build_patch,
     build_tombstone_patch,
-    collect_blocks,
     collect_blocks_batched,
     iter_reachable_batched,
     latest_intersecting,
@@ -75,6 +75,7 @@ __all__ = [
     "NodeKey",
     "LeafNode",
     "RedirectLeaf",
+    "RunLeaf",
     "InnerNode",
     "TreeNode",
     "root_span",
@@ -82,7 +83,6 @@ __all__ = [
     "build_patch",
     "build_tombstone_patch",
     "DescentPlan",
-    "collect_blocks",
     "collect_blocks_batched",
     "iter_reachable_batched",
     "VersionManagerCore",

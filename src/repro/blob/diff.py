@@ -17,9 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.blob.segment_tree import InnerNode, LeafNode, NodeKey, RedirectLeaf, TreeNode
+from repro.blob.block import AnyBlockDescriptor
+from repro.blob.segment_tree import (
+    InnerNode,
+    NodeKey,
+    RedirectLeaf,
+    TreeNode,
+    clipped_entries,
+)
 from repro.blob.store import LocalBlobStore
-from repro.errors import BlobError
 
 __all__ = ["BlockRange", "diff_snapshots", "changed_ranges"]
 
@@ -64,76 +70,81 @@ def diff_snapshots(
 
     ``None`` on either side means the range does not exist there (size
     difference); every block present on the other side counts as
-    changed.  Subtrees whose resolved keys are equal are pruned without
-    being visited — the sharing-makes-diff-cheap property.  *resolver*
-    maps keys across branch lineages (see ``LocalBlobStore.key_resolver``).
+    changed.  The two trees are walked position by position; a position
+    whose two references resolve to the same key is pruned without
+    being visited — the sharing-makes-diff-cheap property.  A reference
+    into a run covers only the position it entered, so a run partly
+    overwritten on one side differs exactly at the overwritten blocks.
+    *resolver* maps keys across branch lineages (see
+    ``LocalBlobStore.key_resolver``).
     """
     resolve = resolver if resolver is not None else (lambda k: k)
-    changed: set[int] = set()
+    changed: list[int] = []
+    nodes: dict[NodeKey, TreeNode] = {}
 
-    def fetch_leafward(key: NodeKey) -> TreeNode:
-        """Fetch, following tombstone redirects to the leaf they defer to."""
-        node = fetch(resolve(key))
-        while isinstance(node, RedirectLeaf):
-            node = fetch(resolve(node.target_key))
-        return node
+    def node_of(key: NodeKey) -> TreeNode:
+        key = resolve(key)
+        if key not in nodes:
+            nodes[key] = fetch(key)
+        return nodes[key]
 
-    def mark_all(key: NodeKey) -> None:
-        node = fetch(resolve(key))
-        if isinstance(node, (LeafNode, RedirectLeaf)):
-            changed.add(node.key.offset)
-        else:
-            for child in node.children():
-                mark_all(child)
+    def block_at(key: NodeKey, index: int) -> AnyBlockDescriptor:
+        """The descriptor of block *index* under *key*, following
+        references and tombstone redirects down to it."""
+        node = node_of(key)
+        while True:
+            if isinstance(node, InnerNode):
+                mid = node.key.offset + node.half
+                key = node.left_key if index < mid else node.right_key
+            elif isinstance(node, RedirectLeaf):
+                key = node.target_key
+            else:
+                (entry,) = clipped_entries(node, index, index + 1)
+                if type(entry) is not NodeKey:
+                    return entry
+                key = entry
+            node = node_of(key)
 
-    def walk(a: Optional[NodeKey], b: Optional[NodeKey]) -> None:
+    def halves(key: Optional[NodeKey], offset: int, span: int):
+        """The references covering the two halves of a position."""
+        if key is None:
+            return None, None
+        if key.span < span:
+            # The smaller snapshot's root under the bigger one's: it
+            # fills the left half, nothing exists to its right.
+            return key, None
+        node = node_of(key)
+        if isinstance(node, InnerNode) and key.span == span:
+            return node.left_key, node.right_key
+        return key, key  # a run covering the whole position
+
+    def walk(a: Optional[NodeKey], b: Optional[NodeKey], offset: int, span: int) -> None:
         if a is None and b is None:
             return
-        if a is None:
-            mark_all(b)  # type: ignore[arg-type]
-            return
-        if b is None:
-            mark_all(a)
-            return
-        if resolve(a) == resolve(b):
-            return  # identical shared subtree: nothing changed inside
-        if a.span == 1 and b.span == 1:
-            # Follow tombstone redirects before comparing: a redirect
-            # into the very leaf on the other side means "unchanged"
-            # even though the keys differ.
-            node_a = fetch_leafward(a)
-            node_b = fetch_leafward(b)
-            # Size disambiguates zero leaves, whose block_id is always
+        if a is not None and b is not None and resolve(a) == resolve(b):
+            return  # identical shared node: nothing changed inside
+        if span == 1:
+            # Size disambiguates zero blocks, whose block_id is always
             # None; for stored blocks same id implies same size.
-            if (node_a.block.block_id, node_a.block.size) != (
-                node_b.block.block_id,
-                node_b.block.size,
+            block_a = block_at(a, offset) if a is not None else None
+            block_b = block_at(b, offset) if b is not None else None
+            if (
+                block_a is None
+                or block_b is None
+                or (block_a.block_id, block_a.size) != (block_b.block_id, block_b.size)
             ):
-                changed.add(a.offset)
+                changed.append(offset)
             return
-        if a.span != b.span:
-            # Roots of different-size trees: peel the bigger tree's
-            # right siblings (they exist on one side only) and keep
-            # aligning its left spine with the smaller root.
-            big, small, a_is_big = (a, b, True) if a.span > b.span else (b, a, False)
-            node = fetch(resolve(big))
-            if not isinstance(node, InnerNode):  # pragma: no cover
-                raise BlobError(f"span {big.span} node is not an inner node")
-            if node.right_key is not None:
-                mark_all(node.right_key)
-            walk(node.left_key, small) if a_is_big else walk(small, node.left_key)
-            return
-        # Equal spans >= 2: only inner nodes live at these positions
-        # (span-1 pairs returned above).
-        node_a = fetch(resolve(a))
-        node_b = fetch(resolve(b))
-        if not (isinstance(node_a, InnerNode) and isinstance(node_b, InnerNode)):
-            raise BlobError("mismatched tree shapes at equal spans")  # pragma: no cover
-        walk(node_a.left_key, node_b.left_key)
-        walk(node_a.right_key, node_b.right_key)
+        half = span // 2
+        a_left, a_right = halves(a, offset, span)
+        b_left, b_right = halves(b, offset, span)
+        walk(a_left, b_left, offset, half)
+        walk(a_right, b_right, offset + half, half)
 
-    walk(key_a, key_b)
-    return sorted(changed)
+    roots = [key for key in (key_a, key_b) if key is not None]
+    if roots:
+        walk(key_a, key_b, 0, max(key.span for key in roots))
+    return changed
 
 
 def changed_ranges(

@@ -11,14 +11,31 @@ so collection is a mark-and-sweep over the metadata trees:
 2. **sweep** — delete this BLOB's unmarked tree nodes from the metadata
    buckets and its unmarked blocks from the data providers.
 
-Collection requires a quiescent BLOB (no in-flight writes): an
-in-flight writer may be about to reference nodes the sweep would
-otherwise consider dead.  Tombstoned (aborted) versions are *not* in
-flight — they committed as no-ops, so a dead writer never blocks
-collection through the quiescence gate — and they participate in the
-mark phase like any retained snapshot: their filler trees (redirects
-into prior versions, zero leaves) keep shared prior nodes alive; zero
-leaves mark no block.
+A pass refuses to start while a version of the BLOB (or of a branch
+descending from it) is in flight, but it does not need quiescence: a
+write may start, scatter, publish and commit while the pass runs.  Two
+limits keep such writes whole:
+
+* the node sweep deletes only keys whose version is at most the
+  publication watermark read when the pass starts — a newer snapshot's
+  nodes are never garbage yet;
+* the block sweep deletes only blocks whose write is older than
+  :meth:`~repro.blob.store.LocalBlobStore.gc_horizon` read at the start
+  — every write still running, not yet started, or committed above the
+  watermark is at or past it.
+
+A snapshot published during the pass references older content only
+where the watermark snapshot does too, so the mark phase already keeps
+it.  Tombstoned (aborted) versions are *not* in flight — they committed
+as no-ops, so a dead writer never blocks collection — and they
+participate in the mark phase like any retained snapshot: their filler
+trees (redirects into prior versions, zero blocks) keep shared prior
+nodes alive; zero blocks mark nothing.
+
+Runs (DESIGN.md §4) are marked per entry: a run is live if any
+retained snapshot reaches it, but only the entries inside the clips
+that reach it mark their blocks, so a block overwritten inside a run
+that is still shared is freed like any other dead block.
 
 Only the *sweep* tolerates offline metadata buckets.  The mark phase
 must read every retained snapshot's tree, and deliberately fails
@@ -32,7 +49,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.blob.segment_tree import LeafNode, NodeKey, iter_reachable_batched
+from repro.blob.block import BlockDescriptor
+from repro.blob.segment_tree import NodeKey, clipped_entries, iter_reachable_batched
 from repro.blob.store import LocalBlobStore
 from repro.errors import BlobError, ProviderUnavailable
 
@@ -66,9 +84,13 @@ def collect_garbage(store: LocalBlobStore, blob_id: str, retain_from: int) -> Gc
         )
     if retain_from < 1:
         raise ValueError(f"retain_from must be >= 1, got {retain_from}")
-    if retain_from > state.published:
+    # The horizon before the watermark: a write retired between the two
+    # reads has a version at or below the watermark, so it is marked.
+    horizon = store.gc_horizon()
+    watermark = state.published
+    if retain_from > watermark:
         raise BlobError(
-            f"retain_from {retain_from} beyond published watermark {state.published}"
+            f"retain_from {retain_from} beyond published watermark {watermark}"
         )
 
     # Mark phase: everything reachable from retained snapshot roots —
@@ -77,29 +99,30 @@ def collect_garbage(store: LocalBlobStore, blob_id: str, retain_from: int) -> Gc
     resolver = store.key_resolver()
     marked_nodes: set[NodeKey] = set()
     marked_blocks: set[tuple] = set()
+    visited: set[NodeKey] = set()
 
-    def mark(owner_blob: str, first_version: int) -> None:
-        owner_state = vm.blob(owner_blob)
-        for version in range(max(first_version, 1), owner_state.published + 1):
+    def mark(owner_blob: str, first_version: int, last_version: int) -> None:
+        for version in range(max(first_version, 1), last_version + 1):
             info = vm.snapshot_info(owner_blob, version)
             if info.size == 0:
                 continue
             root = NodeKey(owner_blob, version, 0, info.root_span)
-            # Level-batched traversal with the marked set as its prune
-            # list: subtrees shared with already-marked versions are
+            # Level-batched traversal pruned by the keys already visited
+            # whole: subtrees shared with already-marked versions are
             # neither re-fetched nor re-walked, and each level of the
             # rest costs one batched metadata pass (DESIGN.md §9).
-            for node in iter_reachable_batched(
+            for node, lo, hi in iter_reachable_batched(
                 store.metadata.get_nodes,
                 root,
                 key_resolver=resolver,
-                skip=marked_nodes,
+                seen=visited,
             ):
                 marked_nodes.add(node.key)
-                if isinstance(node, LeafNode) and not node.block.is_zero:
-                    marked_blocks.add(node.block.block_id)
+                for entry in clipped_entries(node, lo, hi):
+                    if type(entry) is BlockDescriptor:
+                        marked_blocks.add(entry.block_id)
 
-    mark(blob_id, retain_from)
+    mark(blob_id, retain_from, watermark)
     for other_id in vm.blob_ids():
         if other_id != blob_id and vm.descends_from(other_id, blob_id):
             other = vm.blob(other_id)
@@ -108,7 +131,7 @@ def collect_garbage(store: LocalBlobStore, blob_id: str, retain_from: int) -> Gc
                     f"cannot GC blob {blob_id!r}: descendant branch "
                     f"{other_id!r} has writes in flight"
                 )
-            mark(other_id, max(other.gc_floor, 1))
+            mark(other_id, max(other.gc_floor, 1), other.published)
 
     # Sweep metadata buckets (every replica holds full keys; sweep
     # each), one ``delete_many`` request per bucket.  Offline buckets
@@ -122,7 +145,10 @@ def collect_garbage(store: LocalBlobStore, blob_id: str, retain_from: int) -> Gc
         doomed = [
             key
             for key in bucket.keys()
-            if isinstance(key, NodeKey) and key.blob_id == blob_id and key not in marked_nodes
+            if isinstance(key, NodeKey)
+            and key.blob_id == blob_id
+            and key.version <= watermark
+            and key not in marked_nodes
         ]
         if not doomed:
             continue
@@ -149,7 +175,11 @@ def collect_garbage(store: LocalBlobStore, blob_id: str, retain_from: int) -> Gc
         if not provider.online:
             continue
         for block_id in provider.block_ids():
-            if block_id[0] == blob_id and block_id not in marked_blocks:
+            if (
+                block_id[0] == blob_id
+                and block_id[1] < horizon
+                and block_id not in marked_blocks
+            ):
                 try:
                     freed = provider.delete(block_id)
                 except ProviderUnavailable:

@@ -13,16 +13,19 @@ replicas converge from durable state alone, and one incremental pass
 2. **metadata replica reconciliation** — every tree-node key held by
    any online bucket is compared across its online owner replicas;
    lagging replicas (down during the original publish) are re-fed from
-   any healthy copy, and divergent *leaf* replicas (a repair rewrote
-   the replica set while one bucket was down) are reconciled in favour
-   of the copy with the most live block replicas.
+   any healthy copy, and divergent *leaf or run* replicas (a repair
+   rewrote replica sets while one bucket was down) are reconciled entry
+   by entry in favour of the copy with the most live block replicas.
 3. **block re-replication** (paper §VI-B) — every retained snapshot's
-   under-replicated blocks are copied back up to target by
-   :func:`repair_leaf`, best effort (a block with no surviving replica
-   is reported, not raised, so one lost block cannot stop the pass).
+   under-replicated blocks — the entries of leaves and runs its clips
+   reach (DESIGN.md §4) — are copied back up to target by
+   :func:`repair_leaf`, one republish per leaf or run, best effort (a
+   block with no surviving replica is reported, not raised, so one
+   lost block cannot stop the pass).
 
 Replica-set location is the one piece of metadata treated as mutable:
-a block repair rewrites its leaf with the updated provider tuple.  The
+a block repair rewrites its leaf or run with the updated provider
+tuples.  The
 block's *identity and contents* stay immutable, so snapshot semantics
 are unaffected.
 
@@ -46,15 +49,17 @@ rate is given and unpaced otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, TYPE_CHECKING
+from typing import Iterable, Optional, TYPE_CHECKING, Union
 
 from repro.blob.block import BlockDescriptor, BlockId
 from repro.blob.metadata import agreed_value
 from repro.blob.segment_tree import (
     LeafNode,
     NodeKey,
+    RunLeaf,
     TreeNode,
     build_tombstone_patch,
+    clipped_entries,
     iter_reachable_batched,
 )
 from repro.blob.version_manager import TombstoneSpec
@@ -69,6 +74,9 @@ from repro.util.throttle import TokenBucket
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store imports us not)
     from repro.blob.store import LocalBlobStore
+
+#: The nodes that carry block descriptors: a leaf, or a run of them.
+Leaf = Union[LeafNode, RunLeaf]
 
 __all__ = [
     "ScrubReport",
@@ -223,32 +231,79 @@ def live_replicas(store: "LocalBlobStore", descriptor: BlockDescriptor) -> list[
     ]
 
 
-def repair_leaf(store: "LocalBlobStore", node: LeafNode, target: int) -> int:
-    """Restore one leaf's block to *target* live replicas.
+def repair_leaf(
+    store: "LocalBlobStore", node: Leaf, target: int, indices: Iterable[int]
+) -> tuple[int, int, list[str]]:
+    """Restore a leaf's or a run's blocks to *target* live replicas.
 
-    New homes are live providers not already serving it.  One that
-    already holds the block — a copy an earlier repair could not
-    record, or the loser of a leaf divergence — is adopted as it is;
-    the others receive a copy from a surviving replica, each charged to
-    the provider manager like a placement.  The leaf is then
-    republished with the new replica set through the same force
-    multi-put as tombstone filler, which also invalidates the node
-    cache (a cached pre-repair leaf would keep naming the dead set).
+    *indices* names the block indices to check: the scrub passes the
+    entries some retained snapshot reaches, so a block overwritten
+    inside a still-shared run is never repaired.
+    Per block, new homes are live providers not already serving it.
+    One that already holds the block — a copy an earlier repair could
+    not record, or the loser of a leaf divergence — is adopted as it
+    is; the others receive a copy from a surviving replica, each
+    charged to the provider manager like a placement.  The node is then
+    republished **once**, every repaired entry naming its new replica
+    set, through the same force multi-put as tombstone filler, which
+    also invalidates the node cache (a cached pre-repair node would
+    keep naming the dead sets).
 
-    All or nothing: if a copy fails, or no metadata replica takes the
-    leaf, the copies this call made are removed and their charges
-    returned before the error propagates.  Returns the number of
-    replicas added, adopted ones included (0 when the block is already
-    at target).  Raises :class:`ReplicationError` if the block has
-    **no** live replica (data loss: only a re-write can recover it),
-    too few live providers exist to reach *target*, or the leaf could
-    not be republished.
+    A block that cannot be repaired — **no** live replica (data loss:
+    only a re-write can recover it), too few live providers to reach
+    *target*, a failed copy — keeps its entry and its own copies are
+    removed; it is reported in the returned errors and the other blocks
+    are still repaired.  If no metadata replica takes the node, every
+    copy this call made is removed and their charges returned before
+    :class:`ReplicationError` propagates.  Returns ``(blocks repaired,
+    replicas added, errors)``; replicas added count adopted ones too.
     """
-    descriptor = node.block
+    base = node.key.offset
+    entries = list(clipped_entries(node, base, node.key.end))
+    made: list[tuple[BlockDescriptor, list[str]]] = []
+    repaired = added = 0
+    errors: list[str] = []
+    try:
+        for index in sorted(indices):
+            descriptor = entries[index - base]
+            if type(descriptor) is not BlockDescriptor:
+                continue
+            try:
+                restored = _restore_block(store, descriptor, target, made)
+            except (ReplicationError, ProviderError) as exc:
+                errors.append(str(exc))
+                continue
+            if restored is not None:
+                homes, copies = restored
+                entries[index - base] = replace(descriptor, providers=homes)
+                repaired += 1
+                added += copies
+        if repaired:
+            if store.metadata.put_fillers([_rebuilt(node.key, entries)]):
+                raise ReplicationError(
+                    f"no live metadata replica took the repaired node {node.key}"
+                )
+    except BaseException:
+        for descriptor, landed in made:
+            _remove_copies(store, descriptor.block_id, landed, descriptor.size)
+        raise
+    return repaired, added, errors
+
+
+def _restore_block(
+    store: "LocalBlobStore",
+    descriptor: BlockDescriptor,
+    target: int,
+    made: list[tuple[BlockDescriptor, list[str]]],
+) -> Optional[tuple[tuple[str, ...], int]]:
+    """Bring one block to *target* live replicas: its new replica set
+    and the replicas added, or ``None`` when already at target.  The
+    copies it lands are recorded in *made*; on failure it removes them
+    itself and raises."""
     block_id = descriptor.block_id
     live = live_replicas(store, descriptor)
     if len(live) >= target:
-        return 0
+        return None
     if not live:
         raise ReplicationError(
             f"block {block_id} of blob {descriptor.blob_id!r} has no live replica"
@@ -276,24 +331,17 @@ def repair_leaf(store: "LocalBlobStore", node: LeafNode, target: int) -> int:
         store.provider_manager.charge(name, descriptor.size)
         landed.append(name)
 
-    try:
-        if fresh:
+    if fresh:
+        try:
             payload = store.providers[live[0]].get(block_id)
             # Maintenance traffic shares the I/O engine's bounded window
             # with foreground I/O.
             store._map_io(copy, fresh, afn=acopy, dest=lambda name: name)
-        leaf = LeafNode(
-            key=node.key,
-            block=replace(descriptor, providers=tuple(live + adopted + fresh)),
-        )
-        if store.metadata.put_fillers([leaf]):
-            raise ReplicationError(
-                f"no live metadata replica took the repaired leaf {node.key}"
-            )
-    except BaseException:
-        _remove_copies(store, block_id, landed, descriptor.size)
-        raise
-    return needed
+        except BaseException:
+            _remove_copies(store, block_id, landed, descriptor.size)
+            raise
+        made.append((descriptor, landed))
+    return tuple(live + adopted + fresh), needed
 
 
 def _remove_copies(
@@ -333,22 +381,40 @@ def _heal(
 def _reconcile_leaf_divergence(
     store: "LocalBlobStore", values: dict[str, object]
 ) -> Optional[TreeNode]:
-    """Authority for divergent leaf replicas: same immutable block, but
-    replica-set tuples rewritten by repairs while a bucket was down.
-    The copy naming the most live block replicas wins (freshest view);
-    anything else differing is an immutability violation we refuse to
-    guess about."""
-    leaves = [v for v in values.values() if isinstance(v, LeafNode)]
-    if len(leaves) != sum(1 for v in values.values() if v is not MISSING):
+    """Authority for divergent leaf or run replicas: the same immutable
+    blocks, but replica-set tuples rewritten by repairs while a bucket
+    was down.  Entry by entry, the copy naming the most live block
+    replicas wins (freshest view); anything else differing is an
+    immutability violation we refuse to guess about."""
+    copies = [v for v in values.values() if v is not MISSING]
+    if not copies or not all(isinstance(v, (LeafNode, RunLeaf)) for v in copies):
         return None
-    identities = {
-        (leaf.block.block_id, leaf.block.size, leaf.block.index)
-        for leaf in leaves
-        if not leaf.block.is_zero
-    }
-    if len(identities) != 1:
-        return None
-    return max(leaves, key=lambda leaf: len(live_replicas(store, leaf.block)))
+    key = copies[0].key
+    merged: list = []
+    for column in zip(*(clipped_entries(v, key.offset, key.end) for v in copies)):
+        if len({_identity(entry) for entry in column}) != 1:
+            return None
+        merged.append(
+            max(
+                column,
+                key=lambda e: len(live_replicas(store, e)) if type(e) is BlockDescriptor else 0,
+            )
+        )
+    return _rebuilt(key, merged)
+
+
+def _rebuilt(key: NodeKey, entries: list) -> Leaf:
+    """The leaf (span 1) or run at *key* carrying *entries*."""
+    if key.span == 1:
+        return LeafNode(key=key, block=entries[0])
+    return RunLeaf(key=key, entries=tuple(entries))
+
+
+def _identity(entry) -> object:
+    """What two replicas of one run entry must agree on."""
+    if type(entry) is NodeKey:
+        return entry
+    return (entry.block_id, entry.size, entry.index, entry.is_zero)
 
 
 def _reconcile_replicas(
@@ -427,10 +493,12 @@ def _scrub_blocks(
 
     Walks each retained version's tree with a shared seen-set so nodes
     shared between snapshots (the common case) are checked exactly
-    once.  Repair failures are recorded, never raised: the sweep is
-    incremental by contract.
+    once, collecting per leaf or run the block entries some snapshot
+    reaches; then repairs each such node once.  Repair failures are
+    recorded, never raised: the sweep is incremental by contract.
     """
     resolver = store.key_resolver()
+    reached: dict[NodeKey, tuple[Leaf, set[int]]] = {}
     for version in range(max(plan.gc_floor, 1), plan.published + 1):
         try:
             info = store.snapshot(plan.blob_id, version)
@@ -444,12 +512,12 @@ def _scrub_blocks(
             # Level-batched walk with the shared seen-set as its prune
             # list: subtrees already checked under another version are
             # neither re-fetched nor re-walked.
-            nodes = list(
+            visits = list(
                 iter_reachable_batched(
                     store.metadata.get_nodes,
                     root,
                     key_resolver=resolver,
-                    skip=seen,
+                    seen=seen,
                 )
             )
         except (BlobError, ProviderError) as exc:
@@ -457,21 +525,28 @@ def _scrub_blocks(
             # bucket recovers (phase 2 of a later pass); record and go on.
             errors.append(f"{plan.blob_id} v{version}: tree unreadable: {exc}")
             continue
-        for node in nodes:
-            seen.add(node.key)
-            if not isinstance(node, LeafNode) or node.block.is_zero:
-                continue
-            counters["blocks_checked"] += 1
-            if throttle is not None:
+        for node, lo, hi in visits:
+            stored = [
+                lo + i
+                for i, entry in enumerate(clipped_entries(node, lo, hi))
+                if type(entry) is BlockDescriptor
+            ]
+            if stored:
+                reached.setdefault(node.key, (node, set()))[1].update(stored)
+
+    for node, indices in reached.values():
+        counters["blocks_checked"] += len(indices)
+        if throttle is not None:
+            for _ in indices:
                 throttle.acquire()
-            try:
-                copies = repair_leaf(store, node, plan.replication)
-            except (ReplicationError, ProviderError) as exc:
-                errors.append(f"{plan.blob_id} v{version}: {exc}")
-                continue
-            if copies:
-                counters["blocks_repaired"] += 1
-                counters["copies_created"] += copies
+        try:
+            repaired, copies, failed = repair_leaf(store, node, plan.replication, indices)
+        except (ReplicationError, ProviderError) as exc:
+            errors.append(f"{plan.blob_id}: {exc}")
+            continue
+        errors.extend(f"{plan.blob_id}: {message}" for message in failed)
+        counters["blocks_repaired"] += repaired
+        counters["copies_created"] += copies
 
 
 def scrub_store(

@@ -1,56 +1,75 @@
 """Versioned segment-tree metadata (paper §III-A.3, Figure 1).
 
 Every snapshot version of a BLOB has a binary segment tree over its
-blocks: the root covers the whole BLOB, each inner node halves its
-range, each leaf covers exactly one block and carries that block's
-:class:`~repro.blob.block.BlockDescriptor`.  Tree nodes are **immutable**
-and identified by ``(blob_id, version, offset, span)`` (offsets/spans in
-block units, spans are powers of two) — precisely the DHT key the paper
-describes.
+blocks: the root covers the whole BLOB and each inner node halves its
+range.  Tree nodes are **immutable** and identified by ``(blob_id,
+version, offset, span)`` (offsets/spans in block units, spans are
+powers of two) — precisely the DHT key the paper describes.
+
+The tree bottoms out in **runs**: a write publishes every maximal
+canonical subtree that lies wholly inside its block range and spans at
+most :data:`RUN_SPAN` blocks as one :class:`RunLeaf` at that subtree's
+own key, carrying the descriptors of all its blocks, instead of the
+``2·span − 1`` inner nodes and leaves below it.  A run of span 1 is an
+ordinary :class:`LeafNode`, so a one-block write publishes exactly the
+paper's tree.
 
 Subtree sharing is what makes versioning cheap: a write for version *v*
 creates new nodes **only along the paths covering its range**; children
 outside the range are *references to older versions' nodes*.  The
-version label of such a reference is computable without reading any
-other writer's metadata: it is the highest version ``w <= v`` whose
-write range intersects the child's range.  That is how BlobSeer lets a
-writer "predict the values corresponding to the metadata that is being
-written by concurrent writers" (§III-D) from the version manager's
-hints alone — and it is implemented here by :func:`latest_intersecting`
-over the write-history records the version manager hands out.
+target of such a reference is computable without reading any other
+writer's metadata: its version is the highest ``w <= v`` whose write
+range intersects the child's range, and its key is the node *w*
+published over that range — the child position itself, or the run of
+*w* that contains it, both derived from *w*'s write range and
+:data:`RUN_SPAN`.  That is how BlobSeer lets a writer "predict the
+values corresponding to the metadata that is being written by
+concurrent writers" (§III-D) from the version manager's hints alone —
+implemented here by :func:`latest_intersecting` over the write-history
+records the version manager hands out.
 
 Reading is the inverse: descend from the root of the requested version,
-following child references into older versions wherever the range was
-not rewritten, collecting leaves.  :class:`DescentPlan` exposes the
-traversal as an explicit frontier so the same algorithm drives both the
-in-process store (plain loop) and the simulated client (parallel RPC
-fetches per tree level).
+following references into older versions wherever the range was not
+rewritten, collecting block descriptors.  A reference into a run wider
+than the referencing position enters it **clipped** to that position:
+a later overwrite inside an old run must never surface the run's stale
+entries.  :class:`DescentPlan` exposes the traversal as an explicit
+frontier so the same algorithm drives both the in-process store and the
+simulated client (parallel RPC fetches per tree level).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from repro.blob.block import AnyBlockDescriptor, BlockDescriptor, ZeroBlockDescriptor
 from repro.errors import BlobError, InvalidRange
 from repro.util.chunks import block_count
 
 __all__ = [
+    "RUN_SPAN",
     "NodeKey",
     "LeafNode",
     "RedirectLeaf",
+    "RunLeaf",
     "InnerNode",
     "TreeNode",
     "root_span",
     "latest_intersecting",
     "build_patch",
     "build_tombstone_patch",
+    "clipped_entries",
     "DescentPlan",
-    "collect_blocks",
     "collect_blocks_batched",
     "iter_reachable_batched",
 ]
+
+#: Widest canonical subtree a write publishes as one :class:`RunLeaf`.
+#: It matches the scatter's per-provider vector length, so one run names
+#: about as many blocks as one transfer request carries.
+RUN_SPAN = 64
 
 
 class _NodeKeyFields(NamedTuple):
@@ -91,9 +110,15 @@ class NodeKey(_NodeKeyFields):
         return self.offset + self.span
 
 
+def _covering_key(blob_id: str, version: int, offset: int, span: int) -> NodeKey:
+    """Key of the node of span *span* that covers block *offset*."""
+    return NodeKey(blob_id, version, offset - offset % span, span)
+
+
 @dataclass(frozen=True)
 class LeafNode:
-    """A leaf: covers one block and points at its descriptor.
+    """A leaf: covers one block and points at its descriptor — a run of
+    span 1.
 
     The descriptor is either a stored block (:class:`BlockDescriptor`)
     or a reader-synthesised zero block (:class:`ZeroBlockDescriptor`,
@@ -114,20 +139,23 @@ class LeafNode:
 
 @dataclass(frozen=True)
 class RedirectLeaf:
-    """A leaf-position node that defers to an older version's leaf.
+    """A leaf-position node that defers to an older version's node.
 
     Tombstoned versions use redirects for blocks their dead write would
     have *overwritten*: the tombstone's content there is the woven
-    prior state, and the prior leaf's descriptor is unknown to the
-    aborting writer (it may even still be in flight), so the filler
-    node names only the target *version* — exactly like an
-    :class:`InnerNode` child reference, but at span 1.  Descents follow
-    the redirect; chains (a redirect into an older tombstone) terminate
-    because target versions strictly decrease.
+    prior state, and the prior descriptor is unknown to the aborting
+    writer (it may even still be in flight), so the filler names only
+    the node that holds it — version ``target_version``, span
+    ``target_span`` (the leaf itself, or the run containing the block),
+    at the aligned offset covering this block.  Descents follow the
+    redirect clipped to this one block; chains (a redirect into an
+    older tombstone) terminate because target versions strictly
+    decrease.
     """
 
     key: NodeKey
     target_version: int
+    target_span: int = 1
 
     def __post_init__(self) -> None:
         if self.key.span != 1:
@@ -137,59 +165,107 @@ class RedirectLeaf:
                 f"redirect target must be an older version >= 1, got "
                 f"{self.target_version} from {self.key.version}"
             )
+        if not 1 <= self.target_span <= RUN_SPAN:
+            raise ValueError(f"redirect target span must be a run span, got {self.target_span}")
 
     @property
     def target_key(self) -> NodeKey:
-        """Key of the leaf this redirect resolves to."""
-        return NodeKey(self.key.blob_id, self.target_version, self.key.offset, 1)
+        """Key of the node this redirect resolves through."""
+        return _covering_key(
+            self.key.blob_id, self.target_version, self.key.offset, self.target_span
+        )
+
+
+#: One run entry: the block's descriptor or, in a tombstone's filler,
+#: the key of the older node whose entry for that block it defers to.
+RunEntry = Union[AnyBlockDescriptor, NodeKey]
+
+
+@dataclass(frozen=True)
+class RunLeaf:
+    """One write's whole canonical subtree of 2..:data:`RUN_SPAN` blocks.
+
+    ``entries[i]`` describes block ``key.offset + i``.  Later snapshots
+    reference a run from any position inside it (a sibling of their own
+    path); every such reference enters the run clipped to its position,
+    so entries a later write overwrote are never read through it.
+    """
+
+    key: NodeKey
+    entries: tuple[RunEntry, ...]
+
+    def __post_init__(self) -> None:
+        if not 2 <= self.key.span <= RUN_SPAN:
+            raise ValueError(f"run span must be in [2, {RUN_SPAN}], got {self.key.span}")
+        if len(self.entries) != self.key.span:
+            raise ValueError(
+                f"run of span {self.key.span} carries {len(self.entries)} entries"
+            )
+
+    @cached_property
+    def redirects(self) -> tuple[tuple[int, NodeKey], ...]:
+        """``(block index, target key)`` of every redirect entry."""
+        base = self.key.offset
+        return tuple(
+            (base + i, entry)
+            for i, entry in enumerate(self.entries)
+            if type(entry) is NodeKey
+        )
 
 
 @dataclass(frozen=True)
 class InnerNode:
-    """An inner node: version references to its two half-range children.
+    """An inner node: references to its two half-range children.
 
     ``left_version``/``right_version`` name the snapshot whose node
     covers the child range (subtree sharing); ``None`` means the range
     lies entirely beyond the BLOB's size — no subtree exists there.
+    ``left_span``/``right_span`` are set only when that snapshot covers
+    the child range with a run wider than it: the referenced key is then
+    the run's (the aligned ``span``-block range containing the child).
     """
 
     key: NodeKey
     left_version: Optional[int]
     right_version: Optional[int]
+    left_span: Optional[int] = None
+    right_span: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.key.span < 2:
             raise ValueError(f"inner span must be >= 2, got {self.key.span}")
         if self.left_version is None and self.right_version is not None:
             raise ValueError("right subtree cannot exist without the left one")
+        for span in (self.left_span, self.right_span):
+            if span is not None and not self.half < span <= RUN_SPAN:
+                raise ValueError(f"a wider child reference must name a run, got span {span}")
 
     @property
     def half(self) -> int:
-        """Span of each child."""
+        """Span of each child position."""
         return self.key.span // 2
+
+    def _child(self, version: Optional[int], span: Optional[int], offset: int) -> Optional[NodeKey]:
+        if version is None:
+            return None
+        return _covering_key(self.key.blob_id, version, offset, span or self.half)
 
     @property
     def left_key(self) -> Optional[NodeKey]:
-        """Key of the left child (None if absent)."""
-        if self.left_version is None:
-            return None
-        return NodeKey(self.key.blob_id, self.left_version, self.key.offset, self.half)
+        """Key of the node covering the left half (None if absent)."""
+        return self._child(self.left_version, self.left_span, self.key.offset)
 
     @property
     def right_key(self) -> Optional[NodeKey]:
-        """Key of the right child (None if absent)."""
-        if self.right_version is None:
-            return None
-        return NodeKey(
-            self.key.blob_id, self.right_version, self.key.offset + self.half, self.half
-        )
+        """Key of the node covering the right half (None if absent)."""
+        return self._child(self.right_version, self.right_span, self.key.offset + self.half)
 
     def children(self) -> list[NodeKey]:
         """Existing child keys, left to right."""
         return [k for k in (self.left_key, self.right_key) if k is not None]
 
 
-TreeNode = Union[LeafNode, RedirectLeaf, InnerNode]
+TreeNode = Union[LeafNode, RedirectLeaf, RunLeaf, InnerNode]
 
 
 def root_span(size_blocks: int) -> int:
@@ -213,20 +289,43 @@ HistoryRecord = tuple[int, int, int]
 
 def latest_intersecting(
     history: Sequence[HistoryRecord], lo: int, hi: int, at_most: int
-) -> Optional[int]:
-    """Highest version ``<= at_most`` whose write range intersects [lo, hi).
+) -> Optional[HistoryRecord]:
+    """Record of the highest version ``<= at_most`` whose write range
+    intersects [lo, hi), or ``None``.
 
     This is the reference-prediction rule of §III-D: it determines which
     snapshot's node a new tree must point at for an untouched range,
     even while that snapshot's metadata is still being written by a
-    concurrent writer.
+    concurrent writer.  The record's range locates that node
+    (:func:`_node_span`).
     """
-    best: Optional[int] = None
-    for version, start, end in history:
+    best: Optional[HistoryRecord] = None
+    for record in history:
+        version, start, end = record
         if version <= at_most and start < hi and end > lo:
-            if best is None or version > best:
-                best = version
+            if best is None or version > best[0]:
+                best = record
     return best
+
+
+def _node_span(record: HistoryRecord, offset: int, span: int) -> int:
+    """Span of the node *record*'s version published over the canonical
+    position ``[offset, offset + span)``, which its write intersects.
+
+    A position wholly inside the write and at most :data:`RUN_SPAN`
+    wide lies inside one of its runs: the widest aligned ancestor still
+    inside the write and at most :data:`RUN_SPAN` wide.  Any other
+    position is a node of that version at the position itself.
+    """
+    _, start, end = record
+    if offset < start or offset + span > end:
+        return span
+    while span < RUN_SPAN:
+        parent = offset - offset % (2 * span)
+        if parent < start or parent + 2 * span > end:
+            break
+        span *= 2
+    return span
 
 
 def build_patch(
@@ -253,17 +352,17 @@ def build_patch(
             for each written absolute block index.
 
     Returns:
-        New nodes, leaves before parents (children-first order), root
+        New nodes, runs before parents (children-first order), root
         last — safe to store in order.
     """
+
+    def run(key: NodeKey) -> TreeNode:
+        if key.span == 1:
+            return LeafNode(key=key, block=leaf_descriptor(key.offset))
+        return RunLeaf(key=key, entries=tuple(map(leaf_descriptor, range(key.offset, key.end))))
+
     return _build_nodes(
-        blob_id,
-        version,
-        write_start,
-        write_end,
-        size_after_blocks,
-        history,
-        lambda key: LeafNode(key=key, block=leaf_descriptor(key.offset)),
+        blob_id, version, write_start, write_end, size_after_blocks, history, run
     )
 
 
@@ -281,15 +380,16 @@ def build_tombstone_patch(
 
     Later writers already wove references to *version*'s canonical
     nodes from the version-manager hints, so the tombstone publishes a
-    node at **every** canonical position its real patch would have
-    occupied — same keys, different content:
+    node at **every** key its real patch would have occupied — same
+    runs, different entries:
 
     * blocks the dead write would have *overwritten* (fully covered by
-      the prior woven state) become :class:`RedirectLeaf` nodes
-      pointing at the latest prior version intersecting them;
+      the prior woven state) defer to the node of the latest prior
+      version intersecting them (a :class:`RedirectLeaf`, or a target
+      key as the run entry);
     * blocks it would have *created* (beyond the prior size, or a
       prior trailing partial block the dead write extended) become
-      zero-filled leaves readers synthesise locally;
+      zero blocks readers synthesise locally;
     * ranges outside the dead write are ordinary version references,
       exactly as in :func:`build_patch`.
 
@@ -305,31 +405,27 @@ def build_tombstone_patch(
     """
     size_after_blocks = block_count(size_after, block_size)
 
-    def filler_leaf(key: NodeKey) -> TreeNode:
-        index = key.offset
+    def entry(index: int) -> RunEntry:
         need = min(block_size, size_after - index * block_size)
         prior_len = min(block_size, max(0, prior_size - index * block_size))
         target = latest_intersecting(history, index, index + 1, at_most=version - 1)
         if target is not None and prior_len == need:
-            return RedirectLeaf(key=key, target_version=target)
+            return _covering_key(blob_id, target[0], index, _node_span(target, index, 1))
         # No prior coverage — or partial coverage the dead write would
         # have extended, which block-granularity sharing cannot express:
         # the tombstone defines the whole block as zeros (DESIGN.md §7).
-        return LeafNode(
-            key=key,
-            block=ZeroBlockDescriptor(
-                blob_id=blob_id, version=version, index=index, size=need
-            ),
-        )
+        return ZeroBlockDescriptor(blob_id=blob_id, version=version, index=index, size=need)
+
+    def run(key: NodeKey) -> TreeNode:
+        if key.span > 1:
+            return RunLeaf(key=key, entries=tuple(map(entry, range(key.offset, key.end))))
+        only = entry(key.offset)
+        if type(only) is NodeKey:
+            return RedirectLeaf(key=key, target_version=only.version, target_span=only.span)
+        return LeafNode(key=key, block=only)
 
     return _build_nodes(
-        blob_id,
-        version,
-        write_start,
-        write_end,
-        size_after_blocks,
-        history,
-        filler_leaf,
+        blob_id, version, write_start, write_end, size_after_blocks, history, run
     )
 
 
@@ -340,7 +436,7 @@ def _build_nodes(
     write_end: int,
     size_after_blocks: int,
     history: Sequence[HistoryRecord],
-    leaf_node: Callable[[NodeKey], TreeNode],
+    run_node: Callable[[NodeKey], TreeNode],
 ) -> list[TreeNode]:
     """Shared recursion behind :func:`build_patch` and the tombstone patch."""
     if write_end <= write_start:
@@ -351,41 +447,77 @@ def _build_nodes(
         raise InvalidRange(
             f"write range [{write_start}, {write_end}) beyond size {size_after_blocks}"
         )
-    span = root_span(size_after_blocks)
     full_history = list(history) + [(version, write_start, write_end)]
     nodes: list[TreeNode] = []
 
     def build(offset: int, node_span: int) -> None:
         # Invariant: [offset, offset+node_span) intersects the write range.
         key = NodeKey(blob_id, version, offset, node_span)
-        if node_span == 1:
-            nodes.append(leaf_node(key))
+        if node_span <= RUN_SPAN and write_start <= offset and offset + node_span <= write_end:
+            nodes.append(run_node(key))
             return
         half = node_span // 2
-        child_versions: list[Optional[int]] = []
+        refs: list[tuple[Optional[int], Optional[int]]] = []
         for child_offset in (offset, offset + half):
             child_end = child_offset + half
             if child_offset < write_end and child_end > write_start:
                 build(child_offset, half)
-                child_versions.append(version)
+                refs.append((version, None))
             elif child_offset < size_after_blocks:
-                ref = latest_intersecting(
+                record = latest_intersecting(
                     full_history, child_offset, child_end, at_most=version
                 )
-                if ref is None:  # pragma: no cover - excluded by no-holes rule
+                if record is None:  # pragma: no cover - excluded by no-holes rule
                     raise BlobError(
                         f"no snapshot covers blocks [{child_offset}, {child_end}) "
                         f"of blob {blob_id!r}"
                     )
-                child_versions.append(ref)
+                span = _node_span(record, child_offset, half)
+                refs.append((record[0], span if span != half else None))
             else:
-                child_versions.append(None)
+                refs.append((None, None))
+        (left_version, left_span), (right_version, right_span) = refs
         nodes.append(
-            InnerNode(key=key, left_version=child_versions[0], right_version=child_versions[1])
+            InnerNode(
+                key=key,
+                left_version=left_version,
+                right_version=right_version,
+                left_span=left_span,
+                right_span=right_span,
+            )
         )
 
-    build(0, span)
+    build(0, root_span(size_after_blocks))
     return nodes
+
+
+def clipped_entries(node: TreeNode, lo: int, hi: int) -> Sequence[RunEntry]:
+    """The block-level entries a visit of *node* over blocks [lo, hi)
+    reaches, in block order: a leaf's descriptor, the clipped slice of
+    a run (redirect entries included), nothing for other nodes."""
+    if isinstance(node, RunLeaf):
+        base = node.key.offset
+        return node.entries[lo - base : hi - base]
+    if isinstance(node, LeafNode):
+        return (node.block,)
+    return ()
+
+
+def _references(node: TreeNode, lo: int, hi: int) -> Iterator[tuple[NodeKey, int, int]]:
+    """Every reference a visit of *node* over blocks [lo, hi) follows,
+    with the block range it enters the referenced node through."""
+    if isinstance(node, InnerNode):
+        mid = node.key.offset + node.half
+        if lo < mid and node.left_version is not None:
+            yield node.left_key, lo, min(hi, mid)
+        if hi > mid and node.right_version is not None:
+            yield node.right_key, max(lo, mid), hi
+    elif isinstance(node, RunLeaf):
+        for index, target in node.redirects:
+            if lo <= index < hi:
+                yield target, index, index + 1
+    elif isinstance(node, RedirectLeaf):
+        yield node.target_key, lo, hi
 
 
 class DescentPlan:
@@ -400,14 +532,17 @@ class DescentPlan:
                 plan.feed(key, fetch(key))         # any fetch mechanism
         blocks = plan.blocks()                     # ordered descriptors
 
-    The frontier exposes one tree level at a time, so a simulated client
-    can issue all fetches of a level in parallel — matching BlobSeer's
-    "requests sent asynchronously and processed in parallel" read path.
+    The frontier exposes one tree level at a time, each key once, so a
+    simulated client can issue all fetches of a level in parallel —
+    matching BlobSeer's "requests sent asynchronously and processed in
+    parallel" read path.  A run entered by several references (the
+    siblings of a later write's path inside it) is fetched once: every
+    reference enters it with its own clip, and a node fetched earlier
+    in the descent is re-entered without a fetch.
 
-    ``key_resolver`` supports *branched* BLOBs: child references name
-    only a version, and on a branch, versions up to the branch point
-    belong to the ancestor BLOB.  The resolver maps a child key to the
-    blob that owns its version (default: same blob).
+    ``key_resolver`` supports *branched* BLOBs: on a branch, versions
+    up to the branch point belong to the ancestor BLOB.  The resolver
+    maps a key to the blob that owns its version (default: same blob).
     """
 
     def __init__(
@@ -426,9 +561,16 @@ class DescentPlan:
         self.lo = lo
         self.hi = hi
         self._resolve = key_resolver if key_resolver is not None else (lambda k: k)
-        self._frontier: list[NodeKey] = [] if lo == hi else [self._resolve(root_key)]
+        self._frontier: list[NodeKey] = []
         self._outstanding: set[NodeKey] = set()
-        self._leaves: list[LeafNode] = []
+        #: Block ranges entering each key that awaits its fetch.
+        self._clips: dict[NodeKey, list[tuple[int, int]]] = {}
+        self._fetched: dict[NodeKey, TreeNode] = {}
+        #: Per block of [lo, hi): its descriptor once collected (a
+        #: redirect entry's target key until that resolves).
+        self._found: list[Optional[RunEntry]] = [None] * (hi - lo)
+        if lo < hi:
+            self._enter(root_key, lo, hi)
 
     @property
     def done(self) -> bool:
@@ -442,51 +584,48 @@ class DescentPlan:
         return frontier
 
     def feed(self, key: NodeKey, node: TreeNode) -> None:
-        """Supply a fetched node; schedules its relevant children."""
+        """Supply a fetched node; schedules the references it follows."""
         if key not in self._outstanding:
             raise BlobError(f"fed node {key} that was not requested")
         if node.key != key:
             raise BlobError(f"fetched node {node.key} does not match requested {key}")
         self._outstanding.discard(key)
-        if isinstance(node, LeafNode):
-            self._leaves.append(node)
+        self._fetched[key] = node
+        for lo, hi in self._clips.pop(key):
+            self._visit(node, lo, hi)
+
+    def _enter(self, key: NodeKey, lo: int, hi: int) -> None:
+        key = self._resolve(key)
+        node = self._fetched.get(key)
+        if node is not None:
+            self._visit(node, lo, hi)
             return
-        if isinstance(node, RedirectLeaf):
-            # Tombstone filler: the block lives under an older version's
-            # leaf — chase it like one more frontier level.
-            self._frontier.append(self._resolve(node.target_key))
-            return
-        for child in node.children():
-            if child.offset < self.hi and child.end > self.lo:
-                self._frontier.append(self._resolve(child))
+        clips = self._clips.setdefault(key, [])
+        if not clips:
+            self._frontier.append(key)
+        clips.append((lo, hi))
+
+    def _visit(self, node: TreeNode, lo: int, hi: int) -> None:
+        entries = clipped_entries(node, lo, hi)
+        if entries:
+            self._found[lo - self.lo : hi - self.lo] = entries
+        for key, sub_lo, sub_hi in _references(node, lo, hi):
+            self._enter(key, sub_lo, sub_hi)
 
     def blocks(self) -> list[AnyBlockDescriptor]:
         """Collected block descriptors in ascending block order."""
         if not self.done:
             raise BlobError("descent not finished")
-        leaves = sorted(self._leaves, key=lambda leaf: leaf.key.offset)
-        expected = range(self.lo, self.hi)
-        got = [leaf.key.offset for leaf in leaves]
-        if got != list(expected):
+        missing = [
+            self.lo + i
+            for i, found in enumerate(self._found)
+            if found is None or type(found) is NodeKey
+        ]
+        if missing:
             raise BlobError(
-                f"descent returned blocks {got}, expected {list(expected)}"
+                f"descent of [{self.lo}, {self.hi}) found no descriptor for blocks {missing}"
             )
-        return [leaf.block for leaf in leaves]
-
-
-def collect_blocks(
-    fetch: Callable[[NodeKey], TreeNode],
-    root_key: NodeKey,
-    lo: int,
-    hi: int,
-    key_resolver: Optional[Callable[[NodeKey], NodeKey]] = None,
-) -> list[AnyBlockDescriptor]:
-    """Synchronous driver over :class:`DescentPlan` (functional layer)."""
-    plan = DescentPlan(root_key, lo, hi, key_resolver=key_resolver)
-    while not plan.done:
-        for key in plan.take_frontier():
-            plan.feed(key, fetch(key))
-    return plan.blocks()
+        return self._found  # type: ignore[return-value]
 
 
 def collect_blocks_batched(
@@ -505,7 +644,7 @@ def collect_blocks_batched(
     """
     plan = DescentPlan(root_key, lo, hi, key_resolver=key_resolver)
     while not plan.done:
-        frontier = list(dict.fromkeys(plan.take_frontier()))
+        frontier = plan.take_frontier()
         nodes = fetch_many(frontier)
         for key in frontier:
             plan.feed(key, nodes[key])
@@ -516,34 +655,44 @@ def iter_reachable_batched(
     fetch_many: Callable[[list[NodeKey]], dict[NodeKey, TreeNode]],
     root_key: NodeKey,
     key_resolver: Optional[Callable[[NodeKey], NodeKey]] = None,
-    skip: Optional[set[NodeKey]] = None,
-) -> Iterable[TreeNode]:
-    """Every node reachable from *root_key*, one batched fetch per
-    tree level.
+    seen: Optional[set[NodeKey]] = None,
+) -> Iterable[tuple[TreeNode, int, int]]:
+    """Every node reachable from *root_key* as ``(node, lo, hi)``, one
+    batched fetch per tree level.
 
-    *skip* keys are neither fetched nor descended into: traversals that
-    dedupe shared subtrees (GC marking, the scrub's block sweep) pass
-    their seen-set, which both avoids re-yielding a node AND prunes its
-    whole subtree — a node already marked had its subtree marked too.
-    The caller may grow *skip* while consuming the iterator; keys
-    already fetched for the current level are still yielded.
+    ``[lo, hi)`` is the block range the visit reaches: the node's own
+    range, except for a run entered through a narrower reference, which
+    is visited once per such clip — only its entries inside a clip are
+    reachable from this root (:func:`clipped_entries`).
+
+    *seen* collects the keys this traversal (and earlier ones sharing
+    the set) visited whole; such keys are neither fetched nor descended
+    into again.  Traversals over many snapshots (GC marking, the
+    scrub's block sweep) share one set, which both avoids re-visiting a
+    node AND prunes its whole subtree — a node visited whole had its
+    subtree visited too.  A run visited only in part stays eligible.
     """
     resolve = key_resolver if key_resolver is not None else (lambda k: k)
-    frontier = [resolve(root_key)]
+    fetched: dict[NodeKey, TreeNode] = {}
+    frontier = [(resolve(root_key), root_key.offset, root_key.end)]
     while frontier:
         level = [
-            key
-            for key in dict.fromkeys(frontier)
-            if skip is None or key not in skip
+            (key, lo, hi)
+            for key, lo, hi in frontier
+            if seen is None or key not in seen
         ]
-        if not level:
-            return
-        nodes = fetch_many(level)
+        wanted = [key for key in dict.fromkeys(key for key, _, _ in level) if key not in fetched]
+        if wanted:
+            fetched.update(fetch_many(wanted))
         frontier = []
-        for key in level:
-            node = nodes[key]
-            yield node
-            if isinstance(node, InnerNode):
-                frontier.extend(resolve(child) for child in node.children())
-            elif isinstance(node, RedirectLeaf):
-                frontier.append(resolve(node.target_key))
+        for key, lo, hi in level:
+            if seen is not None:
+                if key in seen:
+                    continue
+                if lo == key.offset and hi == key.end:
+                    seen.add(key)
+            node = fetched[key]
+            yield node, lo, hi
+            frontier.extend(
+                (resolve(ref), ref_lo, ref_hi) for ref, ref_lo, ref_hi in _references(node, lo, hi)
+            )

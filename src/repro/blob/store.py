@@ -226,6 +226,13 @@ class LocalBlobStore:
         self._nonce = itertools.count(1)
         #: Guards the version manager and nothing else.
         self._lock = threading.Lock()
+        #: The write registry a GC sweep reads (DESIGN.md §5): one past
+        #: the newest nonce handed out and, per write not yet retired,
+        #: ``None`` until its version is assigned, then ``(blob_id,
+        #: version)`` until that version is published.
+        self._writes_lock = threading.Lock()
+        self._nonce_end = 1
+        self._open_writes: dict[int, Optional[tuple[str, int]]] = {}
         self._blob_counter = itertools.count(1)
 
     # -- lifecycle of the store itself ---------------------------------------------
@@ -287,6 +294,46 @@ class LocalBlobStore:
             self.vman_stats.record(round_trips=1, **counters)
             return fn()
 
+    # -- the write registry (GC safety, DESIGN.md §5) ---------------------------------
+
+    def _open_write(self) -> int:
+        """Draw a write's nonce and register the write as open."""
+        with self._writes_lock:
+            nonce = next(self._nonce)
+            self._nonce_end = nonce + 1
+            self._open_writes[nonce] = None
+            return nonce
+
+    def _close_write(self, nonce: int) -> None:
+        """Retire a finished write unless its version still waits for
+        publication (a lower version is in flight)."""
+        with self._writes_lock:
+            if self._open_writes.get(nonce) is None:  # unassigned (or retired)
+                self._open_writes.pop(nonce, None)
+            self._retire_published()
+
+    def _retire_published(self) -> None:
+        """Drop every registered write whose version is published."""
+        blob = self.version_manager.blob
+        self._open_writes = {
+            nonce: slot
+            for nonce, slot in self._open_writes.items()
+            if slot is None or slot[1] > blob(slot[0]).published
+        }
+
+    def gc_horizon(self) -> int:
+        """The oldest nonce a GC sweep must spare.
+
+        Every write still running, not yet started, or committed above
+        its BLOB's publication watermark has a nonce at or above this,
+        so blocks below it belong to writes whose outcome is final: a
+        published version's blocks are reachable from its snapshot, any
+        other block is garbage.
+        """
+        with self._writes_lock:
+            self._retire_published()
+            return min(self._open_writes, default=self._nonce_end)
+
     # -- lifecycle ---------------------------------------------------------------
 
     def create(
@@ -345,10 +392,30 @@ class LocalBlobStore:
         payloads = _split_payload(data, block_size)
         sizes = [p.size for p in payloads]
 
+        # The write stays registered from its nonce draw until its
+        # version is published, so a GC pass never sweeps its blocks.
+        nonce = self._open_write()
+        try:
+            return self._write_blocks(
+                blob_id, nonce, payloads, sizes, state.replication, offset, append
+            )
+        finally:
+            self._close_write(nonce)
+
+    def _write_blocks(
+        self,
+        blob_id: str,
+        nonce: int,
+        payloads: list[Payload],
+        sizes: list[int],
+        replication: int,
+        offset: Optional[int],
+        append: bool,
+    ) -> int:
         # Phase 1 — publish data blocks: scatter the (block, replica)
         # placements as one vector per provider, in parallel when the
-        # store has an I/O engine.  Neither the nonce (one atomic
-        # ``count`` draw under the GIL) nor the placement (the provider
+        # store has an I/O engine.  Neither the nonce (drawn under the
+        # write registry's own lock) nor the placement (the provider
         # manager serializes it) takes the store lock, so a writer never
         # waits out a version-manager flush to place its blocks.
         # With ``overlap_publish`` the scatter is only *launched* here
@@ -356,9 +423,8 @@ class LocalBlobStore:
         # the metadata weave/publish run while the blocks travel
         # (DESIGN.md §10) — except from the engine's loop thread, where
         # parking on futures only the loop can complete would deadlock.
-        nonce = next(self._nonce)
         placements = self.provider_manager.allocate(
-            len(payloads), sizes, replication=state.replication
+            len(payloads), sizes, replication=replication
         )
         overlap = (
             self.overlap_publish
@@ -392,6 +458,8 @@ class LocalBlobStore:
                     offset=None if append else offset,
                 )
             )
+            with self._writes_lock:
+                self._open_writes[nonce] = (blob_id, ticket.version)
             # Phase 3 — weave and publish metadata (concurrent by
             # design), settle the overlapped scatter, then report
             # completion (group-batched).

@@ -14,7 +14,7 @@ Exercise the anti-entropy maintenance pass (DESIGN.md §8)::
 
 Demonstrate the batched metadata pipeline (DESIGN.md §9)::
 
-    repro metadata             # sequential vs batched descent, with stats
+    repro metadata             # cold and warm batched descents, with stats
     repro metadata --blocks 96 --latency 0.002
 
 Demonstrate the group-commit publish pipeline (DESIGN.md §10)::
@@ -121,9 +121,9 @@ COMMANDS: dict = {
     ),
     "metadata": (
         demos.metadata_descent,
-        "batched-metadata demo: one read workload through the reference "
-        "per-node descent and the batched pipeline, with round-trip counts "
-        "and cache hit rates",
+        "batched-metadata demo: one read workload through the batched "
+        "descent over run leaves, with round-trip and node counts against "
+        "the tree depth, and cache hit rates",
         {
             "--blocks": _arg(int, 48, "blocks written before reading"),
             "--buckets": _arg(int, 8, "metadata buckets"),

@@ -190,8 +190,10 @@ class TestOfflineMetadataBuckets:
             metadata_replication=2,
         ))
         blob = store.create()
-        store.write(blob, 0, b"a" * (8 * BS))
-        store.write(blob, 0, b"b" * (8 * BS))  # v1 becomes garbage
+        # 512 blocks: eight runs and seven inner nodes per version, so
+        # v1's garbage spreads over every bucket.
+        store.write(blob, 0, b"a" * (512 * BS))
+        store.write(blob, 0, b"b" * (512 * BS))  # v1 becomes garbage
         store.metadata.store.fail_bucket("mdp-001")
         buckets = store.metadata.store.buckets
         holders = {
@@ -211,7 +213,7 @@ class TestOfflineMetadataBuckets:
         report = collect_garbage(store, blob, retain_from=2)
         assert calls == {name: int(name in holders) for name in buckets}
         assert report.nodes_deleted > 0
-        assert store.read(blob, version=2) == b"b" * (8 * BS)
+        assert store.read(blob, version=2) == b"b" * (512 * BS)
 
     def test_gc_survives_metadata_bucket_dying_mid_sweep(self):
         store = LocalBlobStore(config=StoreConfig(
@@ -237,3 +239,58 @@ class TestOfflineMetadataBuckets:
         victim.online = True
         assert report.nodes_deleted > 0
         assert store.read(blob, version=2) == b"b" * (4 * BS)
+
+
+class TestConcurrentWriters:
+    """A pass needs no quiescence: a write that scatters, publishes or
+    commits while it runs keeps every node and block (DESIGN.md §5)."""
+
+    KB = 1024
+
+    @pytest.fixture
+    def two_versions(self):
+        store = LocalBlobStore(config=StoreConfig(data_providers=4, block_size=self.KB))
+        blob = store.create()
+        store.append(blob, b"a" * (2 * self.KB))  # v1
+        store.append(blob, b"b" * (2 * self.KB))  # v2
+        yield store, blob
+        store.close()
+
+    def test_pass_between_scatter_and_assignment_spares_the_blocks(self, two_versions):
+        store, blob = two_versions
+        real_assign = store.publish_pipeline.assign
+        reports = []
+
+        def collect_then_assign(request):
+            # The writer's blocks are on their providers; no version yet.
+            reports.append(collect_garbage(store, blob, retain_from=2))
+            return real_assign(request)
+
+        store.publish_pipeline.assign = collect_then_assign
+        assert store.append(blob, b"c" * (2 * self.KB)) == 3
+        assert reports[0].blocks_deleted == 0
+        expected = b"a" * (2 * self.KB) + b"b" * (2 * self.KB) + b"c" * (2 * self.KB)
+        assert store.read(blob, version=3) == expected
+
+    def test_append_landing_during_the_mark_phase_survives(self, two_versions, monkeypatch):
+        import repro.blob.gc as gc_module
+
+        store, blob = two_versions
+        real_walk = gc_module.iter_reachable_batched
+        landed = []
+
+        def append_then_walk(*args, **kwargs):
+            if not landed:
+                landed.append(store.append(blob, b"c" * (2 * self.KB)))  # v3
+            return real_walk(*args, **kwargs)
+
+        monkeypatch.setattr(gc_module, "iter_reachable_batched", append_then_walk)
+        report = collect_garbage(store, blob, retain_from=2)
+        assert landed == [3]
+        assert report.nodes_deleted == 0 and report.blocks_deleted == 0
+        expected = b"a" * (2 * self.KB) + b"b" * (2 * self.KB) + b"c" * (2 * self.KB)
+        assert store.read(blob, version=3) == expected
+        # The next pass, with v3 published before it starts, marks it.
+        monkeypatch.setattr(gc_module, "iter_reachable_batched", real_walk)
+        collect_garbage(store, blob, retain_from=3)
+        assert store.read(blob, version=3) == expected

@@ -14,14 +14,16 @@ import threading
 import pytest
 
 from repro.blob import (
+    DescentPlan,
     LeafNode,
     LocalBlobStore,
     NodeKey,
+    RunLeaf,
     StoreConfig,
-    collect_blocks,
     collect_blocks_batched,
     collect_garbage,
 )
+from repro.blob.segment_tree import RUN_SPAN
 from repro.errors import ProviderUnavailable, VersionNotFound
 
 BS = 16
@@ -34,19 +36,30 @@ def make_store(**kwargs):
 
 
 def tree_depth(nblocks: int) -> int:
-    """Levels of a segment tree covering *nblocks* blocks."""
+    """Levels of a segment tree covering *nblocks* leaves."""
     depth = 1
     while (1 << (depth - 1)) < nblocks:
         depth += 1
     return depth
 
 
+def one_key_per_fetch(fetch, root, lo, hi, resolver):
+    """A :class:`DescentPlan` driven one node fetch at a time."""
+    plan = DescentPlan(root, lo, hi, key_resolver=resolver)
+    while not plan.done:
+        for key in plan.take_frontier():
+            plan.feed(key, fetch(key))
+    return plan.blocks()
+
+
 class TestRoundTripBound:
     def test_read_round_trips_scale_with_depth_not_nodes(self):
         """The acceptance bound: an N-block read performs O(tree depth)
-        batched metadata round trips; the scalar baseline pays one per
-        node visited (2N - 1 for a full single-version tree)."""
-        nblocks = 32
+        batched metadata round trips over a tree whose leaves are runs
+        of RUN_SPAN blocks; a per-node driver pays one per node visited
+        (2·runs - 1 for a full single-version tree)."""
+        nblocks = 4 * RUN_SPAN
+        runs = nblocks // RUN_SPAN
         store = make_store(metadata_cache_nodes=0)  # count the raw descent
         blob = store.create()
         store.append(blob, b"d" * (nblocks * BS))
@@ -54,41 +67,46 @@ class TestRoundTripBound:
         stats.reset()
         assert store.read(blob) == b"d" * (nblocks * BS)
         snap = stats.snapshot()
-        assert snap["round_trips"] == tree_depth(nblocks)  # 6 for 32 blocks
-        assert snap["keys_fetched"] == 2 * nblocks - 1
+        assert snap["round_trips"] == tree_depth(runs)  # 3 for 4 runs
+        assert snap["keys_fetched"] == 2 * runs - 1
         store.close()
 
-    def test_reference_descent_pays_per_node(self):
-        nblocks = 32
+    def test_per_node_driver_pays_per_node(self):
+        nblocks = 4 * RUN_SPAN
         store = make_store(metadata_cache_nodes=0)
         blob = store.create()
         store.append(blob, b"d" * (nblocks * BS))
         stats = store.metadata.store.stats
         stats.reset()
-        found = collect_blocks(
-            store.metadata.get_node, NodeKey(blob, 1, 0, nblocks), 0, nblocks
+        found = collect_blocks_batched(
+            lambda keys: {key: store.metadata.get_node(key) for key in keys},
+            NodeKey(blob, 1, 0, nblocks),
+            0,
+            nblocks,
         )
         assert len(found) == nblocks
-        assert stats.snapshot()["round_trips"] == 2 * nblocks - 1
+        assert stats.snapshot()["round_trips"] == 2 * (nblocks // RUN_SPAN) - 1
         store.close()
 
     def test_partial_range_visits_only_its_paths(self):
+        nblocks = 4 * RUN_SPAN
         store = make_store(metadata_cache_nodes=0)
         blob = store.create()
-        store.append(blob, b"d" * (32 * BS))
+        store.append(blob, b"d" * (nblocks * BS))
         stats = store.metadata.store.stats
         stats.reset()
         assert store.read(blob, offset=5 * BS, size=BS) == b"d" * BS
         snap = stats.snapshot()
-        assert snap["round_trips"] <= tree_depth(32)
-        assert snap["keys_fetched"] == tree_depth(32)  # one root-to-leaf path
+        depth = tree_depth(nblocks // RUN_SPAN)
+        assert snap["round_trips"] <= depth
+        assert snap["keys_fetched"] == depth  # one root-to-run path
         store.close()
 
     def test_batched_and_reference_descents_agree(self):
-        """Identical descriptors from both drivers on one store: full
-        and partial ranges of multi-version trees with shared subtrees,
-        a branch (keys resolve to the ancestor) and a tombstone's
-        redirect chase."""
+        """Identical descriptors from the level-batched driver and a
+        one-key-per-fetch driver on one store: full and partial ranges
+        of multi-version trees with shared subtrees, a branch (keys
+        resolve to the ancestor) and a tombstone's redirect chase."""
         store = make_store()
         blob = store.create("same")
         store.append(blob, b"a" * (7 * BS))
@@ -117,8 +135,8 @@ class TestRoundTripBound:
                     batched = collect_blocks_batched(
                         store.metadata.get_nodes, root, lo, hi, key_resolver=resolver
                     )
-                    assert batched == collect_blocks(
-                        store.metadata.get_node, root, lo, hi, key_resolver=resolver
+                    assert batched == one_key_per_fetch(
+                        store.metadata.get_node, root, lo, hi, resolver
                     )
                     compared += 1
                     zero_blocks += sum(d.is_zero for d in batched)
@@ -153,16 +171,17 @@ class TestCacheCoherence:
         garbage."""
         store = make_store()
         blob = store.create()
-        store.append(blob, b"a" * (4 * BS))  # v1
-        store.write(blob, 0, b"b" * BS)  # v2 rewrites block 0
-        assert store.read(blob, version=1) == b"a" * (4 * BS)  # caches v1
-        swept_key = NodeKey(blob, 1, 0, 1)  # v1's block-0 leaf: garbage at v2
+        store.append(blob, b"a" * (4 * BS))  # v1: run [0, 4)
+        store.append(blob, b"b" * (4 * BS))  # v2: run [4, 8)
+        store.write(blob, 4 * BS, b"c" * (4 * BS))  # v3 rewrites v2's run
+        assert store.read(blob, version=2) == b"a" * (4 * BS) + b"b" * (4 * BS)
+        swept_key = NodeKey(blob, 2, 4, 4)  # v2's run: garbage at v3
         assert store.metadata.get_node(swept_key)  # cached for sure
-        collect_garbage(store, blob, retain_from=2)
+        collect_garbage(store, blob, retain_from=3)
         with pytest.raises(VersionNotFound):
             store.metadata.get_node(swept_key)
-        # Retained snapshot still reads (shared v1 leaves survive).
-        assert store.read(blob, version=2) == b"b" * BS + b"a" * (3 * BS)
+        # Retained snapshot still reads (the shared v1 run survives).
+        assert store.read(blob, version=3) == b"a" * (4 * BS) + b"c" * (4 * BS)
         store.close()
 
     def test_write_abort_force_publish_supersedes_cached_real_nodes(self):
@@ -180,8 +199,8 @@ class TestCacheCoherence:
 
         def land_one_then_fail(nodes):
             for node in nodes:
-                if node.key.version == 2 and isinstance(node, LeafNode):
-                    real_patch([node])  # the real leaf lands ...
+                if node.key.version == 2 and isinstance(node, (LeafNode, RunLeaf)):
+                    real_patch([node])  # the real run lands ...
                     state["key"] = node.key
                     # ... and a concurrent client caches it (hint-woven
                     # descents may touch a peer's nodes pre-publication).
@@ -196,9 +215,9 @@ class TestCacheCoherence:
 
         assert store.snapshot(blob, 2).tombstone
         filler = store.metadata.get_node(state["key"])
-        assert not (
-            isinstance(filler, LeafNode) and not filler.block.is_zero
-        ), "cached pre-tombstone real leaf served after force-publish"
+        assert isinstance(filler, RunLeaf) and all(
+            entry.is_zero for entry in filler.entries
+        ), "cached pre-tombstone real run served after force-publish"
         assert store.read(blob, version=2) == b"a" * (2 * BS) + bytes(2 * BS)
         store.close()
 

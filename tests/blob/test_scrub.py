@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.blob import (
     LocalBlobStore,
+    NodeKey,
     ScrubReport,
     StoreConfig,
     collect_garbage,
@@ -68,10 +69,11 @@ class TestCleanStore:
     def test_scrub_is_idempotent_after_healing(self):
         store = make_store(metadata_replication=2)
         blob = store.create()
-        store.append(blob, b"a" * (4 * BS))
+        store.append(blob, b"a" * (4 * BS))  # one run node
         # Damage: one replica of every key loses its copy (a bucket that
         # was down during the writes and came back empty-handed).
-        victim = next(iter(store.metadata.store.buckets))
+        (key,) = store.metadata.all_node_keys()
+        victim = store.metadata.store.owners(key)[0]
         store.metadata.store.buckets[victim]._items.clear()
         first = store.scrub()
         assert first.replicas_healed > 0
@@ -134,7 +136,8 @@ class TestMetadataReconciliation:
             metadata_providers=6, metadata_replication=2, **engine_kwargs(io_workers)
         )
         blob = store.create()
-        victim = sorted(store.metadata.store.buckets)[0]
+        # The append publishes one run node; its first owner lags.
+        victim = store.metadata.store.owners(NodeKey(blob, 1, 0, 4))[0]
         store.metadata.store.fail_bucket(victim)
         store.append(blob, b"a" * (4 * BS))  # victim lags behind
         store.metadata.store.recover_bucket(victim)

@@ -9,11 +9,20 @@ from repro.blob import (
     LeafNode,
     NodeKey,
     build_patch,
-    collect_blocks,
+    collect_blocks_batched,
     latest_intersecting,
     root_span,
 )
+from repro.blob import segment_tree
 from repro.errors import BlobError, InvalidRange
+
+
+@pytest.fixture
+def paper_tree(monkeypatch):
+    """Runs of span 1: every write publishes the paper's tree (one leaf
+    per block), the shape these weaving and descent tests pin down.
+    Run leaves have their own tests in ``test_run_leaves.py``."""
+    monkeypatch.setattr(segment_tree, "RUN_SPAN", 1)
 
 
 def desc(index, version=1, nonce=1):
@@ -89,17 +98,18 @@ class TestLatestIntersecting:
     HISTORY = [(1, 0, 4), (2, 0, 2), (3, 4, 5)]
 
     def test_picks_highest_intersecting(self):
-        assert latest_intersecting(self.HISTORY, 0, 2, at_most=3) == 2
-        assert latest_intersecting(self.HISTORY, 2, 4, at_most=3) == 1
-        assert latest_intersecting(self.HISTORY, 4, 5, at_most=3) == 3
+        assert latest_intersecting(self.HISTORY, 0, 2, at_most=3) == (2, 0, 2)
+        assert latest_intersecting(self.HISTORY, 2, 4, at_most=3) == (1, 0, 4)
+        assert latest_intersecting(self.HISTORY, 4, 5, at_most=3) == (3, 4, 5)
 
     def test_at_most_excludes_future(self):
-        assert latest_intersecting(self.HISTORY, 0, 2, at_most=1) == 1
+        assert latest_intersecting(self.HISTORY, 0, 2, at_most=1) == (1, 0, 4)
 
     def test_none_when_uncovered(self):
         assert latest_intersecting(self.HISTORY, 8, 16, at_most=3) is None
 
 
+@pytest.mark.usefixtures("paper_tree")
 class TestBuildPatch:
     def test_initial_write_four_blocks(self):
         patch = build_patch("b", 1, 0, 4, 4, history=[], leaf_descriptor=desc)
@@ -186,7 +196,11 @@ class FakeMetadata:
         self.fetches += 1
         return self.nodes[key]
 
+    def get_many(self, keys):
+        return {key: self.get(key) for key in keys}
 
+
+@pytest.mark.usefixtures("paper_tree")
 class TestDescent:
     def _store_versions(self):
         md = FakeMetadata()
@@ -202,26 +216,26 @@ class TestDescent:
 
     def test_collect_full_range_latest(self):
         md = self._store_versions()
-        blocks = collect_blocks(md.get, NodeKey("b", 2, 0, 4), 0, 4)
+        blocks = collect_blocks_batched(md.get_many, NodeKey("b", 2, 0, 4), 0, 4)
         assert [b.index for b in blocks] == [0, 1, 2, 3]
         assert [b.version for b in blocks] == [1, 2, 2, 1]
 
     def test_collect_old_version_untouched(self):
         md = self._store_versions()
-        blocks = collect_blocks(md.get, NodeKey("b", 1, 0, 4), 0, 4)
+        blocks = collect_blocks_batched(md.get_many, NodeKey("b", 1, 0, 4), 0, 4)
         assert [b.version for b in blocks] == [1, 1, 1, 1]
 
     def test_collect_subrange_prunes_fetches(self):
         md = self._store_versions()
         before = md.fetches
-        blocks = collect_blocks(md.get, NodeKey("b", 2, 0, 4), 3, 4)
+        blocks = collect_blocks_batched(md.get_many, NodeKey("b", 2, 0, 4), 3, 4)
         assert [b.index for b in blocks] == [3]
         # root + right inner + one leaf = 3 fetches, not the whole tree
         assert md.fetches - before == 3
 
     def test_empty_range(self):
         md = self._store_versions()
-        assert collect_blocks(md.get, NodeKey("b", 2, 0, 4), 2, 2) == []
+        assert collect_blocks_batched(md.get_many, NodeKey("b", 2, 0, 4), 2, 2) == []
 
     def test_plan_rejects_out_of_root(self):
         with pytest.raises(InvalidRange):
@@ -263,6 +277,7 @@ class TestDescent:
         assert level_sizes == [1, 2, 4]
 
 
+@pytest.mark.usefixtures("paper_tree")
 class TestTombstonePatch:
     """Filler patches for aborted versions (DESIGN.md §7)."""
 
@@ -362,7 +377,7 @@ class TestTombstonePatch:
         put(LeafNode(key=NodeKey("b", 1, 0, 1), block=desc(0)))
         put(RedirectLeaf(key=NodeKey("b", 2, 0, 1), target_version=1))
         put(RedirectLeaf(key=NodeKey("b", 3, 0, 1), target_version=2))
-        blocks = collect_blocks(lambda k: store[k], NodeKey("b", 3, 0, 1), 0, 1)
+        blocks = collect_blocks_batched(lambda keys: {k: store[k] for k in keys}, NodeKey("b", 3, 0, 1), 0, 1)
         assert blocks == [desc(0)]
         # Zero leaves terminate a chain too.
         put(
@@ -372,7 +387,7 @@ class TestTombstonePatch:
             )
         )
         put(RedirectLeaf(key=NodeKey("b", 5, 1, 1), target_version=4))
-        [zero] = collect_blocks(lambda k: store[k], NodeKey("b", 5, 1, 1), 1, 2)
+        [zero] = collect_blocks_batched(lambda keys: {k: store[k] for k in keys}, NodeKey("b", 5, 1, 1), 1, 2)
         assert zero.is_zero and zero.size == 8
 
     def test_zero_descriptor_validation(self):

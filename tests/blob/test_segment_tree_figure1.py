@@ -9,8 +9,12 @@ The paper's Figure 1 shows three stages of one BLOB's metadata:
   (c) append of one more block, growing the root.
 
 These tests pin down the exact node set after each stage, including
-which subtrees are shared with earlier versions.
+which subtrees are shared with earlier versions.  They pin runs to span
+1, where every write publishes the paper's tree (one leaf per block);
+the last class shows the same three stages with run leaves.
 """
+
+import pytest
 
 
 from repro.blob import (
@@ -18,8 +22,15 @@ from repro.blob import (
     InnerNode,
     LeafNode,
     NodeKey,
+    RunLeaf,
     build_patch,
 )
+from repro.blob import segment_tree
+
+
+@pytest.fixture
+def paper_tree(monkeypatch):
+    monkeypatch.setattr(segment_tree, "RUN_SPAN", 1)
 
 
 def leaf_maker(version, nonce, start_block):
@@ -41,6 +52,7 @@ def keys(patch):
     return {n.key for n in patch}
 
 
+@pytest.mark.usefixtures("paper_tree")
 class TestFigure1A:
     """(a) Append four blocks to an empty BLOB: a complete 3-level tree."""
 
@@ -64,6 +76,7 @@ class TestFigure1A:
                 assert node.right_version in (1, None)
 
 
+@pytest.mark.usefixtures("paper_tree")
 class TestFigure1B:
     """(b) Overwrite: only the touched half is rebuilt, the rest shared."""
 
@@ -105,6 +118,7 @@ class TestFigure1B:
         assert right.right_key == NodeKey("fig1", 1, 3, 1)
 
 
+@pytest.mark.usefixtures("paper_tree")
 class TestFigure1C:
     """(c) Append one block: the root doubles, the old tree hangs intact."""
 
@@ -139,3 +153,44 @@ class TestFigure1C:
             "fig1", 3, 4, 5, 5, history=history, leaf_descriptor=leaf_maker(3, 3, 4)
         )
         assert len(patch) == 4
+
+
+class TestFigure1WithRunLeaves:
+    """The same three stages at the default ``RUN_SPAN``: each write's
+    range inside one canonical subtree is one run node."""
+
+    def test_append_four_blocks_is_one_run(self):
+        patch = build_patch("fig1", 1, 0, 4, 4, history=[], leaf_descriptor=leaf_maker(1, 1, 0))
+        (run,) = patch
+        assert isinstance(run, RunLeaf) and run.key == NodeKey("fig1", 1, 0, 4)
+        assert [entry.index for entry in run.entries] == [0, 1, 2, 3]
+
+    def test_overwrite_references_the_old_run(self):
+        patch = build_patch(
+            "fig1", 2, 1, 3, 4, history=[(1, 0, 4)], leaf_descriptor=leaf_maker(2, 2, 1)
+        )
+        by_key = {n.key: n for n in patch}
+        assert keys(patch) == {
+            NodeKey("fig1", 2, 0, 4),
+            NodeKey("fig1", 2, 0, 2),
+            NodeKey("fig1", 2, 2, 2),
+            NodeKey("fig1", 2, 1, 1),
+            NodeKey("fig1", 2, 2, 1),
+        }
+        # Untouched blocks 0 and 3 point into v1's run, not at leaves.
+        assert by_key[NodeKey("fig1", 2, 0, 2)].left_key == NodeKey("fig1", 1, 0, 4)
+        assert by_key[NodeKey("fig1", 2, 2, 2)].right_key == NodeKey("fig1", 1, 0, 4)
+
+    def test_append_one_block_after_overwrite(self):
+        patch = build_patch(
+            "fig1", 3, 4, 5, 5, history=[(1, 0, 4), (2, 0, 2)],
+            leaf_descriptor=leaf_maker(3, 3, 4),
+        )
+        assert keys(patch) == {
+            NodeKey("fig1", 3, 0, 8),
+            NodeKey("fig1", 3, 4, 4),
+            NodeKey("fig1", 3, 4, 2),
+            NodeKey("fig1", 3, 4, 1),
+        }
+        root = next(n for n in patch if n.key.span == 8)
+        assert root.left_key == NodeKey("fig1", 2, 0, 4)

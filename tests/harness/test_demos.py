@@ -106,15 +106,25 @@ def test_scrub_heal_converges(metadata_replication, seed):
 
 
 @pytest.mark.parametrize("io_workers", [0, 4])
-@pytest.mark.parametrize("blocks", [2, 5, 16])
-def test_metadata_descent_round_trips(blocks, io_workers):
+@pytest.mark.parametrize(
+    "blocks,depth,nodes",
+    [
+        (2, 1, 1),  # one run
+        (5, 4, 5),  # run [0, 4), then root, [4, 8), [4, 6) and leaf 4
+        (16, 1, 1),
+        # Runs [0, 64) and [64, 128) under [0, 128); the tail run
+        # [128, 130) hangs under six more inner nodes down to span 2.
+        (130, 8, 11),
+    ],
+)
+def test_metadata_descent_round_trips(blocks, depth, nodes, io_workers):
     report = demos.metadata_descent(
         blocks=blocks, buckets=4, latency=5e-4, io_workers=io_workers, reads=1
     )
     _passed(report)
-    depth = (blocks - 1).bit_length() + 1
-    assert report.measurements["reference_round_trips"] >= 2 * blocks - 1
-    assert report.measurements["cold_round_trips"] <= depth + 2
+    assert demos._tree_depth(blocks) == depth
+    assert report.measurements["cold_round_trips"] == depth
+    assert report.measurements["cold_nodes"] == nodes
 
 
 def test_metadata_descent_rereads_hit_the_node_cache():
