@@ -21,13 +21,13 @@ wraps *any* buffer-protocol object — ``bytes``, ``bytearray`` or
 re-materialized at every hop; the only sanctioned copies are
 
 * **copy-on-publish** (:meth:`BytesPayload.freeze`): a provider storing
-  a view over a *mutable* caller buffer snapshots it once, so published
-  blocks can never change underneath readers;
-* **the gather** (:meth:`BytesPayload.readinto`): a read assembles the
-  requested range into one preallocated buffer, each block copied
-  exactly once;
-* **the user-facing result** (:func:`materialize`): the final
-  ``bytes()`` handed back to the caller.
+  a view over any buffer but an immutable ``bytes`` object snapshots it
+  once, so published blocks can never change underneath readers;
+* **the gather** (:func:`concat`): a read joins its parts — stored
+  payloads, the covered windows of the two extremal blocks, zeros for
+  tombstone blocks — into ONE immutable ``bytes``, each byte copied
+  exactly once.  That copy *is* the read's result:
+  :func:`materialize` hands it back without copying again.
 
 :class:`CopyStats` counts those copies (and the bytes that legitimately
 crossed a provider boundary) per layer, which is how the tests pin the
@@ -105,10 +105,11 @@ class BytesPayload:
 
     ``data`` may be ``bytes``, ``bytearray`` or a ``memoryview``;
     :meth:`slice` returns a zero-copy view either way.  Ownership rules
-    (DESIGN.md §11): a payload over a *read-only* buffer is safe to
-    alias forever (published blocks are immutable); a payload over a
-    caller's *mutable* buffer is a transient view that a provider must
-    :meth:`freeze` before storing.
+    (DESIGN.md §11): a payload over a ``bytes`` object is safe to alias
+    forever (published blocks are immutable); a payload over any other
+    buffer — a read-only ``memoryview`` included, as its exporter may
+    still be written through another reference — is a transient view
+    that a provider must :meth:`freeze` before storing.
     """
 
     data: BytesLike
@@ -134,11 +135,6 @@ class BytesPayload:
         """True: contents are materialised."""
         return True
 
-    @property
-    def readonly(self) -> bool:
-        """Whether the backing buffer is immutable (safe to alias)."""
-        return memoryview(self.data).readonly
-
     def slice(self, start: int, length: int) -> "BytesPayload":
         """Zero-copy sub-view ``[start, start+length)`` (bounds-checked)."""
         if start < 0 or length < 0 or start + length > len(self.data):
@@ -156,41 +152,19 @@ class BytesPayload:
         """
         return memoryview(self.data)
 
-    def readinto(self, dest, start: int = 0, length: Optional[int] = None) -> int:
-        """Copy ``[start, start+length)`` into *dest*; returns bytes written.
-
-        The vectored-gather primitive: *dest* is a writable buffer
-        (typically a ``memoryview`` window of a read's single
-        preallocated result buffer), and this is the ONE copy a block's
-        bytes make on the read path.
-        """
-        if length is None:
-            length = len(self.data) - start
-        if start < 0 or length < 0 or start + length > len(self.data):
-            raise ValueError(
-                f"readinto [{start}, {start + length}) outside payload "
-                f"of {len(self.data)}B"
-            )
-        window = memoryview(dest)
-        if window.readonly:
-            raise TypeError("readinto needs a writable destination buffer")
-        if len(window) < length:
-            raise ValueError(
-                f"destination holds {len(window)}B, needed {length}B"
-            )
-        window[:length] = memoryview(self.data)[start : start + length]
-        return length
-
     def freeze(self) -> "BytesPayload":
         """An immutable-backed payload with the same contents.
 
-        Returns ``self`` (no copy) when the backing buffer is already
-        read-only; otherwise snapshots the view into fresh ``bytes`` —
-        the copy-on-publish providers perform so a stored block can
-        never alias a caller's mutable buffer (DESIGN.md §11).
+        Returns ``self`` (no copy) when the buffer is exported by a
+        ``bytes`` object, which nothing can mutate; otherwise snapshots
+        the view into fresh ``bytes`` — the copy-on-publish providers
+        perform so a stored block can never alias a caller's buffer
+        (DESIGN.md §11).  A read-only ``memoryview`` is no proof of
+        immutability: it may view a ``bytearray`` the caller still
+        writes through.
         """
         view = memoryview(self.data)
-        if view.readonly:
+        if type(view.obj) is bytes:
             return self
         return BytesPayload(view.tobytes())
 
@@ -227,11 +201,6 @@ class SyntheticPayload:
         """False: contents are not materialised."""
         return False
 
-    @property
-    def readonly(self) -> bool:
-        """Synthetic payloads have nothing to mutate."""
-        return True
-
     def slice(self, start: int, length: int) -> "SyntheticPayload":
         """Sub-payload of the same tag with the sliced size."""
         if start < 0 or length < 0 or start + length > self.nbytes:
@@ -241,10 +210,6 @@ class SyntheticPayload:
         return SyntheticPayload(length, tag=self.tag)
 
     def view(self) -> memoryview:
-        """Refused: synthetic payloads have no contents by construction."""
-        raise TypeError("synthetic payloads carry no bytes (simulation-only data)")
-
-    def readinto(self, dest, start: int = 0, length: Optional[int] = None) -> int:
         """Refused: synthetic payloads have no contents by construction."""
         raise TypeError("synthetic payloads carry no bytes (simulation-only data)")
 
@@ -263,21 +228,15 @@ Payload = Union[BytesPayload, SyntheticPayload]
 def concat(parts: list[Payload]) -> Payload:
     """Join payload parts: real bytes if all parts are real, else synthetic.
 
-    The real case gathers every part into ONE preallocated buffer via
-    :meth:`BytesPayload.readinto` (each byte copied exactly once) —
-    no intermediate per-part materialization, no join copy.  Mixed
+    The real case is ONE ``b"".join`` over the parts' buffers: each
+    byte is copied exactly once, straight into the immutable ``bytes``
+    that becomes the result — no preallocated buffer to copy out of
+    again, and :func:`materialize` then copies nothing.  Mixed
     concatenation degrades to synthetic (size-only) — mixing only
     happens in simulated experiments, never on the functional path.
     """
-    if all(p.is_real for p in parts):
-        if not parts:
-            return BytesPayload(b"")
-        buffer = bytearray(sum(p.size for p in parts))
-        position = 0
-        for part in parts:
-            part.readinto(memoryview(buffer)[position : position + part.size])
-            position += part.size
-        return BytesPayload(buffer)
+    if all(type(p) is BytesPayload for p in parts):
+        return BytesPayload(b"".join([p.data for p in parts]))
     return SyntheticPayload(sum(p.size for p in parts), tag="concat")
 
 

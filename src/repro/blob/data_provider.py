@@ -16,15 +16,14 @@ services many RPC streams at once.
 Payload ownership (DESIGN.md §11): an incoming payload may be a
 zero-copy *view* over the writer's buffer.  The provider **freezes** it
 on store — copy-on-publish — so a stored block never aliases a caller's
-mutable memory; a payload already backed by read-only bytes is stored
-as-is (no copy: immutability makes aliasing safe).  ``get`` returns the
-stored payload itself, aliased freely for the same reason.
+mutable memory; a payload already backed by a ``bytes`` object is
+stored as-is (no copy: immutability makes aliasing safe).  ``get``
+returns the stored payload itself, aliased freely for the same reason.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import threading
 import time
 from typing import Iterator, Optional, Sequence
@@ -37,6 +36,13 @@ __all__ = ["DataProviderCore"]
 
 class DataProviderCore:
     """One provider's block map plus capacity accounting.
+
+    The unit of work is the transfer *vector* (DESIGN.md §13): every
+    entry point — the one-block ``put``/``get`` included, as a vector
+    of one — pays its service delay once and then runs one locked body
+    per direction, :meth:`_put_vector` or :meth:`_get_vector`, with one
+    online check and one :class:`~repro.blob.block.CopyStats` record
+    per vector.
 
     Args:
         name: provider identity (placement and diagnostics key).
@@ -64,58 +70,90 @@ class DataProviderCore:
         self._blocks: dict[BlockId, Payload] = {}
         self._lock = threading.Lock()
         self.stored_bytes = 0
-        # Set (thread-locally) while an entry point that already paid
-        # the simulated latency (an async twin, a vector op) runs the
-        # sync body: its blocking sleep must not fire again, and must
-        # keep firing for plain sync callers on other threads.
-        self._defer_delay = threading.local()
 
     def _check_online(self) -> None:
         if not self.online:
             raise ProviderUnavailable(f"data provider {self.name} is down")
 
     def _service_delay(self) -> None:
-        if self.latency and not getattr(self._defer_delay, "active", False):
+        """Fail fast when down, else sleep one request's service time."""
+        self._check_online()
+        if self.latency:
             time.sleep(self.latency)
 
-    @contextlib.contextmanager
-    def _delay_paid(self):
-        """Suppress :meth:`_service_delay` for the enclosed sync calls;
-        restores, not clears, the flag, as deferrals nest (``aput_many``
-        → ``put_many`` → ``put``)."""
-        previous = getattr(self._defer_delay, "active", False)
-        self._defer_delay.active = True
-        try:
-            yield
-        finally:
-            self._defer_delay.active = previous
-
-    def put(self, block_id: BlockId, payload: Payload) -> None:
-        """Store a new block; rejects overwrites (immutability).
-
-        Copy-on-publish (DESIGN.md §11): a payload viewing a mutable
-        caller buffer is snapshotted here — outside the state lock, as
-        the copy models the receive path, not the block-map update — so
-        stored blocks are immutable from the moment they are published.
-        """
+    async def _aservice_delay(self) -> None:
+        """Coroutine twin of :meth:`_service_delay` (``asyncio.sleep``)."""
         self._check_online()
-        self._service_delay()
-        frozen = payload.freeze()
+        if self.latency:
+            await asyncio.sleep(self.latency)
+
+    def _put_vector(
+        self,
+        items: Sequence[tuple[BlockId, Payload]],
+        landed: Optional[list[BlockId]],
+    ) -> None:
+        """Store a vector of new blocks: the body of every put entry point.
+
+        Copy-on-publish (DESIGN.md §11) freezes each payload first —
+        outside the state lock, as the copy models the receive path,
+        not the block-map update — so stored blocks are immutable from
+        the moment they are published.  Then, under the lock, blocks
+        land in order behind the overwrite check (immutability): each
+        id is appended to *landed* as it lands, so when block k is
+        refused *landed* holds exactly the k stored before it — the
+        caller's rollback list.
+        """
+        frozen = []
+        transferred = copied = 0
+        for block_id, payload in items:
+            stored = payload.freeze()
+            size = payload.size
+            frozen.append((block_id, stored, size))
+            transferred += size
+            if stored is not payload:
+                copied += size
         if self.copy_stats is not None:
             self.copy_stats.record(
-                "provider.put",
-                transferred=payload.size,
-                copied=payload.size if frozen is not payload else 0,
+                "provider.put", transferred=transferred, copied=copied
             )
         with self._lock:
             self._check_online()
-            if block_id in self._blocks:
-                raise WriteConflict(
-                    f"block {block_id} already stored on {self.name}; "
-                    "blocks are immutable by design"
-                )
-            self._blocks[block_id] = frozen
-            self.stored_bytes += frozen.size
+            blocks = self._blocks
+            for block_id, stored, size in frozen:
+                if block_id in blocks:
+                    raise WriteConflict(
+                        f"block {block_id} already stored on {self.name}; "
+                        "blocks are immutable by design"
+                    )
+                blocks[block_id] = stored
+                self.stored_bytes += size
+                if landed is not None:
+                    landed.append(block_id)
+
+    def _get_vector(self, block_ids: Sequence[BlockId]) -> dict[BlockId, Payload]:
+        """The stored payloads of *block_ids*, absent ones omitted: the
+        body of every get entry point.
+
+        Returns the stored payloads themselves: published blocks are
+        immutable, so handing out aliased views is safe and free
+        (DESIGN.md §11).  Transfer bytes are counted by the *reader* at
+        its gather, where only the requested parts of extremal blocks
+        actually travel (§III-C).
+        """
+        found: dict[BlockId, Payload] = {}
+        with self._lock:
+            self._check_online()
+            blocks = self._blocks
+            for block_id in block_ids:
+                payload = blocks.get(block_id)
+                if payload is not None:
+                    found[block_id] = payload
+        return found
+
+    def put(self, block_id: BlockId, payload: Payload) -> None:
+        """Store one new block; rejects overwrites (immutability)."""
+        self._service_delay()
+        self._put_vector(((block_id, payload),), None)
 
     def put_many(
         self,
@@ -124,20 +162,12 @@ class DataProviderCore:
     ) -> None:
         """Store a vector of blocks for ONE service delay.
 
-        Each block then goes through :meth:`put` with its delay
-        deferred, so copy-on-publish, the overwrite check, accounting
-        and any monkeypatched ``put`` apply block by block.  Blocks land
-        in order and each id is appended to *landed* as it lands: when
-        block k fails, *landed* holds exactly the k stored before it —
-        the caller's rollback list.
+        Blocks land in order and each id is appended to *landed* as it
+        lands (see :meth:`_put_vector`): on failure *landed* is exactly
+        the stored prefix.
         """
-        self._check_online()
         self._service_delay()
-        with self._delay_paid():
-            for block_id, payload in items:
-                self.put(block_id, payload)
-                if landed is not None:
-                    landed.append(block_id)
+        self._put_vector(items, landed)
 
     async def aput_many(
         self,
@@ -147,70 +177,45 @@ class DataProviderCore:
         """Coroutine twin of :meth:`put_many` for the async I/O engine.
 
         The vector's service latency becomes ``asyncio.sleep`` — the
-        event loop interleaves many of these — and the state change
-        then delegates to the sync :meth:`put_many` with its blocking
-        sleep deferred, so the entry points can never drift: failure
-        injection, copy-on-publish, and accounting are one code path,
-        and a test monkeypatching ``provider.put`` intercepts both
-        engines.  The delegated section contains no await, so no other
+        event loop interleaves many of these — and the state change is
+        the same :meth:`_put_vector` body the sync entry points run, so
+        failure injection, copy-on-publish and accounting cannot drift
+        between engines.  The body contains no await, so no other
         coroutine interleaves mid-update.
         """
-        self._check_online()
-        if self.latency:
-            await asyncio.sleep(self.latency)
-        with self._delay_paid():
-            self.put_many(items, landed)  # asynclint: allow delegation, delay paid
+        await self._aservice_delay()
+        self._put_vector(items, landed)
 
     async def aput(self, block_id: BlockId, payload: Payload) -> None:
-        """Coroutine twin of :meth:`put`: a one-block :meth:`aput_many`."""
-        await self.aput_many([(block_id, payload)])
+        """Coroutine twin of :meth:`put`."""
+        await self._aservice_delay()
+        self._put_vector(((block_id, payload),), None)
 
     def get(self, block_id: BlockId) -> Payload:
-        """Fetch a block (KeyError if absent).
-
-        Returns the stored payload itself: published blocks are
-        immutable, so handing out an aliased view is safe and free
-        (DESIGN.md §11).  Transfer bytes are counted by the *reader* at
-        its gather, where only the requested parts of extremal blocks
-        actually travel (§III-C).
-        """
-        self._check_online()
+        """Fetch one stored block (KeyError if absent)."""
         self._service_delay()
-        with self._lock:
-            self._check_online()
-            return self._blocks[block_id]
+        return self._get_vector((block_id,))[block_id]
 
     def get_many(self, block_ids: Sequence[BlockId]) -> dict[BlockId, Payload]:
         """Fetch a vector of blocks for ONE service delay.
 
-        Each block goes through :meth:`get` with its delay deferred.
         Absent blocks are omitted, as in ``Bucket.get_many``: the gather
         fails them over to their next replica.  A provider that goes
-        down mid-vector raises :class:`ProviderUnavailable` for the
-        whole vector.
+        down before the vector is served raises
+        :class:`ProviderUnavailable` for the whole vector.
         """
-        self._check_online()
         self._service_delay()
-        found: dict[BlockId, Payload] = {}
-        with self._delay_paid():
-            for block_id in block_ids:
-                try:
-                    found[block_id] = self.get(block_id)
-                except KeyError:
-                    continue
-        return found
+        return self._get_vector(block_ids)
 
     async def aget_many(self, block_ids: Sequence[BlockId]) -> dict[BlockId, Payload]:
         """Coroutine twin of :meth:`get_many` (see :meth:`aput_many`)."""
-        self._check_online()
-        if self.latency:
-            await asyncio.sleep(self.latency)
-        with self._delay_paid():
-            return self.get_many(block_ids)  # asynclint: allow delegation, delay paid
+        await self._aservice_delay()
+        return self._get_vector(block_ids)
 
     async def aget(self, block_id: BlockId) -> Payload:
-        """Coroutine twin of :meth:`get`: a one-block :meth:`aget_many`."""
-        return (await self.aget_many([block_id]))[block_id]
+        """Coroutine twin of :meth:`get`."""
+        await self._aservice_delay()
+        return self._get_vector((block_id,))[block_id]
 
     def has(self, block_id: BlockId) -> bool:
         """Existence check (False when offline)."""

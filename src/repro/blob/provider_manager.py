@@ -295,19 +295,29 @@ class ProviderManagerCore:
                     f"replication {replication} impossible with {len(live)} live providers"
                 )
             primaries = self.policy.choose(count, live, self._rng, client)
+            # Blocks and bytes are tallied per primary, so a replica
+            # set is built, and its providers charged, once per primary
+            # per call rather than once per block.
+            tally: dict[str, list[int]] = {}
+            for primary, nbytes in zip(primaries, block_sizes):
+                counts = tally.get(primary)
+                if counts is None:
+                    tally[primary] = [1, nbytes]
+                else:
+                    counts[0] += 1
+                    counts[1] += nbytes
             live_names = [p.name for p in live]
-            placements: list[tuple[str, ...]] = []
-            for seq, primary in enumerate(primaries):
+            replica_sets: dict[str, tuple[str, ...]] = {}
+            for primary, (blocks, nbytes) in tally.items():
                 start = live_names.index(primary)
-                replicas = tuple(
+                replicas = replica_sets[primary] = tuple(
                     live_names[(start + r) % len(live_names)] for r in range(replication)
                 )
-                placements.append(replicas)
                 for name in replicas:
                     info = self._providers[name]
-                    info.blocks += 1
-                    info.bytes += block_sizes[seq]
-            return placements
+                    info.blocks += blocks
+                    info.bytes += nbytes
+            return [replica_sets[primary] for primary in primaries]
 
     def _release_one(self, name: str, nbytes: int) -> None:
         """Return one block's charge; caller holds ``self._lock``."""

@@ -61,7 +61,7 @@ from repro.blob.block import (
     BytesPayload,
     CopyStats,
     Payload,
-    SyntheticPayload,
+    concat,
     materialize,
 )
 from repro.blob.async_engine import AsyncIOEngine
@@ -92,7 +92,7 @@ from repro.errors import (
     VersionNotFound,
 )
 from repro.util.bytesize import parse_size
-from repro.util.chunks import dest_windows, split_range
+from repro.util.chunks import split_range
 from repro.util.throttle import TokenBucket
 
 __all__ = [
@@ -153,11 +153,18 @@ def _split_payload(data: Union[bytes, Payload], block_size: int) -> list[Payload
     payload: Payload = (
         BytesPayload(data) if isinstance(data, (bytes, bytearray, memoryview)) else data
     )
-    if payload.size == 0:
+    size = payload.size
+    if size == 0:
         raise InvalidRange("cannot write zero bytes")
+    if isinstance(payload, BytesPayload):
+        view = memoryview(payload.data)
+        return [
+            BytesPayload(view[lo : lo + block_size])
+            for lo in range(0, size, block_size)
+        ]
     return [
-        payload.slice(s.offset, s.length)
-        for s in split_range(0, payload.size, block_size)
+        payload.slice(lo, min(block_size, size - lo))
+        for lo in range(0, size, block_size)
     ]
 
 
@@ -754,15 +761,15 @@ class LocalBlobStore:
         Passing the :class:`SnapshotInfo` a reader already holds as
         *version* makes this a pinned read: no vman round trip.
 
-        Vectored gather (DESIGN.md §11): ONE ``bytearray`` is
-        preallocated for the whole range and every touched block copies
-        its covered run directly into its disjoint window — fetched as
-        one ``get_many`` per provider, the vectors in parallel over the
-        I/O engine — so the read path materializes each byte exactly
-        once.  Tombstone zero ranges cost nothing (the buffer
-        is born zeroed), and a read covering exactly one whole stored
-        block aliases the provider's immutable payload with no copy at
-        all.
+        Vectored gather (DESIGN.md §11): the touched blocks are fetched
+        as one ``get_many`` per provider — the vectors in parallel over
+        the I/O engine — and become the parts of one :func:`concat`:
+        each interior block's stored payload itself, the covered window
+        of the two extremal blocks, zeros for tombstone blocks.  The
+        join copies each byte exactly once into the immutable result,
+        so the read path materializes nothing else.  A read covering
+        exactly one whole stored block aliases the provider's immutable
+        payload with no copy at all.
         """
         pinned = isinstance(version, SnapshotInfo)
         info = version if pinned else self.snapshot(blob_id, version)
@@ -778,38 +785,43 @@ class LocalBlobStore:
             descriptors = self._collect_descriptors(info, offset, size)
 
             fetched = self._fetch_blocks(descriptors)
+            # The covered run of the extremal blocks: [first, block end)
+            # of the first, [0, last_end) of the last (§III-C).
+            block_size = info.block_size
+            first = offset % block_size
+            last_end = (offset + size - 1) % block_size + 1
             if len(descriptors) == 1 and fetched:
-                slice_ = split_range(offset, size, info.block_size)[0]
-                if slice_.start == 0 and slice_.length == fetched[0].size:
+                payload = fetched[0]
+                if first == 0 and last_end == payload.size:
                     # Whole-block read: hand out the stored payload itself
                     # — published blocks are immutable, aliasing is free.
                     self.copy_stats.record("read.alias", transferred=size)
-                    return fetched[0]
+                    return payload
 
-            buffer = bytearray(size)
-            windows = dest_windows(buffer, offset, size, info.block_size)
-            synthetic = False
+            parts: list[Payload] = []
             copied = 0
-            for i, payload in fetched.items():
-                slice_, window = windows[i]
-                want_end = slice_.start + slice_.length
-                if want_end > payload.size:
-                    raise InvalidRange(
-                        f"block {descriptors[i].index} holds {payload.size}B, "
-                        f"needed [{slice_.start}, {want_end})"
-                    )
-                if isinstance(payload, SyntheticPayload):
-                    synthetic = True
+            end_at = len(descriptors) - 1
+            for i, descriptor in enumerate(descriptors):
+                start = first if i == 0 else 0
+                end = last_end if i == end_at else block_size
+                payload = fetched.get(i)
+                if payload is None:  # a tombstone block reads as zeros
+                    parts.append(BytesPayload(bytes(end - start)))
                     continue
-                copied += payload.readinto(window, start=slice_.start, length=slice_.length)
-            if copied:
+                stored = payload.size
+                if end > stored:
+                    raise InvalidRange(
+                        f"block {descriptor.index} holds {stored}B, "
+                        f"needed [{start}, {end})"
+                    )
+                copied += end - start
+                if start or end != stored:
+                    payload = payload.slice(start, end - start)
+                parts.append(payload)
+            result = concat(parts)
+            if copied and result.is_real:
                 self.copy_stats.record("read.gather", copied=copied, transferred=copied)
-            if synthetic:
-                # Some blocks were synthetic stand-ins carrying no bytes
-                # (benchmark writes): the assembled range is synthetic too,
-                # exactly as the old ``concat`` of mixed parts behaved.
-                return SyntheticPayload(size, tag="concat")
-            return BytesPayload(buffer)
+            return result
         except (VersionNotFound, ProviderUnavailable):
             # A tree node or a block is gone.  Only now is the version
             # manager asked about a pin again: if the GC swept it the
@@ -862,29 +874,30 @@ class LocalBlobStore:
         fetched: dict[int, Payload] = {}
         cursor = [0] * len(descriptors)  # per block: next replica to ask
         pending = [i for i, d in enumerate(descriptors) if not d.is_zero]
+        providers = self.providers
 
         def fetch(vector) -> dict:
-            provider_name, indices = vector
-            block_ids = [descriptors[i].block_id for i in indices]
+            provider_name, _, block_ids = vector
             try:
-                return self.providers[provider_name].get_many(block_ids)
+                return providers[provider_name].get_many(block_ids)
             except ProviderUnavailable:
                 return {}  # down since the online check: all to the next replica
 
         async def afetch(vector) -> dict:
-            provider_name, indices = vector
-            block_ids = [descriptors[i].block_id for i in indices]
+            provider_name, _, block_ids = vector
             try:
-                return await self.providers[provider_name].aget_many(block_ids)
+                return await providers[provider_name].aget_many(block_ids)
             except ProviderUnavailable:
                 return {}
 
         while pending:
+            # Liveness is looked up once per provider per round.
+            live = {name: provider.online for name, provider in providers.items()}
             by_provider: dict[str, list[int]] = {}
             for i in pending:
                 replicas = descriptors[i].providers
                 k = cursor[i]
-                while k < len(replicas) and not self.providers[replicas[k]].online:
+                while k < len(replicas) and not live[replicas[k]]:
                     k += 1
                 if k == len(replicas):
                     raise ProviderUnavailable(
@@ -893,12 +906,15 @@ class LocalBlobStore:
                     )
                 cursor[i] = k + 1
                 by_provider.setdefault(replicas[k], []).append(i)
-            vectors = list(by_provider.items())
+            vectors = [
+                (name, indices, [descriptors[i].block_id for i in indices])
+                for name, indices in by_provider.items()
+            ]
             found = self._map_io(fetch, vectors, afn=afetch, dest=lambda vector: vector[0])
             pending = []
-            for (_, indices), payloads in zip(vectors, found):
-                for i in indices:
-                    payload = payloads.get(descriptors[i].block_id)
+            for (_, indices, block_ids), payloads in zip(vectors, found):
+                for i, block_id in zip(indices, block_ids):
+                    payload = payloads.get(block_id)
                     if payload is None:
                         pending.append(i)
                     else:

@@ -474,8 +474,8 @@ class SimBlobSeer:
             )
         results = yield self.engine.all_of(fetches)
         total = sum(results[p].size for p in fetches)
-        # ``concat`` gathers real parts into ONE preallocated buffer
-        # (vectored assembly, DESIGN.md §11); mixed/synthetic parts
+        # ``concat`` joins real parts into ONE immutable result (each
+        # byte copied once, DESIGN.md §11); mixed/synthetic parts
         # degrade to a synthetic payload of the same size.
         return SyntheticPayload(total, tag=blob_id) if not all(
             results[p].is_real for p in fetches

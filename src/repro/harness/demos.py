@@ -394,8 +394,8 @@ def zero_copy_round_trip(
     the per-layer :class:`~repro.blob.block.CopyStats` byte accounting.
 
     The append chunks the caller's buffer into ``memoryview`` windows
-    (immutable input: no copy at all), each read gathers every block
-    into ONE preallocated buffer (DESIGN.md §11) — so an N-byte read
+    (immutable input: no copy at all), each read joins every block
+    into ONE immutable result (DESIGN.md §11) — so an N-byte read
     materializes at most N bytes client-side.
     """
     size = max(blocks, 2) * block_size

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 __all__ = [
     "BlockSlice",
     "split_range",
-    "dest_windows",
     "block_count",
     "align_down",
 ]
@@ -70,31 +69,6 @@ def split_range(offset: int, size: int, block_size: int) -> list[BlockSlice]:
         position += length
         remaining -= length
     return slices
-
-
-def dest_windows(
-    buffer, offset: int, size: int, block_size: int
-) -> list[tuple[BlockSlice, memoryview]]:
-    """Pair each slice of a range with its window of a gather buffer.
-
-    *buffer* is the ONE preallocated destination for the byte range
-    ``[offset, offset+size)`` (so ``len(buffer) >= size``); the returned
-    ``(slice, window)`` pairs map each touched block onto the zero-copy
-    ``memoryview`` window of *buffer* its bytes belong in.  Windows are
-    disjoint, so concurrent per-block gathers may fill them in parallel
-    — the vectored-read primitive shared by the blob store, the client
-    caches and the HDFS shim (DESIGN.md §11).
-    """
-    slices = split_range(offset, size, block_size)
-    view = memoryview(buffer)
-    if view.readonly:
-        raise TypeError("gather destination must be a writable buffer")
-    if len(view) < size:
-        raise ValueError(f"gather buffer holds {len(view)}B, range needs {size}B")
-    return [
-        (s, view[s.offset - offset : s.end - offset])
-        for s in slices
-    ]
 
 
 def block_count(size: int, block_size: int) -> int:

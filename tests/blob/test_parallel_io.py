@@ -43,15 +43,19 @@ class TestStoreParallelPaths:
         store.append(blob, b"q" * (4 * BS))
         primary = store.block_locations(blob, 0, BS)[0].providers[0]
         # The regression: a provider that passes the ``online`` check
-        # but raises ProviderUnavailable from get() (it died between
-        # check and fetch) must fail over, not abort the read.
+        # but raises ProviderUnavailable while serving its vector (it
+        # died between check and fetch) must fail over, not abort the
+        # read.
         provider = store.providers[primary]
+        raised = []
 
-        def get_raising(block_id):
+        def get_raising(block_ids):
+            raised.append(block_ids)
             raise ProviderUnavailable(f"{primary} died mid-fetch")
 
-        provider.get = get_raising
+        provider._get_vector = get_raising
         assert store.read(blob) == b"q" * (4 * BS)
+        assert raised  # the injection really fired
         store.close()
 
     def test_read_fails_only_when_every_replica_is_gone(self, io_workers):

@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 
 from repro.blob import BytesPayload, DataProviderCore, LocalBlobStore, StoreConfig
 from repro.blob import data_provider as data_provider_module
-from repro.errors import ProviderUnavailable
+from repro.errors import ProviderUnavailable, WriteConflict
 
 BS = 8
 #: Inline I/O, the I/O engine, and the engine behind a one-slot
@@ -45,16 +45,17 @@ def payload(size, salt=0):
 
 
 def record_calls(store, attr):
-    """Wrap ``put_many``/``get_many`` on every provider; returns the
-    call log, one ``(provider, block ids)`` entry per call.  The async
-    twins delegate to the sync methods, so every engine mode is seen."""
+    """Wrap a vector body, ``_put_vector`` or ``_get_vector``, on every
+    provider; returns the call log, one ``(provider, block ids)`` entry
+    per vector.  Every entry point, sync or async, runs its body once
+    per vector, so every engine mode is seen."""
     log = []
     lock = threading.Lock()
     for name, provider in store.providers.items():
         real = getattr(provider, attr)
 
         def wrapped(items, *rest, _real=real, _name=name):
-            ids = tuple(item[0] if attr == "put_many" else item for item in items)
+            ids = tuple(item[0] if attr == "_put_vector" else item for item in items)
             with lock:
                 log.append((_name, ids))
             return _real(items, *rest)
@@ -64,19 +65,22 @@ def record_calls(store, attr):
 
 
 def fail_on_kth_put(provider, k):
-    """Make *provider*'s k-th ``put`` from now on raise; returns a list
-    that holds True once it did."""
-    real = provider.put
-    calls = itertools.count(1)
+    """Make the k-th block *provider* stores from now on fail: the
+    vector carrying it lands the blocks before it, then raises.
+    Returns a list that holds True once it did."""
+    real = provider._put_vector
+    seen = itertools.count(1)
     raised = []
 
-    def put(block_id, data):
-        if next(calls) == k:
-            raised.append(True)
-            raise ProviderUnavailable(f"{provider.name} failed on put {k}")
-        return real(block_id, data)
+    def put_vector(items, landed):
+        for position in range(len(items)):
+            if next(seen) == k:
+                real(items[:position], landed)
+                raised.append(True)
+                raise ProviderUnavailable(f"{provider.name} failed on put {k}")
+        return real(items, landed)
 
-    provider.put = put
+    provider._put_vector = put_vector
     return raised
 
 
@@ -120,21 +124,8 @@ class TestProviderVectors:
         asyncio.run(provider.aput_many([(block_id, BytesPayload(b"x")) for block_id in ids]))
         assert set(asyncio.run(provider.aget_many(ids))) == set(ids)
         assert blocking == [] and awaited == [0.5, 0.5]
-        provider.get(ids[0])  # the deferral ended with the twin
+        provider.get(ids[0])  # a plain sync call still blocks
         assert blocking == [0.5]
-
-    def test_nested_deferral_restores_the_outer_one(self, monkeypatch):
-        # aput_many defers for put_many, which defers for each put: the
-        # inner deferral must hand the flag back set, not cleared.
-        sleeps = []
-        monkeypatch.setattr(data_provider_module.time, "sleep", sleeps.append)
-        provider = DataProviderCore("p", latency=0.5)
-        with provider._delay_paid():
-            provider.put_many([(("b", 1, 0), BytesPayload(b"x"))])
-            provider.put(("b", 1, 1), BytesPayload(b"y"))
-        assert sleeps == []
-        provider.put(("b", 1, 2), BytesPayload(b"z"))
-        assert sleeps == [0.5]
 
     def test_put_many_reports_the_landed_prefix(self):
         provider = DataProviderCore("p")
@@ -148,13 +139,28 @@ class TestProviderVectors:
         assert landed == [("b", 1, 0), ("b", 1, 1), ("b", 1, 2)]
         assert set(provider.block_ids()) == set(landed)
 
+    def test_a_write_conflict_mid_vector_lands_exactly_the_prefix(self):
+        # The real overwrite check, not an injected failure: block 3 is
+        # already stored, so blocks 0-2 land and 4-5 never do.
+        provider = DataProviderCore("p")
+        provider.put(("b", 1, 3), BytesPayload(b"old"))
+        landed = []
+        with pytest.raises(WriteConflict):
+            provider.put_many(
+                [(("b", 1, i), BytesPayload(b"new")) for i in range(6)], landed
+            )
+        assert landed == [("b", 1, 0), ("b", 1, 1), ("b", 1, 2)]
+        assert set(provider.block_ids()) == set(landed) | {("b", 1, 3)}
+        assert provider.get(("b", 1, 3)).tobytes() == b"old"
+        assert provider.stored_bytes == 3 * 3 + 3
+
 
 class TestScatterAndGather:
     @pytest.mark.parametrize("providers, blocks", [(16, 1024), (4, 1024), (16, 1100)])
     def test_one_put_many_per_provider_per_64_blocks(self, mode, providers, blocks):
         with make_store(mode, data_providers=providers) as store:
             blob = store.create()
-            puts = record_calls(store, "put_many")
+            puts = record_calls(store, "_put_vector")
             data = payload(blocks * BS)
             store.append(blob, data)
             counts = store.provider_block_counts()
@@ -165,7 +171,7 @@ class TestScatterAndGather:
             if (providers, blocks) == (16, 1024):
                 assert len(puts) == 16
 
-            gets = record_calls(store, "get_many")
+            gets = record_calls(store, "_get_vector")
             assert store.read(blob) == data
             assert sorted(name for name, _ in gets) == sorted(store.providers)
 
@@ -178,7 +184,7 @@ class TestScatterAndGather:
             (block_id,) = [b for b in store.providers[first].block_ids() if b[2] == 5]
             store.providers[first].delete(block_id)
 
-            gets = record_calls(store, "get_many")
+            gets = record_calls(store, "_get_vector")
             assert store.read(blob) == data
             assert len(gets) == 4 + 1  # round 0: every provider; round 1: one
             assert gets[-1] == (second, (block_id,))
@@ -193,12 +199,12 @@ class TestScatterAndGather:
             moved = [i for i, loc in enumerate(locations) if loc.providers[0] == lost]
             victim = store.providers[lost]
 
-            def die(block_id):
+            def die(block_ids):
                 victim.fail()
                 raise ProviderUnavailable(f"{lost} died mid-vector")
 
-            victim.get = die
-            gets = record_calls(store, "get_many")
+            victim._get_vector = die
+            gets = record_calls(store, "_get_vector")
             assert store.read(blob) == data
             assert len(gets) == 4 + 1
             name, ids = gets[-1]
@@ -213,7 +219,7 @@ class TestScatterAndGather:
             lost, successor = store.block_locations(blob, 0, BS)[0].providers
             store.providers[lost].fail()
 
-            gets = record_calls(store, "get_many")
+            gets = record_calls(store, "_get_vector")
             assert store.read(blob) == data
             names = [name for name, _ in gets]
             assert lost not in names

@@ -144,16 +144,19 @@ class TestFailedWriteRollback:
         baseline_counts = store.provider_block_counts()
 
         victim = store.providers["provider-000"]
-        real_put = victim.put
+        real_put = victim._put_vector
 
-        def put_then_die(block_id, payload):
-            real_put(block_id, payload)
+        def put_then_die(items, landed):
+            # The vector's first block lands, then the victim dies: the
+            # rest of the vector meets an offline provider.
+            real_put(items[:1], landed)
             victim.fail()
+            real_put(items[1:], landed)
 
-        victim.put = put_then_die
+        victim._put_vector = put_then_die
         with pytest.raises(ProviderUnavailable):
             store.append(blob, b"x" * (2 * BS))
-        victim.put = real_put
+        victim._put_vector = real_put
 
         # One replica stranded on the (offline) victim: it keeps both
         # its physical copy and its allocator charge.
@@ -214,15 +217,15 @@ class TestFailedWriteRollback:
         pre_providers = snapshot_provider_state(store)
         pre_allocator = store.provider_manager.block_counts()
 
-        original = store.providers["provider-001"].put
+        original = store.providers["provider-001"]._put_vector
 
-        def interrupted_put(block_id, payload):
+        def interrupted_put(items, landed):
             raise KeyboardInterrupt
 
-        store.providers["provider-001"].put = interrupted_put
+        store.providers["provider-001"]._put_vector = interrupted_put
         with pytest.raises(KeyboardInterrupt):
             store.append(blob, b"x" * (2 * BS))
-        store.providers["provider-001"].put = original
+        store.providers["provider-001"]._put_vector = original
 
         assert snapshot_provider_state(store) == pre_providers
         assert store.provider_manager.block_counts() == pre_allocator

@@ -2,12 +2,15 @@
 
 DESIGN.md §11: the block path hands ``memoryview`` windows end-to-end —
 writes chunk the caller's buffer without copying (providers freeze on
-store, copy-on-publish), reads gather every block into ONE preallocated
-buffer.  These tests pin the ownership rules, prove reads stay
-byte-exact against a reference model across unaligned offsets, partial
-trailing blocks and tombstone zero ranges, and gate the byte counters:
-a read of N bytes must never materialize more than N bytes client-side.
+store, copy-on-publish), reads join every block's covered window into
+ONE immutable ``bytes`` that is the result itself.  These tests pin the
+ownership rules, prove reads stay byte-exact against a reference model
+across unaligned offsets, partial trailing blocks and tombstone zero
+ranges, and gate the byte counters: a read of N bytes must never
+materialize more than N bytes client-side.
 """
+
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +25,6 @@ from repro.blob import (
     concat,
 )
 from repro.errors import InvalidRange, ProviderUnavailable
-from repro.util.chunks import dest_windows
 
 BS = 16
 
@@ -57,52 +59,44 @@ class TestPayloadViews:
 
     def test_view_of_bytes_is_readonly(self):
         assert BytesPayload(b"abc").view().readonly
-        assert BytesPayload(b"abc").readonly
-        assert not BytesPayload(bytearray(b"abc")).readonly
-
-    def test_readinto_fills_window(self):
-        dest = bytearray(10)
-        n = BytesPayload(b"abcdef").readinto(memoryview(dest)[2:8], start=1, length=4)
-        assert n == 4
-        assert bytes(dest) == b"\x00\x00bcde\x00\x00\x00\x00"
-
-    def test_readinto_rejects_readonly_dest(self):
-        with pytest.raises((TypeError, ValueError)):
-            BytesPayload(b"abcd").readinto(memoryview(b"abcd"))
-
-    def test_readinto_rejects_overflow(self):
-        with pytest.raises(ValueError):
-            BytesPayload(b"abcdef").readinto(bytearray(3))
+        assert not BytesPayload(bytearray(b"abc")).view().readonly
 
     def test_freeze_copies_only_mutable_backing(self):
         immutable = BytesPayload(b"abc")
         assert immutable.freeze() is immutable
         backing = bytearray(b"abc")
         frozen = BytesPayload(backing).freeze()
-        assert frozen.readonly
+        assert frozen.view().readonly
         backing[0] = ord(b"Z")
         assert frozen.tobytes() == b"abc"
 
-    def test_concat_gathers_without_join(self):
+    def test_freeze_copies_a_readonly_view_of_a_mutable_buffer(self):
+        backing = bytearray(b"abc")
+        payload = BytesPayload(memoryview(backing).toreadonly())
+        frozen = payload.freeze()
+        assert frozen is not payload
+        backing[0] = ord(b"Z")
+        assert frozen.tobytes() == b"abc"
+
+    def test_concat_joins_parts_once(self):
         parts = [BytesPayload(b"ab"), BytesPayload(bytearray(b"cd")).slice(1, 1)]
         assert concat(parts).tobytes() == b"abd"
         assert concat([]).tobytes() == b""
         mixed = concat([BytesPayload(b"ab"), SyntheticPayload(3)])
         assert isinstance(mixed, SyntheticPayload) and mixed.size == 5
+        # The join is the one copy: the result is immutable bytes, so
+        # materializing it copies nothing more.
+        joined = concat(parts)
+        assert type(joined.data) is bytes
+        assert joined.tobytes() is joined.data
 
-    def test_dest_windows_are_disjoint_and_cover(self):
-        buffer = bytearray(30)
-        windows = dest_windows(buffer, 10, 30, 16)
-        assert [w.nbytes for _, w in windows] == [6, 16, 8]
-        for i, (_, window) in enumerate(windows):
-            window[:] = bytes([i]) * window.nbytes
-        assert bytes(buffer) == b"\x00" * 6 + b"\x01" * 16 + b"\x02" * 8
-
-    def test_dest_windows_rejects_readonly_and_short_buffers(self):
-        with pytest.raises(TypeError):
-            dest_windows(b"\x00" * 30, 0, 30, 16)
-        with pytest.raises(ValueError):
-            dest_windows(bytearray(8), 0, 30, 16)
+    def test_concat_of_disjoint_windows_covers_the_range(self):
+        # Bytes [10, 40) over 16-byte blocks: the tail of block 0, all
+        # of block 1, the head of block 2 — in order, nothing twice.
+        blocks = [BytesPayload(bytes([i]) * 16) for i in range(3)]
+        parts = [blocks[0].slice(10, 6), blocks[1], blocks[2].slice(0, 8)]
+        assert [p.size for p in parts] == [6, 16, 8]
+        assert concat(parts).tobytes() == b"\x00" * 6 + b"\x01" * 16 + b"\x02" * 8
 
 
 class TestCopyOnPublish:
@@ -123,6 +117,19 @@ class TestCopyOnPublish:
         store.append(blob, b"x" * BS)
         store.write(blob, BS, memoryview(data))
         assert store.read(blob) == b"x" * BS + data
+        store.close()
+
+    def test_a_readonly_view_of_a_mutable_buffer_is_frozen(self):
+        # A read-only memoryview is no proof of immutability: the writer
+        # still holds the bytearray behind it, and a snapshot must not
+        # change when the writer reuses that buffer.
+        store = make_store()
+        blob = store.create()
+        backing = bytearray(b"a" * 3000)
+        version = store.append(blob, memoryview(backing).toreadonly())
+        backing[:] = b"z" * 3000
+        assert store.read(blob, 0, 10, version=version) == b"a" * 10
+        assert store.read(blob, version=version) == b"a" * 3000
         store.close()
 
     def test_immutable_bytes_are_stored_without_copy(self):
@@ -189,9 +196,38 @@ class TestReadBudget:
         store.copy_stats.reset()
         assert store.read(blob) == expected
         stats = store.copy_stats.snapshot()
-        # Only the two real blocks are gathered; the zero range rides
-        # the preallocated (pre-zeroed) buffer for free.
+        # Only the two real blocks are gathered; the zero range is
+        # synthesised by the reader and is no copy.
         assert stats["bytes_copied"] == 2 * BS
+        store.close()
+
+    def test_unaligned_read_across_a_tombstone(self, io_workers):
+        store = make_store(io_workers=io_workers)
+        blob = store.create()
+        store.append(blob, b"a" * BS)
+        undo = fail_publish_for_version(store, 2)
+        with pytest.raises(ProviderUnavailable):
+            store.append(blob, b"x" * (2 * BS))
+        undo()
+        store.append(blob, b"c" * BS)
+        store.copy_stats.reset()
+        got = store.read(blob, offset=BS - 3, size=2 * BS + 5)
+        assert got == b"a" * 3 + b"\x00" * (2 * BS) + b"c" * 2
+        assert type(got) is bytes
+        # Only the covered runs of the two real blocks are copied.
+        assert store.copy_stats.bytes_copied == 3 + 2
+        store.close()
+
+    def test_synthetic_blocks_read_back_synthetic(self, io_workers):
+        store = make_store(io_workers=io_workers)
+        blob = store.create()
+        store.append(blob, SyntheticPayload(4 * BS, tag="bench"))
+        store.copy_stats.reset()
+        for offset, size in [(0, 4 * BS), (3, 2 * BS), (BS, BS)]:
+            payload = store.read_payload(blob, offset=offset, size=size)
+            assert isinstance(payload, SyntheticPayload)
+            assert payload.size == size
+        assert store.copy_stats.bytes_copied == 0
         store.close()
 
     def test_out_of_range_read_still_rejected(self, io_workers):
@@ -202,6 +238,31 @@ class TestReadBudget:
             store.read(blob, offset=0, size=BS + 1)
         with pytest.raises(InvalidRange):
             store.read(blob, offset=-1, size=1)
+        store.close()
+
+
+class TestOneCopyRead:
+    """A read's one copy is its result (DESIGN.md §11)."""
+
+    def test_unaligned_2mb_read_peaks_near_its_size(self):
+        block = 4096
+        store = make_store(block_size=block, data_providers=16)
+        blob = store.create()
+        data = bytes(range(256)) * (3 * 1024 * 1024 // 256)
+        store.append(blob, data)
+        offset, size = 1000, 2 * 1024 * 1024
+        store.copy_stats.reset()
+        tracemalloc.start()
+        try:
+            got = store.read(blob, offset=offset, size=size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == data[offset : offset + size]
+        assert type(got) is bytes
+        assert peak <= 1.25 * size, peak / size
+        assert store.copy_stats.bytes_copied == size
+        assert store.copy_stats.bytes_result == size
         store.close()
 
 

@@ -1,7 +1,8 @@
 """The zero-copy hot-path lint must actually lint (tools/lint_zerocopy.py).
 
 Pins the contract of the CI step guarding DESIGN.md §11: a stray
-``.tobytes()`` or ``b"".join`` inside ``src/repro/blob/`` fails, the
+``.tobytes()``, ``b"".join`` or ``bytearray(`` inside
+``src/repro/blob/`` fails, the
 ``# zerocopy: allow`` escape hatch and comment/docstring occurrences do
 not, and the real tree is currently clean.
 """
@@ -39,6 +40,17 @@ def test_join_violation_is_caught(tmp_path):
     write(tmp_path, "other.py", "result = b'' . join(parts)\n")
     violations = lint_zerocopy.lint(tmp_path)
     assert len(violations) == 2
+
+
+def test_bytearray_violation_is_caught(tmp_path):
+    # A preallocated gather buffer brings the read's second copy back.
+    write(tmp_path, "store.py", "buffer = bytearray(size)\n")
+    write(tmp_path, "other.py", "scratch = bytearray (n)\nname = my_bytearray(n)\n")
+    write(tmp_path, "block.py", "buffer = bytearray(size)\n")
+    violations = lint_zerocopy.lint(tmp_path)
+    assert len(violations) == 2
+    assert "other.py:1" in violations[0]
+    assert "store.py:1" in violations[1] and "bytearray(" in violations[1]
 
 
 def test_allow_marker_and_comments_are_exempt(tmp_path):

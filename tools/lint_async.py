@@ -30,10 +30,13 @@ Without the coroutine twin the engine runs the blocking ``fn`` on the
 loop thread.  Blocking work with no twin goes to ``engine.submit``,
 which runs it on a helper thread.
 
-The sanctioned exceptions — the delegation pattern itself (an async
-twin, a bucket's or a provider's, that has already awaited the latency
-and calls its own sync body under ``_defer_delay``), or a fan-out whose
-``fn`` never blocks — are marked ``# asynclint: allow`` with a reason.
+The sanctioned exceptions — the delegation pattern itself (a DHT
+bucket's async twin, which has already awaited the latency and calls
+its own sync ``get_many``/``put_many`` under ``_defer_delay``), or a
+fan-out whose ``fn`` never blocks — are marked ``# asynclint: allow``
+with a reason.  A data provider's twins need no marker: they await the
+latency and call the provider's private vector body, which never
+sleeps.
 Comment and docstring occurrences never trip the lint — this is an AST
 walk, not a grep.
 """
@@ -162,8 +165,8 @@ def main() -> int:
         for violation in violations:
             print(f"  {violation}", file=sys.stderr)
         print(
-            "\nAwait (or pass afn=) the async twin instead, or — for the "
-            "sanctioned sync delegation under _defer_delay, or a fan-out "
+            "\nAwait (or pass afn=) the async twin instead, or — for a "
+            "bucket's sync delegation under _defer_delay, or a fan-out "
             f"that never blocks — mark the line '{ALLOW_MARKER} <reason>'.",
             file=sys.stderr,
         )

@@ -1,18 +1,21 @@
 """Zero-copy lint: forbid re-materialization in the blob hot path.
 
 The data-plane refactor (DESIGN.md §11) moved ``src/repro/blob/`` onto
-buffer views end-to-end: reads gather into ONE preallocated buffer,
-slices are ``memoryview`` windows, and the only sanctioned
-materialization is :func:`repro.blob.block.materialize`.  A stray
-``.tobytes()`` or ``b"".join`` creeping back in silently reintroduces
-per-byte copies that the figure benchmarks then mis-measure — so CI
-fails on any new occurrence::
+buffer views end-to-end: slices are ``memoryview`` windows, a read's
+ONE copy is :func:`repro.blob.block.concat`'s join straight into its
+immutable result, and the only other sanctioned materialization is
+:func:`repro.blob.block.materialize`.  A stray ``.tobytes()`` or
+``b"".join`` creeping back in silently reintroduces per-byte copies
+that the figure benchmarks then mis-measure, and so does a
+``bytearray(`` — a preallocated gather buffer must be copied out again
+to become an immutable result — so CI fails on any new occurrence::
 
     python tools/lint_zerocopy.py
 
 Scope: every module under ``src/repro/blob/`` except ``block.py``
-itself (payloads must implement ``tobytes`` somewhere — that is where
-``materialize`` lives and where the copies are *counted*).  A line that
+itself (payloads must implement ``tobytes`` and the join somewhere —
+that is where ``materialize`` and ``concat`` live and where the copies
+are *counted*).  A line that
 genuinely needs an exception carries ``# zerocopy: allow`` with a
 reason; comment-only occurrences (like the strings in this docstring)
 are ignored.
@@ -33,6 +36,7 @@ ALLOW_MARKER = "# zerocopy: allow"
 FORBIDDEN = [
     (re.compile(r"\.tobytes\s*\("), ".tobytes() call"),
     (re.compile(r"b(\"\"|'')\s*\.\s*join"), 'b"".join reassembly'),
+    (re.compile(r"\bbytearray\s*\("), "bytearray( gather buffer"),
 ]
 
 
