@@ -32,10 +32,8 @@ Demonstrate the multi-tenant gateway (DESIGN.md §12)::
     repro gateway              # N tenants, one greedy; fairness table
     repro gateway --tenants 8 --clients 64 --greedy-kbps 128
 
-Demonstrate the I/O engine (DESIGN.md §13)::
-
-    repro asyncio              # inline vs the coroutine engine on one big gather
-    repro asyncio --blocks 8192 --latency 0.003
+Each demo prints counts, never a timing, and exits 1 if a check
+fails.  Speed is measured by ``perf/run.py``.
 
 ``python -m repro.cli ...`` works identically.
 """
@@ -45,7 +43,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-import time
 from typing import Optional, Sequence
 
 from repro.deploy.platform import DEFAULT_CALIBRATION
@@ -58,11 +55,9 @@ __all__ = ["main", "build_parser", "COMMANDS"]
 def _figures(which: str, full: bool, seed: int, no_chart: bool) -> None:
     scale = FULL if full else QUICK
     for figure_id in sorted(ALL_FIGURES) if which == "all" else [which]:
-        started = time.time()
         result = ALL_FIGURES[figure_id](scale, seed=seed)
-        elapsed = time.time() - started
         print(render_figure(result, chart=not no_chart))
-        print(f"[{scale.name} scale, computed in {elapsed:.1f}s wall time]\n")
+        print(f"[{scale.name} scale]\n")
 
 
 def _calibration() -> None:
@@ -179,25 +174,6 @@ COMMANDS: dict = {
             ),
             "--workers": _arg(int, 16, "OS threads multiplexing clients"),
             "--seed": _arg(int, 0, "store RNG seed"),
-        },
-    ),
-    "asyncio": (
-        demos.engine_fanout,
-        "I/O-engine demo: one latency-bound gather of thousands of "
-        "blocks, inline vs the coroutine engine; prints both runs' "
-        "throughput and the engine's EngineStats and fails if the engine "
-        "grew more than a handful of OS threads or ran other than one task "
-        "per provider vector",
-        {
-            "--blocks": _arg(int, 4096, "blocks in the gathered read"),
-            "--block-size": _arg(parse_size, "2k", "block size (e.g. 2k, 64k)"),
-            "--latency": _arg(
-                float, 0.002, "simulated provider service time per request, seconds"
-            ),
-            "--providers": _arg(int, 16, "data providers striped over"),
-            "--max-in-flight": _arg(
-                int, 8192, "the engine's in-flight coroutine window"
-            ),
         },
     ),
 }

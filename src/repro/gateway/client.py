@@ -245,23 +245,6 @@ class GatewayClient:
         finally:
             self._gw.finish(self._state)
 
-    # -- maintenance -----------------------------------------------------------
-
-    def scrub(self):
-        """Run one anti-entropy pass, paced by the tenant's scrub rate.
-
-        One scrub-class admission; the pass itself is throttled to the
-        policy's ``scrub_ops_per_sec`` so a tenant's maintenance cannot
-        monopolize the store (DESIGN.md §8).
-        """
-        self._gw.admit(self._state, "scrub")
-        try:
-            return self._gw.store.scrub(
-                ops_per_sec=self._state.policy.scrub_ops_per_sec
-            )
-        finally:
-            self._gw.finish(self._state)
-
     # -- reporting -------------------------------------------------------------
 
     def stats(self) -> dict:

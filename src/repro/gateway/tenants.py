@@ -30,7 +30,7 @@ __all__ = ["TenantPolicy", "TenantState", "OP_CLASSES"]
 #: The gateway's admission op classes.  Namespace lookups (stat, list,
 #: exists, delete) ride the ``read`` bucket: they are cheap
 #: control-plane reads and a separate bucket would over-fit.
-OP_CLASSES = ("read", "append", "scrub")
+OP_CLASSES = ("read", "append")
 
 _TENANT_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}")
 
@@ -57,9 +57,6 @@ class TenantPolicy:
             operations (create/append streams, one token each).
         read_ops_per_sec: token-bucket rate for read-class operations
             (open/read/stat/list/exists/delete, one token each).
-        scrub_ops_per_sec: token-bucket rate for tenant-triggered scrub
-            passes — also the pace handed to the scrub itself, so one
-            tenant's maintenance cannot starve foreground I/O.
         bytes_per_sec: shared data-plane bandwidth bucket: every byte
             written or read through the gateway costs one token.
         max_in_flight: cap on a tenant's concurrently admitted
@@ -75,7 +72,6 @@ class TenantPolicy:
     quota_bytes: Optional[int] = None
     append_ops_per_sec: Optional[float] = None
     read_ops_per_sec: Optional[float] = None
-    scrub_ops_per_sec: Optional[float] = None
     bytes_per_sec: Optional[float] = None
     max_in_flight: Optional[int] = None
     burst_seconds: float = 1.0
@@ -85,12 +81,7 @@ class TenantPolicy:
         """Raise ``ValueError`` on nonsensical limits."""
         if self.quota_bytes is not None and self.quota_bytes < 0:
             raise ValueError(f"quota_bytes must be >= 0, got {self.quota_bytes}")
-        for name in (
-            "append_ops_per_sec",
-            "read_ops_per_sec",
-            "scrub_ops_per_sec",
-            "bytes_per_sec",
-        ):
+        for name in ("append_ops_per_sec", "read_ops_per_sec", "bytes_per_sec"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be > 0 (or None), got {value}")
@@ -124,7 +115,6 @@ class TenantState:
         self._op_buckets: dict[str, Optional[TokenBucket]] = {
             "append": self._bucket(policy.append_ops_per_sec),
             "read": self._bucket(policy.read_ops_per_sec),
-            "scrub": self._bucket(policy.scrub_ops_per_sec),
         }
         self.bytes_bucket = self._bucket(policy.bytes_per_sec)
 

@@ -398,19 +398,21 @@ class TestLifecycle:
 
 
 class TestStoreIntegration:
-    def test_async_store_gather_uses_few_threads(self):
+    @pytest.mark.parametrize("max_in_flight", [1, 64, 4096])
+    @pytest.mark.parametrize("providers", [2, 4, 8, 16])
+    def test_async_store_gather_uses_few_threads(self, providers, max_in_flight):
         # A many-block read on the engine: one engine task per provider
         # vector (not per block), their simulated latencies interleaved
-        # on the loop, and never a thread per task.  One metadata bucket
-        # keeps the descent off the engine, so every task counted is a
-        # gather vector.
+        # on the loop within the window, and never a thread per task.
+        # One metadata bucket keeps the descent off the engine, so every
+        # task counted is a gather vector.
         config = StoreConfig(
-            data_providers=8,
+            data_providers=providers,
             metadata_providers=1,
             block_size=512,
             provider_latency=0.001,
             io_workers=2,
-            max_in_flight=4096,
+            max_in_flight=max_in_flight,
         )
         with LocalBlobStore(config=config) as store:
             blob = store.create(block_size=512)
@@ -423,8 +425,10 @@ class TestStoreIntegration:
             store.io_engine.stats.reset()
             assert store.read(blob, 0, len(data), version=version) == data
             snap = store.io_engine.stats.snapshot()
-            assert snap["tasks_started"] == len(vectors) == 8
+            # Round-robin placement of 64 blocks touches every provider.
+            assert snap["tasks_started"] == len(vectors) == providers
             assert snap["threads_started"] <= 8
+            assert snap["in_flight_hwm"] <= max_in_flight
             assert snap["in_flight"] == 0
 
     def test_async_store_write_failure_rolls_back(self):

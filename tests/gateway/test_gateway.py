@@ -12,7 +12,6 @@ import time
 import pytest
 
 from repro.blob import StoreConfig
-from repro.blob import store as store_module
 from repro.errors import (
     AdmissionRejected,
     FileNotFound,
@@ -283,34 +282,6 @@ class TestAdmissionControl:
             assert not done.is_set()  # slowpoke is still paying its backlog
         finally:
             worker.join()
-
-    def test_scrub_pass_is_paced_at_the_tenant_scrub_rate(self, gateway, monkeypatch):
-        # A frozen clock: the k-th item the tenant's pass checks waits
-        # (k-1)/r at the policy's rate r.
-        slept = []
-        real_bucket = store_module.TokenBucket
-
-        def frozen_bucket(rate, burst):
-            return real_bucket(rate, burst, clock=lambda: 0.0, sleep=slept.append)
-
-        monkeypatch.setattr(store_module, "TokenBucket", frozen_bucket)
-        alice = connect(gateway, "alice", TenantPolicy(scrub_ops_per_sec=40))
-        alice.write_file("/f", b"x" * (3 * BS))
-        report = alice.scrub()
-        items = report.nodes_checked + report.blocks_checked
-        assert report.clean and items > 3
-        assert slept == [pytest.approx(k / 40) for k in range(1, items)]
-
-    def test_scrub_rides_its_own_op_class(self, gateway):
-        alice = connect(
-            gateway,
-            "alice",
-            TenantPolicy(append_ops_per_sec=1, burst_seconds=1, queue_timeout=0.0),
-        )
-        alice.write_file("/f", b"x")  # burns the append budget
-        report = alice.scrub()  # scrub class is unrated here
-        assert not report.errors
-        assert alice.stats()["ops"]["scrub"] == 1
 
 
 class TestSessionsAndStats:
