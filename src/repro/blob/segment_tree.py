@@ -33,7 +33,13 @@ following references into older versions wherever the range was not
 rewritten, collecting block descriptors.  A reference into a run wider
 than the referencing position enters it **clipped** to that position:
 a later overwrite inside an old run must never surface the run's stale
-entries.  :class:`DescentPlan` exposes the traversal as an explicit
+entries.  A reference whose child lies wholly inside its version's
+write is **covered**: every node below it is that version's, down to
+runs of :data:`RUN_SPAN` blocks at known keys, so the descent enters
+those runs directly and skips the levels between.  A read of a range
+one write produced whole costs one round per level down to the first
+covered reference on each path, plus one round for its runs.
+:class:`DescentPlan` exposes the traversal as an explicit
 frontier so the same algorithm drives both the in-process store and the
 simulated client (parallel RPC fetches per tree level).
 """
@@ -223,6 +229,10 @@ class InnerNode:
     ``left_span``/``right_span`` are set only when that snapshot covers
     the child range with a run wider than it: the referenced key is then
     the run's (the aligned ``span``-block range containing the child).
+    ``left_covered``/``right_covered`` say the child range lies wholly
+    inside that snapshot's write: every node below it is then that
+    snapshot's, down to its runs of :data:`RUN_SPAN` blocks, so a read
+    may enter those runs without fetching the nodes between.
     """
 
     key: NodeKey
@@ -230,6 +240,8 @@ class InnerNode:
     right_version: Optional[int]
     left_span: Optional[int] = None
     right_span: Optional[int] = None
+    left_covered: bool = False
+    right_covered: bool = False
 
     def __post_init__(self) -> None:
         if self.key.span < 2:
@@ -239,6 +251,10 @@ class InnerNode:
         for span in (self.left_span, self.right_span):
             if span is not None and not self.half < span <= RUN_SPAN:
                 raise ValueError(f"a wider child reference must name a run, got span {span}")
+        if (self.left_covered and self.left_version is None) or (
+            self.right_covered and self.right_version is None
+        ):
+            raise ValueError("an absent subtree cannot be covered")
 
     @property
     def half(self) -> int:
@@ -457,12 +473,12 @@ def _build_nodes(
             nodes.append(run_node(key))
             return
         half = node_span // 2
-        refs: list[tuple[Optional[int], Optional[int]]] = []
+        refs: list[tuple[Optional[int], Optional[int], bool]] = []
         for child_offset in (offset, offset + half):
             child_end = child_offset + half
             if child_offset < write_end and child_end > write_start:
                 build(child_offset, half)
-                refs.append((version, None))
+                record, span = (version, write_start, write_end), half
             elif child_offset < size_after_blocks:
                 record = latest_intersecting(
                     full_history, child_offset, child_end, at_most=version
@@ -473,10 +489,13 @@ def _build_nodes(
                         f"of blob {blob_id!r}"
                     )
                 span = _node_span(record, child_offset, half)
-                refs.append((record[0], span if span != half else None))
             else:
-                refs.append((None, None))
-        (left_version, left_span), (right_version, right_span) = refs
+                refs.append((None, None, False))
+                continue
+            ref_version, ref_start, ref_end = record
+            covered = ref_start <= child_offset and child_end <= ref_end
+            refs.append((ref_version, span if span != half else None, covered))
+        (left_version, left_span, left_covered), (right_version, right_span, right_covered) = refs
         nodes.append(
             InnerNode(
                 key=key,
@@ -484,6 +503,8 @@ def _build_nodes(
                 right_version=right_version,
                 left_span=left_span,
                 right_span=right_span,
+                left_covered=left_covered,
+                right_covered=right_covered,
             )
         )
 
@@ -503,21 +524,50 @@ def clipped_entries(node: TreeNode, lo: int, hi: int) -> Sequence[RunEntry]:
     return ()
 
 
-def _references(node: TreeNode, lo: int, hi: int) -> Iterator[tuple[NodeKey, int, int]]:
+def _references(
+    node: TreeNode, lo: int, hi: int, jump: bool = False
+) -> Iterator[tuple[NodeKey, int, int]]:
     """Every reference a visit of *node* over blocks [lo, hi) follows,
-    with the block range it enters the referenced node through."""
+    with the block range it enters the referenced node through.
+
+    With *jump*, a covered reference wider than :data:`RUN_SPAN` is not
+    entered at its own key but at the runs below it (:func:`_covered_runs`).
+    """
     if isinstance(node, InnerNode):
         mid = node.key.offset + node.half
+        wide = jump and node.half > RUN_SPAN
         if lo < mid and node.left_version is not None:
-            yield node.left_key, lo, min(hi, mid)
+            if wide and node.left_covered:
+                yield from _covered_runs(node.left_key, lo, min(hi, mid))
+            else:
+                yield node.left_key, lo, min(hi, mid)
         if hi > mid and node.right_version is not None:
-            yield node.right_key, max(lo, mid), hi
+            if wide and node.right_covered:
+                yield from _covered_runs(node.right_key, max(lo, mid), hi)
+            else:
+                yield node.right_key, max(lo, mid), hi
     elif isinstance(node, RunLeaf):
         for index, target in node.redirects:
             if lo <= index < hi:
                 yield target, index, index + 1
     elif isinstance(node, RedirectLeaf):
         yield node.target_key, lo, hi
+
+
+def _covered_runs(key: NodeKey, lo: int, hi: int) -> Iterator[tuple[NodeKey, int, int]]:
+    """The runs a covered reference to *key* over blocks [lo, hi) enters.
+
+    A covered position lies wholly inside the write of ``key.version``,
+    so every node below it is that version's, and at span
+    :data:`RUN_SPAN` each is a run (DESIGN.md §4): the reference enters
+    those runs, each clipped to it, without fetching the nodes between.
+    """
+    for offset in range(lo - lo % RUN_SPAN, hi, RUN_SPAN):
+        yield (
+            NodeKey(key.blob_id, key.version, offset, RUN_SPAN),
+            max(lo, offset),
+            min(hi, offset + RUN_SPAN),
+        )
 
 
 class DescentPlan:
@@ -533,7 +583,9 @@ class DescentPlan:
         blocks = plan.blocks()                     # ordered descriptors
 
     The frontier exposes one tree level at a time, each key once, so a
-    simulated client can issue all fetches of a level in parallel —
+    simulated client can issue all fetches of a level in parallel — a
+    covered reference wider than :data:`RUN_SPAN` puts its runs on the
+    next frontier in place of the levels below it (:func:`_covered_runs`) —
     matching BlobSeer's "requests sent asynchronously and processed in
     parallel" read path.  A run entered by several references (the
     siblings of a later write's path inside it) is fetched once: every
@@ -609,7 +661,7 @@ class DescentPlan:
         entries = clipped_entries(node, lo, hi)
         if entries:
             self._found[lo - self.lo : hi - self.lo] = entries
-        for key, sub_lo, sub_hi in _references(node, lo, hi):
+        for key, sub_lo, sub_hi in _references(node, lo, hi, jump=True):
             self._enter(key, sub_lo, sub_hi)
 
     def blocks(self) -> list[AnyBlockDescriptor]:
@@ -637,10 +689,11 @@ def collect_blocks_batched(
 ) -> list[AnyBlockDescriptor]:
     """Level-parallel driver over :class:`DescentPlan`.
 
-    Each frontier — one tree level, plus any redirect targets the
-    previous level surfaced — is resolved through *fetch_many* in a
-    single batched metadata pass, so the whole descent costs O(tree
-    depth) round trips instead of O(nodes visited) (DESIGN.md §9).
+    Each frontier — one tree level (or the runs below a covered
+    reference), plus any redirect targets the previous level surfaced —
+    is resolved through *fetch_many* in a single batched metadata pass,
+    so the whole descent costs O(tree depth) round trips instead of
+    O(nodes visited) (DESIGN.md §9).
     """
     plan = DescentPlan(root_key, lo, hi, key_resolver=key_resolver)
     while not plan.done:

@@ -7,8 +7,8 @@ It reports counts and checks counts and invariants only — no scenario
 reads a clock; ``perf/`` is where speed is measured.
 
 The baselines are not forks of the store.  The metadata descent is
-held to one batched round trip per tree level; the per-writer publish
-baseline is that protocol's exact model — two serialized
+held to at most one batched round trip per tree level; the per-writer
+publish baseline is that protocol's exact model — two serialized
 version-manager interactions per append.
 """
 
@@ -231,8 +231,10 @@ def metadata_descent(
     """One read workload through the batched pipeline (DESIGN.md §9).
 
     Under a per-request metadata latency, the cold read's descent must
-    cost one batched round trip per level of the tree over runs
+    cost at most one batched round trip per level of the tree over runs
     (DESIGN.md §4) and fetch about one node per run, not two per block.
+    Below a covered reference it enters the runs directly, so a read of
+    a BLOB one append wrote whole costs the root's round and the runs'.
     *clients* threads then re-read the BLOB *reads* times each for the
     node cache's hit rate.
     """

@@ -81,6 +81,14 @@ class TestNodeShapes:
         with pytest.raises(ValueError):
             InnerNode(key=NodeKey("b", 1, 0, 2), left_version=None, right_version=1)
 
+    def test_absent_child_cannot_be_covered(self):
+        key = NodeKey("b", 1, 0, 4)
+        with pytest.raises(ValueError, match="cannot be covered"):
+            InnerNode(key=key, left_version=1, right_version=None, right_covered=True)
+        with pytest.raises(ValueError, match="cannot be covered"):
+            InnerNode(key=key, left_version=None, right_version=None, left_covered=True)
+        assert InnerNode(key=key, left_version=1, right_version=None, left_covered=True)
+
 
 class TestRootSpan:
     @pytest.mark.parametrize(
@@ -264,17 +272,35 @@ class TestDescent:
         with pytest.raises(BlobError):
             plan.blocks()
 
-    def test_frontier_is_levelwise(self):
-        """A full-range descent fetches one tree level per frontier."""
-        md = self._store_versions()
-        plan = DescentPlan(NodeKey("b", 1, 0, 4), 0, 4)
+    @staticmethod
+    def _level_sizes(md, root):
+        plan = DescentPlan(root, 0, root.span)
         level_sizes = []
         while not plan.done:
             frontier = plan.take_frontier()
             level_sizes.append(len(frontier))
             for key in frontier:
                 plan.feed(key, md.get(key))
-        assert level_sizes == [1, 2, 4]
+        return level_sizes
+
+    def test_frontier_is_levelwise(self):
+        """A full-range descent fetches one tree level per frontier, and
+        jumps from a reference covered by one write straight to that
+        write's runs: v1 wrote [0, 4) whole, so the root's covered
+        children are entered at their leaves."""
+        md = self._store_versions()
+        level_sizes = self._level_sizes(md, NodeKey("b", 1, 0, 4))
+        assert level_sizes == [1, 4]
+        assert len(level_sizes) <= len([1, 2, 4])  # the level-by-level descent
+        assert sum(level_sizes) <= sum([1, 2, 4])
+
+    def test_frontier_is_levelwise_without_covered_references(self):
+        """v2 wrote [1, 3): neither child of its root lies inside its
+        write, so the descent walks every level."""
+        md = self._store_versions()
+        root = md.get(NodeKey("b", 2, 0, 4))
+        assert not (root.left_covered or root.right_covered)
+        assert self._level_sizes(md, root.key) == [1, 2, 4]
 
 
 @pytest.mark.usefixtures("paper_tree")

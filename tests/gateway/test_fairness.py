@@ -1,48 +1,20 @@
 """A greedy tenant beside a polite one, on a virtual clock (DESIGN.md §12).
 
-The gateway's buckets read the clock only through the ``TokenBucket``
-it builds, so patching that constructor puts the whole gateway on a
+The ``vclock`` fixture (``conftest.py``) puts the whole gateway on a
 clock that moves only when a bucket sleeps.  The bandwidth bound then
 holds exactly and no test sleeps.
 """
 
-from functools import partial
-
 import pytest
 
 from repro.blob import StoreConfig
-from repro.gateway import Gateway, TenantPolicy, tenants
-from repro.util.throttle import TokenBucket
+from repro.gateway import Gateway, TenantPolicy
 
 #: Both tenants' cap, in bytes per virtual second.
 RATE = 1024.0
 #: One write: two virtual seconds of tokens at ``RATE``.
 PAYLOAD = 2048
 ROUNDS = 3
-
-
-class VirtualClock:
-    """A clock that moves only by what sleepers ask of it."""
-
-    def __init__(self):
-        self.t = 0.0
-        self.slept = []
-
-    def now(self) -> float:
-        return self.t
-
-    def sleep(self, seconds: float) -> None:
-        self.slept.append(seconds)
-        self.t += seconds
-
-
-@pytest.fixture
-def vclock(monkeypatch):
-    clock = VirtualClock()
-    monkeypatch.setattr(
-        tenants, "TokenBucket", partial(TokenBucket, clock=clock.now, sleep=clock.sleep)
-    )
-    return clock
 
 
 @pytest.mark.parametrize("burst", [PAYLOAD / 4, PAYLOAD / 2])

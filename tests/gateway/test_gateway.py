@@ -7,7 +7,6 @@ throttle backlog never blocks another tenant's traffic.
 """
 
 import threading
-import time
 
 import pytest
 
@@ -215,14 +214,13 @@ class TestAdmissionControl:
             alice.create("/b")
         assert alice.stats()["admission_rejections"] == 1
 
-    def test_bandwidth_bucket_paces_writes(self, gateway):
+    def test_bandwidth_bucket_paces_writes(self, gateway, vclock):
         # 64 KB/s with a 1/16-second burst: a 8 KB write must wait.
         policy = TenantPolicy(bytes_per_sec=64 * BS, burst_seconds=1 / 16)
         alice = connect(gateway, "alice", policy)
-        start = time.monotonic()
         alice.write_file("/f", b"x" * (8 * BS))
-        elapsed = time.monotonic() - start
-        assert elapsed >= 0.05  # (8 - 4) KB deficit at 64 KB/s
+        assert vclock.now() >= 0.05  # (8 - 4) KB deficit at 64 KB/s
+        assert vclock.slept == [pytest.approx(4 / 64)]
         assert alice.stats()["throttle_wait_s"] > 0
 
     def test_sequential_reads_charge_what_they_return(self, gateway):
@@ -255,7 +253,7 @@ class TestAdmissionControl:
         for _ in range(5):  # reads are unrated by this policy
             assert alice.read_file("/f") == b"x"
 
-    def test_one_tenants_backlog_does_not_block_anothers_reads(self, gateway):
+    def test_one_tenants_backlog_does_not_block_anothers_reads(self, gateway, vclock):
         slow = connect(
             gateway,
             "slowpoke",
@@ -267,21 +265,32 @@ class TestAdmissionControl:
         done = threading.Event()
 
         def slow_appends():
-            for i in range(4):  # 1 burst token + 3 waits of ~0.5s each
+            for i in range(4):  # 1 burst token + 3 waits of 0.5s each
                 slow.write_file(f"/f{i}", b"s")
             done.set()
 
+        # Slowpoke's first wait parks it in its bucket until the gate
+        # opens; the other tenant's reads must all finish meanwhile.
+        vclock.gate.clear()
         worker = threading.Thread(target=slow_appends)
+        # Opens the gate should the reads hang: a guard, nothing is timed.
+        guard = threading.Timer(60.0, vclock.gate.set)
         worker.start()
+        guard.start()
         try:
-            start = time.monotonic()
+            assert vclock.sleeping.wait(60.0)
             for _ in range(20):
                 assert fast.read_file("/data") == b"z" * BS
-            fast_elapsed = time.monotonic() - start
-            assert fast_elapsed < 1.0
+            assert not vclock.gate.is_set()  # the reads did not wait for the guard
             assert not done.is_set()  # slowpoke is still paying its backlog
+            assert fast.stats()["throttle_wait_s"] == 0
         finally:
+            vclock.gate.set()
+            guard.cancel()
             worker.join()
+        assert done.is_set()
+        assert vclock.slept == [0.5, 0.5, 0.5]
+        assert slow.stats()["throttle_wait_s"] == pytest.approx(1.5)
 
 
 class TestSessionsAndStats:

@@ -95,24 +95,34 @@ def test_scrub_heal_converges(metadata_replication, seed):
 
 @pytest.mark.parametrize("io_workers", [0, 4])
 @pytest.mark.parametrize(
-    "blocks,depth,nodes",
+    "blocks,depth,trips,nodes,walk_nodes",
     [
-        (2, 1, 1),  # one run
-        (5, 4, 5),  # run [0, 4), then root, [4, 8), [4, 6) and leaf 4
-        (16, 1, 1),
-        # Runs [0, 64) and [64, 128) under [0, 128); the tail run
-        # [128, 130) hangs under six more inner nodes down to span 2.
-        (130, 8, 11),
+        (2, 1, 1, 1, 1),  # one run
+        (5, 4, 4, 5, 5),  # run [0, 4), then root, [4, 8), [4, 6) and leaf 4
+        (16, 1, 1, 1, 1),
+        # [0, 128) lies inside the append: the root's covered reference
+        # jumps to runs [0, 64) and [64, 128) without fetching [0, 128).
+        # The tail run [128, 130) hangs under six more inner nodes down
+        # to span 2, none covered, so the round trips stay the depth.
+        (130, 8, 8, 10, 11),
+        # Every child of the root is covered: the root, then 16 (64)
+        # runs, against 2·runs − 1 nodes over 5 (7) levels.
+        (1024, 5, 2, 17, 31),
+        (4096, 7, 2, 65, 127),
     ],
 )
-def test_metadata_descent_round_trips(blocks, depth, nodes, io_workers):
+def test_metadata_descent_round_trips(blocks, depth, trips, nodes, walk_nodes, io_workers):
+    """Round trips and nodes of one cold read, pinned exactly, and
+    bounded by what the level-by-level descent fetched: *depth* round
+    trips and *walk_nodes* nodes."""
     report = demos.metadata_descent(
         blocks=blocks, buckets=4, latency=5e-4, io_workers=io_workers, reads=1
     )
     _passed(report)
     assert demos._tree_depth(blocks) == depth
-    assert report.measurements["cold_round_trips"] == depth
+    assert report.measurements["cold_round_trips"] == trips
     assert report.measurements["cold_nodes"] == nodes
+    assert trips <= depth and nodes <= walk_nodes
 
 
 def test_metadata_descent_rereads_hit_the_node_cache():
