@@ -32,12 +32,22 @@ re-materialized at every hop; the only sanctioned copies are
 :class:`CopyStats` counts those copies (and the bytes that legitimately
 crossed a provider boundary) per layer, which is how the tests pin the
 "one read of N bytes materializes ≤ 1×N client-side" invariant.
+
+**One check per write (DESIGN.md §4, §11).**  A write's buffer is
+checked once, when it becomes a :class:`BytesPayload`, and its block
+windows (:meth:`BytesPayload.windows`) inherit that check.  Block
+descriptors are tuples, and :func:`write_descriptors` checks a write's
+whole vector of sizes and replica sets once and then builds every
+descriptor in C; the validating constructors remain for every other
+caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from itertools import repeat
+from operator import itemgetter
+from typing import NamedTuple, Optional, Union
 
 from repro.obs import Counters
 
@@ -48,6 +58,7 @@ __all__ = [
     "BlockDescriptor",
     "ZeroBlockDescriptor",
     "AnyBlockDescriptor",
+    "write_descriptors",
     "BlockId",
     "CopyStats",
     "concat",
@@ -99,7 +110,7 @@ class CopyStats(Counters):
         return self.by_label()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BytesPayload:
     """A payload backed by real bytes — any buffer-protocol object.
 
@@ -122,8 +133,12 @@ class BytesPayload:
                 f"payload data must support the buffer protocol, "
                 f"got {type(self.data).__name__}"
             ) from None
-        if view.itemsize != 1 or not view.contiguous:
+        if view.itemsize != 1 or not view.c_contiguous:
             raise TypeError("payload buffers must be contiguous byte buffers")
+        if view.ndim != 1:
+            # ``len`` of a multi-dimensional view counts its rows: keep
+            # the flat view, so that ``size`` counts bytes.
+            _set_data(self, view.cast("B"))
 
     @property
     def size(self) -> int:
@@ -141,7 +156,17 @@ class BytesPayload:
             raise ValueError(
                 f"slice [{start}, {start + length}) outside payload of {len(self.data)}B"
             )
-        return BytesPayload(memoryview(self.data)[start : start + length])
+        return _window(memoryview(self.data)[start : start + length])
+
+    def windows(self, block_size: int) -> list["BytesPayload"]:
+        """Zero-copy windows of *block_size* bytes (the last may be
+        short) — a write's blocks.  The buffer was checked once, when
+        this payload was built; a window of it needs no second check."""
+        view = memoryview(self.data)
+        return [
+            _window(view[lo : lo + block_size])
+            for lo in range(0, len(view), block_size)
+        ]
 
     def view(self) -> memoryview:
         """A zero-copy view of the whole payload.
@@ -163,16 +188,29 @@ class BytesPayload:
         immutability: it may view a ``bytearray`` the caller still
         writes through.
         """
-        view = memoryview(self.data)
-        if type(view.obj) is bytes:
+        data = self.data
+        if type(data) is bytes or (
+            type(data) is memoryview and type(data.obj) is bytes
+        ):
             return self
-        return BytesPayload(view.tobytes())
+        return _window(bytes(data))
 
     def tobytes(self) -> bytes:
         """The raw bytes (no copy when already immutable ``bytes``)."""
         if type(self.data) is bytes:
             return self.data
         return bytes(self.data)
+
+
+_set_data = BytesPayload.data.__set__
+
+
+def _window(data: BytesLike) -> BytesPayload:
+    """A payload over a buffer already known to be a valid one: a
+    window of a checked payload, or fresh ``bytes``."""
+    payload = object.__new__(BytesPayload)
+    _set_data(payload, data)
+    return payload
 
 
 @dataclass(frozen=True)
@@ -236,7 +274,7 @@ def concat(parts: list[Payload]) -> Payload:
     happens in simulated experiments, never on the functional path.
     """
     if all(type(p) is BytesPayload for p in parts):
-        return BytesPayload(b"".join([p.data for p in parts]))
+        return _window(b"".join([p.data for p in parts]))
     return SyntheticPayload(sum(p.size for p in parts), tag="concat")
 
 
@@ -265,9 +303,34 @@ def materialize(
 BlockId = tuple[str, int, int]
 
 
-@dataclass(frozen=True)
-class BlockDescriptor:
+class _BlockDescriptorFields(NamedTuple):
+    blob_id: str
+    version: int
+    index: int
+    size: int
+    providers: tuple[str, ...]
+    nonce: int
+    seq: int
+
+
+def _check_block(version: int, index: int, size: int) -> None:
+    """The checks every block descriptor makes, in the order it makes them."""
+    if version < 1:
+        raise ValueError(f"blocks are written by versions >= 1, got {version}")
+    if index < 0:
+        raise ValueError(f"block index must be >= 0, got {index}")
+    if size <= 0:
+        raise ValueError(f"block size must be positive, got {size}")
+
+
+class BlockDescriptor(_BlockDescriptorFields):
     """Where one block of one snapshot lives.
+
+    Tuple-backed, like :class:`~repro.blob.segment_tree.NodeKey`, so a
+    write can build its descriptors in C (:func:`write_descriptors`) and
+    hashing and equality run in C.  The field ``index`` shadows
+    ``tuple.index``.  ``_replace`` skips the checks of the constructor,
+    so a new replica set goes through the constructor instead.
 
     Attributes:
         blob_id: owning BLOB.
@@ -282,49 +345,76 @@ class BlockDescriptor:
         seq: position of this block within its write (0-based).
     """
 
-    blob_id: str
-    version: int
-    index: int
-    size: int
-    providers: tuple[str, ...]
-    nonce: int
-    seq: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.version < 1:
-            raise ValueError(f"blocks are written by versions >= 1, got {self.version}")
-        if self.index < 0:
-            raise ValueError(f"block index must be >= 0, got {self.index}")
-        if self.size <= 0:
-            raise ValueError(f"block size must be positive, got {self.size}")
-        if not self.providers:
+    def __new__(
+        cls,
+        blob_id: str,
+        version: int,
+        index: int,
+        size: int,
+        providers: tuple[str, ...],
+        nonce: int,
+        seq: int,
+    ) -> "BlockDescriptor":
+        _check_block(version, index, size)
+        if not providers:
             raise ValueError("a block needs at least one provider")
-        if self.seq < 0:
-            raise ValueError(f"seq must be >= 0, got {self.seq}")
+        if seq < 0:
+            raise ValueError(f"seq must be >= 0, got {seq}")
+        return tuple.__new__(cls, (blob_id, version, index, size, providers, nonce, seq))
 
-    @property
-    def block_id(self) -> BlockId:
-        """Storage key for provider lookups (version-independent)."""
-        return (self.blob_id, self.nonce, self.seq)
+    #: Storage key for provider lookups (version-independent):
+    #: ``(blob_id, nonce, seq)``, picked out in C.
+    block_id = property(itemgetter(0, 5, 6))
 
-    @property
-    def is_zero(self) -> bool:
-        """False: this block is physically stored on its providers."""
-        return False
+    #: False: this block is physically stored on its providers.
+    is_zero = False
 
 
-@dataclass(frozen=True)
-class ZeroBlockDescriptor:
-    """A block of zeros materialised by a tombstoned (aborted) version.
+def write_descriptors(
+    blob_id: str,
+    version: int,
+    start: int,
+    sizes: list[int],
+    placements: list[tuple[str, ...]],
+    nonce: int,
+) -> list[BlockDescriptor]:
+    """The descriptors of one write's blocks: block *seq* of the write
+    has index ``start + seq``, size ``sizes[seq]`` and replica set
+    ``placements[seq]``.
 
-    When a writer dies after version assignment, its version is
-    converted into a tombstone (see DESIGN.md §7): ranges the dead
-    write would have *created* are defined to read as zeros.  No
-    provider stores such a block — readers synthesise the zeros
-    locally — so the descriptor carries no nonce, no replica set and
-    no storage identity.
+    The vector is checked once — version, first index, every size,
+    every replica set — and then every descriptor is built in C, with
+    no per-block call of the constructor.  A bad entry raises the
+    constructor's own :class:`ValueError` for the first one.
     """
+    if len(sizes) != len(placements):
+        raise ValueError(
+            f"{len(sizes)} block sizes but {len(placements)} replica sets"
+        )
+    if version < 1 or start < 0 or min(sizes, default=1) <= 0 or not all(placements):
+        for seq, (size, providers) in enumerate(zip(sizes, placements)):
+            BlockDescriptor(blob_id, version, start + seq, size, providers, nonce, seq)
+    count = len(sizes)
+    return list(
+        map(
+            tuple.__new__,
+            repeat(BlockDescriptor, count),
+            zip(
+                repeat(blob_id, count),
+                repeat(version, count),
+                range(start, start + count),
+                sizes,
+                placements,
+                repeat(nonce, count),
+                range(count),
+            ),
+        )
+    )
 
+
+class _ZeroBlockDescriptorFields(NamedTuple):
     blob_id: str
     version: int
     index: int
@@ -333,25 +423,39 @@ class ZeroBlockDescriptor:
     #: (layout queries report "no provider holds this range").
     providers: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.version < 1:
-            raise ValueError(f"blocks are written by versions >= 1, got {self.version}")
-        if self.index < 0:
-            raise ValueError(f"block index must be >= 0, got {self.index}")
-        if self.size <= 0:
-            raise ValueError(f"block size must be positive, got {self.size}")
-        if self.providers:
+
+class ZeroBlockDescriptor(_ZeroBlockDescriptorFields):
+    """A block of zeros materialised by a tombstoned (aborted) version.
+
+    When a writer dies after version assignment, its version is
+    converted into a tombstone (see DESIGN.md §7): ranges the dead
+    write would have *created* are defined to read as zeros.  No
+    provider stores such a block — readers synthesise the zeros
+    locally — so the descriptor carries no nonce, no replica set and
+    no storage identity.  Tuple-backed like :class:`BlockDescriptor`;
+    having fewer fields, it never equals one.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        blob_id: str,
+        version: int,
+        index: int,
+        size: int,
+        providers: tuple[str, ...] = (),
+    ) -> "ZeroBlockDescriptor":
+        _check_block(version, index, size)
+        if providers:
             raise ValueError("zero blocks are synthesised by readers, never stored")
+        return tuple.__new__(cls, (blob_id, version, index, size, providers))
 
-    @property
-    def block_id(self) -> None:
-        """Zero blocks have no storage identity (nothing to fetch or GC)."""
-        return None
+    #: Zero blocks have no storage identity (nothing to fetch or GC).
+    block_id = None
 
-    @property
-    def is_zero(self) -> bool:
-        """True: readers materialise this block as zeros, no fetch."""
-        return True
+    #: True: readers materialise this block as zeros, no fetch.
+    is_zero = True
 
 
 #: Either descriptor flavour; discriminate with ``descriptor.is_zero``.

@@ -48,7 +48,7 @@ rate is given and unpaced otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, TYPE_CHECKING, Union
 
 from repro.blob.block import BlockDescriptor, BlockId
@@ -275,7 +275,10 @@ def repair_leaf(
                 continue
             if restored is not None:
                 homes, copies = restored
-                entries[index - base] = replace(descriptor, providers=homes)
+                # Through the constructor: ``_replace`` skips its checks.
+                entries[index - base] = BlockDescriptor(
+                    **{**descriptor._asdict(), "providers": homes}
+                )
                 repaired += 1
                 added += copies
         if repaired:

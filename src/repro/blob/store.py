@@ -56,13 +56,14 @@ from typing import Optional, Union
 
 from repro.blob.block import (
     AnyBlockDescriptor,
-    BlockDescriptor,
     BlockId,
     BytesPayload,
     CopyStats,
     Payload,
+    SyntheticPayload,
     concat,
     materialize,
+    write_descriptors,
 )
 from repro.blob.async_engine import AsyncIOEngine
 from repro.blob.config import DEFAULT_BLOCK_SIZE, StoreConfig
@@ -142,30 +143,35 @@ class BlockLocation:
     providers: tuple[str, ...]
 
 
-def _split_payload(data: Union[bytes, Payload], block_size: int) -> list[Payload]:
-    """Cut client data into block-sized payloads (trailing may be short).
+def _split_payload(
+    data: Union[bytes, Payload], block_size: int
+) -> tuple[list[Payload], list[int]]:
+    """Cut client data into block-sized payloads (trailing may be short)
+    and their sizes.
 
-    The cuts are zero-copy ``memoryview`` windows over the caller's
-    buffer (DESIGN.md §11): no byte is duplicated until each window
-    reaches its provider, which freezes it on store only if the backing
-    buffer is mutable.
+    The caller's buffer — any buffer-protocol object — is checked once,
+    as :class:`BytesPayload` does;
+    the cuts are zero-copy ``memoryview`` windows over it (DESIGN.md
+    §11) that inherit that check.  No byte is duplicated until each
+    window reaches its provider, which freezes it on store only if the
+    backing buffer is mutable.  The sizes come from the cut arithmetic:
+    *block_size* for every block but the last, which takes the tail.
     """
     payload: Payload = (
-        BytesPayload(data) if isinstance(data, (bytes, bytearray, memoryview)) else data
+        data if isinstance(data, (BytesPayload, SyntheticPayload)) else BytesPayload(data)
     )
     size = payload.size
     if size == 0:
         raise InvalidRange("cannot write zero bytes")
-    if isinstance(payload, BytesPayload):
-        view = memoryview(payload.data)
-        return [
-            BytesPayload(view[lo : lo + block_size])
+    if type(payload) is BytesPayload:
+        payloads = payload.windows(block_size)
+    else:
+        payloads = [
+            payload.slice(lo, min(block_size, size - lo))
             for lo in range(0, size, block_size)
         ]
-    return [
-        payload.slice(lo, min(block_size, size - lo))
-        for lo in range(0, size, block_size)
-    ]
+    full = len(payloads) - 1
+    return payloads, [block_size] * full + [size - full * block_size]
 
 
 class LocalBlobStore:
@@ -396,8 +402,7 @@ class LocalBlobStore:
     ) -> int:
         state = self.version_manager.blob(blob_id)
         block_size = state.block_size
-        payloads = _split_payload(data, block_size)
-        sizes = [p.size for p in payloads]
+        payloads, sizes = _split_payload(data, block_size)
 
         # The write stays registered from its nonce draw until its
         # version is published, so a GC pass never sweeps its blocks.
@@ -689,18 +694,10 @@ class LocalBlobStore:
         sizes: list[int],
         placements: list[tuple[str, ...]],
     ) -> None:
-        def leaf_descriptor(index: int) -> BlockDescriptor:
-            seq = index - ticket.start_block
-            return BlockDescriptor(
-                blob_id=ticket.blob_id,
-                version=ticket.version,
-                index=index,
-                size=sizes[seq],
-                providers=placements[seq],
-                nonce=nonce,
-                seq=seq,
-            )
-
+        start = ticket.start_block
+        descriptors = write_descriptors(
+            ticket.blob_id, ticket.version, start, sizes, placements, nonce
+        )
         patch = build_patch(
             blob_id=ticket.blob_id,
             version=ticket.version,
@@ -708,7 +705,7 @@ class LocalBlobStore:
             write_end=ticket.end_block,
             size_after_blocks=ticket.size_after_blocks,
             history=ticket.history,
-            leaf_descriptor=leaf_descriptor,
+            leaf_descriptor=lambda index: descriptors[index - start],
         )
         self.metadata.put_patch(patch)
 

@@ -30,12 +30,12 @@ import numpy as np
 
 from repro.blob.block import (
     AnyBlockDescriptor,
-    BlockDescriptor,
     BytesPayload,
     CopyStats,
     Payload,
     SyntheticPayload,
     concat,
+    write_descriptors,
 )
 from repro.blob.config import StoreConfig
 from repro.blob.data_provider import DataProviderCore
@@ -346,18 +346,10 @@ class SimBlobSeer:
 
         # 4. weave metadata from the ticket's hints and publish the
         # patch to the DHT — fully parallel across nodes and writers.
-        def leaf_descriptor(index: int) -> BlockDescriptor:
-            seq = index - ticket.start_block
-            return BlockDescriptor(
-                blob_id=blob_id,
-                version=ticket.version,
-                index=index,
-                size=sizes[seq],
-                providers=placements[seq],
-                nonce=nonce,
-                seq=seq,
-            )
-
+        start = ticket.start_block
+        descriptors = write_descriptors(
+            blob_id, ticket.version, start, sizes, placements, nonce
+        )
         patch = build_patch(
             blob_id=blob_id,
             version=ticket.version,
@@ -365,7 +357,7 @@ class SimBlobSeer:
             write_end=ticket.end_block,
             size_after_blocks=ticket.size_after_blocks,
             history=ticket.history,
-            leaf_descriptor=leaf_descriptor,
+            leaf_descriptor=lambda index: descriptors[index - start],
         )
         by_owner: dict[str, list] = {}
         for node in patch:
