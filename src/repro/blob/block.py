@@ -20,9 +20,11 @@ wraps *any* buffer-protocol object — ``bytes``, ``bytearray`` or
 (chunking → scatter → provider → gather → reassembly) without being
 re-materialized at every hop; the only sanctioned copies are
 
-* **copy-on-publish** (:meth:`BytesPayload.freeze`): a provider storing
-  a view over any buffer but an immutable ``bytes`` object snapshots it
-  once, so published blocks can never change underneath readers;
+* **copy-on-publish** (:meth:`BytesPayload.freeze`): a write freezes
+  the caller's buffer once, at the store boundary — a buffer exported
+  by an immutable ``bytes`` object is aliased, any other is snapshotted
+  once whatever the replication — so published blocks can never change
+  underneath readers;
 * **the gather** (:func:`concat`): a read joins its parts — stored
   payloads, the covered windows of the two extremal blocks, zeros for
   tombstone blocks — into ONE immutable ``bytes``, each byte copied
@@ -79,7 +81,7 @@ class CopyStats(Counters):
 
     * ``bytes_copied`` — client-side materializations: every byte
       duplicated into a new buffer (the gather into a read's result
-      buffer, a provider's copy-on-publish freeze, any legacy slice
+      buffer, a write's one copy-on-publish freeze, any legacy slice
       copy).  The zero-copy refactor's target: a read of N bytes keeps
       this ≤ N (one gather), where the pre-refactor path paid ~3–4×.
     * ``bytes_transferred`` — bytes that crossed a provider boundary
@@ -91,7 +93,7 @@ class CopyStats(Counters):
       tracked separately so ``bytes_copied`` measures pure overhead).
 
     ``record(layer, copied=0, transferred=0, result=0)`` names the layer
-    it happened at (``"read.gather"``, ``"provider.freeze"``, …);
+    it happened at (``"read.gather"``, ``"provider.put"``, …);
     :meth:`layers` exposes the per-layer breakdown the ``repro.cli
     zerocopy`` demo prints.
     """
@@ -120,7 +122,7 @@ class BytesPayload:
     forever (published blocks are immutable); a payload over any other
     buffer — a read-only ``memoryview`` included, as its exporter may
     still be written through another reference — is a transient view
-    that a provider must :meth:`freeze` before storing.
+    that a write must :meth:`freeze` before its blocks reach a provider.
     """
 
     data: BytesLike
@@ -182,11 +184,11 @@ class BytesPayload:
 
         Returns ``self`` (no copy) when the buffer is exported by a
         ``bytes`` object, which nothing can mutate; otherwise snapshots
-        the view into fresh ``bytes`` — the copy-on-publish providers
-        perform so a stored block can never alias a caller's buffer
-        (DESIGN.md §11).  A read-only ``memoryview`` is no proof of
-        immutability: it may view a ``bytearray`` the caller still
-        writes through.
+        the view into fresh ``bytes`` — the copy-on-publish a write makes
+        once, at the store boundary, so a stored block can never alias a
+        caller's buffer (DESIGN.md §11).  A read-only ``memoryview`` is
+        no proof of immutability: it may view a ``bytearray`` the caller
+        still writes through.
         """
         data = self.data
         if type(data) is bytes or (

@@ -5,7 +5,7 @@ writes" (paper §III-B).  The store enforces BlobSeer's cardinal rule —
 *no existing data is ever modified* — by refusing overwrites; blocks
 only leave through explicit GC deletion.
 
-Each provider carries its own small lock (block map + byte accounting),
+Each provider carries its own small lock over its block map,
 so concurrent block transfers to *different* providers never contend —
 the fine-grained locking the parallel I/O engine relies on.  An
 optional simulated per-operation service ``latency`` makes wall-clock
@@ -13,12 +13,14 @@ parallelism observable in benchmarks: the sleep models network/disk
 service time and happens *outside* the state lock, as a real provider
 services many RPC streams at once.
 
-Payload ownership (DESIGN.md §11): an incoming payload may be a
-zero-copy *view* over the writer's buffer.  The provider **freezes** it
-on store — copy-on-publish — so a stored block never aliases a caller's
-mutable memory; a payload already backed by a ``bytes`` object is
-stored as-is (no copy: immutability makes aliasing safe).  ``get``
-returns the stored payload itself, aliased freely for the same reason.
+Payload ownership (DESIGN.md §11): a provider stores the payloads it
+is given as they are.  Copy-on-publish happens once per write, at the
+store boundary: ``LocalBlobStore`` freezes the caller's buffer before
+cutting it into blocks, so every payload its writes send is already a
+window of immutable ``bytes``.  ``get`` returns the stored
+payload itself, aliased freely for the same reason.  Byte accounting
+(:class:`~repro.blob.block.CopyStats`) is the store's too: one record
+per write, not one per provider vector.
 """
 
 from __future__ import annotations
@@ -28,21 +30,20 @@ import threading
 import time
 from typing import Iterator, Optional, Sequence
 
-from repro.blob.block import BlockId, CopyStats, Payload
+from repro.blob.block import BlockId, Payload
 from repro.errors import ProviderUnavailable, WriteConflict
 
 __all__ = ["DataProviderCore"]
 
 
 class DataProviderCore:
-    """One provider's block map plus capacity accounting.
+    """One provider's block map.
 
     The unit of work is the transfer *vector* (DESIGN.md §13): every
     entry point — the one-block ``put``/``get`` included, as a vector
     of one — pays its service delay once and then runs one locked body
     per direction, :meth:`_put_vector` or :meth:`_get_vector`, with one
-    online check and one :class:`~repro.blob.block.CopyStats` record
-    per vector.
+    online check per vector.
 
     Args:
         name: provider identity (placement and diagnostics key).
@@ -50,26 +51,16 @@ class DataProviderCore:
             ``put``/``get``, or a whole ``put_many``/``get_many`` vector
             (0 disables; benchmarks enable it so that scatter-gather
             parallelism shows up in wall-clock numbers).
-        copy_stats: optional :class:`~repro.blob.block.CopyStats`
-            recording block transfer bytes and copy-on-publish freezes
-            (the store shares one across all its providers).
     """
 
-    def __init__(
-        self,
-        name: str,
-        latency: float = 0.0,
-        copy_stats: Optional[CopyStats] = None,
-    ):
+    def __init__(self, name: str, latency: float = 0.0):
         if latency < 0:
             raise ValueError(f"latency must be >= 0, got {latency}")
         self.name = name
         self.online = True
         self.latency = latency
-        self.copy_stats = copy_stats
         self._blocks: dict[BlockId, Payload] = {}
         self._lock = threading.Lock()
-        self.stored_bytes = 0
 
     def _check_online(self) -> None:
         if not self.online:
@@ -94,39 +85,23 @@ class DataProviderCore:
     ) -> None:
         """Store a vector of new blocks: the body of every put entry point.
 
-        Copy-on-publish (DESIGN.md §11) freezes each payload first —
-        outside the state lock, as the copy models the receive path,
-        not the block-map update — so stored blocks are immutable from
-        the moment they are published.  Then, under the lock, blocks
-        land in order behind the overwrite check (immutability): each
-        id is appended to *landed* as it lands, so when block k is
-        refused *landed* holds exactly the k stored before it — the
-        caller's rollback list.
+        The payloads are stored as given: the writer froze its buffer
+        once, at the store boundary (DESIGN.md §11), so each is already
+        immutable.  Under the lock, blocks land in order behind the
+        overwrite check (immutability): each id is appended to *landed*
+        as it lands, so when block k is refused *landed* holds exactly
+        the k stored before it — the caller's rollback list.
         """
-        frozen = []
-        transferred = copied = 0
-        for block_id, payload in items:
-            stored = payload.freeze()
-            size = payload.size
-            frozen.append((block_id, stored, size))
-            transferred += size
-            if stored is not payload:
-                copied += size
-        if self.copy_stats is not None:
-            self.copy_stats.record(
-                "provider.put", transferred=transferred, copied=copied
-            )
         with self._lock:
             self._check_online()
             blocks = self._blocks
-            for block_id, stored, size in frozen:
+            for block_id, payload in items:
                 if block_id in blocks:
                     raise WriteConflict(
                         f"block {block_id} already stored on {self.name}; "
                         "blocks are immutable by design"
                     )
-                blocks[block_id] = stored
-                self.stored_bytes += size
+                blocks[block_id] = payload
                 if landed is not None:
                     landed.append(block_id)
 
@@ -179,9 +154,8 @@ class DataProviderCore:
         The vector's service latency becomes ``asyncio.sleep`` — the
         event loop interleaves many of these — and the state change is
         the same :meth:`_put_vector` body the sync entry points run, so
-        failure injection, copy-on-publish and accounting cannot drift
-        between engines.  The body contains no await, so no other
-        coroutine interleaves mid-update.
+        failure injection cannot drift between engines.  The body
+        contains no await, so no other coroutine interleaves mid-update.
         """
         await self._aservice_delay()
         self._put_vector(items, landed)
@@ -226,15 +200,18 @@ class DataProviderCore:
         self._check_online()
         with self._lock:
             payload = self._blocks.pop(block_id, None)
-            if payload is None:
-                return 0
-            self.stored_bytes -= payload.size
-            return payload.size
+        return 0 if payload is None else payload.size
 
     def block_ids(self) -> Iterator[BlockId]:
         """Snapshot iterator over stored block ids (GC sweep)."""
         with self._lock:
             return iter(list(self._blocks.keys()))
+
+    @property
+    def stored_bytes(self) -> int:
+        """Bytes stored, summed when asked: the put path keeps no tally."""
+        with self._lock:
+            return sum(payload.size for payload in self._blocks.values())
 
     @property
     def block_count(self) -> int:

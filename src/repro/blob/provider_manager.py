@@ -14,6 +14,7 @@ the placement ablation (``tests/deploy/test_ablations.py``).
 
 from __future__ import annotations
 
+import heapq
 import threading
 import time
 from collections import deque
@@ -136,21 +137,23 @@ class RoundRobinPolicy:
 
     def choose(self, count, providers, rng, client=None):
         names = [p.name for p in providers]
-        chosen = [names[(self._cursor + i) % len(names)] for i in range(count)]
+        start = self._cursor % len(names)
+        laps = (start + count) // len(names) + 1
         self._cursor = (self._cursor + count) % len(names)
-        return chosen
+        return (names * laps)[start : start + count]
 
 
 class LeastLoadedPolicy:
     """Balance on stored block counts (ties broken by name)."""
 
     def choose(self, count, providers, rng, client=None):
-        loads = {p.name: p.blocks for p in providers}
+        heap = [(p.blocks, p.name) for p in providers]
+        heapq.heapify(heap)
         chosen: list[str] = []
         for _ in range(count):
-            name = min(sorted(loads), key=lambda n: loads[n])
+            load, name = heap[0]
             chosen.append(name)
-            loads[name] += 1
+            heapq.heapreplace(heap, (load + 1, name))
         return chosen
 
 
@@ -218,7 +221,8 @@ class ProviderManagerCore:
 
     Replicas: the policy picks each block's *primary*; remaining
     replicas are the next live providers in name order after the
-    primary (deterministic, distinct, and spread).
+    primary (deterministic, distinct, and spread).  They are built once
+    per replication, as a ring kept until the membership changes.
 
     *rng* is the generator random policies draw from, or a seed for
     one built on the first draw (default: seed 0).
@@ -238,22 +242,31 @@ class ProviderManagerCore:
         self._providers: dict[str, ProviderInfo] = {}
         self._tenants: dict[str, TenantAccount] = {}
         self._lock = threading.Lock()
+        #: replication -> (live providers, primary -> replica set); built
+        #: and dropped under ``_lock``, so no ring outlives a change.
+        self._rings: dict[int, tuple[list[ProviderInfo], dict[str, tuple[str, ...]]]] = {}
 
     # -- membership -------------------------------------------------------------
 
     def register(self, name: str) -> None:
         """A data provider joins (they "may dynamically join", §III-B)."""
-        if name in self._providers:
-            raise ValueError(f"provider {name!r} already registered")
-        self._providers[name] = ProviderInfo(name=name)
+        with self._lock:
+            if name in self._providers:
+                raise ValueError(f"provider {name!r} already registered")
+            self._providers[name] = ProviderInfo(name=name)
+            self._rings.clear()
 
     def decommission(self, name: str) -> None:
         """Mark a provider offline; its stats are retained."""
-        self._provider(name).online = False
+        with self._lock:
+            self._provider(name).online = False
+            self._rings.clear()
 
     def recover(self, name: str) -> None:
         """Bring a provider back online."""
-        self._provider(name).online = True
+        with self._lock:
+            self._provider(name).online = True
+            self._rings.clear()
 
     def _provider(self, name: str) -> ProviderInfo:
         try:
@@ -286,18 +299,30 @@ class ProviderManagerCore:
         """
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
+        if replication < 1:
+            raise ValueError(f"replication must be >= 1, got {replication}")
         if len(block_sizes) != count:
             raise ValueError(f"need {count} block sizes, got {len(block_sizes)}")
         with self._lock:
-            live = self.live_providers()
-            if len(live) < replication:
-                raise ReplicationError(
-                    f"replication {replication} impossible with {len(live)} live providers"
-                )
+            ring = self._rings.get(replication)
+            if ring is None:
+                live = self.live_providers()
+                if len(live) < replication:
+                    raise ReplicationError(
+                        f"replication {replication} impossible with {len(live)} live providers"
+                    )
+                # Each primary's replica set: it and the next live
+                # providers in name order, wrapping around.
+                names = [p.name for p in live] * 2
+                ring = self._rings[replication] = live, {
+                    name: tuple(names[start : start + replication])
+                    for start, name in enumerate(names[: len(live)])
+                }
+            live, replica_sets = ring
             primaries = self.policy.choose(count, live, self._rng, client)
             # Blocks and bytes are tallied per primary, so a replica
-            # set is built, and its providers charged, once per primary
-            # per call rather than once per block.
+            # set's providers are charged once per primary per call
+            # rather than once per block.
             tally: dict[str, list[int]] = {}
             for primary, nbytes in zip(primaries, block_sizes):
                 counts = tally.get(primary)
@@ -306,14 +331,8 @@ class ProviderManagerCore:
                 else:
                     counts[0] += 1
                     counts[1] += nbytes
-            live_names = [p.name for p in live]
-            replica_sets: dict[str, tuple[str, ...]] = {}
             for primary, (blocks, nbytes) in tally.items():
-                start = live_names.index(primary)
-                replicas = replica_sets[primary] = tuple(
-                    live_names[(start + r) % len(live_names)] for r in range(replication)
-                )
-                for name in replicas:
+                for name in replica_sets[primary]:
                     info = self._providers[name]
                     info.blocks += blocks
                     info.bytes += nbytes

@@ -343,6 +343,8 @@ def _restore_block(
         except BaseException:
             _remove_copies(store, block_id, landed, descriptor.size)
             raise
+        finally:  # the repair's own transfer; a stored block needs no copy
+            store.copy_stats.record("provider.put", transferred=len(landed) * descriptor.size)
         made.append((descriptor, landed))
     return tuple(live + adopted + fresh), needed
 

@@ -143,6 +143,20 @@ class BlockLocation:
     providers: tuple[str, ...]
 
 
+def _as_payload(data: Union[bytes, Payload]) -> Payload:
+    """*data* as a payload: a payload as is, any buffer checked once."""
+    if isinstance(data, (BytesPayload, SyntheticPayload)):
+        return data
+    return BytesPayload(data)
+
+
+def _chunks(items: list) -> list[list]:
+    """*items* cut into vectors of at most ``_ASYNC_PER_DEST``."""
+    if len(items) <= _ASYNC_PER_DEST:
+        return [items]
+    return [items[lo : lo + _ASYNC_PER_DEST] for lo in range(0, len(items), _ASYNC_PER_DEST)]
+
+
 def _split_payload(
     data: Union[bytes, Payload], block_size: int
 ) -> tuple[list[Payload], list[int]]:
@@ -150,16 +164,13 @@ def _split_payload(
     and their sizes.
 
     The caller's buffer — any buffer-protocol object — is checked once,
-    as :class:`BytesPayload` does;
-    the cuts are zero-copy ``memoryview`` windows over it (DESIGN.md
-    §11) that inherit that check.  No byte is duplicated until each
-    window reaches its provider, which freezes it on store only if the
-    backing buffer is mutable.  The sizes come from the cut arithmetic:
+    as :class:`BytesPayload` does; the cuts are zero-copy ``memoryview``
+    windows over it (DESIGN.md §11) that inherit that check.  The write
+    path passes the buffer ``_do_write`` froze, so its windows view
+    immutable ``bytes``.  The sizes come from the cut arithmetic:
     *block_size* for every block but the last, which takes the tail.
     """
-    payload: Payload = (
-        data if isinstance(data, (BytesPayload, SyntheticPayload)) else BytesPayload(data)
-    )
+    payload = _as_payload(data)
     size = payload.size
     if size == 0:
         raise InvalidRange("cannot write zero bytes")
@@ -202,7 +213,7 @@ class LocalBlobStore:
         self.vman_latency = config.vman_latency
         self.vman_stats = VmanStats()
         #: Data-plane byte accounting (DESIGN.md §11): bytes copied vs
-        #: transferred at each block hop, shared with every provider.
+        #: transferred at each block hop: one "provider.put" record per write.
         self.copy_stats = CopyStats()
         self.overlap_publish = config.overlap_publish
         self.version_manager = VersionManagerCore()
@@ -213,9 +224,7 @@ class LocalBlobStore:
         self.providers: dict[str, DataProviderCore] = {}
         for name in config.provider_names():
             self.provider_manager.register(name)
-            self.providers[name] = DataProviderCore(
-                name, latency=config.provider_latency, copy_stats=self.copy_stats
-            )
+            self.providers[name] = DataProviderCore(name, latency=config.provider_latency)
         #: Shared scatter-gather engine (DESIGN.md §13); ``None`` means
         #: inline (serial) I/O.  Created before the metadata service so
         #: the DHT can fan one batched round's per-bucket requests over
@@ -401,18 +410,30 @@ class LocalBlobStore:
         append: bool,
     ) -> int:
         state = self.version_manager.blob(blob_id)
-        block_size = state.block_size
-        payloads, sizes = _split_payload(data, block_size)
+        # Copy-on-publish, once per write (DESIGN.md §11): ``bytes`` is
+        # aliased, any other buffer copied once, whatever the replication.
+        given = _as_payload(data)
+        owned = given.freeze()
+        payloads, sizes = _split_payload(owned, state.block_size)
 
         # The write stays registered from its nonce draw until its
         # version is published, so a GC pass never sweeps its blocks.
+        stored: Landed = []
         nonce = self._open_write()
         try:
-            return self._write_blocks(
-                blob_id, nonce, payloads, sizes, state.replication, offset, append
+            version = self._write_blocks(
+                blob_id, nonce, payloads, sizes, stored, state.replication, offset, append
             )
+            transferred = state.replication * owned.size  # every replica landed
+            return version
+        except BaseException:
+            # What landed travelled, though the rollback deleted it.
+            transferred = sum(sizes[block_id[2]] for _, ids in stored for block_id in ids)
+            raise
         finally:
             self._close_write(nonce)
+            copied = 0 if owned is given else owned.size
+            self.copy_stats.record("provider.put", copied=copied, transferred=transferred)
 
     def _write_blocks(
         self,
@@ -420,6 +441,7 @@ class LocalBlobStore:
         nonce: int,
         payloads: list[Payload],
         sizes: list[int],
+        stored: Landed,
         replication: int,
         offset: Optional[int],
         append: bool,
@@ -443,7 +465,6 @@ class LocalBlobStore:
             and self.io_engine is not None
             and not self.io_engine.in_worker
         )
-        stored: Landed = []
         scatter = None
         ticket: Optional[WriteTicket] = None
         vectors, transfer, atransfer = self._scatter_tasks(
@@ -520,8 +541,10 @@ class LocalBlobStore:
         """The per-provider transfer vectors of one write's scatter.
 
         Every (block, replica) placement is grouped by provider into one
-        ``(provider, [(block_id, payload), ...], landed)`` vector, sent
-        as one ``put_many`` per ``_ASYNC_PER_DEST`` blocks.  Each
+        ``(provider, chunks, landed)`` vector: its ``(block_id,
+        payload)`` pairs, each built once per block, cut into chunks of
+        at most ``_ASYNC_PER_DEST``, each sent as one ``put_many`` (a
+        vector that fits is its own one chunk).  Each
         vector's ``landed`` list is registered in *stored* up front and
         filled by ``put_many`` as blocks land — including the prefix of
         a vector that fails part-way — so the caller can roll back
@@ -534,26 +557,23 @@ class LocalBlobStore:
         """
         by_provider: dict[str, list[tuple[BlockId, Payload]]] = {}
         for seq, (payload, replicas) in enumerate(zip(payloads, placements)):
+            item = ((blob_id, nonce, seq), payload)
             for provider_name in replicas:
-                by_provider.setdefault(provider_name, []).append(
-                    ((blob_id, nonce, seq), payload)
-                )
-        vectors = [(name, items, []) for name, items in by_provider.items()]
+                by_provider.setdefault(provider_name, []).append(item)
+        vectors = [(name, _chunks(items), []) for name, items in by_provider.items()]
         stored.extend((name, landed) for name, _, landed in vectors)
 
         def transfer(vector) -> None:
-            provider_name, items, landed = vector
-            for lo in range(0, len(items), _ASYNC_PER_DEST):
-                self.providers[provider_name].put_many(
-                    items[lo : lo + _ASYNC_PER_DEST], landed
-                )
+            provider_name, chunks, landed = vector
+            put_many = self.providers[provider_name].put_many
+            for chunk in chunks:
+                put_many(chunk, landed)
 
         async def atransfer(vector) -> None:
-            provider_name, items, landed = vector
-            for lo in range(0, len(items), _ASYNC_PER_DEST):
-                await self.providers[provider_name].aput_many(
-                    items[lo : lo + _ASYNC_PER_DEST], landed
-                )
+            provider_name, chunks, landed = vector
+            aput_many = self.providers[provider_name].aput_many
+            for chunk in chunks:
+                await aput_many(chunk, landed)
 
         return vectors, transfer, atransfer
 

@@ -31,7 +31,6 @@ import numpy as np
 from repro.blob.block import (
     AnyBlockDescriptor,
     BytesPayload,
-    CopyStats,
     Payload,
     SyntheticPayload,
     concat,
@@ -99,15 +98,10 @@ class SimBlobSeer:
         self.pm_core = ProviderManagerCore(
             policy=placement, rng=np.random.default_rng(seed)
         )
-        #: Data-plane byte accounting shared by every simulated
-        #: provider (DESIGN.md §11).
-        self.copy_stats = CopyStats()
         self.dp_cores: dict[str, DataProviderCore] = {}
         for node in provider_nodes:
             self.pm_core.register(node.name)
-            self.dp_cores[node.name] = DataProviderCore(
-                node.name, copy_stats=self.copy_stats
-            )
+            self.dp_cores[node.name] = DataProviderCore(node.name)
         self.ring = HashRing([n.name for n in metadata_nodes])
         self.md_buckets: dict[str, dict[NodeKey, TreeNode]] = {
             n.name: {} for n in metadata_nodes
@@ -293,8 +287,10 @@ class SimBlobSeer:
         faster than it produces them); ``None`` means instantaneous.
         Returns the new snapshot version.
         """
+        # Frozen once, as the store's write does (DESIGN.md §11): the
+        # providers store the pieces as given.
         payload: Payload = (
-            SyntheticPayload(int(data), tag=blob_id) if isinstance(data, int) else data
+            SyntheticPayload(int(data), tag=blob_id) if isinstance(data, int) else data.freeze()
         )
         state = self.vm_core.blob(blob_id)
         block_size = state.block_size

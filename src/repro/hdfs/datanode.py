@@ -29,9 +29,10 @@ class DatanodeCore:
     def put_chunk(self, chunk_id: int, payload: Payload) -> None:
         """Store a chunk (write-once).
 
-        Copy-on-publish, like the BlobSeer provider (DESIGN.md §11): a
-        payload viewing mutable client memory is snapshotted here so
-        readers may alias stored chunks freely.
+        Copy-on-publish per chunk (DESIGN.md §11; a BlobSeer write
+        freezes once per write, at the store, instead): a payload
+        viewing mutable client memory is snapshotted here so readers
+        may alias stored chunks freely.
         """
         self._check_online()
         if chunk_id in self._chunks:

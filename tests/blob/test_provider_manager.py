@@ -132,3 +132,5 @@ class TestBookkeeping:
             pm.allocate(0, [])
         with pytest.raises(ValueError):
             pm.allocate(2, [1])
+        with pytest.raises(ValueError, match="replication must be >= 1"):
+            pm.allocate(1, [1], replication=0)

@@ -1,9 +1,10 @@
 """Zero-copy data plane: payload views, vectored gather, CopyStats.
 
 DESIGN.md §11: the block path hands ``memoryview`` windows end-to-end —
-writes chunk the caller's buffer without copying (providers freeze on
-store, copy-on-publish), reads join every block's covered window into
-ONE immutable ``bytes`` that is the result itself.  These tests pin the
+writes freeze the caller's buffer once at the store boundary
+(copy-on-publish) and chunk it without copying, reads join every
+block's covered window into ONE immutable ``bytes`` that is the result
+itself.  These tests pin the
 ownership rules, prove reads stay byte-exact against a reference model
 across unaligned offsets, partial trailing blocks and tombstone zero
 ranges, and gate the byte counters: a read of N bytes must never
@@ -148,7 +149,7 @@ class TestCopyOnPublish:
         store.copy_stats.reset()
         store.append(blob, bytearray(b"a" * (4 * BS)))
         stats = store.copy_stats.snapshot()
-        assert stats["bytes_copied"] == 4 * BS  # one copy-on-publish per block
+        assert stats["bytes_copied"] == 4 * BS  # one copy-on-publish per write
         store.close()
 
 
