@@ -2,10 +2,11 @@
 
 Because every tree node is labelled with the snapshot version that
 created it, two snapshots of a BLOB can be compared **without reading
-any data**: descend both trees in lockstep and prune every subtree
-whose two sides carry the same node key — identical keys mean the
-entire range is shared, bit for bit.  The cost is proportional to the
-*changed* region (times log of the BLOB size), not to the BLOB.
+any data**: descend both trees a level per batched round, by the
+references a read follows, and prune every range whose two sides carry
+the same node key — identical keys mean the entire range is shared,
+bit for bit.  The cost is proportional to the *changed* region (times
+log of the BLOB size), not to the BLOB.
 
 This is the machinery behind "datasets are only locally altered from
 one Map/Reduce pass to another" (§VI-A): a consumer can ask exactly
@@ -15,16 +16,10 @@ which block ranges pass N+1 touched and reprocess only those.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from repro.blob.block import AnyBlockDescriptor
-from repro.blob.segment_tree import (
-    InnerNode,
-    NodeKey,
-    RedirectLeaf,
-    TreeNode,
-    clipped_entries,
-)
+from repro.blob.segment_tree import NodeKey, TreeNode, _references, clipped_entries
 from repro.blob.store import LocalBlobStore
 
 __all__ = ["BlockRange", "diff_snapshots", "changed_ranges"]
@@ -60,90 +55,93 @@ def _coalesce(blocks: list[int]) -> list[BlockRange]:
     return ranges
 
 
+#: A node entered over blocks [lo, hi), or block lo's descriptor.
+_Piece = tuple[int, int, Union[NodeKey, AnyBlockDescriptor]]
+
+
+def _segments(
+    a: list[_Piece], b: list[_Piece]
+) -> Iterator[tuple[int, int, Optional[_Piece], Optional[_Piece]]]:
+    """Split two sorted, disjoint piece lists at every piece boundary:
+    each block range either side covers, with each side's piece over it
+    (``None`` where that side has none)."""
+    cuts = sorted({bound for lo, hi, _ in a + b for bound in (lo, hi)})
+    i = j = 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        while i < len(a) and a[i][1] <= lo:
+            i += 1
+        while j < len(b) and b[j][1] <= lo:
+            j += 1
+        pa = a[i] if i < len(a) and a[i][0] <= lo else None
+        pb = b[j] if j < len(b) and b[j][0] <= lo else None
+        if pa is not None or pb is not None:
+            yield lo, hi, pa, pb
+
+
+def _add(pieces: list[_Piece], lo: int, hi: int, ref) -> None:
+    """Append a piece, merging it into the last one it continues."""
+    if pieces and pieces[-1][1] == lo and pieces[-1][2] == ref:
+        pieces[-1] = (pieces[-1][0], hi, ref)
+    else:
+        pieces.append((lo, hi, ref))
+
+
 def diff_snapshots(
-    fetch: Callable[[NodeKey], TreeNode],
-    key_a: Optional[NodeKey],
-    key_b: Optional[NodeKey],
+    fetch_many: Callable[[list[NodeKey]], dict[NodeKey, TreeNode]],
+    side_a: Sequence[tuple[NodeKey, int, int]],
+    side_b: Sequence[tuple[NodeKey, int, int]],
     resolver: Optional[Callable[[NodeKey], NodeKey]] = None,
 ) -> list[int]:
-    """Block indices whose content differs between two subtrees.
+    """Sorted block indices whose content differs between two sides,
+    each a list of ``(key, lo, hi)`` pieces: a snapshot is its root over
+    ``[0, size in blocks)``, an empty one no piece.
 
-    ``None`` on either side means the range does not exist there (size
-    difference); every block present on the other side counts as
-    changed.  The two trees are walked position by position; a position
-    whose two references resolve to the same key is pruned without
-    being visited — the sharing-makes-diff-cheap property.  A reference
-    into a run covers only the position it entered, so a run partly
-    overwritten on one side differs exactly at the overwritten blocks.
-    *resolver* maps keys across branch lineages (see
-    ``LocalBlobStore.key_resolver``).
+    Blocks only one side covers count as changed.  An overlap whose two
+    keys resolve equal is pruned unfetched.  Elsewhere the wider piece
+    (both, if equally wide) is expanded through ``_references`` and
+    :func:`clipped_entries`, all of a level in one *fetch_many* batch;
+    blocks compare by ``(block_id, size)`` (zero blocks have no id).
+    *resolver* maps keys across branch lineages.
     """
     resolve = resolver if resolver is not None else (lambda k: k)
+    a: list[_Piece] = [(lo, hi, key) for key, lo, hi in side_a]
+    b: list[_Piece] = [(lo, hi, key) for key, lo, hi in side_b]
     changed: list[int] = []
-    nodes: dict[NodeKey, TreeNode] = {}
-
-    def node_of(key: NodeKey) -> TreeNode:
-        key = resolve(key)
-        if key not in nodes:
-            nodes[key] = fetch(key)
-        return nodes[key]
-
-    def block_at(key: NodeKey, index: int) -> AnyBlockDescriptor:
-        """The descriptor of block *index* under *key*, following
-        references and tombstone redirects down to it."""
-        node = node_of(key)
-        while True:
-            if isinstance(node, InnerNode):
-                mid = node.key.offset + node.half
-                key = node.left_key if index < mid else node.right_key
-            elif isinstance(node, RedirectLeaf):
-                key = node.target_key
-            else:
-                (entry,) = clipped_entries(node, index, index + 1)
-                if type(entry) is not NodeKey:
-                    return entry
-                key = entry
-            node = node_of(key)
-
-    def halves(key: Optional[NodeKey], offset: int, span: int):
-        """The references covering the two halves of a position."""
-        if key is None:
-            return None, None
-        if key.span < span:
-            # The smaller snapshot's root under the bigger one's: it
-            # fills the left half, nothing exists to its right.
-            return key, None
-        node = node_of(key)
-        if isinstance(node, InnerNode) and key.span == span:
-            return node.left_key, node.right_key
-        return key, key  # a run covering the whole position
-
-    def walk(a: Optional[NodeKey], b: Optional[NodeKey], offset: int, span: int) -> None:
-        if a is None and b is None:
-            return
-        if a is not None and b is not None and resolve(a) == resolve(b):
-            return  # identical shared node: nothing changed inside
-        if span == 1:
-            # Size disambiguates zero blocks, whose block_id is always
-            # None; for stored blocks same id implies same size.
-            block_a = block_at(a, offset) if a is not None else None
-            block_b = block_at(b, offset) if b is not None else None
-            if (
-                block_a is None
-                or block_b is None
-                or (block_a.block_id, block_a.size) != (block_b.block_id, block_b.size)
+    while a or b:
+        sides = ([], []), ([], [])  # per side: (kept, to expand)
+        for lo, hi, pa, pb in _segments(a, b):
+            if pa is None or pb is None:
+                changed.extend(range(lo, hi))
+                continue
+            ref_a, ref_b = pa[2], pb[2]
+            node_a, node_b = type(ref_a) is NodeKey, type(ref_b) is NodeKey
+            if not (node_a or node_b):
+                if (ref_a.block_id, ref_a.size) != (ref_b.block_id, ref_b.size):
+                    changed.append(lo)
+                continue
+            if node_a and node_b and resolve(ref_a) == resolve(ref_b):
+                continue  # identical shared node: nothing changed inside
+            width_a = pa[1] - pa[0] if node_a else 0
+            width_b = pb[1] - pb[0] if node_b else 0
+            for (kept, expand), ref, width, other in (
+                (sides[0], ref_a, width_a, width_b),
+                (sides[1], ref_b, width_b, width_a),
             ):
-                changed.append(offset)
-            return
-        half = span // 2
-        a_left, a_right = halves(a, offset, span)
-        b_left, b_right = halves(b, offset, span)
-        walk(a_left, b_left, offset, half)
-        walk(a_right, b_right, offset + half, half)
-
-    roots = [key for key in (key_a, key_b) if key is not None]
-    if roots:
-        walk(key_a, key_b, 0, max(key.span for key in roots))
+                _add(expand if width and width >= other else kept, lo, hi, ref)
+        wanted = [resolve(key) for _, expand in sides for _, _, key in expand]
+        nodes = fetch_many(list(dict.fromkeys(wanted))) if wanted else {}
+        for (kept, expand), out in zip(sides, (a, b)):
+            out.clear()
+            out.extend(kept)
+            for lo, hi, key in expand:
+                node = nodes[resolve(key)]
+                for index, entry in enumerate(clipped_entries(node, lo, hi), lo):
+                    if type(entry) is not NodeKey:  # redirects come as references
+                        out.append((index, index + 1, entry))
+                for sub, sub_lo, sub_hi in _references(node, lo, hi):
+                    out.append((sub_lo, sub_hi, sub))
+            out.sort(key=lambda piece: piece[0])
+    changed.sort()
     return changed
 
 
@@ -166,15 +164,12 @@ def changed_ranges(
     info_b = store.snapshot(other, version_b)
     resolver = store.key_resolver()
 
-    def root_of(owner: str, info) -> Optional[NodeKey]:
+    def side(owner: str, info) -> list[tuple[NodeKey, int, int]]:
         if info.size == 0:
-            return None
-        return NodeKey(owner, info.version, 0, info.root_span)
+            return []
+        return [(NodeKey(owner, info.version, 0, info.root_span), 0, info.size_blocks)]
 
     blocks = diff_snapshots(
-        store.metadata.get_node,
-        root_of(blob_id, info_a),
-        root_of(other, info_b),
-        resolver,
+        store.metadata.get_nodes, side(blob_id, info_a), side(other, info_b), resolver
     )
     return _coalesce(blocks)

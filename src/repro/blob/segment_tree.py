@@ -34,11 +34,11 @@ rewritten, collecting block descriptors.  A reference into a run wider
 than the referencing position enters it **clipped** to that position:
 a later overwrite inside an old run must never surface the run's stale
 entries.  A reference whose child lies wholly inside its version's
-write is **covered**: every node below it is that version's, down to
-runs of :data:`RUN_SPAN` blocks at known keys, so the descent enters
-those runs directly and skips the levels between.  A read of a range
-one write produced whole costs one round per level down to the first
-covered reference on each path, plus one round for its runs.
+write is **covered**: every walker (:func:`_references`) enters it at
+that version's runs of :data:`RUN_SPAN` blocks, at known keys, so the
+writer publishes no node between the root and those runs.  A read of a
+range one write produced whole costs one round per level down to the
+first covered reference on each path, plus one round for its runs.
 :class:`DescentPlan` exposes the traversal as an explicit
 frontier so the same algorithm drives both the in-process store and the
 simulated client (parallel RPC fetches per tree level).
@@ -230,9 +230,9 @@ class InnerNode:
     the child range with a run wider than it: the referenced key is then
     the run's (the aligned ``span``-block range containing the child).
     ``left_covered``/``right_covered`` say the child range lies wholly
-    inside that snapshot's write: every node below it is then that
-    snapshot's, down to its runs of :data:`RUN_SPAN` blocks, so a read
-    may enter those runs without fetching the nodes between.
+    inside that snapshot's write: every walker then enters it at that
+    snapshot's runs of :data:`RUN_SPAN` blocks, and no node between is
+    published.
     """
 
     key: NodeKey
@@ -275,10 +275,6 @@ class InnerNode:
     def right_key(self) -> Optional[NodeKey]:
         """Key of the node covering the right half (None if absent)."""
         return self._child(self.right_version, self.right_span, self.key.offset + self.half)
-
-    def children(self) -> list[NodeKey]:
-        """Existing child keys, left to right."""
-        return [k for k in (self.left_key, self.right_key) if k is not None]
 
 
 TreeNode = Union[LeafNode, RedirectLeaf, RunLeaf, InnerNode]
@@ -454,7 +450,9 @@ def _build_nodes(
     history: Sequence[HistoryRecord],
     run_node: Callable[[NodeKey], TreeNode],
 ) -> list[TreeNode]:
-    """Shared recursion behind :func:`build_patch` and the tombstone patch."""
+    """Shared recursion behind :func:`build_patch` and the tombstone patch:
+    the nodes a walker reaches (:func:`_references`), so no inner node
+    below the root lying wholly inside the write."""
     if write_end <= write_start:
         raise InvalidRange(f"empty write range [{write_start}, {write_end})")
     if write_start < 0:
@@ -465,14 +463,21 @@ def _build_nodes(
         )
     full_history = list(history) + [(version, write_start, write_end)]
     nodes: list[TreeNode] = []
+    top = root_span(size_after_blocks)
 
     def build(offset: int, node_span: int) -> None:
         # Invariant: [offset, offset+node_span) intersects the write range.
         key = NodeKey(blob_id, version, offset, node_span)
-        if node_span <= RUN_SPAN and write_start <= offset and offset + node_span <= write_end:
+        inside = write_start <= offset and offset + node_span <= write_end
+        if inside and node_span <= RUN_SPAN:
             nodes.append(run_node(key))
             return
         half = node_span // 2
+        if inside and node_span < top:
+            # Every reference here is covered: walkers enter the runs.
+            build(offset, half)
+            build(offset + half, half)
+            return
         refs: list[tuple[Optional[int], Optional[int], bool]] = []
         for child_offset in (offset, offset + half):
             child_end = child_offset + half
@@ -508,7 +513,7 @@ def _build_nodes(
             )
         )
 
-    build(0, root_span(size_after_blocks))
+    build(0, top)
     return nodes
 
 
@@ -524,50 +529,37 @@ def clipped_entries(node: TreeNode, lo: int, hi: int) -> Sequence[RunEntry]:
     return ()
 
 
-def _references(
-    node: TreeNode, lo: int, hi: int, jump: bool = False
-) -> Iterator[tuple[NodeKey, int, int]]:
+def _references(node: TreeNode, lo: int, hi: int) -> Iterator[tuple[NodeKey, int, int]]:
     """Every reference a visit of *node* over blocks [lo, hi) follows,
     with the block range it enters the referenced node through.
 
-    With *jump*, a covered reference wider than :data:`RUN_SPAN` is not
-    entered at its own key but at the runs below it (:func:`_covered_runs`).
+    This is every walker's one rule: a covered reference wider than
+    :data:`RUN_SPAN` is entered not at its key, which no writer
+    publishes, but at the runs of its version below it, each clipped.
     """
     if isinstance(node, InnerNode):
         mid = node.key.offset + node.half
-        wide = jump and node.half > RUN_SPAN
-        if lo < mid and node.left_version is not None:
-            if wide and node.left_covered:
-                yield from _covered_runs(node.left_key, lo, min(hi, mid))
+        for key, covered, sub_lo, sub_hi in (
+            (lo < mid and node.left_key, node.left_covered, lo, min(hi, mid)),
+            (hi > mid and node.right_key, node.right_covered, max(lo, mid), hi),
+        ):
+            if not key:
+                continue
+            if covered and node.half > RUN_SPAN:
+                for run in range(sub_lo - sub_lo % RUN_SPAN, sub_hi, RUN_SPAN):
+                    yield (
+                        NodeKey(key.blob_id, key.version, run, RUN_SPAN),
+                        max(sub_lo, run),
+                        min(sub_hi, run + RUN_SPAN),
+                    )
             else:
-                yield node.left_key, lo, min(hi, mid)
-        if hi > mid and node.right_version is not None:
-            if wide and node.right_covered:
-                yield from _covered_runs(node.right_key, max(lo, mid), hi)
-            else:
-                yield node.right_key, max(lo, mid), hi
+                yield key, sub_lo, sub_hi
     elif isinstance(node, RunLeaf):
         for index, target in node.redirects:
             if lo <= index < hi:
                 yield target, index, index + 1
     elif isinstance(node, RedirectLeaf):
         yield node.target_key, lo, hi
-
-
-def _covered_runs(key: NodeKey, lo: int, hi: int) -> Iterator[tuple[NodeKey, int, int]]:
-    """The runs a covered reference to *key* over blocks [lo, hi) enters.
-
-    A covered position lies wholly inside the write of ``key.version``,
-    so every node below it is that version's, and at span
-    :data:`RUN_SPAN` each is a run (DESIGN.md §4): the reference enters
-    those runs, each clipped to it, without fetching the nodes between.
-    """
-    for offset in range(lo - lo % RUN_SPAN, hi, RUN_SPAN):
-        yield (
-            NodeKey(key.blob_id, key.version, offset, RUN_SPAN),
-            max(lo, offset),
-            min(hi, offset + RUN_SPAN),
-        )
 
 
 class DescentPlan:
@@ -585,7 +577,7 @@ class DescentPlan:
     The frontier exposes one tree level at a time, each key once, so a
     simulated client can issue all fetches of a level in parallel — a
     covered reference wider than :data:`RUN_SPAN` puts its runs on the
-    next frontier in place of the levels below it (:func:`_covered_runs`) —
+    next frontier in place of the levels below it (:func:`_references`) —
     matching BlobSeer's "requests sent asynchronously and processed in
     parallel" read path.  A run entered by several references (the
     siblings of a later write's path inside it) is fetched once: every
@@ -661,7 +653,7 @@ class DescentPlan:
         entries = clipped_entries(node, lo, hi)
         if entries:
             self._found[lo - self.lo : hi - self.lo] = entries
-        for key, sub_lo, sub_hi in _references(node, lo, hi, jump=True):
+        for key, sub_lo, sub_hi in _references(node, lo, hi):
             self._enter(key, sub_lo, sub_hi)
 
     def blocks(self) -> list[AnyBlockDescriptor]:
@@ -713,6 +705,8 @@ def iter_reachable_batched(
     """Every node reachable from *root_key* as ``(node, lo, hi)``, one
     batched fetch per tree level.
 
+    It follows :func:`_references` like every walker, so it visits
+    exactly the keys the writers of these versions published.
     ``[lo, hi)`` is the block range the visit reaches: the node's own
     range, except for a run entered through a narrower reference, which
     is visited once per such clip — only its entries inside a clip are

@@ -234,7 +234,8 @@ def metadata_descent(
     cost at most one batched round trip per level of the tree over runs
     (DESIGN.md §4) and fetch about one node per run, not two per block.
     Below a covered reference it enters the runs directly, so a read of
-    a BLOB one append wrote whole costs the root's round and the runs'.
+    a BLOB one append wrote whole costs the root's round and the runs',
+    and the append publishes no node between (at most one per level).
     *clients* threads then re-read the BLOB *reads* times each for the
     node cache's hit rate.
     """
@@ -256,8 +257,10 @@ def metadata_descent(
     )
     with store:
         blob = store.create()
-        store.append(blob, data)
         stats = store.metadata.store.stats
+        stats.reset()
+        store.append(blob, data)
+        published = stats.snapshot()["keys_stored"]  # once per key, not replica
         stats.reset()
         intact = store.read(blob) == data
         cold = stats.snapshot()
@@ -269,23 +272,28 @@ def metadata_descent(
             f"{clients} client(s) reading {nblocks} blocks over {buckets} buckets "
             f"at {latency * 1e3:.1f}ms/request (tree depth {depth} over runs):"
         ),
-        header=("read", "round trips", "nodes", "hit rate"),
+        header=("op", "round trips", "nodes", "hit rate"),
         rows=(
-            ("cold (bound)", f"<= {depth}", f"<= {node_bound}", "-"),
-            ("cold", cold_trips, cold_keys, "-"),
+            ("append (bound)", "-", f"<= {runs + depth}", "-"),
+            ("append", "-", published, "-"),
+            ("cold read (bound)", f"<= {depth}", f"<= {node_bound}", "-"),
+            ("cold read", cold_trips, cold_keys, "-"),
             (f"{clients * reads} warm re-read(s)", "-", "-", f"{hit_rate:.0%}"),
         ),
         measurements={
+            "published_nodes": published,
             "cold_round_trips": cold_trips,
             "cold_nodes": cold_keys,
             "cache_hit_rate": round(hit_rate, 4),
         },
         checks=(
+            check("append nodes vs runs + depth", published, "<=", runs + depth),
             check("the cold read returned every byte", intact),
             check("cold-read round trips vs tree depth over runs", cold_trips, "<=", depth),
             check("cold-read nodes vs runs + 2 per level", cold_keys, "<=", node_bound),
         ),
         summary=(
+            f"the append published {published} nodes; "
             f"{cold_trips} metadata round trips and {cold_keys} nodes per cold read "
             f"of {nblocks} blocks (tree depth {depth}); warm re-reads hit the node "
             f"cache {hit_rate:.0%} of the time"

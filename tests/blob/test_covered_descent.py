@@ -10,7 +10,8 @@ every retained snapshot three ways: it reads back as a byte-array model;
 every reachable inner node's covered bits equal "child range inside
 that version's write range", computed from the version manager's write
 history; and its cold read costs no more metadata round trips than the
-level-by-level walk of its tree.
+deepest path of its tree, derived from the write history and the
+aborted versions alone (:func:`shape_rounds`).
 """
 
 import pytest
@@ -41,19 +42,92 @@ def make_store():
     )
 
 
-def level_rounds(store, root, resolver) -> int:
-    """Batched fetch rounds of the walk that enters every node of the
-    tree level by level, as the read did before covered references."""
+def shape_rounds(history, tombstones, size_blocks, root_span) -> int:
+    """Metadata rounds of a cold whole read of a snapshot, derived from
+    its tree's shape alone: *history* is the version manager's write
+    records ``(version, start, end)`` up to the snapshot, *tombstones*
+    maps each aborted version to its ``(prior size, size)`` in bytes.
+
+    A node is ``(version, offset, span)``.  A version's node over a
+    position its write covers, at most ``RUN_SPAN`` wide, is the run
+    holding it: its references are the redirects of a tombstone's
+    entries.  Any other node is inner: each child names the latest
+    version whose write meets it, entered at that version's runs if the
+    child lies inside its write and is wider than ``RUN_SPAN``, at its
+    node there otherwise.  A round fetches every key first reached in
+    the previous one; a key fetched before is entered without a fetch.
+    """
+    writes = {version: (start, end) for version, start, end in history}
+
+    def node_at(version, offset, span):
+        start, end = writes[version]
+        if start <= offset and offset + span <= end:
+            while span < RUN_SPAN:
+                parent = offset - offset % (2 * span)
+                if parent < start or parent + 2 * span > end:
+                    break
+                offset, span = parent, 2 * span
+        return version, offset, span
+
+    def latest(lo, hi, at_most):
+        return max(v for v, (s, e) in writes.items() if v <= at_most and s < hi and e > lo)
+
+    def references(node, lo, hi):
+        version, offset, span = node
+        start, end = writes[version]
+        if start <= offset and offset + span <= end and span <= RUN_SPAN:
+            if version not in tombstones:
+                return
+            prior, size = tombstones[version]
+            for block in range(lo, hi):
+                need = min(BS, size - block * BS)
+                if min(BS, max(0, prior - block * BS)) != need:
+                    continue  # a zero block: the dead write created it
+                older = [v for v, (s, e) in writes.items() if v < version and s <= block < e]
+                if older:
+                    yield node_at(max(older), block, 1), block, block + 1
+            return
+        half = span // 2
+        for child in (offset, offset + half):
+            clip_lo, clip_hi = max(lo, child), min(hi, child + half)
+            if clip_lo >= clip_hi:
+                continue
+            owner = latest(child, child + half, version)
+            start, end = writes[owner]
+            if start <= child and child + half <= end and half > RUN_SPAN:
+                for run in range(clip_lo - clip_lo % RUN_SPAN, clip_hi, RUN_SPAN):
+                    yield (owner, run, RUN_SPAN), max(clip_lo, run), min(clip_hi, run + RUN_SPAN)
+            else:
+                yield node_at(owner, child, half), clip_lo, clip_hi
+
+    fetched = set()
+    frontier = {node_at(history[-1][0], 0, root_span): [(0, size_blocks)]}
     rounds = 0
-
-    def fetch(keys):
-        nonlocal rounds
+    while frontier:
         rounds += 1
-        return store.metadata.get_nodes(keys)
+        fetched.update(frontier)
+        entered, frontier = frontier, {}
 
-    for _ in iter_reachable_batched(fetch, root, key_resolver=resolver):
-        pass
+        def enter(node, lo, hi):
+            for ref, ref_lo, ref_hi in references(node, lo, hi):
+                if ref in fetched:
+                    enter(ref, ref_lo, ref_hi)
+                else:
+                    frontier.setdefault(ref, []).append((ref_lo, ref_hi))
+
+        for node, clips in entered.items():
+            for lo, hi in clips:
+                enter(node, lo, hi)
     return rounds
+
+
+def snapshot_rounds(store, blob, version, contents=(), aborted=()) -> int:
+    """:func:`shape_rounds` of one snapshot: *contents* are the BLOB's
+    bytes per version, *aborted* its aborted versions."""
+    info = store.snapshot(blob, version)
+    tombstones = {v: (len(contents[v - 1]), len(contents[v])) for v in aborted}
+    history = store.version_manager.history_upto(blob, version)
+    return shape_rounds(history, tombstones, info.size_blocks, info.root_span)
 
 
 def check_covered_bits(store, blob, version, root, resolver) -> int:
@@ -83,11 +157,12 @@ def check_covered_bits(store, blob, version, root, resolver) -> int:
 
 
 class Model:
-    """Per BLOB: the bytes of every version (index 0 is the empty BLOB)
-    and the GC floor."""
+    """Per BLOB: the bytes of every version (index 0 is the empty BLOB),
+    the aborted versions and the GC floor."""
 
     def __init__(self):
         self.versions: dict[str, list[bytes]] = {}
+        self.aborted: dict[str, set[int]] = {}
         self.floor: dict[str, int] = {}
 
 
@@ -97,6 +172,7 @@ def test_covered_bits_reads_and_round_trips(data):
     model = Model()
     first = store.create()
     model.versions[first] = [b""]
+    model.aborted[first] = set()
     model.floor[first] = 1
     wide = []  # (blob, first block, end block) of every write wider than two runs
     for tag in range(data.draw(st.integers(3, 8), label="ops")):
@@ -134,6 +210,7 @@ def test_covered_bits_reads_and_round_trips(data):
             if len(history) > 1:
                 fork = store.branch(blob)
                 model.versions[fork] = list(history)
+                model.aborted[fork] = set(model.aborted[blob])
                 model.floor[fork] = model.floor[blob]
                 wide.extend((fork, s, e) for b, s, e in list(wide) if b == blob)
             continue
@@ -151,6 +228,7 @@ def test_covered_bits_reads_and_round_trips(data):
             with pytest.raises(ProviderUnavailable):
                 store.write(blob, offset, payload)
             history.append(tombstone_content(history[-1], offset, length))
+            model.aborted[blob].add(len(history) - 1)
         else:
             version = (
                 store.append(blob, payload) if op == "append" else store.write(blob, offset, payload)
@@ -175,7 +253,8 @@ def test_covered_bits_reads_and_round_trips(data):
             assert store.read(blob, version=info) == history[version], (blob, version)
             cold = stats.snapshot()["round_trips"]
             root = NodeKey(blob, version, 0, info.root_span)
-            assert cold <= level_rounds(store, root, resolver), (blob, version)
+            bound = snapshot_rounds(store, blob, version, history, model.aborted[blob])
+            assert cold <= bound, (blob, version)
             check_covered_bits(store, blob, version, root, resolver)
             # A range read enters the runs below a covered child clipped.
             size = len(history[version])
@@ -205,11 +284,10 @@ def test_an_overwrite_inside_a_covered_subtree_keeps_old_reads_jumping():
         trips[version] = stats.snapshot()["round_trips"]
         root = NodeKey(blob, version, 0, info.root_span)
         assert check_covered_bits(store, blob, version, root, resolver) >= 1
-        levels = level_rounds(store, root, resolver)
-        assert trips[version] <= levels
-    # v1: the root, then its 4 runs (3 levels walked).  v2: the root;
-    # [0, 128) of v2 beside v1's 2 runs under [128, 256); then down
-    # [64, 128) to the leaf v2 wrote, as deep as the walk.
+        assert trips[version] <= snapshot_rounds(store, blob, version)
+    # v1: the root, then its 4 runs.  v2: the root; [0, 128) of v2
+    # beside v1's 2 runs under [128, 256); then down [64, 128) to the
+    # leaf v2 wrote, as deep as its tree.
     assert trips == {1: 2, 2: 9}
     assert store.read(blob, version=1) == pattern(1, 256 * BS)
     expected = bytearray(pattern(1, 256 * BS))

@@ -182,3 +182,44 @@ class TestTombstoneDiff:
             store.append(blob, b"x" * (2 * BS))  # v2 dies, zero-fills [2, 4)
         undo()
         assert changed_ranges(store, blob, 1, 2) == [BlockRange(2, 4)]
+
+
+class TestLevelBatchedDiff:
+    """The diff descends both trees a level at a time, by the reference
+    rule every walker follows (DESIGN.md §4, §9)."""
+
+    def test_rounds_of_a_one_block_overwrite_in_a_wide_blob(self):
+        """Two 1024-block appends, then block 700 rewritten, no node
+        cache: each diff takes at most one batched round per level of
+        the overwrite's path (12), and never fetches a node alone."""
+        store = LocalBlobStore(
+            config=StoreConfig(
+                data_providers=4, metadata_providers=4, block_size=BS, metadata_cache_nodes=0
+            )
+        )
+        blob = store.create()
+        store.append(blob, b"a" * (1024 * BS))
+        store.append(blob, b"b" * (1024 * BS))
+        store.write(blob, 700 * BS, b"c" * BS)
+        rounds = []
+        real = store.metadata.get_nodes
+
+        def get_nodes(keys):
+            rounds.append(len(keys))
+            return real(keys)
+
+        def get_node(key):
+            raise AssertionError(f"diff fetched {key} alone")
+
+        store.metadata.get_nodes = get_nodes
+        store.metadata.get_node = get_node
+        stats = store.metadata.store.stats
+        for older, expected in (
+            (2, [BlockRange(700, 701)]),
+            (1, [BlockRange(700, 701), BlockRange(1024, 2048)]),
+        ):
+            rounds.clear()
+            stats.reset()
+            assert changed_ranges(store, blob, older, 3) == expected
+            assert len(rounds) <= 12, rounds
+            assert stats.snapshot()["round_trips"] == len(rounds)

@@ -70,12 +70,11 @@ class TestNodeShapes:
         node = InnerNode(key=NodeKey("b", 3, 0, 4), left_version=2, right_version=3)
         assert node.left_key == NodeKey("b", 2, 0, 2)
         assert node.right_key == NodeKey("b", 3, 2, 2)
-        assert len(node.children()) == 2
 
     def test_inner_absent_right(self):
         node = InnerNode(key=NodeKey("b", 1, 0, 4), left_version=1, right_version=None)
         assert node.right_key is None
-        assert [k.offset for k in node.children()] == [0]
+        assert node.left_key == NodeKey("b", 1, 0, 2)
 
     def test_right_without_left_rejected(self):
         with pytest.raises(ValueError):
@@ -122,10 +121,13 @@ class TestBuildPatch:
     def test_initial_write_four_blocks(self):
         patch = build_patch("b", 1, 0, 4, 4, history=[], leaf_descriptor=desc)
         by_key = {n.key: n for n in patch}
-        assert len(patch) == 7  # 4 leaves + 2 inner + root
+        # 4 leaves + root: both halves lie inside the write, so no
+        # walker enters them at their keys and they are not published.
+        assert len(patch) == 5
         root = by_key[NodeKey("b", 1, 0, 4)]
         assert isinstance(root, InnerNode)
         assert root.left_version == 1 and root.right_version == 1
+        assert root.left_covered and root.right_covered
         for i in range(4):
             leaf = by_key[NodeKey("b", 1, i, 1)]
             assert isinstance(leaf, LeafNode) and leaf.block.index == i
@@ -134,9 +136,8 @@ class TestBuildPatch:
         patch = build_patch("b", 1, 0, 4, 4, history=[], leaf_descriptor=desc)
         seen = set()
         for node in patch:
-            if isinstance(node, InnerNode):
-                for child in node.children():
-                    assert child in seen
+            for child, _, _ in segment_tree._references(node, node.key.offset, node.key.end):
+                assert child in seen
             seen.add(node.key)
         assert patch[-1].key.span == 4  # root last
 
@@ -151,7 +152,9 @@ class TestBuildPatch:
         assert root.left_version == 2
         assert root.right_version == 1  # untouched half references v1
         assert NodeKey("b", 2, 2, 2) not in by_key  # nothing rebuilt there
-        assert len(patch) == 4  # 2 leaves + 1 inner + root
+        # The left half lies inside the write: entered at its leaves.
+        assert root.left_covered and NodeKey("b", 2, 0, 2) not in by_key
+        assert len(patch) == 3  # 2 leaves + root
 
     def test_append_grows_root(self):
         patch = build_patch(

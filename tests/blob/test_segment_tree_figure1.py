@@ -10,8 +10,11 @@ The paper's Figure 1 shows three stages of one BLOB's metadata:
 
 These tests pin down the exact node set after each stage, including
 which subtrees are shared with earlier versions.  They pin runs to span
-1, where every write publishes the paper's tree (one leaf per block);
-the last class shows the same three stages with run leaves.
+1, where every write publishes the paper's tree (one leaf per block)
+less the inner nodes below its root that lie wholly inside its write:
+every reference to such a node is covered, and every walker enters it
+at its leaves.  The last class shows the same three stages with run
+leaves.
 """
 
 import pytest
@@ -54,14 +57,13 @@ def keys(patch):
 
 @pytest.mark.usefixtures("paper_tree")
 class TestFigure1A:
-    """(a) Append four blocks to an empty BLOB: a complete 3-level tree."""
+    """(a) Append four blocks to an empty BLOB: a 3-level tree whose
+    middle level is covered by the write, so only root and leaves exist."""
 
     def test_node_set(self):
         patch = build_patch("fig1", 1, 0, 4, 4, history=[], leaf_descriptor=leaf_maker(1, 1, 0))
         assert keys(patch) == {
             NodeKey("fig1", 1, 0, 4),
-            NodeKey("fig1", 1, 0, 2),
-            NodeKey("fig1", 1, 2, 2),
             NodeKey("fig1", 1, 0, 1),
             NodeKey("fig1", 1, 1, 1),
             NodeKey("fig1", 1, 2, 1),
@@ -90,13 +92,14 @@ class TestFigure1B:
         by_key = {n.key: n for n in patch}
         assert keys(patch) == {
             NodeKey("fig1", 2, 0, 4),
-            NodeKey("fig1", 2, 0, 2),
             NodeKey("fig1", 2, 0, 1),
             NodeKey("fig1", 2, 1, 1),
         }
         root = by_key[NodeKey("fig1", 2, 0, 4)]
-        # Right subtree of v2 *is* v1's right subtree (shared node).
-        assert root.right_key == NodeKey("fig1", 1, 2, 2)
+        # Right subtree of v2 *is* v1's right subtree (shared, and
+        # covered: a walker enters it at v1's leaves 2 and 3).
+        assert root.right_key == NodeKey("fig1", 1, 2, 2) and root.right_covered
+        assert root.left_covered  # v2's own blocks 0-1, entered at its leaves
 
     def test_overwrite_second_and_third_blocks(self):
         """Body-text variant: blocks 1-2 rewritten — spans both halves."""

@@ -114,7 +114,8 @@ def test_scrub_heal_converges(metadata_replication, seed):
 def test_metadata_descent_round_trips(blocks, depth, trips, nodes, walk_nodes, io_workers):
     """Round trips and nodes of one cold read, pinned exactly, and
     bounded by what the level-by-level descent fetched: *depth* round
-    trips and *walk_nodes* nodes."""
+    trips and *walk_nodes* nodes.  The append publishes exactly the
+    nodes the cold read fetches: nothing below a covered reference."""
     report = demos.metadata_descent(
         blocks=blocks, buckets=4, latency=5e-4, io_workers=io_workers, reads=1
     )
@@ -122,6 +123,7 @@ def test_metadata_descent_round_trips(blocks, depth, trips, nodes, walk_nodes, i
     assert demos._tree_depth(blocks) == depth
     assert report.measurements["cold_round_trips"] == trips
     assert report.measurements["cold_nodes"] == nodes
+    assert report.measurements["published_nodes"] == nodes
     assert trips <= depth and nodes <= walk_nodes
 
 
