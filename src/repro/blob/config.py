@@ -63,8 +63,6 @@ class StoreConfig:
         metadata_latency: simulated service time per metadata-bucket
             *request* — a batched multi-get/put pays it once per bucket
             per round (DESIGN.md §9).
-        metadata_cache_nodes: capacity of the immutable node cache
-            (DESIGN.md §9); 0 disables it.
         vman_latency: simulated service time per serialized
             version-manager *interaction* (DESIGN.md §10).
         overlap_publish: overlap the block scatter with metadata
@@ -83,7 +81,6 @@ class StoreConfig:
     max_in_flight: int = 1024
     provider_latency: float = 0.0
     metadata_latency: float = 0.0
-    metadata_cache_nodes: int = 1024
     vman_latency: float = 0.0
     overlap_publish: bool = False
 
@@ -167,10 +164,6 @@ class StoreConfig:
                 raise ValueError(
                     f"{field} must be >= 0, got {getattr(self, field)}"
                 )
-        if self.metadata_cache_nodes < 0:
-            raise ValueError(
-                f"metadata_cache_nodes must be >= 0, got {self.metadata_cache_nodes}"
-            )
         if self.overlap_publish and self.io_workers == 0:
             raise ValueError(
                 "overlap_publish=True requires io_workers > 0: the overlap "

@@ -32,6 +32,9 @@ from repro.errors import ReplicationError, VersionNotFound, WriteConflict
 
 __all__ = ["MetadataService", "NodeCache", "agreed_value"]
 
+#: Node-cache capacity of every metadata service (DESIGN.md §9).
+CACHE_NODES = 1024
+
 
 def agreed_value(values: dict[str, object]) -> Optional[TreeNode]:
     """The node every non-missing replica agrees on, or ``None``.
@@ -167,15 +170,14 @@ class MetadataService:
 
     Args:
         store: the replicated DHT holding the tree nodes.
-        cache_nodes: capacity of the immutable node cache; 0 disables
-            caching entirely (every lookup goes to the DHT).
+
+    Lookups go through a :class:`NodeCache` of :data:`CACHE_NODES`
+    nodes.
     """
 
-    def __init__(self, store: DhtStore, cache_nodes: int = 0):
+    def __init__(self, store: DhtStore):
         self.store = store
-        self.cache: Optional[NodeCache] = (
-            NodeCache(cache_nodes) if cache_nodes > 0 else None
-        )
+        self.cache = NodeCache(CACHE_NODES)
 
     # -- publish paths -----------------------------------------------------------
 
@@ -267,42 +269,37 @@ class MetadataService:
         found: dict[NodeKey, TreeNode] = {}
         misses: list[NodeKey] = []
         for key in dict.fromkeys(keys):
-            cached = self.cache.get(key) if self.cache is not None else None
+            cached = self.cache.get(key)
             if cached is not None:
                 found[key] = cached
             else:
                 misses.append(key)
         if misses:
-            token = self.cache.begin() if self.cache is not None else None
+            token = self.cache.begin()
             try:
                 fetched = self.store.multi_get(misses)
             except KeyError as exc:
                 raise VersionNotFound(
                     f"metadata node {exc.args[0]} not found"
                 ) from None
-            if self.cache is not None:
-                self.cache.put_if_fresh(fetched, token)
+            self.cache.put_if_fresh(fetched, token)
             found.update(fetched)
         return found
 
     # -- cache control -----------------------------------------------------------
 
     def invalidate_cached(self, key: NodeKey) -> None:
-        """Drop one key from the node cache (no-op without a cache).
+        """Drop one key from the node cache.
 
         Every mutation of a stored node must pass through here —
         force-put filler, GC deletion, scrub healing — or a cached
         descent could serve the superseded value forever.
         """
-        if self.cache is not None:
-            self.cache.invalidate(key)
+        self.cache.invalidate(key)
 
     def stats(self) -> dict[str, object]:
         """Wire + cache counters in one diagnostic dict (CLI surface)."""
-        out: dict[str, object] = dict(self.store.stats.snapshot())
-        if self.cache is not None:
-            out.update(self.cache.snapshot())
-        return out
+        return {**self.store.stats.snapshot(), **self.cache.snapshot()}
 
     def load_by_provider(self) -> dict[str, int]:
         """Stored node count per metadata provider (balance diagnostics)."""

@@ -242,8 +242,7 @@ class LocalBlobStore:
                 replication=config.metadata_replication,
                 latency=config.metadata_latency,
                 engine=self.io_engine,
-            ),
-            cache_nodes=config.metadata_cache_nodes,
+            )
         )
         self._nonce = itertools.count(1)
         #: Guards the version manager and nothing else.

@@ -39,13 +39,6 @@ class JobProfile:
         slots_per_tracker: concurrent map slots (0.20 default: 2).
         reduce_time: cost of the (tiny) reduce+commit phase for scan
             jobs — grep's reducers only sum a handful of counters.
-        speculative: enable speculative execution — idle trackers run
-            duplicate attempts of straggling tasks; the first attempt
-            to finish wins (Hadoop's classic straggler mitigation,
-            paper ref [17]).
-        speculative_slowdown: a running task becomes a speculation
-            candidate once its elapsed time exceeds this multiple of
-            the median completed-task duration.
         max_task_attempts: a failing task (storage errors, dead
             datanodes) is re-queued and re-executed up to this many
             times before the whole job aborts ("re-executing the
@@ -57,8 +50,6 @@ class JobProfile:
     job_init: float = 4.0
     slots_per_tracker: int = 2
     reduce_time: float = 1.5
-    speculative: bool = False
-    speculative_slowdown: float = 1.5
     max_task_attempts: int = 4
 
 
@@ -162,7 +153,6 @@ class SimHadoop:
         #: Scheduling statistics of the last job.
         self.last_local = 0
         self.last_remote = 0
-        self.last_speculative = 0
         self.last_failures = 0
 
     @property
@@ -188,34 +178,10 @@ class SimHadoop:
         free_slots = {node.name: profile.slots_per_tracker for node in self.trackers}
         done_event = Event(self.engine)
         remaining = [len(tasks)]
-        started_at: dict[int, float] = {}
         attempts: dict[int, int] = {}
-        finished: set[int] = set()
-        durations: list[float] = []
         self.last_local = 0
         self.last_remote = 0
-        self.last_speculative = 0
         self.last_failures = 0
-
-        def speculation_candidate() -> Optional[int]:
-            """A running straggler worth duplicating (Hadoop [17])."""
-            if not profile.speculative or pending or not durations:
-                return None
-            ordered = sorted(durations)
-            median = ordered[len(ordered) // 2]
-            threshold = profile.speculative_slowdown * median
-            now = self.engine.now
-            candidates = [
-                index
-                for index, t0 in started_at.items()
-                if index not in finished
-                and attempts.get(index, 0) < 2
-                and now - t0 > threshold
-            ]
-            if not candidates:
-                return None
-            # Duplicate the longest-running straggler first.
-            return min(candidates, key=lambda i: started_at[i])
 
         def next_task(tracker: str) -> Optional[int]:
             queue = by_host.get(tracker, [])
@@ -227,11 +193,6 @@ class SimHadoop:
             if pending:
                 self.last_remote += 1
                 return next(iter(pending))
-            straggler = speculation_candidate()
-            if straggler is not None:
-                self.last_speculative += 1
-                attempts[straggler] = attempts.get(straggler, 0) + 1
-                return straggler
             return None
 
         def task_wrapper(node: SimNode, index: int) -> Generator:
@@ -242,8 +203,6 @@ class SimHadoop:
                 yield from task_body(node, index)
             except ReproError as exc:
                 free_slots[node.name] += 1
-                if index in finished:
-                    return  # a twin already succeeded; the loss is moot
                 self.last_failures += 1
                 if attempts.get(index, 0) >= profile.max_task_attempts:
                     if not done_event.triggered:
@@ -260,10 +219,6 @@ class SimHadoop:
                     by_host.setdefault(host, []).append(index)
                 return
             free_slots[node.name] += 1
-            if index in finished:
-                return  # a speculative twin already won
-            finished.add(index)
-            durations.append(self.engine.now - started_at[index])
             remaining[0] -= 1
             if remaining[0] == 0:
                 done_event.succeed()
@@ -276,10 +231,8 @@ class SimHadoop:
                 if free_slots[node.name] > 0:
                     index = next_task(node.name)
                     if index is not None:
-                        if index in pending:
-                            pending.pop(index)
-                            started_at[index] = self.engine.now
-                            attempts[index] = attempts.get(index, 0) + 1
+                        del pending[index]
+                        attempts[index] = attempts.get(index, 0) + 1
                         free_slots[node.name] -= 1
                         self.engine.process(
                             task_wrapper(node, index), name=f"task-{index}"

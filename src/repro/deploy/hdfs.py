@@ -240,8 +240,7 @@ class SimHDFS:
         )
         # Replica choice, DFSClient-style: the local replica if the
         # reader hosts one, otherwise a client-dependent rotation so
-        # different readers (e.g. a speculative twin on another node)
-        # spread over the replica set.
+        # remote readers on different nodes spread over the replica set.
         hosts = list(location.hosts)
         if client.name in hosts:
             hosts.sort(key=lambda h: (h != client.name,))

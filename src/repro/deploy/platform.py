@@ -92,8 +92,6 @@ class Calibration:
     nn_service: float = 2e-4
 
     # --- HDFS write path ---
-    #: Datanodes ack a chunk only once durably on disk (write-through).
-    hdfs_write_through: bool = True
     #: Calibrated namenode target-reuse run (see module docstring).
     hdfs_target_reuse: int = 3
 

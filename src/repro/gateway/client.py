@@ -43,7 +43,7 @@ class GatewayWriteStream(WriteStream):
 
     def write(self, data: bytes) -> None:
         nbytes = len(data)
-        self._gw.charge_bytes(self._state, "append", nbytes)
+        self._gw.charge_bytes(self._state, nbytes)
         manager = self._gw.store.provider_manager
         manager.tenant_reserve(self._state.tenant_id, nbytes)
         try:
@@ -83,7 +83,7 @@ class GatewayReadStream(ReadStream):
     def read(self, size: int = -1) -> bytes:
         remaining = self._inner.size - self._inner.tell
         want = remaining if size < 0 else max(0, min(size, remaining))
-        self._gw.charge_bytes(self._state, "read", want)
+        self._gw.charge_bytes(self._state, want)
         data = self._inner.read(size)
         self._state.counters.record(bytes_out=len(data))
         self._moved += len(data)
@@ -93,7 +93,7 @@ class GatewayReadStream(ReadStream):
         # Charge what the read can return: nothing at or past EOF, and
         # nothing for a negative offset the inner stream rejects.
         want = max(0, min(size, self._inner.size - offset)) if offset >= 0 else 0
-        self._gw.charge_bytes(self._state, "read", want)
+        self._gw.charge_bytes(self._state, want)
         data = self._inner.pread(offset, size)
         self._state.counters.record(bytes_out=len(data))
         self._moved += len(data)

@@ -13,8 +13,8 @@ BSFSFileSystem` and multiplexes authenticated tenants onto it:
   tenant-supplied path can escape its prefix;
 * **admission control** — per-tenant, per-op-class token buckets plus
   an in-flight cap, applied *before* any store work happens.  A tenant
-  past its rate waits (bounded by its policy's ``queue_timeout``);
-  past its in-flight cap it is refused immediately;
+  past its rate waits its turn; past its in-flight cap it is refused
+  immediately;
 * **quota accounting** — stored-bytes quotas live with the placement
   authority (:class:`~repro.blob.provider_manager.ProviderManagerCore`),
   so over-quota writes raise :class:`~repro.errors.QuotaExceeded`
@@ -156,9 +156,8 @@ class Gateway:
 
         In-flight cap first (refusal is immediate — a saturated tenant
         should shed load, not build queues), then the op-class token
-        bucket (waits up to the policy's ``queue_timeout``, then
-        refuses).  On success the operation is counted in service until
-        :meth:`finish` is called.
+        bucket (waits its turn).  The operation is then counted in
+        service until :meth:`finish` is called.
         """
         policy = state.policy
         if policy.max_in_flight is not None:
@@ -171,30 +170,16 @@ class Gateway:
                     f"in-flight cap of {policy.max_in_flight} reached",
                 )
         bucket = state.op_bucket(op)
-        if bucket is not None and not bucket.acquire(
-            1.0, timeout=policy.queue_timeout
-        ):
-            state.counters.record(admission_rejections=1)
-            raise AdmissionRejected(
-                state.tenant_id,
-                op,
-                f"{op}-rate backlog exceeds queue_timeout={policy.queue_timeout}s",
-            )
+        if bucket is not None:
+            bucket.acquire()
         self.store.provider_manager.tenant_begin_op(state.tenant_id)
         state.counters.record(**{op: 1})
 
-    def charge_bytes(self, state: TenantState, op: str, nbytes: int) -> None:
+    def charge_bytes(self, state: TenantState, nbytes: int) -> None:
         """Charge *nbytes* against the tenant's data-plane bandwidth bucket."""
         bucket = state.bytes_bucket
-        if bucket is None or nbytes <= 0:
-            return
-        if not bucket.acquire(float(nbytes), timeout=state.policy.queue_timeout):
-            state.counters.record(admission_rejections=1)
-            raise AdmissionRejected(
-                state.tenant_id,
-                op,
-                f"bandwidth backlog exceeds queue_timeout={state.policy.queue_timeout}s",
-            )
+        if bucket is not None:
+            bucket.acquire(nbytes)
 
     def finish(self, state: TenantState, nbytes: int = 0) -> None:
         """Mark an admitted operation as done (*nbytes* moved end-to-end)."""

@@ -64,9 +64,9 @@ class TenantPolicy:
             with :class:`~repro.errors.AdmissionRejected`, not queued.
         burst_seconds: bucket capacity, expressed as seconds of rate —
             an idle tenant banks up to ``rate * burst_seconds`` tokens.
-        queue_timeout: longest a single admission may wait on a bucket
-            before being refused with ``AdmissionRejected`` instead
-            (``None`` = wait as long as it takes).
+
+    A tenant past a bucket's rate always waits its turn; only the
+    in-flight cap refuses.
     """
 
     quota_bytes: Optional[int] = None
@@ -75,7 +75,6 @@ class TenantPolicy:
     bytes_per_sec: Optional[float] = None
     max_in_flight: Optional[int] = None
     burst_seconds: float = 1.0
-    queue_timeout: Optional[float] = None
 
     def validate(self) -> "TenantPolicy":
         """Raise ``ValueError`` on nonsensical limits."""
@@ -91,10 +90,6 @@ class TenantPolicy:
             )
         if self.burst_seconds <= 0:
             raise ValueError(f"burst_seconds must be > 0, got {self.burst_seconds}")
-        if self.queue_timeout is not None and self.queue_timeout < 0:
-            raise ValueError(
-                f"queue_timeout must be >= 0 (or None), got {self.queue_timeout}"
-            )
         return self
 
 

@@ -253,7 +253,6 @@ def metadata_descent(
         block_size=block_size,
         io_workers=io_workers,
         metadata_latency=latency,
-        metadata_cache_nodes=1024,
     )
     with store:
         blob = store.create()

@@ -1,7 +1,7 @@
 """Rate limiting: one capacity-bounded token bucket, :class:`TokenBucket`.
 
 The multi-tenant gateway admits with it (DESIGN.md §12): one bucket per
-tenant per op class delays or refuses a tenant over its rate.  The
+tenant per op class delays a tenant over its rate.  The
 anti-entropy scrub paces with it (DESIGN.md §8): ``store.scrub(
 ops_per_sec)`` builds ``TokenBucket(ops_per_sec, burst=1)`` and acquires
 one token per checked item, so back-to-back items are spaced exactly
@@ -23,8 +23,7 @@ class TokenBucket:
     The admission-control primitive (one per tenant per op class in the
     gateway): tokens accumulate while a tenant is idle up to *burst*, so
     short spikes are absorbed, and a sustained overload is paced down to
-    *rate* — or refused, when the caller passes a deadline it will not
-    wait past.
+    *rate*.
 
     Waiting is FIFO in lock-acquisition order: each waiter *reserves*
     its tokens immediately (the balance may go negative) and sleeps out
@@ -56,8 +55,6 @@ class TokenBucket:
         self._marked = self._clock()
         #: Total seconds callers spent blocked in :meth:`acquire`.
         self.waited = 0.0
-        #: Acquires refused (deadline shorter than the backlog).
-        self.rejected = 0
 
     def _refill(self, now: float) -> None:
         self._tokens = min(self.burst, self._tokens + (now - self._marked) * self.rate)
@@ -70,26 +67,15 @@ class TokenBucket:
             self._refill(self._clock())
             return self._tokens
 
-    def acquire(self, n: float = 1.0, timeout: Optional[float] = None) -> bool:
-        """Take *n* tokens, waiting for the refill if necessary.
-
-        Returns ``False`` — without consuming anything — when the wait
-        would exceed *timeout*; the caller turns that into a typed
-        admission rejection.
-        """
+    def acquire(self, n: float = 1.0) -> None:
+        """Take *n* tokens, waiting for the refill if necessary."""
         if n <= 0:
-            return True
+            return
         with self._lock:
-            now = self._clock()
-            self._refill(now)
-            deficit = n - self._tokens
-            wait = max(0.0, deficit / self.rate)
-            if timeout is not None and wait > timeout:
-                self.rejected += 1
-                return False
+            self._refill(self._clock())
+            wait = max(0.0, (n - self._tokens) / self.rate)
             self._tokens -= n
             if wait > 0:
                 self.waited += wait
         if wait > 0:
             self._sleep(wait)
-        return True

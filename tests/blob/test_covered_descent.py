@@ -34,11 +34,10 @@ BS = 4
 
 
 def make_store():
-    # No node cache: every read is cold, so its round trips are the descent's.
+    # Counted reads clear the node cache first: a cold read's round
+    # trips are the descent's.
     return LocalBlobStore(
-        config=StoreConfig(
-            data_providers=4, metadata_providers=4, block_size=BS, metadata_cache_nodes=0
-        )
+        config=StoreConfig(data_providers=4, metadata_providers=4, block_size=BS)
     )
 
 
@@ -250,6 +249,7 @@ def test_covered_bits_reads_and_round_trips(data):
                 continue
             info = store.snapshot(blob, version)
             stats.reset()
+            store.metadata.cache.clear()
             assert store.read(blob, version=info) == history[version], (blob, version)
             cold = stats.snapshot()["round_trips"]
             root = NodeKey(blob, version, 0, info.root_span)
@@ -280,6 +280,7 @@ def test_an_overwrite_inside_a_covered_subtree_keeps_old_reads_jumping():
     for version in (1, 2):
         info = store.snapshot(blob, version)
         stats.reset()
+        store.metadata.cache.clear()
         store.read(blob, version=info)
         trips[version] = stats.snapshot()["round_trips"]
         root = NodeKey(blob, version, 0, info.root_span)

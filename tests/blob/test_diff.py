@@ -189,13 +189,11 @@ class TestLevelBatchedDiff:
     rule every walker follows (DESIGN.md §4, §9)."""
 
     def test_rounds_of_a_one_block_overwrite_in_a_wide_blob(self):
-        """Two 1024-block appends, then block 700 rewritten, no node
-        cache: each diff takes at most one batched round per level of
+        """Two 1024-block appends, then block 700 rewritten, the node
+        cache cleared: each diff takes at most one batched round per level of
         the overwrite's path (12), and never fetches a node alone."""
         store = LocalBlobStore(
-            config=StoreConfig(
-                data_providers=4, metadata_providers=4, block_size=BS, metadata_cache_nodes=0
-            )
+            config=StoreConfig(data_providers=4, metadata_providers=4, block_size=BS)
         )
         blob = store.create()
         store.append(blob, b"a" * (1024 * BS))
@@ -220,6 +218,7 @@ class TestLevelBatchedDiff:
         ):
             rounds.clear()
             stats.reset()
+            store.metadata.cache.clear()
             assert changed_ranges(store, blob, older, 3) == expected
             assert len(rounds) <= 12, rounds
             assert stats.snapshot()["round_trips"] == len(rounds)

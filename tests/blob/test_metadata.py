@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.blob import BlockDescriptor, LeafNode, MetadataService, NodeKey
+from repro.blob import BlockDescriptor, LeafNode, MetadataService, NodeCache, NodeKey
 from repro.dht import DhtStore
 from repro.errors import ReplicationError, VersionNotFound, WriteConflict
 
@@ -80,13 +80,6 @@ class TestNodeStorage:
         assert set(load) == {f"mdp-{i}" for i in range(4)}
 
 
-@pytest.fixture
-def cached_service():
-    return MetadataService(
-        DhtStore([f"mdp-{i}" for i in range(4)], replication=2), cache_nodes=64
-    )
-
-
 class TestBatchFacade:
     def test_get_nodes_matches_scalar(self, service):
         nodes = [leaf(index=i) for i in range(8)]
@@ -134,97 +127,96 @@ class TestBatchFacade:
 
 
 class TestNodeCache:
-    def test_read_through_and_hit_counters(self, cached_service):
+    def test_read_through_and_hit_counters(self, service):
         node = leaf()
-        cached_service.put_patch([node])
-        before = cached_service.store.stats.snapshot()["round_trips"]
-        assert cached_service.get_node(node.key) == node  # miss -> DHT
-        assert cached_service.get_node(node.key) == node  # hit -> local
-        assert cached_service.store.stats.snapshot()["round_trips"] - before == 1
-        assert cached_service.cache.hits == 1
-        assert cached_service.cache.misses == 1
+        service.put_patch([node])
+        before = service.store.stats.snapshot()["round_trips"]
+        assert service.get_node(node.key) == node  # miss -> DHT
+        assert service.get_node(node.key) == node  # hit -> local
+        assert service.store.stats.snapshot()["round_trips"] - before == 1
+        assert service.cache.hits == 1
+        assert service.cache.misses == 1
 
-    def test_publish_does_not_populate_cache(self, cached_service):
+    def test_publish_does_not_populate_cache(self, service):
         """Write-through caching would let a client 'read' metadata the
         DHT never served it — failure injection must stay observable."""
         node = leaf()
-        cached_service.put_patch([node])
-        assert len(cached_service.cache) == 0
+        service.put_patch([node])
+        assert len(service.cache) == 0
 
-    def test_force_put_invalidates(self, cached_service):
-        cached_service.put_patch([leaf(provider="p1")])
-        cached_service.get_node(leaf().key)  # cached
-        assert cached_service.put_fillers([leaf(provider="p2")]) == []
-        assert cached_service.get_node(leaf().key) == leaf(provider="p2")
+    def test_force_put_invalidates(self, service):
+        service.put_patch([leaf(provider="p1")])
+        service.get_node(leaf().key)  # cached
+        assert service.put_fillers([leaf(provider="p2")]) == []
+        assert service.get_node(leaf().key) == leaf(provider="p2")
 
-    def test_sweep_invalidates(self, cached_service):
+    def test_sweep_invalidates(self, service):
         node = leaf()
-        cached_service.put_patch([node])
-        cached_service.get_node(node.key)  # cached
-        sweep(cached_service, node.key)
+        service.put_patch([node])
+        service.get_node(node.key)  # cached
+        sweep(service, node.key)
         with pytest.raises(VersionNotFound):
-            cached_service.get_node(node.key)
+            service.get_node(node.key)
 
-    def test_heal_replica_invalidates(self, cached_service):
-        cached_service.put_patch([leaf(provider="p1")])
-        cached_service.get_node(leaf().key)  # cached
+    def test_heal_replica_invalidates(self, service):
+        service.put_patch([leaf(provider="p1")])
+        service.get_node(leaf().key)  # cached
         healed = leaf(provider="p2")
-        for name in cached_service.store.owners(healed.key):
-            cached_service.heal_replica(name, healed)
-        assert cached_service.get_node(healed.key) == healed
+        for name in service.store.owners(healed.key):
+            service.heal_replica(name, healed)
+        assert service.get_node(healed.key) == healed
 
     def test_lru_eviction_bounds_size(self):
-        service = MetadataService(DhtStore(["a", "b"]), cache_nodes=4)
+        cache = NodeCache(4)
         nodes = [leaf(index=i) for i in range(8)]
-        service.put_patch(nodes)
         for node in nodes:
-            service.get_node(node.key)
-        assert len(service.cache) == 4
+            cache.put_if_fresh({node.key: node}, cache.begin())
+        assert len(cache) == 4
+        # The four least recently inserted went first.
+        assert [cache.get(node.key) for node in nodes] == [None] * 4 + nodes[4:]
 
-    def test_get_nodes_mixes_hits_and_misses(self, cached_service):
+    def test_get_nodes_mixes_hits_and_misses(self, service):
         nodes = [leaf(index=i) for i in range(6)]
-        cached_service.put_patch(nodes)
+        service.put_patch(nodes)
         keys = [node.key for node in nodes]
-        cached_service.get_nodes(keys[:3])  # warm half
-        before = cached_service.store.stats.snapshot()["keys_fetched"]
-        got = cached_service.get_nodes(keys)
+        service.get_nodes(keys[:3])  # warm half
+        before = service.store.stats.snapshot()["keys_fetched"]
+        got = service.get_nodes(keys)
         assert got == {node.key: node for node in nodes}
         # Only the cold half travelled.
-        assert cached_service.store.stats.snapshot()["keys_fetched"] - before == 3
+        assert service.store.stats.snapshot()["keys_fetched"] - before == 3
 
     @pytest.mark.parametrize("fetch", ["get_node", "get_nodes"])
-    def test_fetch_racing_an_invalidation_is_not_cached(self, cached_service, fetch):
+    def test_fetch_racing_an_invalidation_is_not_cached(self, service, fetch):
         """A DHT fetch that overlaps a sanctioned mutation must not
         install the superseded node after the mutation's invalidation
         already ran — otherwise one unlucky read pins the stale value
         forever (no further invalidation is coming)."""
         stale, healed = leaf(provider="p1"), leaf(provider="p2")
-        cached_service.put_patch([stale])
-        real_multi_get = cached_service.store.multi_get
+        service.put_patch([stale])
+        real_multi_get = service.store.multi_get
 
         def multi_get_then_heal(keys):
             nodes = real_multi_get(keys)  # the fetch observes the pre-heal value
-            for name in cached_service.store.owners(stale.key):
-                cached_service.heal_replica(name, healed)  # heal + invalidate
+            for name in service.store.owners(stale.key):
+                service.heal_replica(name, healed)  # heal + invalidate
             return nodes
 
-        cached_service.store.multi_get = multi_get_then_heal
+        service.store.multi_get = multi_get_then_heal
         if fetch == "get_node":
-            assert cached_service.get_node(stale.key) == stale  # raced read
+            assert service.get_node(stale.key) == stale  # raced read
         else:
-            assert cached_service.get_nodes([stale.key]) == {stale.key: stale}
-        cached_service.store.multi_get = real_multi_get
+            assert service.get_nodes([stale.key]) == {stale.key: stale}
+        service.store.multi_get = real_multi_get
         # The raced fetch must NOT have been cached: the next lookup
         # refetches and sees the healed node.
-        assert cached_service.get_node(stale.key) == healed
+        assert service.get_node(stale.key) == healed
 
     def test_unrelated_invalidation_does_not_reject_insert(self):
         """Per-key freshness: a maintenance sweep invalidating *other*
         keys (a GC pass does thousands) must not discard a concurrent
         reader's in-flight insert, or the cache never populates while
         the scrub daemon runs."""
-        from repro.blob import NodeCache
-
         cache = NodeCache(capacity=8)
         node, other = leaf(index=0), leaf(index=1)
         token = cache.begin()
@@ -237,10 +229,10 @@ class TestNodeCache:
         assert cache.put_if_fresh({node.key: node}, token) == 0
         assert cache.get(node.key) is None
 
-    def test_stats_surface(self, cached_service):
-        cached_service.put_patch([leaf()])
-        cached_service.get_node(leaf().key)
-        stats = cached_service.stats()
+    def test_stats_surface(self, service):
+        service.put_patch([leaf()])
+        service.get_node(leaf().key)
+        stats = service.stats()
         assert stats["round_trips"] > 0
         assert stats["cache_misses"] == 1
         assert 0.0 <= stats["cache_hit_rate"] <= 1.0

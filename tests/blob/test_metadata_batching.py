@@ -62,11 +62,12 @@ class TestRoundTripBound:
         the 2·runs - 1 nodes of the level-by-level walk."""
         nblocks = 4 * RUN_SPAN
         runs = nblocks // RUN_SPAN
-        store = make_store(metadata_cache_nodes=0)  # count the raw descent
+        store = make_store()
         blob = store.create()
         store.append(blob, b"d" * (nblocks * BS))
         stats = store.metadata.store.stats
         stats.reset()
+        store.metadata.cache.clear()  # count the raw descent
         assert store.read(blob) == b"d" * (nblocks * BS)
         snap = stats.snapshot()
         assert snap["round_trips"] == 2
@@ -77,11 +78,12 @@ class TestRoundTripBound:
 
     def test_per_node_driver_pays_per_node(self):
         nblocks = 4 * RUN_SPAN
-        store = make_store(metadata_cache_nodes=0)
+        store = make_store()
         blob = store.create()
         store.append(blob, b"d" * (nblocks * BS))
         stats = store.metadata.store.stats
         stats.reset()
+        store.metadata.cache.clear()
         found = collect_blocks_batched(
             lambda keys: {key: store.metadata.get_node(key) for key in keys},
             NodeKey(blob, 1, 0, nblocks),
@@ -96,11 +98,12 @@ class TestRoundTripBound:
 
     def test_partial_range_visits_only_its_paths(self):
         nblocks = 4 * RUN_SPAN
-        store = make_store(metadata_cache_nodes=0)
+        store = make_store()
         blob = store.create()
         store.append(blob, b"d" * (nblocks * BS))
         stats = store.metadata.store.stats
         stats.reset()
+        store.metadata.cache.clear()
         assert store.read(blob, offset=5 * BS, size=BS) == b"d" * BS
         snap = stats.snapshot()
         depth = tree_depth(nblocks // RUN_SPAN)

@@ -138,7 +138,6 @@ def test_published_equals_reachable(data):
         replication=data.draw(st.integers(1, 2), label="replication"),
         metadata_replication=data.draw(st.integers(1, 2), label="metadata replication"),
         io_workers=2,
-        metadata_cache_nodes=0,
     )
     with LocalBlobStore(config=config) as store:
         # Every key a walker asks for must exist; record the misses.

@@ -201,7 +201,7 @@ def test_a_whole_run_is_one_node():
 def test_overwrite_inside_a_run_is_clipped_out_of_it():
     """A later version references the old run around its own write: the
     run's stale entries for the overwritten blocks are never read."""
-    store = make_store(metadata_cache_nodes=0)
+    store = make_store()
     blob = store.create()
     old = pattern(1, RUN_SPAN * BS)
     store.append(blob, old)

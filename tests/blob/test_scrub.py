@@ -179,13 +179,12 @@ class TestMetadataReconciliation:
 
 
 class TestTombstoneHealing:
-    def stale_node_scenario(self, **store_kwargs):
+    def stale_node_scenario(self):
         """A replica receives a real-patch node of a doomed write, dies
         before the abort, and recovers serving it — the exact stale-node
         gap the ROADMAP left open (metadata_replication >= 2)."""
         store = make_store(
             metadata_providers=8, metadata_replication=2, data_providers=4,
-            **store_kwargs,
         )
         blob = store.create()
         store.append(blob, b"a" * (4 * BS))  # v1
@@ -216,10 +215,7 @@ class TestTombstoneHealing:
         return store, blob, state["victim"], state["key"]
 
     def test_recovered_replica_serves_stale_node_until_scrubbed(self):
-        # Cache disabled: this test demonstrates the raw DHT-layer
-        # stale-node hazard, which a warm client cache (correct filler
-        # cached by the pre-recovery read) would mask.
-        store, blob, victim, key = self.stale_node_scenario(metadata_cache_nodes=0)
+        store, blob, victim, key = self.stale_node_scenario()
         assert store.snapshot(blob, 2).tombstone
 
         # While the victim is down, reads resolve through the filler on
@@ -229,8 +225,12 @@ class TestTombstoneHealing:
 
         # The victim recovers: ring order consults it first, and it
         # still holds the dead write's real leaf — whose block was
-        # rolled back.  Stale-node reads are now possible.
+        # rolled back.  Stale-node reads are now possible.  The cache
+        # is cleared: this test demonstrates the raw DHT-layer hazard,
+        # which the correct filler the pre-recovery read cached would
+        # mask.
         store.metadata.store.recover_bucket(victim)
+        store.metadata.cache.clear()
         assert store.metadata.replica_nodes_many([key])[key][victim] != store.metadata.get_node(key) or (
             store.metadata.divergent_keys() != []
         )
@@ -259,8 +259,7 @@ class TestTombstoneHealing:
         after the scrub heals it — without the invalidation, the client
         would keep resolving the tombstoned version through the dead
         write's leaf forever."""
-        store, blob, victim, key = self.stale_node_scenario()  # cache ON
-        assert store.metadata.cache is not None
+        store, blob, victim, key = self.stale_node_scenario()
         store.metadata.store.recover_bucket(victim)
 
         # Ring order consults the recovered replica first: the descent

@@ -4,8 +4,9 @@ Covers the three contract points of the construction surface:
 
 * ``LocalBlobStore(config=StoreConfig(...))`` is the only path — loose
   keywords are a ``TypeError``;
-* the field set is exactly the fifteen documented knobs (the two
-  ablation toggles the store no longer forks on are rejected);
+* the field set is exactly the fourteen documented knobs (the two
+  ablation toggles the store no longer forks on, and the node-cache
+  capacity that is now a constant, are rejected);
 * ``validate()`` rejects the documented silently-broken combinations
   with messages that name the offending fields.
 """
@@ -30,19 +31,20 @@ NON_DEFAULTS = dict(
     max_in_flight=256,
     provider_latency=0.001,
     metadata_latency=0.002,
-    metadata_cache_nodes=64,
     vman_latency=0.003,
     overlap_publish=True,
 )
 
 
 class TestStoreConfig:
-    def test_field_set_is_the_fifteen_documented_knobs(self):
+    def test_field_set_is_the_fourteen_documented_knobs(self):
         assert set(StoreConfig.__dataclass_fields__) == set(NON_DEFAULTS)
-        assert len(NON_DEFAULTS) == 15
+        assert len(NON_DEFAULTS) == 14
         assert StoreConfig(**NON_DEFAULTS).validate()
 
-    @pytest.mark.parametrize("removed", ["metadata_batching", "group_commit"])
+    @pytest.mark.parametrize(
+        "removed", ["metadata_batching", "group_commit", "metadata_cache_nodes"]
+    )
     def test_removed_ablation_toggles_are_rejected(self, removed):
         with pytest.raises(TypeError, match=removed):
             StoreConfig(**{removed: False})
@@ -120,7 +122,6 @@ class TestValidation:
             (dict(provider_latency=-0.1), "provider_latency"),
             (dict(metadata_latency=-0.1), "metadata_latency"),
             (dict(vman_latency=-0.1), "vman_latency"),
-            (dict(metadata_cache_nodes=-1), "metadata_cache_nodes"),
             (dict(overlap_publish=True, io_workers=0), "requires io_workers > 0"),
             (dict(io_scheduler="threads"), "thread-pool scheduler was removed, and io_workers"),
         ],

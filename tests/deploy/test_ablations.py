@@ -6,7 +6,7 @@ the effect.  Everything runs on the simulator's virtual clock, so the
 outcomes are deterministic for a given seed.
 """
 
-from repro.deploy import JobProfile, deploy_mapreduce
+from repro.deploy import deploy_mapreduce
 from repro.deploy.deployment import deploy_microbench
 from repro.deploy.platform import DEFAULT_CALIBRATION, Calibration
 from repro.harness.experiments import GREP_SCAN_RATE
@@ -225,40 +225,3 @@ def test_ablation_grep_gap_vs_layout_skew():
     # The gap grows with skew; heavy skew produces paper-magnitude gaps.
     assert gaps[16] > gaps[3] >= gaps[1] - 0.02
     assert gaps[16] > 0.15
-
-
-# -- speculative execution on a heterogeneous cluster (paper ref [17]) ---------
-
-
-def _speculation_run(speculative: bool) -> tuple[float, int]:
-    """Grep makespan and duplicate attempts with one degraded-NIC tracker."""
-    profile = JobProfile(
-        jvm_start=0.5,
-        heartbeat=1.0,
-        job_init=1.0,
-        reduce_time=0.5,
-        speculative=speculative,
-        speculative_slowdown=1.3,
-    )
-    dep = deploy_mapreduce("hdfs", workers=24, profile=profile, seed=6)
-    dep.cluster.network.set_node_rates("worker-000", ingress=8 * MB)
-    engine = dep.cluster.engine
-    cal = dep.calibration
-
-    def scenario():
-        yield from dep.storage.write_file(
-            dep.dedicated_client, "/input", 36 * 64 * MB,
-            produce_rate=cal.client_stream_cap,
-        )
-        elapsed = yield from dep.hadoop.run_scan_job("/input", scan_rate=50 * MB)
-        return elapsed
-
-    elapsed = engine.run(engine.process(scenario()))
-    return elapsed, dep.hadoop.last_speculative
-
-
-def test_ablation_speculation():
-    off, _ = _speculation_run(speculative=False)
-    on, twins = _speculation_run(speculative=True)
-    assert twins > 0
-    assert on < off

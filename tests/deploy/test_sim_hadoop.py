@@ -142,3 +142,37 @@ class TestWriteJobs:
         elapsed = engine.run(engine.process(scenario()))
         # 4 one-second tasks on 2 single-slot trackers: at least 2 rounds.
         assert elapsed >= 2.0
+
+
+class TestHeterogeneousCluster:
+    """One tasktracker's NIC degraded to 8 MB/s (the heterogeneous
+    setting of the paper's ref [17]): every remote-input map it takes
+    becomes a straggler."""
+
+    @staticmethod
+    def scan(degraded: bool):
+        profile = JobProfile(jvm_start=0.2, heartbeat=0.5, job_init=0.5, reduce_time=0.0)
+        dep = deploy_mapreduce("hdfs", workers=16, profile=profile, seed=4)
+        if degraded:
+            dep.cluster.network.set_node_rates("worker-000", ingress=8 * MB)
+        engine = dep.cluster.engine
+        cal = dep.calibration
+
+        def scenario():
+            yield from dep.storage.write_file(
+                dep.dedicated_client, "/input", 24 * BS, produce_rate=cal.client_stream_cap
+            )
+            elapsed = yield from dep.hadoop.run_scan_job("/input", scan_rate=50 * MB)
+            return elapsed
+
+        return dep, engine.run(engine.process(scenario()))
+
+    def test_all_tasks_complete_exactly_once(self):
+        dep, _ = self.scan(degraded=True)
+        assert dep.hadoop.last_local + dep.hadoop.last_remote == 24
+        assert dep.hadoop.last_failures == 0
+
+    def test_a_straggler_lengthens_the_makespan(self):
+        _, healthy = self.scan(degraded=False)
+        _, degraded = self.scan(degraded=True)
+        assert degraded > healthy

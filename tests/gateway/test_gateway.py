@@ -202,26 +202,26 @@ class TestAdmissionControl:
         stream.close()
         alice.create("/g").close()  # capacity came back with the close
 
-    def test_op_rate_with_zero_queue_timeout_rejects_the_burst_overflow(
-        self, gateway
-    ):
-        policy = TenantPolicy(
-            append_ops_per_sec=1, burst_seconds=1, queue_timeout=0.0
-        )
+    def test_op_rate_overflow_waits_exactly_its_deficit(self, gateway, vclock):
+        policy = TenantPolicy(append_ops_per_sec=1, burst_seconds=1)
         alice = connect(gateway, "alice", policy)
         alice.write_file("/a", b"x")  # consumes the single burst token
-        with pytest.raises(AdmissionRejected):
-            alice.create("/b")
-        assert alice.stats()["admission_rejections"] == 1
+        assert vclock.slept == []
+        alice.create("/b").close()  # one token short at 1/s: waits 1 s
+        assert vclock.slept == [pytest.approx(1.0)]
+        assert vclock.now() == pytest.approx(1.0)
+        assert alice.stats()["admission_rejections"] == 0
 
     def test_bandwidth_bucket_paces_writes(self, gateway, vclock):
-        # 64 KB/s with a 1/16-second burst: a 8 KB write must wait.
+        # 64 KB/s with a 1/16-second burst: a 8 KB write must wait
+        # exactly its (8 - 4) KB deficit at 64 KB/s, and is not refused.
         policy = TenantPolicy(bytes_per_sec=64 * BS, burst_seconds=1 / 16)
         alice = connect(gateway, "alice", policy)
         alice.write_file("/f", b"x" * (8 * BS))
-        assert vclock.now() >= 0.05  # (8 - 4) KB deficit at 64 KB/s
         assert vclock.slept == [pytest.approx(4 / 64)]
-        assert alice.stats()["throttle_wait_s"] > 0
+        assert vclock.now() == pytest.approx(4 / 64)
+        assert alice.stats()["throttle_wait_s"] == pytest.approx(4 / 64)
+        assert alice.stats()["admission_rejections"] == 0
 
     def test_sequential_reads_charge_what_they_return(self, gateway):
         # The stream's cursor bounds each charge: a short read at the
@@ -231,10 +231,9 @@ class TestAdmissionControl:
         charges = []
         real_charge = gateway.charge_bytes
 
-        def charge(state, op, nbytes):
-            if op == "read":
-                charges.append(nbytes)
-            real_charge(state, op, nbytes)
+        def charge(state, nbytes):
+            charges.append(nbytes)
+            real_charge(state, nbytes)
 
         gateway.charge_bytes = charge
         with alice.open("/f") as stream:
@@ -245,9 +244,7 @@ class TestAdmissionControl:
         assert charges == [7, 13, 0]
 
     def test_read_ops_are_a_separate_bucket_from_appends(self, gateway):
-        policy = TenantPolicy(
-            append_ops_per_sec=1, burst_seconds=1, queue_timeout=0.0
-        )
+        policy = TenantPolicy(append_ops_per_sec=1, burst_seconds=1)
         alice = connect(gateway, "alice", policy)
         alice.write_file("/f", b"x")
         for _ in range(5):  # reads are unrated by this policy

@@ -132,16 +132,15 @@ def open_reader(backend, data):
     charges = []
     if backend == "gateway":
         gateway = Gateway(config=StoreConfig(data_providers=4, block_size=8))
-        real_charge = gateway.charge_bytes
-
-        def charge(state, op, nbytes):
-            if op == "read":
-                charges.append(nbytes)
-            real_charge(state, op, nbytes)
-
-        gateway.charge_bytes = charge
         client = gateway.connect("t", gateway.register_tenant("t"))
         client.write_file("/f", data)
+        real_charge = gateway.charge_bytes
+
+        def charge(state, nbytes):
+            charges.append(nbytes)
+            real_charge(state, nbytes)
+
+        gateway.charge_bytes = charge  # from here on only reads charge
         return client.open("/f"), charges, gateway.close
     fs = (
         BSFSFileSystem(config=StoreConfig(data_providers=4, block_size=8))

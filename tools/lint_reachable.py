@@ -1,4 +1,5 @@
-"""Reachability lint: no ``src/`` definition that only tests reach.
+"""Reachability lint: no ``src/`` definition or config field that only
+tests reach.
 
 Every top-level function and every method under ``src/repro/`` must be
 reachable from the program itself — ``src/``, ``perf/``, ``examples/``
@@ -28,6 +29,25 @@ they read — one reason per entry.  An entry's name counts as reached,
 and so does everything its definitions use.  An entry that no longer
 names a definition, or names one the program reaches anyway, is itself
 a violation, so the list cannot go stale.
+
+The same scan holds options to the same rule.  A defaulted field of a
+``@dataclass`` under ``src/repro/`` (not underscored, not a
+``ClassVar``, not a ``default_factory``) is a setting, and a setting
+only tests change is an option no figure, benchmark or example uses:
+one value in use is a constant.  Program code must set the field to
+something other than its literal default, by any of
+
+* a keyword argument of its name (``StoreConfig(io_workers=4)``);
+* a positional argument of a call to its class that reaches it;
+* an attribute assignment of its name (``self.name = ...``);
+* an identifier-shaped string of its name (a dict key later splatted,
+  as ``ScrubReport(**counters)``).
+
+A ``**`` splat alone sets nothing, or ``make_config(**fields)`` would
+hide every field.  :data:`FIELD_ALLOWLIST` keeps the fields no program
+changes, one reason per entry; an entry naming a class keeps only its
+``int`` and ``float`` fields (calibrated constants), so a ``bool`` or
+``Optional`` switch is always checked.  Stale entries fail here too.
 """
 
 from __future__ import annotations
@@ -47,7 +67,8 @@ CALLERS = ("src", "perf", "examples", "tools")
 ALLOWLIST = {
     "HDFSFileSystem.fail_datanode": "fault injection: an HDFS datanode dies",
     "FlowNetwork.set_node_rates": "fault injection: a straggler's NIC is "
-    "throttled (the speculation test and ablation)",
+    "throttled (the simulated BlobSeer's publication-order rate-cap "
+    "cases and the simulated Hadoop's heterogeneous-cluster scan)",
     "ProviderManagerCore.block_counts": "invariant probe: allocator charges "
     "equal stored blocks after any rollback, scrub or GC",
     "MetadataService.load_by_provider": "invariant probe: tree nodes per "
@@ -64,6 +85,22 @@ ALLOWLIST = {
     "TokenBucket.available": "invariant probe: the token balance the "
     "pacing tests assert on",
 }
+
+#: Dataclass fields kept although no program code sets them to anything
+#: but their default, keyed by ``Class.field``, or by ``Class`` for a
+#: class of calibrated constants (its ``int`` and ``float`` fields only).
+FIELD_ALLOWLIST = {
+    "Calibration": "calibrated service times and sizes of the simulated "
+    "platform: one value each, named where the figures' model is tuned",
+    "JobProfile": "calibrated Hadoop 0.20 framework times and budgets",
+    "DiskSpec": "calibrated disk model of the simulated platform",
+    "StoreConfig.io_scheduler": "perf/workloads.py passes it; it leaves "
+    "with ROADMAP item 8",
+}
+
+
+#: A default or setter value that is not a literal.
+_UNKNOWN = object()
 
 
 @dataclass
@@ -95,25 +132,214 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def uses_of(node: ast.AST) -> set[str]:
-    """Names *node* uses; imports, ``__all__`` and docstrings excluded."""
-    found: set[str] = set()
+def _code(node: ast.AST):
+    """*node* and what it contains; imports, ``__all__`` and docstrings
+    excluded."""
     stack = [node]
     while stack:
         current = stack.pop()
         if isinstance(current, (ast.Import, ast.ImportFrom)) or _is_all(current):
             continue
+        yield current
+        for child in ast.iter_child_nodes(current):
+            if not _is_docstring(child):
+                stack.append(child)
+
+
+def _identifier(node: ast.AST) -> str | None:
+    """The text of an identifier-shaped string constant."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        if node.value.isidentifier():
+            return node.value
+    return None
+
+
+def uses_of(node: ast.AST) -> set[str]:
+    """Names *node* uses; imports, ``__all__`` and docstrings excluded."""
+    found: set[str] = set()
+    for current in _code(node):
         if isinstance(current, ast.Name):
             found.add(current.id)
         elif isinstance(current, ast.Attribute):
             found.add(current.attr)
-        elif isinstance(current, ast.Constant) and isinstance(current.value, str):
-            if current.value.isidentifier():
-                found.add(current.value)
-        for child in ast.iter_child_nodes(current):
-            if not _is_docstring(child):
-                stack.append(child)
+        elif (text := _identifier(current)) is not None:
+            found.add(text)
     return found
+
+
+@dataclass
+class Setting:
+    """A defaulted dataclass field: a setting of its class."""
+
+    path: Path
+    line: int
+    owner: str
+    name: str
+    #: Index among the class's fields, for positional construction.
+    position: int
+    #: The literal default, or ``_UNKNOWN``.
+    default: object
+    numeric: bool
+
+    @property
+    def qualname(self) -> str:
+        return f"{self.owner}.{self.name}"
+
+
+def _named(node: ast.AST, name: str) -> bool:
+    """*node* is ``name`` or ``<anything>.name``."""
+    return (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
+def _literal(node: ast.expr) -> object:
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return _UNKNOWN
+
+
+def _is_classvar(annotation: ast.expr) -> bool:
+    if isinstance(annotation, ast.Subscript):
+        annotation = annotation.value
+    return _named(annotation, "ClassVar")
+
+
+def settings_of(tree: ast.Module, path: Path) -> list[Setting]:
+    """The defaulted fields of every ``@dataclass`` in *tree*."""
+    found: list[Setting] = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef) or not any(
+            _named(d.func if isinstance(d, ast.Call) else d, "dataclass")
+            for d in cls.decorator_list
+        ):
+            continue
+        fields = [
+            stmt
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)
+            and not _is_classvar(stmt.annotation)
+        ]
+        for position, stmt in enumerate(fields):
+            default = stmt.value
+            if isinstance(default, ast.Call) and _named(default.func, "field"):
+                # ``field(default_factory=...)`` has no default to keep.
+                default = {kw.arg: kw.value for kw in default.keywords}.get("default")
+            if default is None or stmt.target.id.startswith("_"):
+                continue
+            found.append(
+                Setting(
+                    path,
+                    stmt.lineno,
+                    cls.name,
+                    stmt.target.id,
+                    position,
+                    _literal(default),
+                    _named(stmt.annotation, "int") or _named(stmt.annotation, "float"),
+                )
+            )
+    return found
+
+
+def record_setters(
+    tree: ast.AST,
+    named_values: dict[str, list[ast.expr | None]],
+    call_args: dict[str, list[list[ast.expr]]],
+) -> None:
+    """Record each value *tree* gives a name (``None``: not known).
+
+    Keyword arguments, attribute assignments and identifier strings go
+    to *named_values*; the positional arguments of a call go to
+    *call_args* under the called name.
+    """
+    for node in _code(tree):
+        if isinstance(node, ast.keyword) and node.arg is not None:
+            named_values.setdefault(node.arg, []).append(node.value)
+        elif isinstance(node, ast.Call) and node.args:
+            func = node.func
+            callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if callee is not None:
+                call_args.setdefault(callee, []).append(node.args)
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and node.value:
+            value = None if isinstance(node, ast.AugAssign) else node.value
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Attribute):
+                    named_values.setdefault(target.attr, []).append(value)
+                elif isinstance(target, (ast.Tuple, ast.List)):
+                    for element in target.elts:
+                        if isinstance(element, ast.Attribute):
+                            named_values.setdefault(element.attr, []).append(None)
+        elif (text := _identifier(node)) is not None:
+            named_values.setdefault(text, []).append(None)
+
+
+def _changed(
+    setting: Setting,
+    named_values: dict[str, list[ast.expr | None]],
+    call_args: dict[str, list[list[ast.expr]]],
+) -> bool:
+    """Program code gives *setting* a value other than its default."""
+    values = list(named_values.get(setting.name, ()))
+    for args in call_args.get(setting.owner, ()):
+        for index, arg in enumerate(args):
+            if isinstance(arg, ast.Starred):  # reaches every later field
+                values.append(None)
+                break
+            if index == setting.position:
+                values.append(arg)
+                break
+    for value in values:
+        literal = _UNKNOWN if value is None else _literal(value)
+        if literal is _UNKNOWN or setting.default is _UNKNOWN:
+            return True
+        if literal != setting.default:
+            return True
+    return False
+
+
+def field_violations(
+    root: Path,
+    settings: list[Setting],
+    named_values: dict[str, list[ast.expr | None]],
+    call_args: dict[str, list[list[ast.expr]]],
+    allowlist: dict[str, str],
+) -> list[str]:
+    """The field rule's violations, stale *allowlist* entries included."""
+    violations: list[str] = []
+    kept_classes: set[str] = set()
+    for setting in settings:
+        where = f"{setting.path.relative_to(root)}:{setting.line}"
+        changed = _changed(setting, named_values, call_args)
+        if setting.qualname in allowlist:
+            if changed:
+                violations.append(
+                    f"{where}: {setting.qualname} is allowlisted but the "
+                    "program sets it: drop the entry"
+                )
+        elif changed:
+            continue
+        elif setting.numeric and setting.owner in allowlist:
+            kept_classes.add(setting.owner)
+        else:
+            violations.append(
+                f"{where}: {setting.qualname} is set by no program code to "
+                "anything but its default"
+            )
+    known = {setting.qualname for setting in settings}
+    for entry in sorted(allowlist):
+        if "." in entry and entry not in known:
+            violations.append(
+                f"field allowlist entry {entry} names no defaulted dataclass field"
+            )
+        elif "." not in entry and entry not in kept_classes:
+            violations.append(
+                f"field allowlist entry {entry} keeps no int or float field "
+                "the program leaves at its default"
+            )
+    return violations
 
 
 def _scan_body(
@@ -148,17 +374,29 @@ def _reach(seeds: set[str], by_name: dict[str, list[Definition]]) -> set[str]:
     return reached
 
 
-def lint(root: Path = REPO, allowlist: dict[str, str] | None = None) -> list[str]:
-    """Violations under *root* (default allowlist: ALLOWLIST)."""
+def lint(
+    root: Path = REPO,
+    allowlist: dict[str, str] | None = None,
+    field_allowlist: dict[str, str] | None = None,
+) -> list[str]:
+    """Violations under *root* (default allowlists: ALLOWLIST and
+    FIELD_ALLOWLIST)."""
     if allowlist is None:
         allowlist = ALLOWLIST
+    if field_allowlist is None:
+        field_allowlist = FIELD_ALLOWLIST
     definitions: list[Definition] = []
     roots: set[str] = set()
+    settings: list[Setting] = []
+    named_values: dict[str, list[ast.expr | None]] = {}
+    call_args: dict[str, list[list[ast.expr]]] = {}
     for subdir in CALLERS:
         for path in _python_files(root, subdir):
             tree = ast.parse(path.read_text(), filename=str(path))
+            record_setters(tree, named_values, call_args)
             if path.is_relative_to(root / DEFINITIONS):
                 _scan_body(tree.body, "", path, definitions, roots)
+                settings += settings_of(tree, path)
             else:
                 roots |= uses_of(tree)
 
@@ -187,7 +425,9 @@ def lint(root: Path = REPO, allowlist: dict[str, str] | None = None) -> list[str
     known = {d.qualname for d in definitions}
     for qualname in sorted(set(allowlist) - known):
         violations.append(f"allowlist entry {qualname} names no definition")
-    return violations
+    return violations + field_violations(
+        root, settings, named_values, call_args, field_allowlist
+    )
 
 
 def main() -> int:
@@ -199,11 +439,16 @@ def main() -> int:
         print(
             "\nDelete a definition that only tests call, or add it to "
             "ALLOWLIST in tools/lint_reachable.py with the reason tests "
-            "legitimately need it (fault injection or an invariant probe).",
+            "legitimately need it (fault injection or an invariant probe).  "
+            "Make a field no program sets a constant, or add it to "
+            "FIELD_ALLOWLIST with the reason it stays.",
             file=sys.stderr,
         )
         return 1
-    print(f"reachability lint OK: every {DEFINITIONS} definition is reached")
+    print(
+        f"reachability lint OK: every {DEFINITIONS} definition is reached "
+        "and every config field is set"
+    )
     return 0
 
 
