@@ -14,7 +14,6 @@ path.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -97,10 +96,6 @@ class StoreConfig:
     def block_size_bytes(self) -> int:
         """The block size as an integer byte count."""
         return parse_size(self.block_size)
-
-    def replace(self, **changes) -> "StoreConfig":
-        """A copy with *changes* applied (convenience for sweeps)."""
-        return dataclasses.replace(self, **changes)
 
     # -- validation ------------------------------------------------------------
 

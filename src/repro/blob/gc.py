@@ -11,10 +11,14 @@ so collection is a mark-and-sweep over the metadata trees:
 2. **sweep** — delete this BLOB's unmarked tree nodes from the metadata
    buckets and its unmarked blocks from the data providers.
 
-A pass refuses to start while a version of the BLOB (or of a branch
-descending from it) is in flight, but it does not need quiescence: a
-write may start, scatter, publish and commit while the pass runs.  Two
-limits keep such writes whole:
+A pass reads the version manager once, in one critical section
+through the store's seam (DESIGN.md §10): it refuses to start while a
+version of the BLOB (or of a branch descending from it) is in flight,
+takes the watermark and the roots to mark, and raises the GC floor, so
+a branch forked during the pass inherits the new floor.  Everything
+else runs outside the lock and needs no quiescence: a write may start,
+scatter, publish and commit while the pass runs.  Two limits keep such
+writes whole:
 
 * the node sweep deletes only keys whose version is at most the
   publication watermark read when the pass starts — a newer snapshot's
@@ -52,6 +56,7 @@ from dataclasses import dataclass
 from repro.blob.block import BlockDescriptor
 from repro.blob.segment_tree import NodeKey, clipped_entries, iter_reachable_batched
 from repro.blob.store import LocalBlobStore
+from repro.blob.version_manager import VersionManagerCore
 from repro.errors import BlobError, ProviderUnavailable
 
 __all__ = ["GcReport", "collect_garbage"]
@@ -68,6 +73,50 @@ class GcReport:
     bytes_freed: int
 
 
+def _control_plane(
+    vm: VersionManagerCore, blob_id: str, retain_from: int
+) -> tuple[int, list[NodeKey]]:
+    """Everything a pass needs from the version manager, in one critical
+    section: the in-flight checks, the watermark, the roots of every
+    snapshot to mark — and the new GC floor.
+
+    The roots are those of *blob_id*'s retained snapshots *and of every
+    branch descending from it*, since branches share subtrees and
+    blocks with their ancestor (§II-A).  The floor is raised here, not
+    after the sweep: a branch forked while the pass runs is not among
+    these roots, so it must inherit the new floor rather than the
+    versions the sweep is about to delete.
+    """
+    inflight = vm.in_flight(blob_id)
+    if inflight:
+        raise BlobError(
+            f"cannot GC blob {blob_id!r} with writes in flight: versions {inflight}"
+        )
+    watermark = vm.published_version(blob_id)
+    if retain_from > watermark:
+        raise BlobError(
+            f"retain_from {retain_from} beyond published watermark {watermark}"
+        )
+    retained = [(blob_id, retain_from, watermark)]
+    for other_id in vm.blob_ids():
+        if other_id != blob_id and vm.descends_from(other_id, blob_id):
+            if vm.in_flight(other_id):
+                raise BlobError(
+                    f"cannot GC blob {blob_id!r}: descendant branch "
+                    f"{other_id!r} has writes in flight"
+                )
+            other = vm.blob(other_id)
+            retained.append((other_id, max(other.gc_floor, 1), other.published))
+    roots = []
+    for owner, first, last in retained:
+        for version in range(first, last + 1):
+            info = vm.snapshot_info(owner, version)
+            if info.size:
+                roots.append(NodeKey(owner, version, 0, info.root_span))
+    vm.set_gc_floor(blob_id, retain_from)
+    return watermark, roots
+
+
 def collect_garbage(store: LocalBlobStore, blob_id: str, retain_from: int) -> GcReport:
     """Drop snapshots of *blob_id* older than *retain_from*.
 
@@ -75,63 +124,31 @@ def collect_garbage(store: LocalBlobStore, blob_id: str, retain_from: int) -> Gc
     byte-for-byte; lower versions become :class:`VersionNotFound`.
     Shared nodes/blocks still referenced by retained snapshots survive.
     """
-    vm = store.version_manager
-    state = vm.blob(blob_id)
-    inflight = vm.in_flight(blob_id)
-    if inflight:
-        raise BlobError(
-            f"cannot GC blob {blob_id!r} with writes in flight: versions {inflight}"
-        )
     if retain_from < 1:
         raise ValueError(f"retain_from must be >= 1, got {retain_from}")
     # The horizon before the watermark: a write retired between the two
     # reads has a version at or below the watermark, so it is marked.
     horizon = store.gc_horizon()
-    watermark = state.published
-    if retain_from > watermark:
-        raise BlobError(
-            f"retain_from {retain_from} beyond published watermark {watermark}"
-        )
+    vm = store.version_manager
+    watermark, roots = store._vman_call(lambda: _control_plane(vm, blob_id, retain_from))
 
-    # Mark phase: everything reachable from retained snapshot roots —
-    # of this BLOB *and of every branch descending from it*, since
-    # branches share subtrees and blocks with their ancestor (§II-A).
+    # Mark phase: everything reachable from the retained snapshot roots.
+    # Level-batched traversal pruned by the keys already visited whole:
+    # subtrees shared with already-marked versions are neither
+    # re-fetched nor re-walked, and each level of the rest costs one
+    # batched metadata pass (DESIGN.md §9).
     resolver = store.key_resolver()
     marked_nodes: set[NodeKey] = set()
     marked_blocks: set[tuple] = set()
     visited: set[NodeKey] = set()
-
-    def mark(owner_blob: str, first_version: int, last_version: int) -> None:
-        for version in range(max(first_version, 1), last_version + 1):
-            info = vm.snapshot_info(owner_blob, version)
-            if info.size == 0:
-                continue
-            root = NodeKey(owner_blob, version, 0, info.root_span)
-            # Level-batched traversal pruned by the keys already visited
-            # whole: subtrees shared with already-marked versions are
-            # neither re-fetched nor re-walked, and each level of the
-            # rest costs one batched metadata pass (DESIGN.md §9).
-            for node, lo, hi in iter_reachable_batched(
-                store.metadata.get_nodes,
-                root,
-                key_resolver=resolver,
-                seen=visited,
-            ):
-                marked_nodes.add(node.key)
-                for entry in clipped_entries(node, lo, hi):
-                    if type(entry) is BlockDescriptor:
-                        marked_blocks.add(entry.block_id)
-
-    mark(blob_id, retain_from, watermark)
-    for other_id in vm.blob_ids():
-        if other_id != blob_id and vm.descends_from(other_id, blob_id):
-            other = vm.blob(other_id)
-            if vm.in_flight(other_id):
-                raise BlobError(
-                    f"cannot GC blob {blob_id!r}: descendant branch "
-                    f"{other_id!r} has writes in flight"
-                )
-            mark(other_id, max(other.gc_floor, 1), other.published)
+    for root in roots:
+        for node, lo, hi in iter_reachable_batched(
+            store.metadata.get_nodes, root, key_resolver=resolver, seen=visited
+        ):
+            marked_nodes.add(node.key)
+            for entry in clipped_entries(node, lo, hi):
+                if type(entry) is BlockDescriptor:
+                    marked_blocks.add(entry.block_id)
 
     # Sweep metadata buckets (every replica holds full keys; sweep
     # each), one ``delete_many`` request per bucket.  Offline buckets
@@ -193,7 +210,6 @@ def collect_garbage(store: LocalBlobStore, blob_id: str, retain_from: int) -> Gc
                 bytes_freed += freed
                 store.provider_manager.release(provider.name, freed)
 
-    vm.set_gc_floor(blob_id, retain_from)
     return GcReport(
         blob_id=blob_id,
         retain_from=retain_from,

@@ -14,6 +14,7 @@ import threading
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.blob.version_manager import AssignRequest, WriteTicket
+from repro.errors import BlobError
 from repro.obs import Counters
 
 if TYPE_CHECKING:
@@ -199,27 +200,28 @@ class PublishPipeline:
         self._store._abort_ticket(ticket, [], [], [])
 
     def _flush_assigns(self, batch: list[_PendingOp]) -> None:
-        requests = [entry.request for entry in batch]
-        outcomes = self._store._vman_call(
-            lambda: self._store.version_manager.assign_batch(requests),
+        self._serve(
+            batch,
+            self._store.version_manager.assign_batch,
             assign_rounds=1,
-            tickets_assigned=len(requests),
+            tickets_assigned=len(batch),
         )
+
+    def _flush_commits(self, batch: list[_PendingOp]) -> None:
+        self._serve(
+            batch,
+            self._store.version_manager.commit_batch,
+            commit_rounds=1,
+            commits_reported=len(batch),
+        )
+
+    def _serve(self, batch: list[_PendingOp], core_batch: Callable, **counters) -> None:
+        """Serve *batch* in ONE version-manager interaction; each member
+        gets its own slot of the aligned result, value or error."""
+        requests = [entry.request for entry in batch]
+        outcomes = self._store._vman_call(lambda: core_batch(requests), **counters)
         for entry, outcome in zip(batch, outcomes):
-            if isinstance(outcome, BaseException):
+            if isinstance(outcome, BlobError):
                 entry.reject(outcome)
             else:
                 entry.resolve(outcome)
-
-    def _flush_commits(self, batch: list[_PendingOp]) -> None:
-        items = [entry.request for entry in batch]
-        outcomes = self._store._vman_call(
-            lambda: self._store.version_manager.commit_batch(items),
-            commit_rounds=1,
-            commits_reported=len(items),
-        )
-        for entry, outcome in zip(batch, outcomes):
-            if outcome.error is not None:
-                entry.reject(outcome.error)
-            else:
-                entry.resolve(outcome.watermark)

@@ -151,11 +151,13 @@ class _BlobPlan:
 
 
 def _snapshot_control_plane(store: "LocalBlobStore") -> list[_BlobPlan]:
-    """One short critical section: everything the pass needs from the
-    version manager, so no scrub I/O ever holds the version-manager lock."""
+    """One short critical section through the store's version-manager
+    seam: everything the pass needs from the version manager, so no
+    scrub I/O ever holds the version-manager lock."""
     vm = store.version_manager
-    plans = []
-    with store._lock:
+
+    def plans() -> list[_BlobPlan]:
+        out = []
         for blob_id in vm.blob_ids():
             state = vm.blob(blob_id)
             plan = _BlobPlan(
@@ -171,8 +173,10 @@ def _snapshot_control_plane(store: "LocalBlobStore") -> list[_BlobPlan]:
                 if vm.owner_of(blob_id, version) != blob_id:
                     continue  # inherited across a branch: the ancestor owns the keys
                 plan.tombstone_specs.append(vm.tombstone_spec(blob_id, version))
-            plans.append(plan)
-    return plans
+            out.append(plan)
+        return out
+
+    return store._vman_call(plans)
 
 
 #: Keys per batched replica-enumeration pass in the reconciliation

@@ -245,7 +245,8 @@ class LocalBlobStore:
             )
         )
         self._nonce = itertools.count(1)
-        #: Guards the version manager and nothing else.
+        #: Guards the version manager and nothing else; only
+        #: :meth:`_vman_call` takes it.
         self._lock = threading.Lock()
         #: The write registry a GC sweep reads (DESIGN.md §5): one past
         #: the newest nonce handed out and, per write not yet retired,
@@ -298,21 +299,25 @@ class LocalBlobStore:
         return [fn(item) for item in items]
 
     def _vman_call(self, fn, **counters):
-        """One serialized version-manager interaction.
+        """Run *fn* against the version manager: the one seam to it.
 
-        In the distributed deployment every one of these is an RPC to
-        the concurrency-1 version-manager service — the protocol's only
-        serialization point (§III-A.4) — so the in-process store models
-        it the same way: the version-manager lock is held, the
-        simulated service latency is paid once *per interaction* no
-        matter how many batch members ride along, and exactly one round
-        trip is counted.  Every vman access on the client protocol paths
-        (assign, commit, abort, snapshot info) routes through here.
+        In the distributed deployment every client interaction is an
+        RPC to the concurrency-1 version-manager service — the
+        protocol's only serialization point (§III-A.4) — so the
+        in-process store models it the same way.  Every call holds the
+        version-manager lock.  A call naming counters is a client round
+        trip: the simulated service latency is paid once *per
+        interaction* no matter how many batch members ride along, and
+        exactly one round trip is counted (assign, commit, abort,
+        snapshot info).  A call naming none takes the lock only: blob
+        creation and branching, the post-failure commit check, and the
+        GC and scrub control-plane snapshots (DESIGN.md §10).
         """
         with self._lock:
-            if self.vman_latency:
-                time.sleep(self.vman_latency)
-            self.vman_stats.record(round_trips=1, **counters)
+            if counters:
+                if self.vman_latency:
+                    time.sleep(self.vman_latency)
+                self.vman_stats.record(round_trips=1, **counters)
             return fn()
 
     # -- the write registry (GC safety, DESIGN.md §5) ---------------------------------
@@ -364,14 +369,15 @@ class LocalBlobStore:
         replication: Optional[int] = None,
     ) -> str:
         """Create an empty BLOB and return its id."""
-        with self._lock:
-            if blob_id is None:
-                blob_id = f"blob-{next(self._blob_counter):06d}"
-            self.version_manager.create_blob(
+        if blob_id is None:
+            blob_id = f"blob-{next(self._blob_counter):06d}"
+        self._vman_call(
+            lambda: self.version_manager.create_blob(
                 blob_id,
                 block_size=parse_size(block_size) if block_size is not None else self.block_size,
                 replication=replication if replication is not None else self.replication,
             )
+        )
         return blob_id
 
     def branch(
@@ -385,10 +391,11 @@ class LocalBlobStore:
         Pure metadata: no block is copied.  Both BLOBs evolve
         independently from the branch point on.
         """
-        with self._lock:
-            if new_blob_id is None:
-                new_blob_id = f"blob-{next(self._blob_counter):06d}"
-            self.version_manager.branch_blob(src_blob_id, new_blob_id, version)
+        if new_blob_id is None:
+            new_blob_id = f"blob-{next(self._blob_counter):06d}"
+        self._vman_call(
+            lambda: self.version_manager.branch_blob(src_blob_id, new_blob_id, version)
+        )
         return new_blob_id
 
     # -- write path (paper §III-D) ----------------------------------------------------
@@ -518,14 +525,10 @@ class LocalBlobStore:
                 self._settle_scatter(scatter)
             if ticket is None:
                 self._rollback_write(stored, placements, sizes)
-            else:
-                with self._lock:
-                    committed = (
-                        ticket.version
-                        in self.version_manager.blob(blob_id).committed
-                    )
-                if not committed:
-                    self._abort_ticket(ticket, stored, placements, sizes)
+            elif not self._vman_call(
+                lambda: ticket.version in self.version_manager.blob(blob_id).committed
+            ):
+                self._abort_ticket(ticket, stored, placements, sizes)
             raise
         return ticket.version
 
@@ -643,10 +646,9 @@ class LocalBlobStore:
         by the time the watermark can advance over the tombstone its
         tree already resolves — and the state-machine abort last.
 
-        Always a tombstone, never a retraction: ``_publish_metadata``
-        may have stored part of the real patch before failing, and a
-        retracted (reused) version number would collide with those
-        immutable nodes.  The filler patch occupies exactly the same
+        The version becomes a tombstone (every abort does, §7):
+        ``_publish_metadata`` may have stored part of the real patch
+        before failing, and the filler patch occupies exactly the same
         canonical keys and force-overwrites them.
 
         The state-machine abort runs in a ``finally``: even if the
@@ -667,15 +669,12 @@ class LocalBlobStore:
             )
             self._publish_tombstone(spec)
         finally:
-
-            def finalize() -> None:
-                self.version_manager.abort(
-                    ticket.blob_id, ticket.version, force_tombstone=True
-                )
-
             # Its own counted interaction: the abort is a second vman
             # trip after the spec fetch, separated by the filler I/O.
-            self._vman_call(finalize, abort_rounds=1)
+            self._vman_call(
+                lambda: self.version_manager.abort(ticket.blob_id, ticket.version),
+                abort_rounds=1,
+            )
 
     def _publish_tombstone(self, spec: TombstoneSpec) -> list[NodeKey]:
         """Force-publish a tombstone's filler patch, best effort.

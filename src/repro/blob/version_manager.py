@@ -2,37 +2,35 @@
 
 "The version manager is in charge of assigning snapshot version numbers
 in such a way that serialization and atomicity of writes and appends is
-guaranteed" (paper §III-B).  Its state machine is deliberately tiny:
+guaranteed" (paper §III-B).  Its state machine is deliberately tiny,
+and every caller speaks it in batches (DESIGN.md §10):
 
-* :meth:`assign_write` / :meth:`assign_append` — hand out the next
-  version number and, for appends, fix the offset to the size of the
-  preceding snapshot (which may itself still be in flight, §III-D).
-  The returned :class:`WriteTicket` carries the write history the
-  client needs to weave its metadata without talking to anyone else.
-* :meth:`commit` — the writer reports that data *and* metadata are
-  stored; the publication watermark then advances to the highest
-  version ``v`` such that every version ``<= v`` is committed, giving
-  linearizability: readers only ever see complete snapshot prefixes
-  (§III-A.5's two conditions).  Nothing is pushed on publication: a
-  reader learns of a new snapshot by asking for the latest published
-  version (:meth:`latest`, §III-C).
-* :meth:`assign_batch` / :meth:`commit_batch` — the group-commit
-  surface (DESIGN.md §10): many concurrent writers' assignments or
-  completion reports are admitted in **one** serialized step, so under
+* :meth:`assign_batch` — hand out the next version numbers in request
+  order and, for appends, fix the offset to the size of the preceding
+  snapshot (which may itself still be in flight, §III-D).  Each
+  returned :class:`WriteTicket` carries the write history the client
+  needs to weave its metadata without talking to anyone else.
+* :meth:`commit_batch` — writers report that data *and* metadata are
+  stored; each touched BLOB's publication watermark then advances once
+  to the highest version ``v`` such that every version ``<= v`` is
+  committed, giving linearizability: readers only ever see complete
+  snapshot prefixes (§III-A.5's two conditions).  Nothing is pushed on
+  publication: a reader learns of a new snapshot by asking for the
+  latest published version (:meth:`latest`, §III-C).
+
+  Both batches isolate per-item validation errors (one writer's bad
+  request never poisons its batch-mates): the returned list holds each
+  member's result or its :class:`~repro.errors.BlobError`, so under
   heavy append concurrency the version manager costs O(batches) round
-  trips instead of O(writers).  Per-item validation errors are
-  isolated (one writer's bad request never poisons its batch-mates)
-  and the watermark advances once per batch per BLOB, over the full
-  committed range.
-* :meth:`abort` — a failed writer abandons its assigned version.  The
-  highest assigned version is simply retracted (its number is reused);
-  an *interior* version — one a later writer may already have woven
-  references to — is converted into a **tombstone**: it commits as a
-  no-op so the watermark can advance over it, and the returned
+  trips instead of O(writers).
+* :meth:`abort` — a failed writer abandons its assigned version, which
+  always becomes a **tombstone**: it commits as a no-op so the
+  watermark can advance over it, and the returned
   :class:`TombstoneSpec` tells the caller which filler metadata to
-  publish so those woven references still resolve.  This closes the
-  availability gap the paper concedes in §VI-B (a dead writer blocking
-  publication forever); see DESIGN.md §7.
+  publish so woven references (and any real nodes the dead write
+  already stored) resolve.  A version number is never reused.  This
+  closes the availability gap the paper concedes in §VI-B (a dead
+  writer blocking publication forever); see DESIGN.md §7.
 
 This class is pure bookkeeping (no I/O, no clocks) so the in-process
 store and the simulated version-manager service share it verbatim.
@@ -62,7 +60,6 @@ __all__ = [
     "SnapshotInfo",
     "TombstoneSpec",
     "AssignRequest",
-    "CommitOutcome",
     "BlobState",
     "VersionManagerCore",
 ]
@@ -169,17 +166,6 @@ class AssignRequest:
 
 
 @dataclass
-class CommitOutcome:
-    """Per-item result of one :meth:`VersionManagerCore.commit_batch`.
-
-    Exactly one of ``watermark``/``error`` is set.
-    """
-
-    watermark: Optional[int] = None
-    error: Optional[BlobError] = None
-
-
-@dataclass
 class BlobState:
     """Version-manager state for one BLOB."""
 
@@ -188,9 +174,9 @@ class BlobState:
     replication: int
     records: list[WriteRecord] = field(default_factory=list)
     committed: set[int] = field(default_factory=set)
-    #: Aborted-but-unretractable versions (subset of ``committed``):
-    #: they count as committed no-ops so the watermark can pass them,
-    #: but their write never happened (readers see filler metadata).
+    #: Aborted versions (subset of ``committed``): they count as
+    #: committed no-ops so the watermark can pass them, but their write
+    #: never happened (readers see filler metadata).
     tombstoned: set[int] = field(default_factory=set)
     published: int = 0
     gc_floor: int = 0  # versions < gc_floor are no longer readable
@@ -299,32 +285,6 @@ class VersionManagerCore:
 
     # -- assignment (the serialization point) -------------------------------------
 
-    def assign_write(self, blob_id: str, offset: int, length: int) -> WriteTicket:
-        """Assign the next version to a write at an explicit offset."""
-        state = self.blob(blob_id)
-        current_size = state.records[-1].size_after
-        self._validate_range(state, offset, length, current_size)
-        return self._assign(state, offset, length)
-
-    def assign_append(self, blob_id: str, length: int) -> WriteTicket:
-        """Assign the next version to an append.
-
-        The offset is fixed *here*, to the size of the preceding
-        snapshot — which may still be being written (§III-D: "the
-        writing of this snapshot may still be in progress").
-        """
-        state = self.blob(blob_id)
-        offset = state.records[-1].size_after
-        if offset % state.block_size != 0:
-            raise InvalidRange(
-                f"append to blob {blob_id!r} requires a block-aligned size, "
-                f"but current size is {offset} (block_size={state.block_size}); "
-                f"use a trailing-partial write instead"
-            )
-        if length < 1:
-            raise InvalidRange(f"append length must be positive, got {length}")
-        return self._assign(state, offset, length)
-
     def assign_batch(
         self, requests: Sequence[AssignRequest]
     ) -> list[Union[WriteTicket, BlobError]]:
@@ -341,45 +301,51 @@ class VersionManagerCore:
         out: list[Union[WriteTicket, BlobError]] = []
         for request in requests:
             try:
-                if request.offset is None:
-                    out.append(self.assign_append(request.blob_id, request.length))
-                else:
-                    out.append(
-                        self.assign_write(
-                            request.blob_id, request.offset, request.length
-                        )
-                    )
+                state = self.blob(request.blob_id)
+                offset = self._admit(state, request)
             except BlobError as exc:
                 out.append(exc)
+                continue
+            out.append(self._assign(state, offset, request.length))
         return out
 
-    def _validate_range(self, state: BlobState, offset: int, length: int, current_size: int) -> None:
+    @staticmethod
+    def _admit(state: BlobState, request: AssignRequest) -> int:
+        """Validate one request; returns the offset it writes at.
+
+        An append's offset is fixed *here*, to the size of the
+        preceding snapshot — which may still be being written (§III-D:
+        "the writing of this snapshot may still be in progress").
+        """
+        size, block_size = state.records[-1].size_after, state.block_size
+        offset, length = request.offset, request.length
+        if offset is None:
+            if size % block_size != 0:
+                raise InvalidRange(
+                    f"append to blob {state.blob_id!r} requires a block-aligned size, "
+                    f"but current size is {size} (block_size={block_size}); "
+                    f"use a trailing-partial write instead"
+                )
+            if length < 1:
+                raise InvalidRange(f"append length must be positive, got {length}")
+            return size
         if length < 1:
             raise InvalidRange(f"write length must be positive, got {length}")
         if offset < 0:
             raise InvalidRange(f"write offset must be >= 0, got {offset}")
-        if offset % state.block_size != 0:
-            raise InvalidRange(
-                f"write offset {offset} not aligned to block size {state.block_size}"
-            )
-        if offset > current_size:
-            raise InvalidRange(
-                f"write at offset {offset} would leave a hole (size is {current_size})"
-            )
-        end = offset + length
-        new_size = max(current_size, end)
-        if length % state.block_size != 0 and end != new_size:
+        if offset % block_size != 0:
+            raise InvalidRange(f"write offset {offset} not aligned to block size {block_size}")
+        if offset > size:
+            raise InvalidRange(f"write at offset {offset} would leave a hole (size is {size})")
+        # A partial trailing block must end the blob: rewriting an
+        # interior range with one would truncate data the leaf model
+        # cannot merge back.
+        if length % block_size != 0 and offset + length < size:
             raise InvalidRange(
                 "partial-block writes must extend to the end of the blob "
-                f"(offset={offset} length={length} size={current_size})"
+                f"(offset={offset} length={length} size={size})"
             )
-        # Rewriting an interior range with a partial trailing block would
-        # truncate data the leaf model cannot merge back.
-        if end < current_size and length % state.block_size != 0:
-            raise InvalidRange(
-                "interior writes must cover whole blocks "
-                f"(offset={offset} length={length} size={current_size})"
-            )
+        return offset
 
     def _assign(self, state: BlobState, offset: int, length: int) -> WriteTicket:
         current_size = state.records[-1].size_after
@@ -415,59 +381,52 @@ class VersionManagerCore:
 
     # -- completion and publication -----------------------------------------------
 
-    def commit(self, blob_id: str, version: int) -> int:
-        """Record that *version*'s data and metadata are fully stored.
-
-        Returns the new publication watermark.  The watermark only
-        advances past *version* once **all** lower versions are also
-        committed — the order in which "new snapshots are revealed to
-        the readers must respect the order in which version numbers
-        have been assigned" (§III-A.4).  A batch of one: the group
-        surface below is the single watermark-advance path.
-        """
-        outcome = self.commit_batch([(blob_id, version)])[0]
-        if outcome.error is not None:
-            raise outcome.error
-        assert outcome.watermark is not None
-        return outcome.watermark
-
     def commit_batch(
         self, items: Sequence[tuple[str, int]]
-    ) -> list[CommitOutcome]:
+    ) -> list[Union[int, BlobError]]:
         """Record many completion reports in one serialized step.
 
-        Every valid item is marked committed first; then each touched
-        BLOB's watermark advances **once**, to the final watermark (the
-        full committed range), not once per member.  Per-item
-        isolation: an invalid item (unassigned version, double commit —
-        including a duplicate *within* the batch) gets its error in its
-        :class:`CommitOutcome` without disturbing batch-mates.  The
-        returned list is aligned with *items*.
+        The watermark only advances past a version once **all** lower
+        versions are also committed — the order in which "new snapshots
+        are revealed to the readers must respect the order in which
+        version numbers have been assigned" (§III-A.4).  Every valid
+        item is marked committed first; then each touched BLOB's
+        watermark advances **once**, to the final watermark (the full
+        committed range), not once per member.  Per-item isolation: an
+        invalid item (unassigned version, double commit — including a
+        duplicate *within* the batch) gets its error in its slot without
+        disturbing batch-mates.  The returned list is aligned with
+        *items*; a valid member's slot holds its BLOB's new watermark.
         """
-        outcomes = [CommitOutcome() for _ in items]
+        out: list[Union[int, BlobError]] = []
         touched: dict[str, list[int]] = {}
         for i, (blob_id, version) in enumerate(items):
             try:
                 state = self.blob(blob_id)
-                if version < 1 or version > state.last_assigned:
-                    raise VersionNotFound(
-                        f"version {version} of blob {blob_id!r} was never assigned"
-                    )
-                if version in state.committed:
-                    raise WriteConflict(
-                        f"version {version} of blob {blob_id!r} committed twice"
-                    )
+                self._check_uncommitted(state, version, "committed twice")
             except BlobError as exc:
-                outcomes[i].error = exc
+                out.append(exc)
                 continue
+            out.append(0)  # the watermark, filled in below
             state.committed.add(version)
             touched.setdefault(blob_id, []).append(i)
         for blob_id, members in touched.items():
             state = self._blobs[blob_id]
             self._advance_watermark(state)
             for i in members:
-                outcomes[i].watermark = state.published
-        return outcomes
+                out[i] = state.published
+        return out
+
+    @staticmethod
+    def _check_uncommitted(state: BlobState, version: int, conflict: str) -> None:
+        """*version* was assigned and has not committed (as a tombstone
+        either); *conflict* completes the error message otherwise."""
+        if version < 1 or version > state.last_assigned:
+            raise VersionNotFound(
+                f"version {version} of blob {state.blob_id!r} was never assigned"
+            )
+        if version in state.committed:
+            raise WriteConflict(f"version {version} of blob {state.blob_id!r} {conflict}")
 
     @staticmethod
     def _advance_watermark(state: BlobState) -> None:
@@ -475,38 +434,20 @@ class VersionManagerCore:
         while state.published + 1 in state.committed:
             state.published += 1
 
-    def abort(
-        self, blob_id: str, version: int, force_tombstone: bool = False
-    ) -> Optional[TombstoneSpec]:
-        """Abandon an assigned-but-uncommitted version.
+    def abort(self, blob_id: str, version: int) -> TombstoneSpec:
+        """Abandon an assigned-but-uncommitted version as a tombstone.
 
-        Two cases, decided by whether a later version was assigned:
-
-        * **retract** — *version* is still the highest assigned: nothing
-          can reference it yet, so its record is popped and the number
-          will be reused.  Returns ``None``.
-        * **tombstone** — a later writer may already have woven
-          references to this version's range per the hint rule, so the
-          record must stand.  The version commits as a no-op (the
-          watermark advances over it — a dead writer can no longer
-          wedge publication, closing §VI-B's availability gap) and the
-          returned :class:`TombstoneSpec` describes the filler
-          metadata the caller must publish so those references resolve.
-
-        ``force_tombstone=True`` takes the tombstone path even for the
-        highest version — required whenever any metadata node of the
-        dead write may already have reached the DHT, because retracting
-        would let the next writer reuse the version number and collide
-        with those immutable nodes.
+        The record stands — a later writer may already have woven
+        references to this version's range per the hint rule, and any
+        metadata node of the dead write may already have reached the
+        DHT — so the number is never reused.  The version commits as a
+        no-op (the watermark advances over it — a dead writer can no
+        longer wedge publication, closing §VI-B's availability gap) and
+        the returned :class:`TombstoneSpec` describes the filler
+        metadata the caller must publish so those references resolve.
         """
         state = self.blob(blob_id)
-        if version < 1 or version > state.last_assigned:
-            raise VersionNotFound(f"version {version} of blob {blob_id!r} was never assigned")
-        if version in state.committed:
-            raise WriteConflict(f"version {version} already committed")
-        if version == state.last_assigned and not force_tombstone:
-            state.records.pop()
-            return None
+        self._check_uncommitted(state, version, "already committed")
         state.tombstoned.add(version)
         state.committed.add(version)
         spec = self._tombstone_spec(state, version)

@@ -40,11 +40,11 @@ from repro.blob.config import StoreConfig
 from repro.blob.data_provider import DataProviderCore
 from repro.blob.provider_manager import ProviderManagerCore
 from repro.blob.segment_tree import DescentPlan, NodeKey, TreeNode, build_patch
-from repro.blob.version_manager import VersionManagerCore, WriteTicket
+from repro.blob.version_manager import AssignRequest, VersionManagerCore, WriteTicket
 from repro.bsfs.namespace import NamespaceManager
 from repro.deploy.platform import Calibration, DEFAULT_CALIBRATION
 from repro.dht.ring import HashRing
-from repro.errors import ProviderUnavailable
+from repro.errors import BlobError, ProviderUnavailable
 from repro.simulation.cluster import SimCluster, SimNode
 from repro.simulation.engine import Engine
 from repro.simulation.rpc import Reply, RpcServer, call
@@ -56,6 +56,18 @@ __all__ = ["SimBlobSeer"]
 _NODE_BYTES = 160.0
 #: Wire size of one history record inside a ticket.
 _RECORD_BYTES = 24.0
+#: The version-manager calls a simulated client sends.
+_VM_CALLS = frozenset(
+    {"create_blob", "assign_batch", "commit_batch", "latest", "snapshot_info"}
+)
+
+
+def _only(results: list):
+    """The one member of a batch of one; its error is raised."""
+    [result] = results
+    if isinstance(result, BlobError):
+        raise result
+    return result
 
 
 class SimBlobSeer:
@@ -170,28 +182,17 @@ class SimBlobSeer:
     # ------------------------------------------------------------------
 
     def _vm_handler(self, message: tuple):
-        op = message[0]
-        if op == "create":
-            _, blob_id, block_size, replication = message
-            self.vm_core.create_blob(blob_id, block_size, replication)
-            return Reply(blob_id)
-        if op == "assign_write":
-            _, blob_id, offset, length = message
-            ticket = self.vm_core.assign_write(blob_id, offset, length)
-            return Reply(ticket, size=64.0 + _RECORD_BYTES * len(ticket.history))
-        if op == "assign_append":
-            _, blob_id, length = message
-            ticket = self.vm_core.assign_append(blob_id, length)
-            return Reply(ticket, size=64.0 + _RECORD_BYTES * len(ticket.history))
-        if op == "commit":
-            _, blob_id, version = message
-            return Reply(self.vm_core.commit(blob_id, version))
-        if op == "info":
-            _, blob_id, version = message
-            if version is None:
-                return Reply(self.vm_core.latest(blob_id))
-            return Reply(self.vm_core.snapshot_info(blob_id, version))
-        raise ValueError(f"unknown version-manager op {op!r}")
+        """Serve one version-manager call, named by its core method: the
+        store's vocabulary, sent here as batches of one (DESIGN.md §10)."""
+        op, *args = message
+        if op not in _VM_CALLS:
+            raise ValueError(f"unknown version-manager op {op!r}")
+        result = getattr(self.vm_core, op)(*args)
+        if op == "assign_batch":
+            # A ticket carries one history record per lower version.
+            records = (len(getattr(ticket, "history", ())) for ticket in result)
+            return Reply(result, size=sum(64.0 + _RECORD_BYTES * n for n in records))
+        return result
 
     def _pm_handler(self, message: tuple):
         op, count, sizes, replication, client = message
@@ -267,7 +268,7 @@ class SimBlobSeer:
         """Create an empty BLOB (one version-manager RPC)."""
         bs = block_size if block_size is not None else self.cal.block_size
         self.vman_rpcs += 1
-        yield from call(client, self.vm_server, ("create", blob_id, bs, replication))
+        yield from call(client, self.vm_server, ("create_blob", blob_id, bs, replication))
         return blob_id
 
     def write(
@@ -331,14 +332,9 @@ class SimBlobSeer:
 
         # 3. version assignment — the only serialized step.
         self.vman_rpcs += 1
-        if offset is None:
-            ticket: WriteTicket = yield from call(
-                client, self.vm_server, ("assign_append", blob_id, payload.size)
-            )
-        else:
-            ticket = yield from call(
-                client, self.vm_server, ("assign_write", blob_id, offset, payload.size)
-            )
+        request = AssignRequest(blob_id, payload.size, offset)
+        tickets = yield from call(client, self.vm_server, ("assign_batch", [request]))
+        ticket: WriteTicket = _only(tickets)
 
         # 4. weave metadata from the ticket's hints and publish the
         # patch to the DHT — fully parallel across nodes and writers.
@@ -380,7 +376,8 @@ class SimBlobSeer:
 
         # 5. report success; the watermark advances in version order.
         self.vman_rpcs += 1
-        yield from call(client, self.vm_server, ("commit", blob_id, ticket.version))
+        item = (blob_id, ticket.version)
+        _only((yield from call(client, self.vm_server, ("commit_batch", [item]))))
         return ticket.version
 
     def append(self, client: SimNode, blob_id: str, data, **kwargs) -> Generator:
@@ -403,7 +400,8 @@ class SimBlobSeer:
         data as it streams); ``None`` reads at wire speed.
         """
         self.vman_rpcs += 1
-        info = yield from call(client, self.vm_server, ("info", blob_id, version))
+        query = ("latest", blob_id) if version is None else ("snapshot_info", blob_id, version)
+        info = yield from call(client, self.vm_server, query)
         if size is None:
             size = info.size - offset
         if size == 0:

@@ -5,6 +5,8 @@ import pytest
 from repro.blob import LocalBlobStore, StoreConfig, collect_garbage
 from repro.errors import BlobError, VersionNotFound, VersionNotReady
 
+from tests.blob.vman_calls import assign
+
 BS = 16
 
 
@@ -92,7 +94,7 @@ class TestBranchValidation:
 
     def test_unpublished_version_rejected(self, store):
         src = setup_source(store)
-        store.version_manager.assign_append(src, BS)  # v3 in flight
+        assign(store.version_manager, src, BS)  # v3 in flight
         with pytest.raises(VersionNotReady):
             store.branch(src, "fork", version=3)
 
@@ -129,6 +131,30 @@ class TestBranchGcInterplay:
         collect_garbage(store, fork, retain_from=3)
         assert store.read(src) == b"b" * BS + b"a" * (3 * BS)
         assert store.read(src, version=1) == b"a" * (4 * BS)
+
+    def test_branch_forked_during_a_pass_inherits_its_floor(self, store):
+        """The pass raises the floor in the same critical section that
+        takes its roots: a branch forked while it marks is not among
+        them, so it must see the swept versions as collected, never as
+        readable versions whose nodes are gone."""
+        src = store.create()
+        for fill in (b"a", b"b", b"c"):
+            store.write(src, 0, fill * BS)  # v1..v3, each overwriting
+        real, forks = store.metadata.get_nodes, []
+
+        def fork_then_get(keys, *args, **kwargs):
+            if not forks:  # the pass's first mark round
+                forks.append(store.branch(src, "fork"))
+            return real(keys, *args, **kwargs)
+
+        store.metadata.get_nodes = fork_then_get
+        report = collect_garbage(store, src, retain_from=3)
+        store.metadata.get_nodes = real
+        assert forks == ["fork"] and report.nodes_deleted == 2
+        for version in (1, 2):
+            with pytest.raises(VersionNotFound, match="garbage-collected"):
+                store.read("fork", version=version)
+        assert store.read("fork") == b"c" * BS
 
     def test_branch_after_gc_inherits_the_gc_floor(self):
         """A branch taken after GC must not expose the swept versions:
@@ -195,6 +221,6 @@ class TestBranchGcInterplay:
     def test_parent_gc_with_inflight_branch_write_refused(self, store):
         src = setup_source(store)
         fork = store.branch(src, "fork")
-        store.version_manager.assign_append(fork, BS)  # in flight on fork
+        assign(store.version_manager, fork, BS)  # in flight on fork
         with pytest.raises(BlobError, match="descendant branch"):
             collect_garbage(store, src, retain_from=2)

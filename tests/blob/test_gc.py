@@ -5,6 +5,8 @@ import pytest
 from repro.blob import LocalBlobStore, StoreConfig, collect_garbage
 from repro.errors import BlobError, VersionNotFound
 
+from tests.blob.vman_calls import assign
+
 BS = 16
 
 
@@ -92,7 +94,7 @@ class TestGuards:
     def test_gc_with_inflight_write_rejected(self, store):
         blob = store.create()
         store.write(blob, 0, b"a" * BS)
-        store.version_manager.assign_append(blob, BS)  # in flight
+        assign(store.version_manager, blob, BS)  # in flight
         with pytest.raises(BlobError, match="in flight"):
             collect_garbage(store, blob, retain_from=1)
 

@@ -36,6 +36,8 @@ from repro.errors import (
     WriteConflict,
 )
 
+from tests.blob.vman_calls import assign, commit
+
 BS = 1024
 
 
@@ -86,15 +88,15 @@ class TestCommitBatch:
     def _two_assigned(self):
         vm = VersionManagerCore()
         vm.create_blob("b", block_size=BS)
-        vm.assign_append("b", BS)
-        vm.assign_append("b", BS)
+        assign(vm, "b", BS)
+        assign(vm, "b", BS)
         return vm
 
     def test_watermark_advances_once_per_batch(self):
         vm = self._two_assigned()
         outcomes = vm.commit_batch([("b", 1), ("b", 2)])
         # Every member sees the batch's final watermark, not its own.
-        assert [o.watermark for o in outcomes] == [2, 2]
+        assert outcomes == [2, 2]
         assert vm.published_version("b") == 2
 
     def test_per_item_errors_do_not_poison_batch_mates(self):
@@ -102,35 +104,35 @@ class TestCommitBatch:
         outcomes = vm.commit_batch(
             [("b", 9), ("b", 1), ("b", 1), ("nope", 1), ("b", 2)]
         )
-        assert isinstance(outcomes[0].error, VersionNotFound)
+        assert isinstance(outcomes[0], VersionNotFound)
         # Members observe the BATCH's final watermark (2: versions 1
         # and 2 both committed in this batch), not their own version.
-        assert outcomes[1].watermark == 2 and outcomes[1].error is None
+        assert outcomes[1] == 2
         # Duplicate *within* the batch: the second report conflicts.
-        assert isinstance(outcomes[2].error, WriteConflict)
-        assert isinstance(outcomes[3].error, BlobNotFound)
-        assert outcomes[4].watermark == 2
+        assert isinstance(outcomes[2], WriteConflict)
+        assert isinstance(outcomes[3], BlobNotFound)
+        assert outcomes[4] == 2
         assert vm.published_version("b") == 2
 
     def test_multi_blob_batch_advances_each_blob_once(self):
         vm = VersionManagerCore()
         for blob_id in ("x", "y"):
             vm.create_blob(blob_id, block_size=BS)
-            vm.assign_append(blob_id, BS)
-            vm.assign_append(blob_id, BS)
+            assign(vm, blob_id, BS)
+            assign(vm, blob_id, BS)
         outcomes = vm.commit_batch([("x", 1), ("y", 1), ("x", 2), ("y", 2)])
-        assert [o.watermark for o in outcomes] == [2, 2, 2, 2]
+        assert outcomes == [2, 2, 2, 2]
         assert vm.published_version("x") == vm.published_version("y") == 2
 
     def test_gap_in_batch_holds_the_watermark(self):
         vm = VersionManagerCore()
         vm.create_blob("b", block_size=BS)
         for _ in range(3):
-            vm.assign_append("b", BS)
+            assign(vm, "b", BS)
         outcomes = vm.commit_batch([("b", 2), ("b", 3)])
         # Version 1 is still in flight: nothing is revealed yet.
-        assert [o.watermark for o in outcomes] == [0, 0]
-        assert vm.commit("b", 1) == 3
+        assert outcomes == [0, 0]
+        assert commit(vm, "b", 1) == 3
 
 
 # ---------------------------------------------------------------------------

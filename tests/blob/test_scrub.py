@@ -29,6 +29,7 @@ from repro.errors import (
     VersionNotFound,
 )
 from tests.blob.test_write_rollback import IO_MODES, engine_kwargs, make_chaos_store
+from tests.blob.vman_calls import assign
 
 BS = 16
 
@@ -164,7 +165,7 @@ class TestMetadataReconciliation:
         store = make_store(metadata_replication=2)
         blob = store.create()
         store.append(blob, b"a" * BS)
-        ticket = store.version_manager.assign_append(blob, BS)  # v2 in flight
+        ticket = assign(store.version_manager, blob, BS)  # v2 in flight
         report = store.scrub()
         assert report.skipped_in_flight == 0  # nothing published under v2 yet
         # Publish half the patch by hand: the scrub must not "heal"

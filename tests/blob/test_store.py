@@ -10,6 +10,8 @@ from repro.errors import (
     VersionNotReady,
 )
 
+from tests.blob.vman_calls import assign
+
 BS = 64
 
 
@@ -130,7 +132,7 @@ class TestVersioning:
         blob = store.create()
         store.write(blob, 0, b"a" * BS)
         # Simulate an in-flight concurrent writer holding version 2.
-        store.version_manager.assign_append(blob, BS)
+        assign(store.version_manager, blob, BS)
         with pytest.raises(VersionNotReady):
             store.snapshot(blob, 2)
         # Latest still resolves to the published snapshot.

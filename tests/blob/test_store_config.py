@@ -11,6 +11,8 @@ Covers the three contract points of the construction surface:
   with messages that name the offending fields.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.blob import LocalBlobStore, StoreConfig
@@ -66,7 +68,7 @@ class TestStoreConfig:
 
     def test_replace_returns_a_modified_copy(self):
         base = StoreConfig()
-        tweaked = base.replace(replication=3, data_providers=8)
+        tweaked = dataclasses.replace(base, replication=3, data_providers=8)
         assert tweaked.replication == 3 and base.replication == 1
         assert isinstance(tweaked, StoreConfig)
 

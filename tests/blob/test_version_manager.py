@@ -12,6 +12,8 @@ from repro.errors import (
     WriteConflict,
 )
 
+from tests.blob.vman_calls import assign, commit
+
 BS = 64  # tiny block size keeps the arithmetic readable
 
 
@@ -34,7 +36,7 @@ class TestBlobLifecycle:
 
     def test_unknown_blob(self, vm):
         with pytest.raises(BlobNotFound):
-            vm.assign_write("ghost", 0, BS)
+            assign(vm, "ghost", BS, offset=0)
 
     def test_create_validation(self):
         vm = VersionManagerCore()
@@ -50,7 +52,7 @@ class TestBlobLifecycle:
 
 class TestAssignment:
     def test_first_write(self, vm):
-        t = vm.assign_write("b", 0, 4 * BS)
+        t = assign(vm, "b", 4 * BS, offset=0)
         assert t.version == 1
         assert (t.start_block, t.end_block) == (0, 4)
         assert t.size_after == 4 * BS
@@ -58,149 +60,141 @@ class TestAssignment:
         assert t.history == ()
 
     def test_history_hints_accumulate(self, vm):
-        vm.assign_write("b", 0, 4 * BS)
-        vm.assign_write("b", 0, 2 * BS)
-        t3 = vm.assign_append("b", BS)
+        assign(vm, "b", 4 * BS, offset=0)
+        assign(vm, "b", 2 * BS, offset=0)
+        t3 = assign(vm, "b", BS)
         assert t3.version == 3
         assert t3.history == ((1, 0, 4), (2, 0, 2))
 
     def test_append_offset_fixed_from_uncommitted_predecessor(self, vm):
         """§III-D: the append offset is the size of the *preceding*
         snapshot even though that write is still in flight."""
-        t1 = vm.assign_append("b", 4 * BS)  # not committed!
-        t2 = vm.assign_append("b", BS)
+        t1 = assign(vm, "b", 4 * BS)  # not committed!
+        t2 = assign(vm, "b", BS)
         assert t1.version == 1 and t2.version == 2
         assert t2.offset == 4 * BS
         assert t2.size_after == 5 * BS
 
     def test_overwrite_does_not_grow(self, vm):
-        vm.assign_write("b", 0, 4 * BS)
-        t = vm.assign_write("b", BS, BS)
+        assign(vm, "b", 4 * BS, offset=0)
+        t = assign(vm, "b", BS, offset=BS)
         assert t.size_after == 4 * BS
         assert (t.start_block, t.end_block) == (1, 2)
 
     def test_trailing_partial_write_allowed(self, vm):
-        t = vm.assign_write("b", 0, 100)  # 1 full + partial into block 1
+        t = assign(vm, "b", 100, offset=0)  # 1 full + partial into block 1
         assert t.size_after == 100
         assert t.end_block == 2
 
     def test_extend_with_partial_allowed(self, vm):
-        vm.assign_write("b", 0, 2 * BS)
-        t = vm.assign_write("b", 2 * BS, BS + 10)
+        assign(vm, "b", 2 * BS, offset=0)
+        t = assign(vm, "b", BS + 10, offset=2 * BS)
         assert t.size_after == 3 * BS + 10
 
 
 class TestAlignmentRules:
     def test_unaligned_offset_rejected(self, vm):
         with pytest.raises(InvalidRange):
-            vm.assign_write("b", 10, BS)
+            assign(vm, "b", BS, offset=10)
 
     def test_hole_rejected(self, vm):
         with pytest.raises(InvalidRange):
-            vm.assign_write("b", BS, BS)  # size is 0: offset 64 leaves a hole
+            assign(vm, "b", BS, offset=BS)  # size is 0: offset 64 leaves a hole
 
     def test_interior_partial_rejected(self, vm):
-        vm.assign_write("b", 0, 4 * BS)
+        assign(vm, "b", 4 * BS, offset=0)
         with pytest.raises(InvalidRange):
-            vm.assign_write("b", 0, 10)  # would truncate block 0 mid-blob
+            assign(vm, "b", 10, offset=0)  # would truncate block 0 mid-blob
 
     def test_zero_length_rejected(self, vm):
         with pytest.raises(InvalidRange):
-            vm.assign_write("b", 0, 0)
+            assign(vm, "b", 0, offset=0)
         with pytest.raises(InvalidRange):
-            vm.assign_append("b", 0)
+            assign(vm, "b", 0)
 
     def test_negative_offset_rejected(self, vm):
         with pytest.raises(InvalidRange):
-            vm.assign_write("b", -BS, BS)
+            assign(vm, "b", BS, offset=-BS)
 
     def test_append_to_unaligned_size_rejected(self, vm):
-        vm.assign_write("b", 0, 100)
+        assign(vm, "b", 100, offset=0)
         with pytest.raises(InvalidRange):
-            vm.assign_append("b", BS)
+            assign(vm, "b", BS)
 
     def test_partial_rewrite_to_exact_end_allowed(self, vm):
-        vm.assign_write("b", 0, 100)
-        t = vm.assign_write("b", BS, 36)  # rewrites trailing partial exactly
+        assign(vm, "b", 100, offset=0)
+        t = assign(vm, "b", 36, offset=BS)  # rewrites trailing partial exactly
         assert t.size_after == 100
 
 
 class TestCommitAndPublication:
     def test_in_order_commits_publish_incrementally(self, vm):
-        vm.assign_append("b", BS)
-        vm.assign_append("b", BS)
-        assert vm.commit("b", 1) == 1
-        assert vm.commit("b", 2) == 2
+        assign(vm, "b", BS)
+        assign(vm, "b", BS)
+        assert commit(vm, "b", 1) == 1
+        assert commit(vm, "b", 2) == 2
 
     def test_out_of_order_commit_delays_publication(self, vm):
         """§III-A.4: revealing order must respect assignment order."""
-        vm.assign_append("b", BS)
-        vm.assign_append("b", BS)
-        vm.assign_append("b", BS)
-        assert vm.commit("b", 3) == 0
-        assert vm.commit("b", 2) == 0
+        assign(vm, "b", BS)
+        assign(vm, "b", BS)
+        assign(vm, "b", BS)
+        assert commit(vm, "b", 3) == 0
+        assert commit(vm, "b", 2) == 0
         assert vm.published_version("b") == 0
-        assert vm.commit("b", 1) == 3  # watermark jumps over the batch
+        assert commit(vm, "b", 1) == 3  # watermark jumps over the batch
 
     def test_unpublished_snapshot_not_readable(self, vm):
-        vm.assign_append("b", BS)
-        vm.assign_append("b", BS)
-        vm.commit("b", 2)
+        assign(vm, "b", BS)
+        assign(vm, "b", BS)
+        commit(vm, "b", 2)
         with pytest.raises(VersionNotReady):
             vm.snapshot_info("b", 2)
         with pytest.raises(VersionNotReady):
             vm.snapshot_info("b", 1)
 
     def test_latest_tracks_watermark_not_assignment(self, vm):
-        vm.assign_append("b", BS)
-        vm.commit("b", 1)
-        vm.assign_append("b", BS)  # in flight
+        assign(vm, "b", BS)
+        commit(vm, "b", 1)
+        assign(vm, "b", BS)  # in flight
         latest = vm.latest("b")
         assert latest.version == 1 and latest.size == BS
 
     def test_double_commit_rejected(self, vm):
-        vm.assign_append("b", BS)
-        vm.commit("b", 1)
+        assign(vm, "b", BS)
+        commit(vm, "b", 1)
         with pytest.raises(WriteConflict):
-            vm.commit("b", 1)
+            commit(vm, "b", 1)
 
     def test_commit_unassigned_rejected(self, vm):
         with pytest.raises(VersionNotFound):
-            vm.commit("b", 5)
+            commit(vm, "b", 5)
 
     def test_in_flight_listing(self, vm):
-        vm.assign_append("b", BS)
-        vm.assign_append("b", BS)
-        vm.commit("b", 2)
+        assign(vm, "b", BS)
+        assign(vm, "b", BS)
+        commit(vm, "b", 2)
         assert vm.in_flight("b") == [1]
 
 
 class TestAbort:
-    def test_abort_last_uncommitted_retracts(self, vm):
-        vm.assign_append("b", BS)
-        assert vm.abort("b", 1) is None  # retraction, no filler needed
-        assert vm.blob("b").last_assigned == 0
-        t = vm.assign_append("b", BS)
-        assert t.version == 1  # number reused; nothing referenced it
-
     def test_abort_interior_tombstones(self, vm):
         """§VI-B closure: a dead interior writer no longer wedges the
         watermark — its version commits as a no-op tombstone."""
-        vm.assign_append("b", BS)  # v1: the dead writer
-        vm.assign_append("b", BS)  # v2: already wove references to v1
+        assign(vm, "b", BS)  # v1: the dead writer
+        assign(vm, "b", BS)  # v2: already wove references to v1
         spec = vm.abort("b", 1)
-        assert spec is not None
         assert (spec.version, spec.start_block, spec.end_block) == (1, 0, 1)
         assert spec.prior_size == 0 and spec.size_after == BS
         assert spec.history == ()
         # Tombstone committed as no-op: published, not in flight.
         assert vm.published_version("b") == 1
         assert vm.in_flight("b") == [2]
-        assert vm.commit("b", 2) == 2  # the survivor publishes normally
+        assert commit(vm, "b", 2) == 2  # the survivor publishes normally
 
     def test_abort_committed_rejected(self, vm):
-        vm.assign_append("b", BS)
-        vm.commit("b", 1)
+        assign(vm, "b", BS)
+        commit(vm, "b", 1)
         with pytest.raises(WriteConflict):
             vm.abort("b", 1)
 
@@ -211,46 +205,49 @@ class TestAbort:
             vm.abort("b", 0)
 
     def test_double_abort_rejected(self, vm):
-        vm.assign_append("b", BS)
-        vm.assign_append("b", BS)
+        assign(vm, "b", BS)
+        assign(vm, "b", BS)
         vm.abort("b", 1)
         with pytest.raises(WriteConflict):
             vm.abort("b", 1)  # already committed (as a tombstone)
 
     def test_commit_of_tombstone_rejected(self, vm):
-        vm.assign_append("b", BS)
-        vm.assign_append("b", BS)
+        assign(vm, "b", BS)
+        assign(vm, "b", BS)
         vm.abort("b", 1)
         with pytest.raises(WriteConflict):
-            vm.commit("b", 1)
+            commit(vm, "b", 1)
 
-    def test_force_tombstone_on_last_version(self, vm):
-        """A writer whose metadata partially reached the DHT must not
-        let its version number be reused — force the tombstone."""
-        vm.assign_append("b", BS)
-        spec = vm.abort("b", 1, force_tombstone=True)
-        assert spec is not None and spec.version == 1
+    def test_abort_last_version_tombstones(self, vm):
+        """Every abort tombstones, the highest version too: real nodes
+        of the dead write may already be in the DHT, so its number is
+        never reused."""
+        assign(vm, "b", BS)
+        spec = vm.abort("b", 1)
+        assert spec.version == 1 and spec.size_after == BS
         assert vm.published_version("b") == 1
-        t = vm.assign_append("b", BS)
+        assert vm.snapshot_info("b", 1).tombstone is True
+        t = assign(vm, "b", BS)
         assert t.version == 2  # number NOT reused
         assert t.offset == BS  # the tombstone's (zero-filled) size stands
+        assert t.history == ((1, 0, 1),)  # and it stays in the hints
 
     def test_tombstone_keeps_append_offsets_valid(self, vm):
         """Later appends fixed their offsets on the dead write's size;
         the tombstone must keep that size (zero-filled), not shrink."""
-        vm.assign_append("b", 4 * BS)  # v1: will die
-        t2 = vm.assign_append("b", BS)  # v2: offset fixed at 4*BS
+        assign(vm, "b", 4 * BS)  # v1: will die
+        t2 = assign(vm, "b", BS)  # v2: offset fixed at 4*BS
         assert t2.offset == 4 * BS
         vm.abort("b", 1)
         assert vm.snapshot_info("b", 1).size == 4 * BS
-        vm.commit("b", 2)
+        commit(vm, "b", 2)
         assert vm.snapshot_info("b", 2).size == 5 * BS
 
     def test_snapshot_info_flags_tombstones(self, vm):
-        vm.assign_append("b", BS)
-        vm.assign_append("b", BS)
+        assign(vm, "b", BS)
+        assign(vm, "b", BS)
         vm.abort("b", 1)
-        vm.commit("b", 2)
+        commit(vm, "b", 2)
         assert vm.snapshot_info("b", 1).tombstone is True
         assert vm.snapshot_info("b", 2).tombstone is False
         assert vm.latest("b").tombstone is False
@@ -258,26 +255,26 @@ class TestAbort:
     def test_tombstone_stays_in_history_hints(self, vm):
         """Writers assigned after the abort must still weave references
         to the tombstone — its filler nodes are what resolves them."""
-        vm.assign_append("b", BS)  # v1
-        vm.assign_append("b", BS)  # v2: dies
-        vm.assign_append("b", BS)  # v3: references v2 per the hint rule
+        assign(vm, "b", BS)  # v1
+        assign(vm, "b", BS)  # v2: dies
+        assign(vm, "b", BS)  # v3: references v2 per the hint rule
         vm.abort("b", 2)
-        t4 = vm.assign_append("b", BS)
+        t4 = assign(vm, "b", BS)
         assert t4.history == ((1, 0, 1), (2, 1, 2), (3, 2, 3))
 
     def test_watermark_jumps_over_tombstone_batch(self, vm):
-        vm.assign_append("b", BS)  # v1
-        vm.assign_append("b", BS)  # v2
-        vm.assign_append("b", BS)  # v3
-        vm.commit("b", 3)
-        vm.commit("b", 1)
+        assign(vm, "b", BS)  # v1
+        assign(vm, "b", BS)  # v2
+        assign(vm, "b", BS)  # v3
+        commit(vm, "b", 3)
+        commit(vm, "b", 1)
         assert vm.published_version("b") == 1
         vm.abort("b", 2)  # the straggler was dead: watermark jumps to 3
         assert vm.published_version("b") == 3
 
     def test_tombstone_spec_query(self, vm):
-        vm.assign_append("b", 2 * BS)
-        vm.assign_append("b", BS)
+        assign(vm, "b", 2 * BS)
+        assign(vm, "b", BS)
         spec = vm.abort("b", 1)
         assert vm.tombstone_spec("b", 1) == spec
         # Only the aborting writer itself (pending=True) may take the
@@ -288,7 +285,7 @@ class TestAbort:
             vm.tombstone_spec("b", 2)
         pending = vm.tombstone_spec("b", 2, pending=True)
         assert pending.version == 2 and pending.prior_size == 2 * BS
-        vm.commit("b", 2)
+        commit(vm, "b", 2)
         with pytest.raises(VersionNotFound):
             vm.tombstone_spec("b", 2, pending=True)  # committed normally
         with pytest.raises(VersionNotFound):
@@ -297,27 +294,27 @@ class TestAbort:
     def test_tombstone_spec_respects_gc_floor(self, vm):
         """Republishing a collected tombstone would resurrect tree
         nodes the GC sweep already deleted."""
-        vm.assign_append("b", BS)  # v1: dies
-        vm.assign_append("b", BS)  # v2
+        assign(vm, "b", BS)  # v1: dies
+        assign(vm, "b", BS)  # v2
         vm.abort("b", 1)
-        vm.commit("b", 2)
+        commit(vm, "b", 2)
         vm.set_gc_floor("b", 2)
         with pytest.raises(VersionNotFound):
             vm.tombstone_spec("b", 1)
 
     def test_gc_not_blocked_by_tombstones(self, vm):
-        vm.assign_append("b", BS)
-        vm.assign_append("b", BS)
+        assign(vm, "b", BS)
+        assign(vm, "b", BS)
         vm.abort("b", 1)
         assert vm.in_flight("b") == [2]
-        vm.commit("b", 2)
+        commit(vm, "b", 2)
         assert vm.in_flight("b") == []  # GC's quiescence check passes
 
 
 class TestQueries:
     def test_snapshot_info_geometry(self, vm):
-        vm.assign_append("b", 5 * BS)
-        vm.commit("b", 1)
+        assign(vm, "b", 5 * BS)
+        commit(vm, "b", 1)
         info = vm.snapshot_info("b", 1)
         assert info.size == 5 * BS
         assert info.size_blocks == 5
@@ -330,8 +327,8 @@ class TestQueries:
             vm.snapshot_info("b", -1)
 
     def test_history_upto(self, vm):
-        vm.assign_append("b", BS)
-        vm.assign_append("b", 2 * BS)
+        assign(vm, "b", BS)
+        assign(vm, "b", 2 * BS)
         assert vm.history_upto("b", 2) == ((1, 0, 1), (2, 1, 3))
         assert vm.history_upto("b", 1) == ((1, 0, 1),)
         with pytest.raises(VersionNotFound):
@@ -340,10 +337,10 @@ class TestQueries:
     def test_history_upto_respects_gc_floor(self, vm):
         """Hints for a collected version would weave references into
         tree nodes the sweep already deleted."""
-        vm.assign_append("b", BS)
-        vm.assign_append("b", BS)
-        vm.commit("b", 1)
-        vm.commit("b", 2)
+        assign(vm, "b", BS)
+        assign(vm, "b", BS)
+        commit(vm, "b", 1)
+        commit(vm, "b", 2)
         vm.set_gc_floor("b", 2)
         with pytest.raises(VersionNotFound):
             vm.history_upto("b", 1)
@@ -353,10 +350,10 @@ class TestQueries:
         assert vm.history_upto("b", 2) == ((1, 0, 1), (2, 1, 2))
 
     def test_gc_floor(self, vm):
-        vm.assign_append("b", BS)
-        vm.assign_append("b", BS)
-        vm.commit("b", 1)
-        vm.commit("b", 2)
+        assign(vm, "b", BS)
+        assign(vm, "b", BS)
+        commit(vm, "b", 1)
+        commit(vm, "b", 2)
         vm.set_gc_floor("b", 2)
         with pytest.raises(VersionNotFound):
             vm.snapshot_info("b", 1)
@@ -368,7 +365,7 @@ class TestQueries:
 
     def test_branch_inherits_gc_floor(self, vm):
         for _ in range(3):
-            vm.commit("b", vm.assign_append("b", BS).version)
+            commit(vm, "b", assign(vm, "b", BS).version)
         vm.set_gc_floor("b", 3)
         vm.branch_blob("b", "c")
         for version in (1, 2):
@@ -384,9 +381,10 @@ class TestQueries:
         """Out-of-order commits and aborts only ever move the watermark
         forward, releasing every version below it at once."""
         for _ in range(4):
-            vm.assign_append("b", BS)
+            assign(vm, "b", BS)
         seen = [vm.published_version("b")]
-        for step in (("commit", 3), ("commit", 2), ("abort", 1), ("commit", 4)):
-            getattr(vm, step[0])("b", step[1])
+        steps = ((commit, 3), (commit, 2), (VersionManagerCore.abort, 1), (commit, 4))
+        for finish, version in steps:
+            finish(vm, "b", version)
             seen.append(vm.published_version("b"))
         assert seen == [0, 0, 0, 3, 4]

@@ -1,10 +1,11 @@
 """Stateful property testing of the version-manager state machine.
 
-Hypothesis drives random interleavings of assign/commit/abort against a
-simple reference model, checking the §III-A invariants after every
-step:
+Hypothesis drives random interleavings of assign/commit/abort (each a
+batch of one, the core's only vocabulary) against a simple reference
+model, checking the §III-A invariants after every step:
 
-* version numbers are dense and strictly increasing;
+* version numbers are dense and strictly increasing, and never reused:
+  every abort tombstones, the highest version's too;
 * the publication watermark equals the longest committed prefix
   (linearizability's reveal-in-order rule);
 * append offsets always equal the preceding snapshot's size, even when
@@ -23,6 +24,8 @@ from hypothesis import strategies as st
 
 from repro.blob import VersionManagerCore
 
+from tests.blob.vman_calls import assign, commit
+
 BS = 16
 
 
@@ -33,6 +36,7 @@ class VersionManagerMachine(RuleBasedStateMachine):
         self.vm.create_blob("b", block_size=BS)
         self.model_records = {0: (0, 0, 0)}  # version -> (offset, length, size_after)
         self.model_committed = {0}
+        self.model_tombstoned = set()
         self.last_published = 0
 
     # -- helpers ------------------------------------------------------------
@@ -55,7 +59,7 @@ class VersionManagerMachine(RuleBasedStateMachine):
         if self.current_size % BS != 0:
             return  # unaligned size: append is refused (tested elsewhere)
         length = blocks * BS
-        ticket = self.vm.assign_append("b", length)
+        ticket = assign(self.vm, "b", length)
         assert ticket.version == self.last_version + 1
         assert ticket.offset == self.current_size
         self.model_records[ticket.version] = (
@@ -73,7 +77,7 @@ class VersionManagerMachine(RuleBasedStateMachine):
         if offset > self.current_size:
             return  # would be a hole
         length = blocks * BS
-        ticket = self.vm.assign_write("b", offset, length)
+        ticket = assign(self.vm, "b", length, offset=offset)
         assert ticket.version == self.last_version + 1
         self.model_records[ticket.version] = (
             offset,
@@ -87,33 +91,31 @@ class VersionManagerMachine(RuleBasedStateMachine):
         if not pending:
             return
         version = pick.choice(pending)
-        self.vm.commit("b", version)
+        commit(self.vm, "b", version)
         self.model_committed.add(version)
 
-    @precondition(lambda self: self.uncommitted())
+    @precondition(lambda self: self.last_version not in self.model_committed)
     @rule()
-    def abort_last_if_possible(self):
-        pending = self.uncommitted()
-        last = self.last_version
-        if pending and pending[-1] == last and last == max(self.model_records):
-            assert self.vm.abort("b", last) is None  # retraction
-            del self.model_records[last]
+    def abort_last(self):
+        """The highest version tombstones too; the next assign's number
+        is fresh (the assign rules check ``last_version + 1``)."""
+        self._abort(self.last_version)
 
     @rule(pick=st.randoms(use_true_random=False))
     def abort_random_uncommitted(self, pick):
-        """Any uncommitted version may abort: the last retracts, an
-        interior one tombstones (commits as a no-op in the model)."""
+        """Any uncommitted version may abort: it tombstones (commits as
+        a no-op in the model)."""
         pending = self.uncommitted()
-        if not pending:
-            return
-        version = pick.choice(pending)
+        if pending:
+            self._abort(pick.choice(pending))
+
+    def _abort(self, version):
         spec = self.vm.abort("b", version)
-        if spec is None:
-            del self.model_records[version]
-        else:
-            assert version < self.last_version  # only interiors tombstone
-            assert spec.size_after == self.model_records[version][2]
-            self.model_committed.add(version)  # no-op commit in the model
+        assert spec.version == version
+        assert spec.size_after == self.model_records[version][2]
+        assert spec.prior_size == self.model_records[version - 1][2]
+        self.model_committed.add(version)
+        self.model_tombstoned.add(version)
 
     # -- invariants --------------------------------------------------------------
 
@@ -138,6 +140,7 @@ class VersionManagerMachine(RuleBasedStateMachine):
             if version <= watermark:
                 info = self.vm.snapshot_info("b", version)
                 assert info.size == self.model_records[version][2]
+                assert info.tombstone == (version in self.model_tombstoned)
             else:
                 try:
                     self.vm.snapshot_info("b", version)
@@ -170,5 +173,5 @@ class VersionManagerMachine(RuleBasedStateMachine):
 
 TestVersionManagerStateful = VersionManagerMachine.TestCase
 TestVersionManagerStateful.settings = settings(
-    max_examples=40, stateful_step_count=30, deadline=None
+    stateful_step_count=30, deadline=None
 )

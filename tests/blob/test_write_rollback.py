@@ -26,6 +26,8 @@ from repro.errors import (
     VersionNotFound,
 )
 
+from tests.blob.vman_calls import assign
+
 BS = 16
 
 #: Engine modes every rollback/abort invariant must hold under: inline
@@ -432,7 +434,7 @@ class TestWriteAbortTombstone:
             if any(node.key.version == 2 for node in nodes):
                 if "ticket" not in holder:
                     # B sneaks in between A's assignment and A's abort.
-                    holder["ticket"] = store.version_manager.assign_append(blob, BS)
+                    holder["ticket"] = assign(store.version_manager, blob, BS)
                 raise ProviderUnavailable("bucket down")
             return real(nodes)
 
@@ -457,8 +459,7 @@ class TestWriteAbortTombstone:
         for vector in vectors:
             transfer(vector)
         store._publish_metadata(ticket, nonce, [BS], placements)
-        with store._lock:
-            store.version_manager.commit(blob, ticket.version)
+        store.publish_pipeline.commit(blob, ticket.version)
 
         assert store.latest_version(blob) == 3
         assert store.read(blob) == b"a" * (2 * BS) + bytes(2 * BS) + b"z" * BS
@@ -525,7 +526,7 @@ class TestWriteAbortTombstone:
         ))
         blob = store.create()
         store.append(blob, b"a" * BS)
-        ticket = store.version_manager.assign_append(blob, BS)  # v2 in flight
+        ticket = assign(store.version_manager, blob, BS)  # v2 in flight
         store._publish_metadata(
             ticket, nonce=999, sizes=[BS], placements=[("provider-000",)]
         )

@@ -14,6 +14,8 @@ from repro.deploy import Calibration, SimBlobSeer
 from repro.errors import ProviderUnavailable
 from repro.simulation import NodeSpec, SimCluster
 
+from tests.blob.vman_calls import assign
+
 BS = 1024
 
 
@@ -47,7 +49,7 @@ class TestWedgedWatermark:
         def scenario():
             yield from blobseer.create(client, "b")
             # Writer A takes version 1 and dies before committing.
-            blobseer.vm_core.assign_append("b", BS)
+            assign(blobseer.vm_core, "b", BS)
             # Writer B runs the full protocol and gets version 2.
             v2 = yield from blobseer.append(client, "b", BytesPayload(b"x" * BS))
             assert v2 == 2
@@ -67,7 +69,7 @@ class TestWedgedWatermark:
 
         def scenario():
             yield from blobseer.create(client, "b")
-            blobseer.vm_core.assign_append("b", BS)  # dead writer: v1
+            assign(blobseer.vm_core, "b", BS)  # dead writer: v1
             yield from blobseer.append(client, "b", BytesPayload(b"x" * BS))
             yield engine.timeout(60.0)  # plenty of simulated time
             return True

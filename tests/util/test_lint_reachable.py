@@ -128,6 +128,21 @@ def test_getattr_by_name_counts_as_a_use(tmp_path):
     assert function_violations(make_tree(tmp_path, example=example), allowlist={}) == []
 
 
+@pytest.mark.parametrize(
+    "call",
+    ['raw.decode("utf-8", "replace")', 'text.encode("ascii", errors="replace")'],
+    ids=["decode", "encode-keyword"],
+)
+def test_codec_names_are_not_uses(tmp_path, call):
+    # ``Service.replace`` shares its name with the error handler only.
+    module = MODULE + "\n    def replace(self):\n        return self.state\n"
+    example = f"from repro.mod import entry\nentry()\n{call}\n"
+    violations = function_violations(
+        make_tree(tmp_path, module=module, example=example), allowlist={}
+    )
+    assert any(": Service.replace " in v for v in violations)
+
+
 def test_dunder_methods_are_always_reached(tmp_path):
     # ``Service.__init__`` is never called by name anywhere.
     violations = function_violations(make_tree(tmp_path), allowlist={})

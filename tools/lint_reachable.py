@@ -19,8 +19,10 @@ language allows without type inference:
 * A definition is reached when its name is used by a root or by the
   body of a reached definition (transitively).  A name is used when it
   appears as a variable, an attribute, or an identifier-shaped string
-  (``getattr``/``setattr`` by name).  Imports, ``__all__`` entries and
-  docstrings are not uses, so a package re-export reaches nothing.
+  (``getattr``/``setattr`` by name).  Imports, ``__all__`` entries,
+  docstrings and the string arguments of ``.decode``/``.encode`` (codec
+  and error-handler names such as ``"replace"``) are not uses, so a
+  package re-export reaches nothing.
 * Dunder methods are always reached: Python calls them implicitly.
 
 :data:`ALLOWLIST` names the definitions tests legitimately need — the
@@ -132,15 +134,41 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
+#: Methods whose string arguments name codecs and error handlers
+#: (``b.decode("utf-8", "replace")``), never a definition.
+_CODEC_CALLS = ("decode", "encode")
+
+
+def _codec_strings(node: ast.AST) -> list[ast.AST]:
+    """The string arguments of a ``.decode(...)``/``.encode(...)`` call."""
+    if not (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _CODEC_CALLS
+    ):
+        return []
+    return [
+        arg
+        for arg in (*node.args, *(keyword.value for keyword in node.keywords))
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+    ]
+
+
 def _code(node: ast.AST):
-    """*node* and what it contains; imports, ``__all__`` and docstrings
-    excluded."""
+    """*node* and what it contains; imports, ``__all__``, docstrings and
+    codec names excluded."""
     stack = [node]
+    codec_names: set[int] = set()
     while stack:
         current = stack.pop()
-        if isinstance(current, (ast.Import, ast.ImportFrom)) or _is_all(current):
+        if (
+            isinstance(current, (ast.Import, ast.ImportFrom))
+            or _is_all(current)
+            or id(current) in codec_names
+        ):
             continue
         yield current
+        codec_names.update(id(arg) for arg in _codec_strings(current))
         for child in ast.iter_child_nodes(current):
             if not _is_docstring(child):
                 stack.append(child)
