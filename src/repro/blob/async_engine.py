@@ -1,82 +1,81 @@
-"""The I/O engine: the blob layer's scatter-gather, on coroutines.
+"""The I/O engine: the blob layer's scatter-gather, as deadline rounds.
 
-BlobSeer's throughput story (paper §III-D, §V) rests on the data plane
-being embarrassingly parallel: a write scatters its blocks over many
-data providers *simultaneously*, a read gathers them back the same way,
-and only the version manager serializes anything.  The paper's
-headline result — sustained throughput under *heavy concurrency*
-(hundreds of clients, many blocks in flight each) — wants block I/O
-limited by link bandwidth and provider latency, never by client-side
-scheduling (see also the versioning follow-up paper, arXiv 0905.1113).
+BlobSeer's throughput rests on a parallel data plane: a write scatters
+its blocks over many providers *simultaneously*, a read gathers them
+back the same way (paper §III-C/D), and a client is bounded by its
+providers and links, not by its own scheduling (arXiv 0905.1113).
 
-:class:`AsyncIOEngine` (DESIGN.md §13) runs every transfer — a
-provider's block vector, a bucket's key batch — as a coroutine on ONE
-event loop on ONE background thread.  The in-flight window is bounded
-by a semaphore (``max_in_flight``), a second per-destination semaphore
-family caps concurrency against any single provider or metadata bucket
-(``per_dest``), and the first error cancels every sibling coroutine at
-its next await point.  Thousands of in-flight transfers cost as many
-coroutine frames and a handful of threads.  One engine is shared per
-:class:`~repro.blob.store.LocalBlobStore`, so every layer above (BSFS
-streams, the MapReduce split planner) draws from the same loop and
-helper pool instead of spawning threads ad hoc.
-
-The surface is ``map`` / ``map_settle`` / ``submit_each`` / ``submit``
-/ ``in_worker`` / ``shutdown``.  Fan-out call sites pass ``afn=`` (an
-async twin of the task callable, e.g. awaiting
-``DataProviderCore.aput_many`` instead of blocking in ``put_many``); a
-sync ``fn`` alone runs on the loop thread and stalls every other
-transfer while it blocks, so ``tools/lint_async.py`` flags a fan-out
-without ``afn=``.  Blocking work that has no twin goes to
-:meth:`AsyncIOEngine.submit`, which runs it on a helper thread.
-
-Boundary rules (enforced by ``tools/lint_async.py``; DESIGN.md §13
-spells out the why):
-
-* Only the loop thread runs coroutines.  Sync callers enter via
-  ``asyncio.run_coroutine_threadsafe`` and block on a
-  ``concurrent.futures.Future``.
-* Coroutine code must never block the loop: no ``time.sleep``, no sync
-  provider/DHT entry points (their simulated latency is a blocking
-  sleep), no ``Future.result()``.
-* A fan-out issued *from* the loop thread (a nested read inside an
-  engine task) runs the sync ``fn`` inline: the loop is already busy
-  executing the caller, so awaiting from there is impossible and
-  submitting to itself would deadlock.
+:class:`AsyncIOEngine` (DESIGN.md §13) runs each fan-out as one
+*round* on the calling thread.  A call site's ``fn(item)`` returns a
+*request*: a generator that yields its destination's service delay at
+each issue (the issue checks that the destination is online) and
+returns its result from its completion, the code after the ``yield``.
+A round issues every request at once, sleeps once, until the earliest
+deadline, and completes each request as its deadline passes, ties in
+issue order; a request that yields again (the next chunk of a long
+provider vector) is re-issued by that completion.  So a round costs
+its latency and one ``time.sleep``: no event loop, no thread handoff,
+no task per request.  The window (``max_in_flight``, ``per_dest``) is
+shared by the store's threads, and a full window issues in waves.
 """
 
 from __future__ import annotations
 
-import asyncio
-import inspect
+import heapq
+import itertools
 import threading
 import time
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Generator, Iterable, Optional, TypeVar
 
 from repro.obs import Counters, verb
 
-__all__ = ["AsyncIOEngine", "EngineStats"]
+__all__ = ["AsyncIOEngine", "EngineStats", "run_inline"]
 
-T = TypeVar("T")
 R = TypeVar("R")
+
+#: A request: yields its service delay at each issue, returns its result.
+Request = Generator[float, None, R]
+
+#: The round's clock and its one wait, looked up at call time so that a
+#: test can run rounds on a virtual clock.
+_monotonic = time.monotonic
+_sleep = time.sleep
+
+# Round modes: what the first error does to the requests not yet completed.
+_MAP = "map"  # they never complete; the error is raised
+_SETTLE = "settle"  # nothing: every request runs to its own outcome
+_DRAIN = "drain"  # issued ones complete; unissued ones and later chunks are cancelled
+
+
+def run_inline(request: Request) -> R:
+    """Drive one request serially on the calling thread: the path of a
+    store with no engine, and of a lone request."""
+    try:
+        delay = next(request)
+        while True:
+            if delay:
+                _sleep(delay)  # asynclint: allow the inline serial path's wait
+            delay = request.send(None)
+    except StopIteration as done:
+        return done.value
 
 
 class EngineStats(Counters):
     """Scheduler-behavior counters of the I/O engine.
 
-    * ``threads_started`` — OS threads the engine ever spawned (the
-      event-loop thread and the helper threads).  Every task in flight
-      costs a coroutine; the thread count stays a handful.
-    * ``in_flight`` / ``in_flight_hwm`` — tasks currently executing
-      (holding an in-flight slot) and the high-water mark.  The store's
-      tasks are provider vectors, one per provider an op touches.
-    * ``queue_wait_total`` / ``queue_wait_max`` — seconds tasks spent
-      waiting for a slot (a semaphore or the helper queue) before
-      starting.
+    * ``threads_started`` — helper threads the engine ever spawned.
+      Rounds run on their callers' threads and start none.
+    * ``tasks_started`` / ``tasks_finished`` — requests issued and
+      completed (a re-issued chunk counts again), plus helper tasks.
+    * ``in_flight`` / ``in_flight_hwm`` — requests issued and not yet
+      completed, and running helper tasks, with the high-water mark.
+    * ``queue_wait_total`` / ``queue_wait_max`` — seconds waited for
+      window slots: per wave of a round, from the round's start to the
+      wave's issue (about 0 for a first wave the window admits), and
+      per helper task, from its submission to its start.
 
-    A :class:`~repro.obs.Counters`, so every verb is thread-safe: the
-    loop thread and the helper threads both call them.
+    A :class:`~repro.obs.Counters`, so every verb is thread-safe.
     """
 
     SUMS = ("threads_started", "tasks_started", "tasks_finished", "queue_wait_total")
@@ -88,41 +87,212 @@ class EngineStats(Counters):
     KEEP = ("threads_started",)
 
     thread_started = verb(threads_started=1)
-    #: ``task_started(queue_wait=0.0)``: a task got its slot.
-    task_started = verb("queue_wait_total", tasks_started=1, in_flight=1)
-    task_finished = verb(tasks_finished=1, in_flight=-1)
+    #: ``issued(tasks_started=n, in_flight=n, queue_wait_total=s)``.
+    issued = verb("tasks_started", "in_flight", "queue_wait_total")
+    #: ``completed(tasks_finished=n, in_flight=-n)``.
+    completed = verb("tasks_finished", "in_flight")
 
 
-class _NullSlot:
-    """Async no-op context manager for items without a destination cap."""
-
-    async def __aenter__(self) -> None:
-        return None
-
-    async def __aexit__(self, *exc) -> None:
-        return None
+def _cancelled() -> CancelledError:
+    return CancelledError("abandoned: a sibling request failed or the round was interrupted")
 
 
-_NULL_SLOT = _NullSlot()
+class _Pending(threading.local):
+    def __init__(self):
+        self.rounds: list[_Round] = []
+
+
+class _Handle:
+    """One ``submit_each`` request: ``result()`` drives its round on the
+    calling thread until the request has settled (waiting out the rest
+    of its deadline), then returns its value or raises its error."""
+
+    __slots__ = ("_round", "_index")
+
+    def __init__(self, rnd: "_Round", index: int):
+        self._round = rnd
+        self._index = index
+
+    def result(self):
+        self._round.run(self._index)
+        value, error = self._round.outcomes[self._index]
+        if error is not None:
+            raise error
+        return value
+
+
+class _Round:
+    """One fan-out's requests, issued in waves as the window admits and
+    completed as their deadlines pass."""
+
+    def __init__(self, engine: "AsyncIOEngine", fn, work: list, dest, mode: str):
+        self.engine = engine
+        self.fn = fn
+        self.work = work
+        self.mode = mode
+        #: Per item, its destination key; ``None`` when nothing is capped.
+        self.keys = [dest(item) for item in work] if dest is not None and engine.per_dest else None
+        self.queue = list(range(len(work)))  # not yet issued, in order
+        self.due: list = []  # heap of (deadline, issue seq, index, request)
+        self.outcomes: list = [None] * len(work)  # (value, error) once settled
+        self.error: Optional[Exception] = None
+        self.seq = itertools.count()
+        self.opened = _monotonic()
+
+    def run(self, index: Optional[int] = None) -> None:
+        """Advance until request *index* has settled (every request,
+        when ``None``).  In ``map`` mode the first error is raised once
+        every sibling is cancelled; any base exception (an interrupt
+        during the wait) cancels every request not yet completed."""
+        outcomes = self.outcomes
+        try:
+            while (outcomes[index] is None) if index is not None else (self.queue or self.due):
+                if self.queue:
+                    self._issue_wave()
+                if self.due and (self.error is None or self.mode is not _MAP):
+                    self._complete_due()
+                if self.error is not None and self.mode is _MAP:
+                    raise self.error
+        except BaseException:
+            self._abort()
+            raise
+        if not self.queue and not self.due:
+            self.engine._forget(self)
+
+    def _settle(self, index: int, value, error: Optional[BaseException]) -> None:
+        self.outcomes[index] = (value, error)
+        if error is not None and self.error is None:
+            self.error = error
+            if self.mode is _DRAIN:
+                self._cancel_queue()
+
+    def _cancel_queue(self) -> None:
+        for index in self.queue:
+            self.outcomes[index] = (None, _cancelled())
+        self.queue = []
+
+    def _issue_wave(self, wait: bool = True) -> None:
+        """Issue every queued request the window admits now (waiting
+        for slots first when the round holds none, unless *wait* is
+        false)."""
+        engine = self.engine
+        admitted = engine._admit(self, wait)
+        if not admitted:
+            return
+        now = _monotonic()
+        fn, work, due, seq = self.fn, self.work, self.due, self.seq
+        finished: list[int] = []
+        issued = 0
+        try:
+            for index in admitted:
+                if self.error is not None and self.mode is not _SETTLE:
+                    break
+                issued += 1
+                try:
+                    request = fn(work[index])
+                    delay = next(request)
+                except StopIteration as done:  # finished at its issue
+                    finished.append(index)
+                    self._settle(index, done.value, None)
+                except Exception as exc:  # e.g. the destination is down
+                    finished.append(index)
+                    self._settle(index, None, exc)
+                except BaseException:
+                    finished.append(index)
+                    raise
+                else:
+                    heapq.heappush(due, (now + delay, next(seq), index, request))
+        finally:
+            engine.stats.issued(
+                tasks_started=issued,
+                in_flight=issued,
+                queue_wait_total=now - self.opened,
+            )
+            if finished:
+                engine.stats.completed(tasks_finished=len(finished), in_flight=-len(finished))
+            # Admitted but never issued: back to the window, and to the
+            # queue unless a sibling failed.
+            unissued = admitted[issued:]
+            if self.error is None:
+                self.queue[:0] = unissued
+            else:
+                for index in unissued:
+                    self.outcomes[index] = (None, _cancelled())
+            engine._release(self, finished + unissued)
+
+    def _complete_due(self) -> None:
+        """Sleep until the earliest deadline, then complete every
+        request whose deadline has passed, in (deadline, issue) order."""
+        due = self.due
+        now = _monotonic()
+        if due[0][0] > now:
+            _sleep(due[0][0] - now)  # asynclint: allow the round's one wait
+            now = _monotonic()
+        engine = self.engine
+        finished: list[int] = []  # their slots go back
+        completions = reissued = 0
+        try:
+            while due and due[0][0] <= now:
+                _, _, index, request = heapq.heappop(due)
+                completions += 1
+                finished.append(index)
+                try:
+                    delay = request.send(None)
+                except StopIteration as done:
+                    self._settle(index, done.value, None)
+                except Exception as exc:
+                    self._settle(index, None, exc)
+                    if self.mode is _MAP:
+                        return
+                else:
+                    if self.error is not None and self.mode is not _SETTLE:
+                        # A sibling failed: the next chunk is not issued.
+                        request.close()
+                        self._settle(index, None, _cancelled())
+                    else:  # the next chunk, issued on the same slot
+                        finished.pop()
+                        reissued += 1
+                        heapq.heappush(due, (now + delay, next(self.seq), index, request))
+        finally:
+            engine.stats.completed(tasks_finished=completions, in_flight=-completions)
+            if reissued:
+                engine.stats.issued(tasks_started=reissued, in_flight=reissued)
+            engine._release(self, finished)
+
+    def _abort(self) -> None:
+        """Cancel every request not yet completed: an issued one is
+        closed at its ``yield`` and never completes; each gives its
+        slot back and settles as ``CancelledError``."""
+        held = [index for _, _, index, _ in self.due]
+        for _, _, _, request in self.due:
+            request.close()
+        self.due = []
+        self._cancel_queue()
+        for index, outcome in enumerate(self.outcomes):
+            if outcome is None:
+                self.outcomes[index] = (None, _cancelled())
+        engine = self.engine
+        if held:
+            engine.stats.completed(tasks_finished=len(held), in_flight=-len(held))
+        engine._release(self, held)
+        engine._forget(self)
 
 
 class AsyncIOEngine:
-    """Single-event-loop scheduler for data-plane block transfers.
+    """Deadline-round scheduler for data-plane block transfers.
 
     Args:
-        max_in_flight: size of the global in-flight window — how many
-            transfer coroutines may hold a slot simultaneously.  A slot
-            is a semaphore token (~a coroutine frame), not an OS thread.
-        per_dest: cap on concurrent transfers against any single
-            destination (provider / bucket), applied when the call
-            site passes a ``dest`` key function.  ``0`` disables the
-            per-destination cap.  Real providers serve a bounded
-            number of streams well; aiming the whole window at one hot
-            provider just builds a convoy there while the other
-            destinations idle.
+        max_in_flight: size of the in-flight window — how many requests
+            the store's threads may have issued and not yet completed.
+        per_dest: cap on those requests against any single destination
+            (provider / bucket), applied when the call site passes a
+            ``dest`` key function.  ``0`` disables the per-destination
+            cap.  Real providers serve a bounded number of streams
+            well; aiming the whole window at one hot provider just
+            builds a convoy there while the other destinations idle.
         helpers: worker threads for :meth:`submit` — blocking sync
-            tasks (read-ahead, split planning) that must not block the
-            loop.  The store sizes this with ``io_workers``.
+            tasks (read-ahead, split planning).  The store sizes this
+            with ``io_workers``.
         name: thread-name prefix (diagnostics).
     """
 
@@ -145,278 +315,130 @@ class AsyncIOEngine:
         self._helpers: Optional[ThreadPoolExecutor] = None
         self._helpers_lock = threading.Lock()
         self._closed = False
-        self._loop = asyncio.new_event_loop()
-        # asyncio.Semaphore binds to the running loop lazily on first
-        # await, so creating these here (off-loop) is safe.
-        self._sem = asyncio.Semaphore(max_in_flight)
-        # Per-destination semaphores, created on demand.  Only the loop
-        # thread ever touches this dict, so no lock is needed.
-        self._dest_sems: dict[object, asyncio.Semaphore] = {}
-        started = threading.Event()
-
-        def run_loop() -> None:
-            asyncio.set_event_loop(self._loop)
-            self.stats.thread_started()
-            started.set()
-            while True:
-                try:
-                    self._loop.run_forever()
-                except (KeyboardInterrupt, SystemExit):
-                    # A task let a base escape through: asyncio.Task
-                    # sets it on the task's future *and* re-raises it
-                    # into the loop.  The caller blocked on that future
-                    # only hears about it from a done-callback the loop
-                    # has yet to run — so the loop must keep serving,
-                    # not die with the callback stranded in its queue.
-                    if not self._closed:
-                        continue
-                break
-
-        self._thread = threading.Thread(
-            target=run_loop, name=f"{name}-loop", daemon=True
-        )
-        self._thread.start()
-        started.wait()
-
-    # -- loop-thread plumbing -----------------------------------------------------
-
-    def _on_loop_thread(self) -> bool:
-        return threading.get_ident() == self._thread.ident
-
-    @property
-    def in_worker(self) -> bool:
-        """Whether the calling thread is the engine's event-loop thread.
-
-        The publish pipeline must not park the loop thread waiting on
-        work that only the loop can complete, so a write issued from
-        an engine task falls back to the inline scatter.
-        """
-        return self._on_loop_thread()
+        #: Guards the window: free slots, and slots held per destination.
+        self._window = threading.Condition(threading.Lock())
+        self._free = max_in_flight
+        self._busy: dict[object, int] = {}
+        #: Per thread, its ``submit_each`` rounds not yet settled.
+        self._own = _Pending()
 
     def _check_open(self) -> None:
         if self._closed:
             raise RuntimeError(f"AsyncIOEngine({self.name!r}) is shut down")
 
-    def _dest_slot(self, key: object):
-        if key is None or self.per_dest <= 0:
-            return _NULL_SLOT
-        sem = self._dest_sems.get(key)
-        if sem is None:
-            sem = self._dest_sems[key] = asyncio.Semaphore(self.per_dest)
-        return sem
+    # -- the window ---------------------------------------------------------------
 
-    # -- the core fan-out ---------------------------------------------------------
+    def _admit(self, rnd: _Round, wait: bool = True) -> list[int]:
+        """Reserve slots for the round's next wave, in queue order; a
+        request whose destination is full waits for a later wave.
 
-    async def _run_one(
-        self,
-        fn: Callable[[T], R],
-        afn: Optional[Callable],
-        item: T,
-        dest_key: object,
-    ) -> R:
-        """Run one transfer inside the in-flight + destination windows.
-
-        ``afn`` (when given) is the coroutine twin and takes priority;
-        a plain ``fn`` result that happens to be awaitable is awaited
-        too, so call sites may pass one ``def`` returning a coroutine.
-        Cancellation lands at the ``await`` points — the semaphore
-        gates and the transfer's own latency sleep — never midway
-        through sync bookkeeping.
+        A round that gets nothing and holds nothing waits for slots —
+        but never on slots its own thread holds: it first settles the
+        thread's pending ``submit_each`` rounds that hold some.
         """
-        enqueued = time.perf_counter()
-        async with self._sem:
-            async with self._dest_slot(dest_key):
-                self.stats.task_started(time.perf_counter() - enqueued)
-                try:
-                    out = (afn or fn)(item)
-                    if inspect.isawaitable(out):
-                        out = await out
-                    return out
-                finally:
-                    self.stats.task_finished()
+        while True:
+            with self._window:
+                admitted = self._take(rnd)
+                if admitted or rnd.due or not wait:
+                    return admitted
+                own = [other for other in self._own.rounds if other.due]
+                if not own:
+                    self._window.wait()
+                    continue
+            for other in own:
+                other.run()
 
-    async def _fan_out(
-        self,
-        fn: Callable[[T], R],
-        afn: Optional[Callable],
-        work: Sequence[T],
-        dest: Optional[Callable[[T], object]],
-        fail_fast: bool,
-    ):
-        """Run every item as a task; gather per-item outcomes.
+    def _take(self, rnd: _Round) -> list[int]:
+        free = self._free
+        if not free:
+            return []
+        queue = rnd.queue
+        if rnd.keys is None:
+            admitted = queue[:free]
+            del queue[:free]
+        else:
+            busy, cap, keys = self._busy, self.per_dest, rnd.keys
+            admitted, rest = [], []
+            for index in queue:
+                key = keys[index]
+                held = busy.get(key, 0)
+                if len(admitted) < free and (key is None or held < cap):
+                    admitted.append(index)
+                    if key is not None:
+                        busy[key] = held + 1
+                else:
+                    rest.append(index)
+            rnd.queue = rest
+        self._free = free - len(admitted)
+        return admitted
 
-        ``fail_fast=True`` (the ``map`` contract): the first failure
-        cancels every sibling task and is re-raised; cancelled items
-        never ran or stopped at an await point before any effect the
-        caller could observe torn.  ``fail_fast=False`` (the
-        ``map_settle`` contract): every item runs to an outcome and the
-        result is ``(value, error)`` pairs — except non-``Exception``
-        escapes (``KeyboardInterrupt``), which cancel the rest and
-        propagate.
-        """
-        pairs: "list[tuple[Optional[R], Optional[BaseException]]]"
-        pairs = [(None, None)] * len(work)
-        first: "list[BaseException]" = []
-        tasks: "list[asyncio.Task]" = []
+    def _release(self, rnd: _Round, indices: list[int]) -> None:
+        if not indices:
+            return
+        with self._window:
+            self._free += len(indices)
+            if rnd.keys is not None:
+                for index in indices:
+                    if rnd.keys[index] is not None:
+                        self._busy[rnd.keys[index]] -= 1
+            self._window.notify_all()
 
-        def abort(exc: BaseException) -> None:
-            if not first:
-                first.append(exc)
-                for task in tasks:
-                    task.cancel()
-
-        async def run_indexed(index: int, item: T) -> None:
-            try:
-                dest_key = dest(item) if dest is not None else None
-                out = await self._run_one(fn, afn, item, dest_key)
-                pairs[index] = (out, None)
-            except asyncio.CancelledError:
-                # A sibling failed first; report this item as abandoned
-                # (concurrent.futures flavor: an Exception subclass, so
-                # map_settle callers can treat it like any other error).
-                pairs[index] = (
-                    None,
-                    CancelledError("abandoned: a sibling task failed"),
-                )
-            except Exception as exc:
-                pairs[index] = (None, exc)
-                if fail_fast:
-                    abort(exc)
-            except BaseException as exc:
-                pairs[index] = (None, exc)
-                abort(exc)
-
-        for index, item in enumerate(work):
-            tasks.append(self._loop.create_task(run_indexed(index, item)))
-        await asyncio.gather(*tasks, return_exceptions=True)
-        if first:
-            raise first[0]
-        if fail_fast:
-            for _, error in pairs:
-                if error is not None:
-                    raise error
-            return [value for value, _ in pairs]
-        return pairs
-
-    def _dispatch(self, coro) -> object:
-        """Run *coro* on the loop from a foreign thread; block for it."""
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
+    def _forget(self, rnd: _Round) -> None:
+        if rnd in self._own.rounds:
+            self._own.rounds.remove(rnd)
 
     # -- scatter-gather -----------------------------------------------------------
 
-    def map(
-        self,
-        fn: Callable[[T], R],
-        items: Iterable[T],
-        afn: Optional[Callable] = None,
-        dest: Optional[Callable[[T], object]] = None,
-    ) -> list[R]:
-        """Apply *fn*/*afn* to every item concurrently; results in order.
-
-        First error cancels the remaining coroutines and re-raises.
-        From the loop thread itself (a nested fan-out inside an engine
-        task) the sync ``fn`` runs inline — see the module docstring.
-        """
+    def _round(self, fn, items, afn, dest, mode: str) -> _Round:
         self._check_open()
-        work: Sequence[T] = list(items)
-        if self._on_loop_thread():
-            return [fn(item) for item in work]
-        if not work:
-            return []
-        return self._dispatch(self._fan_out(fn, afn, work, dest, fail_fast=True))
+        if afn is not None:
+            raise TypeError("afn= is gone: fn(item) returns a request (DESIGN.md §13)")
+        return _Round(self, fn, list(items), dest, mode)
 
-    def map_settle(
-        self,
-        fn: Callable[[T], R],
-        items: Iterable[T],
-        afn: Optional[Callable] = None,
-        dest: Optional[Callable[[T], object]] = None,
-    ) -> "list[tuple[Optional[R], Optional[Exception]]]":
-        """Apply *fn*/*afn* to EVERY item; ``(result, error)`` pairs.
+    def map(self, fn: Callable, items: Iterable, afn=None, dest=None) -> list:
+        """Run every item's request in one round; results in order.
+        The first error is raised; siblings not yet completed never
+        complete (they are closed at their issue)."""
+        rnd = self._round(fn, items, afn, dest, _MAP)
+        rnd.run()
+        return [value for value, _ in rnd.outcomes]
 
+    def map_settle(self, fn: Callable, items: Iterable, afn=None, dest=None) -> list:
+        """Run EVERY item's request; ``(result, error)`` pairs in order.
         Never fails fast on ``Exception``: one dead replica must not
-        abandon its siblings' requests.  Items cancelled by a
-        non-``Exception`` escape settle as
-        :class:`concurrent.futures.CancelledError`.
+        abandon its siblings.  A base exception cancels the round."""
+        rnd = self._round(fn, items, afn, dest, _SETTLE)
+        rnd.run()
+        return rnd.outcomes
+
+    def submit_each(self, fn: Callable, items: Iterable, afn=None, dest=None) -> list:
+        """Issue every item's request the window admits now; return
+        one handle per item (the publish overlap: the caller weaves
+        metadata while the deadlines run, then settles the handles).
+
+        The first error cancels the requests not yet issued and the
+        chunks not yet re-issued (they settle as ``CancelledError``);
+        issued requests still complete, so their effects are
+        observable before any rollback.
         """
-        self._check_open()
-        work: Sequence[T] = list(items)
-        if self._on_loop_thread():
-            out: "list[tuple[Optional[R], Optional[Exception]]]" = []
-            for item in work:
-                try:
-                    out.append((fn(item), None))
-                except Exception as exc:
-                    out.append((None, exc))
-            return out
-        if not work:
-            return []
-        return self._dispatch(self._fan_out(fn, afn, work, dest, fail_fast=False))
-
-    def submit_each(
-        self,
-        fn: Callable[[T], R],
-        items: Iterable[T],
-        afn: Optional[Callable] = None,
-        dest: Optional[Callable[[T], object]] = None,
-    ) -> "list[Future[R]]":
-        """Schedule *fn*/*afn* over *items*; return immediately.
-
-        The publish-pipeline overlap primitive: one concurrent Future
-        per item, the caller settles them after weaving metadata on
-        its own thread.  First error cancels queued-but-unstarted
-        siblings (they settle as ``CancelledError``); already-running
-        transfers drain so their effects are observable before
-        rollback.  Cancelling a returned future cancels its coroutine.
-        """
-        self._check_open()
-        if self._on_loop_thread():
-            raise RuntimeError(
-                "submit_each from the event-loop thread would overlap the loop "
-                "with itself; use map(), which runs inline there"
-            )
-        work: Sequence[T] = list(items)
-        error_seen = threading.Event()
-        futures: "list[Future[R]]" = []
-
-        async def run_guarded(index: int, item: T) -> R:
-            if error_seen.is_set():
-                raise CancelledError("abandoned: a sibling task failed")
-            try:
-                dest_key = dest(item) if dest is not None else None
-                return await self._run_one(fn, afn, item, dest_key)
-            except asyncio.CancelledError:
-                raise
-            except BaseException:
-                if not error_seen.is_set():
-                    error_seen.set()
-                    # Cancel siblings only: cancelling our OWN future
-                    # here would mask this (the first, real) error as a
-                    # CancelledError.  Siblings not yet in the list see
-                    # error_seen when they start.
-                    for j, future in enumerate(futures):
-                        if j != index:
-                            future.cancel()  # no-op for done siblings
-                raise
-
-        for index, item in enumerate(work):
-            futures.append(
-                asyncio.run_coroutine_threadsafe(
-                    run_guarded(index, item), self._loop
-                )
-            )
-        return futures
+        rnd = self._round(fn, items, afn, dest, _DRAIN)
+        try:
+            rnd._issue_wave(wait=False)
+        except BaseException:
+            rnd._abort()
+            raise
+        if rnd.queue or rnd.due:
+            self._own.rounds.append(rnd)
+        return [_Handle(rnd, index) for index in range(len(rnd.work))]
 
     # -- opportunistic work -------------------------------------------------------
 
     def submit(self, fn: Callable[..., R], *args, **kwargs) -> "Future[R]":
         """Schedule one sync task on a small helper thread pool.
 
-        Read-ahead and split planning submit blocking functions;
-        running them on the loop would stall every transfer, so the
+        Read-ahead and split planning submit blocking functions; the
         ``helpers`` threads absorb them.  A helper that issues a nested
-        :meth:`map` blocks on the loop — which keeps progressing, so
-        that is safe.
+        :meth:`map` runs that round on its own thread.
         """
         self._check_open()
         with self._helpers_lock:
@@ -430,37 +452,23 @@ class AsyncIOEngine:
         submitted = time.perf_counter()
 
         def run() -> R:
-            self.stats.task_started(time.perf_counter() - submitted)
+            self.stats.issued(
+                tasks_started=1, in_flight=1, queue_wait_total=time.perf_counter() - submitted
+            )
             try:
                 return fn(*args, **kwargs)
             finally:
-                self.stats.task_finished()
+                self.stats.completed(tasks_finished=1, in_flight=-1)
 
         return helpers.submit(run)
 
     # -- lifecycle ----------------------------------------------------------------
 
     def shutdown(self) -> None:
-        """Stop the loop and helper threads; idempotent.
-
-        Pending coroutines are cancelled, the loop drains them, and the
-        loop closes.  Safe to call from any thread except the loop's.
-        """
+        """Refuse new work and stop the helper threads; idempotent."""
         if self._closed:
             return
         self._closed = True
-        if self._loop.is_running():
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=5.0)
-        if not self._thread.is_alive():
-            pending = asyncio.all_tasks(self._loop)
-            for task in pending:
-                task.cancel()
-            if pending:
-                self._loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
-            self._loop.close()
         with self._helpers_lock:
             helpers, self._helpers = self._helpers, None
         if helpers is not None:

@@ -47,17 +47,20 @@ class StoreConfig:
         metadata_replication: DHT replica count for tree nodes.
         placement: policy name or instance (default BlobSeer round-robin).
         seed: seed for any stochastic policy (random placement).
-        io_workers: 0 = inline I/O; any positive value gives the store
-            the single-event-loop
-            :class:`~repro.blob.async_engine.AsyncIOEngine` (in-flight
-            transfers are coroutines, DESIGN.md §13) and sizes its
-            helper pool for ``submit`` work (read-ahead, split
-            planning).
+        io_workers: 0 = inline I/O, one vector after another on the
+            caller; any positive value gives the store the
+            :class:`~repro.blob.async_engine.AsyncIOEngine`, whose
+            fan-outs are deadline rounds on the calling thread (every
+            request issued at once, one sleep, DESIGN.md §13), and
+            sizes its lazy helper pool for ``submit`` work (read-ahead,
+            split planning) — rounds start no thread.
         io_scheduler: vestigial; ``"async"`` is its only accepted
             value.  It selects nothing — ``io_workers > 0`` selects the
             engine — and goes once ``perf/workloads.py`` stops passing
-            it.
-        max_in_flight: the engine's in-flight transfer window.
+            it (ROADMAP item 1 step B).
+        max_in_flight: the engine's in-flight window: requests issued
+            and not yet completed, across every thread of the store; a
+            round that finds it full issues in waves.
         provider_latency: simulated service time per data-provider op.
         metadata_latency: simulated service time per metadata-bucket
             *request* — a batched multi-get/put pays it once per bucket

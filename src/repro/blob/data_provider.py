@@ -9,7 +9,7 @@ Each provider carries its own small lock over its block map,
 so concurrent block transfers to *different* providers never contend —
 the fine-grained locking the parallel I/O engine relies on.  An
 optional simulated per-operation service ``latency`` makes wall-clock
-parallelism observable in benchmarks: the sleep models network/disk
+parallelism observable in benchmarks: the wait models network/disk
 service time and happens *outside* the state lock, as a real provider
 services many RPC streams at once.
 
@@ -25,7 +25,6 @@ per write, not one per provider vector.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from typing import Iterator, Optional, Sequence
@@ -36,14 +35,27 @@ from repro.errors import ProviderUnavailable, WriteConflict
 __all__ = ["DataProviderCore"]
 
 
+def __getattr__(name: str):
+    # The coroutine twins' ``asyncio``, resolved on first use so that
+    # ``import repro`` does not pay for it.
+    if name == "asyncio":
+        import asyncio
+
+        return asyncio
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 class DataProviderCore:
     """One provider's block map.
 
-    The unit of work is the transfer *vector* (DESIGN.md §13): every
-    entry point — the one-block ``put``/``get`` included, as a vector
-    of one — pays its service delay once and then runs one locked body
-    per direction, :meth:`_put_vector` or :meth:`_get_vector`, with one
-    online check per vector.
+    The unit of work is the transfer *vector* (DESIGN.md §13), sent as
+    one request: an issue, :meth:`_issue`, which fails fast when the
+    provider is down and returns its service delay, then one locked
+    body per direction, :meth:`_put_vector` or :meth:`_get_vector`,
+    which checks again that the provider is online.  The I/O engine
+    issues many requests and waits out their delays together; every
+    sync entry point — the one-block ``put``/``get`` included, as a
+    vector of one — sleeps its own delay between the two halves.
 
     Args:
         name: provider identity (placement and diagnostics key).
@@ -66,17 +78,24 @@ class DataProviderCore:
         if not self.online:
             raise ProviderUnavailable(f"data provider {self.name} is down")
 
-    def _service_delay(self) -> None:
-        """Fail fast when down, else sleep one request's service time."""
+    def _issue(self) -> float:
+        """Issue one request: fail fast when down, else its service delay."""
         self._check_online()
-        if self.latency:
-            time.sleep(self.latency)
+        return self.latency
+
+    def _service_delay(self) -> None:
+        """A sync entry point's wait: issue, then sleep the delay."""
+        delay = self._issue()
+        if delay:
+            time.sleep(delay)  # asynclint: allow a sync entry point's service time
 
     async def _aservice_delay(self) -> None:
         """Coroutine twin of :meth:`_service_delay` (``asyncio.sleep``)."""
-        self._check_online()
-        if self.latency:
-            await asyncio.sleep(self.latency)
+        import asyncio
+
+        delay = self._issue()
+        if delay:
+            await asyncio.sleep(delay)
 
     def _put_vector(
         self,
@@ -127,7 +146,7 @@ class DataProviderCore:
 
     def put(self, block_id: BlockId, payload: Payload) -> None:
         """Store one new block; rejects overwrites (immutability)."""
-        self._service_delay()
+        self._service_delay()  # asynclint: allow sync entry point
         self._put_vector(((block_id, payload),), None)
 
     def put_many(
@@ -141,7 +160,7 @@ class DataProviderCore:
         lands (see :meth:`_put_vector`): on failure *landed* is exactly
         the stored prefix.
         """
-        self._service_delay()
+        self._service_delay()  # asynclint: allow sync entry point
         self._put_vector(items, landed)
 
     async def aput_many(
@@ -149,14 +168,9 @@ class DataProviderCore:
         items: Sequence[tuple[BlockId, Payload]],
         landed: Optional[list[BlockId]] = None,
     ) -> None:
-        """Coroutine twin of :meth:`put_many` for the async I/O engine.
-
-        The vector's service latency becomes ``asyncio.sleep`` — the
-        event loop interleaves many of these — and the state change is
-        the same :meth:`_put_vector` body the sync entry points run, so
-        failure injection cannot drift between engines.  The body
-        contains no await, so no other coroutine interleaves mid-update.
-        """
+        """Coroutine twin of :meth:`put_many`: the same two halves with
+        ``asyncio.sleep`` between them.  Nothing in ``src`` awaits it:
+        ``perf/trace.py`` wraps it by name (ROADMAP item 1 step B)."""
         await self._aservice_delay()
         self._put_vector(items, landed)
 
@@ -167,7 +181,7 @@ class DataProviderCore:
 
     def get(self, block_id: BlockId) -> Payload:
         """Fetch one stored block (KeyError if absent)."""
-        self._service_delay()
+        self._service_delay()  # asynclint: allow sync entry point
         return self._get_vector((block_id,))[block_id]
 
     def get_many(self, block_ids: Sequence[BlockId]) -> dict[BlockId, Payload]:
@@ -178,7 +192,7 @@ class DataProviderCore:
         down before the vector is served raises
         :class:`ProviderUnavailable` for the whole vector.
         """
-        self._service_delay()
+        self._service_delay()  # asynclint: allow sync entry point
         return self._get_vector(block_ids)
 
     async def aget_many(self, block_ids: Sequence[BlockId]) -> dict[BlockId, Payload]:

@@ -62,7 +62,7 @@ from repro.blob.segment_tree import (
     clipped_entries,
     iter_reachable_batched,
 )
-from repro.blob.version_manager import TombstoneSpec
+from repro.blob.version_manager import SnapshotInfo, TombstoneSpec
 from repro.dht.store import MISSING
 from repro.errors import (
     BlobError,
@@ -144,10 +144,11 @@ class _BlobPlan:
 
     blob_id: str
     gc_floor: int
-    published: int
     replication: int
     in_flight: frozenset[int]
     tombstone_specs: list[TombstoneSpec] = field(default_factory=list)
+    #: Every retained published snapshot, oldest first (phase 3's roots).
+    snapshots: list[SnapshotInfo] = field(default_factory=list)
 
 
 def _snapshot_control_plane(store: "LocalBlobStore") -> list[_BlobPlan]:
@@ -163,7 +164,6 @@ def _snapshot_control_plane(store: "LocalBlobStore") -> list[_BlobPlan]:
             plan = _BlobPlan(
                 blob_id=blob_id,
                 gc_floor=state.gc_floor,
-                published=state.published,
                 replication=state.replication,
                 in_flight=frozenset(vm.in_flight(blob_id)),
             )
@@ -173,6 +173,10 @@ def _snapshot_control_plane(store: "LocalBlobStore") -> list[_BlobPlan]:
                 if vm.owner_of(blob_id, version) != blob_id:
                     continue  # inherited across a branch: the ancestor owns the keys
                 plan.tombstone_specs.append(vm.tombstone_spec(blob_id, version))
+            plan.snapshots = [
+                vm.snapshot_info(blob_id, version)
+                for version in range(max(state.gc_floor, 1), state.published + 1)
+            ]
             out.append(plan)
         return out
 
@@ -328,13 +332,10 @@ def _restore_block(
         )
     landed: list[str] = []
 
-    def copy(name: str) -> None:
-        store.providers[name].put(block_id, payload)
-        store.provider_manager.charge(name, descriptor.size)
-        landed.append(name)
-
-    async def acopy(name: str) -> None:
-        await store.providers[name].aput(block_id, payload)
+    def copy(name: str):
+        provider = store.providers[name]
+        yield provider._issue()
+        provider._put_vector(((block_id, payload),), None)
         store.provider_manager.charge(name, descriptor.size)
         landed.append(name)
 
@@ -343,7 +344,7 @@ def _restore_block(
             payload = store.providers[live[0]].get(block_id)
             # Maintenance traffic shares the I/O engine's bounded window
             # with foreground I/O.
-            store._map_io(copy, fresh, afn=acopy, dest=lambda name: name)
+            store._map_io(copy, fresh, dest=lambda name: name)
         except BaseException:
             _remove_copies(store, block_id, landed, descriptor.size)
             raise
@@ -508,12 +509,7 @@ def _scrub_blocks(
     """
     resolver = store.key_resolver()
     reached: dict[NodeKey, tuple[Leaf, set[int]]] = {}
-    for version in range(max(plan.gc_floor, 1), plan.published + 1):
-        try:
-            info = store.snapshot(plan.blob_id, version)
-        except BlobError as exc:
-            errors.append(f"{plan.blob_id} v{version}: snapshot unavailable: {exc}")
-            continue
+    for info in plan.snapshots:
         if info.size == 0:
             continue
         root = NodeKey(info.blob_id, info.version, 0, info.root_span)
@@ -532,7 +528,7 @@ def _scrub_blocks(
         except (BlobError, ProviderError) as exc:
             # A subtree on an offline bucket: the tree heals when the
             # bucket recovers (phase 2 of a later pass); record and go on.
-            errors.append(f"{plan.blob_id} v{version}: tree unreadable: {exc}")
+            errors.append(f"{plan.blob_id} v{info.version}: tree unreadable: {exc}")
             continue
         for node, lo, hi in visits:
             stored = [

@@ -37,21 +37,21 @@ Block transfers travel as per-provider vectors: a write's replicas are
 grouped by provider into one ``put_many`` per provider, a read's blocks
 into one ``get_many`` per provider (DESIGN.md §13).  With
 ``io_workers > 0`` the data plane additionally runs *parallel*: the
-store's :class:`~repro.blob.async_engine.AsyncIOEngine` sends the
-vectors to their providers as concurrent coroutines, so an op waits
-about one provider latency however many providers it touches.
-``io_workers=0`` (the default) sends them one after another on the
-calling thread.
+store's :class:`~repro.blob.async_engine.AsyncIOEngine` issues every
+vector of a round at once and waits out their service delays together
+on the calling thread, so an op waits about one provider latency
+however many providers it touches.  ``io_workers=0`` (the default)
+sends them one after another on the calling thread.
 """
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import threading
 import time
-from concurrent.futures import CancelledError as _FuturesCancelled
+from concurrent.futures import CancelledError
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Union
 
 from repro.blob.block import (
@@ -65,7 +65,7 @@ from repro.blob.block import (
     materialize,
     write_descriptors,
 )
-from repro.blob.async_engine import AsyncIOEngine
+from repro.blob.async_engine import AsyncIOEngine, run_inline
 from repro.blob.config import DEFAULT_BLOCK_SIZE, StoreConfig
 from repro.blob.data_provider import DataProviderCore
 from repro.blob.metadata import MetadataService
@@ -104,13 +104,6 @@ __all__ = [
     "VmanStats",
     "DEFAULT_BLOCK_SIZE",
 ]
-
-#: Both cancellation flavors a settled scatter future can raise: a
-#: sibling abandoned after the first error raises the
-#: ``concurrent.futures`` class, a cancelled coroutine escaping via its
-#: concurrent future raises the ``asyncio`` one — distinct classes
-#: (the asyncio flavor is a BaseException), handled together.
-_CANCELLED = (_FuturesCancelled, asyncio.CancelledError)
 
 #: Per-destination concurrency cap handed to the I/O engine: at
 #: most this many in-flight vectors aimed at any single provider or
@@ -286,17 +279,19 @@ class LocalBlobStore:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _map_io(self, fn, items, afn=None, dest=None):
-        """Run data-plane work via the engine, or inline when absent.
+    def _map_io(self, request, items, dest=None):
+        """Run one data-plane round: every item's request, issued
+        together by the engine, or one after another inline when there
+        is none.
 
-        ``afn``/``dest`` are the coroutine twin and per-item destination
-        key forwarded to the engine, which awaits the twin and caps
-        per-destination concurrency.  A single item runs inline, as a
-        single-bucket DHT round does: there is nothing to overlap.
+        ``request(item)`` returns the item's request and ``dest`` its
+        destination key, which the engine's per-destination cap reads.
+        A single item runs inline, as a single-bucket DHT round does:
+        there is nothing to overlap.
         """
         if self.io_engine is not None and len(items) > 1:
-            return self.io_engine.map(fn, items, afn=afn, dest=dest)
-        return [fn(item) for item in items]
+            return self.io_engine.map(request, items, dest=dest)
+        return [run_inline(request(item)) for item in items]
 
     def _vman_call(self, fn, **counters):
         """Run *fn* against the version manager: the one seam to it.
@@ -316,7 +311,7 @@ class LocalBlobStore:
         with self._lock:
             if counters:
                 if self.vman_latency:
-                    time.sleep(self.vman_latency)
+                    time.sleep(self.vman_latency)  # asynclint: allow the vman round trip
                 self.vman_stats.record(round_trips=1, **counters)
             return fn()
 
@@ -458,33 +453,26 @@ class LocalBlobStore:
         # write registry's own lock) nor the placement (the provider
         # manager serializes it) takes the store lock, so a writer never
         # waits out a version-manager flush to place its blocks.
-        # With ``overlap_publish`` the scatter is only *launched* here
+        # With ``overlap_publish`` the scatter is only *issued* here
         # and settled right before the commit, so the assignment and
-        # the metadata weave/publish run while the blocks travel
-        # (DESIGN.md §10) — except from the engine's loop thread, where
-        # parking on futures only the loop can complete would deadlock.
+        # the metadata weave/publish run while the blocks' service
+        # delays run (DESIGN.md §10).
         placements = self.provider_manager.allocate(
             len(payloads), sizes, replication=replication
         )
-        overlap = (
-            self.overlap_publish
-            and self.io_engine is not None
-            and not self.io_engine.in_worker
-        )
         scatter = None
         ticket: Optional[WriteTicket] = None
-        vectors, transfer, atransfer = self._scatter_tasks(
+        vectors, transfer, send = self._scatter_tasks(
             blob_id, nonce, payloads, placements, stored
         )
         try:
-            if overlap:
-                scatter = self.io_engine.submit_each(
-                    transfer, vectors, afn=atransfer, dest=lambda vector: vector[0]
-                )
+            if self.io_engine is None:
+                for vector in vectors:
+                    transfer(vector)
+            elif self.overlap_publish:
+                scatter = self.io_engine.submit_each(send, vectors, dest=itemgetter(0))
             else:
-                self._map_io(
-                    transfer, vectors, afn=atransfer, dest=lambda vector: vector[0]
-                )
+                self._map_io(send, vectors, dest=itemgetter(0))
             # Phase 2 — version assignment (the serialization point,
             # group-batched by the publish pipeline).  The version
             # manager validates the range *before* recording anything,
@@ -545,17 +533,17 @@ class LocalBlobStore:
         Every (block, replica) placement is grouped by provider into one
         ``(provider, chunks, landed)`` vector: its ``(block_id,
         payload)`` pairs, each built once per block, cut into chunks of
-        at most ``_ASYNC_PER_DEST``, each sent as one ``put_many`` (a
-        vector that fits is its own one chunk).  Each
-        vector's ``landed`` list is registered in *stored* up front and
-        filled by ``put_many`` as blocks land — including the prefix of
-        a vector that fails part-way — so the caller can roll back
-        exactly what made it.  Returns the vectors and the sync/async
-        closure pair sending one, for the inline and the overlapped
-        scatter alike.  The async twin awaits the provider's coroutine
-        entry point, so a cancellation (a sibling vector failed first)
-        lands at a latency await, between ``put_many`` calls, never
-        inside one.
+        at most ``_ASYNC_PER_DEST``, each sent as one request (a vector
+        that fits is its own one chunk).  Each vector's ``landed`` list
+        is registered in *stored* up front and filled by the provider's
+        ``_put_vector`` as blocks land — including the prefix of a
+        vector that fails part-way — so the caller can roll back exactly
+        what made it.  Returns the vectors and two ways to send one:
+        ``transfer``, the inline serial path through the provider's sync
+        ``put_many``, and ``send``, the engine's request, whose chunk
+        k + 1 is issued when chunk k completes, so that a cancellation
+        (a sibling vector failed first) lands at an issue, never inside
+        a chunk's body.
         """
         by_provider: dict[str, list[tuple[BlockId, Payload]]] = {}
         for seq, (payload, replicas) in enumerate(zip(payloads, placements)):
@@ -571,31 +559,32 @@ class LocalBlobStore:
             for chunk in chunks:
                 put_many(chunk, landed)
 
-        async def atransfer(vector) -> None:
+        def send(vector):
             provider_name, chunks, landed = vector
-            aput_many = self.providers[provider_name].aput_many
+            provider = self.providers[provider_name]
             for chunk in chunks:
-                await aput_many(chunk, landed)
+                yield provider._issue()
+                provider._put_vector(chunk, landed)
 
-        return vectors, transfer, atransfer
+        return vectors, transfer, send
 
     @staticmethod
-    def _settle_scatter(futures) -> Optional[BaseException]:
-        """Await every scatter transfer; return the first failure.
+    def _settle_scatter(handles) -> Optional[BaseException]:
+        """Settle every scatter request; return the first failure.
 
         Never fails fast: ``stored`` is only complete — and therefore
-        safe to roll back or publish — once every transfer has either
-        landed or died.  The engine cancels queued siblings once one
-        transfer fails, so the *real* failure is preferred over the
-        cancellations it caused — the caller's error reporting must
+        safe to roll back or publish — once every issued request has
+        either landed or died.  The engine cancels the unissued siblings
+        once one request fails, so the *real* failure is preferred over
+        the cancellations it caused — the caller's error reporting must
         name the dead provider, not the abandonment.
         """
         error: Optional[BaseException] = None
         cancelled: Optional[BaseException] = None
-        for future in futures:
+        for handle in handles:
             try:
-                future.result()
-            except _CANCELLED as exc:
+                handle.result()
+            except CancelledError as exc:
                 if cancelled is None:
                     cancelled = exc
             except BaseException as exc:
@@ -891,19 +880,13 @@ class LocalBlobStore:
         pending = [i for i, d in enumerate(descriptors) if not d.is_zero]
         providers = self.providers
 
-        def fetch(vector) -> dict:
-            provider_name, _, block_ids = vector
+        def fetch(vector):
+            provider = providers[vector[0]]
             try:
-                return providers[provider_name].get_many(block_ids)
+                yield provider._issue()
+                return provider._get_vector(vector[2])
             except ProviderUnavailable:
                 return {}  # down since the online check: all to the next replica
-
-        async def afetch(vector) -> dict:
-            provider_name, _, block_ids = vector
-            try:
-                return await providers[provider_name].aget_many(block_ids)
-            except ProviderUnavailable:
-                return {}
 
         while pending:
             # Liveness is looked up once per provider per round.
@@ -925,7 +908,7 @@ class LocalBlobStore:
                 (name, indices, [descriptors[i].block_id for i in indices])
                 for name, indices in by_provider.items()
             ]
-            found = self._map_io(fetch, vectors, afn=afetch, dest=lambda vector: vector[0])
+            found = self._map_io(fetch, vectors, dest=itemgetter(0))
             pending = []
             for (_, indices, block_ids), payloads in zip(vectors, found):
                 for i, block_id in zip(indices, block_ids):

@@ -9,10 +9,10 @@ logic but puts each bucket behind an RPC server.
 Every access is batched (``multi_get``/``multi_put``/
 ``multi_replica_values``): many keys are resolved against their owner
 buckets in one pass — keys are grouped by bucket, each bucket is asked
-once per round, and the per-bucket requests of a round run in parallel
-when an engine is attached, so the whole round costs one wall-clock
-round trip (paper §III-A.3: metadata must never serialize readers on a
-hop).  ``get``/``put`` are batches of one.
+once per round, and the per-bucket requests of a round are issued
+together when an engine is attached, so the whole round costs one
+wall-clock round trip (paper §III-A.3: metadata must never serialize
+readers on a hop).  ``get``/``put`` are batches of one.
 
 ``stats`` counts wall-clock round trips (a batched round of parallel
 bucket requests counts once) so callers can verify the O(tree-depth)
@@ -21,13 +21,14 @@ metadata cost of a batched descent.
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 import threading
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
+from repro.blob.async_engine import run_inline
 from repro.dht.ring import HashRing
 from repro.errors import ProviderUnavailable, ReplicationError
 from repro.obs import Counters
@@ -85,6 +86,13 @@ class MultiPutResult:
 class Bucket:
     """One provider's local slice of the DHT: a dict with an on/off switch.
 
+    A request is an issue, :meth:`_issue`, which fails fast when the
+    bucket is down and returns its service delay, then one locked body
+    per direction, :meth:`_get_vector` or :meth:`_put_vector`, which
+    checks again that the bucket is online.  The I/O engine waits out
+    many issued requests' delays together; the sync entry points sleep
+    their own.
+
     Args:
         name: bucket identity.
         latency: simulated seconds of service time charged once per
@@ -99,18 +107,52 @@ class Bucket:
         self.online = True
         self.latency = latency
         self._items: dict[Hashable, object] = {}
-        # Set (thread-locally) while an async entry point runs its sync
-        # twin, so the twin's blocking sleep does not fire a second time
-        # (the coroutine already awaited it) — see DataProviderCore.
-        self._defer_delay = threading.local()
-
-    def _service_delay(self) -> None:
-        if self.latency and not getattr(self._defer_delay, "active", False):
-            time.sleep(self.latency)
+        self._lock = threading.Lock()
 
     def _check_online(self) -> None:
         if not self.online:
             raise ProviderUnavailable(f"bucket {self.name} is down")
+
+    def _issue(self) -> float:
+        """Issue one request: fail fast when down, else its service delay."""
+        self._check_online()
+        return self.latency
+
+    def _service_delay(self) -> None:
+        """A sync entry point's wait: issue, then sleep the delay."""
+        delay = self._issue()
+        if delay:
+            time.sleep(delay)  # asynclint: allow a sync entry point's service time
+
+    def _get_vector(self, keys: Sequence[Hashable]) -> dict[Hashable, object]:
+        """The present keys' values: the body of every get entry point."""
+        with self._lock:
+            self._check_online()
+            items = self._items
+            return {key: items[key] for key in keys if key in items}
+
+    def _put_vector(
+        self, items: Sequence[tuple[Hashable, object]], conditional: bool
+    ) -> tuple[dict[Hashable, object], list[Hashable]]:
+        """Store the pairs: the body of every put entry point (see
+        :meth:`put_many`); the check-and-put is atomic under the lock."""
+        conflicts: dict[Hashable, object] = {}
+        stored: list[Hashable] = []
+        with self._lock:
+            self._check_online()
+            held = self._items
+            for key, value in items:
+                if conditional:
+                    existing = held.get(key, _ABSENT)
+                    if existing is _ABSENT:
+                        held[key] = value
+                        stored.append(key)
+                    elif existing != value:
+                        conflicts[key] = existing
+                else:
+                    held[key] = value
+                    stored.append(key)
+        return conflicts, stored
 
     # -- batched surface ----------------------------------------------------------
 
@@ -120,10 +162,8 @@ class Bucket:
         Absent keys are simply omitted — the caller's failover logic
         needs "which keys this replica lacks", not an exception per key.
         """
-        self._check_online()
-        self._service_delay()
-        items = self._items
-        return {key: items[key] for key in keys if key in items}
+        self._service_delay()  # asynclint: allow sync entry point
+        return self._get_vector(keys)
 
     def put_many(
         self,
@@ -142,63 +182,41 @@ class Bucket:
         peer replica can withdraw the rejected value from the replicas
         that (being behind) accepted it.
         """
-        self._check_online()
-        self._service_delay()
-        conflicts: dict[Hashable, object] = {}
-        stored: list[Hashable] = []
-        for key, value in items:
-            if conditional:
-                existing = self._items.get(key, _ABSENT)
-                if existing is _ABSENT:
-                    self._items[key] = value
-                    stored.append(key)
-                elif existing != value:
-                    conflicts[key] = existing
-            else:
-                self._items[key] = value
-                stored.append(key)
-        return conflicts, stored
+        self._service_delay()  # asynclint: allow sync entry point
+        return self._put_vector(items, conditional)
 
     async def aget_many(self, keys: Sequence[Hashable]) -> dict[Hashable, object]:
-        """Coroutine twin of :meth:`get_many` for the async I/O engine:
-        the batch's one service delay becomes ``asyncio.sleep``, then
-        the sync method runs with its blocking sleep suppressed (one
-        code path — monkeypatched ``get_many`` intercepts both)."""
-        self._check_online()
-        if self.latency:
-            await asyncio.sleep(self.latency)
-        self._defer_delay.active = True
-        try:
-            return self.get_many(keys)  # asynclint: allow delegation, delay deferred
-        finally:
-            self._defer_delay.active = False
+        """Coroutine twin of :meth:`get_many`: the same two halves with
+        ``asyncio.sleep`` between them.  Nothing in ``src`` awaits it:
+        ``perf/trace.py`` wraps it by name (ROADMAP item 1 step B)."""
+        import asyncio
+
+        delay = self._issue()
+        if delay:
+            await asyncio.sleep(delay)
+        return self._get_vector(keys)
 
     async def aput_many(
         self,
         items: Sequence[tuple[Hashable, object]],
         conditional: bool = False,
     ) -> tuple[dict[Hashable, object], list[Hashable]]:
-        """Coroutine twin of :meth:`put_many` (same delegation contract
-        as :meth:`aget_many`; the delegated section has no await, so the
-        conditional check-and-put stays atomic on the event loop)."""
-        self._check_online()
-        if self.latency:
-            await asyncio.sleep(self.latency)
-        self._defer_delay.active = True
-        try:
-            return self.put_many(  # asynclint: allow delegation, delay deferred
-                items, conditional=conditional
-            )
-        finally:
-            self._defer_delay.active = False
+        """Coroutine twin of :meth:`put_many` (see :meth:`aget_many`)."""
+        import asyncio
+
+        delay = self._issue()
+        if delay:
+            await asyncio.sleep(delay)
+        return self._put_vector(items, conditional)
 
     def delete_many(self, keys: Sequence[Hashable]) -> None:
         """Remove every present key in one request (one service delay;
         absent keys are ignored, so a retried sweep is idempotent)."""
-        self._check_online()
-        self._service_delay()
-        for key in keys:
-            self._items.pop(key, None)
+        self._service_delay()  # asynclint: allow sync entry point
+        with self._lock:
+            self._check_online()
+            for key in keys:
+                self._items.pop(key, None)
 
     def peek_many(self, keys: Sequence[Hashable]) -> dict[Hashable, object]:
         """Present keys only, with no online gate and no delay: the
@@ -247,10 +265,10 @@ class DhtStore:
             (see :class:`Bucket`); makes batching observable in
             wall-clock benchmarks.
         engine: optional I/O engine (the store's
-            :class:`~repro.blob.async_engine.AsyncIOEngine`) used to fan
-            one batched round's per-bucket requests out in parallel.
-            ``None`` runs them inline (still one *logical* round trip;
-            the accounting is identical).
+            :class:`~repro.blob.async_engine.AsyncIOEngine`) that issues
+            one batched round's per-bucket requests together.  ``None``
+            runs them one after another on the caller (still one
+            *logical* round trip; the accounting is identical).
     """
 
     def __init__(
@@ -276,24 +294,19 @@ class DhtStore:
         return self.ring.replicas(key, self.replication)
 
     def _settle(
-        self,
-        fn: Callable,
-        groups: Sequence,
-        afn: Optional[Callable] = None,
-        dest: Optional[Callable] = None,
+        self, request: Callable, groups: Sequence
     ) -> list[tuple[object, Optional[Exception]]]:
-        """Run one batched round's per-bucket requests, in parallel when
-        an engine is attached, capturing per-bucket failures so one dead
-        bucket can never abort the other buckets' work.  ``afn`` is the
-        coroutine twin of *fn* and ``dest`` the per-group bucket key —
-        forwarded to the engine so it can interleave the bucket
-        latencies and cap per-bucket concurrency."""
+        """Run one batched round's per-bucket requests — issued together
+        when an engine is attached, one after another otherwise —
+        capturing per-bucket failures so one dead bucket can never
+        abort the other buckets' work.  ``request(group)`` returns the
+        group's request (``repro.blob.async_engine``)."""
         if self.engine is not None and len(groups) > 1:
-            return self.engine.map_settle(fn, groups, afn=afn, dest=dest)
+            return self.engine.map_settle(request, groups, dest=itemgetter(0))
         results = []
         for group in groups:
             try:
-                results.append((fn(group), None))
+                results.append((run_inline(request(group)), None))
             except Exception as exc:
                 results.append((None, exc))
         return results
@@ -348,17 +361,13 @@ class DhtStore:
             )
 
             def fetch(group):
-                name, bucket_keys = group
-                return self.buckets[name].get_many(bucket_keys)
-
-            def afetch(group):
-                name, bucket_keys = group
-                return self.buckets[name].aget_many(bucket_keys)
+                bucket = self.buckets[group[0]]
+                yield bucket._issue()
+                return bucket._get_vector(group[1])
 
             retry: list[Hashable] = []
             for (name, bucket_keys), (found, error) in zip(
-                groups,
-                self._settle(fetch, groups, afn=afetch, dest=lambda g: g[0]),
+                groups, self._settle(fetch, groups)
             ):
                 if error is not None:
                     if isinstance(error, ProviderUnavailable):
@@ -419,19 +428,14 @@ class DhtStore:
         )
 
         def put(group):
-            name, kvs = group
-            return self.buckets[name].put_many(kvs, conditional=conditional)
-
-        def aput(group):
-            name, kvs = group
-            return self.buckets[name].aput_many(kvs, conditional=conditional)
+            bucket = self.buckets[group[0]]
+            yield bucket._issue()
+            return bucket._put_vector(group[1], conditional)
 
         touched: dict[Hashable, int] = {key: 0 for key, _ in pairs}
         conflicts: dict[Hashable, object] = {}
         stored_by_bucket: dict[str, list[Hashable]] = {}
-        for (name, kvs), (outcome, error) in zip(
-            groups, self._settle(put, groups, afn=aput, dest=lambda g: g[0])
-        ):
+        for (name, kvs), (outcome, error) in zip(groups, self._settle(put, groups)):
             if error is not None:
                 if isinstance(error, ProviderUnavailable):
                     continue  # this replica misses the batch; others may land
@@ -489,25 +493,15 @@ class DhtStore:
             online_owners[key] = online
             for name in online:
                 by_bucket.setdefault(name, []).append(key)
-        groups = list(by_bucket.items())
-        if groups:
+        if by_bucket:
             self.stats.record(
-                round_trips=1, bucket_ops=len(groups), keys_fetched=len(ordered)
+                round_trips=1, bucket_ops=len(by_bucket), keys_fetched=len(ordered)
             )
 
-        def peek(group):
-            name, bucket_keys = group
-            return self.buckets[name].peek_many(bucket_keys)
-
-        held: dict[str, dict[Hashable, object]] = {}
-        settled = self._settle(peek, groups)  # asynclint: allow peek_many has no latency
-        for (name, _), (found, error) in zip(groups, settled):
-            held[name] = {} if error is not None else found
+        # A peek has no online gate and no latency: nothing to issue.
+        held = {name: self.buckets[name].peek_many(names) for name, names in by_bucket.items()}
         return {
-            key: {
-                name: held.get(name, {}).get(key, MISSING)
-                for name in online_owners[key]
-            }
+            key: {name: held[name].get(key, MISSING) for name in online_owners[key]}
             for key in ordered
         }
 

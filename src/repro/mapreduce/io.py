@@ -74,9 +74,9 @@ def compute_file_splits(
     the file system's own ``io_engine``) resolves the per-file block
     locations concurrently — split planning over a many-file input is
     pure metadata fan-out, the kind of job-startup latency §IV-C's
-    layout primitive exists to keep cheap.  Each file's descent blocks,
-    so it runs via ``engine.submit`` on a helper thread, never on the
-    engine's event loop, where it would stall every other transfer.
+    layout primitive exists to keep cheap.  Each file's descent blocks
+    its thread for its metadata rounds, so the files run via
+    ``engine.submit`` on the helper threads, side by side.
     """
     if split_size < 1:
         raise ValueError("split_size must be >= 1")

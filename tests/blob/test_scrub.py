@@ -83,6 +83,37 @@ class TestCleanStore:
         store.close()
 
 
+class TestControlPlaneSnapshot:
+    """The pass reads every retained version's snapshot in its one
+    version-manager seam call, not one round trip per version."""
+
+    def _aged_store(self, vman_latency):
+        store = make_store(replication=2, vman_latency=vman_latency)
+        blob = store.create()
+        for k in range(50):
+            store.append(blob, bytes([k]) * BS)
+        store.write(blob, 0, b"w" * BS)  # a blob with history to walk
+        return store
+
+    def test_a_pass_pays_no_snapshot_round_trip_per_version(self):
+        store = self._aged_store(vman_latency=0.0001)
+        store.vman_stats.reset()
+        report = store.scrub()
+        stats = store.vman_stats.snapshot()
+        assert stats["vman_info_rounds"] == 0
+        assert stats["vman_round_trips"] == 0
+        assert report.clean and report.blocks_checked == 51
+        store.close()
+
+    def test_the_report_is_the_one_a_latency_free_store_gives(self):
+        slow, fast = self._aged_store(0.0001), self._aged_store(0.0)
+        for store in (slow, fast):
+            store.providers["provider-000"].fail()  # repairs to make
+        assert slow.scrub() == fast.scrub()
+        slow.close()
+        fast.close()
+
+
 class TestMetadataReconciliation:
     def test_lagging_replica_refed_from_healthy_copy(self):
         store = make_store(metadata_providers=6, metadata_replication=2)

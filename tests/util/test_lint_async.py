@@ -1,12 +1,15 @@
-"""The async-path lint must actually lint (tools/lint_async.py).
+"""The I/O-path lint must actually lint (tools/lint_async.py).
 
-Pins the contract of the CI step guarding DESIGN.md §13: a blocking
-``time.sleep``, sync DHT fan-out, ``_service_delay``, or ``.result()``
-inside an ``async def`` under ``src/repro/`` fails; the same call in a
-sync function, a nested sync ``def``, a comment, or a docstring does
-not; an engine fan-out with no ``afn=`` fails anywhere; the
-``# asynclint: allow`` escape hatch works; and the real tree is
-currently clean.
+Pins the contract of the CI step guarding DESIGN.md §13: a completion
+body — a request generator or a ``_put_vector``/``_get_vector`` body —
+that sleeps or calls a sleeping sync entry point fails, and so does a
+sleep anywhere that is not marked (the sync entry points and the
+round's own wait are); a blocking ``time.sleep``, sync DHT fan-out,
+``_service_delay``, or ``.result()`` inside an ``async def`` under
+``src/repro/`` fails, and the same non-sleeping call in a sync
+function, a nested sync ``def``, a comment, or a docstring does not;
+the ``# asynclint: allow`` escape hatch works; and the real tree is
+currently clean, and fails once a sleeping completion is planted in it.
 """
 
 import importlib.util
@@ -80,9 +83,7 @@ def test_sync_functions_are_not_linted(tmp_path):
     write(
         tmp_path,
         "store.py",
-        "import time\n"
         "def blocking_is_fine_here(bucket, future):\n"
-        "    time.sleep(0.01)\n"
         "    bucket.get_many([1])\n"
         "    return future.result()\n",
     )
@@ -96,10 +97,9 @@ def test_nested_sync_def_inside_a_coroutine_is_exempt(tmp_path):
     write(
         tmp_path,
         "engine.py",
-        "import time\n"
-        "async def outer(bucket):\n"
+        "async def outer(bucket, future):\n"
         "    def helper():\n"
-        "        time.sleep(0.01)\n"
+        "        future.result()\n"
         "        return bucket.get_many([1])\n"
         "    return helper\n",
     )
@@ -147,37 +147,104 @@ def test_provider_vector_twins(tmp_path):
     assert "scatter.py:3" in violations[2] and "aget_many" in violations[2]
 
 
-def test_engine_fanout_without_afn_is_caught_in_sync_code(tmp_path):
-    # Without the coroutine twin the engine runs the blocking fn on its
-    # loop thread, so the rule applies outside coroutines too.
+def test_unmarked_sleep_anywhere_is_caught(tmp_path):
+    # Only the sync entry points and the round's own wait may sleep,
+    # and they are marked: an unmarked sleep fails in plain sync code.
     write(
         tmp_path,
         "planner.py",
-        "def plan(self, store, engine, fn, items):\n"
-        "    engine.map(fn, items)\n"
-        "    self.io_engine.map_settle(fn, items, dest=None)\n"
-        "    store.io_engine.submit_each(fn, items, afn=None)\n"
-        "    store._map_io(fn, items)\n"
-        "    self._settle(fn, items)\n",
+        "import time\n"
+        "def plan(self, provider, delay):\n"
+        "    time.sleep(delay)\n"
+        "    _sleep(delay)\n"
+        "    provider._service_delay()\n",
     )
     violations = lint_async.lint(tmp_path)
-    assert [v.split(":")[1] for v in violations] == ["2", "3", "4", "5", "6"]
-    assert all("without afn=" in v and "event loop" in v for v in violations)
+    assert [v.split(":")[1] for v in violations] == ["3", "4", "5"]
+    assert all("sleeps outside the marked" in v for v in violations)
 
 
-def test_engine_fanout_with_afn_or_marker_is_allowed(tmp_path):
+def test_marked_entry_points_and_the_round_wait_pass(tmp_path):
     write(
         tmp_path,
-        "planner.py",
-        "def plan(self, store, engine, pool, fn, afn, items):\n"
-        "    engine.map(fn, items, afn=afn)\n"
-        "    store._map_io(fn, items, afn=afn, dest=lambda i: i)\n"
-        "    self._settle(fn, items)  # asynclint: allow fn never blocks\n"
-        "    pool.map(fn, items)\n"
-        "    self._settle()\n"
-        "    engine.submit(fn, items)\n",
+        "data_provider.py",
+        "import time\n"
+        "class DataProviderCore:\n"
+        "    def _service_delay(self):\n"
+        "        time.sleep(self.latency)  # asynclint: allow sync entry point\n"
+        "    def put_many(self, items, landed=None):\n"
+        "        self._service_delay()  # asynclint: allow sync entry point\n"
+        "        self._put_vector(items, landed)\n"
+        "def complete_due(due, now):\n"
+        "    _sleep(due - now)  # asynclint: allow the round's one wait\n",
     )
     assert lint_async.lint(tmp_path) == []
+
+
+def test_a_sleeping_request_generator_is_caught(tmp_path):
+    # The code after a request's yield is its completion: it runs
+    # between other requests' deadlines, so a sleep there (or a sync
+    # entry point, which sleeps inside) stalls the whole round.
+    write(
+        tmp_path,
+        "scatter.py",
+        "import time\n"
+        "def send(provider, chunks, landed):\n"
+        "    for chunk in chunks:\n"
+        "        yield provider._issue()\n"
+        "        provider._put_vector(chunk, landed)\n"
+        "        time.sleep(0.001)\n"
+        "def fetch(provider, ids):\n"
+        "    yield provider._issue()\n"
+        "    return provider.get_many(ids)\n",
+    )
+    violations = lint_async.lint(tmp_path)
+    assert [v.split(":")[1] for v in violations] == ["6", "9"]
+    assert all("in a completion" in v for v in violations)
+
+
+def test_a_sleeping_vector_body_is_caught(tmp_path):
+    write(
+        tmp_path,
+        "bucket.py",
+        "class Bucket:\n"
+        "    def _get_vector(self, keys):\n"
+        "        self._service_delay()  # asynclint: allow reviewed\n"
+        "        return self.get_many(keys)\n"
+        "    def _put_vector(self, items, conditional):\n"
+        "        self.delete_many([k for k, _ in items])\n",
+    )
+    violations = lint_async.lint(tmp_path)
+    assert [v.split(":")[1] for v in violations] == ["4", "6"]
+    assert all("in a completion" in v for v in violations)
+
+
+def test_a_helper_defined_in_a_request_is_judged_on_its_own(tmp_path):
+    # Only the nearest enclosing function counts: a plain helper nested
+    # in a request may call a sync entry point (it is not a completion).
+    write(
+        tmp_path,
+        "gather.py",
+        "def fetch(provider, ids):\n"
+        "    def fallback():\n"
+        "        return provider.get_many(ids)\n"
+        "    yield provider._issue()\n"
+        "    return provider._get_vector(ids)\n",
+    )
+    assert lint_async.lint(tmp_path) == []
+
+
+def test_a_sleeping_completion_planted_in_the_real_store_fails(tmp_path):
+    real = lint_async.SCOPE / "blob" / "store.py"
+    source = real.read_text()
+    line = "                provider._put_vector(chunk, landed)\n"
+    assert source.count(line) == 1
+    planted = source.replace(line, line + "                time.sleep(0.001)\n")
+    (tmp_path / "store.py").write_text(planted)
+    violations = lint_async.lint(tmp_path)
+    assert len(violations) == 1
+    assert "store.py" in violations[0] and "in a completion" in violations[0]
+    assert lint_async.main() == 0  # the real tree itself stays clean
 
 
 def test_comments_and_docstrings_never_trip_the_ast_walk(tmp_path):

@@ -1,44 +1,36 @@
-"""Async-path lint: forbid blocking calls on the event loop.
+"""I/O-path lint: no sleep where a round or a coroutine would stall.
 
-The I/O engine (DESIGN.md §13) runs every in-flight block transfer as
-a coroutine on ONE event loop, so a single blocking call on the loop
-parks the whole store, not one transfer — and it does so silently: the
-tests still pass, only the in-flight window collapses to 1.  This lint
-walks every module under ``src/repro/`` with the ``ast`` module and
-fails on the calls that block the loop::
+The I/O engine (DESIGN.md §13) runs each fan-out as a deadline round on
+the calling thread: it issues every request, sleeps once, then runs
+each request's completion — the code after its ``yield``, ending in a
+provider's or bucket's locked body — as its deadline passes.  A
+completion that sleeps stalls every other request of its round, and it
+does so silently: the tests still pass, only the round costs one
+latency per request instead of one in all.  This lint walks every
+module under ``src/repro/`` with the ``ast`` module::
 
     python tools/lint_async.py
 
-Forbidden inside an ``async def`` (sync nested ``def``/``lambda``
-bodies are fine — they run off-loop or are the sanctioned inline
-segment):
+A sleeping call is ``time.sleep(...)``, the engine's ``_sleep(...)``
+and any ``._service_delay(...)``.  It fails:
 
-* ``time.sleep(...)`` — latency must be ``await asyncio.sleep``;
-* the sync vector ops ``get_many``/``put_many`` (a DHT bucket's
-  fan-out or a data provider's transfer vector) and ``peek_many`` —
-  coroutines await the ``a``-prefixed twins — and a bucket's
-  ``delete_many``, which has no twin and runs off the loop;
-* ``_service_delay(...)`` — the async twins defer the simulated
-  latency, they never sleep it synchronously;
-* ``.result(...)`` — a blocking future wait deadlocks the loop that
-  is supposed to complete it.
+* on a sleeping call anywhere that is not marked: the marked sync
+  entry points (a provider's or bucket's ``put_many``/``get_many``...
+  and the version manager's round trip) and the round's own wait are
+  the only places that sleep;
+* inside a completion body — a generator function (a request) or a
+  ``_put_vector``/``_get_vector`` body — also on the sync vector entry
+  points ``get_many``/``put_many``/``delete_many``, which sleep inside;
+* inside an ``async def`` (the providers' and buckets' coroutine twins)
+  on ``time.sleep``, the sync vector ops ``get_many``/``put_many``/
+  ``peek_many``/``delete_many``, ``_service_delay`` and ``.result()``:
+  a coroutine must await, never block its loop.
 
-Forbidden anywhere: an engine fan-out with no ``afn=`` keyword —
-``*engine.map``, ``*engine.map_settle``, ``*engine.submit_each``,
-``_map_io`` or ``_settle`` called with a task callable and items.
-Without the coroutine twin the engine runs the blocking ``fn`` on the
-loop thread.  Blocking work with no twin goes to ``engine.submit``,
-which runs it on a helper thread.
-
-The sanctioned exceptions — the delegation pattern itself (a DHT
-bucket's async twin, which has already awaited the latency and calls
-its own sync ``get_many``/``put_many`` under ``_defer_delay``), or a
-fan-out whose ``fn`` never blocks — are marked ``# asynclint: allow``
-with a reason.  A data provider's twins need no marker: they await the
-latency and call the provider's private vector body, which never
-sleeps.
-Comment and docstring occurrences never trip the lint — this is an AST
-walk, not a grep.
+Only calls whose *nearest* enclosing function is a completion or a
+coroutine get the stricter rules.  The escape hatch is
+``# asynclint: allow <reason>`` on the call's line.  Comment and
+docstring occurrences never trip the lint — this is an AST walk, not a
+grep.
 """
 
 from __future__ import annotations
@@ -60,23 +52,39 @@ BLOCKING_METHODS = {
     "delete_many": "sync DHT bucket request blocks the loop (it has no "
     "async twin: run it off the loop)",
     "_service_delay": "sync latency sleep blocks the loop (the async "
-    "twin awaits asyncio.sleep and defers the sync one)",
+    "twin awaits asyncio.sleep)",
     "result": "blocking future wait deadlocks the loop completing it",
 }
 
-#: Engine fan-out methods, checked when the receiver's name ends in
-#: ``engine`` (``self.io_engine.map``, ``engine.submit_each``).
-ENGINE_FANOUTS = {"map", "map_settle", "submit_each"}
-#: The store's and the DHT's wrappers around them.
-FANOUT_WRAPPERS = {"_map_io", "_settle"}
-FANOUT_LABEL = (
-    "without afn= — an engine fan-out runs its blocking fn on the event "
-    "loop (pass the coroutine twin, or engine.submit the work to a helper "
-    "thread)"
+#: The sync entry points that sleep their service delay before their
+#: body: a completion calling one sleeps inside its round.
+SLEEPING_ENTRY_POINTS = {"get_many", "put_many", "delete_many"}
+
+#: The locked bodies every request of a provider or a bucket completes in.
+VECTOR_BODIES = {"_put_vector", "_get_vector"}
+
+SLEEP_LABEL = (
+    "sleeps outside the marked sync entry points and the round's own wait"
+)
+COMPLETION_LABEL = (
+    "in a completion — it sleeps, stalling every other request of its "
+    "round (a request yields its delay; the round waits it out)"
 )
 
 
-def _diagnose(node: ast.Call) -> str | None:
+def _sleeps(node: ast.Call) -> bool:
+    """Whether *node* is a sleeping call."""
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id == "_sleep"
+    if not isinstance(func, ast.Attribute):
+        return False
+    if func.attr == "sleep":
+        return isinstance(func.value, ast.Name) and func.value.id == "time"
+    return func.attr == "_service_delay"
+
+
+def _coroutine_diagnose(node: ast.Call) -> str | None:
     """The violation message for *node* inside a coroutine, or None."""
     func = node.func
     if not isinstance(func, ast.Attribute):
@@ -90,54 +98,55 @@ def _diagnose(node: ast.Call) -> str | None:
     return BLOCKING_METHODS.get(func.attr)
 
 
-def _fanout_diagnose(node: ast.Call) -> str | None:
-    """The violation message for an engine fan-out — a call handing a
-    task callable and items to the engine — with no coroutine twin."""
-    func = node.func
-    if not isinstance(func, ast.Attribute) or len(node.args) < 2:
-        return None  # a bare self._settle() is no fan-out
-    if func.attr in ENGINE_FANOUTS:
-        receiver = getattr(func.value, "attr", getattr(func.value, "id", ""))
-        if not receiver.endswith("engine"):
-            return None
-    elif func.attr not in FANOUT_WRAPPERS:
-        return None
-    for keyword in node.keywords:
-        if keyword.arg == "afn" and not (
-            isinstance(keyword.value, ast.Constant) and keyword.value.value is None
-        ):
-            return None
-    return FANOUT_LABEL
+def _is_generator(node: ast.FunctionDef) -> bool:
+    """Whether *node* itself yields (a nested function's yield is its own)."""
+    stack = list(node.body)
+    while stack:
+        child = stack.pop()
+        if isinstance(child, (ast.Yield, ast.YieldFrom)):
+            return True
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            continue
+        stack.extend(ast.iter_child_nodes(child))
+    return False
 
 
-class _CoroutineCalls(ast.NodeVisitor):
-    """Collects blocking calls whose nearest enclosing function is async,
-    and engine fan-outs with no coroutine twin wherever they are."""
+class _Calls(ast.NodeVisitor):
+    """Collects sleeping calls, and the stricter hits inside completion
+    bodies and coroutines (by the nearest enclosing function)."""
 
     def __init__(self) -> None:
-        self.stack: list[bool] = []  # True = async frame
-        self.hits: list[tuple[int, str, str]] = []  # (lineno, label, attr)
+        self.stack: list[str] = []  # per frame: "async", "completion" or "sync"
+        self.hits: list[tuple[int, str, str]] = []  # (lineno, label, call)
 
-    def _visit_frame(self, node: ast.AST, is_async: bool) -> None:
-        self.stack.append(is_async)
+    def _visit_frame(self, node: ast.AST, kind: str) -> None:
+        self.stack.append(kind)
         self.generic_visit(node)
         self.stack.pop()
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_frame(node, is_async=False)
+        completion = node.name in VECTOR_BODIES or _is_generator(node)
+        self._visit_frame(node, "completion" if completion else "sync")
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._visit_frame(node, is_async=True)
+        self._visit_frame(node, "async")
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
-        self._visit_frame(node, is_async=False)
+        self._visit_frame(node, "sync")
 
     def visit_Call(self, node: ast.Call) -> None:
-        label = _fanout_diagnose(node)
-        if label is None and self.stack and self.stack[-1]:
-            blocking = _diagnose(node)
+        kind = self.stack[-1] if self.stack else "sync"
+        label = None
+        if kind == "async":
+            blocking = _coroutine_diagnose(node)
             if blocking is not None:
                 label = f"in a coroutine — {blocking}"
+        if label is None and kind == "completion":
+            attr = getattr(node.func, "attr", None)
+            if _sleeps(node) or attr in SLEEPING_ENTRY_POINTS:
+                label = COMPLETION_LABEL
+        if label is None and _sleeps(node):
+            label = SLEEP_LABEL
         if label is not None:
             self.hits.append((node.lineno, label, ast.unparse(node.func)))
         self.generic_visit(node)
@@ -148,7 +157,7 @@ def lint(root: Path = SCOPE) -> list[str]:
     for path in sorted(root.rglob("*.py")):
         source = path.read_text()
         lines = source.splitlines()
-        finder = _CoroutineCalls()
+        finder = _Calls()
         finder.visit(ast.parse(source, filename=str(path)))
         shown = path.relative_to(REPO) if path.is_relative_to(REPO) else path
         for lineno, label, call in finder.hits:
@@ -161,18 +170,18 @@ def lint(root: Path = SCOPE) -> list[str]:
 def main() -> int:
     violations = lint()
     if violations:
-        print("async-path lint failed (DESIGN.md §13):", file=sys.stderr)
+        print("I/O-path lint failed (DESIGN.md §13):", file=sys.stderr)
         for violation in violations:
             print(f"  {violation}", file=sys.stderr)
         print(
-            "\nAwait (or pass afn=) the async twin instead, or — for a "
-            "bucket's sync delegation under _defer_delay, or a fan-out "
-            f"that never blocks — mark the line '{ALLOW_MARKER} <reason>'.",
+            "\nA request yields its service delay and the round waits it "
+            "out; a coroutine awaits.  A sync entry point's own sleep, or "
+            f"the round's wait, is marked '{ALLOW_MARKER} <reason>'.",
             file=sys.stderr,
         )
         return 1
     print(
-        f"async-path lint OK: no blocking calls on the event loop in "
+        f"I/O-path lint OK: nothing sleeps outside the marked places in "
         f"{SCOPE.relative_to(REPO)}"
     )
     return 0

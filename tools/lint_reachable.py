@@ -86,6 +86,9 @@ ALLOWLIST = {
     "behind a BSFS read stream (read-ahead and cache tests)",
     "TokenBucket.available": "invariant probe: the token balance the "
     "pacing tests assert on",
+    "Engine.peek": "invariant probe: the simulator's next event time (a "
+    "freshly built deployment's calendar is empty: RPC workers start on "
+    "demand)",
 }
 
 #: Dataclass fields kept although no program code sets them to anything
