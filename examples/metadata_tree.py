@@ -39,7 +39,7 @@ def render_tree(store, blob, version) -> list[str]:
     info = store.snapshot(blob, version)
     root = NodeKey(blob, version, 0, info.root_span)
     visits = list(
-        iter_reachable_batched(store.metadata.get_nodes, root, store.key_resolver())
+        iter_reachable_batched(store.metadata.get_nodes, [root], store.key_resolver())
     )
     visits.sort(key=lambda visit: (visit[1], visit[1] - visit[2]))
     lines = []

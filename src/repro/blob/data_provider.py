@@ -53,14 +53,14 @@ class DataProviderCore:
     provider is down and returns its service delay, then one locked
     body per direction, :meth:`_put_vector` or :meth:`_get_vector`,
     which checks again that the provider is online.  The I/O engine
-    issues many requests and waits out their delays together; every
-    sync entry point — the one-block ``put``/``get`` included, as a
-    vector of one — sleeps its own delay between the two halves.
+    waits out many requests' delays together.  The one-block
+    ``put``/``get`` and the coroutine twins sleep their own delay; no
+    code in ``src`` calls them (ROADMAP item 1 step B).
 
     Args:
         name: provider identity (placement and diagnostics key).
         latency: simulated seconds of service time per request — a
-            ``put``/``get``, or a whole ``put_many``/``get_many`` vector
+            ``put``/``get``, or a whole vector
             (0 disables; benchmarks enable it so that scatter-gather
             parallelism shows up in wall-clock numbers).
     """
@@ -102,7 +102,7 @@ class DataProviderCore:
         items: Sequence[tuple[BlockId, Payload]],
         landed: Optional[list[BlockId]],
     ) -> None:
-        """Store a vector of new blocks: the body of every put entry point.
+        """Store a vector of new blocks: the body of every put request.
 
         The payloads are stored as given: the writer froze its buffer
         once, at the store boundary (DESIGN.md §11), so each is already
@@ -126,7 +126,7 @@ class DataProviderCore:
 
     def _get_vector(self, block_ids: Sequence[BlockId]) -> dict[BlockId, Payload]:
         """The stored payloads of *block_ids*, absent ones omitted: the
-        body of every get entry point.
+        body of every get request.
 
         Returns the stored payloads themselves: published blocks are
         immutable, so handing out aliased views is safe and free
@@ -149,28 +149,14 @@ class DataProviderCore:
         self._service_delay()  # asynclint: allow sync entry point
         self._put_vector(((block_id, payload),), None)
 
-    def put_many(
-        self,
-        items: Sequence[tuple[BlockId, Payload]],
-        landed: Optional[list[BlockId]] = None,
-    ) -> None:
-        """Store a vector of blocks for ONE service delay.
-
-        Blocks land in order and each id is appended to *landed* as it
-        lands (see :meth:`_put_vector`): on failure *landed* is exactly
-        the stored prefix.
-        """
-        self._service_delay()  # asynclint: allow sync entry point
-        self._put_vector(items, landed)
-
     async def aput_many(
         self,
         items: Sequence[tuple[BlockId, Payload]],
         landed: Optional[list[BlockId]] = None,
     ) -> None:
-        """Coroutine twin of :meth:`put_many`: the same two halves with
-        ``asyncio.sleep`` between them.  Nothing in ``src`` awaits it:
-        ``perf/trace.py`` wraps it by name (ROADMAP item 1 step B)."""
+        """Store a vector of blocks: the two halves with ``asyncio.sleep``
+        between them.  Nothing in ``src`` awaits it (ROADMAP item 1
+        step B)."""
         await self._aservice_delay()
         self._put_vector(items, landed)
 
@@ -184,19 +170,9 @@ class DataProviderCore:
         self._service_delay()  # asynclint: allow sync entry point
         return self._get_vector((block_id,))[block_id]
 
-    def get_many(self, block_ids: Sequence[BlockId]) -> dict[BlockId, Payload]:
-        """Fetch a vector of blocks for ONE service delay.
-
-        Absent blocks are omitted, as in ``Bucket.get_many``: the gather
-        fails them over to their next replica.  A provider that goes
-        down before the vector is served raises
-        :class:`ProviderUnavailable` for the whole vector.
-        """
-        self._service_delay()  # asynclint: allow sync entry point
-        return self._get_vector(block_ids)
-
     async def aget_many(self, block_ids: Sequence[BlockId]) -> dict[BlockId, Payload]:
-        """Coroutine twin of :meth:`get_many` (see :meth:`aput_many`)."""
+        """Fetch a vector of blocks, absent ones omitted (see
+        :meth:`aput_many`)."""
         await self._aservice_delay()
         return self._get_vector(block_ids)
 

@@ -132,34 +132,28 @@ def collect_garbage(store: LocalBlobStore, blob_id: str, retain_from: int) -> Gc
     vm = store.version_manager
     watermark, roots = store._vman_call(lambda: _control_plane(vm, blob_id, retain_from))
 
-    # Mark phase: everything reachable from the retained snapshot roots.
-    # Level-batched traversal pruned by the keys already visited whole:
-    # subtrees shared with already-marked versions are neither
-    # re-fetched nor re-walked, and each level of the rest costs one
-    # batched metadata pass (DESIGN.md §9).
-    resolver = store.key_resolver()
+    # Mark phase: one level-batched walk from every retained root at
+    # once — one metadata pass per level of the deepest tree (DESIGN.md
+    # §9), a subtree shared between snapshots fetched and walked once.
     marked_nodes: set[NodeKey] = set()
     marked_blocks: set[tuple] = set()
-    visited: set[NodeKey] = set()
-    for root in roots:
-        for node, lo, hi in iter_reachable_batched(
-            store.metadata.get_nodes, root, key_resolver=resolver, seen=visited
-        ):
-            marked_nodes.add(node.key)
-            for entry in clipped_entries(node, lo, hi):
-                if type(entry) is BlockDescriptor:
-                    marked_blocks.add(entry.block_id)
+    for node, lo, hi in iter_reachable_batched(
+        store.metadata.get_nodes, roots, key_resolver=store.key_resolver()
+    ):
+        marked_nodes.add(node.key)
+        for entry in clipped_entries(node, lo, hi):
+            if type(entry) is BlockDescriptor:
+                marked_blocks.add(entry.block_id)
 
     # Sweep metadata buckets (every replica holds full keys; sweep
-    # each), one ``delete_many`` request per bucket.  Offline buckets
-    # are skipped via the shared ``online_buckets`` skip-list — the same
+    # each) in one round of delete requests.  Offline buckets are
+    # skipped via the shared ``online_buckets`` skip-list — the same
     # rule the scrub pass uses — exactly like the data-provider sweep
     # below: their garbage keeps until the first pass after recovery,
-    # and a bucket dying before its request leaves it whole for the
-    # next pass.
-    swept_keys: set[NodeKey] = set()
-    for bucket in store.metadata.store.online_buckets():
-        doomed = [
+    # and a bucket dying before or during its request keeps its share.
+    dht = store.metadata.store
+    doomed = {
+        bucket.name: [
             key
             for key in bucket.keys()
             if isinstance(key, NodeKey)
@@ -167,17 +161,14 @@ def collect_garbage(store: LocalBlobStore, blob_id: str, retain_from: int) -> Gc
             and key.version <= watermark
             and key not in marked_nodes
         ]
-        if not doomed:
-            continue
-        try:
-            bucket.delete_many(doomed)
-        except ProviderUnavailable:
-            continue  # went down since the enumeration; next pass finishes it
-        # Cache-invalidation path #2 (DESIGN.md §9): a cached descent
-        # must never resurrect a swept node.
-        for key in doomed:
-            store.metadata.invalidate_cached(key)
-        swept_keys.update(doomed)
+        for bucket in dht.online_buckets()
+    }
+    failed = dht.delete_by_bucket(doomed)
+    swept_keys = {key for name, keys in doomed.items() if name not in failed for key in keys}
+    # Cache-invalidation path #2 (DESIGN.md §9): a cached descent must
+    # never resurrect a swept node.
+    for key in swept_keys:
+        store.metadata.invalidate_cached(key)
     nodes_deleted = len(swept_keys)
 
     # Sweep data providers.  Offline providers are skipped, not an

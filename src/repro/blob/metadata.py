@@ -319,12 +319,22 @@ class MetadataService:
         sweep, or a whole tombstone patch."""
         return self.store.multi_replica_values(keys)
 
-    def heal_replica(self, bucket_name: str, node: TreeNode) -> None:
-        """Overwrite one replica's copy with the authoritative node
-        (cache-invalidation path #3): a one-pair ``put_many`` aimed at
-        that bucket alone."""
-        self.store.buckets[bucket_name].put_many([(node.key, node)])
-        self.invalidate_cached(node.key)
+    def heal_replicas(
+        self, heals: Sequence[tuple[str, TreeNode]]
+    ) -> dict[str, Exception]:
+        """Overwrite replicas' copies with authoritative nodes
+        (cache-invalidation path #3): the ``(bucket, node)`` heals go
+        out in one round of unconditional puts, one request per bucket,
+        and every healed key is invalidated.  Returns the buckets whose
+        request failed, with their error."""
+        by_bucket: dict[str, list[tuple[NodeKey, TreeNode]]] = {}
+        for name, node in heals:
+            by_bucket.setdefault(name, []).append((node.key, node))
+        try:
+            return self.store.put_by_bucket(by_bucket)
+        finally:
+            for _, node in heals:
+                self.invalidate_cached(node.key)
 
     def divergent_keys(
         self, keys: Optional[Iterable[NodeKey]] = None

@@ -51,6 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, TYPE_CHECKING, Union
 
+from repro.blob.async_engine import run_inline
 from repro.blob.block import BlockDescriptor, BlockId
 from repro.blob.metadata import agreed_value
 from repro.blob.segment_tree import (
@@ -215,18 +216,20 @@ def _scrub_tombstones(
             block_size=spec.block_size,
             history=spec.history,
         )
-        # One batched DHT pass answers the whole patch's replica state.
+        # One batched DHT pass answers the whole patch's replica state,
+        # and one round heals it.
         replica_maps = store.metadata.replica_nodes_many(
             [node.key for node in patch]
         )
+        heals: list[tuple[str, TreeNode, str]] = []
         for node in patch:
             filler_keys.add(node.key)
             if throttle is not None:
                 throttle.acquire()
             for bucket_name, value in replica_maps[node.key].items():
                 if value is MISSING or value != node:
-                    if _heal(store, bucket_name, node, errors):
-                        counters["filler_republished"] += 1
+                    heals.append((bucket_name, node, "filler_republished"))
+        _heal(store, heals, counters, errors)
     return filler_keys
 
 
@@ -339,9 +342,14 @@ def _restore_block(
         store.provider_manager.charge(name, descriptor.size)
         landed.append(name)
 
+    def fetch():
+        source = store.providers[live[0]]
+        yield source._issue()
+        return source._get_vector((block_id,))[block_id]
+
     if fresh:
         try:
-            payload = store.providers[live[0]].get(block_id)
+            payload = run_inline(fetch())
             # Maintenance traffic shares the I/O engine's bounded window
             # with foreground I/O.
             store._map_io(copy, fresh, dest=lambda name: name)
@@ -371,21 +379,25 @@ def _remove_copies(
 
 
 def _heal(
-    store: "LocalBlobStore", bucket_name: str, node: TreeNode, errors: list[str]
-) -> bool:
-    """One targeted replica write, best effort.
+    store: "LocalBlobStore",
+    heals: list[tuple[str, TreeNode, str]],
+    counters: dict,
+    errors: list[str],
+) -> None:
+    """One round of targeted replica writes, best effort: each
+    ``(bucket, node, counter)`` heal that lands adds one to its counter.
 
-    A bucket dying between the pass's enumeration and this write must
-    not abort the sweep (the same mid-sweep rule the GC follows): the
-    failure is recorded and the bucket heals on the first pass after
-    it recovers.  Returns whether the write landed.
+    A bucket dying between the pass's enumeration and its write must
+    not abort the sweep (the same mid-sweep rule the GC follows): each
+    of its heals is recorded as an error and the bucket heals on the
+    first pass after it recovers.
     """
-    try:
-        store.metadata.heal_replica(bucket_name, node)
-        return True
-    except (ProviderError, ReplicationError) as exc:
-        errors.append(f"heal of {node.key} on {bucket_name} failed: {exc}")
-        return False
+    failed = store.metadata.heal_replicas([(name, node) for name, node, _ in heals])
+    for bucket_name, node, counter in heals:
+        if bucket_name in failed:
+            errors.append(f"heal of {node.key} on {bucket_name} failed: {failed[bucket_name]}")
+        else:
+            counters[counter] += 1
 
 
 def _reconcile_leaf_divergence(
@@ -439,8 +451,8 @@ def _reconcile_replicas(
 
     Keys that survive the cheap skip filters are examined in batches:
     one :meth:`~repro.blob.metadata.MetadataService.replica_nodes_many`
-    pass answers a whole chunk, while healing stays per-replica and
-    best-effort.
+    pass answers a whole chunk, and one heal round re-feeds its damaged
+    replicas, best effort per bucket.
     """
     eligible: list[NodeKey] = []
     for key in sorted(store.metadata.all_node_keys(), key=repr):
@@ -460,6 +472,7 @@ def _reconcile_replicas(
     for start in range(0, len(eligible), _RECONCILE_CHUNK):
         chunk = eligible[start : start + _RECONCILE_CHUNK]
         replica_maps = store.metadata.replica_nodes_many(chunk)
+        heals: list[tuple[str, TreeNode, str]] = []
         for key in chunk:
             values = replica_maps[key]
             if not values:
@@ -484,11 +497,9 @@ def _reconcile_replicas(
                     continue
             for bucket_name, value in values.items():
                 if value is MISSING or value != authority:
-                    if _heal(store, bucket_name, authority, errors):
-                        if divergent:
-                            counters["conflicts_resolved"] += 1
-                        else:
-                            counters["replicas_healed"] += 1
+                    counter = "conflicts_resolved" if divergent else "replicas_healed"
+                    heals.append((bucket_name, authority, counter))
+        _heal(store, heals, counters, errors)
 
 
 def _scrub_blocks(
@@ -520,7 +531,7 @@ def _scrub_blocks(
             visits = list(
                 iter_reachable_batched(
                     store.metadata.get_nodes,
-                    root,
+                    [root],
                     key_resolver=resolver,
                     seen=seen,
                 )

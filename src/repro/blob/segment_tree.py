@@ -698,46 +698,44 @@ def collect_blocks_batched(
 
 def iter_reachable_batched(
     fetch_many: Callable[[list[NodeKey]], dict[NodeKey, TreeNode]],
-    root_key: NodeKey,
+    roots: Sequence[NodeKey],
     key_resolver: Optional[Callable[[NodeKey], NodeKey]] = None,
     seen: Optional[set[NodeKey]] = None,
 ) -> Iterable[tuple[TreeNode, int, int]]:
-    """Every node reachable from *root_key* as ``(node, lo, hi)``, one
-    batched fetch per tree level.
+    """Every node reachable from any of *roots* as ``(node, lo, hi)``,
+    one batched fetch per tree level.
 
-    It follows :func:`_references` like every walker, so it visits
-    exactly the keys the writers of these versions published.
-    ``[lo, hi)`` is the block range the visit reaches: the node's own
-    range, except for a run entered through a narrower reference, which
-    is visited once per such clip — only its entries inside a clip are
-    reachable from this root (:func:`clipped_entries`).
+    The first frontier is every root, so a walk over many snapshots
+    (GC's mark) costs one round per level of the deepest tree, and a
+    key several roots reach in one level is fetched once.  It follows
+    :func:`_references` like every walker, so it visits exactly the
+    keys the writers of these versions published.  ``[lo, hi)`` is the
+    block range the visit reaches: the node's own range, except for a
+    run entered through a narrower reference, which is visited once
+    per such clip — only its entries inside a clip are reachable
+    (:func:`clipped_entries`).
 
     *seen* collects the keys this traversal (and earlier ones sharing
     the set) visited whole; such keys are neither fetched nor descended
-    into again.  Traversals over many snapshots (GC marking, the
-    scrub's block sweep) share one set, which both avoids re-visiting a
-    node AND prunes its whole subtree — a node visited whole had its
-    subtree visited too.  A run visited only in part stays eligible.
+    into again, which both avoids re-visiting a node AND prunes its
+    whole subtree — a node visited whole had its subtree visited too.
+    A run visited only in part stays eligible.
     """
     resolve = key_resolver if key_resolver is not None else (lambda k: k)
+    seen = set() if seen is None else seen
     fetched: dict[NodeKey, TreeNode] = {}
-    frontier = [(resolve(root_key), root_key.offset, root_key.end)]
+    frontier = [(resolve(root), root.offset, root.end) for root in roots]
     while frontier:
-        level = [
-            (key, lo, hi)
-            for key, lo, hi in frontier
-            if seen is None or key not in seen
-        ]
+        level = [(key, lo, hi) for key, lo, hi in frontier if key not in seen]
         wanted = [key for key in dict.fromkeys(key for key, _, _ in level) if key not in fetched]
         if wanted:
             fetched.update(fetch_many(wanted))
         frontier = []
         for key, lo, hi in level:
-            if seen is not None:
-                if key in seen:
-                    continue
-                if lo == key.offset and hi == key.end:
-                    seen.add(key)
+            if key in seen:
+                continue
+            if lo == key.offset and hi == key.end:
+                seen.add(key)
             node = fetched[key]
             yield node, lo, hi
             frontier.extend(

@@ -34,14 +34,14 @@ Locking is deliberately two-tier, mirroring the paper's architecture:
   guards only its own block map.
 
 Block transfers travel as per-provider vectors: a write's replicas are
-grouped by provider into one ``put_many`` per provider, a read's blocks
-into one ``get_many`` per provider (DESIGN.md §13).  With
+grouped by provider into one put request per provider, a read's blocks
+into one get request per provider (DESIGN.md §13).  With
 ``io_workers > 0`` the data plane additionally runs *parallel*: the
 store's :class:`~repro.blob.async_engine.AsyncIOEngine` issues every
 vector of a round at once and waits out their service delays together
 on the calling thread, so an op waits about one provider latency
 however many providers it touches.  ``io_workers=0`` (the default)
-sends them one after another on the calling thread.
+runs the same requests one after another on the calling thread.
 """
 
 from __future__ import annotations
@@ -462,14 +462,9 @@ class LocalBlobStore:
         )
         scatter = None
         ticket: Optional[WriteTicket] = None
-        vectors, transfer, send = self._scatter_tasks(
-            blob_id, nonce, payloads, placements, stored
-        )
+        vectors, send = self._scatter_tasks(blob_id, nonce, payloads, placements, stored)
         try:
-            if self.io_engine is None:
-                for vector in vectors:
-                    transfer(vector)
-            elif self.overlap_publish:
+            if self.overlap_publish:
                 scatter = self.io_engine.submit_each(send, vectors, dest=itemgetter(0))
             else:
                 self._map_io(send, vectors, dest=itemgetter(0))
@@ -538,12 +533,11 @@ class LocalBlobStore:
         is registered in *stored* up front and filled by the provider's
         ``_put_vector`` as blocks land — including the prefix of a
         vector that fails part-way — so the caller can roll back exactly
-        what made it.  Returns the vectors and two ways to send one:
-        ``transfer``, the inline serial path through the provider's sync
-        ``put_many``, and ``send``, the engine's request, whose chunk
-        k + 1 is issued when chunk k completes, so that a cancellation
-        (a sibling vector failed first) lands at an issue, never inside
-        a chunk's body.
+        what made it.  Returns the vectors and ``send``, a vector's
+        request (run by the engine, or inline when there is none), whose
+        chunk k + 1 is issued when chunk k completes, so that a
+        cancellation (a sibling vector failed first) lands at an issue,
+        never inside a chunk's body.
         """
         by_provider: dict[str, list[tuple[BlockId, Payload]]] = {}
         for seq, (payload, replicas) in enumerate(zip(payloads, placements)):
@@ -553,12 +547,6 @@ class LocalBlobStore:
         vectors = [(name, _chunks(items), []) for name, items in by_provider.items()]
         stored.extend((name, landed) for name, _, landed in vectors)
 
-        def transfer(vector) -> None:
-            provider_name, chunks, landed = vector
-            put_many = self.providers[provider_name].put_many
-            for chunk in chunks:
-                put_many(chunk, landed)
-
         def send(vector):
             provider_name, chunks, landed = vector
             provider = self.providers[provider_name]
@@ -566,7 +554,7 @@ class LocalBlobStore:
                 yield provider._issue()
                 provider._put_vector(chunk, landed)
 
-        return vectors, transfer, send
+        return vectors, send
 
     @staticmethod
     def _settle_scatter(handles) -> Optional[BaseException]:
@@ -766,7 +754,7 @@ class LocalBlobStore:
         *version* makes this a pinned read: no vman round trip.
 
         Vectored gather (DESIGN.md §11): the touched blocks are fetched
-        as one ``get_many`` per provider — the vectors in parallel over
+        as one get request per provider — the vectors in parallel over
         the I/O engine — and become the parts of one :func:`concat`:
         each interior block's stored payload itself, the covered window
         of the two extremal blocks, zeros for tombstone blocks.  The
@@ -865,7 +853,7 @@ class LocalBlobStore:
     ) -> dict[int, Payload]:
         """The stored payload of every non-zero descriptor, by position.
 
-        One ``get_many`` vector per provider per round (DESIGN.md §13).
+        One get vector per provider per round (DESIGN.md §13).
         Round 0 groups the blocks by their first live replica; each
         later round regroups the blocks still unresolved — absent from
         the replica asked, or in a vector whose provider went down

@@ -12,7 +12,8 @@ buckets in one pass — keys are grouped by bucket, each bucket is asked
 once per round, and the per-bucket requests of a round are issued
 together when an engine is attached, so the whole round costs one
 wall-clock round trip (paper §III-A.3: metadata must never serialize
-readers on a hop).  ``get``/``put`` are batches of one.
+readers on a hop).  ``get``/``put`` are batches of one, and the
+control plane's per-bucket deletes and heals are rounds too.
 
 ``stats`` counts wall-clock round trips (a batched round of parallel
 bucket requests counts once) so callers can verify the O(tree-depth)
@@ -88,10 +89,13 @@ class Bucket:
 
     A request is an issue, :meth:`_issue`, which fails fast when the
     bucket is down and returns its service delay, then one locked body
-    per direction, :meth:`_get_vector` or :meth:`_put_vector`, which
-    checks again that the bucket is online.  The I/O engine waits out
-    many issued requests' delays together; the sync entry points sleep
-    their own.
+    per kind, :meth:`_get_vector`, :meth:`_put_vector` or
+    :meth:`_delete_vector`, which checks again that the bucket is
+    online.  :class:`DhtStore` sends every request as part of a round
+    (``DhtStore._settle``), whose delays the I/O engine waits out
+    together.  The sync ``get_many``/``put_many`` and their coroutine
+    twins, which sleep their own delay, have no caller in ``src``:
+    ``perf/trace.py`` wraps them by name (ROADMAP item 1 step B).
 
     Args:
         name: bucket identity.
@@ -125,7 +129,7 @@ class Bucket:
             time.sleep(delay)  # asynclint: allow a sync entry point's service time
 
     def _get_vector(self, keys: Sequence[Hashable]) -> dict[Hashable, object]:
-        """The present keys' values: the body of every get entry point."""
+        """The present keys' values: the body of every get request."""
         with self._lock:
             self._check_online()
             items = self._items
@@ -134,7 +138,7 @@ class Bucket:
     def _put_vector(
         self, items: Sequence[tuple[Hashable, object]], conditional: bool
     ) -> tuple[dict[Hashable, object], list[Hashable]]:
-        """Store the pairs: the body of every put entry point (see
+        """Store the pairs: the body of every put request (see
         :meth:`put_many`); the check-and-put is atomic under the lock."""
         conflicts: dict[Hashable, object] = {}
         stored: list[Hashable] = []
@@ -209,10 +213,9 @@ class Bucket:
             await asyncio.sleep(delay)
         return self._put_vector(items, conditional)
 
-    def delete_many(self, keys: Sequence[Hashable]) -> None:
-        """Remove every present key in one request (one service delay;
-        absent keys are ignored, so a retried sweep is idempotent)."""
-        self._service_delay()  # asynclint: allow sync entry point
+    def _delete_vector(self, keys: Sequence[Hashable]) -> None:
+        """Remove every present key: the body of a delete request
+        (absent keys are ignored, so a retried sweep is idempotent)."""
         with self._lock:
             self._check_online()
             for key in keys:
@@ -298,17 +301,22 @@ class DhtStore:
     ) -> list[tuple[object, Optional[Exception]]]:
         """Run one batched round's per-bucket requests — issued together
         when an engine is attached, one after another otherwise —
-        capturing per-bucket failures so one dead bucket can never
-        abort the other buckets' work.  ``request(group)`` returns the
+        capturing a dead bucket's :class:`ProviderUnavailable` so it can
+        never abort the other buckets' work (any other error is raised
+        once the round has settled).  ``request(group)`` returns the
         group's request (``repro.blob.async_engine``)."""
         if self.engine is not None and len(groups) > 1:
-            return self.engine.map_settle(request, groups, dest=itemgetter(0))
-        results = []
-        for group in groups:
-            try:
-                results.append((run_inline(request(group)), None))
-            except Exception as exc:
-                results.append((None, exc))
+            results = self.engine.map_settle(request, groups, dest=itemgetter(0))
+        else:
+            results = []
+            for group in groups:
+                try:
+                    results.append((run_inline(request(group)), None))
+                except Exception as exc:
+                    results.append((None, exc))
+        for _, error in results:
+            if error is not None and not isinstance(error, ProviderUnavailable):
+                raise error
         return results
 
     # -- batches of one -------------------------------------------------------
@@ -370,10 +378,8 @@ class DhtStore:
                 groups, self._settle(fetch, groups)
             ):
                 if error is not None:
-                    if isinstance(error, ProviderUnavailable):
-                        retry.extend(bucket_keys)  # fail over to the next replica
-                        continue
-                    raise error
+                    retry.extend(bucket_keys)  # fail over to the next replica
+                    continue
                 for key in bucket_keys:
                     if key in found:
                         results[key] = found[key]
@@ -401,7 +407,7 @@ class DhtStore:
         Every pair goes to every live owner replica; each bucket
         receives its whole share in a single request.  With
         ``conditional=True`` the bucket enforces write-once-or-identical
-        in that same hop (see :meth:`Bucket.put_many`) — no get-then-put
+        in that same hop (see :meth:`Bucket._put_vector`) — no get-then-put
         double round trip, and per-bucket atomicity for the batch.
 
         Never raises for unreachable keys: the :class:`MultiPutResult`
@@ -437,9 +443,7 @@ class DhtStore:
         stored_by_bucket: dict[str, list[Hashable]] = {}
         for (name, kvs), (outcome, error) in zip(groups, self._settle(put, groups)):
             if error is not None:
-                if isinstance(error, ProviderUnavailable):
-                    continue  # this replica misses the batch; others may land
-                raise error
+                continue  # this replica misses the batch; others may land
             bucket_conflicts, stored = outcome
             stored_by_bucket[name] = stored
             for key, _ in kvs:
@@ -447,30 +451,49 @@ class DhtStore:
             for key, existing in bucket_conflicts.items():
                 conflicts.setdefault(key, existing)
         if conflicts:
-            self._withdraw(conflicts, stored_by_bucket)
+            # Withdraw the conflicted keys' fresh stores in one round,
+            # best effort: a bucket dying mid-withdrawal leaves debris
+            # the scrub converges on the established value anyway.
+            self.delete_by_bucket(
+                {
+                    name: [key for key in stored if key in conflicts]
+                    for name, stored in stored_by_bucket.items()
+                }
+            )
         unstored = tuple(key for key, count in touched.items() if count == 0)
         return MultiPutResult(conflicts=conflicts, unstored=unstored)
 
-    def _withdraw(
-        self,
-        conflicts: dict[Hashable, object],
-        stored_by_bucket: dict[str, list[Hashable]],
-    ) -> None:
-        """Undo the fresh stores of conflicted keys (best effort: a
-        bucket dying mid-withdrawal leaves debris for the scrub, which
-        converges the replica set on the established value anyway)."""
-        withdrew = 0
-        for name, stored in stored_by_bucket.items():
-            doomed = [key for key in stored if key in conflicts]
-            if not doomed:
-                continue
-            withdrew += 1
-            try:
-                self.buckets[name].delete_many(doomed)
-            except ProviderUnavailable:
-                continue
-        if withdrew:
-            self.stats.record(round_trips=1, bucket_ops=withdrew)
+    def delete_by_bucket(
+        self, doomed: dict[str, Sequence[Hashable]]
+    ) -> dict[str, ProviderUnavailable]:
+        """Delete each named bucket's keys (absent ones are ignored) in
+        one round; the buckets whose request failed, with their error."""
+        return self._bucket_round(lambda bucket, keys: bucket._delete_vector(keys), doomed)
+
+    def put_by_bucket(
+        self, items: dict[str, Sequence[tuple[Hashable, object]]]
+    ) -> dict[str, ProviderUnavailable]:
+        """Store each named bucket's pairs unconditionally in one round
+        (the scrub's heals); the buckets whose request failed."""
+        return self._bucket_round(lambda bucket, pairs: bucket._put_vector(pairs, False), items)
+
+    def _bucket_round(
+        self, body: Callable, by_bucket: dict[str, Sequence]
+    ) -> dict[str, ProviderUnavailable]:
+        """One request per non-empty bucket group, ``body(bucket,
+        group)`` its locked body, in one round counted as one round
+        trip; a bucket that is down fails alone."""
+        groups = [(name, entries) for name, entries in by_bucket.items() if entries]
+        if groups:
+            self.stats.record(round_trips=1, bucket_ops=len(groups))
+
+        def request(group):
+            bucket = self.buckets[group[0]]
+            yield bucket._issue()
+            body(bucket, group[1])
+
+        outcomes = self._settle(request, groups)
+        return {name: error for (name, _), (_, error) in zip(groups, outcomes) if error is not None}
 
     def multi_replica_values(
         self, keys: Iterable[Hashable]

@@ -27,42 +27,7 @@ from repro.blob import AsyncIOEngine, LocalBlobStore, StoreConfig
 from repro.blob import async_engine
 from repro.dht.store import MISSING, DhtStore
 from repro.errors import ProviderUnavailable
-
-
-class VirtualClock:
-    """The engine's clock and wait: a sleep advances virtual time and
-    fires the alarms it passes."""
-
-    def __init__(self):
-        self.now = 0.0
-        self.sleeps: list[float] = []
-        self.alarms: list[tuple[float, object]] = []
-
-    def monotonic(self) -> float:
-        return self.now
-
-    def sleep(self, seconds: float) -> None:
-        self.sleeps.append(seconds)
-        target = self.now + seconds
-        for alarm in sorted(self.alarms, key=lambda a: a[0]):
-            when, action = alarm
-            if when <= target:
-                self.alarms.remove(alarm)
-                self.now = max(self.now, when)
-                action()
-        self.now = target
-
-    def at(self, when: float, action) -> None:
-        """Run *action* once virtual time reaches *when* in a sleep."""
-        self.alarms.append((when, action))
-
-
-@pytest.fixture
-def clock(monkeypatch):
-    virtual = VirtualClock()
-    monkeypatch.setattr(async_engine, "_monotonic", virtual.monotonic)
-    monkeypatch.setattr(async_engine, "_sleep", virtual.sleep)
-    return virtual
+from tests.io_requests import VirtualClock
 
 
 @pytest.fixture

@@ -135,7 +135,7 @@ def check_covered_bits(store, blob, version, root, resolver) -> int:
     ranges = {v: (start, end) for v, start, end in store.version_manager.history_upto(blob, version)}
     covered = 0
     for node, _, _ in iter_reachable_batched(
-        store.metadata.get_nodes, root, key_resolver=resolver
+        store.metadata.get_nodes, [root], key_resolver=resolver
     ):
         if not isinstance(node, InnerNode):
             continue

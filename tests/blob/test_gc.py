@@ -181,7 +181,7 @@ class TestOfflineMetadataBuckets:
         ]
         assert store.read(blob, version=2) == b"b" * (4 * BS)
 
-    def test_sweep_is_one_delete_many_per_online_bucket(self):
+    def test_sweep_is_one_delete_request_per_online_bucket(self):
         """The metadata sweep deletes a bucket's whole share of the
         garbage in one request (one service delay), and never asks an
         offline bucket."""
@@ -207,11 +207,11 @@ class TestOfflineMetadataBuckets:
         calls = {name: 0 for name in buckets}
         for name, bucket in buckets.items():
 
-            def counted(keys, name=name, real=bucket.delete_many):
+            def counted(keys, name=name, real=bucket._delete_vector):
                 calls[name] += 1
                 return real(keys)
 
-            bucket.delete_many = counted
+            bucket._delete_vector = counted
         report = collect_garbage(store, blob, retain_from=2)
         assert calls == {name: int(name in holders) for name in buckets}
         assert report.nodes_deleted > 0
@@ -229,15 +229,15 @@ class TestOfflineMetadataBuckets:
         store.write(blob, 0, b"b" * (4 * BS))
 
         victim = store.metadata.store.buckets["mdp-000"]
-        original_delete_many = victim.delete_many
+        original_delete_vector = victim._delete_vector
 
         def die_on_delete(keys):
             victim.online = False  # goes down just as the sweep reaches it
-            return original_delete_many(keys)
+            return original_delete_vector(keys)
 
-        victim.delete_many = die_on_delete
+        victim._delete_vector = die_on_delete
         report = collect_garbage(store, blob, retain_from=2)  # completes
-        victim.delete_many = original_delete_many
+        victim._delete_vector = original_delete_vector
         victim.online = True
         assert report.nodes_deleted > 0
         assert store.read(blob, version=2) == b"b" * (4 * BS)

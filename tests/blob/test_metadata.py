@@ -5,6 +5,7 @@ import pytest
 from repro.blob import BlockDescriptor, LeafNode, MetadataService, NodeCache, NodeKey
 from repro.dht import DhtStore
 from repro.errors import ReplicationError, VersionNotFound, WriteConflict
+from tests.io_requests import delete_keys
 
 
 def leaf(index=0, version=1, provider="p"):
@@ -28,10 +29,10 @@ def service():
 
 
 def sweep(service, key):
-    """Delete *key* the way the GC sweep does: one ``delete_many`` per
+    """Delete *key* the way the GC sweep does: one delete request per
     owner bucket, then the cache invalidation."""
     for name in service.store.owners(key):
-        service.store.buckets[name].delete_many([key])
+        delete_keys(service.store.buckets[name], [key])
     service.invalidate_cached(key)
 
 
@@ -163,7 +164,7 @@ class TestNodeCache:
         service.get_node(leaf().key)  # cached
         healed = leaf(provider="p2")
         for name in service.store.owners(healed.key):
-            service.heal_replica(name, healed)
+            service.heal_replicas([(name, healed)])
         assert service.get_node(healed.key) == healed
 
     def test_lru_eviction_bounds_size(self):
@@ -199,7 +200,7 @@ class TestNodeCache:
         def multi_get_then_heal(keys):
             nodes = real_multi_get(keys)  # the fetch observes the pre-heal value
             for name in service.store.owners(stale.key):
-                service.heal_replica(name, healed)  # heal + invalidate
+                service.heal_replicas([(name, healed)])  # heal + invalidate
             return nodes
 
         service.store.multi_get = multi_get_then_heal

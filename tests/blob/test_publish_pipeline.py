@@ -422,12 +422,12 @@ class TestVersionManagerLockScope:
             _held_assign_batch(store, lambda: (began.set(), release.wait(WAIT_S)))
             for provider in store.providers.values():
 
-                def put_many(items, landed, real=provider.put_many):
+                def put_vector(items, landed, real=provider._put_vector):
                     if threading.current_thread().name == "second":
                         reached.set()
                     return real(items, landed)
 
-                provider.put_many = put_many
+                provider._put_vector = put_vector
             outcomes = {}
             first = _start_writer(store, blob, b"a" * BS, "first", outcomes)
             flushing = began.wait(WAIT_S)
@@ -437,7 +437,7 @@ class TestVersionManagerLockScope:
             first.join(WAIT_S)
             second.join(WAIT_S)
             assert flushing, "the first assign flush never began"
-            assert placed, "the second writer's put_many waited for the flush"
+            assert placed, "the second writer's put request waited for the flush"
             assert outcomes == {"first": 1, "second": 2}
 
     def test_interrupted_while_queued_withdraws_its_entry(self):

@@ -91,7 +91,7 @@ def walk(store, blob, version) -> tuple[set, list[tuple]]:
     root = NodeKey(blob, version, 0, info.root_span)
     keys, found = set(), {}
     for node, lo, hi in iter_reachable_batched(
-        store.metadata.get_nodes, root, key_resolver=store.key_resolver()
+        store.metadata.get_nodes, [root], key_resolver=store.key_resolver()
     ):
         keys.add(node.key)
         for index, entry in enumerate(clipped_entries(node, lo, hi), lo):

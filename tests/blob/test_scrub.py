@@ -175,15 +175,15 @@ class TestMetadataReconciliation:
         store.metadata.store.recover_bucket(victim)
 
         bucket = store.metadata.store.buckets[victim]
-        real_put_many = bucket.put_many
+        real_put_vector = bucket._put_vector
 
         def die_on_first_heal(items, conditional=False):
             bucket.online = False  # fails between enumeration and heal
-            return real_put_many(items, conditional=conditional)
+            return real_put_vector(items, conditional=conditional)
 
-        bucket.put_many = die_on_first_heal
+        bucket._put_vector = die_on_first_heal
         report = store.scrub()
-        bucket.put_many = real_put_many
+        bucket._put_vector = real_put_vector
         assert report.errors  # the lost heals are recorded ...
         assert all("heal of" in err for err in report.errors)
         # ... and the pass after recovery finishes the job.

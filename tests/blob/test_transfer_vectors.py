@@ -1,7 +1,7 @@
 """Block transfers are per-provider vectors (DESIGN.md §13).
 
-A write's replicas travel as one ``put_many`` per provider (one per 64
-blocks past that), a read's blocks as one ``get_many`` per provider per
+A write's replicas travel as one put request per provider (one per 64
+blocks past that), a read's blocks as one get request per provider per
 failover round, on every engine mode.  Counter-based: the tests count
 calls on wrapped provider methods and replace the latency sleeps with
 recorders; nothing is timed.
@@ -16,8 +16,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.blob import BytesPayload, DataProviderCore, LocalBlobStore, StoreConfig
+from repro.blob import async_engine
 from repro.blob import data_provider as data_provider_module
 from repro.errors import ProviderUnavailable, WriteConflict
+from tests.io_requests import get_blocks, put_blocks
 
 BS = 8
 #: Inline I/O, the I/O engine, and the engine behind a one-slot
@@ -101,11 +103,12 @@ class TestProviderVectors:
     def test_one_service_delay_per_vector(self, monkeypatch):
         sleeps = []
         monkeypatch.setattr(data_provider_module.time, "sleep", sleeps.append)
+        monkeypatch.setattr(async_engine, "_sleep", sleeps.append)
         provider = DataProviderCore("p", latency=0.5)
         ids = [("b", 1, i) for i in range(100)]
-        provider.put_many([(block_id, BytesPayload(b"x")) for block_id in ids])
+        put_blocks(provider, [(block_id, BytesPayload(b"x")) for block_id in ids])
         assert sleeps == [0.5]
-        found = provider.get_many(ids + [("b", 9, 9)])
+        found = get_blocks(provider, ids + [("b", 9, 9)])
         assert sleeps == [0.5, 0.5]
         assert set(found) == set(ids)  # the absent block is omitted
         provider.put(("b", 2, 0), BytesPayload(b"y"))  # a plain call still pays
@@ -127,13 +130,13 @@ class TestProviderVectors:
         provider.get(ids[0])  # a plain sync call still blocks
         assert blocking == [0.5]
 
-    def test_put_many_reports_the_landed_prefix(self):
+    def test_put_request_reports_the_landed_prefix(self):
         provider = DataProviderCore("p")
         raised = fail_on_kth_put(provider, 4)
         landed = []
         with pytest.raises(ProviderUnavailable):
-            provider.put_many(
-                [(("b", 1, i), BytesPayload(b"x")) for i in range(6)], landed
+            put_blocks(
+                provider, [(("b", 1, i), BytesPayload(b"x")) for i in range(6)], landed
             )
         assert raised
         assert landed == [("b", 1, 0), ("b", 1, 1), ("b", 1, 2)]
@@ -146,8 +149,8 @@ class TestProviderVectors:
         provider.put(("b", 1, 3), BytesPayload(b"old"))
         landed = []
         with pytest.raises(WriteConflict):
-            provider.put_many(
-                [(("b", 1, i), BytesPayload(b"new")) for i in range(6)], landed
+            put_blocks(
+                provider, [(("b", 1, i), BytesPayload(b"new")) for i in range(6)], landed
             )
         assert landed == [("b", 1, 0), ("b", 1, 1), ("b", 1, 2)]
         assert set(provider.block_ids()) == set(landed) | {("b", 1, 3)}
@@ -157,7 +160,7 @@ class TestProviderVectors:
 
 class TestScatterAndGather:
     @pytest.mark.parametrize("providers, blocks", [(16, 1024), (4, 1024), (16, 1100)])
-    def test_one_put_many_per_provider_per_64_blocks(self, mode, providers, blocks):
+    def test_one_put_request_per_provider_per_64_blocks(self, mode, providers, blocks):
         with make_store(mode, data_providers=providers) as store:
             blob = store.create()
             puts = record_calls(store, "_put_vector")

@@ -453,11 +453,10 @@ class TestWriteAbortTombstone:
 
         nonce = next(store._nonce)
         placements = store.provider_manager.allocate(1, [BS], replication=1)
-        vectors, transfer, _ = store._scatter_tasks(
+        vectors, send = store._scatter_tasks(
             blob, nonce, [BytesPayload(b"z" * BS)], placements, []
         )
-        for vector in vectors:
-            transfer(vector)
+        store._map_io(send, vectors)
         store._publish_metadata(ticket, nonce, [BS], placements)
         store.publish_pipeline.commit(blob, ticket.version)
 

@@ -15,7 +15,11 @@ Registers two hypothesis profiles:
 
 import os
 
+import pytest
 from hypothesis import HealthCheck, settings
+
+from repro.blob import async_engine
+from tests.io_requests import VirtualClock
 
 settings.register_profile(
     "repro",
@@ -32,3 +36,13 @@ settings.register_profile(
 
 _profile = os.environ.get("HYPOTHESIS_PROFILE", "repro")
 settings.load_profile(_profile if _profile in ("repro", "chaos") else "repro")
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    """The I/O engine's clock and its one wait on a :class:`VirtualClock`:
+    rounds and inline requests run in virtual time and never sleep."""
+    virtual = VirtualClock()
+    monkeypatch.setattr(async_engine, "_monotonic", virtual.monotonic)
+    monkeypatch.setattr(async_engine, "_sleep", virtual.sleep)
+    return virtual

@@ -6,6 +6,7 @@ import pytest
 from repro.dht import DhtStore
 from repro.dht.store import MISSING
 from repro.errors import ProviderUnavailable, ReplicationError
+from tests.io_requests import delete_keys
 
 
 @pytest.fixture
@@ -37,20 +38,20 @@ class TestBasicOps:
         with pytest.raises(KeyError):
             store.get("ghost")
 
-    def test_bucket_delete_many_idempotent(self, store):
+    def test_bucket_delete_request_idempotent(self, store):
         store.put("k", 1)
         for _ in range(2):
             for name in store.owners("k"):
-                store.buckets[name].delete_many(["k", "ghost"])
+                delete_keys(store.buckets[name], ["k", "ghost"])
         with pytest.raises(KeyError):
             store.get("k")
 
-    def test_bucket_delete_many_refused_offline(self, store):
+    def test_bucket_delete_request_refused_offline(self, store):
         store.put("k", 1)
         primary = store.owners("k")[0]
         store.fail_bucket(primary)
         with pytest.raises(ProviderUnavailable):
-            store.buckets[primary].delete_many(["k"])
+            delete_keys(store.buckets[primary], ["k"])
         store.recover_bucket(primary)
         assert "k" in store.buckets[primary]
 
@@ -229,7 +230,7 @@ class TestBatchedOps:
         keys = keys_with_distinct_primaries(store, 6)
         store.multi_put([(key, "v") for key in keys])
         lagging = store.owners(keys[0])[1]
-        store.buckets[lagging].delete_many([keys[0]])  # one lag
+        delete_keys(store.buckets[lagging], [keys[0]])  # one lag
         offline = store.owners(keys[1])[0]
         store.fail_bucket(offline)  # one offline owner
         expected = {
@@ -272,21 +273,18 @@ class TestBatchOfOne:
 
 
 class TestBucketLatency:
-    def test_batch_pays_latency_once(self):
+    def test_batch_pays_latency_once(self, clock):
         store = DhtStore(["a", "b"], replication=1, latency=0.01)
-        import time
-
         keys = [("k", i) for i in range(10)]
-        start = time.perf_counter()
+        assert len({store.owners(key)[0] for key in keys}) == 2
         store.multi_put([(key, "v") for key in keys])
         store.multi_get(keys)
-        batched = time.perf_counter() - start
-        start = time.perf_counter()
+        batched = len(clock.sleeps)
         for key in keys:
             store.get(key)
-        scalar = time.perf_counter() - start
-        # 2 buckets x (1 put + 1 get) = <= 4 delays batched vs 10 scalar.
-        assert batched < scalar
+        scalar = len(clock.sleeps) - batched
+        # Inline: 2 buckets x (1 put + 1 get) = 4 delays batched vs 10 scalar.
+        assert (batched, scalar) == (4, 10)
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):

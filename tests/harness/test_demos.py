@@ -156,9 +156,14 @@ def test_publish_pipeline_appends_batch(io_workers, rounds):
     )
     _passed(report)
     ops = writers * rounds
-    assert report.measurements["per_writer_round_trips"] == 2 * ops
-    assert report.measurements["vman_round_trips"] <= ops
-    assert report.measurements["max_commit_batch"] >= 2
+    seen = (
+        f"vman_round_trips={report.measurements['vman_round_trips']}, ops={ops}, "
+        f"max_commit_batch={report.measurements['max_commit_batch']}; "
+        f"measurements={report.measurements}"
+    )
+    assert report.measurements["per_writer_round_trips"] == 2 * ops, seen
+    assert report.measurements["vman_round_trips"] <= ops, seen
+    assert report.measurements["max_commit_batch"] >= 2, seen
 
 
 def test_publish_pipeline_needs_a_vman_latency():

@@ -1,15 +1,17 @@
 """The I/O-path lint must actually lint (tools/lint_async.py).
 
-Pins the contract of the CI step guarding DESIGN.md §13: a completion
-body — a request generator or a ``_put_vector``/``_get_vector`` body —
-that sleeps or calls a sleeping sync entry point fails, and so does a
-sleep anywhere that is not marked (the sync entry points and the
-round's own wait are); a blocking ``time.sleep``, sync DHT fan-out,
+Pins the contract of the CI step guarding DESIGN.md §13: any call of
+a sleeping sync entry point (``get_many``/``put_many``/``delete_many``)
+fails, wherever it is; a sleep that is not marked fails (the sync entry
+points and the round's own wait are), and is reported as a completion's
+inside a request generator or a ``_put_vector``/``_get_vector``/
+``_delete_vector`` body; a blocking ``time.sleep``, sync DHT fan-out,
 ``_service_delay``, or ``.result()`` inside an ``async def`` under
 ``src/repro/`` fails, and the same non-sleeping call in a sync
 function, a nested sync ``def``, a comment, or a docstring does not;
 the ``# asynclint: allow`` escape hatch works; and the real tree is
-currently clean, and fails once a sleeping completion is planted in it.
+currently clean, and fails once a sleeping completion or a per-bucket
+loop of sync entry points is planted in it.
 """
 
 import importlib.util
@@ -65,8 +67,8 @@ def test_sync_dht_fanout_and_result_are_caught(tmp_path):
 
 
 def test_bucket_delete_many_in_a_coroutine_is_caught(tmp_path):
-    # A GC-style sweep request has no async twin: from a coroutine it
-    # parks the loop for the bucket's service delay.
+    # ``delete_many`` is gone: a call to it fails anywhere, in a
+    # coroutine too.
     write(
         tmp_path,
         "gc.py",
@@ -84,7 +86,7 @@ def test_sync_functions_are_not_linted(tmp_path):
         tmp_path,
         "store.py",
         "def blocking_is_fine_here(bucket, future):\n"
-        "    bucket.get_many([1])\n"
+        "    bucket.peek_many([1])\n"
         "    return future.result()\n",
     )
     assert lint_async.lint(tmp_path) == []
@@ -100,7 +102,7 @@ def test_nested_sync_def_inside_a_coroutine_is_exempt(tmp_path):
         "async def outer(bucket, future):\n"
         "    def helper():\n"
         "        future.result()\n"
-        "        return bucket.get_many([1])\n"
+        "        return bucket.peek_many([1])\n"
         "    return helper\n",
     )
     assert lint_async.lint(tmp_path) == []
@@ -183,8 +185,9 @@ def test_marked_entry_points_and_the_round_wait_pass(tmp_path):
 
 def test_a_sleeping_request_generator_is_caught(tmp_path):
     # The code after a request's yield is its completion: it runs
-    # between other requests' deadlines, so a sleep there (or a sync
-    # entry point, which sleeps inside) stalls the whole round.
+    # between other requests' deadlines, so a sleep there stalls the
+    # whole round (and a sync entry point, which sleeps inside, fails
+    # anywhere).
     write(
         tmp_path,
         "scatter.py",
@@ -200,7 +203,8 @@ def test_a_sleeping_request_generator_is_caught(tmp_path):
     )
     violations = lint_async.lint(tmp_path)
     assert [v.split(":")[1] for v in violations] == ["6", "9"]
-    assert all("in a completion" in v for v in violations)
+    assert "in a completion" in violations[0]
+    assert "sleeping sync entry point" in violations[1]
 
 
 def test_a_sleeping_vector_body_is_caught(tmp_path):
@@ -212,26 +216,32 @@ def test_a_sleeping_vector_body_is_caught(tmp_path):
         "        self._service_delay()  # asynclint: allow reviewed\n"
         "        return self.get_many(keys)\n"
         "    def _put_vector(self, items, conditional):\n"
-        "        self.delete_many([k for k, _ in items])\n",
+        "        self.delete_many([k for k, _ in items])\n"
+        "    def _delete_vector(self, keys):\n"
+        "        time.sleep(0.001)\n",
     )
     violations = lint_async.lint(tmp_path)
-    assert [v.split(":")[1] for v in violations] == ["4", "6"]
-    assert all("in a completion" in v for v in violations)
+    assert [v.split(":")[1] for v in violations] == ["4", "6", "8"]
+    assert all("sleeping sync entry point" in v for v in violations[:2])
+    assert "in a completion" in violations[2]
 
 
 def test_a_helper_defined_in_a_request_is_judged_on_its_own(tmp_path):
     # Only the nearest enclosing function counts: a plain helper nested
-    # in a request may call a sync entry point (it is not a completion).
+    # in a request is not a completion, so its sleep is a plain one.
     write(
         tmp_path,
         "gather.py",
+        "import time\n"
         "def fetch(provider, ids):\n"
         "    def fallback():\n"
-        "        return provider.get_many(ids)\n"
+        "        time.sleep(0.001)\n"
         "    yield provider._issue()\n"
         "    return provider._get_vector(ids)\n",
     )
-    assert lint_async.lint(tmp_path) == []
+    violations = lint_async.lint(tmp_path)
+    assert [v.split(":")[1] for v in violations] == ["4"]
+    assert "sleeps outside the marked" in violations[0]
 
 
 def test_a_sleeping_completion_planted_in_the_real_store_fails(tmp_path):
@@ -244,6 +254,42 @@ def test_a_sleeping_completion_planted_in_the_real_store_fails(tmp_path):
     violations = lint_async.lint(tmp_path)
     assert len(violations) == 1
     assert "store.py" in violations[0] and "in a completion" in violations[0]
+    assert lint_async.main() == 0  # the real tree itself stays clean
+
+
+def test_sync_entry_points_fail_in_plain_sync_code(tmp_path):
+    # The control plane's old shape: a loop that sleeps one service
+    # delay per destination.  Program code sends requests instead.
+    write(
+        tmp_path,
+        "sweep.py",
+        "def sweep(buckets, doomed, providers, items):\n"
+        "    for bucket in buckets:\n"
+        "        bucket.delete_many(doomed)\n"
+        "    providers[0].put_many(items, [])\n"
+        "    return buckets[0].get_many(doomed)\n",
+    )
+    violations = lint_async.lint(tmp_path)
+    assert [v.split(":")[1] for v in violations] == ["3", "4", "5"]
+    assert all("sleeping sync entry point" in v for v in violations)
+
+
+def test_a_per_bucket_put_many_loop_planted_in_the_real_metadata_fails(tmp_path):
+    real = lint_async.SCOPE / "blob" / "metadata.py"
+    source = real.read_text()
+    line = "            return self.store.put_by_bucket(by_bucket)\n"
+    assert source.count(line) == 1
+    planted = source.replace(
+        line,
+        "            for name, pairs in by_bucket.items():\n"
+        "                self.store.buckets[name].put_many(pairs)\n"
+        "            return {}\n",
+    )
+    (tmp_path / "metadata.py").write_text(planted)
+    violations = lint_async.lint(tmp_path)
+    assert len(violations) == 1
+    assert "metadata.py" in violations[0] and "put_many" in violations[0]
+    assert "sleeping sync entry point" in violations[0]
     assert lint_async.main() == 0  # the real tree itself stays clean
 
 

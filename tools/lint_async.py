@@ -1,33 +1,36 @@
-"""I/O-path lint: no sleep where a round or a coroutine would stall.
+"""I/O-path lint: program code does I/O only as requests.
 
 The I/O engine (DESIGN.md §13) runs each fan-out as a deadline round on
 the calling thread: it issues every request, sleeps once, then runs
 each request's completion — the code after its ``yield``, ending in a
 provider's or bucket's locked body — as its deadline passes.  A
-completion that sleeps stalls every other request of its round, and it
-does so silently: the tests still pass, only the round costs one
-latency per request instead of one in all.  This lint walks every
-module under ``src/repro/`` with the ``ast`` module::
+completion that sleeps stalls every other request of its round, and a
+loop over a sleeping sync entry point pays one latency per destination
+instead of one per round; both do so silently: the tests still pass,
+only the op gets slower.  This lint walks every module under
+``src/repro/`` with the ``ast`` module::
 
     python tools/lint_async.py
 
 A sleeping call is ``time.sleep(...)``, the engine's ``_sleep(...)``
 and any ``._service_delay(...)``.  It fails:
 
+* on any call of the sleeping sync entry points ``get_many``/
+  ``put_many``/``delete_many``: program code sends a request instead
+  (a bucket's ``get_many``/``put_many`` remain only as names
+  ``perf/trace.py`` wraps, and ``delete_many`` is gone);
 * on a sleeping call anywhere that is not marked: the marked sync
-  entry points (a provider's or bucket's ``put_many``/``get_many``...
-  and the version manager's round trip) and the round's own wait are
-  the only places that sleep;
-* inside a completion body — a generator function (a request) or a
-  ``_put_vector``/``_get_vector`` body — also on the sync vector entry
-  points ``get_many``/``put_many``/``delete_many``, which sleep inside;
+  entry points (a provider's one-block ``put``/``get``, a bucket's
+  ``get_many``/``put_many`` and the version manager's round trip) and
+  the round's own wait are the only places that sleep;
 * inside an ``async def`` (the providers' and buckets' coroutine twins)
   on ``time.sleep``, the sync vector ops ``get_many``/``put_many``/
-  ``peek_many``/``delete_many``, ``_service_delay`` and ``.result()``:
-  a coroutine must await, never block its loop.
+  ``peek_many``, ``_service_delay`` and ``.result()``: a coroutine
+  must await, never block its loop.
 
-Only calls whose *nearest* enclosing function is a completion or a
-coroutine get the stricter rules.  The escape hatch is
+A sleep whose nearest enclosing function is a completion body — a
+generator function (a request) or a ``_put_vector``/``_get_vector``/
+``_delete_vector`` body — is reported as one.  The escape hatch is
 ``# asynclint: allow <reason>`` on the call's line.  Comment and
 docstring occurrences never trip the lint — this is an AST walk, not a
 grep.
@@ -49,22 +52,25 @@ BLOCKING_METHODS = {
     "get_many": "sync DHT fan-out or provider vector blocks the loop (await aget_many)",
     "put_many": "sync DHT fan-out or provider vector blocks the loop (await aput_many)",
     "peek_many": "sync DHT fan-out blocks the loop (await the async twin)",
-    "delete_many": "sync DHT bucket request blocks the loop (it has no "
-    "async twin: run it off the loop)",
     "_service_delay": "sync latency sleep blocks the loop (the async "
     "twin awaits asyncio.sleep)",
     "result": "blocking future wait deadlocks the loop completing it",
 }
 
 #: The sync entry points that sleep their service delay before their
-#: body: a completion calling one sleeps inside its round.
+#: body: program code sends the request instead, one round for every
+#: destination.
 SLEEPING_ENTRY_POINTS = {"get_many", "put_many", "delete_many"}
 
 #: The locked bodies every request of a provider or a bucket completes in.
-VECTOR_BODIES = {"_put_vector", "_get_vector"}
+VECTOR_BODIES = {"_put_vector", "_get_vector", "_delete_vector"}
 
 SLEEP_LABEL = (
     "sleeps outside the marked sync entry points and the round's own wait"
+)
+ENTRY_POINT_LABEL = (
+    "calls a sleeping sync entry point — send the request instead, so a "
+    "round pays one latency for every destination (DESIGN.md §13)"
 )
 COMPLETION_LABEL = (
     "in a completion — it sleeps, stalling every other request of its "
@@ -141,12 +147,10 @@ class _Calls(ast.NodeVisitor):
             blocking = _coroutine_diagnose(node)
             if blocking is not None:
                 label = f"in a coroutine — {blocking}"
-        if label is None and kind == "completion":
-            attr = getattr(node.func, "attr", None)
-            if _sleeps(node) or attr in SLEEPING_ENTRY_POINTS:
-                label = COMPLETION_LABEL
         if label is None and _sleeps(node):
-            label = SLEEP_LABEL
+            label = COMPLETION_LABEL if kind == "completion" else SLEEP_LABEL
+        if label is None and getattr(node.func, "attr", None) in SLEEPING_ENTRY_POINTS:
+            label = ENTRY_POINT_LABEL
         if label is not None:
             self.hits.append((node.lineno, label, ast.unparse(node.func)))
         self.generic_visit(node)
@@ -181,8 +185,8 @@ def main() -> int:
         )
         return 1
     print(
-        f"I/O-path lint OK: nothing sleeps outside the marked places in "
-        f"{SCOPE.relative_to(REPO)}"
+        f"I/O-path lint OK: nothing sleeps outside the marked places and "
+        f"nothing calls a sleeping sync entry point in {SCOPE.relative_to(REPO)}"
     )
     return 0
 
