@@ -65,8 +65,9 @@ class StoreConfig:
         metadata_latency: simulated service time per metadata-bucket
             *request* — a batched multi-get/put pays it once per bucket
             per round (DESIGN.md §9).
-        vman_latency: simulated service time per serialized
-            version-manager *interaction* (DESIGN.md §10).
+        vman_latency: simulated network round trip per
+            version-manager *interaction*, paid outside its lock
+            (DESIGN.md §10).
         overlap_publish: overlap the block scatter with metadata
             weaving/publication; requires ``io_workers > 0``.
     """

@@ -447,18 +447,27 @@ class ProviderManagerCore:
             account = self._tenant(tenant_id)
             account.bytes_stored = max(0, account.bytes_stored - nbytes)
 
-    def tenant_begin_op(self, tenant_id: str) -> None:
-        """Count one admitted operation entering service."""
+    def tenant_begin_op(self, tenant_id: str, max_in_flight: Optional[int] = None) -> bool:
+        """Count one operation entering service, unless *max_in_flight*
+        are already in service: the cap's check and the count are one
+        locked step, so concurrent admissions can never overshoot it.
+        Returns whether the operation was counted."""
         with self._lock:
             account = self._tenant(tenant_id)
+            if max_in_flight is not None and account.in_flight >= max_in_flight:
+                return False
             account.in_flight += 1
             account.ops_total += 1
+            return True
 
-    def tenant_end_op(self, tenant_id: str, nbytes: int = 0) -> None:
-        """An operation left service, having moved *nbytes* of data."""
+    def tenant_end_op(self, tenant_id: str, nbytes: int = 0, served: bool = True) -> None:
+        """An operation left service, having moved *nbytes* of data; one
+        that was never *served* is taken back out of ``ops_total``."""
         with self._lock:
             account = self._tenant(tenant_id)
             account.in_flight = max(0, account.in_flight - 1)
+            if not served:
+                account.ops_total -= 1
             if nbytes:
                 account._note(nbytes, time.monotonic())
 

@@ -4,8 +4,8 @@ Everything that stands between a writer and the serialized version
 manager: :class:`VmanStats` counts the interactions, and
 :class:`PublishPipeline` group-batches the two serialized steps of the
 write protocol — version assignment and the completion report — across
-concurrent writers, so version-manager round trips scale with batches,
-not writers.
+concurrent writers into one flush, so version-manager round trips scale
+with batches, not writers.
 """
 
 from __future__ import annotations
@@ -27,10 +27,13 @@ class VmanStats(Counters):
     """Version-manager interaction counters (a :class:`~repro.obs.Counters`).
 
     The write-path twin of :class:`~repro.dht.store.DhtStats`:
-    ``round_trips`` counts *serialized* version-manager interactions —
-    one group-commit flush counts once no matter how many writers ride
-    it — while ``tickets_assigned``/``commits_reported`` count the
-    members those interactions served.  The gap between the two is
+    ``round_trips`` counts version-manager interactions — one
+    group-commit flush counts once no matter how many writers ride it —
+    while ``tickets_assigned``/``commits_reported`` count the members
+    those interactions served.  ``assign_rounds`` and ``commit_rounds``
+    count the flushes that carried at least one member of that kind;
+    a flush carries both kinds, so the two can add up to more than
+    ``round_trips``.  The gap between round trips and members is
     exactly what the publish pipeline buys (DESIGN.md §10): a
     per-writer protocol would pay two round trips per write, group
     commit pays them per batch.
@@ -83,9 +86,10 @@ class _GroupBatcher:
     condition.  Otherwise it waits until its entry is served or the
     flusher leaves: the flusher's ``notify_all`` lets the first unserved
     waiter to retake the condition lead the next flush.  Batching needs
-    no clock: while one flush holds the serialized version manager,
-    every writer arriving meanwhile queues up and the next flush takes
-    them all — round trips scale with batches, not writers.
+    no clock: while one flush is in service — its round trip to the
+    version manager and the serialized core call — every writer
+    arriving meanwhile queues up, and the next flush takes them all:
+    round trips scale with batches, not writers.
 
     The flush callback must settle each entry via ``resolve``/
     ``reject``; any exception escaping it is routed to the entries it
@@ -101,7 +105,7 @@ class _GroupBatcher:
     def __init__(
         self,
         flush: "Callable[[list[_PendingOp]], None]",
-        orphaned: Optional[Callable] = None,
+        orphaned: Callable,
     ):
         self._flush = flush
         self._orphaned = orphaned
@@ -114,7 +118,7 @@ class _GroupBatcher:
         try:
             batch = self._join(op)
         except BaseException:
-            if op.done and op.error is None and self._orphaned is not None:
+            if op.done and op.error is None:
                 self._orphaned(op.result)
             raise
         if batch:
@@ -162,66 +166,65 @@ class PublishPipeline:
     """Group-commit publish pipeline for one store (DESIGN.md §10).
 
     Batches the two serialized steps of the write protocol — version
-    assignment and the completion report — across concurrent writers:
-    each flush is ONE version-manager interaction
-    (:meth:`~repro.blob.version_manager.VersionManagerCore.assign_batch`
-    / ``commit_batch``) that admits every writer queued behind the
-    previous one.  Assignment and commit batch independently (an assign
-    must never queue behind a commit flush), per-blob assignment order is
+    assignment and the completion report — across concurrent writers,
+    through ONE batcher: each flush is ONE version-manager interaction
+    that runs
+    :meth:`~repro.blob.version_manager.VersionManagerCore.commit_batch`
+    over the queued completion reports, then ``assign_batch`` over the
+    queued assignments (either may be empty), admitting every writer
+    queued behind the previous flush.  Per-blob assignment order is
     queue arrival order, and per-item errors come back to exactly the
-    writer they belong to.  Aborts
-    do NOT ride the pipeline: a crashing writer tombstones through the
-    direct path (`LocalBlobStore._abort_ticket`) while its batch-mates
-    commit on.
+    writer they belong to.  Aborts do NOT ride the pipeline: a crashing
+    writer tombstones through the direct path
+    (`LocalBlobStore._abort_ticket`) while its batch-mates commit on.
     """
 
     def __init__(self, store: "LocalBlobStore"):
         self._store = store
-        self._assigns = _GroupBatcher(self._flush_assigns, orphaned=self._abort_orphan)
-        self._commits = _GroupBatcher(self._flush_commits)
+        self._batcher = _GroupBatcher(self._flush, orphaned=self._abort_orphan)
 
     def assign(self, request: AssignRequest) -> WriteTicket:
         """Group-batched version assignment; raises the per-item error."""
-        return self._assigns.submit(request)
+        return self._batcher.submit(request)
 
     def commit(self, blob_id: str, version: int) -> int:
         """Group-batched completion report; returns the watermark.
 
         Raises the member's own validation error.
         """
-        return self._commits.submit((blob_id, version))
+        return self._batcher.submit((blob_id, version))
 
-    def _abort_orphan(self, ticket: WriteTicket) -> None:
+    def _abort_orphan(self, result) -> None:
         """Tombstone a version assigned to a writer interrupted mid-wait.
 
         The writer's own rollback returns its blocks; the version must
         not stay in flight or it wedges the watermark (DESIGN.md §7).
+        A completion report's result (a watermark) leaves nothing to
+        undo.
         """
-        self._store._abort_ticket(ticket, [], [], [])
+        if isinstance(result, WriteTicket):
+            self._store._abort_ticket(result, [], [], [])
 
-    def _flush_assigns(self, batch: list[_PendingOp]) -> None:
-        self._serve(
-            batch,
-            self._store.version_manager.assign_batch,
-            assign_rounds=1,
-            tickets_assigned=len(batch),
-        )
+    def _flush(self, batch: list[_PendingOp]) -> None:
+        """Serve *batch* in ONE version-manager interaction: its commits,
+        then its assigns; each member gets its own slot of the aligned
+        result, value or error."""
+        assigns = [entry for entry in batch if isinstance(entry.request, AssignRequest)]
+        commits = [entry for entry in batch if not isinstance(entry.request, AssignRequest)]
+        vm, counters = self._store.version_manager, {}
+        if commits:
+            counters.update(commit_rounds=1, commits_reported=len(commits))
+        if assigns:
+            counters.update(assign_rounds=1, tickets_assigned=len(assigns))
 
-    def _flush_commits(self, batch: list[_PendingOp]) -> None:
-        self._serve(
-            batch,
-            self._store.version_manager.commit_batch,
-            commit_rounds=1,
-            commits_reported=len(batch),
-        )
+        def serve() -> None:
+            for entries, core_batch in ((commits, vm.commit_batch), (assigns, vm.assign_batch)):
+                if entries:
+                    outcomes = core_batch([entry.request for entry in entries])
+                    for entry, outcome in zip(entries, outcomes):
+                        if isinstance(outcome, BlobError):
+                            entry.reject(outcome)
+                        else:
+                            entry.resolve(outcome)
 
-    def _serve(self, batch: list[_PendingOp], core_batch: Callable, **counters) -> None:
-        """Serve *batch* in ONE version-manager interaction; each member
-        gets its own slot of the aligned result, value or error."""
-        requests = [entry.request for entry in batch]
-        outcomes = self._store._vman_call(lambda: core_batch(requests), **counters)
-        for entry, outcome in zip(batch, outcomes):
-            if isinstance(outcome, BlobError):
-                entry.reject(outcome)
-            else:
-                entry.resolve(outcome)
+        self._store._vman_call(serve, **counters)

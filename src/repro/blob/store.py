@@ -299,19 +299,20 @@ class LocalBlobStore:
         In the distributed deployment every client interaction is an
         RPC to the concurrency-1 version-manager service — the
         protocol's only serialization point (§III-A.4) — so the
-        in-process store models it the same way.  Every call holds the
-        version-manager lock.  A call naming counters is a client round
-        trip: the simulated service latency is paid once *per
-        interaction* no matter how many batch members ride along, and
-        exactly one round trip is counted (assign, commit, abort,
-        snapshot info).  A call naming none takes the lock only: blob
-        creation and branching, the post-failure commit check, and the
-        GC and scrub control-plane snapshots (DESIGN.md §10).
+        in-process store models it the same way: the core call holds
+        the version-manager lock.  A call naming counters is a client
+        round trip: it first pays the simulated network latency, once
+        *per interaction* no matter how many batch members ride along
+        and *outside* the lock, as concurrent RPCs overlap their
+        latencies, then counts exactly one round trip (a flush, an
+        abort, snapshot info).  A call naming none takes the lock only:
+        blob creation and branching, the post-failure commit check, and
+        the GC and scrub control-plane snapshots (DESIGN.md §10).
         """
+        if counters and self.vman_latency:
+            time.sleep(self.vman_latency)  # asynclint: allow the vman round trip
         with self._lock:
             if counters:
-                if self.vman_latency:
-                    time.sleep(self.vman_latency)  # asynclint: allow the vman round trip
                 self.vman_stats.record(round_trips=1, **counters)
             return fn()
 

@@ -32,15 +32,20 @@ __all__ = ["BSFSFileSystem", "BSFSWriteStream", "BSFSReadStream"]
 class BSFSWriteStream(WriteStream):
     """Write-behind stream committing whole blocks to a BLOB."""
 
-    def __init__(self, store: LocalBlobStore, blob_id: str, resume: bool):
+    def __init__(self, store: LocalBlobStore, blob_id: str):
         self._store = store
         self._blob_id = blob_id
-        # A fresh BLOB from ``create`` is empty at the store's block size:
-        # only a resumed stream needs the version manager's snapshot.
-        block_size, committed, tail = store.block_size, 0, b""
-        if resume:
+        # Read lock-free, as ``_do_write`` reads it (DESIGN.md §10): the
+        # block size never changes after ``create_blob``, and the size
+        # the version manager checks an append against only grows.  A
+        # fresh BLOB from ``create`` is empty, so opening it, or a file
+        # that ends on a block boundary, asks the version manager
+        # nothing.  A stale hint fails no worse than a stale snapshot:
+        # the version manager still rejects an unaligned append.
+        state = store.version_manager.blob(blob_id)
+        block_size, committed, tail = state.block_size, state.records[-1].size_after, b""
+        if committed % block_size:
             info = store.snapshot(blob_id)
-            block_size = info.block_size
             committed = align_down(info.size, block_size)
             if info.size != committed:
                 # Read-modify-write of the trailing partial block, done
@@ -157,7 +162,7 @@ class BSFSFileSystem(FileSystem):
         """Create a file bound to a fresh BLOB."""
         blob_id = self.store.create()
         self.namespace.register_file(path, blob_id)
-        return BSFSWriteStream(self.store, blob_id, resume=False)
+        return BSFSWriteStream(self.store, blob_id)
 
     def open(
         self, path: str, client: Optional[str] = None, version: Optional[int] = None
@@ -175,7 +180,7 @@ class BSFSFileSystem(FileSystem):
     def append(self, path: str, client: Optional[str] = None) -> BSFSWriteStream:
         """Open for appending — the §V-F capability HDFS lacks."""
         entry = self.namespace.lookup(path)
-        return BSFSWriteStream(self.store, entry.blob_id, resume=True)
+        return BSFSWriteStream(self.store, entry.blob_id)
 
     # -- namespace -----------------------------------------------------------------
 

@@ -141,7 +141,7 @@ COMMANDS: dict = {
             "--vman-latency": _arg(
                 float,
                 3e-3,
-                "simulated service time per serialized version-manager interaction (s)",
+                "simulated network round trip per version-manager interaction (s)",
             ),
             "--io-workers": _IO_WORKERS,
         },

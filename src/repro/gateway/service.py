@@ -154,25 +154,26 @@ class Gateway:
     def admit(self, state: TenantState, op: str) -> None:
         """Admit one *op*-class operation for *state*'s tenant.
 
-        In-flight cap first (refusal is immediate — a saturated tenant
-        should shed load, not build queues), then the op-class token
-        bucket (waits its turn).  The operation is then counted in
-        service until :meth:`finish` is called.
+        In-flight cap first, checked and counted in one locked step so
+        concurrent admissions never overshoot it (refusal is immediate —
+        a saturated tenant should shed load, not build queues, so no
+        token is spent), then the op-class token bucket (waits its
+        turn; a wait that fails ends the operation uncounted).  The
+        operation is counted in service until :meth:`finish` is called.
         """
-        policy = state.policy
-        if policy.max_in_flight is not None:
-            usage = self.store.provider_manager.tenant_usage(state.tenant_id)
-            if usage["in_flight"] >= policy.max_in_flight:
-                state.counters.record(admission_rejections=1)
-                raise AdmissionRejected(
-                    state.tenant_id,
-                    op,
-                    f"in-flight cap of {policy.max_in_flight} reached",
-                )
+        manager, policy = self.store.provider_manager, state.policy
+        if not manager.tenant_begin_op(state.tenant_id, policy.max_in_flight):
+            state.counters.record(admission_rejections=1)
+            raise AdmissionRejected(
+                state.tenant_id, op, f"in-flight cap of {policy.max_in_flight} reached"
+            )
         bucket = state.op_bucket(op)
         if bucket is not None:
-            bucket.acquire()
-        self.store.provider_manager.tenant_begin_op(state.tenant_id)
+            try:
+                bucket.acquire()
+            except BaseException:
+                manager.tenant_end_op(state.tenant_id, served=False)
+                raise
         state.counters.record(**{op: 1})
 
     def charge_bytes(self, state: TenantState, nbytes: int) -> None:

@@ -1,5 +1,8 @@
 """Tests for placement policies and the provider manager."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -134,3 +137,43 @@ class TestBookkeeping:
             pm.allocate(2, [1])
         with pytest.raises(ValueError, match="replication must be >= 1"):
             pm.allocate(1, [1], replication=0)
+
+
+class TestTenantAdmission:
+    def test_begin_op_checks_the_cap_and_counts_in_one_step(self):
+        pm = manager(2)
+        pm.register_tenant("t")
+        assert pm.tenant_begin_op("t", max_in_flight=1)
+        assert not pm.tenant_begin_op("t", max_in_flight=1)
+        assert pm.tenant_begin_op("t")  # no cap
+        usage = pm.tenant_usage("t")
+        assert (usage["in_flight"], usage["ops_total"]) == (2, 2)
+
+    def test_cap_holds_under_a_short_switch_interval(self):
+        """More admitting threads than cores, switching every
+        microsecond: a check-then-act race would overshoot the cap."""
+        pm, cap, threads, rounds = manager(2), 2, 8, 200
+        pm.register_tenant("t")
+        seen, admitted = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def admit():
+            for _ in range(rounds):
+                if pm.tenant_begin_op("t", max_in_flight=cap):
+                    seen.append(pm.tenant_usage("t")["in_flight"])
+                    admitted.append(1)
+                    pm.tenant_end_op("t")
+
+        try:
+            workers = [threading.Thread(target=admit) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert admitted and max(seen) <= cap
+        usage = pm.tenant_usage("t")
+        assert (usage["in_flight"], usage["ops_total"]) == (0, len(admitted))

@@ -20,12 +20,14 @@ Four layers of coverage:
 
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.blob import LocalBlobStore, StoreConfig
+from repro.blob import store as store_module
 from repro.blob.version_manager import AssignRequest, VersionManagerCore
 from repro.errors import (
     BlobNotFound,
@@ -36,6 +38,7 @@ from repro.errors import (
     WriteConflict,
 )
 
+from tests.blob.test_vman_seam import OwnerLock
 from tests.blob.vman_calls import assign, commit
 
 BS = 1024
@@ -202,40 +205,54 @@ class _QueueWatch(threading.Condition):
         assert queued, f"fewer than {count} writers queued within {WAIT_S}s"
 
 
-def _hold_first_flush(pipeline, phase, writers):
-    """Make one phase (``"assign"`` or ``"commit"``) exactly two flushes.
-
-    The first writer to reach the phase flushes alone; the others enter
-    only once that flush has begun, and the flush is held until all
-    ``writers - 1`` of them are queued behind it, so the next flusher
-    drains them in one batch.  No sleep.
-    """
-    batcher = getattr(pipeline, f"_{phase}s")
+def _hold_flushes(pipeline, *behind):
+    """Hold the n-th flush of the pipeline's batcher until ``behind[n]``
+    entries are queued behind it; later flushes run unheld.  Returns
+    one event per held flush, set as that flush begins.  No sleep."""
+    batcher = pipeline._batcher
     watch = _QueueWatch(batcher)
-    enter, flush = getattr(pipeline, phase), batcher._flush
-    first, flushing = threading.Lock(), threading.Event()
-
-    def gated(*args):
-        if not first.acquire(blocking=False):
-            assert flushing.wait(WAIT_S), f"the first {phase} flush never began"
-        return enter(*args)
+    flush, flushes = batcher._flush, iter(range(len(behind)))
+    began = [threading.Event() for _ in behind]
 
     def held(batch):
-        if not flushing.is_set():
-            flushing.set()
-            watch.wait_queued(writers - 1)
+        n = next(flushes, None)
+        if n is not None:
+            began[n].set()
+            watch.wait_queued(behind[n])
         flush(batch)
 
-    setattr(pipeline, phase, gated)
     batcher._flush = held
+    return began
+
+
+def _gate(pipeline, step, *events):
+    """The k-th writer to enter *step* (``"assign"`` or ``"commit"``)
+    first waits for ``events[k]`` (``None``: no wait); writers past the
+    last event wait for it."""
+    enter, arrivals, lock = getattr(pipeline, step), iter(range(len(events))), threading.Lock()
+
+    def gated(*args):
+        with lock:
+            event = events[next(arrivals, len(events) - 1)]
+        if event is not None:
+            assert event.wait(WAIT_S), f"a {step} gate never opened"
+        return enter(*args)
+
+    setattr(pipeline, step, gated)
 
 
 class TestPublishPipeline:
     def test_round_trips_scale_with_batches_not_writers(self):
         writers = 8
         with _inline_store() as store:
-            for phase in ("assign", "commit"):
-                _hold_first_flush(store.publish_pipeline, phase, writers)
+            # Four flushes: the first writer's assign alone, the other
+            # assigns queued behind it, the first writer's commit (let
+            # in only once the second flush has begun, so it cannot
+            # ride it), then the other commits queued behind that.
+            pipeline = store.publish_pipeline
+            began = _hold_flushes(pipeline, writers - 1, 1, writers - 1)
+            _gate(pipeline, "assign", None, began[0])
+            _gate(pipeline, "commit", began[1], began[2])
             blob = store.create()
             store.vman_stats.reset()
             _concurrent_appends(store, blob, writers, 1, lambda t, r: bytes([65 + t]) * BS)
@@ -251,6 +268,52 @@ class TestPublishPipeline:
             assert stats["vman_tickets_assigned"] == writers
             assert stats["vman_commits_reported"] == writers
             assert store.latest_version(blob) == writers
+
+    def test_a_queued_commit_and_a_queued_assign_ride_one_flush(self):
+        """Three writers, five flushes: the first assign alone, the
+        second assign with the first commit and the third assign queued
+        behind it, then both of those in ONE flush, then the two other
+        commits, one flush each (each let in once the flush before it
+        has begun)."""
+        with _inline_store() as store:
+            pipeline = store.publish_pipeline
+            began = _hold_flushes(pipeline, 1, 2, 1, 1)
+            _gate(pipeline, "assign", None, began[0], began[1])
+            _gate(pipeline, "commit", began[1], began[2], began[3])
+            kinds, deltas = [], []
+            flush = pipeline._batcher._flush
+
+            def measured(batch):
+                before = store.vman_stats.snapshot()
+                flush(batch)
+                after = store.vman_stats.snapshot()
+                kinds.append(sorted(type(entry.request).__name__ for entry in batch))
+                deltas.append({key: after[key] - before[key] for key in after})
+
+            pipeline._batcher._flush = measured
+            blob = store.create()
+            store.vman_stats.reset()
+            versions = _concurrent_appends(
+                store, blob, 3, 1, lambda t, r: bytes([65 + t]) * BS
+            )
+            stats = store.vman_stats.snapshot()
+            assert kinds == [
+                ["AssignRequest"],
+                ["AssignRequest"],
+                ["AssignRequest", "tuple"],
+                ["tuple"],
+                ["tuple"],
+            ]
+            mixed = deltas[2]
+            assert mixed["vman_round_trips"] == 1
+            assert mixed["vman_assign_rounds"] == mixed["vman_commit_rounds"] == 1
+            assert mixed["vman_tickets_assigned"] == mixed["vman_commits_reported"] == 1
+            # Each kind counts the flushes that carried it: 3 + 3 > 5.
+            assert stats["vman_round_trips"] == 5
+            assert stats["vman_assign_rounds"] == stats["vman_commit_rounds"] == 3
+            assert sorted(v for vs in versions.values() for v in vs) == [1, 2, 3]
+            assert store.latest_version(blob) == 3
+            assert len(store.read(blob)) == 3 * BS
 
     def test_every_version_reads_back_in_assignment_order(self):
         writers, rounds = 6, 3
@@ -440,6 +503,29 @@ class TestVersionManagerLockScope:
             assert placed, "the second writer's put request waited for the flush"
             assert outcomes == {"first": 1, "second": 2}
 
+    def test_no_thread_holds_the_lock_while_it_pays_a_round_trip(self, monkeypatch):
+        """The round trip is network latency: concurrent callers overlap
+        it, and only the core call is serialized."""
+        with LocalBlobStore(config=StoreConfig(
+            data_providers=4, metadata_providers=2, block_size=BS, vman_latency=0.001
+        )) as store:
+            lock = store._lock = OwnerLock()
+            paid, held = [], []
+
+            def sleep(seconds):  # records, never sleeps
+                paid.append(seconds)
+                if lock.owner == threading.get_ident():
+                    held.append(seconds)
+
+            monkeypatch.setattr(store_module, "time", SimpleNamespace(sleep=sleep))
+            blob = store.create()
+            _concurrent_appends(store, blob, 4, 3, lambda t, r: bytes([65 + t]) * BS)
+            assert store.snapshot(blob).size == 12 * BS
+            stats = store.vman_stats.snapshot()
+        assert held == []
+        assert paid == [0.001] * stats["vman_round_trips"]
+        assert stats["vman_tickets_assigned"] == stats["vman_commits_reported"] == 12
+
     def test_interrupted_while_queued_withdraws_its_entry(self):
         with _inline_store() as store:
             blob = store.create()
@@ -448,7 +534,7 @@ class TestVersionManagerLockScope:
             calls = _held_assign_batch(
                 store, lambda: (began.set(), release.wait(WAIT_S))
             )
-            _InterruptedWait(store.publish_pipeline._assigns, resume=now)
+            _InterruptedWait(store.publish_pipeline._batcher, resume=now)
             outcomes = {}
             first = _start_writer(store, blob, b"a" * BS, "first", outcomes)
             assert began.wait(WAIT_S)
@@ -469,7 +555,7 @@ class TestVersionManagerLockScope:
             blob = store.create()
             began, release, second_began = (threading.Event() for _ in range(3))
             watch = _InterruptedWait(
-                store.publish_pipeline._assigns, resume=second_began
+                store.publish_pipeline._batcher, resume=second_began
             )
             calls = _held_assign_batch(
                 store,

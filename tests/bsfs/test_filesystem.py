@@ -1,10 +1,12 @@
 """End-to-end tests of BSFS (the paper's §IV layer)."""
 
+import threading
+
 import pytest
 
 from repro.blob import LocalBlobStore, StoreConfig
 from repro.bsfs import BSFSFileSystem
-from repro.errors import FileAlreadyExists, FileNotFound, IsADirectory
+from repro.errors import FileAlreadyExists, FileNotFound, InvalidRange, IsADirectory
 
 BS = 64
 
@@ -112,6 +114,113 @@ class TestAppend:
     def test_append_missing_file(self, fs):
         with pytest.raises(FileNotFound):
             fs.append("/ghost")
+
+
+def _vman(fs):
+    stats = fs.store.vman_stats.snapshot()
+    return {k: stats[f"vman_{k}"] for k in ("info_rounds", "assign_rounds", "commit_rounds")}
+
+
+class TestAppendRoundTrips:
+    """A resumed stream asks the version manager only what the protocol
+    needs: nothing at open on a block boundary, one snapshot at open
+    when the file ends mid-block, and one assign and one commit per
+    commit."""
+
+    def test_aligned_file_opens_without_a_round_trip(self, fs):
+        fs.write_file("/log", b"a" * (2 * BS))
+        fs.store.vman_stats.reset()
+        out = fs.append("/log")
+        assert _vman(fs) == {"info_rounds": 0, "assign_rounds": 0, "commit_rounds": 0}
+        out.write(b"b" * BS)
+        out.write(b"c" * (2 * BS))
+        out.close()
+        assert _vman(fs) == {"info_rounds": 0, "assign_rounds": 2, "commit_rounds": 2}
+        assert fs.read_file("/log") == b"a" * (2 * BS) + b"b" * BS + b"c" * (2 * BS)
+
+    def test_unaligned_file_takes_one_snapshot_per_stream(self, fs):
+        fs.write_file("/log", b"a" * 10)
+        fs.store.vman_stats.reset()
+        with fs.append("/log") as out:
+            assert _vman(fs) == {"info_rounds": 1, "assign_rounds": 0, "commit_rounds": 0}
+            # The tail's rewrite: 10 + 2 blocks + 5 bytes commit two
+            # whole blocks by position.
+            out.write(b"b" * (2 * BS + 5))
+            assert _vman(fs) == {"info_rounds": 1, "assign_rounds": 1, "commit_rounds": 1}
+            out.write(b"c" * BS)
+        # Every later commit is positional too, and asks nothing more.
+        assert _vman(fs) == {"info_rounds": 1, "assign_rounds": 3, "commit_rounds": 3}
+        assert fs.read_file("/log") == b"a" * 10 + b"b" * (2 * BS + 5) + b"c" * BS
+
+    @pytest.mark.parametrize("io_workers", [0, 4])
+    def test_unaligned_append_stores_only_the_blocks_it_keeps(self, io_workers):
+        with LocalBlobStore(config=StoreConfig(
+            data_providers=4,
+            metadata_providers=2,
+            block_size=BS,
+            io_workers=io_workers,
+            overlap_publish=io_workers > 0,
+        )) as store:
+            fs = BSFSFileSystem(store=store)
+            fs.write_file("/log", b"a" * 10)
+            with fs.append("/log") as out:
+                out.write(b"b" * (3 * BS))
+            # The first write's block, the rewrite's three (the tail and
+            # all but 10 bytes of the new data) and the close's partial,
+            # stored once each and all charged.
+            assert sum(store.provider_block_counts().values()) == 5
+            assert store.provider_manager.block_counts() == store.provider_block_counts()
+            assert fs.read_file("/log") == b"a" * 10 + b"b" * (3 * BS)
+
+    def test_rejection_after_an_aligned_snapshot_is_raised(self, fs):
+        # A positional partial write holds the file's assigned size
+        # mid-block while the published one stays aligned: the open
+        # takes a snapshot, finds no tail to rewrite, and the version
+        # manager rejects the append.
+        fs.write_file("/log", b"a" * BS)
+        blob = fs.namespace.lookup("/log").blob_id
+        pipeline, assigned, release = fs.store.publish_pipeline, threading.Event(), threading.Event()
+        real_commit = pipeline.commit
+
+        def held_commit(*args):
+            assigned.set()
+            assert release.wait(10)
+            return real_commit(*args)
+
+        pipeline.commit = held_commit
+        writer = threading.Thread(target=fs.store.write, args=(blob, BS, b"t" * 10))
+        writer.start()
+        try:
+            assert assigned.wait(10)
+            pipeline.commit = real_commit
+            out = fs.append("/log")
+            out.write(b"b" * 5)
+            with pytest.raises(InvalidRange):
+                out.close()
+        finally:
+            release.set()
+            writer.join(10)
+        assert fs.read_file("/log") == b"a" * BS + b"t" * 10
+
+    def test_resumed_size_of_an_aligned_file(self, fs):
+        fs.write_file("/log", b"a" * (2 * BS))
+        fs.store.vman_stats.reset()
+        out = fs.append("/log")
+        assert out.size == 2 * BS
+        out.write(b"b" * (BS + 3))  # one block committed, 3 bytes buffered
+        assert out.size == 3 * BS + 3
+        out.close()
+        assert out.size == 3 * BS + 3
+        assert _vman(fs)["info_rounds"] == 0
+
+    def test_resumed_size_of_an_unaligned_file(self, fs):
+        fs.write_file("/log", b"a" * 10)
+        out = fs.append("/log")
+        out.write(b"b" * 4)
+        assert out.size == 14
+        out.close()
+        assert out.size == 14
+        assert fs.read_file("/log") == b"a" * 10 + b"b" * 4
 
 
 class TestVersioning:

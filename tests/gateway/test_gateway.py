@@ -202,6 +202,44 @@ class TestAdmissionControl:
         stream.close()
         alice.create("/g").close()  # capacity came back with the close
 
+    def test_in_flight_cap_counts_an_admission_parked_in_its_bucket(self, gateway, vclock):
+        # The cap is checked and the op counted in one step, before the
+        # bucket wait: a second admission arriving while the first
+        # waits out its op-rate deficit finds the cap reached.
+        policy = TenantPolicy(max_in_flight=1, append_ops_per_sec=1, burst_seconds=1)
+        alice = connect(gateway, "alice", policy)
+        alice.write_file("/a", b"x")  # consumes the single burst token
+        vclock.gate.clear()
+        streams = []
+        first = threading.Thread(target=lambda: streams.append(alice.create("/b")))
+        first.start()
+        try:
+            assert vclock.sleeping.wait(60.0)  # parked in its bucket
+            with pytest.raises(AdmissionRejected):
+                alice.open("/a")  # a read: unrated, it would not wait
+            usage = gateway.store.provider_manager.tenant_usage("alice")
+            assert usage["in_flight"] == 1
+        finally:
+            vclock.gate.set()
+            first.join(60.0)
+        streams[0].close()
+        assert alice.stats()["admission_rejections"] == 1
+        assert gateway.store.provider_manager.tenant_usage("alice")["in_flight"] == 0
+
+    def test_an_interrupted_bucket_wait_ends_its_admission(self, gateway):
+        alice = connect(gateway, "alice", TenantPolicy(max_in_flight=1, append_ops_per_sec=1))
+
+        class Interrupted:
+            def acquire(self, n=1.0):
+                raise KeyboardInterrupt
+
+        gateway._tenants["alice"]._op_buckets["append"] = Interrupted()
+        with pytest.raises(KeyboardInterrupt):
+            alice.create("/f")
+        usage = gateway.store.provider_manager.tenant_usage("alice")
+        assert (usage["in_flight"], usage["ops_total"]) == (0, 0)  # never served
+        assert alice.list() == []  # a read-class op: the cap has room again
+
     def test_op_rate_overflow_waits_exactly_its_deficit(self, gateway, vclock):
         policy = TenantPolicy(append_ops_per_sec=1, burst_seconds=1)
         alice = connect(gateway, "alice", policy)

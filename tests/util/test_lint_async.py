@@ -9,9 +9,11 @@ inside a request generator or a ``_put_vector``/``_get_vector``/
 ``_service_delay``, or ``.result()`` inside an ``async def`` under
 ``src/repro/`` fails, and the same non-sleeping call in a sync
 function, a nested sync ``def``, a comment, or a docstring does not;
-the ``# asynclint: allow`` escape hatch works; and the real tree is
-currently clean, and fails once a sleeping completion or a per-bucket
-loop of sync entry points is planted in it.
+the ``# asynclint: allow`` escape hatch works, except for a sleep
+under a lock or a condition, which fails marked or not; and the real
+tree is currently clean, and fails once a sleeping completion, a
+per-bucket loop of sync entry points or a version-manager round trip
+slept under the store's lock is planted in it.
 """
 
 import importlib.util
@@ -315,3 +317,61 @@ def test_subdirectories_are_walked(tmp_path):
     violations = lint_async.lint(tmp_path)
     assert len(violations) == 1
     assert "store.py:2" in violations[0]
+
+
+def test_a_sleep_under_a_lock_fails_even_when_marked(tmp_path):
+    write(
+        tmp_path,
+        "seam.py",
+        "import threading, time\n"
+        "def call(self, fn):\n"
+        "    with self._lock:\n"
+        "        time.sleep(self.latency)  # asynclint: allow round trip\n"
+        "    with threading.Condition():\n"
+        "        _sleep(0.001)\n"
+        "    with self._writes_cond, open('x'):\n"
+        "        self.provider._service_delay()\n"
+        "    return fn()\n",
+    )
+    violations = lint_async.lint(tmp_path)
+    assert [v.split(":")[1] for v in violations] == ["4", "6", "8"]
+    assert all("under a lock" in v for v in violations)
+
+
+def test_a_sleep_beside_a_lock_is_judged_as_any_sleep(tmp_path):
+    # Before or after the ``with``, in a helper defined inside it, or
+    # under a context that is no lock: only the marker rule applies.
+    write(
+        tmp_path,
+        "seam.py",
+        "import time\n"
+        "def call(self, fn):\n"
+        "    time.sleep(self.latency)  # asynclint: allow round trip\n"
+        "    with self._lock:\n"
+        "        def later():\n"
+        "            time.sleep(0.001)  # asynclint: allow reviewed\n"
+        "        result = fn()\n"
+        "    with open('x'):\n"
+        "        time.sleep(0.001)\n"
+        "    return result, later\n",
+    )
+    violations = lint_async.lint(tmp_path)
+    assert [v.split(":")[1] for v in violations] == ["9"]
+    assert "sleeps outside the marked" in violations[0]
+
+
+def test_a_round_trip_slept_under_the_real_store_lock_fails(tmp_path):
+    real = lint_async.SCOPE / "blob" / "store.py"
+    source = real.read_text()
+    sleep = (
+        "        if counters and self.vman_latency:\n"
+        "            time.sleep(self.vman_latency)  # asynclint: allow the vman round trip\n"
+    )
+    locked = "        with self._lock:\n"
+    assert source.count(sleep) == 1 and source.count(sleep + locked) == 1
+    planted = source.replace(sleep + locked, locked + "    " + sleep.replace("\n", "\n    ", 1))
+    (tmp_path / "store.py").write_text(planted)
+    violations = lint_async.lint(tmp_path)
+    assert len(violations) == 1
+    assert "store.py" in violations[0] and "under a lock" in violations[0]
+    assert lint_async.main() == 0  # the real tree itself stays clean

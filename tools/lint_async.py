@@ -31,9 +31,16 @@ and any ``._service_delay(...)``.  It fails:
 A sleep whose nearest enclosing function is a completion body — a
 generator function (a request) or a ``_put_vector``/``_get_vector``/
 ``_delete_vector`` body — is reported as one.  The escape hatch is
-``# asynclint: allow <reason>`` on the call's line.  Comment and
-docstring occurrences never trip the lint — this is an AST walk, not a
-grep.
+``# asynclint: allow <reason>`` on the call's line.
+
+It also fails on a sleeping call lexically inside a ``with`` whose
+context expression is a lock or a condition (a name ending in
+``_lock`` or ``_cond``, or a ``Lock()``/``RLock()``/``Condition()``
+call), within the same function: a latency slept there serializes
+every caller behind it — the version manager's round trip is network
+latency, paid before its lock is taken (DESIGN.md §10).  The marker
+does not exempt this rule.  Comment and docstring occurrences never
+trip the lint — this is an AST walk, not a grep.
 """
 
 from __future__ import annotations
@@ -72,6 +79,12 @@ ENTRY_POINT_LABEL = (
     "calls a sleeping sync entry point — send the request instead, so a "
     "round pays one latency for every destination (DESIGN.md §13)"
 )
+LOCKED_LABEL = (
+    "under a lock — every caller waits out its sleep in turn; pay the "
+    "latency before taking the lock (no marker exempts this)"
+)
+#: Constructors whose ``with`` holds a lock.
+LOCK_TYPES = {"Lock", "RLock", "Condition"}
 COMPLETION_LABEL = (
     "in a completion — it sleeps, stalling every other request of its "
     "round (a request yields its delay; the round waits it out)"
@@ -88,6 +101,16 @@ def _sleeps(node: ast.Call) -> bool:
     if func.attr == "sleep":
         return isinstance(func.value, ast.Name) and func.value.id == "time"
     return func.attr == "_service_delay"
+
+
+def _holds_lock(expr: ast.expr) -> bool:
+    """Whether ``with expr:`` holds a lock or a condition."""
+    if isinstance(expr, ast.Call):
+        func = expr.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        return name in LOCK_TYPES
+    name = expr.attr if isinstance(expr, ast.Attribute) else getattr(expr, "id", "")
+    return name.endswith(("_lock", "_cond"))
 
 
 def _coroutine_diagnose(node: ast.Call) -> str | None:
@@ -123,12 +146,24 @@ class _Calls(ast.NodeVisitor):
 
     def __init__(self) -> None:
         self.stack: list[str] = []  # per frame: "async", "completion" or "sync"
+        self.locks: list[int] = [0]  # per frame: locks held by enclosing ``with``s
         self.hits: list[tuple[int, str, str]] = []  # (lineno, label, call)
 
     def _visit_frame(self, node: ast.AST, kind: str) -> None:
         self.stack.append(kind)
+        self.locks.append(0)
         self.generic_visit(node)
+        self.locks.pop()
         self.stack.pop()
+
+    def visit_With(self, node: ast.With) -> None:
+        for item in node.items:
+            self.visit(item)
+        held = sum(_holds_lock(item.context_expr) for item in node.items)
+        self.locks[-1] += held
+        for statement in node.body:
+            self.visit(statement)
+        self.locks[-1] -= held
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         completion = node.name in VECTOR_BODIES or _is_generator(node)
@@ -148,7 +183,10 @@ class _Calls(ast.NodeVisitor):
             if blocking is not None:
                 label = f"in a coroutine — {blocking}"
         if label is None and _sleeps(node):
-            label = COMPLETION_LABEL if kind == "completion" else SLEEP_LABEL
+            if self.locks[-1]:
+                label = LOCKED_LABEL
+            else:
+                label = COMPLETION_LABEL if kind == "completion" else SLEEP_LABEL
         if label is None and getattr(node.func, "attr", None) in SLEEPING_ENTRY_POINTS:
             label = ENTRY_POINT_LABEL
         if label is not None:
@@ -165,7 +203,7 @@ def lint(root: Path = SCOPE) -> list[str]:
         finder.visit(ast.parse(source, filename=str(path)))
         shown = path.relative_to(REPO) if path.is_relative_to(REPO) else path
         for lineno, label, call in finder.hits:
-            if ALLOW_MARKER in lines[lineno - 1]:
+            if ALLOW_MARKER in lines[lineno - 1] and label is not LOCKED_LABEL:
                 continue
             violations.append(f"{shown}:{lineno}: {call}() {label}")
     return violations
@@ -180,13 +218,15 @@ def main() -> int:
         print(
             "\nA request yields its service delay and the round waits it "
             "out; a coroutine awaits.  A sync entry point's own sleep, or "
-            f"the round's wait, is marked '{ALLOW_MARKER} <reason>'.",
+            f"the round's wait, is marked '{ALLOW_MARKER} <reason>'; no "
+            "sleep may run under a lock.",
             file=sys.stderr,
         )
         return 1
     print(
-        f"I/O-path lint OK: nothing sleeps outside the marked places and "
-        f"nothing calls a sleeping sync entry point in {SCOPE.relative_to(REPO)}"
+        f"I/O-path lint OK: nothing sleeps outside the marked places or "
+        f"under a lock, and nothing calls a sleeping sync entry point in "
+        f"{SCOPE.relative_to(REPO)}"
     )
     return 0
 
