@@ -51,16 +51,17 @@ class DataProviderCore:
     The unit of work is the transfer *vector* (DESIGN.md §13), sent as
     one request: an issue, :meth:`_issue`, which fails fast when the
     provider is down and returns its service delay, then one locked
-    body per direction, :meth:`_put_vector` or :meth:`_get_vector`,
-    which checks again that the provider is online.  The I/O engine
-    waits out many requests' delays together.  The one-block
-    ``put``/``get`` and the coroutine twins sleep their own delay; no
-    code in ``src`` calls them (ROADMAP item 1 step B).
+    body per kind, :meth:`_put_vector`, :meth:`_get_vector` or
+    :meth:`_delete_vector`, which checks again that the provider is
+    online.  The I/O engine waits out many requests' delays together.
+    The one-block ``put``/``get``/``delete`` and the coroutine twins
+    sleep their own delay; no code in ``src`` calls them (ROADMAP item
+    1 step B).
 
     Args:
         name: provider identity (placement and diagnostics key).
         latency: simulated seconds of service time per request — a
-            ``put``/``get``, or a whole vector
+            ``put``/``get``/``delete``, or a whole vector
             (0 disables; benchmarks enable it so that scatter-gather
             parallelism shows up in wall-clock numbers).
     """
@@ -149,19 +150,10 @@ class DataProviderCore:
         self._service_delay()  # asynclint: allow sync entry point
         self._put_vector(((block_id, payload),), None)
 
-    async def aput_many(
-        self,
-        items: Sequence[tuple[BlockId, Payload]],
-        landed: Optional[list[BlockId]] = None,
-    ) -> None:
-        """Store a vector of blocks: the two halves with ``asyncio.sleep``
-        between them.  Nothing in ``src`` awaits it (ROADMAP item 1
-        step B)."""
-        await self._aservice_delay()
-        self._put_vector(items, landed)
-
     async def aput(self, block_id: BlockId, payload: Payload) -> None:
-        """Coroutine twin of :meth:`put`."""
+        """Coroutine twin of :meth:`put`: the two halves with
+        ``asyncio.sleep`` between them.  Nothing in ``src`` awaits it:
+        ``perf/trace.py`` wraps it by name (ROADMAP item 1 step B)."""
         await self._aservice_delay()
         self._put_vector(((block_id, payload),), None)
 
@@ -169,12 +161,6 @@ class DataProviderCore:
         """Fetch one stored block (KeyError if absent)."""
         self._service_delay()  # asynclint: allow sync entry point
         return self._get_vector((block_id,))[block_id]
-
-    async def aget_many(self, block_ids: Sequence[BlockId]) -> dict[BlockId, Payload]:
-        """Fetch a vector of blocks, absent ones omitted (see
-        :meth:`aput_many`)."""
-        await self._aservice_delay()
-        return self._get_vector(block_ids)
 
     async def aget(self, block_id: BlockId) -> Payload:
         """Coroutine twin of :meth:`get`."""
@@ -185,12 +171,22 @@ class DataProviderCore:
         """Existence check (False when offline)."""
         return self.online and block_id in self._blocks
 
-    def delete(self, block_id: BlockId) -> int:
-        """GC removal; returns bytes freed (0 if absent)."""
-        self._check_online()
+    def _delete_vector(self, block_ids: Sequence[BlockId]) -> dict[BlockId, int]:
+        """Remove a vector of blocks: the body of every delete request.
+        Returns the bytes freed per block, 0 for one already gone."""
+        freed: dict[BlockId, int] = {}
         with self._lock:
-            payload = self._blocks.pop(block_id, None)
-        return 0 if payload is None else payload.size
+            self._check_online()
+            for block_id in block_ids:
+                payload = self._blocks.pop(block_id, None)
+                size = 0 if payload is None else payload.size
+                freed[block_id] = freed.get(block_id, 0) + size  # a repeated id frees once
+        return freed
+
+    def delete(self, block_id: BlockId) -> int:
+        """Remove one block; returns bytes freed (0 if absent)."""
+        self._service_delay()  # asynclint: allow sync entry point
+        return self._delete_vector((block_id,))[block_id]
 
     def block_ids(self) -> Iterator[BlockId]:
         """Snapshot iterator over stored block ids (GC sweep)."""

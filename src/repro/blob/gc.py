@@ -6,10 +6,13 @@ subtrees and blocks are *shared* between snapshots, dropping old
 versions must not touch anything a retained snapshot still references —
 so collection is a mark-and-sweep over the metadata trees:
 
-1. **mark** — traverse the segment tree of every retained version and
-   record every reachable tree node and block id;
+1. **mark** — :func:`mark_reachable`, one level-batched walk from every
+   retained root at once, records every reachable tree node and the
+   stored blocks its clips reach (the scrub's block phase is the same
+   mark);
 2. **sweep** — delete this BLOB's unmarked tree nodes from the metadata
-   buckets and its unmarked blocks from the data providers.
+   buckets and its unmarked blocks from the data providers, one round
+   of delete requests each.
 
 A pass reads the version manager once, in one critical section
 through the store's seam (DESIGN.md §10): it refuses to start while a
@@ -34,19 +37,18 @@ it.  Tombstoned (aborted) versions are *not* in flight — they committed
 as no-ops, so a dead writer never blocks collection — and they
 participate in the mark phase like any retained snapshot: their filler
 trees (redirects into prior versions, zero blocks) keep shared prior
-nodes alive; zero blocks mark nothing.
-
-Runs (DESIGN.md §4) are marked per entry: a run is live if any
-retained snapshot reaches it, but only the entries inside the clips
+nodes alive; zero blocks mark nothing.  A run (DESIGN.md §4) is live if
+any retained snapshot reaches it, but only the entries inside the clips
 that reach it mark their blocks, so a block overwritten inside a run
 that is still shared is freed like any other dead block.
 
-Only the *sweep* tolerates offline metadata buckets.  The mark phase
-must read every retained snapshot's tree, and deliberately fails
-(rather than under-marks, which would delete live nodes) when one is
-unreachable — including a tombstone whose filler could not be fully
-published during the outage.  Either retain from a version past the
-unreadable one, or heal the buckets and run ``store.scrub()`` first.
+Only the *sweep* tolerates offline buckets and providers.  A key the
+mark could not read hides the subtree below it, so a pass whose mark
+names one raises that key's error and sweeps nothing (under-marking
+would delete live nodes) — including a tombstone whose filler could
+not be fully published during the outage.  Either retain from a
+version past the unreadable one, or heal the buckets and run
+``store.scrub()`` first.
 """
 
 from __future__ import annotations
@@ -54,10 +56,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.blob.block import BlockDescriptor
-from repro.blob.segment_tree import NodeKey, clipped_entries, iter_reachable_batched
+from repro.blob.segment_tree import NodeKey, TreeNode, clipped_entries, walk_reachable
 from repro.blob.store import LocalBlobStore
 from repro.blob.version_manager import VersionManagerCore
-from repro.errors import BlobError, ProviderUnavailable
+from repro.errors import BlobError
 
 __all__ = ["GcReport", "collect_garbage"]
 
@@ -71,6 +73,13 @@ class GcReport:
     nodes_deleted: int
     blocks_deleted: int
     bytes_freed: int
+
+
+def snapshot_roots(vm: VersionManagerCore, blob_id: str, first: int, last: int) -> list[NodeKey]:
+    """Root keys of *blob_id*'s non-empty snapshots *first*..*last*
+    (the caller holds the version-manager lock)."""
+    infos = [vm.snapshot_info(blob_id, version) for version in range(first, last + 1)]
+    return [NodeKey(info.blob_id, info.version, 0, info.root_span) for info in infos if info.size]
 
 
 def _control_plane(
@@ -107,14 +116,37 @@ def _control_plane(
                 )
             other = vm.blob(other_id)
             retained.append((other_id, max(other.gc_floor, 1), other.published))
-    roots = []
-    for owner, first, last in retained:
-        for version in range(first, last + 1):
-            info = vm.snapshot_info(owner, version)
-            if info.size:
-                roots.append(NodeKey(owner, version, 0, info.root_span))
+    roots = [root for span in retained for root in snapshot_roots(vm, *span)]
     vm.set_gc_floor(blob_id, retain_from)
     return watermark, roots
+
+
+#: A mark: per reached key, the node and the stored blocks its clips reach.
+Reached = dict[NodeKey, tuple[TreeNode, dict[int, BlockDescriptor]]]
+
+
+def mark_reachable(
+    store: LocalBlobStore, roots: list[NodeKey]
+) -> tuple[Reached, dict[NodeKey, BlobError]]:
+    """The one mark of GC and the scrub: every node one walk from all
+    *roots* reaches, with the stored blocks some root reaches through
+    its clips, by index; and the error of every key the walk could not
+    read, which stops only the subtree below it."""
+    errors: dict[NodeKey, BlobError] = {}
+
+    def fetch(keys: list[NodeKey]) -> dict[NodeKey, TreeNode]:
+        nodes, unserved = store.metadata.gather_nodes(keys)
+        errors.update(unserved)
+        return nodes
+
+    visits, unread = walk_reachable(fetch, roots, key_resolver=store.key_resolver())
+    reached: Reached = {}
+    for node, lo, hi in visits:
+        blocks = reached.setdefault(node.key, (node, {}))[1]
+        for index, entry in enumerate(clipped_entries(node, lo, hi), lo):
+            if type(entry) is BlockDescriptor:
+                blocks[index] = entry
+    return reached, {key: errors[key] for key in unread}
 
 
 def collect_garbage(store: LocalBlobStore, blob_id: str, retain_from: int) -> GcReport:
@@ -132,25 +164,19 @@ def collect_garbage(store: LocalBlobStore, blob_id: str, retain_from: int) -> Gc
     vm = store.version_manager
     watermark, roots = store._vman_call(lambda: _control_plane(vm, blob_id, retain_from))
 
-    # Mark phase: one level-batched walk from every retained root at
-    # once — one metadata pass per level of the deepest tree (DESIGN.md
-    # §9), a subtree shared between snapshots fetched and walked once.
-    marked_nodes: set[NodeKey] = set()
-    marked_blocks: set[tuple] = set()
-    for node, lo, hi in iter_reachable_batched(
-        store.metadata.get_nodes, roots, key_resolver=store.key_resolver()
-    ):
-        marked_nodes.add(node.key)
-        for entry in clipped_entries(node, lo, hi):
-            if type(entry) is BlockDescriptor:
-                marked_blocks.add(entry.block_id)
+    reached, unread = mark_reachable(store, roots)
+    if unread:
+        raise next(iter(unread.values()))
+    marked_blocks = {
+        descriptor.block_id for _, blocks in reached.values() for descriptor in blocks.values()
+    }
 
-    # Sweep metadata buckets (every replica holds full keys; sweep
-    # each) in one round of delete requests.  Offline buckets are
-    # skipped via the shared ``online_buckets`` skip-list — the same
-    # rule the scrub pass uses — exactly like the data-provider sweep
-    # below: their garbage keeps until the first pass after recovery,
-    # and a bucket dying before or during its request keeps its share.
+    # Sweep: one round of delete requests to the online metadata
+    # buckets (every replica holds full keys), then one to the online
+    # data providers.  A bucket or provider down before or during its
+    # request keeps its garbage — a provider its allocator charge too,
+    # e.g. for replicas a rolled-back write stranded — for the first
+    # pass after it recovers, so each charge is released exactly once.
     dht = store.metadata.store
     doomed = {
         bucket.name: [
@@ -159,7 +185,7 @@ def collect_garbage(store: LocalBlobStore, blob_id: str, retain_from: int) -> Gc
             if isinstance(key, NodeKey)
             and key.blob_id == blob_id
             and key.version <= watermark
-            and key not in marked_nodes
+            and key not in reached
         ]
         for bucket in dht.online_buckets()
     }
@@ -169,42 +195,29 @@ def collect_garbage(store: LocalBlobStore, blob_id: str, retain_from: int) -> Gc
     # never resurrect a swept node.
     for key in swept_keys:
         store.metadata.invalidate_cached(key)
-    nodes_deleted = len(swept_keys)
 
-    # Sweep data providers.  Offline providers are skipped, not an
-    # error — including ones that go down *during* the sweep: their
-    # garbage (e.g. replicas stranded by a rolled-back write) keeps
-    # its allocator charge and is reclaimed by the first sweep after
-    # they recover, so each charge is released exactly once and a
-    # down provider can't abort a pass midway.
+    garbage = {
+        provider.name: [
+            block_id
+            for block_id in provider.block_ids()
+            if block_id[0] == blob_id and block_id[1] < horizon and block_id not in marked_blocks
+        ]
+        for provider in store.providers.values()
+        if provider.online
+    }
     blocks_deleted = 0
     bytes_freed = 0
-    for provider in store.providers.values():
-        if not provider.online:
-            continue
-        for block_id in provider.block_ids():
-            if (
-                block_id[0] == blob_id
-                and block_id[1] < horizon
-                and block_id not in marked_blocks
-            ):
-                try:
-                    freed = provider.delete(block_id)
-                except ProviderUnavailable:
-                    break  # went down mid-sweep; next pass finishes it
-                if freed == 0:
-                    # Already gone (raced with a concurrent write
-                    # rollback): whoever deleted it returned its
-                    # charge; releasing again would undercount.
-                    continue
+    for name, freed in store._delete_blocks(garbage).items():
+        for nbytes in freed.values():
+            if nbytes:  # 0: a racing rollback deleted it and released it
                 blocks_deleted += 1
-                bytes_freed += freed
-                store.provider_manager.release(provider.name, freed)
+                bytes_freed += nbytes
+                store.provider_manager.release(name, nbytes)
 
     return GcReport(
         blob_id=blob_id,
         retain_from=retain_from,
-        nodes_deleted=nodes_deleted,
+        nodes_deleted=len(swept_keys),
         blocks_deleted=blocks_deleted,
         bytes_freed=bytes_freed,
     )

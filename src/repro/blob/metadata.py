@@ -8,16 +8,17 @@ written at most once (writing the *identical* node twice is tolerated,
 so retries are idempotent).
 
 The facade is **batch-only** (DESIGN.md §9): ``get_nodes`` resolves a
-whole descent frontier in one DHT pass, ``put_patch`` publishes a
-write's entire patch through one conditional multi-put (the bucket
-enforces write-once-or-identical in that same hop — no get-then-put
-double round trip), and ``put_fillers`` force-publishes a tombstone's
-filler the same way (``get_node`` is a batch of one).  Because nodes
-are immutable, the service also keeps a **versioned node cache**: an
-entry can only go stale through the three sanctioned mutation paths —
-force-put (tombstone filler superseding a dead write's nodes, or a
-repaired leaf), GC deletion, and scrub healing — each of which
-invalidates the key.
+whole descent frontier in one DHT pass (``gather_nodes`` is the same
+pass, naming the keys it could not read instead of raising),
+``put_patch`` publishes a write's entire patch through one conditional
+multi-put (the bucket enforces write-once-or-identical in that same
+hop — no get-then-put double round trip), and ``put_fillers``
+force-publishes a tombstone's filler the same way (``get_node`` is a
+batch of one).  Because nodes are immutable, the service also keeps a
+**versioned node cache**: an entry can only go stale through the three
+sanctioned mutation paths — force-put (tombstone filler superseding a
+dead write's nodes, or a repaired leaf), GC deletion, and scrub
+healing — each of which invalidates the key.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 
 from repro.blob.segment_tree import NodeKey, TreeNode
 from repro.dht.store import MISSING, DhtStore
-from repro.errors import ReplicationError, VersionNotFound, WriteConflict
+from repro.errors import BlobError, ReplicationError, VersionNotFound, WriteConflict
 
 __all__ = ["MetadataService", "NodeCache", "agreed_value"]
 
@@ -266,6 +267,26 @@ class MetadataService:
         visited).  Raises :class:`VersionNotFound` if any key does not
         exist.
         """
+        try:
+            return self._lookup(keys, lambda misses: (self.store.multi_get(misses), {}))[0]
+        except KeyError as exc:
+            raise VersionNotFound(f"metadata node {exc.args[0]} not found") from None
+
+    def gather_nodes(
+        self, keys: Sequence[NodeKey]
+    ) -> tuple[dict[NodeKey, TreeNode], dict[NodeKey, BlobError]]:
+        """:meth:`get_nodes` naming, in the same rounds, what it could not
+        read instead of raising: the nodes found, and per unread key its
+        :class:`VersionNotFound` or ``ProviderUnavailable``."""
+        found, unread = self._lookup(keys, self.store.gather)
+        for key, error in unread.items():
+            if isinstance(error, KeyError):
+                unread[key] = VersionNotFound(f"metadata node {key} not found")
+        return found, unread
+
+    def _lookup(self, keys: Sequence[NodeKey], fetch) -> tuple[dict, dict]:
+        """Cache hits, then ``fetch(misses) -> (nodes, errors)``; fetched
+        nodes are cached unless invalidated meanwhile."""
         found: dict[NodeKey, TreeNode] = {}
         misses: list[NodeKey] = []
         for key in dict.fromkeys(keys):
@@ -274,17 +295,13 @@ class MetadataService:
                 found[key] = cached
             else:
                 misses.append(key)
-        if misses:
-            token = self.cache.begin()
-            try:
-                fetched = self.store.multi_get(misses)
-            except KeyError as exc:
-                raise VersionNotFound(
-                    f"metadata node {exc.args[0]} not found"
-                ) from None
-            self.cache.put_if_fresh(fetched, token)
-            found.update(fetched)
-        return found
+        if not misses:
+            return found, {}
+        token = self.cache.begin()
+        fetched, errors = fetch(misses)
+        self.cache.put_if_fresh(fetched, token)
+        found.update(fetched)
+        return found, errors
 
     # -- cache control -----------------------------------------------------------
 

@@ -16,12 +16,15 @@ replicas converge from durable state alone, and one incremental pass
    any healthy copy, and divergent *leaf or run* replicas (a repair
    rewrote replica sets while one bucket was down) are reconciled entry
    by entry in favour of the copy with the most live block replicas.
-3. **block re-replication** (paper §VI-B) — every retained snapshot's
-   under-replicated blocks — the entries of leaves and runs its clips
-   reach (DESIGN.md §4) — are copied back up to target by
-   :func:`repair_leaf`, one republish per leaf or run, best effort (a
-   block with no surviving replica is reported, not raised, so one
-   lost block cannot stop the pass).
+3. **block re-replication** (paper §VI-B) — GC's mark
+   (:func:`~repro.blob.gc.mark_reachable`), one walk from every
+   retained root of every BLOB, finds the entries of leaves and runs
+   some snapshot's clips reach (DESIGN.md §4); :func:`repair_leaf`
+   copies the under-replicated ones back up to the owning BLOB's
+   target, one republish per leaf or run, best effort (a block with no
+   surviving replica is reported, not raised, so one lost block cannot
+   stop the pass).  A key the walk could not read is one error and
+   stops only the subtree below it.
 
 Replica-set location is the one piece of metadata treated as mutable:
 a block repair rewrites its leaf or run with the updated provider
@@ -53,22 +56,19 @@ from typing import Iterable, Optional, TYPE_CHECKING, Union
 
 from repro.blob.async_engine import run_inline
 from repro.blob.block import BlockDescriptor, BlockId
+from repro.blob.gc import mark_reachable, snapshot_roots
 from repro.blob.metadata import agreed_value
 from repro.blob.segment_tree import (
     LeafNode,
     NodeKey,
     RunLeaf,
     TreeNode,
-    build_tombstone_patch,
     clipped_entries,
-    iter_reachable_batched,
 )
-from repro.blob.version_manager import SnapshotInfo, TombstoneSpec
+from repro.blob.version_manager import TombstoneSpec
 from repro.dht.store import MISSING
 from repro.errors import (
-    BlobError,
     ProviderError,
-    ProviderUnavailable,
     ReplicationError,
 )
 from repro.util.throttle import TokenBucket
@@ -148,8 +148,8 @@ class _BlobPlan:
     replication: int
     in_flight: frozenset[int]
     tombstone_specs: list[TombstoneSpec] = field(default_factory=list)
-    #: Every retained published snapshot, oldest first (phase 3's roots).
-    snapshots: list[SnapshotInfo] = field(default_factory=list)
+    #: Root of every retained non-empty snapshot, oldest first (phase 3).
+    roots: list[NodeKey] = field(default_factory=list)
 
 
 def _snapshot_control_plane(store: "LocalBlobStore") -> list[_BlobPlan]:
@@ -174,10 +174,7 @@ def _snapshot_control_plane(store: "LocalBlobStore") -> list[_BlobPlan]:
                 if vm.owner_of(blob_id, version) != blob_id:
                     continue  # inherited across a branch: the ancestor owns the keys
                 plan.tombstone_specs.append(vm.tombstone_spec(blob_id, version))
-            plan.snapshots = [
-                vm.snapshot_info(blob_id, version)
-                for version in range(max(state.gc_floor, 1), state.published + 1)
-            ]
+            plan.roots = snapshot_roots(vm, blob_id, max(state.gc_floor, 1), state.published)
             out.append(plan)
         return out
 
@@ -192,7 +189,7 @@ _RECONCILE_CHUNK = 64
 
 def _scrub_tombstones(
     store: "LocalBlobStore",
-    plan: _BlobPlan,
+    specs: list[TombstoneSpec],
     throttle: Optional[TokenBucket],
     counters: dict,
     errors: list[str],
@@ -204,18 +201,9 @@ def _scrub_tombstones(
     the filler key set so the reconciliation phase skips them.
     """
     filler_keys: set[NodeKey] = set()
-    for spec in plan.tombstone_specs:
+    for spec in specs:
         counters["tombstones_checked"] += 1
-        patch = build_tombstone_patch(
-            blob_id=spec.blob_id,
-            version=spec.version,
-            write_start=spec.start_block,
-            write_end=spec.end_block,
-            size_after=spec.size_after,
-            prior_size=spec.prior_size,
-            block_size=spec.block_size,
-            history=spec.history,
-        )
+        patch = spec.patch()
         # One batched DHT pass answers the whole patch's replica state,
         # and one round heals it.
         replica_maps = store.metadata.replica_nodes_many(
@@ -365,16 +353,14 @@ def _restore_block(
 def _remove_copies(
     store: "LocalBlobStore", block_id: BlockId, homes: list[str], nbytes: int
 ) -> None:
-    """Undo a failed repair's copies and their charges.  A copy whose
-    provider went down keeps its charge, like a rolled-back write's
-    stranded replica: the next repair adopts it, or the GC sweep that
-    collects the block deletes it and returns the charge."""
-    for name in homes:
-        try:
-            freed = store.providers[name].delete(block_id)
-        except ProviderUnavailable:
-            continue
-        if freed:
+    """Undo a failed repair's copies and their charges, in one round of
+    delete requests.  A copy whose provider went down keeps its charge,
+    like a rolled-back write's stranded replica: the next repair adopts
+    it, or the GC sweep that collects the block deletes it and returns
+    the charge."""
+    freed = store._delete_blocks({name: [block_id] for name in homes})
+    for name, blocks in freed.items():
+        if blocks[block_id]:
             store.provider_manager.release(name, nbytes)
 
 
@@ -504,63 +490,42 @@ def _reconcile_replicas(
 
 def _scrub_blocks(
     store: "LocalBlobStore",
-    plan: _BlobPlan,
-    seen: set[NodeKey],
+    plans: dict[str, _BlobPlan],
     throttle: Optional[TokenBucket],
     counters: dict,
     errors: list[str],
 ) -> None:
     """Phase 3: restore block replication over every retained snapshot.
 
-    Walks each retained version's tree with a shared seen-set so nodes
-    shared between snapshots (the common case) are checked exactly
-    once, collecting per leaf or run the block entries some snapshot
-    reaches; then repairs each such node once.  Repair failures are
-    recorded, never raised: the sweep is incremental by contract.
+    One mark walks every retained root of every BLOB at once, so nodes
+    shared between snapshots and branches (the common case) are checked
+    exactly once, collecting per leaf or run the block entries some
+    snapshot reaches; then each such node is repaired once, to the
+    replication of the BLOB that owns its key.  A key the walk could
+    not read (a subtree on an offline bucket) is one error and stops
+    only the subtree below it: the tree heals when the bucket recovers
+    (phase 2 of a later pass).  Repair failures are recorded, never
+    raised: the sweep is incremental by contract.
     """
-    resolver = store.key_resolver()
-    reached: dict[NodeKey, tuple[Leaf, set[int]]] = {}
-    for info in plan.snapshots:
-        if info.size == 0:
+    roots = [root for plan in plans.values() for root in plan.roots]
+    reached, unread = mark_reachable(store, roots)
+    errors.extend(f"{key.blob_id}: subtree unreadable: {exc}" for key, exc in unread.items())
+    for node, blocks in reached.values():
+        if not blocks:
             continue
-        root = NodeKey(info.blob_id, info.version, 0, info.root_span)
-        try:
-            # Level-batched walk with the shared seen-set as its prune
-            # list: subtrees already checked under another version are
-            # neither re-fetched nor re-walked.
-            visits = list(
-                iter_reachable_batched(
-                    store.metadata.get_nodes,
-                    [root],
-                    key_resolver=resolver,
-                    seen=seen,
-                )
-            )
-        except (BlobError, ProviderError) as exc:
-            # A subtree on an offline bucket: the tree heals when the
-            # bucket recovers (phase 2 of a later pass); record and go on.
-            errors.append(f"{plan.blob_id} v{info.version}: tree unreadable: {exc}")
-            continue
-        for node, lo, hi in visits:
-            stored = [
-                lo + i
-                for i, entry in enumerate(clipped_entries(node, lo, hi))
-                if type(entry) is BlockDescriptor
-            ]
-            if stored:
-                reached.setdefault(node.key, (node, set()))[1].update(stored)
-
-    for node, indices in reached.values():
-        counters["blocks_checked"] += len(indices)
+        owner = node.key.blob_id
+        counters["blocks_checked"] += len(blocks)
         if throttle is not None:
-            for _ in indices:
+            for _ in blocks:
                 throttle.acquire()
         try:
-            repaired, copies, failed = repair_leaf(store, node, plan.replication, indices)
+            repaired, copies, failed = repair_leaf(
+                store, node, plans[owner].replication, blocks
+            )
         except (ReplicationError, ProviderError) as exc:
-            errors.append(f"{plan.blob_id}: {exc}")
+            errors.append(f"{owner}: {exc}")
             continue
-        errors.extend(f"{plan.blob_id}: {message}" for message in failed)
+        errors.extend(f"{owner}: {message}" for message in failed)
         counters["blocks_repaired"] += repaired
         counters["copies_created"] += copies
 
@@ -592,22 +557,25 @@ def scrub_store(
     }
     errors: list[str] = []
 
-    filler_keys: set[NodeKey] = set()
-    for plan in plans:
-        filler_keys |= _scrub_tombstones(store, plan, throttle, counters, errors)
+    filler_keys = _scrub_tombstones(
+        store,
+        [spec for plan in plans for spec in plan.tombstone_specs],
+        throttle,
+        counters,
+        errors,
+    )
 
+    by_id = {plan.blob_id: plan for plan in plans}
     _reconcile_replicas(
         store,
-        {p.blob_id: p for p in plans},
+        by_id,
         filler_keys,
         throttle,
         counters,
         errors,
     )
 
-    seen: set[NodeKey] = set()
-    for plan in plans:
-        _scrub_blocks(store, plan, seen, throttle, counters, errors)
+    _scrub_blocks(store, by_id, throttle, counters, errors)
 
     dht = store.metadata.store
     online = sum(1 for _ in dht.online_buckets())

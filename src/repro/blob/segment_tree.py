@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from repro.blob.block import AnyBlockDescriptor, BlockDescriptor, ZeroBlockDescriptor
 from repro.errors import BlobError, InvalidRange
@@ -70,6 +70,7 @@ __all__ = [
     "DescentPlan",
     "collect_blocks_batched",
     "iter_reachable_batched",
+    "walk_reachable",
 ]
 
 #: Widest canonical subtree a write publishes as one :class:`RunLeaf`.
@@ -563,7 +564,7 @@ def _references(node: TreeNode, lo: int, hi: int) -> Iterator[tuple[NodeKey, int
 
 
 class DescentPlan:
-    """Iterative range traversal decoupled from node fetching.
+    """The segment tree's one traversal, decoupled from node fetching.
 
     Usage (local or simulated — the driver chooses how to fetch)::
 
@@ -571,7 +572,7 @@ class DescentPlan:
         while not plan.done:
             frontier = plan.take_frontier()        # keys to fetch now
             for key in frontier:
-                plan.feed(key, fetch(key))         # any fetch mechanism
+                plan.feed(key, fetch(key))         # or plan.drop(key)
         blocks = plan.blocks()                     # ordered descriptors
 
     The frontier exposes one tree level at a time, each key once, so a
@@ -582,7 +583,14 @@ class DescentPlan:
     parallel" read path.  A run entered by several references (the
     siblings of a later write's path inside it) is fetched once: every
     reference enters it with its own clip, and a node fetched earlier
-    in the descent is re-entered without a fetch.
+    in the walk is re-entered at once, without a fetch.  Each visit is
+    recorded in :attr:`visits` as ``(node, lo, hi)``, the block range
+    it reaches; :meth:`enter` adds pieces to walk (a mark enters every
+    retained root).  A key visited whole is not entered again: its
+    subtree was visited (a single-root walk never visits a key twice
+    over overlapping ranges, so a read's frontiers are unchanged).  A
+    key whose fetch failed is dropped with its subtree and named in
+    :attr:`unread`; the walk goes on.
 
     ``key_resolver`` supports *branched* BLOBs: on a branch, versions
     up to the branch point belong to the ancestor BLOB.  The resolver
@@ -605,139 +613,157 @@ class DescentPlan:
         self.lo = lo
         self.hi = hi
         self._resolve = key_resolver if key_resolver is not None else (lambda k: k)
+        #: Keys visited whole: their subtrees were visited too.
+        self._seen: set[NodeKey] = set()
         self._frontier: list[NodeKey] = []
-        self._outstanding: set[NodeKey] = set()
-        #: Block ranges entering each key that awaits its fetch.
+        #: Block ranges entering each key on the frontier or outstanding.
         self._clips: dict[NodeKey, list[tuple[int, int]]] = {}
         self._fetched: dict[NodeKey, TreeNode] = {}
-        #: Per block of [lo, hi): its descriptor once collected (a
-        #: redirect entry's target key until that resolves).
-        self._found: list[Optional[RunEntry]] = [None] * (hi - lo)
+        self.visits: list[tuple[TreeNode, int, int]] = []
+        #: Keys dropped with their subtrees, in drop order.
+        self.unread: dict[NodeKey, None] = {}
         if lo < hi:
-            self._enter(root_key, lo, hi)
+            self.enter(root_key, lo, hi)
 
     @property
     def done(self) -> bool:
         """True when no fetches remain."""
-        return not self._frontier and not self._outstanding
+        return not self._clips
 
     def take_frontier(self) -> list[NodeKey]:
-        """Keys to fetch next; they become outstanding until fed back."""
+        """Keys to fetch next; they are outstanding until fed back."""
         frontier, self._frontier = self._frontier, []
-        self._outstanding.update(frontier)
         return frontier
+
+    def _answered(self, key: NodeKey) -> list[tuple[int, int]]:
+        clips = self._clips.pop(key, None)
+        if clips is None:
+            raise BlobError(f"fed node {key} that was not requested")
+        return clips
 
     def feed(self, key: NodeKey, node: TreeNode) -> None:
         """Supply a fetched node; schedules the references it follows."""
-        if key not in self._outstanding:
-            raise BlobError(f"fed node {key} that was not requested")
         if node.key != key:
             raise BlobError(f"fetched node {node.key} does not match requested {key}")
-        self._outstanding.discard(key)
+        clips = self._answered(key)
         self._fetched[key] = node
-        for lo, hi in self._clips.pop(key):
+        for lo, hi in clips:
             self._visit(node, lo, hi)
 
-    def _enter(self, key: NodeKey, lo: int, hi: int) -> None:
+    def drop(self, key: NodeKey) -> None:
+        """Give up an outstanding key whose fetch failed."""
+        self._answered(key)
+        self.unread[key] = None
+
+    def enter(self, key: NodeKey, lo: int, hi: int) -> None:
+        """Walk blocks [lo, hi) of the node at *key*."""
         key = self._resolve(key)
+        if key in self._seen:
+            return
         node = self._fetched.get(key)
         if node is not None:
             self._visit(node, lo, hi)
             return
-        clips = self._clips.setdefault(key, [])
-        if not clips:
+        clips = self._clips.get(key)
+        if clips is None:
+            if key in self.unread:
+                return
+            clips = self._clips[key] = []
             self._frontier.append(key)
         clips.append((lo, hi))
 
     def _visit(self, node: TreeNode, lo: int, hi: int) -> None:
-        entries = clipped_entries(node, lo, hi)
-        if entries:
-            self._found[lo - self.lo : hi - self.lo] = entries
-        for key, sub_lo, sub_hi in _references(node, lo, hi):
-            self._enter(key, sub_lo, sub_hi)
+        key = node.key
+        if key in self._seen:
+            return
+        if lo == key.offset and hi == key.end:
+            self._seen.add(key)
+        self.visits.append((node, lo, hi))
+        for ref, sub_lo, sub_hi in _references(node, lo, hi):
+            self.enter(ref, sub_lo, sub_hi)
 
     def blocks(self) -> list[AnyBlockDescriptor]:
-        """Collected block descriptors in ascending block order."""
+        """Descriptors of blocks [lo, hi), in block order: the visits'
+        entries, a redirect entry overwritten by its target's later
+        visit."""
         if not self.done:
             raise BlobError("descent not finished")
-        missing = [
-            self.lo + i
-            for i, found in enumerate(self._found)
-            if found is None or type(found) is NodeKey
-        ]
+        found: list[Optional[RunEntry]] = [None] * (self.hi - self.lo)
+        for node, lo, hi in self.visits:
+            entries = clipped_entries(node, lo, hi)
+            if entries:
+                found[lo - self.lo : hi - self.lo] = entries
+        missing = [self.lo + i for i, e in enumerate(found) if e is None or type(e) is NodeKey]
         if missing:
             raise BlobError(
-                f"descent of [{self.lo}, {self.hi}) found no descriptor for blocks {missing}"
+                f"descent of [{self.lo}, {self.hi}) found no descriptor for blocks "
+                f"{missing} (unreadable: {list(self.unread)})"
             )
-        return self._found  # type: ignore[return-value]
+        return found  # type: ignore[return-value]
+
+
+Fetch = Callable[[list[NodeKey]], dict[NodeKey, TreeNode]]
+
+
+def _walk(fetch_many: Fetch, plan: DescentPlan) -> DescentPlan:
+    """Level-parallel driver: each frontier goes to *fetch_many* as one
+    batch, so a walk costs O(tree depth) round trips, not O(nodes
+    visited) (DESIGN.md §9).  A key it does not return is dropped; the
+    caller reads ``plan.unread``."""
+    while not plan.done:
+        frontier = plan.take_frontier()
+        nodes = fetch_many(frontier)
+        for key in frontier:
+            node = nodes.get(key)
+            if node is None:
+                plan.drop(key)
+            else:
+                plan.feed(key, node)
+    return plan
 
 
 def collect_blocks_batched(
-    fetch_many: Callable[[list[NodeKey]], dict[NodeKey, TreeNode]],
+    fetch_many: Fetch,
     root_key: NodeKey,
     lo: int,
     hi: int,
     key_resolver: Optional[Callable[[NodeKey], NodeKey]] = None,
 ) -> list[AnyBlockDescriptor]:
-    """Level-parallel driver over :class:`DescentPlan`.
+    """A read: the level-batched walk of blocks [lo, hi) under
+    *root_key*, and the descriptors it reaches."""
+    return _walk(fetch_many, DescentPlan(root_key, lo, hi, key_resolver)).blocks()
 
-    Each frontier — one tree level (or the runs below a covered
-    reference), plus any redirect targets the previous level surfaced —
-    is resolved through *fetch_many* in a single batched metadata pass,
-    so the whole descent costs O(tree depth) round trips instead of
-    O(nodes visited) (DESIGN.md §9).
-    """
-    plan = DescentPlan(root_key, lo, hi, key_resolver=key_resolver)
-    while not plan.done:
-        frontier = plan.take_frontier()
-        nodes = fetch_many(frontier)
-        for key in frontier:
-            plan.feed(key, nodes[key])
-    return plan.blocks()
+
+def walk_reachable(
+    fetch_many: Fetch,
+    roots: Sequence[NodeKey],
+    key_resolver: Optional[Callable[[NodeKey], NodeKey]] = None,
+) -> tuple[list[tuple[TreeNode, int, int]], list[NodeKey]]:
+    """One level-batched walk entered at every whole root: its visits,
+    and the keys *fetch_many* did not return.  It costs one round per
+    level of the deepest tree; a key several roots reach is fetched
+    once, a run visited once per clip that enters it.  An unreturned
+    key is dropped with its subtree and the walk goes on, so the
+    visits are complete only when the second list is empty."""
+    if not roots:
+        return [], []
+    first, *rest = roots
+    plan = DescentPlan(first, first.offset, first.end, key_resolver)
+    for root in rest:
+        plan.enter(root, root.offset, root.end)
+    _walk(fetch_many, plan)
+    return plan.visits, list(plan.unread)
 
 
 def iter_reachable_batched(
-    fetch_many: Callable[[list[NodeKey]], dict[NodeKey, TreeNode]],
+    fetch_many: Fetch,
     roots: Sequence[NodeKey],
     key_resolver: Optional[Callable[[NodeKey], NodeKey]] = None,
-    seen: Optional[set[NodeKey]] = None,
-) -> Iterable[tuple[TreeNode, int, int]]:
-    """Every node reachable from any of *roots* as ``(node, lo, hi)``,
-    one batched fetch per tree level.
-
-    The first frontier is every root, so a walk over many snapshots
-    (GC's mark) costs one round per level of the deepest tree, and a
-    key several roots reach in one level is fetched once.  It follows
-    :func:`_references` like every walker, so it visits exactly the
-    keys the writers of these versions published.  ``[lo, hi)`` is the
-    block range the visit reaches: the node's own range, except for a
-    run entered through a narrower reference, which is visited once
-    per such clip — only its entries inside a clip are reachable
-    (:func:`clipped_entries`).
-
-    *seen* collects the keys this traversal (and earlier ones sharing
-    the set) visited whole; such keys are neither fetched nor descended
-    into again, which both avoids re-visiting a node AND prunes its
-    whole subtree — a node visited whole had its subtree visited too.
-    A run visited only in part stays eligible.
-    """
-    resolve = key_resolver if key_resolver is not None else (lambda k: k)
-    seen = set() if seen is None else seen
-    fetched: dict[NodeKey, TreeNode] = {}
-    frontier = [(resolve(root), root.offset, root.end) for root in roots]
-    while frontier:
-        level = [(key, lo, hi) for key, lo, hi in frontier if key not in seen]
-        wanted = [key for key in dict.fromkeys(key for key, _, _ in level) if key not in fetched]
-        if wanted:
-            fetched.update(fetch_many(wanted))
-        frontier = []
-        for key, lo, hi in level:
-            if key in seen:
-                continue
-            if lo == key.offset and hi == key.end:
-                seen.add(key)
-            node = fetched[key]
-            yield node, lo, hi
-            frontier.extend(
-                (resolve(ref), ref_lo, ref_hi) for ref, ref_lo, ref_hi in _references(node, lo, hi)
-            )
+) -> list[tuple[TreeNode, int, int]]:
+    """The visits of :func:`walk_reachable`, which must be complete:
+    raises ``KeyError`` naming the first key *fetch_many* did not
+    return."""
+    visits, unread = walk_reachable(fetch_many, roots, key_resolver)
+    if unread:
+        raise KeyError(unread[0])
+    return visits

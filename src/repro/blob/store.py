@@ -74,7 +74,6 @@ from repro.blob.publish import PublishPipeline, VmanStats
 from repro.blob.segment_tree import (
     NodeKey,
     build_patch,
-    build_tombstone_patch,
     collect_blocks_batched,
 )
 from repro.blob.version_manager import (
@@ -292,6 +291,23 @@ class LocalBlobStore:
         if self.io_engine is not None and len(items) > 1:
             return self.io_engine.map(request, items, dest=dest)
         return [run_inline(request(item)) for item in items]
+
+    def _delete_blocks(self, doomed: dict[str, list[BlockId]]) -> dict[str, dict[BlockId, int]]:
+        """One round of delete requests, one per provider: the bytes
+        freed per block of every provider whose request landed (one down
+        before or during it is left out and keeps its blocks)."""
+        groups = [(name, block_ids) for name, block_ids in doomed.items() if block_ids]
+
+        def delete(group):
+            provider = self.providers[group[0]]
+            try:
+                yield provider._issue()
+                return provider._delete_vector(group[1])
+            except ProviderUnavailable:
+                return None
+
+        freed = self._map_io(delete, groups, dest=itemgetter(0))
+        return {name: f for (name, _), f in zip(groups, freed) if f is not None}
 
     def _vman_call(self, fn, **counters):
         """Run *fn* against the version manager: the one seam to it.
@@ -593,16 +609,16 @@ class LocalBlobStore:
         # releases the charge when it reclaims the orphan — exactly
         # once), or already deleted by a racing GC sweep (which then
         # already released the charge — also exactly once).
-        keep_charged: set[tuple[int, str]] = set()
+        doomed: dict[str, list[BlockId]] = {}
         for provider_name, landed in stored:
-            for block_id in landed:
-                try:
-                    freed = self.providers[provider_name].delete(block_id)
-                except ProviderUnavailable:
-                    keep_charged.add((block_id[2], provider_name))
-                    continue
-                if freed == 0:
-                    keep_charged.add((block_id[2], provider_name))
+            doomed.setdefault(provider_name, []).extend(landed)
+        freed = self._delete_blocks(doomed)
+        keep_charged = {
+            (block_id[2], name)
+            for name, block_ids in doomed.items()
+            for block_id in block_ids
+            if not freed.get(name, {}).get(block_id)
+        }
         self.provider_manager.release_placements(
             placements, sizes, skip=frozenset(keep_charged)
         )
@@ -664,16 +680,7 @@ class LocalBlobStore:
         nodes leave their key range unreadable (exactly as the outage
         already made it) until the scrub pass runs after recovery.
         """
-        patch = build_tombstone_patch(
-            blob_id=spec.blob_id,
-            version=spec.version,
-            write_start=spec.start_block,
-            write_end=spec.end_block,
-            size_after=spec.size_after,
-            prior_size=spec.prior_size,
-            block_size=spec.block_size,
-            history=spec.history,
-        )
+        patch = spec.patch()
         try:
             return self.metadata.put_fillers(patch)
         except (ProviderError, ReplicationError):

@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from repro.blob.segment_tree import HistoryRecord, root_span
+from repro.blob.segment_tree import HistoryRecord, TreeNode, build_tombstone_patch, root_span
 from repro.errors import (
     BlobError,
     BlobNotFound,
@@ -150,6 +150,19 @@ class TombstoneSpec:
     prior_size: int
     block_size: int
     history: tuple[HistoryRecord, ...]
+
+    def patch(self) -> list[TreeNode]:
+        """The filler patch every abort and scrub pass re-derives."""
+        return build_tombstone_patch(
+            blob_id=self.blob_id,
+            version=self.version,
+            write_start=self.start_block,
+            write_end=self.end_block,
+            size_after=self.size_after,
+            prior_size=self.prior_size,
+            block_size=self.block_size,
+            history=self.history,
+        )
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,15 @@ key placement, and write/read paths that tolerate bucket failures up to
 the replication level.  The simulated deployment re-uses the same ring
 logic but puts each bucket behind an RPC server.
 
-Every access is batched (``multi_get``/``multi_put``/
-``multi_replica_values``): many keys are resolved against their owner
-buckets in one pass — keys are grouped by bucket, each bucket is asked
-once per round, and the per-bucket requests of a round are issued
-together when an engine is attached, so the whole round costs one
-wall-clock round trip (paper §III-A.3: metadata must never serialize
-readers on a hop).  ``get``/``put`` are batches of one, and the
-control plane's per-bucket deletes and heals are rounds too.
+Every access is batched (``gather`` and its strict ``multi_get``,
+``multi_put``, ``multi_replica_values``): many keys are resolved
+against their owner buckets in one pass — keys are grouped by bucket,
+each bucket is asked once per round, and the per-bucket requests of a
+round are issued together when an engine is attached, so the whole
+round costs one wall-clock round trip (paper §III-A.3: metadata must
+never serialize readers on a hop).  ``get``/``put`` are batches of
+one, and the control plane's per-bucket deletes and heals are rounds
+too.
 
 ``stats`` counts wall-clock round trips (a batched round of parallel
 bucket requests counts once) so callers can verify the O(tree-depth)
@@ -333,8 +334,11 @@ class DhtStore:
 
     # -- batched ops --------------------------------------------------------------
 
-    def multi_get(self, keys: Iterable[Hashable]) -> dict[Hashable, object]:
-        """Resolve many keys against their owner buckets in one pass.
+    def gather(
+        self, keys: Iterable[Hashable]
+    ) -> tuple[dict[Hashable, object], dict[Hashable, Exception]]:
+        """Resolve many keys against their owner buckets in one pass:
+        the values found, and the error of every key no replica served.
 
         Round *r* asks each unresolved key's *r*-th replica, grouping
         keys by bucket so every bucket is contacted at most once per
@@ -343,13 +347,13 @@ class DhtStore:
         round 0; only stragglers (offline or lagging replicas) pay
         failover rounds.
 
-        Raises ``KeyError`` for a key some online replica was asked
-        about but none holds, ``ProviderUnavailable`` for a key whose
-        every replica is down.
+        An unserved key's error is a ``KeyError`` when some online
+        replica was asked about it and none holds it, else
+        ``ProviderUnavailable`` (every replica down).  Nothing is
+        raised for them: :meth:`multi_get` raises, a tree walk drops
+        the key and goes on.
         """
         ordered = list(dict.fromkeys(keys))
-        if not ordered:
-            return {}
         owners = {key: self.owners(key) for key in ordered}
         results: dict[Hashable, object] = {}
         seen_missing: set[Hashable] = set()
@@ -387,13 +391,25 @@ class DhtStore:
                         seen_missing.add(key)
                         retry.append(key)
             remaining = retry
-        if remaining:
-            for key in remaining:
-                if key in seen_missing:
-                    raise KeyError(key)
+        unserved = {
+            key: KeyError(key)
+            if key in seen_missing
+            else ProviderUnavailable(f"all replicas down for key {key!r}")
+            for key in remaining
+        }
+        return results, unserved
+
+    def multi_get(self, keys: Iterable[Hashable]) -> dict[Hashable, object]:
+        """:meth:`gather`, strict: raises an unserved key's ``KeyError``,
+        else ``ProviderUnavailable``."""
+        results, unserved = self.gather(keys)
+        for error in unserved.values():
+            if isinstance(error, KeyError):
+                raise error
+        if unserved:
             raise ProviderUnavailable(
-                f"all replicas down for {len(remaining)} key(s), "
-                f"e.g. {remaining[0]!r}"
+                f"all replicas down for {len(unserved)} key(s), "
+                f"e.g. {next(iter(unserved))!r}"
             )
         return results
 

@@ -140,16 +140,16 @@ class TestBranchGcInterplay:
         src = store.create()
         for fill in (b"a", b"b", b"c"):
             store.write(src, 0, fill * BS)  # v1..v3, each overwriting
-        real, forks = store.metadata.get_nodes, []
+        real, forks = store.metadata.gather_nodes, []
 
         def fork_then_get(keys, *args, **kwargs):
             if not forks:  # the pass's first mark round
                 forks.append(store.branch(src, "fork"))
             return real(keys, *args, **kwargs)
 
-        store.metadata.get_nodes = fork_then_get
+        store.metadata.gather_nodes = fork_then_get
         report = collect_garbage(store, src, retain_from=3)
-        store.metadata.get_nodes = real
+        store.metadata.gather_nodes = real
         assert forks == ["fork"] and report.nodes_deleted == 2
         for version in (1, 2):
             with pytest.raises(VersionNotFound, match="garbage-collected"):

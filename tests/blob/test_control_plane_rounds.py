@@ -2,13 +2,17 @@
 
 A conditional put's withdrawal, GC's metadata sweep and the scrub's
 heals each send every bucket its share as one request, all in one
-round, so a step sleeps once however many buckets it touches; GC's
-mark walks every retained root at once, one metadata round per tree
-level.  Everything runs on the engine's virtual clock (the ``clock``
-fixture): the tests count ``_sleep`` calls and round trips, never time.
+round, so a step sleeps once however many buckets it touches; so do
+the block deletes of GC's sweep and a write's rollback, one request
+per provider.  GC's mark and the scrub's block phase are one walk over
+every retained root, one metadata round per tree level, and a key the
+walk cannot read stops only the subtree below it.  Everything runs on
+the engine's virtual clock (the ``clock`` fixture): the tests count
+``_sleep`` calls and round trips, never time.
 """
 
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -23,10 +27,12 @@ from repro.blob import (
     collect_garbage,
     iter_reachable_batched,
 )
+from repro.blob import scrub as scrub_module
 from repro.blob import segment_tree
+from repro.blob.gc import mark_reachable
 from repro.blob.segment_tree import clipped_entries
 from repro.dht import DhtStore
-from repro.errors import ProviderUnavailable
+from repro.errors import ProviderUnavailable, VersionNotFound
 from tests.blob.test_write_rollback import fail_publish_for_version
 from tests.io_requests import delete_keys
 
@@ -246,13 +252,12 @@ def _mark(visits):
 
 
 def _per_root_mark(store, roots):
-    """The oracle: one walk per root, sharing the seen-set."""
-    seen = set()
+    """The oracle: one fresh walk per root, sharing nothing."""
     visits = []
     for root in roots:
         visits.extend(
             iter_reachable_batched(
-                store.metadata.get_nodes, [root], key_resolver=store.key_resolver(), seen=seen
+                store.metadata.get_nodes, [root], key_resolver=store.key_resolver()
             )
         )
     return _mark(visits)
@@ -265,7 +270,7 @@ class TestGcMark:
         assert len(roots) == 40
         store.metadata.cache.clear()
         marks = per_call(
-            monkeypatch, store.metadata, "get_nodes", round_trips(store.metadata.store)
+            monkeypatch, store.metadata, "gather_nodes", round_trips(store.metadata.store)
         )
         collect_garbage(store, blob, retain_from=2)
         levels = int(math.log2(max(root.span for root in roots))) + 1
@@ -308,5 +313,151 @@ class TestGcMark:
             iter_reachable_batched(store.metadata.get_nodes, roots, store.key_resolver())
         )
         assert walked == _per_root_mark(store, roots)
+
+        # With buckets down, the one walk still reaches everything an
+        # independent walk per root reaches around the unreadable keys.
+        dht = store.metadata.store
+        for name in retain.draw(st.sets(st.sampled_from(sorted(dht.buckets)), max_size=2)):
+            dht.fail_bucket(name)
+        store.metadata.cache.clear()
+        reached, unread = mark_reachable(store, roots)
+        assert _reached(reached, unread) == _independent_mark(store, roots)
         store.close()
 
+
+def _reached(reached, unread):
+    indices = {(key, index) for key, (_, blocks) in reached.items() for index in blocks}
+    return set(reached), indices, set(unread)
+
+
+def _independent_mark(store, roots):
+    """The oracle: a recursive walk per root, one key per fetch and no
+    seen-set, skipping the keys it cannot read."""
+    resolve = store.key_resolver()
+    nodes, indices, unread = set(), set(), set()
+
+    def visit(key, lo, hi):
+        key = resolve(key)
+        found, errors = store.metadata.gather_nodes([key])
+        if key in errors:
+            unread.add(key)
+            return
+        node = found[key]
+        nodes.add(key)
+        for index, entry in enumerate(clipped_entries(node, lo, hi), lo):
+            if type(entry) is BlockDescriptor:
+                indices.add((key, index))
+        for ref, ref_lo, ref_hi in segment_tree._references(node, lo, hi):
+            visit(ref, ref_lo, ref_hi)
+
+    for root in roots:
+        visit(root, root.offset, root.end)
+    return nodes, indices, unread
+
+
+class TestGcRefusesToUnderMark:
+    @pytest.mark.parametrize(
+        "damage, error", [("bucket down", ProviderUnavailable), ("key lost", VersionNotFound)]
+    )
+    def test_an_unreadable_retained_key_raises_and_deletes_nothing(self, damage, error):
+        store, blob = _overwritten_store()
+        dht = store.metadata.store
+        retained = _roots(store, blob, 30)
+        reached, _ = mark_reachable(store, retained)
+        victim = min((key for key in reached if key not in retained), key=repr)
+        (owner,) = dht.owners(victim)
+        if damage == "bucket down":
+            dht.fail_bucket(owner)
+        else:
+            delete_keys(dht.buckets[owner], [victim])
+        store.metadata.cache.clear()
+        keys = {name: set(bucket.keys()) for name, bucket in dht.buckets.items()}
+        blocks = {name: set(p.block_ids()) for name, p in store.providers.items()}
+        named = "all replicas down" if damage == "bucket down" else re.escape(repr(victim))
+        with pytest.raises(error, match=named):
+            collect_garbage(store, blob, retain_from=30)
+        assert {name: set(bucket.keys()) for name, bucket in dht.buckets.items()} == keys
+        assert {name: set(p.block_ids()) for name, p in store.providers.items()} == blocks
+        # Readable again, the pass sweeps what only v1..v29 held.
+        dht.recover_bucket(owner)
+        dht.put(victim, reached[victim][0])
+        report = collect_garbage(store, blob, retain_from=30)
+        assert report.nodes_deleted > 0 and report.blocks_deleted > 0
+        store.close()
+
+
+class TestScrubBlockPhase:
+    def test_the_block_phase_takes_one_round_per_tree_level(self, monkeypatch, clock):
+        """A bucket misses 40 two-block appends and recovers, then a
+        provider dies: the block phase walks all 41 retained roots at
+        once, one metadata round per tree level (one 1-key round per
+        new node when the scrub walked root by root)."""
+        KB = 1024
+        store = LocalBlobStore(config=StoreConfig(
+            data_providers=8,
+            metadata_providers=8,
+            replication=2,
+            metadata_replication=2,
+            block_size=KB,
+            io_workers=4,
+        ))
+        blob = store.create()
+        dht = store.metadata.store
+        store.append(blob, b"a" * (2 * KB))
+        dht.fail_bucket("mdp-003")
+        for i in range(40):
+            store.append(blob, bytes([i]) * (2 * KB))
+        dht.recover_bucket("mdp-003")
+        store.fail_provider("provider-003")
+        store.metadata.cache.clear()
+        phase = per_call(monkeypatch, scrub_module, "_scrub_blocks", round_trips(dht))
+        mark = per_call(monkeypatch, store.metadata, "gather_nodes", round_trips(dht))
+        report = store.scrub()
+        levels = int(math.log2(store.snapshot(blob).root_span)) + 1
+        assert len(phase) == 1 and mark
+        assert sum(trips for (trips,) in mark) <= levels + 1  # 224 root by root
+        assert report.errors == () and report.blocks_repaired > 0
+        assert store.scrub().clean
+        store.close()
+
+
+class TestBlockDeletes:
+    def test_a_gc_sweep_sleeps_once_for_every_provider(self, clock):
+        store = LocalBlobStore(config=StoreConfig(
+            data_providers=8, block_size=BS, io_workers=4, provider_latency=0.005
+        ))
+        blob = store.create()
+        store.append(blob, b"a" * (256 * BS))
+        store.write(blob, 0, b"b" * (256 * BS))  # v1's 256 blocks become garbage
+        holders = [p for p in store.providers.values() if any(b[1] == 1 for b in p.block_ids())]
+        assert len(holders) == 8
+        slept = len(clock.sleeps)
+        report = collect_garbage(store, blob, retain_from=2)
+        assert report.blocks_deleted == 256
+        assert len(clock.sleeps) - slept == 1
+        assert store.provider_manager.block_counts() == store.provider_block_counts()
+        store.close()
+
+    def test_a_failed_scatters_rollback_sleeps_once(self, monkeypatch, clock):
+        store = LocalBlobStore(config=StoreConfig(
+            data_providers=4, block_size=BS, io_workers=4, provider_latency=0.005
+        ))
+        blob = store.create()
+        # One provider dies while the scatter's requests are in flight,
+        # so the other three land their blocks and the rollback deletes
+        # them, one request per provider.
+        clock.at(clock.now + 0.001, store.providers["provider-003"].fail)
+        rollbacks = per_call(monkeypatch, store, "_rollback_write", lambda: len(clock.sleeps))
+        deletes = []
+        for provider in store.providers.values():
+            monkeypatch.setattr(
+                provider, "_delete_vector",
+                lambda ids, real=provider._delete_vector: deletes.append(ids) or real(ids),
+            )
+        with pytest.raises(ProviderUnavailable):
+            store.append(blob, b"a" * (8 * BS))
+        assert rollbacks == [(1,)]
+        assert len(deletes) == 3 and sum(map(len, deletes)) == 6
+        assert sum(store.provider_block_counts().values()) == 0
+        assert store.provider_manager.block_counts() == store.provider_block_counts()
+        store.close()

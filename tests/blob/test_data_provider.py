@@ -4,6 +4,7 @@ import pytest
 
 from repro.blob import BytesPayload, DataProviderCore
 from repro.errors import ProviderUnavailable, WriteConflict
+from tests.io_requests import delete_blocks
 
 
 @pytest.fixture
@@ -34,6 +35,16 @@ class TestStorage:
         assert provider.delete(("b", 1, 0)) == 5
         assert provider.delete(("b", 1, 0)) == 0
         assert provider.stored_bytes == 0
+
+    def test_delete_request_frees_per_block(self, provider):
+        provider.put(("b", 1, 0), BytesPayload(b"12345"))
+        provider.put(("b", 1, 1), BytesPayload(b"12"))
+        freed = delete_blocks(provider, [("b", 1, 0), ("b", 1, 1), ("b", 9, 9)])
+        assert freed == {("b", 1, 0): 5, ("b", 1, 1): 2, ("b", 9, 9): 0}
+        assert provider.block_count == 0
+        provider.fail()
+        with pytest.raises(ProviderUnavailable):
+            delete_blocks(provider, [("b", 1, 0)])
 
     def test_block_ids_snapshot(self, provider):
         provider.put(("b", 1, 0), BytesPayload(b"x"))

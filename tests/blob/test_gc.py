@@ -278,7 +278,7 @@ class TestConcurrentWriters:
         import repro.blob.gc as gc_module
 
         store, blob = two_versions
-        real_walk = gc_module.iter_reachable_batched
+        real_walk = gc_module.walk_reachable
         landed = []
 
         def append_then_walk(*args, **kwargs):
@@ -286,13 +286,13 @@ class TestConcurrentWriters:
                 landed.append(store.append(blob, b"c" * (2 * self.KB)))  # v3
             return real_walk(*args, **kwargs)
 
-        monkeypatch.setattr(gc_module, "iter_reachable_batched", append_then_walk)
+        monkeypatch.setattr(gc_module, "walk_reachable", append_then_walk)
         report = collect_garbage(store, blob, retain_from=2)
         assert landed == [3]
         assert report.nodes_deleted == 0 and report.blocks_deleted == 0
         expected = b"a" * (2 * self.KB) + b"b" * (2 * self.KB) + b"c" * (2 * self.KB)
         assert store.read(blob, version=3) == expected
         # The next pass, with v3 published before it starts, marks it.
-        monkeypatch.setattr(gc_module, "iter_reachable_batched", real_walk)
+        monkeypatch.setattr(gc_module, "walk_reachable", real_walk)
         collect_garbage(store, blob, retain_from=3)
         assert store.read(blob, version=3) == expected

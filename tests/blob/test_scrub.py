@@ -21,6 +21,7 @@ from repro.blob import (
     collect_garbage,
 )
 from repro.blob import store as store_module
+from repro.blob.scrub import live_replicas
 from repro.dht.store import MISSING
 from repro.errors import (
     BlobError,
@@ -424,6 +425,41 @@ class TestBlockRepairFoldIn:
         assert store.provider_manager.block_counts() == store.provider_block_counts()
         store.close()
 
+    def test_an_unreadable_subtree_stops_only_itself(self):
+        """v1..v3 reach v1's run over blocks 192..255, whose bucket is
+        down; v4 rewrote those blocks and reaches none of it.  Every
+        version reaches v2's inner node over blocks 0..127, so it is
+        walked whole, and v4's under-replicated block 5 below it is
+        repaired; the unreadable run is reported once."""
+        bs = 64
+        store = make_store(
+            data_providers=6,
+            metadata_providers=24,
+            metadata_replication=1,
+            replication=2,
+            block_size=bs,
+        )
+        blob = store.create()
+        store.append(blob, b"a" * (256 * bs))  # v1
+        store.write(blob, 0, b"b" * bs)  # v2
+        store.write(blob, 128 * bs, b"c" * bs)  # v3
+        store.write(blob, 192 * bs, b"d" * (64 * bs))  # v4
+        store.metadata.cache.clear()
+        run = NodeKey(blob, 1, 192, 64)
+        assert store.metadata.store.owners(run) == ("mdp-023",)
+        (block5,) = store._collect_descriptors(store.snapshot(blob, 4), 5 * bs, bs)
+        assert "provider-005" in block5.providers
+        store.metadata.store.fail_bucket("mdp-023")
+        store.fail_provider("provider-005")
+
+        report = store.scrub()
+        unreadable = [err for err in report.errors if "unreadable" in err]
+        assert len(unreadable) == 1 and repr(run) in unreadable[0]
+        (block5,) = store._collect_descriptors(store.snapshot(blob, 4), 5 * bs, bs)
+        assert len(live_replicas(store, block5)) == 2
+        assert_charges_match(store)
+        store.close()
+
     def test_old_versions_repaired_too(self):
         store = make_store(data_providers=6, replication=2)
         blob = store.create()
@@ -509,15 +545,15 @@ class TestRepairAccounting:
         store.fail_provider(first)
         store.metadata.store.fail_bucket(bucket)
         target = store.providers["provider-002"]
-        real_delete = target.delete
+        real_delete = target._delete_vector
 
-        def die_then_delete(block_id):
+        def die_then_delete(block_ids):
             store.fail_provider(target.name)
-            return real_delete(block_id)
+            return real_delete(block_ids)
 
-        target.delete = die_then_delete
+        target._delete_vector = die_then_delete
         assert store.scrub().errors
-        target.delete = real_delete
+        target._delete_vector = real_delete
         assert store.provider_block_counts()["provider-002"] == 1  # stranded
         assert_charges_match(store)
 

@@ -275,6 +275,24 @@ class TestDescent:
         with pytest.raises(BlobError):
             plan.blocks()
 
+    def test_a_key_the_fetch_does_not_return_stops_only_its_subtree(self):
+        md = self._store_versions()
+        roots = [NodeKey("b", 2, 0, 4), NodeKey("b", 1, 0, 4)]
+        whole, unread = segment_tree.walk_reachable(md.get_many, roots)
+        assert unread == []
+        lost = NodeKey("b", 2, 1, 1)
+        del md.nodes[lost]
+
+        def fetch(keys):
+            return {key: md.nodes[key] for key in keys if key in md.nodes}
+
+        visits, unread = segment_tree.walk_reachable(fetch, roots)
+        assert unread == [lost]
+        assert {node.key for node, _, _ in visits} == {node.key for node, _, _ in whole} - {lost}
+        with pytest.raises(KeyError) as excinfo:
+            segment_tree.iter_reachable_batched(fetch, roots)
+        assert excinfo.value.args == (lost,)
+
     @staticmethod
     def _level_sizes(md, root):
         plan = DescentPlan(root, 0, root.span)

@@ -19,7 +19,7 @@ from repro.blob import BytesPayload, DataProviderCore, LocalBlobStore, StoreConf
 from repro.blob import async_engine
 from repro.blob import data_provider as data_provider_module
 from repro.errors import ProviderUnavailable, WriteConflict
-from tests.io_requests import get_blocks, put_blocks
+from tests.io_requests import delete_blocks, get_blocks, put_blocks
 
 BS = 8
 #: Inline I/O, the I/O engine, and the engine behind a one-slot
@@ -123,11 +123,11 @@ class TestProviderVectors:
         monkeypatch.setattr(data_provider_module.time, "sleep", blocking.append)
         monkeypatch.setattr(data_provider_module.asyncio, "sleep", fake_sleep)
         provider = DataProviderCore("p", latency=0.5)
-        ids = [("b", 1, i) for i in range(10)]
-        asyncio.run(provider.aput_many([(block_id, BytesPayload(b"x")) for block_id in ids]))
-        assert set(asyncio.run(provider.aget_many(ids))) == set(ids)
+        block_id = ("b", 1, 0)
+        asyncio.run(provider.aput(block_id, BytesPayload(b"x")))
+        assert asyncio.run(provider.aget(block_id)).size == 1
         assert blocking == [] and awaited == [0.5, 0.5]
-        provider.get(ids[0])  # a plain sync call still blocks
+        provider.get(block_id)  # a plain sync call still blocks
         assert blocking == [0.5]
 
     def test_put_request_reports_the_landed_prefix(self):
@@ -185,7 +185,7 @@ class TestScatterAndGather:
             store.append(blob, data)
             first, second = store.block_locations(blob, 5 * BS, BS)[0].providers
             (block_id,) = [b for b in store.providers[first].block_ids() if b[2] == 5]
-            store.providers[first].delete(block_id)
+            delete_blocks(store.providers[first], [block_id])
 
             gets = record_calls(store, "_get_vector")
             assert store.read(blob) == data

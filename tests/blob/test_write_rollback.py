@@ -244,18 +244,18 @@ class TestFailedWriteRollback:
         store.write(blob, 0, b"\1" * (4 * BS))  # v2 replaces all v1 blocks
 
         # retain_from=2 makes v1's blocks garbage, spread round-robin
-        # over both providers; one provider dies between the sweep's
-        # online check and its delete call.
+        # over both providers; one provider dies between its delete
+        # request's issue and its body.
         victim = store.providers["provider-000"]
-        original_delete = victim.delete
+        original_delete = victim._delete_vector
 
-        def delete_then_die(block_id):
+        def delete_then_die(block_ids):
             victim.fail()  # goes down just as the sweep reaches it
-            return original_delete(block_id)
+            return original_delete(block_ids)
 
-        victim.delete = delete_then_die
+        victim._delete_vector = delete_then_die
         report = collect_garbage(store, blob, retain_from=2)
-        victim.delete = original_delete
+        victim._delete_vector = original_delete
         # The pass completed (no ProviderUnavailable escaped) and the
         # survivor's garbage was reclaimed.
         assert report.blocks_deleted >= 1

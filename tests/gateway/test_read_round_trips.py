@@ -15,6 +15,7 @@ from repro.blob import StoreConfig
 from repro.blob.gc import collect_garbage
 from repro.errors import VersionNotFound
 from repro.gateway import Gateway
+from tests.io_requests import delete_blocks
 
 BS = 1024
 EXTENT = 4 * BS
@@ -180,7 +181,7 @@ class TestPinnedSnapshot:
             for bid in store.providers[victim].block_ids()
             if bid[0] == blob and bid[2] == 1
         ]
-        assert store.providers[victim].delete(block_id) == BS
+        assert delete_blocks(store.providers[victim], [block_id]) == {block_id: BS}
         cost = Cost(store, monkeypatch)
         assert client.read_file("/f") == data
         assert cost.read_payload_calls == 1

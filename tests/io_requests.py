@@ -56,6 +56,12 @@ def get_blocks(provider, block_ids) -> dict:
     return run_inline(_request(provider, lambda: provider._get_vector(block_ids)))
 
 
+def delete_blocks(provider, block_ids) -> dict:
+    """Delete a vector of blocks from *provider* as one request: the
+    bytes freed per block (0 for one already gone)."""
+    return run_inline(_request(provider, lambda: provider._delete_vector(block_ids)))
+
+
 def delete_keys(bucket, keys) -> None:
     """Delete *keys* from one DHT bucket as one request (absent keys
     are ignored)."""
