@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Protocol, Sequence, Union
 
 from repro.errors import ProviderUnavailable, QuotaExceeded, ReplicationError
+from repro.util.rng import SeededRng
 
 if TYPE_CHECKING:
     import numpy as np
@@ -190,22 +191,6 @@ _POLICIES = {
 }
 
 
-class _SeededRng:
-    """``numpy.random.default_rng(seed)``, built on the first draw: the
-    default round-robin policy never draws, so its stores never import
-    numpy."""
-
-    def __init__(self, seed: int):
-        self._seed, self._rng = seed, None
-
-    def __getattr__(self, name: str):
-        if self._rng is None:
-            import numpy as np
-
-            self._rng = np.random.default_rng(self._seed)
-        return getattr(self._rng, name)
-
-
 def make_policy(name: str) -> PlacementPolicy:
     """Instantiate a policy by config name (see ``_POLICIES`` keys)."""
     try:
@@ -237,7 +222,7 @@ class ProviderManagerCore:
             make_policy(policy) if isinstance(policy, str) else policy
         )
         if rng is None or isinstance(rng, int):
-            rng = _SeededRng(rng or 0)
+            rng = SeededRng(rng or 0)
         self._rng = rng
         self._providers: dict[str, ProviderInfo] = {}
         self._tenants: dict[str, TenantAccount] = {}

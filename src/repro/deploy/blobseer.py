@@ -26,8 +26,6 @@ from __future__ import annotations
 import itertools
 from typing import Generator, Optional, Union
 
-import numpy as np
-
 from repro.blob.block import (
     AnyBlockDescriptor,
     BytesPayload,
@@ -107,9 +105,7 @@ class SimBlobSeer:
 
         # --- cores (the same classes the functional layer runs) ---
         self.vm_core = VersionManagerCore()
-        self.pm_core = ProviderManagerCore(
-            policy=placement, rng=np.random.default_rng(seed)
-        )
+        self.pm_core = ProviderManagerCore(policy=placement, rng=seed)
         self.dp_cores: dict[str, DataProviderCore] = {}
         for node in provider_nodes:
             self.pm_core.register(node.name)

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from typing import Generator, Optional, Union
 
-import numpy as np
-
 from repro.blob.block import Payload, SyntheticPayload
 from repro.deploy.platform import Calibration, DEFAULT_CALIBRATION
 from repro.errors import ProviderUnavailable
@@ -35,6 +33,7 @@ from repro.simulation.engine import Engine
 from repro.simulation.rpc import Reply, RpcServer, call
 from repro.util.bytesize import MB
 from repro.util.chunks import split_range
+from repro.util.rng import SeededRng
 
 __all__ = ["SimHDFS"]
 
@@ -69,7 +68,7 @@ class SimHDFS:
         self.chunk_stall = chunk_stall
         self.nn_core = NamenodeCore(
             placement=HdfsPlacementPolicy(
-                rng=np.random.default_rng(seed),
+                rng=SeededRng(seed),
                 target_reuse=calibration.hdfs_target_reuse,
             )
         )

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-import numpy as np
-
 from repro.blob.block import BytesPayload, Payload
 from repro.bsfs.cache import BlockReadCache, CachedReadStream, WriteBuffer
 from repro.errors import (
@@ -26,6 +24,7 @@ from repro.hdfs.namenode import NamenodeCore
 from repro.hdfs.placement import HdfsPlacementPolicy
 from repro.util.bytesize import MB, parse_size
 from repro.util.chunks import split_range
+from repro.util.rng import SeededRng
 
 __all__ = ["HDFSFileSystem", "HDFSWriteStream", "HDFSReadStream", "DEFAULT_CHUNK_SIZE"]
 
@@ -131,7 +130,7 @@ class HDFSFileSystem(FileSystem):
             raise ValueError("block_size must be >= 1")
         self.replication = replication
         self.namenode = NamenodeCore(
-            placement=HdfsPlacementPolicy(rng=np.random.default_rng(seed))
+            placement=HdfsPlacementPolicy(rng=SeededRng(seed))
         )
         self.datanodes: dict[str, DatanodeCore] = {}
         for name in datanodes:

@@ -10,11 +10,13 @@ unbalanced random layout (Figure 3(b)) when it is not.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.errors import ReplicationError
+from repro.util.rng import SeededRng
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["HdfsPlacementPolicy"]
 
@@ -38,7 +40,7 @@ class HdfsPlacementPolicy:
     ):
         if target_reuse < 1:
             raise ValueError(f"target_reuse must be >= 1, got {target_reuse}")
-        self._rng = rng if rng is not None else np.random.default_rng(0)
+        self._rng = rng if rng is not None else SeededRng(0)
         self.target_reuse = target_reuse
         self._current: Optional[str] = None
         self._remaining = 0

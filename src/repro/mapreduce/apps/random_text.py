@@ -19,15 +19,21 @@ word index at once.  A chunk holding a word either span would reject
 (about one in 10**8) sends the whole mapper back to the plain
 :func:`random_sentence` loop.  ``setup.py`` leaves numpy unpinned, so
 ``tests/mapreduce/test_apps.py`` checks the bulk text against the loop.
+numpy loads at a mapper's first draw, not when this module loads: a
+process that only builds the job, or runs grep, never imports it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import functools
+from typing import TYPE_CHECKING
 
 from repro.mapreduce.job import Emitter, JobConf
 from repro.util.bytesize import parse_size
 from repro.util.rng import derive_rng
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["WORDS", "random_sentence", "random_text_job"]
 
@@ -53,11 +59,18 @@ def random_sentence(rng, min_words: int = 10, max_words: int = 20) -> str:
     return " ".join(WORDS[i] for i in picks)
 
 
-_WORD_ARRAY = np.array(WORDS, dtype=object)
+@functools.cache
+def _word_array() -> np.ndarray:
+    """:data:`WORDS` as an object array, for decoding picks in bulk."""
+    import numpy as np
+
+    return np.array(WORDS, dtype=object)
 
 
 def _lemire(raw: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
     """numpy's bounded draw over raw words: the values, the rejections."""
+    import numpy as np
+
     product = raw * np.uint64(span)
     return product >> np.uint64(32), product.astype(np.uint32) < (1 << 32) % span
 
@@ -65,6 +78,8 @@ def _lemire(raw: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
 def _bulk_sentences(rng, target: int) -> list[str] | None:
     """``random_sentence(rng)`` until *target* bytes, decoded from chunked
     raw draws; None if numpy would have rejected a drawn word."""
+    import numpy as np
+
     sentences, produced = [], 0
     raw = np.empty(0, dtype=np.uint64)  # drawn, not yet cut into sentences
     while produced < target:
@@ -76,7 +91,7 @@ def _bulk_sentences(rng, target: int) -> list[str] | None:
         picks, rejected = _lemire(raw, len(WORDS))
         if short.any() or rejected.any():
             return None
-        lengths, words = (lengths + 10).tolist(), _WORD_ARRAY[picks].tolist()
+        lengths, words = (lengths + 10).tolist(), _word_array()[picks].tolist()
         position = 0
         while produced < target and position < len(words):
             stop = position + 1 + lengths[position]

@@ -7,22 +7,13 @@ from repro.util.chunks import (
     block_count,
     split_range,
 )
+from repro.util.rng import SeedFactory, derive_rng
 from repro.util.throttle import TokenBucket
 from repro.util.stats import (
     Summary,
     manhattan_unbalance,
     summarize,
 )
-
-
-def __getattr__(name: str):
-    # The RNG helpers are numpy-backed: loaded on first use, so that
-    # importing the package does not import numpy.
-    if name in ("SeedFactory", "derive_rng"):
-        from repro.util import rng
-
-        return getattr(rng, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

@@ -7,7 +7,7 @@ readers turn that into a latency-hiding pipeline.
 """
 
 import threading
-import time
+from concurrent import futures
 
 import pytest
 
@@ -23,13 +23,15 @@ def engine():
         yield eng
 
 
-def make(data, engine, readahead, capacity=4, delay=0.0):
+def make(data, engine, readahead, capacity=4, hold=None):
+    """A cache over *data*; fetches on helper threads wait for *hold*."""
     fetched = []
     lock = threading.Lock()
+    reader = threading.get_ident()
 
     def fetch(first, count):
-        if delay:
-            time.sleep(delay)
+        if hold is not None and threading.get_ident() != reader:
+            hold.wait(timeout=10)
         with lock:
             fetched.extend(range(first, first + count))
         return [data[i * BS : (i + 1) * BS] for i in range(first, first + count)]
@@ -62,19 +64,34 @@ class TestReadAhead:
         assert sorted(set(fetched)) == [0, 1, 2]
 
     def test_readahead_hides_backend_latency(self, engine):
-        delay = 0.01
-        data = bytes(8 * BS)
-        cache, _ = make(data, engine, readahead=2, delay=delay)
-        start = time.perf_counter()
+        # The mechanism that hides backend latency: while the reader
+        # consumes block i, block i+1 is already being fetched on a
+        # helper thread, so no read after the first fetches inline.
+        data = bytes(i % 256 for i in range(8 * BS))
+        threads, started = {}, [threading.Event() for _ in range(8)]
+
+        def fetch(first, count):
+            threads[first] = threading.get_ident()
+            started[first].set()
+            return [data[i * BS : (i + 1) * BS] for i in range(first, first + count)]
+
+        cache = BlockReadCache(
+            fetch,
+            block_size=BS,
+            file_size=len(data),
+            capacity=4,
+            engine=engine,
+            readahead=2,
+        )
         for i in range(8):
-            cache.pread(i * BS, BS)
-            time.sleep(delay)  # the client "processing" each block
-        elapsed = time.perf_counter() - start
-        # Serial would be >= 16 * delay (8 fetches + 8 processing
-        # steps); the pipeline overlaps fetch with processing, landing
-        # near 9 * delay — the 14x bound leaves ~50ms of slack for
-        # sleep() overshoot on a loaded CI runner.
-        assert elapsed < 14 * delay
+            assert cache.pread(i * BS, BS) == data[i * BS : (i + 1) * BS]
+            if i < 7:
+                assert started[i + 1].wait(timeout=10), f"block {i + 1} never prefetched"
+        reader = threading.get_ident()
+        assert sorted(threads) == list(range(8))
+        assert threads[0] == reader
+        assert all(threads[i] != reader for i in range(1, 8))
+        assert cache.fetches == 8
 
     def test_readahead_requires_engine(self):
         with pytest.raises(ValueError):
@@ -125,12 +142,16 @@ class TestReadAhead:
         # Prefetches cancelled on a seek never hit the backend and
         # must not inflate the cache-miss counter.
         data = bytes(30 * BS)
-        cache, fetched = make(data, engine, readahead=4, delay=0.005)
+        release = threading.Event()
+        cache, fetched = make(data, engine, readahead=4, hold=release)
         cache.pread(0, 1)  # prefetch 1..4 submitted on a 2-thread pool
-        cache.pread(20 * BS, 1)  # seek: queued prefetches cancelled
-        import time as _time
-
-        _time.sleep(0.05)  # let any in-flight fetch land
+        prefetches = list(cache._pending.values())
+        cache.pread(20 * BS, 1)  # seek: 3 and 4 are still queued, so cancelled
+        release.set()
+        # Let every in-flight fetch land (a cancelled one is done too).
+        _, not_done = futures.wait(prefetches, timeout=10)
+        assert not not_done
+        assert any(prefetch.cancelled() for prefetch in prefetches)
         assert cache.fetches == len(fetched)
 
     def test_prefetch_inside_a_fetched_span_is_dropped(self, engine):

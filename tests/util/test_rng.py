@@ -1,6 +1,12 @@
 """Determinism tests for the RNG plumbing."""
 
+import copy
+import pickle
+
+import numpy as np
+
 from repro.util import SeedFactory, derive_rng
+from repro.util.rng import SeededRng
 
 
 class TestSeedFactory:
@@ -45,3 +51,17 @@ class TestDeriveRng:
 
     def test_key_sensitivity(self):
         assert derive_rng(3, 1).random() != derive_rng(3, 2).random()
+
+
+class TestSeededRng:
+    def test_draws_the_stream_of_default_rng(self):
+        lazy, eager = SeededRng(11), np.random.default_rng(11)
+        assert lazy.integers(0, 1 << 30, 8).tolist() == eager.integers(0, 1 << 30, 8).tolist()
+        assert lazy.permutation(9).tolist() == eager.permutation(9).tolist()
+
+    def test_copies_and_pickles_before_and_after_the_first_draw(self):
+        fresh, drawn = SeededRng(5), SeededRng(5)
+        drawn.random()
+        for rng in (fresh, drawn):
+            for clone in (copy.deepcopy(rng), pickle.loads(pickle.dumps(rng))):
+                assert clone.random() == copy.deepcopy(rng).random()
