@@ -35,16 +35,6 @@ from repro.errors import ProviderUnavailable, WriteConflict
 __all__ = ["DataProviderCore"]
 
 
-def __getattr__(name: str):
-    # The coroutine twins' ``asyncio``, resolved on first use so that
-    # ``import repro`` does not pay for it.
-    if name == "asyncio":
-        import asyncio
-
-        return asyncio
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 class DataProviderCore:
     """One provider's block map.
 

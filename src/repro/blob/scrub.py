@@ -5,31 +5,32 @@ point beside it.  The versioning paper's model (Nicolae et al.) assumes
 replicas converge from durable state alone, and one incremental pass
 (:func:`scrub_store`) makes them:
 
-1. **tombstone reconciliation** — for every tombstoned version, the
-   filler patch is re-derived from the version manager's durable spec
-   and force-healed onto every online replica that is missing it *or
-   holds a stale real-patch node of the dead write* (the recovered-
-   bucket case).
-2. **metadata replica reconciliation** — every tree-node key held by
-   any online bucket is compared across its online owner replicas;
-   lagging replicas (down during the original publish) are re-fed from
-   any healthy copy, and divergent *leaf or run* replicas (a repair
-   rewrote replica sets while one bucket was down) are reconciled entry
-   by entry in favour of the copy with the most live block replicas.
-3. **block re-replication** (paper §VI-B) — GC's mark
+1. **replica reconciliation** — every tree-node key held by any
+   online bucket is compared across its online owner replicas, in
+   chunks of one peek round and one heal round each.  A tombstone's
+   filler patch, re-derived from the version manager's durable spec, is
+   its keys' authority: a replica missing it *or holding a stale
+   real-patch node of the dead write* (the recovered-bucket case) is
+   overwritten.  Any other key is re-fed from a healthy copy where it
+   lags (down during the original publish), and divergent *leaf or run*
+   replicas (a repair rewrote replica sets while one bucket was down)
+   are reconciled entry by entry in favour of the copy with the most
+   live block replicas.
+2. **block re-replication** (paper §VI-B) — GC's mark
    (:func:`~repro.blob.gc.mark_reachable`), one walk from every
    retained root of every BLOB, finds the entries of leaves and runs
-   some snapshot's clips reach (DESIGN.md §4); :func:`repair_leaf`
-   copies the under-replicated ones back up to the owning BLOB's
-   target, one republish per leaf or run, best effort (a block with no
-   surviving replica is reported, not raised, so one lost block cannot
-   stop the pass).  A key the walk could not read is one error and
-   stops only the subtree below it.
+   some snapshot's clips reach (DESIGN.md §4); every under-replicated
+   one is planned, then brought back up to the owning BLOB's target in
+   rounds through the store's own I/O paths: one gather of the
+   sources, one scatter of the copies, one republish of every repaired
+   leaf or run, one delete round for what failed.  A block that cannot
+   be repaired is reported, not raised, so one lost block cannot stop
+   the pass.  A key the walk could not read is one error and stops
+   only the subtree below it.
 
 Replica-set location is the one piece of metadata treated as mutable:
 a block repair rewrites its leaf or run with the updated provider
-tuples.  The
-block's *identity and contents* stay immutable, so snapshot semantics
+tuples.  The block's *identity and contents* stay immutable, so snapshot semantics
 are unaffected.
 
 The pass never blocks the foreground read/write path: it takes the
@@ -52,9 +53,9 @@ rate is given and unpaced otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, TYPE_CHECKING, Union
+from operator import itemgetter
+from typing import Optional, TYPE_CHECKING, Union
 
-from repro.blob.async_engine import run_inline
 from repro.blob.block import BlockDescriptor, BlockId
 from repro.blob.gc import mark_reachable, snapshot_roots
 from repro.blob.metadata import agreed_value
@@ -74,7 +75,7 @@ from repro.errors import (
 from repro.util.throttle import TokenBucket
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store imports us not)
-    from repro.blob.store import LocalBlobStore
+    from repro.blob.store import Landed, LocalBlobStore
 
 #: The nodes that carry block descriptors: a leaf, or a run of them.
 Leaf = Union[LeafNode, RunLeaf]
@@ -82,7 +83,6 @@ Leaf = Union[LeafNode, RunLeaf]
 __all__ = [
     "ScrubReport",
     "live_replicas",
-    "repair_leaf",
     "scrub_store",
 ]
 
@@ -148,7 +148,7 @@ class _BlobPlan:
     replication: int
     in_flight: frozenset[int]
     tombstone_specs: list[TombstoneSpec] = field(default_factory=list)
-    #: Root of every retained non-empty snapshot, oldest first (phase 3).
+    #: Root of every retained non-empty snapshot, oldest first (phase 2).
     roots: list[NodeKey] = field(default_factory=list)
 
 
@@ -187,40 +187,6 @@ def _snapshot_control_plane(store: "LocalBlobStore") -> list[_BlobPlan]:
 _RECONCILE_CHUNK = 64
 
 
-def _scrub_tombstones(
-    store: "LocalBlobStore",
-    specs: list[TombstoneSpec],
-    throttle: Optional[TokenBucket],
-    counters: dict,
-    errors: list[str],
-) -> set[NodeKey]:
-    """Phase 1: heal every tombstone's filler patch in place.
-
-    Force-overwrites any online replica that is missing a filler node
-    or still holds a stale real-patch node of the dead write.  Returns
-    the filler key set so the reconciliation phase skips them.
-    """
-    filler_keys: set[NodeKey] = set()
-    for spec in specs:
-        counters["tombstones_checked"] += 1
-        patch = spec.patch()
-        # One batched DHT pass answers the whole patch's replica state,
-        # and one round heals it.
-        replica_maps = store.metadata.replica_nodes_many(
-            [node.key for node in patch]
-        )
-        heals: list[tuple[str, TreeNode, str]] = []
-        for node in patch:
-            filler_keys.add(node.key)
-            if throttle is not None:
-                throttle.acquire()
-            for bucket_name, value in replica_maps[node.key].items():
-                if value is MISSING or value != node:
-                    heals.append((bucket_name, node, "filler_republished"))
-        _heal(store, heals, counters, errors)
-    return filler_keys
-
-
 def live_replicas(store: "LocalBlobStore", descriptor: BlockDescriptor) -> list[str]:
     """Replica providers that are online *and* still hold the block."""
     return [
@@ -228,140 +194,6 @@ def live_replicas(store: "LocalBlobStore", descriptor: BlockDescriptor) -> list[
         for name in descriptor.providers
         if name in store.providers and store.providers[name].has(descriptor.block_id)
     ]
-
-
-def repair_leaf(
-    store: "LocalBlobStore", node: Leaf, target: int, indices: Iterable[int]
-) -> tuple[int, int, list[str]]:
-    """Restore a leaf's or a run's blocks to *target* live replicas.
-
-    *indices* names the block indices to check: the scrub passes the
-    entries some retained snapshot reaches, so a block overwritten
-    inside a still-shared run is never repaired.
-    Per block, new homes are live providers not already serving it.
-    One that already holds the block — a copy an earlier repair could
-    not record, or the loser of a leaf divergence — is adopted as it
-    is; the others receive a copy from a surviving replica, each
-    charged to the provider manager like a placement.  The node is then
-    republished **once**, every repaired entry naming its new replica
-    set, through the same force multi-put as tombstone filler, which
-    also invalidates the node cache (a cached pre-repair node would
-    keep naming the dead sets).
-
-    A block that cannot be repaired — **no** live replica (data loss:
-    only a re-write can recover it), too few live providers to reach
-    *target*, a failed copy — keeps its entry and its own copies are
-    removed; it is reported in the returned errors and the other blocks
-    are still repaired.  If no metadata replica takes the node, every
-    copy this call made is removed and their charges returned before
-    :class:`ReplicationError` propagates.  Returns ``(blocks repaired,
-    replicas added, errors)``; replicas added count adopted ones too.
-    """
-    base = node.key.offset
-    entries = list(clipped_entries(node, base, node.key.end))
-    made: list[tuple[BlockDescriptor, list[str]]] = []
-    repaired = added = 0
-    errors: list[str] = []
-    try:
-        for index in sorted(indices):
-            descriptor = entries[index - base]
-            if type(descriptor) is not BlockDescriptor:
-                continue
-            try:
-                restored = _restore_block(store, descriptor, target, made)
-            except (ReplicationError, ProviderError) as exc:
-                errors.append(str(exc))
-                continue
-            if restored is not None:
-                homes, copies = restored
-                # Through the constructor: ``_replace`` skips its checks.
-                entries[index - base] = BlockDescriptor(
-                    **{**descriptor._asdict(), "providers": homes}
-                )
-                repaired += 1
-                added += copies
-        if repaired:
-            if store.metadata.put_fillers([_rebuilt(node.key, entries)]):
-                raise ReplicationError(
-                    f"no live metadata replica took the repaired node {node.key}"
-                )
-    except BaseException:
-        for descriptor, landed in made:
-            _remove_copies(store, descriptor.block_id, landed, descriptor.size)
-        raise
-    return repaired, added, errors
-
-
-def _restore_block(
-    store: "LocalBlobStore",
-    descriptor: BlockDescriptor,
-    target: int,
-    made: list[tuple[BlockDescriptor, list[str]]],
-) -> Optional[tuple[tuple[str, ...], int]]:
-    """Bring one block to *target* live replicas: its new replica set
-    and the replicas added, or ``None`` when already at target.  The
-    copies it lands are recorded in *made*; on failure it removes them
-    itself and raises."""
-    block_id = descriptor.block_id
-    live = live_replicas(store, descriptor)
-    if len(live) >= target:
-        return None
-    if not live:
-        raise ReplicationError(
-            f"block {block_id} of blob {descriptor.blob_id!r} has no live replica"
-        )
-    needed = target - len(live)
-    candidates = [
-        p.name for p in store.provider_manager.live_providers() if p.name not in live
-    ]
-    adopted = [name for name in candidates if store.providers[name].has(block_id)][:needed]
-    fresh = [name for name in candidates if name not in adopted][: needed - len(adopted)]
-    if len(adopted) + len(fresh) < needed:
-        raise ReplicationError(
-            f"not enough live providers to restore replication {target} "
-            f"for block {block_id}"
-        )
-    landed: list[str] = []
-
-    def copy(name: str):
-        provider = store.providers[name]
-        yield provider._issue()
-        provider._put_vector(((block_id, payload),), None)
-        store.provider_manager.charge(name, descriptor.size)
-        landed.append(name)
-
-    def fetch():
-        source = store.providers[live[0]]
-        yield source._issue()
-        return source._get_vector((block_id,))[block_id]
-
-    if fresh:
-        try:
-            payload = run_inline(fetch())
-            # Maintenance traffic shares the I/O engine's bounded window
-            # with foreground I/O.
-            store._map_io(copy, fresh, dest=lambda name: name)
-        except BaseException:
-            _remove_copies(store, block_id, landed, descriptor.size)
-            raise
-        finally:  # the repair's own transfer; a stored block needs no copy
-            store.copy_stats.record("provider.put", transferred=len(landed) * descriptor.size)
-        made.append((descriptor, landed))
-    return tuple(live + adopted + fresh), needed
-
-
-def _remove_copies(
-    store: "LocalBlobStore", block_id: BlockId, homes: list[str], nbytes: int
-) -> None:
-    """Undo a failed repair's copies and their charges, in one round of
-    delete requests.  A copy whose provider went down keeps its charge,
-    like a rolled-back write's stranded replica: the next repair adopts
-    it, or the GC sweep that collects the block deletes it and returns
-    the charge."""
-    freed = store._delete_blocks({name: [block_id] for name in homes})
-    for name, blocks in freed.items():
-        if blocks[block_id]:
-            store.provider_manager.release(name, nbytes)
 
 
 def _heal(
@@ -428,21 +260,30 @@ def _identity(entry) -> object:
 def _reconcile_replicas(
     store: "LocalBlobStore",
     plans: dict[str, _BlobPlan],
-    skip_keys: set[NodeKey],
     throttle: Optional[TokenBucket],
     counters: dict,
     errors: list[str],
 ) -> None:
-    """Phase 2: converge every remaining key's online replica set.
+    """Phase 1: converge every key's online replica set.
 
-    Keys that survive the cheap skip filters are examined in batches:
-    one :meth:`~repro.blob.metadata.MetadataService.replica_nodes_many`
+    A tombstone's filler patch, re-derived from the version manager's
+    durable spec, is its keys' authority: any online replica missing a
+    filler node or still holding a stale real-patch node of the dead
+    write is overwritten.  Every other key that survives the cheap skip
+    filters takes its authority from its replicas.  The filler keys go
+    first, then every key is examined in chunks: one
+    :meth:`~repro.blob.metadata.MetadataService.replica_nodes_many`
     pass answers a whole chunk, and one heal round re-feeds its damaged
     replicas, best effort per bucket.
     """
-    eligible: list[NodeKey] = []
+    fillers: dict[NodeKey, TreeNode] = {}
+    for plan in plans.values():
+        for spec in plan.tombstone_specs:
+            counters["tombstones_checked"] += 1
+            fillers.update((node.key, node) for node in spec.patch())
+    eligible = list(fillers)
     for key in sorted(store.metadata.all_node_keys(), key=repr):
-        if key in skip_keys:
+        if key in fillers:
             continue
         plan = plans.get(key.blob_id)
         if plan is None:
@@ -461,11 +302,19 @@ def _reconcile_replicas(
         heals: list[tuple[str, TreeNode, str]] = []
         for key in chunk:
             values = replica_maps[key]
-            if not values:
+            filler = fillers.get(key)
+            if filler is None and not values:
                 continue  # every owner offline; nothing to compare
-            counters["nodes_checked"] += 1
             if throttle is not None:
                 throttle.acquire()
+            if filler is not None:
+                heals.extend(
+                    (bucket_name, filler, "filler_republished")
+                    for bucket_name, value in values.items()
+                    if value is MISSING or value != filler
+                )
+                continue
+            counters["nodes_checked"] += 1
             if all(v is MISSING for v in values.values()):
                 # The only holder went offline since enumeration: not a
                 # conflict, just nothing to heal from until it recovers.
@@ -488,6 +337,52 @@ def _reconcile_replicas(
         _heal(store, heals, counters, errors)
 
 
+@dataclass(frozen=True)
+class _Repair:
+    """One under-replicated block's plan: its node and index there, its
+    new entry (live replicas first, then adopted ones, then fresh), the
+    providers that receive a fresh copy, and the replicas it gains."""
+
+    node: Leaf
+    index: int
+    new: BlockDescriptor
+    fresh: list[str]
+    added: int
+
+
+def _homes(
+    store: "LocalBlobStore",
+    descriptor: BlockDescriptor,
+    target: int,
+    candidates: list[str],
+) -> Optional[tuple[list[str], list[str], list[str]]]:
+    """What brings one block to *target* live replicas, or ``None`` when
+    it is there: its live replicas, the *candidates* adopted as they are
+    because they already hold it (a copy an earlier repair could not
+    record, or the loser of a leaf divergence), and those that receive
+    a fresh copy.  Raises :class:`ReplicationError` when no replica
+    survives (data loss: only a re-write can recover it) or too few
+    providers are live."""
+    block_id = descriptor.block_id
+    live = live_replicas(store, descriptor)
+    if len(live) >= target:
+        return None
+    if not live:
+        raise ReplicationError(
+            f"block {block_id} of blob {descriptor.blob_id!r} has no live replica"
+        )
+    needed = target - len(live)
+    spare = [name for name in candidates if name not in live]
+    adopted = [name for name in spare if store.providers[name].has(block_id)][:needed]
+    fresh = [name for name in spare if name not in adopted][: needed - len(adopted)]
+    if len(adopted) + len(fresh) < needed:
+        raise ReplicationError(
+            f"not enough live providers to restore replication {target} "
+            f"for block {block_id}"
+        )
+    return live, adopted, fresh
+
+
 def _scrub_blocks(
     store: "LocalBlobStore",
     plans: dict[str, _BlobPlan],
@@ -495,39 +390,128 @@ def _scrub_blocks(
     counters: dict,
     errors: list[str],
 ) -> None:
-    """Phase 3: restore block replication over every retained snapshot.
+    """Phase 2: restore block replication over every retained snapshot.
 
     One mark walks every retained root of every BLOB at once, so nodes
     shared between snapshots and branches (the common case) are checked
     exactly once, collecting per leaf or run the block entries some
-    snapshot reaches; then each such node is repaired once, to the
-    replication of the BLOB that owns its key.  A key the walk could
-    not read (a subtree on an offline bucket) is one error and stops
-    only the subtree below it: the tree heals when the bucket recovers
-    (phase 2 of a later pass).  Repair failures are recorded, never
-    raised: the sweep is incremental by contract.
+    snapshot reaches.  A key the walk could not read (a subtree on an
+    offline bucket) is one error and stops only the subtree below it:
+    the tree heals when the bucket recovers (phase 1 of a later pass).
+    Then every reached block below the replication of the BLOB that
+    owns its key is planned, and :func:`_repair_blocks` runs the plan
+    in rounds.  A block that cannot be repaired keeps its entry and is
+    recorded, never raised: the sweep is incremental by contract.
     """
     roots = [root for plan in plans.values() for root in plan.roots]
     reached, unread = mark_reachable(store, roots)
     errors.extend(f"{key.blob_id}: subtree unreadable: {exc}" for key, exc in unread.items())
+    candidates = [p.name for p in store.provider_manager.live_providers()]
+    repairs: list[_Repair] = []
     for node, blocks in reached.values():
-        if not blocks:
-            continue
         owner = node.key.blob_id
         counters["blocks_checked"] += len(blocks)
-        if throttle is not None:
-            for _ in blocks:
+        for index in sorted(blocks):
+            if throttle is not None:
                 throttle.acquire()
+            old = blocks[index]
+            try:
+                homes = _homes(store, old, plans[owner].replication, candidates)
+            except ReplicationError as exc:
+                errors.append(f"{owner}: {exc}")
+                continue
+            if homes is not None:
+                live, adopted, fresh = homes
+                providers = tuple(live + adopted + fresh)
+                # Through the constructor: ``_replace`` skips its checks.
+                new = BlockDescriptor(**{**old._asdict(), "providers": providers})
+                repairs.append(_Repair(node, index, new, fresh, len(adopted) + len(fresh)))
+    stored: "Landed" = []
+    try:
+        failed = _repair_blocks(store, repairs, stored, counters, errors)
+    except BaseException:
+        _remove_copies(store, stored)
+        raise
+    _remove_copies(store, [(name, [b for b in ids if b in failed]) for name, ids in stored])
+
+
+def _repair_blocks(
+    store: "LocalBlobStore",
+    repairs: list[_Repair],
+    stored: "Landed",
+    counters: dict,
+    errors: list[str],
+) -> set[BlockId]:
+    """Run the planned *repairs* through the store's own I/O paths and
+    return the ids of the blocks that failed.
+
+    One gather of the read path reads every source (with its replica
+    failover); one scatter of the write path lands every fresh copy,
+    recording it in *stored* and charging it to the provider manager
+    like a placement; one force multi-put, the one tombstone filler
+    uses, republishes every leaf or run with a repaired block, naming
+    its new replica sets and invalidating the node cache (a cached
+    pre-repair node would keep naming the dead sets).  A block fails
+    when one of its copies did not land — a source or a destination
+    died, and the scatter stops at its first failure — or when no
+    metadata replica took its node; each cause is one error.
+    """
+    copying = [r for r in repairs if r.fresh]
+    if copying:
         try:
-            repaired, copies, failed = repair_leaf(
-                store, node, plans[owner].replication, blocks
+            # The new entry names the block's holders before its fresh homes.
+            sources = store._fetch_blocks([r.new for r in copying])
+            vectors, send = store._scatter_tasks(
+                [r.new.block_id for r in copying],
+                [sources[i] for i in range(len(copying))],
+                [r.fresh for r in copying],
+                stored,
             )
-        except (ReplicationError, ProviderError) as exc:
-            errors.append(f"{owner}: {exc}")
-            continue
-        errors.extend(f"{owner}: {message}" for message in failed)
-        counters["blocks_repaired"] += repaired
-        counters["copies_created"] += copies
+            store._map_io(send, vectors, dest=itemgetter(0))
+        except ProviderError as exc:
+            errors.append(f"repair copies failed: {exc}")
+        finally:
+            sizes = {r.new.block_id: r.new.size for r in copying}
+            moved = 0
+            for name, ids in stored:
+                for block_id in ids:
+                    store.provider_manager.charge(name, sizes[block_id])
+                    moved += sizes[block_id]
+            # The repair's own transfer; an adopted block needs no copy.
+            store.copy_stats.record("provider.put", transferred=moved)
+    landed = {(name, block_id) for name, ids in stored for block_id in ids}
+    done = [r for r in repairs if all((name, r.new.block_id) in landed for name in r.fresh)]
+    entries: dict[NodeKey, list] = {}
+    for r in done:
+        key = r.node.key
+        if key not in entries:
+            entries[key] = list(clipped_entries(r.node, key.offset, key.end))
+        entries[key][r.index - key.offset] = r.new
+    unstored = set(store.metadata.put_fillers([_rebuilt(k, e) for k, e in entries.items()]))
+    errors.extend(
+        f"{key.blob_id}: no live metadata replica took the repaired node {key}"
+        for key in sorted(unstored, key=repr)
+    )
+    failed = {r.new.block_id for r in repairs}
+    for r in done:
+        if r.node.key not in unstored:
+            failed.discard(r.new.block_id)
+            counters["blocks_repaired"] += 1
+            counters["copies_created"] += r.added
+    return failed
+
+
+def _remove_copies(store: "LocalBlobStore", copies: "Landed") -> None:
+    """Undo repair copies and their charges, in one round of delete
+    requests.  A copy whose provider went down keeps its charge, like a
+    rolled-back write's stranded replica: the next repair adopts it, or
+    the GC sweep that collects the block deletes it and returns the
+    charge."""
+    freed = store._delete_blocks(dict(copies))
+    for name, blocks in freed.items():
+        for nbytes in blocks.values():
+            if nbytes:
+                store.provider_manager.release(name, nbytes)
 
 
 def scrub_store(
@@ -557,24 +541,8 @@ def scrub_store(
     }
     errors: list[str] = []
 
-    filler_keys = _scrub_tombstones(
-        store,
-        [spec for plan in plans for spec in plan.tombstone_specs],
-        throttle,
-        counters,
-        errors,
-    )
-
     by_id = {plan.blob_id: plan for plan in plans}
-    _reconcile_replicas(
-        store,
-        by_id,
-        filler_keys,
-        throttle,
-        counters,
-        errors,
-    )
-
+    _reconcile_replicas(store, by_id, throttle, counters, errors)
     _scrub_blocks(store, by_id, throttle, counters, errors)
 
     dht = store.metadata.store

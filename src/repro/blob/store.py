@@ -113,8 +113,8 @@ __all__ = [
 #: more blocks of one write pays one service delay per this many.
 _ASYNC_PER_DEST = 64
 
-#: What a write's scatter stored, for its rollback: per provider vector,
-#: the provider and the ids of the blocks that landed there so far.
+#: What a scatter stored, for its rollback: per provider vector, the
+#: provider and the ids of the blocks that landed there so far.
 Landed = list[tuple[str, list[BlockId]]]
 
 #: How the read-side calls name a snapshot: a version number, ``None``
@@ -479,7 +479,9 @@ class LocalBlobStore:
         )
         scatter = None
         ticket: Optional[WriteTicket] = None
-        vectors, send = self._scatter_tasks(blob_id, nonce, payloads, placements, stored)
+        vectors, send = self._scatter_tasks(
+            [(blob_id, nonce, seq) for seq in range(len(payloads))], payloads, placements, stored
+        )
         try:
             if self.overlap_publish:
                 scatter = self.io_engine.submit_each(send, vectors, dest=itemgetter(0))
@@ -534,13 +536,13 @@ class LocalBlobStore:
 
     def _scatter_tasks(
         self,
-        blob_id: str,
-        nonce: int,
+        block_ids: list[BlockId],
         payloads: list[Payload],
         placements: list[tuple[str, ...]],
         stored: Landed,
     ):
-        """The per-provider transfer vectors of one write's scatter.
+        """The per-provider transfer vectors of one scatter: a write's,
+        or the scrub's repair copies.
 
         Every (block, replica) placement is grouped by provider into one
         ``(provider, chunks, landed)`` vector: its ``(block_id,
@@ -557,8 +559,8 @@ class LocalBlobStore:
         never inside a chunk's body.
         """
         by_provider: dict[str, list[tuple[BlockId, Payload]]] = {}
-        for seq, (payload, replicas) in enumerate(zip(payloads, placements)):
-            item = ((blob_id, nonce, seq), payload)
+        for block_id, payload, replicas in zip(block_ids, payloads, placements):
+            item = (block_id, payload)
             for provider_name in replicas:
                 by_provider.setdefault(provider_name, []).append(item)
         vectors = [(name, _chunks(items), []) for name, items in by_provider.items()]
@@ -865,8 +867,8 @@ class LocalBlobStore:
         Round 0 groups the blocks by their first live replica; each
         later round regroups the blocks still unresolved — absent from
         the replica asked, or in a vector whose provider went down
-        mid-fetch — by their next live replica, as
-        ``DhtStore.multi_get`` does for keys.  Zero descriptors
+        mid-fetch — by their next live replica: the failover
+        ``DhtStore.gather`` gives keys.  Zero descriptors
         (tombstone filler, DESIGN.md §7) store nothing and are skipped.
         Raises :class:`ProviderUnavailable` for a block no replica
         served.

@@ -200,7 +200,7 @@ class TestTupleBackedDescriptors:
         blob = store.create()
         store.write(blob, 0, b"a" * 16)
         store.fail_provider(store.block_locations(blob, 0, 16)[0].providers[0])
-        monkeypatch.setattr(scrub_module, "_restore_block", lambda *args: ((), 1))
+        monkeypatch.setattr(scrub_module, "_homes", lambda *args: ([], [], []))
         with pytest.raises(ValueError, match="a block needs at least one provider"):
             store.scrub()
         store.close()

@@ -4,9 +4,12 @@ A conditional put's withdrawal, GC's metadata sweep and the scrub's
 heals each send every bucket its share as one request, all in one
 round, so a step sleeps once however many buckets it touches; so do
 the block deletes of GC's sweep and a write's rollback, one request
-per provider.  GC's mark and the scrub's block phase are one walk over
-every retained root, one metadata round per tree level, and a key the
-walk cannot read stops only the subtree below it.  Everything runs on
+per provider.  A tombstone's filler heals ride their chunk's heal
+round.  GC's mark and the scrub's block phase are one walk over every
+retained root, one metadata round per tree level, and a key the walk
+cannot read stops only the subtree below it; the scrub's repair then
+reads its sources, lands its copies and republishes in one round
+each, however many blocks it repairs.  Everything runs on
 the engine's virtual clock (the ``clock`` fixture): the tests count
 ``_sleep`` calls and round trips, never time.
 """
@@ -225,6 +228,50 @@ class TestScrubHeals:
         store.close()
 
 
+    def test_tombstone_fillers_heal_in_their_chunk_round(self, monkeypatch, clock):
+        """Three tombstones whose filler nodes each lost a replica heal
+        with the chunk they share: one round, not one per tombstone."""
+        store = LocalBlobStore(config=StoreConfig(
+            data_providers=4,
+            metadata_providers=4,
+            metadata_replication=2,
+            block_size=BS,
+            io_workers=2,
+            metadata_latency=0.005,
+        ))
+        blob = store.create()
+        dht = store.metadata.store
+        store.append(blob, b"a" * (4 * BS))
+        for version in (2, 3, 4):
+            undo = fail_publish_for_version(store, version)
+            with pytest.raises(ProviderUnavailable):
+                store.append(blob, b"x" * (2 * BS))  # aborts: a tombstone
+            undo()
+        fillers = [
+            node.key
+            for version in (2, 3, 4)
+            for node in store.version_manager.tombstone_spec(blob, version).patch()
+        ]
+        for key in fillers:
+            delete_keys(dht.buckets[dht.owners(key)[0]], [key])
+        assert len(store.metadata.all_node_keys()) <= 64  # one chunk
+
+        heals = per_call(
+            monkeypatch,
+            store.metadata,
+            "heal_replicas",
+            lambda: len(clock.sleeps),
+            round_trips(dht),
+        )
+        report = store.scrub()
+        assert report.errors == ()
+        assert report.tombstones_checked == 3
+        assert report.filler_republished == len(fillers)
+        assert heals == [(1, 1)]
+        assert store.metadata.divergent_keys() == []
+        store.close()
+
+
 def _overwritten_store(buckets=8, overwrites=40):
     store = LocalBlobStore(config=StoreConfig(
         data_providers=4, metadata_providers=buckets, block_size=BS
@@ -386,30 +433,39 @@ class TestGcRefusesToUnderMark:
         store.close()
 
 
+def _lagged_store(**latency):
+    """A bucket misses 40 two-block appends and recovers, then a
+    provider dies: 20 blocks under target below 224 tree nodes."""
+    KB = 1024
+    store = LocalBlobStore(config=StoreConfig(
+        data_providers=8,
+        metadata_providers=8,
+        replication=2,
+        metadata_replication=2,
+        block_size=KB,
+        io_workers=4,
+        **latency,
+    ))
+    blob = store.create()
+    dht = store.metadata.store
+    store.append(blob, b"a" * (2 * KB))
+    dht.fail_bucket("mdp-003")
+    for i in range(40):
+        store.append(blob, bytes([i]) * (2 * KB))
+    dht.recover_bucket("mdp-003")
+    store.fail_provider("provider-003")
+    store.metadata.cache.clear()
+    return store, blob
+
+
 class TestScrubBlockPhase:
     def test_the_block_phase_takes_one_round_per_tree_level(self, monkeypatch, clock):
         """A bucket misses 40 two-block appends and recovers, then a
         provider dies: the block phase walks all 41 retained roots at
         once, one metadata round per tree level (one 1-key round per
         new node when the scrub walked root by root)."""
-        KB = 1024
-        store = LocalBlobStore(config=StoreConfig(
-            data_providers=8,
-            metadata_providers=8,
-            replication=2,
-            metadata_replication=2,
-            block_size=KB,
-            io_workers=4,
-        ))
-        blob = store.create()
+        store, blob = _lagged_store()
         dht = store.metadata.store
-        store.append(blob, b"a" * (2 * KB))
-        dht.fail_bucket("mdp-003")
-        for i in range(40):
-            store.append(blob, bytes([i]) * (2 * KB))
-        dht.recover_bucket("mdp-003")
-        store.fail_provider("provider-003")
-        store.metadata.cache.clear()
         phase = per_call(monkeypatch, scrub_module, "_scrub_blocks", round_trips(dht))
         mark = per_call(monkeypatch, store.metadata, "gather_nodes", round_trips(dht))
         report = store.scrub()
@@ -417,6 +473,19 @@ class TestScrubBlockPhase:
         assert len(phase) == 1 and mark
         assert sum(trips for (trips,) in mark) <= levels + 1  # 224 root by root
         assert report.errors == () and report.blocks_repaired > 0
+        assert store.scrub().clean
+        store.close()
+
+    def test_the_repair_takes_three_rounds_however_many_blocks(self, monkeypatch, clock):
+        """After the walk, every under-replicated block's source read,
+        copy and republish each ride one round: the phase sleeps at most
+        tree levels + 3 times (57 when each block was repaired alone)."""
+        store, blob = _lagged_store(provider_latency=0.005, metadata_latency=0.005)
+        phase = per_call(monkeypatch, scrub_module, "_scrub_blocks", lambda: len(clock.sleeps))
+        report = store.scrub()
+        levels = int(math.log2(store.snapshot(blob).root_span)) + 1
+        assert report.errors == () and report.blocks_repaired == report.copies_created == 20
+        assert phase[0][0] <= levels + 3
         assert store.scrub().clean
         store.close()
 

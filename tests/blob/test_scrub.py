@@ -572,6 +572,105 @@ class TestRepairAccounting:
         store.close()
 
 
+def damaged_store(io_workers):
+    """8 providers at 5 ms, data replication 4, three four-block
+    appends, then provider-000 and provider-001 die: a block on both
+    needs two fresh copies, and every version still reads with one more
+    provider down.  Returns the store, the blob and every version's
+    bytes."""
+    store = make_store(
+        data_providers=8,
+        replication=4,
+        metadata_replication=2,
+        provider_latency=0.005,
+        **engine_kwargs(io_workers),
+    )
+    blob = store.create()
+    for i in range(3):
+        store.append(blob, bytes([65 + i]) * (4 * BS))
+    contents = {v: store.read(blob, version=v) for v in (1, 2, 3)}
+    store.fail_provider("provider-000")
+    store.fail_provider("provider-001")
+    return store, blob, contents
+
+
+def assert_every_copy_named(store, blob):
+    """No live provider holds a block its entry does not name: a failed
+    repair left none of its copies behind."""
+    named = {}
+    for version in range(1, store.latest_version(blob) + 1):
+        info = store.snapshot(blob, version)
+        for descriptor in store._collect_descriptors(info, 0, info.size):
+            named.setdefault(descriptor.block_id, set()).update(descriptor.providers)
+    for provider in store.providers.values():
+        if provider.online:
+            for block_id in provider.block_ids():
+                assert provider.name in named[block_id], (provider.name, block_id)
+
+
+@pytest.mark.parametrize("io_workers", IO_MODES)
+class TestRepairRoundFaults:
+    """The block repair's copy round and its republish fail as rounds:
+    the blocks they fail lose their copies and charges, the pass goes
+    on, and the next pass repairs them."""
+
+    def test_a_copy_destination_dying_mid_round_is_recorded_not_raised(
+        self, clock, io_workers
+    ):
+        store, blob, contents = damaged_store(io_workers)
+        real = store._scatter_tasks
+        dead = []
+
+        def scatter_then_die(block_ids, payloads, placements, stored):
+            # The last vector's destination dies between its issue and
+            # its deadline, so the vectors before it land first.
+            last = list(dict.fromkeys(name for homes in placements for name in homes))[-1]
+            dead.append(store.providers[last])
+            clock.at(clock.now + 0.001, dead[0].fail)
+            return real(block_ids, payloads, placements, stored)
+
+        store._scatter_tasks = scatter_then_die
+        report = store.scrub()
+        store._scatter_tasks = real
+        assert dead and not dead[0].online
+        assert any("repair copies failed" in err for err in report.errors)
+        assert_charges_match(store)
+        assert_every_copy_named(store, blob)
+        for version, want in contents.items():
+            assert store.read(blob, version=version) == want
+
+        dead[0].recover()
+        healed = store.scrub()
+        assert healed.errors == () and healed.blocks_repaired > 0
+        assert_charges_match(store)
+        assert store.scrub().clean
+        for version, want in contents.items():
+            assert store.read(blob, version=version) == want
+        store.close()
+
+    def test_an_interrupt_at_the_republish_removes_every_copy(self, clock, io_workers):
+        store, blob, contents = damaged_store(io_workers)
+        before = {name: set(p.block_ids()) for name, p in store.providers.items()}
+        real = store.metadata.put_fillers
+
+        def interrupted(nodes):
+            raise KeyboardInterrupt
+
+        store.metadata.put_fillers = interrupted
+        with pytest.raises(KeyboardInterrupt):
+            store.scrub()
+        store.metadata.put_fillers = real
+        assert {name: set(p.block_ids()) for name, p in store.providers.items()} == before
+        assert_charges_match(store)
+
+        report = store.scrub()
+        assert report.errors == () and report.blocks_repaired > 0
+        assert_charges_match(store)
+        for version, want in contents.items():
+            assert store.read(blob, version=version) == want
+        store.close()
+
+
 class TestPacedScrub:
     def test_zero_rate_is_rejected_not_silently_unpaced(self):
         # A falsy-but-present rate must hit the token bucket's

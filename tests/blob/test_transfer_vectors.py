@@ -121,7 +121,7 @@ class TestProviderVectors:
             awaited.append(seconds)
 
         monkeypatch.setattr(data_provider_module.time, "sleep", blocking.append)
-        monkeypatch.setattr(data_provider_module.asyncio, "sleep", fake_sleep)
+        monkeypatch.setattr(asyncio, "sleep", fake_sleep)
         provider = DataProviderCore("p", latency=0.5)
         block_id = ("b", 1, 0)
         asyncio.run(provider.aput(block_id, BytesPayload(b"x")))

@@ -454,7 +454,7 @@ class TestWriteAbortTombstone:
         nonce = next(store._nonce)
         placements = store.provider_manager.allocate(1, [BS], replication=1)
         vectors, send = store._scatter_tasks(
-            blob, nonce, [BytesPayload(b"z" * BS)], placements, []
+            [(blob, nonce, 0)], [BytesPayload(b"z" * BS)], placements, []
         )
         store._map_io(send, vectors)
         store._publish_metadata(ticket, nonce, [BS], placements)
