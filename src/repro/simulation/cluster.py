@@ -40,29 +40,28 @@ class SimNode:
 
     def __init__(self, cluster: "SimCluster", name: str, spec: NodeSpec):
         self.cluster = cluster
+        #: The engine driving this node's cluster.
+        self.engine: Engine = cluster.engine
+        #: The cluster's flow network (the node's NIC is a port on it).
+        self.network: FlowNetwork = cluster.network
         self.name = name
         self.spec = spec
         self.disk = Disk(cluster.engine, spec.disk)
         #: Set False by failure injection; services check it.
         self.online = True
-        cluster.network.add_node(name, egress=spec.nic_rate, ingress=spec.nic_rate)
-
-    @property
-    def engine(self) -> Engine:
-        """The engine driving this node's cluster."""
-        return self.cluster.engine
+        self.network.add_node(name, egress=spec.nic_rate, ingress=spec.nic_rate)
 
     def send(self, dst: "SimNode | str", nbytes: float) -> Event:
         """Transfer *nbytes* from this node to *dst* over the network."""
         dst_name = dst if isinstance(dst, str) else dst.name
-        return self.cluster.network.transfer(self.name, dst_name, nbytes)
+        return self.network.transfer(self.name, dst_name, nbytes)
 
     def fail(self) -> None:
         """Mark the node offline and kill its in-flight transfers."""
         from repro.errors import ProviderUnavailable
 
         self.online = False
-        self.cluster.network.cancel_node_flows(
+        self.network.cancel_node_flows(
             self.name, ProviderUnavailable(f"node {self.name} failed")
         )
 

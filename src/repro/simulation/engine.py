@@ -10,7 +10,9 @@ Design notes
 ------------
 * Events at the same timestamp fire in schedule order (a monotonically
   increasing sequence number breaks ties), so there is no hidden
-  nondeterminism.
+  nondeterminism.  Triggering an event pushes its ``(time, sequence)``
+  entry straight onto the calendar heap; :meth:`Engine.run` pops and
+  dispatches inline (DESIGN.md §15).
 * A :class:`Process` is itself an :class:`Event` that fires when the
   generator returns — ``yield some_process`` waits for completion and
   receives its return value.
@@ -18,8 +20,11 @@ Design notes
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, Generator, Iterable, Optional
+import itertools
+import math
+from collections.abc import Callable, Generator, Iterable
+from heapq import heappop, heappush
+from typing import Any, Optional
 
 from repro.errors import SimulationError
 
@@ -81,9 +86,12 @@ class Event:
         """Trigger successfully with *value* after *delay* sim-seconds."""
         if self._value is not _PENDING:
             raise SimulationError("event already triggered")
+        if delay < 0:
+            raise ValueError(f"cannot schedule into the past (delay={delay})")
         self._ok = True
         self._value = value
-        self.engine._schedule(self, delay)
+        engine = self.engine
+        heappush(engine._queue, (engine.now + delay, next(engine._sequence), self))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -92,9 +100,14 @@ class Event:
             raise SimulationError("event already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError(f"fail() needs an exception, got {exception!r}")
+        if delay is None:
+            delay = 0.0
+        if delay < 0:
+            raise ValueError(f"cannot schedule into the past (delay={delay})")
         self._ok = False
         self._value = exception
-        self.engine._schedule(self, 0.0 if delay is None else delay)
+        engine = self.engine
+        heappush(engine._queue, (engine.now + delay, next(engine._sequence), self))
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -117,10 +130,11 @@ class Timeout(Event):
     def __init__(self, engine: "Engine", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"timeout delay must be >= 0, got {delay}")
-        super().__init__(engine)
+        self.engine = engine
+        self.callbacks = []
         self._ok = True
         self._value = value
-        engine._schedule(self, delay)
+        heappush(engine._queue, (engine.now + delay, next(engine._sequence), self))
 
 
 class Process(Event):
@@ -132,58 +146,55 @@ class Process(Event):
     :meth:`Engine.run` if nobody waits — errors never pass silently).
     """
 
-    __slots__ = ("generator", "_target", "name")
+    __slots__ = ("generator", "name", "_resume_cb")
 
     def __init__(self, engine: "Engine", generator: Generator, name: str = ""):
         super().__init__(engine)
         self.generator = generator
-        #: The event this process is currently waiting on (None if ready).
-        self._target: Optional[Event] = None
         #: Optional label for tracing/debugging.
         self.name = name or getattr(generator, "__name__", "process")
+        #: The bound :meth:`_resume`, made once: every wait appends this
+        #: same object.  Dropped when the generator finishes, which
+        #: breaks the process -> method -> process cycle.
+        self._resume_cb: Optional[Callable[[Event], None]] = self._resume
         # Bootstrap: resume once at the current time.
-        bootstrap = Event(engine)
-        bootstrap._ok = True
-        bootstrap._value = None
-        engine._schedule(bootstrap, 0.0)
-        bootstrap.add_callback(self._resume)
-        self._target = bootstrap
-
-    @property
-    def alive(self) -> bool:
-        """True while the generator has not finished."""
-        return self._value is _PENDING
+        Timeout(engine, 0.0).callbacks.append(self._resume_cb)
 
     # -- internal ---------------------------------------------------------
 
     def _resume(self, event: Event) -> None:
-        if not self.alive:  # pragma: no cover - stale wake-up guard
-            return
-        self._target = None
         try:
             if event._ok:
-                next_target = self.generator.send(event._value)
+                target = self.generator.send(event._value)
             else:
-                next_target = self.generator.throw(event._value)
+                target = self.generator.throw(event._value)
         except StopIteration as stop:
+            self._resume_cb = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
+            self._resume_cb = None
             self.fail(exc)
             return
-        if not isinstance(next_target, Event):
-            exc = SimulationError(
-                f"process {self.name!r} yielded {next_target!r}; processes must yield Event"
+        if not isinstance(target, Event):
+            self._abort(
+                f"process {self.name!r} yielded {target!r}; processes must yield Event"
             )
-            self.generator.close()
-            self.fail(exc)
             return
-        if next_target.engine is not self.engine:
-            self.generator.close()
-            self.fail(SimulationError("yielded event belongs to a different engine"))
+        if target.engine is not self.engine:
+            self._abort("yielded event belongs to a different engine")
             return
-        self._target = next_target
-        next_target.add_callback(self._resume)
+        callbacks = target.callbacks
+        if callbacks is None:  # already processed: resume at once
+            self._resume(target)
+        else:
+            callbacks.append(self._resume_cb)
+
+    def _abort(self, message: str) -> None:
+        """Fail the process for an illegal yield, closing its generator."""
+        self._resume_cb = None
+        self.generator.close()
+        self.fail(SimulationError(message))
 
 
 class AllOf(Event):
@@ -225,15 +236,12 @@ class Engine:
     """Event calendar plus factory methods for events and processes."""
 
     def __init__(self):
-        self._now: float = 0.0
+        #: Current simulated time in seconds (read-only for callers).
+        self.now: float = 0.0
+        #: The calendar: a heap of ``(time, sequence, event)`` entries.
         self._queue: list[tuple[float, int, Event]] = []
-        self._sequence = 0
+        self._sequence = itertools.count(1)
         self._running = False
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     # -- factories ----------------------------------------------------------
 
@@ -258,30 +266,7 @@ class Engine:
         """Composite event: every child fired."""
         return AllOf(self, events)
 
-    # -- scheduling -----------------------------------------------------------
-
-    def _schedule(self, event: Event, delay: float) -> None:
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        self._sequence += 1
-        heapq.heappush(self._queue, (self._now + delay, self._sequence, event))
-
     # -- execution --------------------------------------------------------------
-
-    def step(self) -> None:
-        """Process the single next event on the calendar."""
-        when, _, event = heapq.heappop(self._queue)
-        if when < self._now:  # pragma: no cover - defensive
-            raise SimulationError("calendar went backwards")
-        self._now = when
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks or ():
-            callback(event)
-        if not event._ok and not callbacks and not isinstance(event, Process):
-            # A failed event nobody listened to: surface it loudly.
-            raise event._value
-        if isinstance(event, Process) and not event._ok and not callbacks:
-            raise event._value
 
     def run(self, until: "float | Event | None" = None) -> Any:
         """Run the simulation.
@@ -290,33 +275,52 @@ class Engine:
         * ``until=<number>`` — run until simulated time reaches it.
         * ``until=<Event>`` — run until that event has been processed and
           return its value (re-raising its exception if it failed).
+
+        Each calendar entry is popped and dispatched here: its callbacks
+        run in the order they were added, and a failed event with no
+        callback at all is raised from ``run`` (errors never pass
+        silently).
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
+        if isinstance(until, Event):
+            target, horizon = until, math.inf
+        else:
+            target = None
+            horizon = math.inf if until is None else float(until)
+            if horizon < self.now:
+                raise ValueError(f"cannot run to the past ({horizon} < {self.now})")
         self._running = True
         try:
-            if isinstance(until, Event):
-                target = until
-                while not target.processed:
-                    if not self._queue:
+            queue = self._queue
+            # An event is processed only when it is dispatched, so a
+            # target still holding its callbacks has not fired yet.
+            if target is None or target.callbacks is not None:
+                while queue and queue[0][0] <= horizon:
+                    self.now, _, event = heappop(queue)
+                    callbacks, event.callbacks = event.callbacks, None
+                    if callbacks:
+                        for callback in callbacks:
+                            callback(event)
+                    elif not event._ok:
+                        raise event._value
+                    if event is target:
+                        break
+                else:
+                    if target is not None:
                         raise SimulationError(
                             "deadlock: event calendar exhausted before target fired"
                         )
-                    self.step()
-                if target._ok:
-                    return target._value
-                raise target._value
-            horizon = float("inf") if until is None else float(until)
-            if horizon < self._now:
-                raise ValueError(f"cannot run to the past ({horizon} < {self._now})")
-            while self._queue and self._queue[0][0] <= horizon:
-                self.step()
-            if until is not None:
-                self._now = horizon
-            return None
         finally:
             self._running = False
+        if target is not None:
+            if target._ok:
+                return target._value
+            raise target._value
+        if until is not None:
+            self.now = horizon
+        return None
 
     def peek(self) -> float:
         """Timestamp of the next scheduled event (``inf`` if none)."""
-        return self._queue[0][0] if self._queue else float("inf")
+        return self._queue[0][0] if self._queue else math.inf

@@ -12,20 +12,25 @@ The important emergent behaviours — a datanode serving four concurrent
 readers gives each ~29 MB/s while a balanced layout gives every reader
 the full 117.5 MB/s; two pipelined writes that collide on one provider
 halve each other — fall out of this model without scenario-specific
-code, which is exactly what the reproduction needs (see DESIGN.md §2).
+code, which is exactly what the reproduction needs (see DESIGN.md §15).
 
 Rates are recomputed lazily, only when the flow population changes; in
-between, completion times are exact because rates are constant.
+between, completion times are exact because rates are constant.  The
+network keeps each link's flows as flows start and leave, and the
+solver fills from a kept ranking of link shares in pure Python.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from heapq import heappop, heappush
+from typing import Optional
 
 from repro.errors import SimulationError
-from repro.simulation.engine import Engine, Event
+from repro.simulation.engine import Engine, Event, Timeout
 
 __all__ = ["FlowNetwork", "Flow", "NodePort", "TransferStats"]
 
@@ -76,13 +81,14 @@ class Flow:
     """One in-flight transfer.
 
     Public attributes are read-only for callers; use
-    :meth:`FlowNetwork.transfer` to create flows and :meth:`cancel` to
-    abort one (failure injection).
+    :meth:`FlowNetwork.transfer` to create flows and
+    :meth:`FlowNetwork.cancel_node_flows` to abort them (failure
+    injection).
     """
 
     __slots__ = (
         "src", "dst", "size", "remaining", "event", "rate",
-        "started_at", "active", "_links", "cap",
+        "started_at", "cap", "links", "seq", "_frozen",
     )
 
     def __init__(
@@ -95,24 +101,48 @@ class Flow:
         self.event = event
         self.rate = 0.0
         self.started_at: Optional[float] = None
-        self.active = False
-        self._links: tuple[object, ...] = ()
         #: Optional per-flow rate ceiling (models a single-stream client
         #: processing limit independent of NIC capacity).
         self.cap = cap
-
-    def cancel(self, exception: BaseException) -> None:
-        """Abort the transfer; the transfer event fails with *exception*."""
-        if self.event.triggered:
-            return
-        self.active = False
-        self.event.fail(exception)
+        #: The links the flow traverses, in order: out, in, core, cap.
+        self.links: tuple[_Link, ...] = ()
+        #: Start order among the network's flows (set when draining starts).
+        self.seq = 0
+        #: The solve that froze this flow's rate (progressive filling).
+        self._frozen = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Flow {self.src}->{self.dst} {self.remaining:.0f}/{self.size:.0f}B "
             f"@{self.rate:.0f}B/s>"
         )
+
+
+class _Link:
+    """A capacity the solver shares: a NIC direction, the core switch,
+    or one flow's private cap.
+
+    ``flows`` is kept up to date as flows start and leave, in start
+    order.  ``pos`` is the link's place in a flow's ``links`` (out 0,
+    in 1, core 2, cap last).  ``entry`` is the link's place in the
+    network's ranking while it carries flows: ``(capacity / flows,
+    order, link)``, where ``order = first_flow.seq * 4 + pos`` is the
+    link's first occurrence among the flows in start order.
+    ``solve``, ``residual``, ``unfrozen`` and ``key`` are the solver's
+    scratch state, valid while ``solve`` is the current solve.
+    """
+
+    __slots__ = ("capacity", "pos", "flows", "entry", "solve", "residual", "unfrozen", "key")
+
+    def __init__(self, capacity: float, pos: int):
+        self.capacity = capacity
+        self.pos = pos
+        self.flows: dict[Flow, None] = {}
+        self.entry: Optional[tuple[float, int, _Link]] = None
+        self.solve = 0
+        self.residual = 0.0
+        self.unfrozen = 0
+        self.key = 0.0
 
 
 class FlowNetwork:
@@ -155,12 +185,20 @@ class FlowNetwork:
         #: concurrent clients x dozens of RPCs) tractable.  0 disables.
         self.small_flow_cutoff = small_flow_cutoff
         self._nodes: dict[str, NodePort] = {}
-        self._flows: set[Flow] = set()
+        self._out: dict[str, _Link] = {}
+        self._in: dict[str, _Link] = {}
+        self._core = None if core_capacity is None else _Link(float(core_capacity), 2)
+        #: Draining flows in start order (completions follow it).
+        self._flows: dict[Flow, None] = {}
+        #: The ``entry`` of every link carrying flows, sorted: the
+        #: order progressive filling would take them in if no flow
+        #: were frozen yet.
+        self._ranked: list[tuple[float, int, _Link]] = []
+        self._flow_seq = itertools.count(1)
+        self._solves = 0
         self._last_settled = engine.now
         self._wake_generation = 0
         self.stats = TransferStats()
-        #: Optional observer invoked as ``fn(flow)`` on each completion.
-        self.on_complete: Optional[Callable[[Flow], None]] = None
 
     # -- topology ---------------------------------------------------------
 
@@ -173,6 +211,8 @@ class FlowNetwork:
         port = NodePort(name=name, egress=float(egress),
                         ingress=float(egress if ingress is None else ingress))
         self._nodes[name] = port
+        self._out[name] = _Link(port.egress, 0)
+        self._in[name] = _Link(port.ingress, 1)
         return port
 
     def set_node_rates(
@@ -191,12 +231,14 @@ class FlowNetwork:
         if egress is not None:
             if egress <= 0:
                 raise ValueError("egress must be positive")
-            port.egress = float(egress)
+            port.egress = self._out[name].capacity = float(egress)
         if ingress is not None:
             if ingress <= 0:
                 raise ValueError("ingress must be positive")
-            port.ingress = float(ingress)
+            port.ingress = self._in[name].capacity = float(ingress)
         self._settle()
+        self._rerank(self._out[name])
+        self._rerank(self._in[name])
         self._recompute()
 
     # -- transfers ----------------------------------------------------------
@@ -216,43 +258,34 @@ class FlowNetwork:
         transfers cost latency + bytes/fair-rate.  ``rate_cap`` bounds
         this flow's rate below its fair share (single-stream ceiling).
         """
-        if src not in self._nodes:
+        nodes = self._nodes
+        if src not in nodes:
             raise SimulationError(f"unknown source node {src!r}")
-        if dst not in self._nodes:
+        if dst not in nodes:
             raise SimulationError(f"unknown destination node {dst!r}")
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         if rate_cap is not None and rate_cap <= 0:
             raise ValueError(f"rate_cap must be positive, got {rate_cap}")
         lat = self.latency if latency is None else latency
-        done = Event(self.engine)
+        engine = self.engine
+        done = Event(engine)
         flow = Flow(src, dst, nbytes, done, cap=rate_cap)
         self.stats.transfers_started += 1
         if src == dst:
             # Local copy: loopback bypasses the NIC but still honours a
             # per-stream ceiling (the producer/consumer is no faster
             # just because the bytes stay on the machine).
-            rate = self.loopback_rate if rate_cap is None else min(
-                self.loopback_rate, rate_cap
-            )
-            duration = lat + nbytes / rate
-            local_done = self.engine.timeout(duration)
-            local_done.add_callback(lambda _ev: self._finish_local(flow))
+            rate = self.loopback_rate
+        elif nbytes > self.small_flow_cutoff:
+            Timeout(engine, lat, flow).callbacks.append(self._start_flow)
             return done
-        if nbytes == 0:
-            zero = self.engine.timeout(lat)
-            zero.add_callback(lambda _ev: self._finish_local(flow))
-            return done
-        if nbytes <= self.small_flow_cutoff:
-            # Latency-bound control message: bypass the fluid model.
-            rate = min(self._nodes[src].egress, self._nodes[dst].ingress)
-            if rate_cap is not None:
-                rate = min(rate, rate_cap)
-            small_done = self.engine.timeout(lat + nbytes / rate)
-            small_done.add_callback(lambda _ev: self._finish_local(flow))
-            return done
-        start = self.engine.timeout(lat)
-        start.add_callback(lambda _ev: self._start_flow(flow))
+        else:
+            # Empty or latency-bound control message: bypass the fluid model.
+            rate = min(nodes[src].egress, nodes[dst].ingress)
+        if rate_cap is not None:
+            rate = min(rate, rate_cap)
+        Timeout(engine, lat + nbytes / rate, flow).callbacks.append(self._finish_local)
         return done
 
     def cancel_node_flows(self, node: str, exception: BaseException) -> int:
@@ -266,45 +299,70 @@ class FlowNetwork:
             return 0
         self._settle()
         for flow in victims:
-            self._flows.discard(flow)
-            flow.cancel(exception)
+            self._detach(flow)
+            if not flow.event.triggered:
+                flow.event.fail(exception)
         self._recompute()
         return len(victims)
 
     # -- internals ------------------------------------------------------------
 
-    def _finish_local(self, flow: Flow) -> None:
+    def _record(self, flow: Flow) -> None:
+        stats = self.stats
+        stats.transfers_completed += 1
+        stats.bytes_completed += flow.size
+        stats.bytes_by_source[flow.src] = stats.bytes_by_source.get(flow.src, 0.0) + flow.size
+        stats.bytes_by_dest[flow.dst] = stats.bytes_by_dest.get(flow.dst, 0.0) + flow.size
+
+    def _finish_local(self, timer: Event) -> None:
+        flow = timer._value
         if flow.event.triggered:
             return
         flow.started_at = self.engine.now
-        self.stats.transfers_completed += 1
-        self.stats.bytes_completed += flow.size
-        self.stats.bytes_by_source[flow.src] = (
-            self.stats.bytes_by_source.get(flow.src, 0.0) + flow.size
-        )
-        self.stats.bytes_by_dest[flow.dst] = (
-            self.stats.bytes_by_dest.get(flow.dst, 0.0) + flow.size
-        )
+        self._record(flow)
         flow.event.succeed(flow)
-        if self.on_complete is not None:
-            self.on_complete(flow)
 
-    def _start_flow(self, flow: Flow) -> None:
-        if flow.event.triggered:  # cancelled before it started
+    def _start_flow(self, timer: Event) -> None:
+        flow = timer._value
+        if flow.event.triggered:  # failed by its holder before it started
             return
         self._settle()
-        flow.active = True
         flow.started_at = self.engine.now
-        links: list[object] = [("out", flow.src), ("in", flow.dst)]
-        if self.core_capacity is not None:
-            links.append(("core", None))
+        flow.seq = next(self._flow_seq)
+        links = [self._out[flow.src], self._in[flow.dst]]
+        if self._core is not None:
+            links.append(self._core)
         if flow.cap is not None:
             # A private link only this flow traverses: its fair share on
             # it is the whole cap, bounding the flow's rate.
-            links.append(("cap", id(flow), float(flow.cap)))
-        flow._links = tuple(links)
-        self._flows.add(flow)
+            links.append(_Link(float(flow.cap), len(links)))
+        flow.links = tuple(links)
+        for link in links:
+            link.flows[flow] = None
+            self._rerank(link)
+        self._flows[flow] = None
         self._recompute()
+
+    def _detach(self, flow: Flow) -> None:
+        """Drop a finished or cancelled flow from the incidence."""
+        del self._flows[flow]
+        for link in flow.links:
+            del link.flows[flow]
+            self._rerank(link)
+
+    def _rerank(self, link: _Link) -> None:
+        """Move *link*'s entry after its flows or capacity changed."""
+        ranked = self._ranked
+        if link.entry is not None:
+            # Entries differ in (share, order), so bisect never compares links.
+            del ranked[bisect_left(ranked, link.entry)]
+            link.entry = None
+        flows = link.flows
+        if flows:
+            link.entry = entry = (
+                link.capacity / len(flows), next(iter(flows)).seq * 4 + link.pos, link
+            )
+            insort(ranked, entry)
 
     def _settle(self) -> None:
         """Drain every active flow at its current rate up to ``now``."""
@@ -317,94 +375,100 @@ class FlowNetwork:
                     flow.remaining = 0.0
         self._last_settled = now
 
-    def _link_capacity(self, link: tuple) -> float:
-        kind = link[0]
-        if kind == "out":
-            return self._nodes[link[1]].egress
-        if kind == "in":
-            return self._nodes[link[1]].ingress
-        if kind == "cap":
-            return float(link[2])
-        return float(self.core_capacity)  # kind == "core"
-
     def _recompute(self) -> None:
         """Assign max-min fair rates and schedule the next completion."""
-        # Drop cancelled flows.
-        dead = [f for f in self._flows if f.event.triggered and not f.active]
-        for f in dead:
-            self._flows.discard(f)
-
-        flows = list(self._flows)
+        flows = self._flows
         if flows:
-            self._assign_maxmin_rates(flows)
+            self._assign_maxmin_rates()
 
         # Schedule a wake-up at the earliest projected completion.
         self._wake_generation += 1
-        generation = self._wake_generation
         horizon = math.inf
         for f in flows:
-            if f.rate > 0:
-                horizon = min(horizon, f.remaining / f.rate)
-        if horizon is not math.inf and flows:
-            wake = self.engine.timeout(max(horizon, 0.0) * (1.0 + _TIME_SLACK))
-            wake.add_callback(lambda _ev: self._on_wake(generation))
+            rate = f.rate
+            if rate > 0:
+                left = f.remaining / rate
+                if left < horizon:
+                    horizon = left
+        if horizon < math.inf:
+            wake = Timeout(
+                self.engine, max(horizon, 0.0) * (1.0 + _TIME_SLACK), self._wake_generation
+            )
+            wake.callbacks.append(self._on_wake)
 
-    def _assign_maxmin_rates(self, flows: list[Flow]) -> None:
-        """Vectorized progressive filling.
+    def _assign_maxmin_rates(self) -> None:
+        """Exact progressive filling over the kept incidence.
 
-        Each round saturates the tightest remaining link, freezing every
-        unfrozen flow through it at the link's fair share.  Arrays keep
-        per-link residual capacity and unfrozen membership counts, so a
-        round is O(flows) numpy work and the loop runs at most once per
-        link — fast enough for the 250-client experiments.
+        Each round takes the tightest link (ties to the lower ``order``),
+        freezes its unfrozen flows in start order at that share, and
+        subtracts the share from every link of theirs, clamping at 0
+        once the round is done.
+
+        Every link with unfrozen flows has one live ``(key, order)``
+        entry with ``key <= share``: its ranked entry, or a requeued one
+        on a heap.  A share that falls is requeued at once, one that
+        grows (the usual case) only when its old entry comes up.  So
+        the least entry whose key is still the share is the tightest
+        link.  The ranked entries are walked in order with the heap
+        merged in, a link's scratch state is set when a round first
+        reaches it, and the walk stops once every flow is frozen: no
+        per-solve index, sort or pass over idle links (DESIGN.md §15).
         """
-        import numpy as np
-
-        # Index the links each flow traverses (at most 3: out, in, cap).
-        link_ids: dict[tuple, int] = {}
-        max_links = 0
-        for f in flows:
-            max_links = max(max_links, len(f._links))
-            for link in f._links:
-                if link not in link_ids:
-                    link_ids[link] = len(link_ids)
-        n_links = len(link_ids)
-        membership = np.full((len(flows), max_links), -1, dtype=np.int64)
-        for i, f in enumerate(flows):
-            for j, link in enumerate(f._links):
-                membership[i, j] = link_ids[link]
-        capacity = np.empty(n_links, dtype=np.float64)
-        for link, idx in link_ids.items():
-            capacity[idx] = self._link_capacity(link)
-        count = np.zeros(n_links, dtype=np.float64)
-        valid = membership >= 0
-        np.add.at(count, membership[valid], 1.0)
-
-        rates = np.zeros(len(flows), dtype=np.float64)
-        frozen = np.zeros(len(flows), dtype=bool)
-        remaining = capacity.copy()
-        while not frozen.all():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                shares = np.where(count > 0, remaining / count, math.inf)
-            bottleneck = int(np.argmin(shares))
-            share = shares[bottleneck]
-            if not math.isfinite(share):  # pragma: no cover - defensive
+        self._solves += 1
+        solve = self._solves
+        unfrozen = len(self._flows)
+        ranked = self._ranked
+        requeued: list = []
+        walked, total = 0, len(ranked)
+        while unfrozen:
+            if requeued and (walked == total or requeued[0] < ranked[walked]):
+                key, order, bottleneck = heappop(requeued)
+            else:
+                key, order, bottleneck = ranked[walked]
+                walked += 1
+            if bottleneck.solve == solve:
+                count = bottleneck.unfrozen
+                if not count or key != bottleneck.key:
+                    continue  # frozen, or superseded by a lower key
+                share = bottleneck.residual / count
+                if share != key:  # the share grew since the entry was queued
+                    bottleneck.key = share
+                    heappush(requeued, (share, order, bottleneck))
+                    continue
+            else:
+                share = key  # untouched: the ranked share still holds
+            if share == math.inf:
                 raise SimulationError("progressive filling found no bottleneck")
-            hit = (~frozen) & (membership == bottleneck).any(axis=1)
-            if not hit.any():  # pragma: no cover - defensive
-                raise SimulationError("bottleneck link with no unfrozen flows")
-            rates[hit] = share
-            frozen |= hit
-            used = membership[hit]
-            used = used[used >= 0]
-            np.subtract.at(remaining, used, share)
-            np.subtract.at(count, used, 1.0)
-            np.maximum(remaining, 0.0, out=remaining)
-        for i, f in enumerate(flows):
-            f.rate = float(rates[i])
+            touched = []
+            for flow in bottleneck.flows:
+                if flow._frozen == solve:
+                    continue
+                flow._frozen = solve
+                flow.rate = share
+                unfrozen -= 1
+                links = flow.links
+                for link in links:
+                    if link.solve != solve:
+                        link.solve = solve
+                        link.residual = link.capacity
+                        link.unfrozen = len(link.flows)
+                        link.key = link.entry[0]
+                    link.residual -= share
+                    link.unfrozen -= 1
+                touched += links
+            # A link listed twice is checked twice; the second finds its
+            # key already lowered.
+            for link in touched:
+                if link.residual < 0.0:
+                    link.residual = 0.0
+                if link.unfrozen:
+                    fallen = link.residual / link.unfrozen
+                    if fallen < link.key:
+                        link.key = fallen
+                        heappush(requeued, (fallen, link.entry[1], link))
 
-    def _on_wake(self, generation: int) -> None:
-        if generation != self._wake_generation:
+    def _on_wake(self, timer: Event) -> None:
+        if timer._value != self._wake_generation:
             return  # superseded by a newer recompute
         self._settle()
         completed = [f for f in self._flows if f.remaining <= _EPSILON_BYTES]
@@ -417,23 +481,10 @@ class FlowNetwork:
                 for f in self._flows
                 if f.rate > 0 and f.remaining / f.rate < _MIN_HORIZON
             ]
-        if not completed:
-            self._recompute()
-            return
         for flow in completed:
-            self._flows.discard(flow)
-            flow.active = False
+            self._detach(flow)
             if flow.event.triggered:
-                continue  # cancelled at the exact completion instant
-            self.stats.transfers_completed += 1
-            self.stats.bytes_completed += flow.size
-            self.stats.bytes_by_source[flow.src] = (
-                self.stats.bytes_by_source.get(flow.src, 0.0) + flow.size
-            )
-            self.stats.bytes_by_dest[flow.dst] = (
-                self.stats.bytes_by_dest.get(flow.dst, 0.0) + flow.size
-            )
+                continue  # failed by its holder while draining
+            self._record(flow)
             flow.event.succeed(flow)
-            if self.on_complete is not None:
-                self.on_complete(flow)
         self._recompute()

@@ -104,22 +104,19 @@ class Store:
         self.engine = engine
         self.capacity = capacity
         self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
+        #: Consumers blocked in :meth:`get`, oldest first; :meth:`put`
+        #: hands its item to the oldest.
+        self.getters: Deque[Event] = deque()
         self._putters: Deque[tuple[Event, Any]] = deque()
 
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def getters(self) -> int:
-        """Consumers blocked in :meth:`get`; :meth:`put` hands to the oldest."""
-        return len(self._getters)
-
     def put(self, item: Any) -> Event:
         """Deposit *item*; returned event fires when the item is accepted."""
         done = Event(self.engine)
-        if self._getters:
-            getter = self._getters.popleft()
+        if self.getters:
+            getter = self.getters.popleft()
             getter.succeed(item)
             done.succeed()
         elif len(self._items) < self.capacity:
@@ -139,5 +136,5 @@ class Store:
                 self._items.append(item)
                 done.succeed()
         else:
-            self._getters.append(got)
+            self.getters.append(got)
         return got

@@ -16,13 +16,13 @@ naturally with the engine.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
+from types import GeneratorType
 from typing import Any, Callable, Generator, Optional
 
 from repro.errors import ProviderUnavailable, SimulationError
 from repro.simulation.cluster import SimNode
-from repro.simulation.engine import Engine, Event
+from repro.simulation.engine import Event, Timeout
 from repro.simulation.resources import Store
 
 __all__ = ["RpcServer", "Reply", "call", "DEFAULT_RPC_BYTES"]
@@ -68,6 +68,8 @@ class RpcServer:
         if concurrency < 1:
             raise ValueError("concurrency must be >= 1")
         self.node = node
+        #: Engine of the hosting node.
+        self.engine = node.engine
         self.name = name
         self.handler = handler
         self.service_time = service_time
@@ -76,16 +78,6 @@ class RpcServer:
         self.requests_served = 0
         self.busy_time = 0.0
         self._started = 0
-
-    @property
-    def engine(self) -> Engine:
-        """Engine of the hosting node."""
-        return self.node.engine
-
-    @property
-    def online(self) -> bool:
-        """Service is reachable iff its node is online."""
-        return self.node.online
 
     def _submit(self, request: tuple[Any, Event]) -> Event:
         """Queue *request*, first starting a worker if none waits for it.
@@ -100,27 +92,28 @@ class RpcServer:
         return self.inbox.put(request)
 
     def _worker(self) -> Generator:
+        engine, node, inbox = self.engine, self.node, self.inbox
         while True:
-            payload, reply_event = yield self.inbox.get()
-            started = self.engine.now
-            if not self.node.online:
+            payload, reply_event = yield inbox.get()
+            started = engine.now
+            if not node.online:
                 if not reply_event.triggered:
                     reply_event.fail(
-                        ProviderUnavailable(f"{self.name} on {self.node.name} is down")
+                        ProviderUnavailable(f"{self.name} on {node.name} is down")
                     )
                 continue
             try:
                 if self.service_time:
-                    yield self.engine.timeout(self.service_time)
+                    yield Timeout(engine, self.service_time)
                 result = self.handler(payload)
-                if inspect.isgenerator(result):
+                if type(result) is GeneratorType:
                     result = yield from result
             except BaseException as exc:  # noqa: BLE001 - forwarded to caller
                 if not reply_event.triggered:
                     reply_event.fail(exc)
                 continue
             finally:
-                self.busy_time += self.engine.now - started
+                self.busy_time += engine.now - started
             self.requests_served += 1
             if not reply_event.triggered:
                 reply_event.succeed(result)
@@ -143,15 +136,17 @@ def call(
     overrides *response_size*.  ``rate_cap`` bounds the bulk transfer
     rate in both directions (single-stream client ceiling).
     """
-    if client.engine is not server.engine:
+    engine = client.engine
+    if engine is not server.engine:
         raise SimulationError("client and server belong to different engines")
-    network = client.cluster.network
-    if not server.online:
+    network = client.network
+    host = server.node
+    if not host.online:
         # The caller still pays a latency to discover the silence.
-        yield client.engine.timeout(network.latency)
-        raise ProviderUnavailable(f"{server.name} on {server.node.name} is down")
-    yield network.transfer(client.name, server.node.name, request_size, rate_cap=rate_cap)
-    reply_event = Event(client.engine)
+        yield Timeout(engine, network.latency)
+        raise ProviderUnavailable(f"{server.name} on {host.name} is down")
+    yield network.transfer(client.name, host.name, request_size, rate_cap=rate_cap)
+    reply_event = Event(engine)
     yield server._submit((payload, reply_event))
     result = yield reply_event
     if isinstance(result, Reply):
@@ -160,5 +155,5 @@ def call(
     else:
         size = DEFAULT_RPC_BYTES if response_size is None else response_size
         value = result
-    yield network.transfer(server.node.name, client.name, size, rate_cap=rate_cap)
+    yield network.transfer(host.name, client.name, size, rate_cap=rate_cap)
     return value

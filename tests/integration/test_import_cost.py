@@ -2,12 +2,13 @@
 
 ``import numpy`` alone adds about 13.7 MB of RSS and 155 ms on a
 2-vCPU host; importing ``repro.cli`` and the harness costs 9.6 MB of
-RSS without numpy and 22.4 MB with it.  Only three features compute
-with numpy: the simulator's rate solver and seeded deployments, the
-HDFS baseline's random placement (and the store's ``random`` policy),
-and RandomTextWriter's bulk draws.  Each loads it on its first draw or
-solve.  A store, BSFS, gateway or grep session never draws a number,
-so it must run where numpy is absent.
+RSS without numpy and 22.4 MB with it.  Only two kinds of feature
+compute with numpy: seeded draws (the simulator's seeded deployments,
+the HDFS baseline's random placement and the store's ``random``
+policy) and RandomTextWriter's bulk draws.  Each loads it on its first
+draw.  A store, BSFS, gateway or grep session never draws a number, and
+neither does the simulator's kernel (its rate solver is pure Python) or
+a BlobSeer read point, so they must run where numpy is absent.
 
 Every check runs in a fresh interpreter: this test process imported
 numpy long ago.  The positive controls keep the blocked runs from
@@ -77,6 +78,12 @@ with Gateway(config=StoreConfig(data_providers=4, block_size=64)) as gateway:
     assert client.read_file("/notes") == bytes(range(256)) * 3
 """
 
+SIMULATED_READS = """
+from repro.harness import scenarios
+result = scenarios.concurrent_readers("bsfs", 4, total_nodes=30)
+assert result.clients == 4 and result.mean_client_throughput > 0
+"""
+
 #: Each feature that computes with numpy, run after every module was
 #: imported without it.
 NUMPY_FEATURES = {
@@ -125,6 +132,10 @@ def test_import_repro_and_a_round_robin_store_skip_numpy():
 def test_every_module_and_the_storage_sessions_run_with_numpy_blocked():
     # None in sys.modules makes every `import numpy` raise ImportError.
     run('import sys\nsys.modules["numpy"] = None\n' + IMPORT_ALL + STORAGE_SESSIONS)
+
+
+def test_a_simulated_blobseer_read_point_runs_with_numpy_blocked():
+    run('import sys\nsys.modules["numpy"] = None\n' + SIMULATED_READS)
 
 
 @pytest.mark.parametrize("feature", sorted(NUMPY_FEATURES))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.simulation import Engine
 from repro.simulation.resources import Resource
 
@@ -93,3 +94,66 @@ class TestRunSemantics:
             return engine.now
 
         assert engine.run(engine.process(proc())) == 7.0
+
+
+def _unheard_event(engine):
+    """A plain event failed at t=1 with nobody listening."""
+    engine.event().fail(RuntimeError("unheard"), delay=1)
+
+
+def _unheard_process(engine):
+    """A process that fails at t=1 with nobody waiting on it."""
+
+    def bad():
+        yield engine.timeout(1)
+        raise RuntimeError("unheard")
+
+    engine.process(bad())
+
+
+RUN_MODES = {
+    "to_empty": lambda engine: engine.run(),
+    "until_time": lambda engine: engine.run(until=5),
+    "until_event": lambda engine: engine.run(engine.timeout(10)),
+}
+
+
+class TestUnheardFailures:
+    """Errors never pass silently, whichever way ``run`` is bounded."""
+
+    @pytest.mark.parametrize("source", [_unheard_event, _unheard_process])
+    @pytest.mark.parametrize("mode", sorted(RUN_MODES))
+    def test_an_unheard_failure_raises_from_run(self, engine, source, mode):
+        source(engine)
+        with pytest.raises(RuntimeError, match="unheard"):
+            RUN_MODES[mode](engine)
+        assert engine.now == 1.0
+
+    @pytest.mark.parametrize("mode", sorted(RUN_MODES))
+    def test_a_heard_failure_does_not(self, engine, mode):
+        failed = engine.event()
+        failed.fail(RuntimeError("heard"), delay=1)
+        seen = []
+        failed.add_callback(lambda ev: seen.append(ev.value))
+        RUN_MODES[mode](engine)
+        assert [str(exc) for exc in seen] == ["heard"]
+
+
+class TestIllegalYields:
+    def test_yielding_an_event_of_another_engine_fails_the_process(self, engine):
+        other = Engine()
+
+        def bad():
+            yield other.timeout(1)
+
+        with pytest.raises(SimulationError, match="different engine"):
+            engine.run(engine.process(bad()))
+        assert other.peek() == 1.0  # the foreign event stays on its own calendar
+
+    def test_a_negative_delay_is_rejected_before_the_event_triggers(self, engine):
+        ev = engine.event()
+        with pytest.raises(ValueError, match="past"):
+            ev.succeed(delay=-1)
+        with pytest.raises(ValueError, match="past"):
+            ev.fail(RuntimeError("x"), delay=-1)
+        assert not ev.triggered and engine.peek() == float("inf")

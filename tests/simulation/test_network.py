@@ -66,6 +66,11 @@ class TestSingleFlow:
         with pytest.raises(SimulationError):
             net.add_node("a", egress=1.0)
 
+    def test_a_flow_bounded_by_no_finite_link_is_an_error(self, engine):
+        net = make_net(engine, rate=float("inf"))
+        with pytest.raises(SimulationError, match="no bottleneck"):
+            engine.run(net.transfer("a", "b", 100.0))
+
 
 class TestFairSharing:
     def test_two_flows_same_source_halve(self, engine):
@@ -234,3 +239,20 @@ class TestDeterminism:
             return completions
 
         assert run_once() == run_once()
+
+    def test_flows_finishing_in_one_wake_complete_in_start_order(self, engine):
+        """Three equal flows drain together; one wake completes them in
+        the order they started, so their waiters resume in that order."""
+        net = make_net(engine, nodes=("a", "b", "c", "x", "y", "z"), rate=100.0)
+        resumed = []
+
+        def waiter(tag, src, dst):
+            yield net.transfer(src, dst, 1000.0)
+            resumed.append((tag, engine.now))
+
+        for tag, (src, dst) in enumerate((("a", "x"), ("b", "y"), ("c", "z"))):
+            engine.process(waiter(tag, src, dst))
+        engine.run()
+        assert [tag for tag, _ in resumed] == [0, 1, 2]
+        assert len({t for _, t in resumed}) == 1
+        assert net.stats.transfers_completed == 3
